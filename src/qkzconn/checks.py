@@ -10,6 +10,7 @@ rather than failure.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from . import connection as conn
 from . import heckespin as hs
 from . import qkz
 from .elliptic import (
+    EllipticError,
     EllipticParams,
     PoleError,
     coeff_a,
@@ -149,6 +151,35 @@ class VerifyContext:
         return self.eval_resampling(rng, n, fn, retries=retries, sampler=sample_point_band)
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any residual is NaN or inf.
+
+    Plain ``max`` keeps a NaN only in first position, so ``max(worst, r)``
+    would drop a NaN residual and pass its check.  NaN fails every
+    comparison, so a non-finite residual fails both an ordinary check
+    (residual < tol) and a negative control (residual > tol).
+    """
+    vals = [float(r) for r in residuals]
+    return max(vals) if all(math.isfinite(v) for v in vals) else math.nan
+
+
+#: failures of an evaluation, not of an identity: the check is inconclusive
+_INCONCLUSIVE = (ResampleExhausted, EllipticError, OverflowError)
+
+
+def _inconclusive(check_id: str, suite: str, law: str, **detail) -> CheckResult:
+    return CheckResult(
+        check=check_id,
+        suite=suite,
+        law=law,
+        residual=None,
+        tol=None,
+        passed=False,
+        status="inconclusive",
+        detail=detail,
+    )
+
+
 def _result(check_id, suite, law, residual, tol, **kw) -> CheckResult:
     return CheckResult(
         check=check_id,
@@ -175,7 +206,7 @@ def _theta_symmetry(ctx: VerifyContext):
         mod = rng.uniform(p, 1.0)
         z = mod * np.exp(2j * np.pi * rng.uniform())
         a, b = theta(ep, p / z), theta(ep, z)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
     return _result("theta-symmetry", "elliptic", "theta(p/z) = theta(z)", worst, 1e-10)
 
 
@@ -188,7 +219,7 @@ def _theta_quasi(ctx: VerifyContext):
         mod = rng.uniform(ep.nome.p, 1.0)
         z = mod * np.exp(2j * np.pi * rng.uniform())
         a, b = theta(ep, ep.nome.p * z), -theta(ep, z) / z
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
     return _result("theta-quasiperiodicity", "elliptic", "theta(p z) = -theta(z)/z", worst, 1e-10)
 
 
@@ -201,7 +232,7 @@ def _theta_truncation(ctx: VerifyContext):
         z = rng.uniform(0.1, 3.0) * np.exp(2j * np.pi * rng.uniform())
         base = theta(ep, z)
         refined = theta(ep, z, min_factors=120)
-        worst = max(worst, abs(base - refined) / max(1e-300, abs(refined)))
+        worst = _worst(worst, abs(base - refined) / max(1e-300, abs(refined)))
     return _result(
         "theta-truncation",
         "elliptic",
@@ -218,7 +249,7 @@ def _coeff_boundary(ctx: VerifyContext):
     worst = 0.0
     for _ in range(50):
         y = sample_scalar(rng, ep.nome)
-        worst = max(worst, abs(coeff_a(ep, y, 0.0) - 1.0), abs(coeff_b(ep, y, 0.0)))
+        worst = _worst(worst, abs(coeff_a(ep, y, 0.0) - 1.0), abs(coeff_b(ep, y, 0.0)))
     return _result("coeff-boundary", "elliptic", "A(y,0) = 1 and B(y,0) = 0", worst, 1e-12)
 
 
@@ -231,7 +262,7 @@ def _c_ratio(ctx: VerifyContext):
         x = sample_scalar(rng, ep.nome)
         u = -c_func(ep, x) / c_func(ep, -x)
         v = -c_func(ep, -x) / c_func(ep, x)
-        worst = max(worst, abs(u * v - 1.0))
+        worst = _worst(worst, abs(u * v - 1.0))
     return _result("c-ratio-inverse", "elliptic", "(-c(x)/c(-x)) * (-c(-x)/c(x)) = 1", worst, 1e-10)
 
 
@@ -257,7 +288,7 @@ def _braid_relations(ctx: VerifyContext):
     for n in ctx.site_counts(3, 5):
         rep = ctx.rep(n)
         for i in range(1, n - 1):
-            worst = max(
+            worst = _worst(
                 worst,
                 rel_residual(
                     rep.t(i) @ rep.t(i + 1) @ rep.t(i),
@@ -266,7 +297,7 @@ def _braid_relations(ctx: VerifyContext):
             )
         for i in range(1, n):
             for j in range(i + 2, n):
-                worst = max(worst, rel_residual(rep.t(i) @ rep.t(j), rep.t(j) @ rep.t(i)))
+                worst = _worst(worst, rel_residual(rep.t(i) @ rep.t(j), rep.t(j) @ rep.t(i)))
     return _result(
         "braid-relations", "hecke", "braid and distant-commutation relations", worst, 1e-12
     )
@@ -278,9 +309,9 @@ def _affine_relations(ctx: VerifyContext):
     for n in ctx.site_counts(2, 5):
         rep = ctx.rep(n)
         for i in range(1, n - 1):
-            worst = max(worst, rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta))
+            worst = _worst(worst, rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta))
         z2 = rep.zeta @ rep.zeta
-        worst = max(worst, rel_residual(z2 @ rep.t(n - 1), rep.t(1) @ z2))
+        worst = _worst(worst, rel_residual(z2 @ rep.t(n - 1), rep.t(1) @ z2))
     return _result("affine-relations", "hecke", "rotation relations of the generators", worst, 1e-12)
 
 
@@ -292,7 +323,7 @@ def _qybe(ctx: VerifyContext):
     for _ in range(ctx.cfg.samples):
         x = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         y = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-        worst = max(worst, hs.qybe_residual(lambda z: hs.perk_schultz(z, q), x, y))
+        worst = _worst(worst, hs.qybe_residual(lambda z: hs.perk_schultz(z, q), x, y))
     return _result("qybe", "hecke", "quantum Yang-Baxter equation", worst, 1e-10)
 
 
@@ -304,7 +335,7 @@ def _baxterization(ctx: VerifyContext):
     worst = 0.0
     for _ in range(ctx.cfg.samples):
         z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-        worst = max(worst, float(np.max(np.abs(hs.baxterize(b, z, q) - hs.perk_schultz(z, q)))))
+        worst = _worst(worst, float(np.max(np.abs(hs.baxterize(b, z, q) - hs.perk_schultz(z, q)))))
     return _result(
         "baxterization-closed-form", "hecke", "Baxterization equals the closed form", worst, 1e-12
     )
@@ -320,7 +351,7 @@ def _r_unitarity(ctx: VerifyContext):
     for _ in range(ctx.cfg.samples):
         z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         r21 = p_op @ hs.perk_schultz(z, q) @ p_op
-        worst = max(worst, rel_residual(r21 @ hs.perk_schultz(1.0 / z, q), eye))
+        worst = _worst(worst, rel_residual(r21 @ hs.perk_schultz(1.0 / z, q), eye))
     return _result("r-unitarity", "hecke", "flipped matrix inverts at the inverse point", worst, 1e-10)
 
 
@@ -342,7 +373,7 @@ def _y_commutation(ctx: VerifyContext):
         ys = hs.y_operators(rep)
         for a in range(n):
             for b in range(a + 1, n):
-                worst = max(worst, rel_residual(ys[a] @ ys[b], ys[b] @ ys[a]))
+                worst = _worst(worst, rel_residual(ys[a] @ ys[b], ys[b] @ ys[a]))
     return _result("y-commutation", "hecke", "[Y_i, Y_j] = 0", worst, 1e-10)
 
 
@@ -356,7 +387,7 @@ def _cross_relations(ctx: VerifyContext):
         for lam in lams:
             for i in range(1, n):
                 cases.append((n, i, lam))
-                worst = max(worst, hs.cross_relation_residual(rep, i, lam))
+                worst = _worst(worst, hs.cross_relation_residual(rep, i, lam))
     return _result(
         "cross-relations",
         "hecke",
@@ -378,7 +409,7 @@ def _ytilde_commutation(ctx: VerifyContext):
             mu = tuple(int(v) for v in rng.integers(-1, 2, size=n))
             a = hs.y_tilde(rep, lam)
             b = hs.y_tilde(rep, mu)
-            worst = max(worst, rel_residual(a @ b, b @ a))
+            worst = _worst(worst, rel_residual(a @ b, b @ a))
     return _result("ytilde-commutation", "hecke", "braid-limit operators commute", worst, 1e-10)
 
 
@@ -406,7 +437,7 @@ def _eigen_equations(ctx: VerifyContext):
         rep = ctx.rep(n)
         y_ops = hs.y_operators(rep)
         for r in content_labels(n):
-            worst = max(worst, blk.eigen_residual(rep, r, y_ops))
+            worst = _worst(worst, blk.eigen_residual(rep, r, y_ops))
     return _result(
         "eigen-equations", "decomposition", "joint eigenvalue equations per block", worst, 1e-10
     )
@@ -419,7 +450,7 @@ def _sign_map(ctx: VerifyContext):
         rep = ctx.rep(n)
         for r in content_labels(n):
             for w in min_coset_reps(n, content_stabiliser(n, r)):
-                worst = max(worst, blk.sign_residual(rep, r, w))
+                worst = _worst(worst, blk.sign_residual(rep, r, w))
     return _result(
         "sign-map", "decomposition", "signed basis map of the block isomorphism", worst, 1e-10
     )
@@ -434,7 +465,7 @@ def _sign_variants(ctx: VerifyContext):
         rep = ctx.rep(n)
         for r in content_labels(n):
             for w in min_coset_reps(n, content_stabiliser(n, r)):
-                worst_inclusive = max(worst_inclusive, blk.sign_residual(rep, r, w, inclusive=True))
+                worst_inclusive = _worst(worst_inclusive, blk.sign_residual(rep, r, w, inclusive=True))
                 res_printed = blk.sign_residual(rep, r, w, inclusive=False)
                 if res_printed > 1.0:
                     printed_mismatches += 1
@@ -461,7 +492,7 @@ def _spectrum_glueing(ctx: VerifyContext):
     for n in ctx.site_counts(2, 3):
         rep = ctx.rep(n)
         for j in range(1, n + 1):
-            worst = max(worst, blk.spectrum_match_residual(rep, j))
+            worst = _worst(worst, blk.spectrum_match_residual(rep, j))
     return _result(
         "spectrum-glueing",
         "decomposition",
@@ -476,15 +507,11 @@ def _genericity(ctx: VerifyContext):
     report = blk.genericity_report(ctx.ep.nome.p, ctx.ep.kappa, ctx.phi, min(ctx.cfg.n, 4))
     if report.ok:
         return _result("genericity", "decomposition", "nonresonant spectral labels", 0.0, 0.5)
-    return CheckResult(
-        check="genericity",
-        suite="decomposition",
-        law="nonresonant spectral labels",
-        residual=None,
-        tol=None,
-        passed=False,
-        status="inconclusive",
-        detail={"violations": [list(v) for v in report.violations[:20]]},
+    return _inconclusive(
+        "genericity",
+        "decomposition",
+        "nonresonant spectral labels",
+        violations=[list(v) for v in report.violations[:20]],
     )
 
 
@@ -517,7 +544,7 @@ def _connection_cocycle(ctx: VerifyContext):
                     )
                     return rel_residual(lhs, rhs)
 
-                worst = max(worst, ctx.eval_band(rng, n, residual))
+                worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return _result("connection-cocycle", "connection", "cocycle factorization", worst, 1e-9)
 
 
@@ -546,9 +573,9 @@ def _connection_braid(ctx: VerifyContext):
                     ).entries
                     both = rel_residual(lhs, rhs)
                     via_word = rel_residual(lhs, conn.connection_word(ctx.ep, spec, w121, z).entries)
-                    return max(both, via_word)
+                    return _worst(both, via_word)
 
-                worst = max(worst, ctx.eval_band(rng, n, residual))
+                worst = _worst(worst, ctx.eval_band(rng, n, residual))
     else:
         return CheckResult(
             check="connection-braid",
@@ -577,7 +604,7 @@ def _connection_unitarity(ctx: VerifyContext):
                     m2 = conn.connection_simple(ctx.ep, spec, i, act(simple(n, i), z)).entries
                     return rel_residual(m1 @ m2, eye)
 
-                worst = max(worst, ctx.eval_band(rng, n, residual))
+                worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return _result("connection-unitarity", "connection", "unitarity of one-letter matrices", worst, 1e-9)
 
 
@@ -593,7 +620,7 @@ def _rank2_dynamical(ctx: VerifyContext):
             r = conn.dyn_r_matrix(ctx.ep, z[0] - z[1], phi)
             return rel_residual(m, r)
 
-        worst = max(worst, ctx.eval_band(rng, 2, residual))
+        worst = _worst(worst, ctx.eval_band(rng, 2, residual))
     return _result("rank2-dynamical", "connection", "two-site monodromy equals the R-matrix", worst, 1e-9)
 
 
@@ -621,9 +648,9 @@ def _rank3_shifted(ctx: VerifyContext):
             s1 = conn.shifted_r_apply(ctx.ep, 3, 2, z[0] - z[1], phi, conn.PSI_FAMILY, k, control=1)
             m2 = conn.tensor_monodromy_simple(ctx.ep, 3, phi, 2, z)
             s2 = conn.shifted_r_apply(ctx.ep, 3, 1, z[1] - z[2], phi, conn.PSI_FAMILY, -k, control=3)
-            return max(rel_residual(m1, s1), rel_residual(m2, s2))
+            return _worst(rel_residual(m1, s1), rel_residual(m2, s2))
 
-        worst = max(worst, ctx.eval_band(rng, 3, residual))
+        worst = _worst(worst, ctx.eval_band(rng, 3, residual))
     return _result("rank3-shifted", "connection", "control-shifted local action", worst, 1e-9)
 
 
@@ -641,7 +668,7 @@ def _monodromy_routes(ctx: VerifyContext):
                 b = conn.tensor_monodromy_from_blocks(ctx.ep, n, ctx.phi, w, z)
                 return rel_residual(a, b)
 
-            worst = max(worst, ctx.eval_band(rng, n, residual))
+            worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return _result("monodromy-routes", "connection", "two monodromy constructions agree", worst, 1e-9)
 
 
@@ -656,14 +683,14 @@ def _gl2_fixture(ctx: VerifyContext):
         xp = sample_scalar(rng, ep.nome)
         y = sample_dynamical(rng)
         m = conn.gl2_matrix(ep, x, y)
-        worst = max(worst, rel_residual(m @ conn.gl2_matrix(ep, -x, y), eye4))
-        worst = max(worst, conn.gl2_dybe_residual(ep, x, xp, y))
+        worst = _worst(worst, rel_residual(m @ conn.gl2_matrix(ep, -x, y), eye4))
+        worst = _worst(worst, conn.gl2_dybe_residual(ep, x, xp, y))
         # middle 2x2 block against the rank-2 empty-index connection matrix
         spec = blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(y / 2.0, -y / 2.0))
         z = (x, 0.0)
         cm = conn.connection_simple(ep, spec, 1, z).entries
         block = np.array([[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
-        worst = max(worst, rel_residual(cm, block))
+        worst = _worst(worst, rel_residual(cm, block))
     return _result("gl2-fixture", "connection", "fixture laws and block agreement", worst, 1e-9)
 
 
@@ -678,7 +705,7 @@ def _dybe_sweep(ctx: VerifyContext, rng, family) -> float:
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
-        worst = max(worst, conn.dybe_residual(ep, x, y, phi, family))
+        worst = _worst(worst, conn.dybe_residual(ep, x, y, phi, family))
     return worst
 
 
@@ -726,7 +753,7 @@ def _dyn_unitarity(ctx: VerifyContext):
     for _ in range(max(30, ctx.cfg.samples)):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
-        worst = max(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi) @ conn.dyn_r_matrix(ep, -x, phi), eye))
+        worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi) @ conn.dyn_r_matrix(ep, -x, phi), eye))
     return _result("dyn-unitarity", "dybe", "unitarity of the dynamical R-matrix", worst, ctx.cfg.residual_tol)
 
 
@@ -739,7 +766,7 @@ def _felder_form(ctx: VerifyContext):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
-        worst = max(worst, conn.felder_residual(ep, x, y, phi))
+        worst = _worst(worst, conn.felder_residual(ep, x, y, phi))
     return _result("felder-form", "dybe", "permuted-form dynamical equation", worst, ctx.cfg.residual_tol)
 
 
@@ -753,7 +780,7 @@ def _felder_negative(ctx: VerifyContext):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
-        worst = max(worst, conn.felder_residual(ep, x, y, phi, weights=swapped))
+        worst = _worst(worst, conn.felder_residual(ep, x, y, phi, weights=swapped))
     return CheckResult(
         check="felder-negative-control",
         suite="dybe",
@@ -776,7 +803,7 @@ def _weight_conservation(ctx: VerifyContext):
         for out_pair in multi_indices(2):
             for in_pair in multi_indices(2):
                 if sorted(out_pair) != sorted(in_pair):
-                    worst = max(worst, abs(r[tensor_index(out_pair), tensor_index(in_pair)]))
+                    worst = _worst(worst, abs(r[tensor_index(out_pair), tensor_index(in_pair)]))
     return _result("weight-conservation", "dybe", "content-preserving sparsity pattern", worst, 1e-30)
 
 
@@ -790,7 +817,7 @@ def _dynamical_translation(ctx: VerifyContext):
         t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         shifted = tuple(v + t for v in phi)
         x = sample_scalar(rng, ep.nome)
-        worst = max(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi), conn.dyn_r_matrix(ep, x, shifted)))
+        worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi), conn.dyn_r_matrix(ep, x, shifted)))
     return _result("dynamical-translation", "dybe", "dependence through differences only", worst, 1e-12)
 
 
@@ -832,7 +859,7 @@ def _transport_cocycle(ctx: VerifyContext):
                 mats = [qkz.transport_word(rep, w, z) for w in words]
                 return rel_residual(mats[0], mats[1])
 
-            worst = max(worst, ctx.eval_resampling(rng, n, residual))
+            worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
     return _result("transport-cocycle", "qkz", "word-independence of transport", worst, 1e-10)
 
 
@@ -848,10 +875,10 @@ def _qkz_flatness(ctx: VerifyContext):
                 local = 0.0
                 for i in range(1, n + 1):
                     for j in range(i + 1, n + 1):
-                        local = max(local, qkz.flatness_residual(rep, i, j, z))
+                        local = _worst(local, qkz.flatness_residual(rep, i, j, z))
                 return local
 
-            worst = max(worst, ctx.eval_resampling(rng, n, residual))
+            worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
     return _result("qkz-flatness", "qkz", "commuting translation transports", worst, ctx.cfg.residual_tol)
 
 
@@ -869,7 +896,7 @@ def _qkz_flatness_negative(ctx: VerifyContext):
         rhs = qkz.transport_word(rep, w2, z) @ qkz.transport_word(rep, w1, z)
         return rel_residual(lhs, rhs)
 
-    worst = max(ctx.eval_resampling(rng, n, residual) for _ in range(5))
+    worst = _worst(*(ctx.eval_resampling(rng, n, residual) for _ in range(5)))
     return CheckResult(
         check="qkz-flatness-negative-control",
         suite="qkz",
@@ -882,8 +909,6 @@ def _qkz_flatness_negative(ctx: VerifyContext):
 
 @register("braid-limit", "qkz", "translation transports converge to the braid-limit operators")
 def _braid_limit(ctx: VerifyContext):
-    import math
-
     worst40 = 0.0
     slope_err = 0.0
     log_p = ctx.ep.nome.log_p
@@ -891,11 +916,11 @@ def _braid_limit(ctx: VerifyContext):
         rep = ctx.rep(n)
         lams = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)]
         for lam in lams:
-            worst40 = max(worst40, qkz.braid_limit_residual(rep, lam, 40.0))
+            worst40 = _worst(worst40, qkz.braid_limit_residual(rep, lam, 40.0))
             r6 = qkz.braid_limit_residual(rep, lam, 6.0)
             r12 = qkz.braid_limit_residual(rep, lam, 12.0)
             slope = (math.log(r12) - math.log(r6)) / 6.0
-            slope_err = max(slope_err, abs(slope - log_p) / abs(log_p))
+            slope_err = _worst(slope_err, abs(slope - log_p) / abs(log_p))
     passed = worst40 < 1e-10 and slope_err < 0.2
     return CheckResult(
         check="braid-limit",
@@ -924,18 +949,12 @@ def run_suite(suite: str, cfg: RunConfig) -> Report:
     except ValueError as exc:
         report = blk.genericity_report(cfg.p, complex(cfg.kappa), cfg.resolved_phi(), min(cfg.n, 4))
         results.append(
-            CheckResult(
-                check="parameter-genericity",
-                suite="config",
-                law="parameters admit a nondegenerate evaluation",
-                residual=None,
-                tol=None,
-                passed=False,
-                status="inconclusive",
-                detail={
-                    "error": str(exc),
-                    "violations": [list(v) for v in report.violations[:20]],
-                },
+            _inconclusive(
+                "parameter-genericity",
+                "config",
+                "parameters admit a nondegenerate evaluation",
+                error=str(exc),
+                violations=[list(v) for v in report.violations[:20]],
             )
         )
         return Report(config=cfg, results=results, timings=timings)
@@ -945,28 +964,8 @@ def run_suite(suite: str, cfg: RunConfig) -> Report:
         t0 = time.perf_counter()
         try:
             out = fn(ctx)
-        except ResampleExhausted as exc:
-            out = CheckResult(
-                check=check_id,
-                suite=s,
-                law=law,
-                residual=None,
-                tol=None,
-                passed=False,
-                status="inconclusive",
-                detail={"error": str(exc)},
-            )
-        except PoleError as exc:
-            out = CheckResult(
-                check=check_id,
-                suite=s,
-                law=law,
-                residual=None,
-                tol=None,
-                passed=False,
-                status="inconclusive",
-                detail={"error": str(exc)},
-            )
+        except _INCONCLUSIVE as exc:
+            out = _inconclusive(check_id, s, law, error=f"{type(exc).__name__}: {exc}")
         timings[check_id] = time.perf_counter() - t0
         results.append(out)
     return Report(config=cfg, results=results, timings=timings)

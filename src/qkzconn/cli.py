@@ -2,7 +2,8 @@
 
 Exit codes: 0 all residuals below tolerance, 1 at least one residual
 failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
-or a usage error).
+an elliptic evaluation that hits a pole or leaves the double range, or a
+usage error).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import blocks as blk
 from . import connection as conn
 from . import serialize
 from .checks import SUITES, Report, run_suite
-from .elliptic import PoleError
+from .elliptic import EllipticError
 from .params import RunConfig, sample_point
 from .symgroup import (
     act,
@@ -188,14 +189,10 @@ def cmd_rmatrix(args: argparse.Namespace) -> int:
     ep = cfg.elliptic()
     phi = cfg.resolved_phi()
     x = args.x
-    try:
-        entries = conn.dyn_r_matrix(ep, x, phi)
-        probe = complex(0.21, 0.13)
-        unit = conn.dyn_r_matrix(ep, probe, phi) @ conn.dyn_r_matrix(ep, -probe, phi)
-        residuals = {"unitarity_probe": float(np.linalg.norm(unit - np.eye(9)) / 3.0)}
-    except PoleError as exc:
-        print(f"pole encountered: {exc}", file=sys.stderr)
-        return 2
+    entries = conn.dyn_r_matrix(ep, x, phi)
+    probe = complex(0.21, 0.13)
+    unit = conn.dyn_r_matrix(ep, probe, phi) @ conn.dyn_r_matrix(ep, -probe, phi)
+    residuals = {"unitarity_probe": float(np.linalg.norm(unit - np.eye(9)) / 3.0)}
     payload = serialize.dynamical_r_payload(cfg.p, complex(cfg.kappa), phi, x, entries, residuals)
     _emit(serialize.dumps(payload), cfg.out)
     return 0
@@ -325,8 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
+    except (ValueError, EllipticError, OverflowError) as exc:
+        # degenerate parameters or an evaluation outside the double range
+        print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

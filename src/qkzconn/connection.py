@@ -97,17 +97,23 @@ class ConnectionMatrix:
 
 
 def _odd_unit(ep: EllipticParams, x: complex) -> complex:
-    # -c(x)/c(-x); the pole of c at x = 0 cancels in the ratio, with limit 1
+    # -c(x)/c(-x) from one batch; the pole of c at x = 0 cancels in the
+    # ratio, with limit 1
     if x == 0:
         return 1.0 + 0.0j
-    return -c_func(ep, x) / c_func(ep, -x)
+    c = c_func(ep, np.array([x, -x]))
+    return complex(-c[0] / c[1])
 
 
-def _diagonal_unit(ep: EllipticParams, eps: int, x: complex) -> complex:
-    # eps * c(x) / c(eps x); identically 1 for eps = +1
-    if eps == 1:
-        return 1.0 + 0.0j
-    return _odd_unit(ep, x)
+def _fill_moving(
+    ep: EllipticParams, mat: np.ndarray, x: complex, cols, rows, ys, signs=1.0
+) -> None:
+    # A on the diagonal of each moving column, signs * B at its swapped row;
+    # one coeff_a and one coeff_b batch over the columns' y
+    if cols:
+        ys = np.asarray(ys, dtype=complex)
+        mat[cols, cols] = coeff_a(ep, ys, x)
+        mat[rows, cols] = signs * coeff_b(ep, ys, x)
 
 
 def connection_simple(
@@ -124,23 +130,26 @@ def connection_simple(
     x = z[i - 1] - z[i]
     ni = dual_position(n, i)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    cols, rows, ys, odd = [], [], [], []
     for col, sigma in enumerate(basis):
-        try:
-            moved = compose(simple(n, ni), sigma)
-            if moved in pos:
-                sigma_inv = inverse(sigma)
-                y = spec.gamma[sigma_inv[ni - 1] - 1] - spec.gamma[sigma_inv[ni] - 1]
-                mat[col, col] = coeff_a(ep, y, x)
-                mat[pos[moved], col] = coeff_b(ep, y, x)
-            else:
-                eps = spec.sign_of(conjugation_index(sigma, i, spec.index_set))
-                mat[col, col] = _diagonal_unit(ep, eps, x)
-        except PoleError as exc:
-            raise PoleError(
-                f"column {sigma} of the one-letter matrix for s_{i}: {exc}",
-                factor=exc.factor,
-                magnitude=exc.magnitude,
-            ) from exc
+        moved = compose(simple(n, ni), sigma)
+        if moved in pos:
+            sigma_inv = inverse(sigma)
+            cols.append(col)
+            rows.append(pos[moved])
+            ys.append(spec.gamma[sigma_inv[ni - 1] - 1] - spec.gamma[sigma_inv[ni] - 1])
+        elif spec.sign_of(conjugation_index(sigma, i, spec.index_set)) == 1:
+            mat[col, col] = 1.0
+        else:
+            odd.append(col)
+    try:
+        if odd:
+            mat[odd, odd] = _odd_unit(ep, x)
+        _fill_moving(ep, mat, x, cols, rows, ys)
+    except PoleError as exc:
+        raise PoleError(
+            f"one-letter matrix for s_{i}: {exc}", factor=exc.factor, magnitude=exc.magnitude
+        ) from exc
     return ConnectionMatrix(spec=spec, word=simple(n, i), z=z, basis=basis, entries=mat)
 
 
@@ -181,21 +190,28 @@ def tensor_monodromy_simple(
     dim = DIM**n
     mat = np.zeros((dim, dim), dtype=complex)
     gamma_cache: dict[Content, tuple[complex, ...]] = {}
+    cols, rows, ys, signs, odd = [], [], [], [], []
     for beta in multi_indices(n):
         col = tensor_index(beta)
         a, b = beta[ni - 1], beta[ni]
         if a == b:
-            mat[col, col] = 1.0 if a in (1, 2) else _odd_unit(ep, x)
+            if a == 3:
+                odd.append(col)
+            else:
+                mat[col, col] = 1.0
             continue
         r = content(beta)
         if r not in gamma_cache:
             gamma_cache[r] = content_block(ep, n, r, phi).gamma
         gamma = gamma_cache[r]
         w_inv = inverse(rep_of_index(beta))
-        y = gamma[w_inv[ni - 1] - 1] - gamma[w_inv[ni] - 1]
-        sign = (-1.0) ** ((a == 3) + (b == 3))
-        mat[col, col] = coeff_a(ep, y, x)
-        mat[tensor_index(multi_index_swap(beta, ni)), col] = sign * coeff_b(ep, y, x)
+        cols.append(col)
+        rows.append(tensor_index(multi_index_swap(beta, ni)))
+        ys.append(gamma[w_inv[ni - 1] - 1] - gamma[w_inv[ni] - 1])
+        signs.append((-1.0) ** ((a == 3) + (b == 3)))
+    if odd:
+        mat[odd, odd] = _odd_unit(ep, x)
+    _fill_moving(ep, mat, x, cols, rows, ys, np.array(signs))
     return mat
 
 
@@ -240,6 +256,16 @@ def tensor_monodromy_from_blocks(
 # the dynamical R-matrix
 
 
+# two-site basis positions: pure even, pure odd, and the six mixed columns
+# (a, b) with their exchange rows (b, a) and exchange signs
+_EVEN_PURE = [tensor_index((1, 1)), tensor_index((2, 2))]
+_ODD_PURE = tensor_index((3, 3))
+_MIXED = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+_MIXED_COLS = [tensor_index(ab) for ab in _MIXED]
+_MIXED_ROWS = [tensor_index((b, a)) for a, b in _MIXED]
+_MIXED_SIGNS = np.array([(-1.0) ** (PARITY[a - 1] + PARITY[b - 1]) for a, b in _MIXED])
+
+
 def dyn_r_matrix(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> np.ndarray:
     """The 9x9 elliptic dynamical R-matrix on the ordered two-site basis.
 
@@ -247,20 +273,11 @@ def dyn_r_matrix(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> np.n
     (i, j) carries A^{phi_i - phi_j}(x) on the diagonal and the exchange
     entry (-1)^(p(i)+p(j)) B^{phi_i - phi_j}(x).
     """
-    phi = tuple(complex(t) for t in phi)
     r = np.zeros((9, 9), dtype=complex)
-    for k in (1, 2, 3):
-        col = tensor_index((k, k))
-        r[col, col] = 1.0 if k in (1, 2) else _odd_unit(ep, x)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a == b:
-                continue
-            col = tensor_index((a, b))
-            y = phi[a - 1] - phi[b - 1]
-            r[col, col] = coeff_a(ep, y, x)
-            sign = (-1.0) ** (PARITY[a - 1] + PARITY[b - 1])
-            r[tensor_index((b, a)), col] = sign * coeff_b(ep, y, x)
+    r[_EVEN_PURE, _EVEN_PURE] = 1.0
+    r[_ODD_PURE, _ODD_PURE] = _odd_unit(ep, x)
+    ys = [complex(phi[a - 1]) - complex(phi[b - 1]) for a, b in _MIXED]
+    _fill_moving(ep, r, x, _MIXED_COLS, _MIXED_ROWS, ys, _MIXED_SIGNS)
     return r
 
 
@@ -442,11 +459,11 @@ def felder_residual(
 
 def gl2_matrix(ep: EllipticParams, x: complex, y: complex) -> np.ndarray:
     """The 4x4 elliptic matrix with scalar dynamical parameter y."""
+    ys = np.array([y, -y], dtype=complex)
+    a, b = coeff_a(ep, ys, x), coeff_b(ep, ys, x)
     m = np.eye(4, dtype=complex)
-    m[1, 1] = coeff_a(ep, y, x)
-    m[1, 2] = coeff_b(ep, -y, x)
-    m[2, 1] = coeff_b(ep, y, x)
-    m[2, 2] = coeff_a(ep, -y, x)
+    m[1, 1], m[1, 2] = a[0], b[1]
+    m[2, 1], m[2, 2] = b[0], a[1]
     return m
 
 

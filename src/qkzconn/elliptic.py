@@ -12,13 +12,19 @@ The theta function is the renormalised product
 truncated once the tail factors are within ``theta_truncation_tol`` of 1.
 Its zero set is z in p^Z, which is where the pole guards of the coefficient
 functions fire.
+
+The kernel works on numpy arrays: ``pow_p`` and ``theta`` take a scalar or
+an array, and ``coeff_a``, ``coeff_b`` and ``c_func`` broadcast over their
+arguments and evaluate every theta factor of a call in one batch.  A scalar
+argument is the 0-d case of the same code and returns a Python complex.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Nome",
@@ -27,6 +33,7 @@ __all__ = [
     "ThetaDomainError",
     "ThetaOverflowError",
     "PoleError",
+    "NonFiniteError",
     "default_params",
     "pow_p",
     "theta",
@@ -52,6 +59,10 @@ class ThetaDomainError(EllipticError):
 
 class ThetaOverflowError(EllipticError):
     """The requested truncation needs more than MAX_THETA_FACTORS factors."""
+
+
+class NonFiniteError(EllipticError):
+    """A coefficient function evaluated to NaN or inf (theta products overflowed)."""
 
 
 class PoleError(EllipticError):
@@ -104,82 +115,137 @@ def default_params(p: float = 0.35, kappa: complex = 0.27, **kwargs) -> Elliptic
     return EllipticParams(nome=Nome(p), kappa=complex(kappa), **kwargs)
 
 
-def pow_p(ep: EllipticParams, x: complex) -> complex:
-    """p^x on the principal branch exp(x * log p); entire in x."""
-    return cmath.exp(complex(x) * ep.nome.log_p)
+def pow_p(ep: EllipticParams, x):
+    """p^x on the principal branch exp(x * log p); entire in x.
+
+    Broadcasts over an array x; a scalar x gives a Python complex.  Raises
+    OverflowError when |p^x| exceeds the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(np.multiply(x, ep.nome.log_p, dtype=complex))
+    if not np.isfinite(out).all():
+        raise OverflowError("p^x overflows the double range")
+    return _scalar_or_array(out)
 
 
-def _factor_count(ep: EllipticParams, zmod: float) -> int:
-    # smallest M with p^(M+1) * max(|z|, 1/|z|) < tol; factors run m = 0..M
-    big = max(zmod, 1.0 / zmod)
+def _scalar_or_array(out: np.ndarray):
+    return out.item() if out.ndim == 0 else out
+
+
+def _factor_count(ep: EllipticParams, big: float) -> int:
+    # smallest M with p^(M+1) * big < tol, where big = max(|z|, 1/|z|) over
+    # the batch; factors run m = 0..M
     bound = (math.log(ep.theta_truncation_tol) - math.log(big)) / ep.nome.log_p
     m = max(0, math.ceil(bound - 1.0))
     if m + 1 > MAX_THETA_FACTORS:
         raise ThetaOverflowError(
-            f"theta truncation needs {m + 1} factors for |z| = {zmod:.3e} "
+            f"theta truncation needs {m + 1} factors for max(|z|, 1/|z|) = {big:.3e} "
             f"(cap {MAX_THETA_FACTORS})"
         )
     return m
 
 
-def theta(ep: EllipticParams, z: complex, min_factors: int = 0) -> complex:
+def theta(ep: EllipticParams, z, min_factors: int = 0):
     """Truncated product prod_{m=0}^{M} (1 - p^m z)(1 - p^{m+1}/z).
 
-    ``min_factors`` forces at least that many factors; used to test that the
-    truncation rule is already converged.
+    ``z`` is a scalar or an array; a whole array shares one factor count M,
+    set by its largest max(|z|, 1/|z|), so the extra factors of the other
+    entries are within the truncation tolerance of 1.  A scalar z gives a
+    Python complex.  ``min_factors`` forces at least that many factors; used
+    to test that the truncation rule is already converged.
     """
-    z = complex(z)
-    if z == 0.0:
-        raise ThetaDomainError("theta(z) is undefined at z = 0")
-    p = ep.nome.p
-    m_top = max(_factor_count(ep, abs(z)), min_factors)
-    acc = 1.0 + 0.0j
-    pm = 1.0
-    zinv = 1.0 / z
-    for _ in range(m_top + 1):
-        acc *= (1.0 - pm * z) * (1.0 - pm * p * zinv)
-        pm *= p
-    return acc
+    z = np.asarray(z, dtype=complex)
+    mod = np.abs(z)
+    lo, hi = float(mod.min(initial=math.inf)), float(mod.max(initial=0.0))
+    if not (lo > 0.0 and hi < math.inf):
+        raise ThetaDomainError("theta(z) is undefined at z = 0 and at non-finite z")
+    m_top = max(_factor_count(ep, max(hi, 1.0 / lo, 1.0)), min_factors)
+    # pm[m] = p^m by repeated multiplication, so pm[m + 1] = pm[m] * p exactly
+    pm = np.full(m_top + 2, ep.nome.p)
+    pm[0] = 1.0
+    np.cumprod(pm, out=pm)
+    # one row of factors per argument: reducing along the contiguous axis
+    # multiplies them in order m = 0..M, the same for any batch size
+    zs = z.reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = (1.0 - pm[:-1] * zs) * (1.0 - pm[1:] * (1.0 / zs))
+        out = factors.prod(axis=1).reshape(z.shape)
+    return _scalar_or_array(out)
 
 
 def theta_multi(ep: EllipticParams, zs) -> complex:
     """Product of theta over the arguments; empty product is 1."""
-    acc = 1.0 + 0.0j
-    for z in zs:
-        acc *= theta(ep, z)
-    return acc
+    return complex(np.prod(theta(ep, list(zs))))
 
 
-def _theta_denominator(ep: EllipticParams, exponent: complex, label: str) -> complex:
-    val = theta(ep, pow_p(ep, exponent))
-    if abs(val) < ep.pole_tol:
+def _stacked_powers(ep: EllipticParams, shape: tuple, *exponents) -> np.ndarray:
+    # p^e for each exponent, broadcast to ``shape`` and stacked on axis 0
+    stacked = np.empty((len(exponents), *shape), dtype=complex)
+    for k, e in enumerate(exponents):
+        stacked[k] = e
+    return pow_p(ep, stacked)
+
+
+def _pole_guard(ep: EllipticParams, val: np.ndarray, label: str) -> None:
+    mag = np.abs(val)
+    if (mag < ep.pole_tol).any():
+        worst = float(mag.min())
         raise PoleError(
-            f"pole: theta factor {label} has modulus {abs(val):.3e} < {ep.pole_tol:.1e}",
+            f"pole: theta factor {label} has modulus {worst:.3e} < {ep.pole_tol:.1e}",
             factor=label,
-            magnitude=abs(val),
+            magnitude=worst,
         )
-    return val
 
 
-def coeff_a(ep: EllipticParams, y: complex, x: complex) -> complex:
-    """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}."""
+def _finite(out: np.ndarray, name: str):
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise NonFiniteError(f"{name} is not finite at {bad} of {out.size} points")
+    return _scalar_or_array(out)
+
+
+def coeff_a(ep: EllipticParams, y, x):
+    """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}.
+
+    Broadcasts over y and x with one theta call on the stacked arguments.
+    """
     k2 = 2.0 * ep.kappa
-    num = theta(ep, pow_p(ep, k2)) * theta(ep, pow_p(ep, y - x))
-    den = _theta_denominator(ep, y, "p^y") * _theta_denominator(ep, k2 - x, "p^(2*kappa-x)")
-    return (num / den) * pow_p(ep, (k2 - y) * x)
+    y, x = np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)
+    pw = _stacked_powers(ep, np.broadcast(y, x).shape, k2, y - x, y, k2 - x, (k2 - y) * x)
+    th = theta(ep, pw[:4])
+    _pole_guard(ep, th[2], "p^y")
+    _pole_guard(ep, th[3], "p^(2*kappa-x)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (th[0] * th[1]) / (th[2] * th[3]) * pw[4]
+    return _finite(out, "A-coefficient")
 
 
-def coeff_b(ep: EllipticParams, y: complex, x: complex) -> complex:
-    """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}."""
+def coeff_b(ep: EllipticParams, y, x):
+    """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}.
+
+    Broadcasts over y and x with one theta call on the stacked arguments.
+    """
     k2 = 2.0 * ep.kappa
-    num = theta(ep, pow_p(ep, k2 - y)) * theta(ep, pow_p(ep, -x))
-    den = _theta_denominator(ep, k2 - x, "p^(2*kappa-x)") * _theta_denominator(ep, -y, "p^(-y)")
-    return (num / den) * pow_p(ep, k2 * (x - y))
+    y, x = np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)
+    pw = _stacked_powers(ep, np.broadcast(y, x).shape, k2 - y, -x, k2 - x, -y, k2 * (x - y))
+    th = theta(ep, pw[:4])
+    _pole_guard(ep, th[2], "p^(2*kappa-x)")
+    _pole_guard(ep, th[3], "p^(-y)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (th[0] * th[1]) / (th[2] * th[3]) * pw[4]
+    return _finite(out, "B-coefficient")
 
 
-def c_func(ep: EllipticParams, x: complex) -> complex:
-    """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x)."""
+def c_func(ep: EllipticParams, x):
+    """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x).
+
+    Broadcasts over x with one theta call on the stacked arguments.
+    """
     k2 = 2.0 * ep.kappa
-    num = theta(ep, pow_p(ep, k2 + x))
-    den = _theta_denominator(ep, x, "p^x")
-    return pow_p(ep, k2 * x) * num / den
+    x = np.asarray(x, dtype=complex)
+    pw = _stacked_powers(ep, x.shape, k2 + x, x, k2 * x)
+    th = theta(ep, pw[:2])
+    _pole_guard(ep, th[1], "p^x")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pw[2] * th[0] / th[1]
+    return _finite(out, "c-function")

@@ -1,8 +1,11 @@
 """The verification machinery itself: registry, resampling, report shape."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qkzconn import checks
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -79,3 +82,33 @@ class TestReport:
     def test_timings_populated(self):
         report = run_suite("elliptic", RunConfig(n=2))
         assert set(report.timings) == {r.check for r in report.results}
+
+
+class TestNonFiniteResiduals:
+    def test_injected_nan_fails_the_check(self, monkeypatch):
+        # a NaN after the first draw: plain max(worst, nan) would keep worst
+        real = checks.rel_residual
+        calls = []
+
+        def nan_on_second_call(a, b):
+            calls.append(1)
+            return math.nan if len(calls) == 2 else real(a, b)
+
+        monkeypatch.setattr(checks, "rel_residual", nan_on_second_call)
+        report = run_suite("dybe", RunConfig(n=2))
+        (result,) = [r for r in report.results if r.check == "dyn-unitarity"]
+        assert len(calls) > 2
+        assert result.passed is False
+        assert math.isnan(result.residual)
+        assert report.exit_code == 1
+
+    def test_evaluation_errors_are_inconclusive(self, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("synthetic")
+
+        monkeypatch.setattr(checks, "coeff_a", overflow)
+        report = run_suite("elliptic", RunConfig(n=2))
+        (result,) = [r for r in report.results if r.check == "coeff-boundary"]
+        assert result.status == "inconclusive"
+        assert "OverflowError" in result.detail["error"]
+        assert report.exit_code == 2

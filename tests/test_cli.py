@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qkzconn.cli import main
 from qkzconn.serialize import lists_to_matrix, loads
@@ -162,3 +163,27 @@ class TestOutputFile:
         assert sidecar.exists()
         payload = loads(sidecar.read_text())
         assert payload["kind"] == "verification_report"
+
+
+class TestEvaluationFailuresAreInconclusive:
+    """Poles, overflow and non-finite coefficients end in exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all", "--phi", "800,0,0"),
+            ("rmatrix", "--phi", "800,0,0"),
+            ("verify", "dybe", "--p", "0.999"),
+            ("verify", "elliptic", "--p", "1e-300"),
+            ("rmatrix", "--phi", "0.1,0.5,200"),
+        ],
+    )
+    def test_exit_code_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        if argv[0] == "rmatrix":
+            assert out == ""  # nothing exported
+            assert err.startswith("inconclusive:")
+        else:
+            assert "0 failed" in out
+            assert "inconclusive" in out

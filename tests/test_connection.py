@@ -25,7 +25,8 @@ from qkzconn.connection import (
     tensor_monodromy_simple,
     tensor_monodromy_word,
 )
-from qkzconn.elliptic import coeff_a, coeff_b, c_func
+from qkzconn import elliptic
+from qkzconn.elliptic import PoleError, coeff_a, coeff_b, c_func
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
 from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, simple
 from qkzconn.tensorspace import (
@@ -68,6 +69,15 @@ class TestConnectionSimple:
             ]
         )
         assert np.allclose(cm.entries, want, atol=1e-13)
+
+    def test_pole_names_the_letter(self, ep, rng):
+        # gamma difference y = 1 puts theta(p^1) = 0 in the A-denominator
+        spec = PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(0.5, -0.5))
+        with pytest.raises(PoleError) as err:
+            connection_simple(ep, spec, 1, band_z(rng, 2))
+        assert "s_1" in str(err.value)
+        assert err.value.factor == "p^y"
+        assert err.value.magnitude < ep.pole_tol
 
     def test_unitarity(self, ep, phi, rng):
         for n in (2, 3):
@@ -249,10 +259,52 @@ class TestDynamicalR:
         shifted = tuple(v + t for v in phi)
         assert rel_residual(dyn_r_matrix(ep, x, phi), dyn_r_matrix(ep, x, shifted)) < 1e-12
 
+    def test_matches_entrywise_scalar_build(self, ep, phi):
+        x = 0.23 + 0.11j
+        want = np.zeros((9, 9), dtype=complex)
+        for k in (1, 2, 3):
+            col = tensor_index((k, k))
+            want[col, col] = 1.0 if k < 3 else -c_func(ep, x) / c_func(ep, -x)
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                if a != b:
+                    col = tensor_index((a, b))
+                    y = phi[a - 1] - phi[b - 1]
+                    want[col, col] = coeff_a(ep, y, x)
+                    sign = -1.0 if (a == 3) != (b == 3) else 1.0
+                    want[tensor_index((b, a)), col] = sign * coeff_b(ep, y, x)
+        got = dyn_r_matrix(ep, x, phi)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_wrapper(self, ep, phi):
         obj = dynamical_r(ep, 0.2, phi)
         assert obj.x == 0.2
         assert obj.entries.shape == (9, 9)
+
+
+class TestThetaBudget:
+    """Each local matrix costs a fixed number of theta batches, not one per entry."""
+
+    @pytest.fixture()
+    def theta_calls(self, monkeypatch):
+        calls = []
+        real = elliptic.theta
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "theta", counted)
+        return calls
+
+    def test_dyn_r_matrix(self, ep, phi, theta_calls):
+        dyn_r_matrix(ep, 0.23 + 0.11j, phi)
+        assert len(theta_calls) <= 3
+
+    @pytest.mark.parametrize("n, i", [(2, 1), (3, 2), (4, 2)])
+    def test_tensor_monodromy_simple(self, ep, phi, rng, theta_calls, n, i):
+        tensor_monodromy_simple(ep, n, phi, i, band_z(rng, n))
+        assert len(theta_calls) <= 3
 
 
 class TestShiftedApply:

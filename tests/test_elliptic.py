@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qkzconn.elliptic import (
     EllipticParams,
+    NonFiniteError,
     Nome,
     PoleError,
     ThetaDomainError,
@@ -61,6 +62,18 @@ class TestPowP:
     def test_additivity(self, params):
         x, y = 0.3 + 1.1j, -0.7 + 0.4j
         assert abs(pow_p(params, x + y) - pow_p(params, x) * pow_p(params, y)) < 1e-14
+
+    def test_broadcasts(self, params):
+        xs = np.array([[0.3 + 1.1j, -0.7], [0.0, 2.5 - 0.4j]])
+        got = pow_p(params, xs)
+        assert isinstance(pow_p(params, 0.3), complex)
+        assert got.shape == xs.shape
+        for x, g in zip(xs.ravel(), got.ravel()):
+            assert abs(g - pow_p(params, x)) <= 1e-15 * abs(g)
+
+    def test_overflow(self, params):
+        with pytest.raises(OverflowError):
+            pow_p(params, np.array([0.5, -800.0]))
 
 
 class TestTheta:
@@ -133,6 +146,37 @@ class TestTheta:
             a = theta(params, P * z)
             b = -theta(params, z) / z
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
+class TestThetaBatch:
+    """An array argument shares one factor count; values match the scalar path."""
+
+    def test_array_matches_scalar(self, params, rng):
+        mod = np.geomspace(0.05, 20.0, 60)
+        z = mod * np.exp(2j * np.pi * rng.uniform(size=mod.size))
+        got = theta(params, z)
+        want = np.array([theta(params, t) for t in z])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_oracle_sweep_as_one_batch(self, params, rng):
+        z = rng.uniform(0.2, 2.0, size=25) + 1j * rng.uniform(-1.0, 1.0, size=25)
+        got = theta(params, z)
+        for t, g in zip(z, got):
+            want = theta_oracle(complex(t))
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_shapes_and_types(self, params):
+        assert isinstance(theta(params, 0.5), complex)
+        assert theta(params, np.full((2, 3), 0.5 + 0.1j)).shape == (2, 3)
+
+    def test_exact_zeros_in_a_batch(self, params):
+        got = theta(params, [1.0, P, 0.5])
+        assert got[0] == 0.0 and got[1] == 0.0 and got[2] != 0.0
+
+    def test_domain_error_anywhere_in_batch(self, params):
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ThetaDomainError):
+                theta(params, [0.5, bad, 0.7])
 
 
 class TestThetaMulti:
@@ -211,6 +255,39 @@ class TestCoefficients:
     def test_b_pole_at_integer_y(self, params):
         with pytest.raises(PoleError):
             coeff_b(params, 1.0, 0.3)  # theta(p^{-1}) = 0 denominator
+
+    def test_pole_inside_a_batch_names_factor(self, params):
+        with pytest.raises(PoleError) as err:
+            coeff_b(params, np.array([0.3 + 0.1j, 1.0, 0.5]), 0.3)
+        assert err.value.factor == "p^(-y)"
+        assert err.value.magnitude < params.pole_tol
+
+    def test_batches_match_scalar_calls(self, params, rng):
+        ys = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(0.0, 0.5, size=4)
+        xs = (rng.uniform(-0.8, 0.8, size=3) + 1j * rng.uniform(-0.3, 0.3, size=3))[:, None]
+        for fn in (coeff_a, coeff_b):
+            got = fn(params, ys, xs)
+            assert got.shape == (3, 4)
+            for (i, j), g in np.ndenumerate(got):
+                want = fn(params, ys[j], xs[i, 0])
+                assert isinstance(want, complex)
+                assert abs(g - want) <= 1e-14 * abs(want)
+        got = c_func(params, xs[:, 0])
+        for x, g in zip(xs[:, 0], got):
+            assert abs(g - c_func(params, x)) <= 1e-14 * abs(g)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (coeff_a, (np.array([0.4, -199.9]), 0.3 + 0.1j)),
+            (coeff_b, (199.9, 0.3 + 0.1j)),
+            (c_func, (np.array([0.4, -300.0]),)),
+        ],
+    )
+    def test_non_finite_values_raise(self, params, fn, args):
+        # theta products of |z| ~ p^(-200) overflow; the NaN must not escape
+        with pytest.raises(NonFiniteError):
+            fn(params, *args)
 
 
 class TestParams:
