@@ -51,7 +51,6 @@ from .elliptic import (
 from .heckespin import (
     HeckeParams,
     SpinRep,
-    VectorModel,
     baxterize,
     braid_matrix,
     cross_relation_residual,

@@ -37,7 +37,6 @@ __all__ = [
     "GenericityReport",
     "character_values",
     "content_block",
-    "block_specs",
     "dimension_count",
     "eigen_residual",
     "sign_residual",
@@ -100,8 +99,8 @@ def character_values(ep: EllipticParams, spec: PrincipalSeriesSpec) -> Character
     for i in spec.index_set:
         eps = spec.sign_of(i)
         val = eps * q**eps
-        # the character value must solve the quadratic relation
-        assert abs((val - q) * (val + 1.0 / q)) < 1e-10 * max(1.0, abs(q)) ** 2
+        if abs((val - q) * (val + 1.0 / q)) >= 1e-10 * max(1.0, abs(q)) ** 2:
+            raise ValueError(f"character value {val} of T_{i} does not solve the quadratic relation")
         t_vals.append((i, val))
     y_vals = tuple(pow_p(ep, -g) for g in spec.gamma)
     return CharacterValues(t_values=tuple(t_vals), y_values=y_vals)
@@ -138,10 +137,6 @@ def content_block(
     spec = PrincipalSeriesSpec(n=n, index_set=index_set, signs=signs, gamma=gamma)
     validate_spec(ep, spec)
     return spec
-
-
-def block_specs(ep: EllipticParams, n: int, phi: Sequence[complex]) -> dict:
-    return {r: content_block(ep, n, r, phi) for r in content_labels(n)}
 
 
 def dimension_count(n: int) -> int:

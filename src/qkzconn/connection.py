@@ -42,10 +42,9 @@ from .tensorspace import (
     multi_indices,
     permutation_op,
     rel_residual,
-    site_pair_op,
-    site_projector,
+    WEIGHTS,
+    controlled_op,
     tensor_index,
-    two_leg_op,
 )
 
 __all__ = [
@@ -359,16 +358,12 @@ def shifted_r_apply(
     Acts as R_{leg, leg+1}(x; phi + family(j, a)) on the subspace where the
     control leg carries the basis vector v_j.
     """
-    if control in (leg, leg + 1):
-        raise ValueError("the control leg must lie outside the acting pair")
     phi = tuple(complex(t) for t in phi)
-    nome = ep.nome
-    out = np.zeros((DIM**n, DIM**n), dtype=complex)
-    for j in (1, 2, 3):
-        shift = family.vector(nome, j, a)
-        shifted = tuple(p + s for p, s in zip(phi, shift))
-        out += site_pair_op(dyn_r_matrix(ep, x, shifted), n, leg) @ site_projector(n, control, j)
-    return out
+    ops = [
+        dyn_r_matrix(ep, x, tuple(p + s for p, s in zip(phi, family.vector(ep.nome, j, a))))
+        for j in (1, 2, 3)
+    ]
+    return controlled_op(ops, n, leg, leg + 1, control)
 
 
 def weight_shifted_apply(
@@ -379,21 +374,16 @@ def weight_shifted_apply(
     phi: Sequence[complex],
     beta: complex,
     control: int,
-    weights: Sequence[Sequence[float]] = ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+    weights: Sequence[Sequence[float]] = WEIGHTS,
 ) -> np.ndarray:
     """Two-leg operator with phi shifted by beta times the control leg's weight.
 
     The shift for control value j is beta * weights[j-1]; this realises the
     weight-projection form of the dynamical shifts.
     """
-    if control in legs:
-        raise ValueError("the control leg must lie outside the acting pair")
     phi = tuple(complex(t) for t in phi)
-    out = np.zeros((DIM**n, DIM**n), dtype=complex)
-    for j in (1, 2, 3):
-        shifted = tuple(p + beta * w for p, w in zip(phi, weights[j - 1]))
-        out += two_leg_op(op_of_phi(shifted), n, *legs) @ site_projector(n, control, j)
-    return out
+    ops = [op_of_phi(tuple(p + beta * w for p, w in zip(phi, weights[j - 1]))) for j in (1, 2, 3)]
+    return controlled_op(ops, n, *legs, control)
 
 
 def dybe_residual(
@@ -429,7 +419,7 @@ def felder_residual(
     x: complex,
     y: complex,
     phi: Sequence[complex],
-    weights: Sequence[Sequence[float]] = ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+    weights: Sequence[Sequence[float]] = WEIGHTS,
 ) -> float:
     """Defect of the permuted-form dynamical Yang-Baxter equation.
 
@@ -484,22 +474,10 @@ def gl2_dybe_residual(
     leg 1.  ``flip_shifts`` negates the shifts (negative control).
     """
     k = -ep.kappa if flip_shifts else ep.kappa
-    dim = 8
 
     def embedded(pair_leg: int, arg: complex, a: complex, control: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for j in (1, 2):
-            r4 = gl2_matrix(ep, arg, y + _gl2_scalar_shift(j, a))
-            left = np.eye(2 ** (pair_leg - 1), dtype=complex)
-            right = np.eye(2 ** (3 - pair_leg - 1), dtype=complex)
-            big = np.kron(np.kron(left, r4), right)
-            proj = np.zeros(dim)
-            for idx in range(dim):
-                bits = [(idx >> (2 - t)) & 1 for t in range(3)]  # leg values - 1
-                if bits[control - 1] + 1 == j:
-                    proj[idx] = 1.0
-            out += big @ np.diag(proj.astype(complex))
-        return out
+        ops = [gl2_matrix(ep, arg, y + _gl2_scalar_shift(j, a)) for j in (1, 2)]
+        return controlled_op(ops, 3, pair_leg, pair_leg + 1, control)
 
     def r12(arg: complex) -> np.ndarray:
         return embedded(1, arg, -k, control=3)

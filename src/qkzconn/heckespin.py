@@ -19,20 +19,17 @@ from .elliptic import EllipticParams, PoleError, pow_p
 from .symgroup import Perm, reduced_word
 from .tensorspace import (
     DIM,
-    PARITY,
     frob,
     identity_op,
     multi_indices,
     permutation_op,
     rel_residual,
-    site_pair_op,
     tensor_index,
     two_leg_op,
 )
 
 __all__ = [
     "HeckeParams",
-    "VectorModel",
     "SpinRep",
     "braid_matrix",
     "hecke_residual",
@@ -48,18 +45,6 @@ __all__ = [
     "rho_vector",
     "cross_relation_residual",
 ]
-
-
-@dataclass(frozen=True)
-class VectorModel:
-    """The 3-dimensional site space: two even vectors, one odd."""
-
-    dim: int = DIM
-    parity: tuple[int, ...] = PARITY
-    weights: tuple[tuple[int, int, int], ...] = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
-
-
-VECTOR_MODEL = VectorModel()
 
 
 @dataclass(frozen=True)
@@ -215,9 +200,9 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     q = params.q
     b = braid_matrix(q)
     n = params.n
-    t_ops = tuple(site_pair_op(b, n, i) for i in range(1, n))
+    t_ops = tuple(two_leg_op(b, n, i, i + 1) for i in range(1, n))
     b_inv = b - (q - 1.0 / q) * np.eye(9, dtype=complex)
-    t_inv_ops = tuple(site_pair_op(b_inv, n, i) for i in range(1, n))
+    t_inv_ops = tuple(two_leg_op(b_inv, n, i, i + 1) for i in range(1, n))
     zeta, zeta_inv = _twist_rotation(params.elliptic, n, phi)
     return SpinRep(
         params=params,

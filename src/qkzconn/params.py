@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class RunConfig:
             return self.phi
         local = np.random.default_rng(self.seed ^ 0x5A17) if rng is None else rng
         return sample_phi(local)
-
-    def with_phi(self, phi) -> "RunConfig":
-        return replace(self, phi=tuple(complex(t) for t in phi))
 
 
 def sample_phi(rng: np.random.Generator) -> tuple[complex, complex, complex]:

@@ -28,6 +28,7 @@ __all__ = [
     "XI",
     "XI_INV",
     "translation_word",
+    "translation_defect",
     "translation_power_word",
     "transport_letter",
     "transport_word",
@@ -129,11 +130,17 @@ def translation_word(n: int, j: int) -> AffineWord:
     else:
         cycle = affine_word(n, [s_letter(i) for i in range(j, n)])
         word = cycle * base * cycle.inverse()
-    probe = tuple(complex(10 * (k + 1)) for k in range(n))
-    moved = word.point_action(probe)
-    expect = tuple(v + (1 if k == j - 1 else 0) for k, v in enumerate(probe))
-    assert moved == expect, f"translation word for e_{j} acts as {moved}, expected {expect}"
+    defect = translation_defect(word, j)
+    if defect != 0.0:
+        raise ValueError(f"translation word for e_{j} misses the unit shift by {defect}")
     return word
+
+
+def translation_defect(word: AffineWord, j: int) -> float:
+    """Distance between the word's action on a probe point and the probe shifted by e_j."""
+    probe = tuple(complex(10 * (k + 1)) for k in range(word.n))
+    moved = word.point_action(probe)
+    return max(abs(m - v - (1 if k == j - 1 else 0)) for k, (m, v) in enumerate(zip(moved, probe)))
 
 
 def translation_power_word(n: int, lam: Sequence[int]) -> AffineWord:

@@ -25,7 +25,6 @@ __all__ = [
     "connection_payload",
     "decomposition_payload",
     "dumps",
-    "loads",
 ]
 
 
@@ -121,7 +120,3 @@ def decomposition_payload(p, kappa, phi, n, blocks) -> dict[str, Any]:
 
 def dumps(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def loads(text: str) -> dict[str, Any]:
-    return json.loads(text)

@@ -4,16 +4,22 @@ The tensor-product basis of (C^3)^(x n) is enumerated odometer-style: the
 multi-index (a_1, ..., a_n) over {1, 2, 3} sits at linear index
 sum_k (a_k - 1) * 3^(n-k), so the first site is the most significant digit.
 For n = 2 this reproduces the ordered basis (v1 v1, v1 v2, v1 v3, v2 v1, ...).
+
+Local operators are embedded in one way: ``two_leg_op`` writes op x I into
+the legs (a, b) of a d^n x d^n matrix, with the site dimension d read from
+the operator's shape (d^2 x d^2), so the same rule serves the three-state
+sites and the two-state sites of the gl(2) fixture.  ``controlled_op``
+builds on it for the dynamical shifts, which pick the operator by the value
+of a third, control leg.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
-
-from .symgroup import Perm, act, inverse as perm_inverse
 
 DIM = 3
 
@@ -35,14 +41,6 @@ def tensor_index(alpha: Sequence[int]) -> int:
     for a in alpha:
         idx = 3 * idx + (a - 1)
     return idx
-
-
-def index_to_multi(idx: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        idx, rem = divmod(idx, 3)
-        out.append(rem + 1)
-    return tuple(reversed(out))
 
 
 def identity_op(n: int) -> np.ndarray:
@@ -67,46 +65,38 @@ def graded_permutation_op() -> np.ndarray:
     return p
 
 
-def site_pair_op(op: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Embed a two-site operator on the adjacent legs (i, i+1), 1-based."""
-    if not 1 <= i < n:
-        raise ValueError(f"adjacent pair ({i}, {i + 1}) out of range for n={n}")
-    left = np.eye(DIM ** (i - 1), dtype=complex)
-    right = np.eye(DIM ** (n - i - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-def leg_permutation_op(w: Perm) -> np.ndarray:
-    """Matrix of v_alpha -> v_{w . alpha} (legs moved by the permutation w)."""
-    n = len(w)
-    mat = np.zeros((DIM**n, DIM**n), dtype=complex)
-    for alpha in multi_indices(n):
-        mat[tensor_index(act(w, alpha)), tensor_index(alpha)] = 1.0
-    return mat
-
-
 def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
-    """Embed a two-site operator on the (not necessarily adjacent) legs a < b."""
+    """Embed a two-site operator on the (not necessarily adjacent) legs a < b.
+
+    The site dimension d is read from the operator's shape (d^2 x d^2).
+    """
     if not 1 <= a < b <= n:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-    if b == a + 1:
-        return site_pair_op(op, n, a)
-    # relabel legs so (a, b) become (1, 2), act there, then undo
-    rest = [k for k in range(1, n + 1) if k not in (a, b)]
-    w_inv = (a, b, *rest)  # w^{-1} as images: w(a) = 1, w(b) = 2
-    w = perm_inverse(w_inv)
-    relabel = leg_permutation_op(w)
-    core = site_pair_op(op, n, 1)
-    return relabel.conj().T @ core @ relabel
+    d = math.isqrt(op.shape[0])
+    out = np.empty((d**n, d**n), dtype=complex)
+    # view the result with the row legs a, b first, then the column legs a, b
+    legs = [a - 1, b - 1] + [k for k in range(n) if k not in (a - 1, b - 1)]
+    view = out.reshape((d,) * (2 * n)).transpose(legs + [n + k for k in legs])
+    rest = (1,) * (n - 2)
+    eye = np.eye(d ** (n - 2)).reshape((1, 1) + (d,) * (n - 2) + (1, 1) + (d,) * (n - 2))
+    np.multiply(op.reshape((d, d) + rest + (d, d) + rest), eye, out=view)
+    return out
 
 
-def site_projector(n: int, leg: int, value: int) -> np.ndarray:
-    """Diagonal projector onto multi-indices whose entry at ``leg`` equals ``value``."""
-    diag = np.array(
-        [1.0 if alpha[leg - 1] == value else 0.0 for alpha in multi_indices(n)],
-        dtype=complex,
-    )
-    return np.diag(diag)
+def controlled_op(ops: Sequence[np.ndarray], n: int, a: int, b: int, control: int) -> np.ndarray:
+    """Act with ops[j-1] on the legs (a, b) where the control leg carries v_j.
+
+    The result is the sum over j of two_leg_op(ops[j-1], n, a, b) restricted
+    to the columns whose control leg holds the value j; d = len(ops).
+    """
+    if control in (a, b):
+        raise ValueError("the control leg must lie outside the acting pair")
+    d = len(ops)
+    value = np.arange(d**n) // d ** (n - control) % d
+    out = two_leg_op(ops[0], n, a, b)
+    for j in range(1, d):
+        np.copyto(out, two_leg_op(ops[j], n, a, b), where=value == j)
+    return out
 
 
 def frob(mat: np.ndarray) -> float:

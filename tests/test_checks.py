@@ -1,11 +1,13 @@
 """The verification machinery itself: registry, resampling, report shape."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkzconn import checks
+from qkzconn import checks, qkz
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -112,3 +114,30 @@ class TestNonFiniteResiduals:
         assert result.status == "inconclusive"
         assert "OverflowError" in result.detail["error"]
         assert report.exit_code == 2
+
+
+class TestChecksWithoutAssert:
+    """Checks must not depend on ``assert``, which ``python -O`` strips."""
+
+    def test_no_assert_statements(self):
+        for path in sorted(Path(checks.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name} asserts on lines {lines}"
+
+    def test_wrong_translation_word_fails(self, monkeypatch):
+        real = qkz.translation_word
+        # the word for e_{j+1} in place of e_j: a wrong word that raises nothing
+        monkeypatch.setattr(qkz, "translation_word", lambda n, j: real(n, j % n + 1))
+        report = run_suite("qkz", RunConfig(n=2))
+        (result,) = [r for r in report.results if r.check == "translation-words"]
+        assert result.passed is False
+        assert result.detail["failures"] == [(2, 1), (2, 2)]
+
+    def test_zero_braid_limit_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(qkz, "braid_limit_residual", lambda rep, lam, depth: 0.0)
+        report = run_suite("qkz", RunConfig(n=2))
+        (result,) = [r for r in report.results if r.check == "braid-limit"]
+        assert result.status == "ran" and result.passed is False
+        assert math.isnan(result.detail["slope_relative_error"])
+        assert report.exit_code == 1

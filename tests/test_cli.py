@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkzconn.cli import main
-from qkzconn.serialize import lists_to_matrix, loads
+from qkzconn.serialize import lists_to_matrix
 
 
 def run_cli(capsys, *argv):
@@ -28,7 +28,7 @@ class TestVerify:
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "elliptic", "--format", "json")
         assert code == 0
-        payload = loads(out)
+        payload = json.loads(out)
         assert payload["kind"] == "verification_report"
         assert payload["exit_code"] == 0
         assert all(r["status"] == "ran" for r in payload["results"])
@@ -41,7 +41,7 @@ class TestVerify:
     def test_determinism_modulo_timings(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "elliptic", "--format", "json", "--seed", "11")
         _, out2, _ = run_cli(capsys, "verify", "elliptic", "--format", "json", "--seed", "11")
-        p1, p2 = loads(out1), loads(out2)
+        p1, p2 = json.loads(out1), json.loads(out2)
         p1.pop("timings")
         p2.pop("timings")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
@@ -53,7 +53,7 @@ class TestVerify:
             capsys, "verify", "elliptic", "--config", str(cfg), "--format", "json", "--seed", "9"
         )
         assert code == 0
-        payload = loads(out)
+        payload = json.loads(out)
         assert payload["config"]["seed"] == 9
         assert payload["config"]["n"] == 2
 
@@ -62,13 +62,13 @@ class TestRMatrix:
     def test_identity_at_zero(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--x", "0")
         assert code == 0
-        payload = loads(out)
+        payload = json.loads(out)
         mat = lists_to_matrix(payload["entries"])
         assert np.max(np.abs(mat - np.eye(9))) < 1e-12
 
     def test_sparsity_labels(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--x", "0.3+0.1j", "--seed", "4")
-        payload = loads(out)
+        payload = json.loads(out)
         assert payload["basis"][0] == "v1*v1"
         mat = lists_to_matrix(payload["entries"])
         labels = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
@@ -79,7 +79,7 @@ class TestRMatrix:
 
     def test_round_trip_bit_identical(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--x", "0.3+0.1j", "--seed", "4")
-        payload = loads(out)
+        payload = json.loads(out)
         mat = lists_to_matrix(payload["entries"])
         from qkzconn.serialize import dumps, dynamical_r_payload, pair_to_complex
 
@@ -98,7 +98,7 @@ class TestDecompose:
     def test_rank2_block_count(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--n", "2")
         assert code == 0
-        payload = loads(out)
+        payload = json.loads(out)
         blocks = payload["blocks"]
         assert len(blocks) == 6
         dims = sorted(len(b["basis_map"]) for b in blocks)
@@ -106,7 +106,7 @@ class TestDecompose:
 
     def test_rank3_dimensions(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--n", "3")
-        payload = loads(out)
+        payload = json.loads(out)
         assert len(payload["blocks"]) == 10
         assert sum(len(b["basis_map"]) for b in payload["blocks"]) == 27
         assert all(b["eigen_residual"] < 1e-10 for b in payload["blocks"])
@@ -121,7 +121,7 @@ class TestConnectionCommand:
     def test_identity_word(self, capsys):
         code, out, _ = run_cli(capsys, "connection", "--n", "2", "--w", "e", "--z", "0.2,0.1")
         assert code == 0
-        payload = loads(out)
+        payload = json.loads(out)
         for block in payload["blocks"]:
             mat = lists_to_matrix(block["entries"])
             assert np.array_equal(mat, np.eye(mat.shape[0]))
@@ -131,7 +131,7 @@ class TestConnectionCommand:
         code1, out1, _ = run_cli(capsys, "connection", "--n", "3", "--w", "s1 s2 s1", "--z", z)
         code2, out2, _ = run_cli(capsys, "connection", "--n", "3", "--w", "s2 s1 s2", "--z", z)
         assert code1 == code2 == 0
-        p1, p2 = loads(out1), loads(out2)
+        p1, p2 = json.loads(out1), json.loads(out2)
         for b1, b2 in zip(p1["blocks"], p2["blocks"]):
             m1, m2 = lists_to_matrix(b1["entries"]), lists_to_matrix(b2["entries"])
             assert np.max(np.abs(m1 - m2)) < 1e-9 * max(1.0, float(np.max(np.abs(m1))))
@@ -148,8 +148,8 @@ class TestConnectionCommand:
             capsys, "connection", "--n", "2", "--w", "s1", "--z", "0.25,0.05", "--seed", "4"
         )
         code2, out2, _ = run_cli(capsys, "rmatrix", "--x", "0.2", "--seed", "4")
-        t = lists_to_matrix(loads(out1)["tensor_operator"])
-        r = lists_to_matrix(loads(out2)["entries"])
+        t = lists_to_matrix(json.loads(out1)["tensor_operator"])
+        r = lists_to_matrix(json.loads(out2)["entries"])
         assert np.max(np.abs(t - r)) < 1e-9
 
 
@@ -161,7 +161,7 @@ class TestOutputFile:
         assert out_file.exists()
         sidecar = tmp_path / "report.txt.json"
         assert sidecar.exists()
-        payload = loads(sidecar.read_text())
+        payload = json.loads(sidecar.read_text())
         assert payload["kind"] == "verification_report"
 
 

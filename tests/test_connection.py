@@ -33,7 +33,6 @@ from qkzconn.tensorspace import (
     multi_indices,
     permutation_op,
     rel_residual,
-    site_pair_op,
     tensor_index,
 )
 
@@ -312,7 +311,7 @@ class TestShiftedApply:
         zero_family = ShiftFamily("zero", lambda nome, j, a: (0.0, 0.0, 0.0))
         x = sample_scalar(rng, ep.nome)
         got = shifted_r_apply(ep, 3, 1, x, phi, zero_family, ep.kappa, control=3)
-        want = site_pair_op(dyn_r_matrix(ep, x, phi), 3, 1)
+        want = np.kron(np.kron(np.eye(1), dyn_r_matrix(ep, x, phi)), np.eye(3))
         assert rel_residual(got, want) < 1e-13
 
     def test_control_leg_must_be_outside(self, ep, phi):

@@ -1,5 +1,7 @@
 """Braid matrix, Baxterization and the commuting operator families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,23 @@ from qkzconn.heckespin import (
     y_tilde,
 )
 from qkzconn.tensorspace import (
-    multi_indices,
+    controlled_op,
     permutation_op,
     rel_residual,
-    site_pair_op,
     tensor_index,
     two_leg_op,
 )
+
+#: (d, n, a, b): every leg pair a < b for n = 2..4, at both site dimensions
+LEG_PAIRS = [(d, n, a, b) for d in (3, 2) for n in (2, 3, 4) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+
+
+def local_op(q, d):
+    """The braid matrix on three-state sites, a random complex 4x4 matrix on two-state sites."""
+    if d == 3:
+        return braid_matrix(q)
+    gen = np.random.default_rng(11)
+    return gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
 
 
 @pytest.fixture(scope="module")
@@ -240,16 +252,29 @@ class TestTensorHelpers:
 
     def test_two_leg_matches_adjacent(self, q):
         b = braid_matrix(q)
-        assert np.max(np.abs(two_leg_op(b, 3, 1, 2) - site_pair_op(b, 3, 1))) < 1e-15
+        want = np.kron(np.kron(np.eye(3), b), np.eye(3))
+        assert np.max(np.abs(two_leg_op(b, 4, 2, 3) - want)) < 1e-15
 
-    def test_two_leg_nonadjacent(self, q):
-        b = braid_matrix(q)
-        m = two_leg_op(b, 3, 1, 3)
-        for a_in in multi_indices(3):
-            col = m[:, tensor_index(a_in)]
-            small = b[:, tensor_index((a_in[0], a_in[2]))]
-            for a_out in multi_indices(3):
+    @pytest.mark.parametrize("d, n, a, b", LEG_PAIRS)
+    def test_two_leg_brute_force(self, q, d, n, a, b):
+        op = local_op(q, d)
+        m = two_leg_op(op, n, a, b)
+        # basis order: the first leg is the most significant digit
+        digits = list(itertools.product(range(d), repeat=n))
+        rest = [k for k in range(n) if k not in (a - 1, b - 1)]
+        for col, a_in in enumerate(digits):
+            for row, a_out in enumerate(digits):
                 want = 0.0
-                if a_out[1] == a_in[1]:
-                    want = small[tensor_index((a_out[0], a_out[2]))]
-                assert abs(col[tensor_index(a_out)] - want) < 1e-15
+                if all(a_out[k] == a_in[k] for k in rest):
+                    want = op[a_out[a - 1] * d + a_out[b - 1], a_in[a - 1] * d + a_in[b - 1]]
+                assert abs(m[row, col] - want) < 1e-15
+
+    @pytest.mark.parametrize("d", [3, 2])
+    @pytest.mark.parametrize("a, b, control", [(1, 2, 3), (2, 3, 1), (1, 3, 2)])
+    def test_controlled_op_sums_projected_embeddings(self, q, d, a, b, control):
+        ops = [local_op(q, d) * (j + 1) + j * np.eye(d * d) for j in range(d)]
+        want = np.zeros((d**3, d**3), dtype=complex)
+        for j in range(d):
+            on_j = [1.0 if alpha[control - 1] == j else 0.0 for alpha in itertools.product(range(d), repeat=3)]
+            want += two_leg_op(ops[j], 3, a, b) @ np.diag(on_j)
+        assert np.array_equal(controlled_op(ops, 3, a, b, control), want)
