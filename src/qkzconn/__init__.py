@@ -16,16 +16,13 @@ from .blocks import (
 from .connection import (
     PHI_FAMILY,
     PSI_FAMILY,
-    SHIFT_FAMILIES,
     XI_FAMILY,
     ConnectionMatrix,
-    DynamicalRMatrix,
     ShiftFamily,
     connection_simple,
     connection_word,
     dybe_residual,
     dyn_r_matrix,
-    dynamical_r,
     felder_residual,
     gl2_dybe_residual,
     gl2_matrix,
@@ -46,7 +43,6 @@ from .elliptic import (
     default_params,
     pow_p,
     theta,
-    theta_multi,
 )
 from .heckespin import (
     HeckeParams,

@@ -291,11 +291,14 @@ def genericity_report(
             labels.append((r, sigma))
             s_vectors.append(s)
 
-    # collisions: all components of s_b - s_a vanish modulo 2 pi i / log p
+    # collisions: all components of s_b - s_a vanish modulo 2 pi i / log p.
+    # At large labels the exponentials overflow; an overflowing value is
+    # neither a collision nor a resonance, so the warnings are silenced.
     comp = np.array(s_vectors, dtype=complex)
     count = comp.shape[0]
-    unit = np.exp((comp[None, :, :] - comp[:, None, :]) * log_p)
-    collide = np.all(np.abs(unit - 1.0) <= tol, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.exp((comp[None, :, :] - comp[:, None, :]) * log_p)
+        collide = np.all(np.abs(unit - 1.0) <= tol, axis=2)
     for a in range(count):
         for b in range(a + 1, count):
             if collide[a, b]:
@@ -308,13 +311,14 @@ def genericity_report(
     for i in range(n - 1):
         col = partials[:, i]
         diff = col[None, :] - col[:, None]  # entry (a, b) is (s_b - s_a, varpi_{i+1})
-        vals = np.exp(diff * log_p)
-        for m in range(-window, window + 1):
-            if m == 0:
-                continue
-            bad = np.argwhere(np.abs(vals / (p**m) - 1.0) <= tol)
-            for a, b in bad:
-                violations.append(("resonance", int(a), int(b), i + 1, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(diff * log_p)
+            for m in range(-window, window + 1):
+                if m == 0:
+                    continue
+                bad = np.argwhere(np.abs(vals / (p**m) - 1.0) <= tol)
+                for a, b in bad:
+                    violations.append(("resonance", int(a), int(b), i + 1, m))
     return GenericityReport(
         n=n, window=window, tol=tol, labels=tuple(labels), violations=tuple(violations)
     )

@@ -1,11 +1,23 @@
 """Verification suites: every algebraic identity as a residual check.
 
-Each check evaluates one family of identities at deterministic random
-samples (the generator is derived from the run seed and the check id, so a
-check's samples do not depend on which other checks run) and reports the
-worst residual against its tolerance.  Checks whose preconditions cannot be
-met (degenerate parameters, repeated pole hits) report ``inconclusive``
-rather than failure.
+A check is declared once, by ``@register(check_id, suite, law, tol=None,
+min_n=2)`` on a body ``fn(ctx, rng)``.  The registration is the only place
+that holds the check's id, suite, law and tolerance, and ``run_suite`` is
+the only code that turns a body's output into a ``CheckResult``:
+
+- ``rng`` is the check's own stream ``default_rng([seed, crc32(check_id)])``,
+  so a check's samples do not depend on which other checks run;
+- the body returns its worst residual as a float, or a ``Verdict`` when it
+  reports detail or a second condition (``holds``) that must also be true;
+- ``tol=None`` means the run's ``residual_tol``;
+- a check passes when its residual is below the tolerance, except a check
+  whose id contains ``negative-control``: it perturbs an identity, and passes
+  when the residual is above the tolerance, i.e. when the perturbation breaks
+  the identity.  A NaN residual fails both;
+- with fewer than ``min_n`` sites the check is ``skipped``;
+- a body that raises ``ResampleExhausted`` (repeated pole hits),
+  ``NotGeneric`` (degenerate spectral labels), ``EllipticError`` or
+  ``OverflowError`` is reported ``inconclusive`` rather than failed.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +35,7 @@ from . import connection as conn
 from . import heckespin as hs
 from . import qkz
 from .elliptic import (
+    THETA_TRUNCATION_TOL,
     EllipticError,
     EllipticParams,
     PoleError,
@@ -59,9 +73,20 @@ __all__ = ["CheckResult", "Report", "SUITES", "run_suite", "list_checks"]
 
 SUITES = ("elliptic", "hecke", "decomposition", "connection", "dybe", "qkz")
 
+#: draws per randomised sweep
+SAMPLES = 20
+
 
 class ResampleExhausted(Exception):
     pass
+
+
+class NotGeneric(Exception):
+    """The spectral labels collide or resonate, so the block identities are untestable."""
+
+    def __init__(self, violations: list):
+        super().__init__(f"{len(violations)} spectral collisions or lattice resonances")
+        self.detail = {"violations": violations}
 
 
 @dataclass
@@ -73,7 +98,6 @@ class CheckResult:
     tol: float | None
     passed: bool
     status: str = "ran"  # ran | skipped | inconclusive
-    params: dict = field(default_factory=dict)
     detail: dict = field(default_factory=dict)
 
 
@@ -100,19 +124,36 @@ class Report:
         return 0
 
 
-_REGISTRY: list[tuple[str, str, str, object]] = []
+class Verdict(NamedTuple):
+    """A body's output when a worst residual alone does not say everything."""
+
+    residual: float
+    detail: dict | None = None
+    holds: bool = True
 
 
-def register(check_id: str, suite: str, law: str):
+class _Check(NamedTuple):
+    check_id: str
+    suite: str
+    law: str
+    tol: float | None
+    min_n: int
+    fn: Callable
+
+
+_REGISTRY: list[_Check] = []
+
+
+def register(check_id: str, suite: str, law: str, tol: float | None = None, min_n: int = 2):
     def wrap(fn):
-        _REGISTRY.append((check_id, suite, law, fn))
+        _REGISTRY.append(_Check(check_id, suite, law, tol, min_n, fn))
         return fn
 
     return wrap
 
 
 def list_checks(suite: str | None = None) -> list[tuple[str, str, str]]:
-    return [(cid, s, law) for cid, s, law, _ in _REGISTRY if suite in (None, s)]
+    return [(c.check_id, c.suite, c.law) for c in _REGISTRY if suite in (None, c.suite)]
 
 
 class VerifyContext:
@@ -163,42 +204,12 @@ def _worst(*residuals: float) -> float:
     return max(vals) if all(math.isfinite(v) for v in vals) else math.nan
 
 
-#: failures of an evaluation, not of an identity: the check is inconclusive
-_INCONCLUSIVE = (ResampleExhausted, EllipticError, OverflowError)
-
-
-def _inconclusive(check_id: str, suite: str, law: str, **detail) -> CheckResult:
-    return CheckResult(
-        check=check_id,
-        suite=suite,
-        law=law,
-        residual=None,
-        tol=None,
-        passed=False,
-        status="inconclusive",
-        detail=detail,
-    )
-
-
-def _result(check_id, suite, law, residual, tol, **kw) -> CheckResult:
-    return CheckResult(
-        check=check_id,
-        suite=suite,
-        law=law,
-        residual=None if residual is None else float(residual),
-        tol=tol,
-        passed=(residual is not None and residual < tol),
-        **kw,
-    )
-
-
 # ---------------------------------------------------------------------------
 # elliptic suite
 
 
-@register("theta-symmetry", "elliptic", "theta(p/z) = theta(z) on the fundamental annulus")
-def _theta_symmetry(ctx: VerifyContext):
-    rng = ctx.rng("theta-symmetry")
+@register("theta-symmetry", "elliptic", "theta(p/z) = theta(z) on the fundamental annulus", 1e-10)
+def _theta_symmetry(ctx: VerifyContext, rng):
     ep = ctx.ep
     p = ep.nome.p
     worst = 0.0
@@ -207,12 +218,11 @@ def _theta_symmetry(ctx: VerifyContext):
         z = mod * np.exp(2j * np.pi * rng.uniform())
         a, b = theta(ep, p / z), theta(ep, z)
         worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
-    return _result("theta-symmetry", "elliptic", "theta(p/z) = theta(z)", worst, 1e-10)
+    return worst
 
 
-@register("theta-quasiperiodicity", "elliptic", "theta(p z) = -theta(z)/z")
-def _theta_quasi(ctx: VerifyContext):
-    rng = ctx.rng("theta-quasiperiodicity")
+@register("theta-quasiperiodicity", "elliptic", "theta(p z) = -theta(z)/z", 1e-10)
+def _theta_quasi(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(200):
@@ -220,12 +230,11 @@ def _theta_quasi(ctx: VerifyContext):
         z = mod * np.exp(2j * np.pi * rng.uniform())
         a, b = theta(ep, ep.nome.p * z), -theta(ep, z) / z
         worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
-    return _result("theta-quasiperiodicity", "elliptic", "theta(p z) = -theta(z)/z", worst, 1e-10)
+    return worst
 
 
-@register("theta-truncation", "elliptic", "doubling the factor count leaves theta fixed")
-def _theta_truncation(ctx: VerifyContext):
-    rng = ctx.rng("theta-truncation")
+@register("theta-truncation", "elliptic", "doubling the factor count leaves theta fixed", THETA_TRUNCATION_TOL * 10)
+def _theta_truncation(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(50):
@@ -233,29 +242,21 @@ def _theta_truncation(ctx: VerifyContext):
         base = theta(ep, z)
         refined = theta(ep, z, min_factors=120)
         worst = _worst(worst, abs(base - refined) / max(1e-300, abs(refined)))
-    return _result(
-        "theta-truncation",
-        "elliptic",
-        "doubling the factor count leaves theta fixed",
-        worst,
-        ctx.ep.theta_truncation_tol * 10,
-    )
+    return worst
 
 
-@register("coeff-boundary", "elliptic", "A(y, 0) = 1 and B(y, 0) = 0 for generic y")
-def _coeff_boundary(ctx: VerifyContext):
-    rng = ctx.rng("coeff-boundary")
+@register("coeff-boundary", "elliptic", "A(y, 0) = 1 and B(y, 0) = 0 for generic y", 1e-12)
+def _coeff_boundary(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(50):
         y = sample_scalar(rng, ep.nome)
         worst = _worst(worst, abs(coeff_a(ep, y, 0.0) - 1.0), abs(coeff_b(ep, y, 0.0)))
-    return _result("coeff-boundary", "elliptic", "A(y,0) = 1 and B(y,0) = 0", worst, 1e-12)
+    return worst
 
 
-@register("c-ratio-inverse", "elliptic", "the odd diagonal unit and its reverse multiply to 1")
-def _c_ratio(ctx: VerifyContext):
-    rng = ctx.rng("c-ratio-inverse")
+@register("c-ratio-inverse", "elliptic", "the odd diagonal unit and its reverse multiply to 1", 1e-10)
+def _c_ratio(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(20):
@@ -263,27 +264,21 @@ def _c_ratio(ctx: VerifyContext):
         u = -c_func(ep, x) / c_func(ep, -x)
         v = -c_func(ep, -x) / c_func(ep, x)
         worst = _worst(worst, abs(u * v - 1.0))
-    return _result("c-ratio-inverse", "elliptic", "(-c(x)/c(-x)) * (-c(-x)/c(x)) = 1", worst, 1e-10)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # hecke suite
 
 
-@register("hecke-relation", "hecke", "(B - q)(B + 1/q) = 0 for the constant braid matrix")
-def _hecke_relation(ctx: VerifyContext):
+@register("hecke-relation", "hecke", "(B - q)(B + 1/q) = 0 for the constant braid matrix", 1e-12)
+def _hecke_relation(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
-    b = hs.braid_matrix(q)
-    t0 = time.perf_counter()
-    res = hs.hecke_residual(b, q)
-    dt = time.perf_counter() - t0
-    return _result(
-        "hecke-relation", "hecke", "(B - q)(B + 1/q) = 0", res, 1e-12, detail={"seconds": dt}
-    )
+    return hs.hecke_residual(hs.braid_matrix(q), q)
 
 
-@register("braid-relations", "hecke", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1} and distant commutation")
-def _braid_relations(ctx: VerifyContext):
+@register("braid-relations", "hecke", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1} and distant commutation", 1e-12)
+def _braid_relations(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(3, 5):
         rep = ctx.rep(n)
@@ -298,13 +293,11 @@ def _braid_relations(ctx: VerifyContext):
         for i in range(1, n):
             for j in range(i + 2, n):
                 worst = _worst(worst, rel_residual(rep.t(i) @ rep.t(j), rep.t(j) @ rep.t(i)))
-    return _result(
-        "braid-relations", "hecke", "braid and distant-commutation relations", worst, 1e-12
-    )
+    return worst
 
 
-@register("affine-relations", "hecke", "zeta T_i = T_{i+1} zeta and zeta^2 T_{n-1} = T_1 zeta^2")
-def _affine_relations(ctx: VerifyContext):
+@register("affine-relations", "hecke", "zeta T_i = T_{i+1} zeta and zeta^2 T_{n-1} = T_1 zeta^2", 1e-12)
+def _affine_relations(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 5):
         rep = ctx.rep(n)
@@ -312,61 +305,53 @@ def _affine_relations(ctx: VerifyContext):
             worst = _worst(worst, rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta))
         z2 = rep.zeta @ rep.zeta
         worst = _worst(worst, rel_residual(z2 @ rep.t(n - 1), rep.t(1) @ z2))
-    return _result("affine-relations", "hecke", "rotation relations of the generators", worst, 1e-12)
+    return worst
 
 
-@register("qybe", "hecke", "R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x)")
-def _qybe(ctx: VerifyContext):
-    rng = ctx.rng("qybe")
+@register("qybe", "hecke", "R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x)", 1e-10)
+def _qybe(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         x = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         y = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         worst = _worst(worst, hs.qybe_residual(lambda z: hs.perk_schultz(z, q), x, y))
-    return _result("qybe", "hecke", "quantum Yang-Baxter equation", worst, 1e-10)
+    return worst
 
 
-@register("baxterization-closed-form", "hecke", "Baxterized braid matrix equals its closed form")
-def _baxterization(ctx: VerifyContext):
-    rng = ctx.rng("baxterization-closed-form")
+@register("baxterization-closed-form", "hecke", "Baxterized braid matrix equals its closed form", 1e-12)
+def _baxterization(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
     b = hs.braid_matrix(q)
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         worst = _worst(worst, float(np.max(np.abs(hs.baxterize(b, z, q) - hs.perk_schultz(z, q)))))
-    return _result(
-        "baxterization-closed-form", "hecke", "Baxterization equals the closed form", worst, 1e-12
-    )
+    return worst
 
 
-@register("r-unitarity", "hecke", "R21(z)^(-1) = R(1/z)")
-def _r_unitarity(ctx: VerifyContext):
-    rng = ctx.rng("r-unitarity")
+@register("r-unitarity", "hecke", "R21(z)^(-1) = R(1/z)", 1e-10)
+def _r_unitarity(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
     p_op = permutation_op()
     eye = np.eye(9, dtype=complex)
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
         r21 = p_op @ hs.perk_schultz(z, q) @ p_op
         worst = _worst(worst, rel_residual(r21 @ hs.perk_schultz(1.0 / z, q), eye))
-    return _result("r-unitarity", "hecke", "flipped matrix inverts at the inverse point", worst, 1e-10)
+    return worst
 
 
-@register("braid-limit-scalar", "hecke", "q R(z) approaches P B as z grows")
-def _braid_limit_scalar(ctx: VerifyContext):
+@register("braid-limit-scalar", "hecke", "q R(z) approaches P B as z grows", 1e-7)
+def _braid_limit_scalar(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
-    b = hs.braid_matrix(q)
-    target = permutation_op() @ b
-    got = q * hs.perk_schultz(1e8, q)
-    res = float(np.max(np.abs(got - target)))
-    return _result("braid-limit-scalar", "hecke", "q R(z) -> P B as z -> infinity", res, 1e-7)
+    target = permutation_op() @ hs.braid_matrix(q)
+    return float(np.max(np.abs(q * hs.perk_schultz(1e8, q) - target)))
 
 
-@register("y-commutation", "hecke", "the Y_j pairwise commute")
-def _y_commutation(ctx: VerifyContext):
+@register("y-commutation", "hecke", "the Y_j pairwise commute", 1e-10)
+def _y_commutation(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
@@ -374,33 +359,25 @@ def _y_commutation(ctx: VerifyContext):
         for a in range(n):
             for b in range(a + 1, n):
                 worst = _worst(worst, rel_residual(ys[a] @ ys[b], ys[b] @ ys[a]))
-    return _result("y-commutation", "hecke", "[Y_i, Y_j] = 0", worst, 1e-10)
+    return worst
 
 
-@register("cross-relations", "hecke", "denominator-cleared cross relations of T_i with Y^lam")
-def _cross_relations(ctx: VerifyContext):
+@register("cross-relations", "hecke", "denominator-cleared cross relations of T_i with Y^lam", 1e-10)
+def _cross_relations(ctx: VerifyContext, rng):
     worst = 0.0
-    cases = []
+    cases = 0
     for n in ctx.site_counts(2, 3):
         rep = ctx.rep(n)
         lams = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1,) * n]
         for lam in lams:
             for i in range(1, n):
-                cases.append((n, i, lam))
+                cases += 1
                 worst = _worst(worst, hs.cross_relation_residual(rep, i, lam))
-    return _result(
-        "cross-relations",
-        "hecke",
-        "commutation of T_i past monomials in the Y family",
-        worst,
-        1e-10,
-        detail={"cases": len(cases)},
-    )
+    return Verdict(worst, {"cases": cases})
 
 
-@register("ytilde-commutation", "hecke", "the braid-limit family pairwise commutes")
-def _ytilde_commutation(ctx: VerifyContext):
-    rng = ctx.rng("ytilde-commutation")
+@register("ytilde-commutation", "hecke", "the braid-limit family pairwise commutes", 1e-10)
+def _ytilde_commutation(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 3):
         rep = ctx.rep(n)
@@ -410,54 +387,43 @@ def _ytilde_commutation(ctx: VerifyContext):
             a = hs.y_tilde(rep, lam)
             b = hs.y_tilde(rep, mu)
             worst = _worst(worst, rel_residual(a @ b, b @ a))
-    return _result("ytilde-commutation", "hecke", "braid-limit operators commute", worst, 1e-10)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # decomposition suite
 
 
-@register("dimension-count", "decomposition", "block dimensions sum to 3^n")
-def _dimension_count(ctx: VerifyContext):
+@register("dimension-count", "decomposition", "block dimensions sum to 3^n", 0.5)
+def _dimension_count(ctx: VerifyContext, rng):
     bad = [n for n in ctx.site_counts(2, 6) if blk.dimension_count(n) != 3**n]
-    return _result(
-        "dimension-count",
-        "decomposition",
-        "sum over blocks of coset counts equals 3^n",
-        0.0 if not bad else 1.0,
-        0.5,
-        detail={"failing_n": bad},
-    )
+    return Verdict(1.0 if bad else 0.0, {"failing_n": bad})
 
 
-@register("eigen-equations", "decomposition", "leading vectors solve the block eigen equations")
-def _eigen_equations(ctx: VerifyContext):
+@register("eigen-equations", "decomposition", "leading vectors solve the block eigen equations", 1e-10)
+def _eigen_equations(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
         y_ops = hs.y_operators(rep)
         for r in content_labels(n):
             worst = _worst(worst, blk.eigen_residual(rep, r, y_ops))
-    return _result(
-        "eigen-equations", "decomposition", "joint eigenvalue equations per block", worst, 1e-10
-    )
+    return worst
 
 
-@register("sign-map", "decomposition", "T_w moves the leading vector to a signed basis vector")
-def _sign_map(ctx: VerifyContext):
+@register("sign-map", "decomposition", "T_w moves the leading vector to a signed basis vector", 1e-10)
+def _sign_map(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
         for r in content_labels(n):
             for w in min_coset_reps(n, content_stabiliser(n, r)):
                 worst = _worst(worst, blk.sign_residual(rep, r, w))
-    return _result(
-        "sign-map", "decomposition", "signed basis map of the block isomorphism", worst, 1e-10
-    )
+    return worst
 
 
-@register("sign-exponent-variants", "decomposition", "the inclusive sign count matches the matrix oracle")
-def _sign_variants(ctx: VerifyContext):
+@register("sign-exponent-variants", "decomposition", "the inclusive sign count matches the matrix oracle", 1e-10)
+def _sign_variants(ctx: VerifyContext, rng):
     worst_inclusive = 0.0
     printed_mismatches = 0
     witness = None
@@ -471,61 +437,41 @@ def _sign_variants(ctx: VerifyContext):
                     printed_mismatches += 1
                     if witness is None and r[2] == 1:
                         witness = {"n": n, "content": list(r), "coset_rep": list(w)}
-    passed = worst_inclusive < 1e-10 and printed_mismatches > 0
-    return CheckResult(
-        check="sign-exponent-variants",
-        suite="decomposition",
-        law="inclusive sign count matches T_w signs; the strict variant does not",
-        residual=worst_inclusive,
-        tol=1e-10,
-        passed=passed,
-        detail={
+    # the strict sign count must also fail somewhere, or the two variants are not told apart
+    return Verdict(
+        worst_inclusive,
+        {
             "printed_variant_mismatches": printed_mismatches,
             "first_witness_with_single_odd_entry": witness,
         },
+        holds=printed_mismatches > 0,
     )
 
 
-@register("spectrum-glueing", "decomposition", "predicted eigenvalue multiset matches the computed one")
-def _spectrum_glueing(ctx: VerifyContext):
+@register("spectrum-glueing", "decomposition", "predicted eigenvalue multiset matches the computed one", 1e-6)
+def _spectrum_glueing(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 3):
         rep = ctx.rep(n)
         for j in range(1, n + 1):
             worst = _worst(worst, blk.spectrum_match_residual(rep, j))
-    return _result(
-        "spectrum-glueing",
-        "decomposition",
-        "closed-form spectrum of the braid-limit family",
-        worst,
-        1e-6,
-    )
+    return worst
 
 
-@register("genericity", "decomposition", "no spectral collisions or lattice resonances")
-def _genericity(ctx: VerifyContext):
+@register("genericity", "decomposition", "no spectral collisions or lattice resonances", 0.5)
+def _genericity(ctx: VerifyContext, rng):
     report = blk.genericity_report(ctx.ep.nome.p, ctx.ep.kappa, ctx.phi, min(ctx.cfg.n, 4))
-    if report.ok:
-        return _result("genericity", "decomposition", "nonresonant spectral labels", 0.0, 0.5)
-    return _inconclusive(
-        "genericity",
-        "decomposition",
-        "nonresonant spectral labels",
-        violations=[list(v) for v in report.violations[:20]],
-    )
+    if not report.ok:
+        raise NotGeneric([list(v) for v in report.violations[:20]])
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
 # connection suite
 
 
-def _random_coset_pair(rng, reps):
-    return reps[rng.integers(len(reps))], reps[rng.integers(len(reps))]
-
-
-@register("connection-cocycle", "connection", "M(w w') factors through the shifted product")
-def _connection_cocycle(ctx: VerifyContext):
-    rng = ctx.rng("connection-cocycle")
+@register("connection-cocycle", "connection", "M(w w') factors through the shifted product", 1e-9)
+def _connection_cocycle(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         perms = list(all_perms(n))
@@ -545,54 +491,39 @@ def _connection_cocycle(ctx: VerifyContext):
                     return rel_residual(lhs, rhs)
 
                 worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return _result("connection-cocycle", "connection", "cocycle factorization", worst, 1e-9)
+    return worst
 
 
-@register("connection-braid", "connection", "reduced-word independence of the monodromy matrices")
-def _connection_braid(ctx: VerifyContext):
-    rng = ctx.rng("connection-braid")
+@register("connection-braid", "connection", "reduced-word independence of the monodromy matrices", 1e-9, min_n=3)
+def _connection_braid(ctx: VerifyContext, rng):
     worst = 0.0
-    count = 10 if ctx.cfg.samples >= 10 else ctx.cfg.samples
-    if 3 <= ctx.cfg.n:
-        n = 3
-        w121 = compose(simple(n, 1), compose(simple(n, 2), simple(n, 1)))
-        for r in content_labels(n):
-            spec = blk.content_block(ctx.ep, n, r, ctx.phi)
-            for _ in range(count):
+    n = 3
+    w121 = compose(simple(n, 1), compose(simple(n, 2), simple(n, 1)))
+    for r in content_labels(n):
+        spec = blk.content_block(ctx.ep, n, r, ctx.phi)
+        for _ in range(10):
 
-                def residual(z):
-                    lhs = conn.connection_simple(ctx.ep, spec, 1, z).entries
-                    lhs = lhs @ conn.connection_simple(ctx.ep, spec, 2, act(simple(n, 1), z)).entries
-                    lhs = lhs @ conn.connection_simple(
-                        ctx.ep, spec, 1, act(compose(simple(n, 2), simple(n, 1)), z)
-                    ).entries
-                    rhs = conn.connection_simple(ctx.ep, spec, 2, z).entries
-                    rhs = rhs @ conn.connection_simple(ctx.ep, spec, 1, act(simple(n, 2), z)).entries
-                    rhs = rhs @ conn.connection_simple(
-                        ctx.ep, spec, 2, act(compose(simple(n, 1), simple(n, 2)), z)
-                    ).entries
-                    both = rel_residual(lhs, rhs)
-                    via_word = rel_residual(lhs, conn.connection_word(ctx.ep, spec, w121, z).entries)
-                    return _worst(both, via_word)
+            def residual(z):
+                lhs = conn.connection_simple(ctx.ep, spec, 1, z).entries
+                lhs = lhs @ conn.connection_simple(ctx.ep, spec, 2, act(simple(n, 1), z)).entries
+                lhs = lhs @ conn.connection_simple(
+                    ctx.ep, spec, 1, act(compose(simple(n, 2), simple(n, 1)), z)
+                ).entries
+                rhs = conn.connection_simple(ctx.ep, spec, 2, z).entries
+                rhs = rhs @ conn.connection_simple(ctx.ep, spec, 1, act(simple(n, 2), z)).entries
+                rhs = rhs @ conn.connection_simple(
+                    ctx.ep, spec, 2, act(compose(simple(n, 1), simple(n, 2)), z)
+                ).entries
+                both = rel_residual(lhs, rhs)
+                via_word = rel_residual(lhs, conn.connection_word(ctx.ep, spec, w121, z).entries)
+                return _worst(both, via_word)
 
-                worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    else:
-        return CheckResult(
-            check="connection-braid",
-            suite="connection",
-            law="reduced-word independence",
-            residual=None,
-            tol=None,
-            passed=True,
-            status="skipped",
-            detail={"reason": "needs n >= 3"},
-        )
-    return _result("connection-braid", "connection", "reduced-word independence", worst, 1e-9)
+            worst = _worst(worst, ctx.eval_band(rng, n, residual))
+    return worst
 
 
-@register("connection-unitarity", "connection", "one-letter matrices invert at the swapped point")
-def _connection_unitarity(ctx: VerifyContext):
-    rng = ctx.rng("connection-unitarity")
+@register("connection-unitarity", "connection", "one-letter matrices invert at the swapped point", 1e-9)
+def _connection_unitarity(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         for r in content_labels(n):
@@ -605,14 +536,13 @@ def _connection_unitarity(ctx: VerifyContext):
                     return rel_residual(m1 @ m2, eye)
 
                 worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return _result("connection-unitarity", "connection", "unitarity of one-letter matrices", worst, 1e-9)
+    return worst
 
 
-@register("rank2-dynamical", "connection", "the two-site tensor monodromy is the dynamical R-matrix")
-def _rank2_dynamical(ctx: VerifyContext):
-    rng = ctx.rng("rank2-dynamical")
+@register("rank2-dynamical", "connection", "the two-site tensor monodromy is the dynamical R-matrix", 1e-9)
+def _rank2_dynamical(ctx: VerifyContext, rng):
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         phi = sample_phi(rng)
 
         def residual(z):
@@ -621,26 +551,14 @@ def _rank2_dynamical(ctx: VerifyContext):
             return rel_residual(m, r)
 
         worst = _worst(worst, ctx.eval_band(rng, 2, residual))
-    return _result("rank2-dynamical", "connection", "two-site monodromy equals the R-matrix", worst, 1e-9)
+    return worst
 
 
-@register("rank3-shifted", "connection", "three-site monodromies act as control-shifted R-matrices")
-def _rank3_shifted(ctx: VerifyContext):
-    rng = ctx.rng("rank3-shifted")
-    if ctx.cfg.n < 3:
-        return CheckResult(
-            check="rank3-shifted",
-            suite="connection",
-            law="control-shifted local action",
-            residual=None,
-            tol=None,
-            passed=True,
-            status="skipped",
-            detail={"reason": "needs n >= 3"},
-        )
+@register("rank3-shifted", "connection", "three-site monodromies act as control-shifted R-matrices", 1e-9, min_n=3)
+def _rank3_shifted(ctx: VerifyContext, rng):
     k = ctx.ep.kappa
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         phi = sample_phi(rng)
 
         def residual(z):
@@ -651,12 +569,11 @@ def _rank3_shifted(ctx: VerifyContext):
             return _worst(rel_residual(m1, s1), rel_residual(m2, s2))
 
         worst = _worst(worst, ctx.eval_band(rng, 3, residual))
-    return _result("rank3-shifted", "connection", "control-shifted local action", worst, 1e-9)
+    return worst
 
 
-@register("monodromy-routes", "connection", "cocycle route equals the block-scatter route")
-def _monodromy_routes(ctx: VerifyContext):
-    rng = ctx.rng("monodromy-routes")
+@register("monodromy-routes", "connection", "cocycle route equals the block-scatter route", 1e-9)
+def _monodromy_routes(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 3):
         perms = list(all_perms(n))
@@ -669,16 +586,15 @@ def _monodromy_routes(ctx: VerifyContext):
                 return rel_residual(a, b)
 
             worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return _result("monodromy-routes", "connection", "two monodromy constructions agree", worst, 1e-9)
+    return worst
 
 
-@register("gl2-fixture", "connection", "the 4x4 elliptic fixture: unitarity, block match, braid form")
-def _gl2_fixture(ctx: VerifyContext):
-    rng = ctx.rng("gl2-fixture")
+@register("gl2-fixture", "connection", "the 4x4 elliptic fixture: unitarity, block match, braid form", 1e-9)
+def _gl2_fixture(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     eye4 = np.eye(4, dtype=complex)
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         x = sample_scalar(rng, ep.nome)
         xp = sample_scalar(rng, ep.nome)
         y = sample_dynamical(rng)
@@ -691,7 +607,7 @@ def _gl2_fixture(ctx: VerifyContext):
         cm = conn.connection_simple(ep, spec, 1, z).entries
         block = np.array([[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
         worst = _worst(worst, rel_residual(cm, block))
-    return _result("gl2-fixture", "connection", "fixture laws and block agreement", worst, 1e-9)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +617,7 @@ def _gl2_fixture(ctx: VerifyContext):
 def _dybe_sweep(ctx: VerifyContext, rng, family) -> float:
     worst = 0.0
     ep = ctx.ep
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
@@ -710,69 +626,54 @@ def _dybe_sweep(ctx: VerifyContext, rng, family) -> float:
 
 
 @register("dybe-psi", "dybe", "braid-form dynamical Yang-Baxter equation, back-shifted family")
-def _dybe_psi(ctx: VerifyContext):
-    worst = _dybe_sweep(ctx, ctx.rng("dybe-psi"), conn.PSI_FAMILY)
-    return _result("dybe-psi", "dybe", "braid-form equation with the half-period family", worst, ctx.cfg.residual_tol)
+def _dybe_psi(ctx: VerifyContext, rng):
+    return _dybe_sweep(ctx, rng, conn.PSI_FAMILY)
 
 
 @register("dybe-phi", "dybe", "braid-form dynamical Yang-Baxter equation, shifted third family")
-def _dybe_phi(ctx: VerifyContext):
-    worst = _dybe_sweep(ctx, ctx.rng("dybe-phi"), conn.PHI_FAMILY)
-    return _result("dybe-phi", "dybe", "braid-form equation with the shifted-odd family", worst, ctx.cfg.residual_tol)
+def _dybe_phi(ctx: VerifyContext, rng):
+    return _dybe_sweep(ctx, rng, conn.PHI_FAMILY)
 
 
 @register("dybe-xi", "dybe", "braid-form dynamical Yang-Baxter equation, weight family")
-def _dybe_xi(ctx: VerifyContext):
-    worst = _dybe_sweep(ctx, ctx.rng("dybe-xi"), conn.XI_FAMILY)
-    return _result("dybe-xi", "dybe", "braid-form equation with the plain weight family", worst, ctx.cfg.residual_tol)
+def _dybe_xi(ctx: VerifyContext, rng):
+    return _dybe_sweep(ctx, rng, conn.XI_FAMILY)
 
 
-@register("dybe-negative-control", "dybe", "perturbed shifts must break the equation")
-def _dybe_negative(ctx: VerifyContext):
-    rng = ctx.rng("dybe-negative-control")
+@register("dybe-negative-control", "dybe", "perturbed shifts must break the equation", 1e-3)
+def _dybe_negative(ctx: VerifyContext, rng):
     scrambled = conn.ShiftFamily(
         "scrambled", lambda nome, j, a: conn.PSI_FAMILY.vector(nome, j, -a)
     )
-    worst = _dybe_sweep(ctx, rng, scrambled)
-    return CheckResult(
-        check="dybe-negative-control",
-        suite="dybe",
-        law="sign-flipped shifts violate the equation",
-        residual=worst,
-        tol=1e-3,
-        passed=worst > 1e-3,
-    )
+    return _dybe_sweep(ctx, rng, scrambled)
 
 
 @register("dyn-unitarity", "dybe", "R(x) R(-x) = identity")
-def _dyn_unitarity(ctx: VerifyContext):
-    rng = ctx.rng("dyn-unitarity")
+def _dyn_unitarity(ctx: VerifyContext, rng):
     ep = ctx.ep
     eye = np.eye(9, dtype=complex)
     worst = 0.0
-    for _ in range(max(30, ctx.cfg.samples)):
+    for _ in range(30):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi) @ conn.dyn_r_matrix(ep, -x, phi), eye))
-    return _result("dyn-unitarity", "dybe", "unitarity of the dynamical R-matrix", worst, ctx.cfg.residual_tol)
+    return worst
 
 
 @register("felder-form", "dybe", "permuted-form equation with weight shifts")
-def _felder_form(ctx: VerifyContext):
-    rng = ctx.rng("felder-form")
+def _felder_form(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
-    for _ in range(ctx.cfg.samples):
+    for _ in range(SAMPLES):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
         worst = _worst(worst, conn.felder_residual(ep, x, y, phi))
-    return _result("felder-form", "dybe", "permuted-form dynamical equation", worst, ctx.cfg.residual_tol)
+    return worst
 
 
-@register("felder-negative-control", "dybe", "swapping two weight vectors must break the equation")
-def _felder_negative(ctx: VerifyContext):
-    rng = ctx.rng("felder-negative-control")
+@register("felder-negative-control", "dybe", "swapping two weight vectors must break the equation", 1e-3)
+def _felder_negative(ctx: VerifyContext, rng):
     ep = ctx.ep
     swapped = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
     worst = 0.0
@@ -781,19 +682,11 @@ def _felder_negative(ctx: VerifyContext):
         x = sample_scalar(rng, ep.nome)
         y = sample_scalar(rng, ep.nome)
         worst = _worst(worst, conn.felder_residual(ep, x, y, phi, weights=swapped))
-    return CheckResult(
-        check="felder-negative-control",
-        suite="dybe",
-        law="swapped weight vectors violate the equation",
-        residual=worst,
-        tol=1e-3,
-        passed=worst > 1e-3,
-    )
+    return worst
 
 
-@register("weight-conservation", "dybe", "R-matrix entries vanish off the content-preserving pattern")
-def _weight_conservation(ctx: VerifyContext):
-    rng = ctx.rng("weight-conservation")
+@register("weight-conservation", "dybe", "R-matrix entries vanish off the content-preserving pattern", 1e-30)
+def _weight_conservation(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(5):
@@ -804,12 +697,11 @@ def _weight_conservation(ctx: VerifyContext):
             for in_pair in multi_indices(2):
                 if sorted(out_pair) != sorted(in_pair):
                     worst = _worst(worst, abs(r[tensor_index(out_pair), tensor_index(in_pair)]))
-    return _result("weight-conservation", "dybe", "content-preserving sparsity pattern", worst, 1e-30)
+    return worst
 
 
-@register("dynamical-translation", "dybe", "shifting all dynamical parameters together changes nothing")
-def _dynamical_translation(ctx: VerifyContext):
-    rng = ctx.rng("dynamical-translation")
+@register("dynamical-translation", "dybe", "shifting all dynamical parameters together changes nothing", 1e-12)
+def _dynamical_translation(ctx: VerifyContext, rng):
     ep = ctx.ep
     worst = 0.0
     for _ in range(5):
@@ -818,33 +710,25 @@ def _dynamical_translation(ctx: VerifyContext):
         shifted = tuple(v + t for v in phi)
         x = sample_scalar(rng, ep.nome)
         worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi), conn.dyn_r_matrix(ep, x, shifted)))
-    return _result("dynamical-translation", "dybe", "dependence through differences only", worst, 1e-12)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # qkz suite
 
 
-@register("translation-words", "qkz", "translation words act as unit shifts on points")
-def _translation_words(ctx: VerifyContext):
+@register("translation-words", "qkz", "translation words act as unit shifts on points", 0.5)
+def _translation_words(ctx: VerifyContext, rng):
     bad = []
     for n in ctx.site_counts(2, 5):
         for j in range(1, n + 1):
             if qkz.translation_defect(qkz.translation_word(n, j), j) != 0.0:
                 bad.append((n, j))
-    return _result(
-        "translation-words",
-        "qkz",
-        "affine action of constructed translation words",
-        0.0 if not bad else 1.0,
-        0.5,
-        detail={"failures": bad},
-    )
+    return Verdict(1.0 if bad else 0.0, {"failures": bad})
 
 
-@register("transport-cocycle", "qkz", "transport depends only on the group element")
-def _transport_cocycle(ctx: VerifyContext):
-    rng = ctx.rng("transport-cocycle")
+@register("transport-cocycle", "qkz", "transport depends only on the group element", 1e-10)
+def _transport_cocycle(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
@@ -858,17 +742,15 @@ def _transport_cocycle(ctx: VerifyContext):
                 return rel_residual(mats[0], mats[1])
 
             worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
-    return _result("transport-cocycle", "qkz", "word-independence of transport", worst, 1e-10)
+    return worst
 
 
 @register("qkz-flatness", "qkz", "translation transports commute after the cocycle shift")
-def _qkz_flatness(ctx: VerifyContext):
-    rng = ctx.rng("qkz-flatness")
+def _qkz_flatness(ctx: VerifyContext, rng):
     worst = 0.0
-    count = min(10, ctx.cfg.samples)
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
-        for _ in range(count):
+        for _ in range(10):
             def residual(z):
                 local = 0.0
                 for i in range(1, n + 1):
@@ -877,12 +759,11 @@ def _qkz_flatness(ctx: VerifyContext):
                 return local
 
             worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
-    return _result("qkz-flatness", "qkz", "commuting translation transports", worst, ctx.cfg.residual_tol)
+    return worst
 
 
-@register("qkz-flatness-negative-control", "qkz", "dropping the cocycle shift must break flatness")
-def _qkz_flatness_negative(ctx: VerifyContext):
-    rng = ctx.rng("qkz-flatness-negative-control")
+@register("qkz-flatness-negative-control", "qkz", "dropping the cocycle shift must break flatness", 1e-3)
+def _qkz_flatness_negative(ctx: VerifyContext, rng):
     n = 2
     rep = ctx.rep(n)
     w1 = qkz.translation_word(n, 1)
@@ -894,19 +775,11 @@ def _qkz_flatness_negative(ctx: VerifyContext):
         rhs = qkz.transport_word(rep, w2, z) @ qkz.transport_word(rep, w1, z)
         return rel_residual(lhs, rhs)
 
-    worst = _worst(*(ctx.eval_resampling(rng, n, residual) for _ in range(5)))
-    return CheckResult(
-        check="qkz-flatness-negative-control",
-        suite="qkz",
-        law="unshifted products do not commute",
-        residual=worst,
-        tol=1e-3,
-        passed=worst > 1e-3,
-    )
+    return _worst(*(ctx.eval_resampling(rng, n, residual) for _ in range(5)))
 
 
-@register("braid-limit", "qkz", "translation transports converge to the braid-limit operators")
-def _braid_limit(ctx: VerifyContext):
+@register("braid-limit", "qkz", "translation transports converge to the braid-limit operators", 1e-10)
+def _braid_limit(ctx: VerifyContext, rng):
     worst40 = 0.0
     slope_err = 0.0
     log_p = ctx.ep.nome.log_p
@@ -920,20 +793,41 @@ def _braid_limit(ctx: VerifyContext):
             # a residual of zero has no logarithm: the slope is undefined and the check fails
             slope = (math.log(r12) - math.log(r6)) / 6.0 if r6 > 0 and r12 > 0 else math.nan
             slope_err = _worst(slope_err, abs(slope - log_p) / abs(log_p))
-    passed = worst40 < 1e-10 and slope_err < 0.2
-    return CheckResult(
-        check="braid-limit",
-        suite="qkz",
-        law="geometric convergence to the braid limit",
-        residual=worst40,
-        tol=1e-10,
-        passed=passed,
-        detail={"slope_relative_error": slope_err},
-    )
+    # the decay rate must match log p, not only the depth-40 residual
+    return Verdict(worst40, {"slope_relative_error": slope_err}, holds=slope_err < 0.2)
 
 
 # ---------------------------------------------------------------------------
 # runner
+
+#: failures of an evaluation, not of an identity: the check is inconclusive
+_INCONCLUSIVE = (ResampleExhausted, NotGeneric, EllipticError, OverflowError)
+
+
+def _inconclusive(check_id: str, suite: str, law: str, **detail) -> CheckResult:
+    return CheckResult(
+        check_id, suite, law, residual=None, tol=None, passed=False, status="inconclusive", detail=detail
+    )
+
+
+def _run_check(ctx: VerifyContext, c: _Check) -> CheckResult:
+    if ctx.cfg.n < c.min_n:
+        reason = {"reason": f"needs n >= {c.min_n}"}
+        return CheckResult(
+            c.check_id, c.suite, c.law, residual=None, tol=None, passed=True, status="skipped", detail=reason
+        )
+    try:
+        out = c.fn(ctx, ctx.rng(c.check_id))
+    except _INCONCLUSIVE as exc:
+        extra = getattr(exc, "detail", {})
+        return _inconclusive(c.check_id, c.suite, c.law, error=f"{type(exc).__name__}: {exc}", **extra)
+    verdict = out if isinstance(out, Verdict) else Verdict(out)
+    residual = float(verdict.residual)
+    tol = ctx.cfg.residual_tol if c.tol is None else c.tol
+    within = residual > tol if "negative-control" in c.check_id else residual < tol
+    return CheckResult(
+        c.check_id, c.suite, c.law, residual, tol, passed=within and verdict.holds, detail=verdict.detail or {}
+    )
 
 
 def run_suite(suite: str, cfg: RunConfig) -> Report:
@@ -947,24 +841,14 @@ def run_suite(suite: str, cfg: RunConfig) -> Report:
         ctx = VerifyContext(cfg)
     except ValueError as exc:
         report = blk.genericity_report(cfg.p, complex(cfg.kappa), cfg.resolved_phi(), min(cfg.n, 4))
-        results.append(
-            _inconclusive(
-                "parameter-genericity",
-                "config",
-                "parameters admit a nondegenerate evaluation",
-                error=str(exc),
-                violations=[list(v) for v in report.violations[:20]],
-            )
-        )
+        law = "parameters admit a nondegenerate evaluation"
+        violations = [list(v) for v in report.violations[:20]]
+        results.append(_inconclusive("parameter-genericity", "config", law, error=str(exc), violations=violations))
         return Report(config=cfg, results=results, timings=timings)
-    for check_id, s, law, fn in _REGISTRY:
-        if s not in names:
+    for c in _REGISTRY:
+        if c.suite not in names:
             continue
         t0 = time.perf_counter()
-        try:
-            out = fn(ctx)
-        except _INCONCLUSIVE as exc:
-            out = _inconclusive(check_id, s, law, error=f"{type(exc).__name__}: {exc}")
-        timings[check_id] = time.perf_counter() - t0
-        results.append(out)
+        results.append(_run_check(ctx, c))
+        timings[c.check_id] = time.perf_counter() - t0
     return Report(config=cfg, results=results, timings=timings)

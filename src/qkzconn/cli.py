@@ -17,7 +17,7 @@ import numpy as np
 from . import blocks as blk
 from . import connection as conn
 from . import serialize
-from .checks import SUITES, Report, run_suite
+from .checks import SAMPLES, SUITES, Report, run_suite
 from .elliptic import EllipticError
 from .params import RunConfig, sample_point
 from .symgroup import (
@@ -103,10 +103,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _report_payload(report: Report, timestamp: bool = True) -> dict:
-    """The deterministic report body; timing data lives in separate fields."""
+    """The deterministic report body; timing data lives in separate fields.
+
+    A NaN or inf residual or detail value is written as null, which strict
+    JSON parsers accept, where ``NaN`` would not be.
+    """
     cfg = report.config
     phi = cfg.resolved_phi()
-    payload = {
+    payload = serialize.finite_or_null({
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "verification_report",
         "config": {
@@ -116,7 +120,7 @@ def _report_payload(report: Report, timestamp: bool = True) -> dict:
             "n": cfg.n,
             "seed": cfg.seed,
             "residual_tol": cfg.residual_tol,
-            "samples": cfg.samples,
+            "samples": SAMPLES,
         },
         "results": [
             {
@@ -132,7 +136,7 @@ def _report_payload(report: Report, timestamp: bool = True) -> dict:
             for r in sorted(report.results, key=lambda r: (r.suite, r.check))
         ],
         "exit_code": report.exit_code,
-    }
+    })
     if timestamp:
         payload["timings"] = {
             "created": datetime.datetime.now().isoformat(),

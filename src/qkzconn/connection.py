@@ -49,12 +49,10 @@ from .tensorspace import (
 
 __all__ = [
     "ConnectionMatrix",
-    "DynamicalRMatrix",
     "ShiftFamily",
     "PSI_FAMILY",
     "PHI_FAMILY",
     "XI_FAMILY",
-    "SHIFT_FAMILIES",
     "dual_position",
     "connection_simple",
     "connection_word",
@@ -62,7 +60,6 @@ __all__ = [
     "tensor_monodromy_word",
     "tensor_monodromy_from_blocks",
     "dyn_r_matrix",
-    "dynamical_r",
     "shifted_r_apply",
     "weight_shifted_apply",
     "dybe_residual",
@@ -280,20 +277,6 @@ def dyn_r_matrix(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> np.n
     return r
 
 
-@dataclass
-class DynamicalRMatrix:
-    """Spectral point, dynamical parameters and the evaluated 9x9 matrix."""
-
-    x: complex
-    phi: tuple[complex, complex, complex]
-    entries: np.ndarray
-
-
-def dynamical_r(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> DynamicalRMatrix:
-    phi = tuple(complex(t) for t in phi)
-    return DynamicalRMatrix(x=complex(x), phi=phi, entries=dyn_r_matrix(ep, x, phi))
-
-
 # ---------------------------------------------------------------------------
 # dynamical shifts
 
@@ -340,7 +323,6 @@ def _xi(nome: Nome, j: int, a: complex):
 PSI_FAMILY = ShiftFamily("psi", _psi)
 PHI_FAMILY = ShiftFamily("phi", _phi_shift)
 XI_FAMILY = ShiftFamily("xi", _xi)
-SHIFT_FAMILIES = {f.kind: f for f in (PSI_FAMILY, PHI_FAMILY, XI_FAMILY)}
 
 
 def shifted_r_apply(
@@ -367,7 +349,6 @@ def shifted_r_apply(
 
 
 def weight_shifted_apply(
-    ep: EllipticParams,
     n: int,
     legs: tuple[int, int],
     op_of_phi: Callable[[tuple[complex, complex, complex]], np.ndarray],
@@ -435,7 +416,7 @@ def felder_residual(
     def rc(legs: tuple[int, int], arg: complex, beta: complex) -> np.ndarray:
         control = _FELDER_CONTROLS[legs]
         return weight_shifted_apply(
-            ep, 3, legs, lambda f: p_op @ dyn_r_matrix(ep, arg, f), phi, beta, control, weights
+            3, legs, lambda f: p_op @ dyn_r_matrix(ep, arg, f), phi, beta, control, weights
         )
 
     lhs = rc((2, 3), x, k) @ rc((1, 3), x + y, -k) @ rc((1, 2), y, k)

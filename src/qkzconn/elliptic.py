@@ -37,7 +37,6 @@ __all__ = [
     "default_params",
     "pow_p",
     "theta",
-    "theta_multi",
     "coeff_a",
     "coeff_b",
     "c_func",
@@ -171,11 +170,6 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
         factors = (1.0 - pm[:-1] * zs) * (1.0 - pm[1:] * (1.0 / zs))
         out = factors.prod(axis=1).reshape(z.shape)
     return _scalar_or_array(out)
-
-
-def theta_multi(ep: EllipticParams, zs) -> complex:
-    """Product of theta over the arguments; empty product is 1."""
-    return complex(np.prod(theta(ep, list(zs))))
 
 
 def _stacked_powers(ep: EllipticParams, shape: tuple, *exponents) -> np.ndarray:

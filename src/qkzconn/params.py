@@ -19,9 +19,13 @@ __all__ = [
 ]
 
 
+#: largest site count a run accepts: one dense operator on (C^3)^(x 6) is 729 x 729
+SITE_CAP = 6
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters, tolerances and sweep sizes shared by all verification runs."""
+    """Parameters, tolerance and output settings of a verification run."""
 
     p: float = 0.35
     kappa: complex = 0.27
@@ -29,10 +33,6 @@ class RunConfig:
     n: int = 4
     seed: int = 7
     residual_tol: float = 1e-9
-    pole_tol: float = 1e-10
-    theta_tol: float = 1e-16
-    samples: int = 20
-    site_cap: int = 6
     out: str | None = None
     fmt: str = "table"
 
@@ -41,30 +41,21 @@ class RunConfig:
             raise ValueError(f"nome must satisfy 0 < p < 1, got {self.p}")
         if self.n < 2:
             raise ValueError(f"need at least two sites, got n={self.n}")
-        if self.n > self.site_cap:
-            raise ValueError(
-                f"n={self.n} exceeds the desk-scale cap {self.site_cap}; "
-                "raise site_cap to go bigger"
-            )
+        if self.n > SITE_CAP:
+            raise ValueError(f"n={self.n} exceeds the desk-scale cap {SITE_CAP}")
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
 
     def elliptic(self) -> EllipticParams:
-        return EllipticParams(
-            nome=Nome(self.p),
-            kappa=complex(self.kappa),
-            theta_truncation_tol=self.theta_tol,
-            pole_tol=self.pole_tol,
-        )
+        return EllipticParams(nome=Nome(self.p), kappa=complex(self.kappa))
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    def resolved_phi(self, rng: np.random.Generator | None = None) -> tuple[complex, complex, complex]:
+    def resolved_phi(self) -> tuple[complex, complex, complex]:
         if self.phi is not None:
             return self.phi
-        local = np.random.default_rng(self.seed ^ 0x5A17) if rng is None else rng
-        return sample_phi(local)
+        return sample_phi(np.random.default_rng(self.seed ^ 0x5A17))
 
 
 def sample_phi(rng: np.random.Generator) -> tuple[complex, complex, complex]:

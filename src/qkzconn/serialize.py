@@ -9,6 +9,7 @@ powers of the nome.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "dynamical_r_payload",
     "connection_payload",
     "decomposition_payload",
+    "finite_or_null",
     "dumps",
 ]
 
@@ -118,5 +120,17 @@ def decomposition_payload(p, kappa, phi, n, blocks) -> dict[str, Any]:
     }
 
 
+def finite_or_null(obj: Any) -> Any:
+    """``obj`` with every NaN or inf float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_or_null(v) for v in obj]
+    return obj
+
+
 def dumps(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Strict JSON: a non-finite float raises ValueError instead of writing ``NaN``."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)

@@ -86,6 +86,39 @@ class TestReport:
         assert set(report.timings) == {r.check for r in report.results}
 
 
+class TestVerdictRule:
+    """The runner derives each verdict from the registration and the body's output."""
+
+    @pytest.mark.parametrize(
+        "check_id, out, status, passed",
+        [
+            ("some-law", 1e-12, "ran", True),
+            ("some-law", 1e-3, "ran", False),
+            ("some-negative-control", 1e-12, "ran", False),
+            ("some-negative-control", 1.0, "ran", True),
+            ("some-law", checks.Verdict(1e-12, {"k": 1}, holds=False), "ran", False),
+        ],
+    )
+    def test_outcome(self, check_id, out, status, passed):
+        c = checks._Check(check_id, "hecke", "law", 1e-9, 2, lambda ctx, rng: out)
+        result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
+        assert (result.status, result.passed, result.tol) == (status, passed, 1e-9)
+
+    def test_skip_below_min_n(self):
+        c = checks._Check("needs-three", "hecke", "law", None, 3, lambda ctx, rng: 0.0)
+        result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
+        assert (result.status, result.passed, result.detail) == ("skipped", True, {"reason": "needs n >= 3"})
+
+    def test_not_generic_is_inconclusive(self):
+        def body(ctx, rng):
+            raise checks.NotGeneric([["collision", 0, 1]])
+
+        c = checks._Check("generic", "decomposition", "law", 0.5, 2, body)
+        result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
+        assert result.status == "inconclusive" and result.passed is False
+        assert result.detail["violations"] == [["collision", 0, 1]]
+
+
 class TestNonFiniteResiduals:
     def test_injected_nan_fails_the_check(self, monkeypatch):
         # a NaN after the first draw: plain max(worst, nan) would keep worst

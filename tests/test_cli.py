@@ -1,12 +1,18 @@
 """Command-line surface: suites, exports, determinism and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qkzconn import checks
 from qkzconn.cli import main
 from qkzconn.serialize import lists_to_matrix
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def run_cli(capsys, *argv):
@@ -39,12 +45,31 @@ class TestVerify:
         assert "inconclusive" in out
 
     def test_determinism_modulo_timings(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify", "elliptic", "--format", "json", "--seed", "11")
-        _, out2, _ = run_cli(capsys, "verify", "elliptic", "--format", "json", "--seed", "11")
+        _, out1, _ = run_cli(capsys, "verify", "all", "--n", "2", "--format", "json", "--seed", "11")
+        _, out2, _ = run_cli(capsys, "verify", "all", "--n", "2", "--format", "json", "--seed", "11")
         p1, p2 = json.loads(out1), json.loads(out2)
         p1.pop("timings")
         p2.pop("timings")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+    def test_site_count_above_cap_is_usage_error(self, capsys):
+        assert run_cli(capsys, "verify", "hecke", "--n", "7")[0] == 2
+
+    def test_nan_residual_is_null_in_strict_json(self, capsys, monkeypatch):
+        real = checks.rel_residual
+        calls = []
+
+        def nan_on_second_call(a, b):
+            calls.append(1)
+            return math.nan if len(calls) == 2 else real(a, b)
+
+        monkeypatch.setattr(checks, "rel_residual", nan_on_second_call)
+        code, out, _ = run_cli(capsys, "verify", "dybe", "--n", "2", "--format", "json")
+        assert code == 1
+        payload = json.loads(out, parse_constant=_reject_constant)
+        (result,) = [r for r in payload["results"] if r["check"] == "dyn-unitarity"]
+        assert result["residual"] is None
+        assert result["passed"] is False
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

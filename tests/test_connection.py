@@ -16,7 +16,6 @@ from qkzconn.connection import (
     dual_position,
     dybe_residual,
     dyn_r_matrix,
-    dynamical_r,
     felder_residual,
     gl2_dybe_residual,
     gl2_matrix,
@@ -274,11 +273,6 @@ class TestDynamicalR:
                     want[tensor_index((b, a)), col] = sign * coeff_b(ep, y, x)
         got = dyn_r_matrix(ep, x, phi)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-    def test_wrapper(self, ep, phi):
-        obj = dynamical_r(ep, 0.2, phi)
-        assert obj.x == 0.2
-        assert obj.entries.shape == (9, 9)
 
 
 class TestThetaBudget:

@@ -22,7 +22,6 @@ from qkzconn.elliptic import (
     default_params,
     pow_p,
     theta,
-    theta_multi,
 )
 
 P = 0.35
@@ -177,18 +176,6 @@ class TestThetaBatch:
         for bad in (0.0, np.inf, np.nan):
             with pytest.raises(ThetaDomainError):
                 theta(params, [0.5, bad, 0.7])
-
-
-class TestThetaMulti:
-    def test_zero_factor(self, params):
-        assert theta_multi(params, [1.0, 0.5]) == 0.0
-
-    def test_empty_product(self, params):
-        assert theta_multi(params, []) == 1.0
-
-    def test_two_factors(self, params):
-        want = theta(params, 0.5) * theta(params, 0.7)
-        assert abs(theta_multi(params, [0.5, 0.7]) - want) < 1e-15
 
 
 class TestCoefficients:
