@@ -18,7 +18,6 @@ from .connection import (
     PSI_FAMILY,
     XI_FAMILY,
     ConnectionMatrix,
-    ShiftFamily,
     connection_simple,
     connection_word,
     dybe_residual,

@@ -148,7 +148,8 @@ def eigen_residual(rep: SpinRep, r: Content, y_ops: list[np.ndarray] | None = No
     """Worst eigen-equation defect of the leading basis vector of the block r.
 
     Checks Y_j v = p^{-gamma_j} v for all j and T_i v = eps_i q^{eps_i} v for
-    i in the block's index set.
+    i in the block's index set, with the eigenvalues read from the block's
+    character (``character_values``).
     """
     ep = rep.params.elliptic
     n = rep.n
@@ -156,17 +157,11 @@ def eigen_residual(rep: SpinRep, r: Content, y_ops: list[np.ndarray] | None = No
     idx = tensor_index(leading_index(r))
     if y_ops is None:
         y_ops = y_operators(rep)
+    chars = character_values(ep, spec)
+    pairs = list(zip(y_ops, chars.y_values)) + [(rep.t(i), lam) for i, lam in chars.t_values]
     worst = 0.0
-    for j in range(1, n + 1):
-        col = y_ops[j - 1][:, idx].copy()
-        lam = pow_p(ep, -spec.gamma[j - 1])
-        col[idx] -= lam
-        worst = max(worst, float(np.linalg.norm(col)) / max(1.0, abs(lam)))
-    q = rep.params.q
-    for i in spec.index_set:
-        eps = spec.sign_of(i)
-        col = rep.t(i)[:, idx].copy()
-        lam = eps * q**eps
+    for op, lam in pairs:
+        col = op[:, idx].copy()
         col[idx] -= lam
         worst = max(worst, float(np.linalg.norm(col)) / max(1.0, abs(lam)))
     return worst
@@ -187,20 +182,28 @@ def sign_residual(rep: SpinRep, r: Content, w: Perm, inclusive: bool = True) -> 
     return float(np.linalg.norm(col))
 
 
+def _spectral_labels(
+    log_p: float, kappa: complex, phi: Sequence[complex], n: int
+) -> list[tuple[Content, Perm, tuple[complex, ...]]]:
+    """(content, coset rep sigma, s) over all blocks, with the spectral label
+    s_k = -(rho_k + (w0 sigma gamma)_k) of the braid-limit family."""
+    rho = rho_vector(n, kappa)
+    labels = []
+    for r in content_labels(n):
+        gamma = _block_gamma_raw(log_p, kappa, phi, n, r)
+        for sigma in min_coset_reps(n, content_stabiliser(n, r)):
+            sigma_inv = inverse(sigma)
+            # (w0 sigma gamma)_k = gamma_{sigma^{-1}(n+1-k)}
+            s = tuple(-(rho[k - 1] + gamma[sigma_inv[n - k] - 1]) for k in range(1, n + 1))
+            labels.append((r, sigma, s))
+    return labels
+
+
 def predicted_y_tilde_spectrum(
     ep: EllipticParams, n: int, phi: Sequence[complex], j: int
 ) -> list[complex]:
     """Closed-form eigenvalue multiset p^{-(e_j, rho + w0 sigma gamma)} over all blocks."""
-    rho = rho_vector(n, ep.kappa)
-    values: list[complex] = []
-    for r in content_labels(n):
-        gamma = _block_gamma_raw(ep.nome.log_p, ep.kappa, phi, n, r)
-        for sigma in min_coset_reps(n, content_stabiliser(n, r)):
-            sigma_inv = inverse(sigma)
-            # (w0 sigma gamma)_j = gamma_{sigma^{-1}(n+1-j)}
-            g = gamma[sigma_inv[n - j] - 1]
-            values.append(pow_p(ep, -(rho[j - 1] + g)))
-    return values
+    return [pow_p(ep, s[j - 1]) for _, _, s in _spectral_labels(ep.nome.log_p, ep.kappa, phi, n)]
 
 
 def greedy_match_distance(predicted: Sequence[complex], observed: Sequence[complex]) -> float:
@@ -277,19 +280,9 @@ def genericity_report(
     if abs(t - round(t)) <= tol:
         violations.append(("coupling", int(round(t))))
 
-    rho = rho_vector(n, kappa)
-    labels: list[tuple[Content, Perm]] = []
-    s_vectors: list[tuple[complex, ...]] = []
-    for r in content_labels(n):
-        gamma = _block_gamma_raw(log_p, kappa, phi, n, r)
-        for sigma in min_coset_reps(n, content_stabiliser(n, r)):
-            sigma_inv = inverse(sigma)
-            # (w0 sigma gamma)_k = gamma_{sigma^{-1}(n+1-k)}
-            s = tuple(
-                -(rho[k - 1] + gamma[sigma_inv[n - k] - 1]) for k in range(1, n + 1)
-            )
-            labels.append((r, sigma))
-            s_vectors.append(s)
+    spectral = _spectral_labels(log_p, kappa, phi, n)
+    labels = [(r, sigma) for r, sigma, _ in spectral]
+    s_vectors = [s for _, _, s in spectral]
 
     # collisions: all components of s_b - s_a vanish modulo 2 pi i / log p.
     # At large labels the exponentials overflow; an overflowing value is

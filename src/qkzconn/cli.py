@@ -3,7 +3,7 @@
 Exit codes: 0 all residuals below tolerance, 1 at least one residual
 failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
 an elliptic evaluation that hits a pole or leaves the double range, or a
-usage error).
+usage error, such as a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -329,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, EllipticError, OverflowError) as exc:
         # degenerate parameters or an evaluation outside the double range
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a --config file that cannot be read or an --out file that cannot be written
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import PrincipalSeriesSpec, content_block, validate_spec
-from .elliptic import EllipticParams, Nome, PoleError, coeff_a, coeff_b, c_func
+from .elliptic import EllipticParams, PoleError, coeff_a, coeff_b, c_func
 from .symgroup import (
     Content,
     Perm,
@@ -49,7 +49,6 @@ from .tensorspace import (
 
 __all__ = [
     "ConnectionMatrix",
-    "ShiftFamily",
     "PSI_FAMILY",
     "PHI_FAMILY",
     "XI_FAMILY",
@@ -61,7 +60,6 @@ __all__ = [
     "tensor_monodromy_from_blocks",
     "dyn_r_matrix",
     "shifted_r_apply",
-    "weight_shifted_apply",
     "dybe_residual",
     "felder_residual",
     "gl2_matrix",
@@ -279,50 +277,37 @@ def dyn_r_matrix(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> np.n
 
 # ---------------------------------------------------------------------------
 # dynamical shifts
+#
+# One rule builds every shifted R-matrix: for the control value j and the
+# scalar a, phi is shifted by s_j = -a * weights[j-1] + offsets[j-1] * h with
+# the half period h = -i pi / log p.  A family is its offset triple.  s_j is
+# built first and then added to phi, because (phi + a) - h and phi + (a - h)
+# can differ in the last bit.
+
+#: back-shifted family: the even control values also move phi_3 by h
+PSI_FAMILY = ((0, 0, 1), (0, 0, 1), (0, 0, 0))
+#: shifted third family: the odd control value moves phi_3 by -h
+PHI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, -1))
+#: weight family: no half-period offsets
+XI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
-@dataclass(frozen=True)
-class ShiftFamily:
-    """Map (control value j, scalar a) -> dynamical shift vector in C^3."""
-
-    kind: str
-    fn: Callable[[Nome, int, complex], tuple[complex, complex, complex]]
-
-    def vector(self, nome: Nome, j: int, a: complex) -> tuple[complex, complex, complex]:
-        return self.fn(nome, j, a)
-
-
-def _half_period(nome: Nome) -> complex:
-    return -1j * np.pi / nome.log_p
-
-
-def _psi(nome: Nome, j: int, a: complex):
-    if j == 1:
-        return (-a, 0.0, _half_period(nome))
-    if j == 2:
-        return (0.0, -a, _half_period(nome))
-    return (0.0, 0.0, a)
-
-
-def _phi_shift(nome: Nome, j: int, a: complex):
-    if j == 1:
-        return (-a, 0.0, 0.0)
-    if j == 2:
-        return (0.0, -a, 0.0)
-    return (0.0, 0.0, a - _half_period(nome))
-
-
-def _xi(nome: Nome, j: int, a: complex):
-    if j == 1:
-        return (-a, 0.0, 0.0)
-    if j == 2:
-        return (0.0, -a, 0.0)
-    return (0.0, 0.0, a)
-
-
-PSI_FAMILY = ShiftFamily("psi", _psi)
-PHI_FAMILY = ShiftFamily("phi", _phi_shift)
-XI_FAMILY = ShiftFamily("xi", _xi)
+def _shifted_ops(
+    ep: EllipticParams,
+    op_of_phi: Callable[[tuple[complex, ...]], np.ndarray],
+    phi: Sequence[complex],
+    offsets: Sequence[Sequence[int]],
+    a: complex,
+    weights: Sequence[Sequence[float]],
+) -> list[np.ndarray]:
+    # op_of_phi(phi + s_j) for each control value j
+    h = -1j * np.pi / ep.nome.log_p
+    phi = tuple(complex(t) for t in phi)
+    ops = []
+    for w, off in zip(weights, offsets):
+        s = [-a * wk + ok * h for wk, ok in zip(w, off)]
+        ops.append(op_of_phi(tuple(p + sk for p, sk in zip(phi, s))))
+    return ops
 
 
 def shifted_r_apply(
@@ -331,40 +316,26 @@ def shifted_r_apply(
     leg: int,
     x: complex,
     phi: Sequence[complex],
-    family: ShiftFamily,
+    family: Sequence[Sequence[int]],
     a: complex,
-    control: int,
-) -> np.ndarray:
-    """R on the legs (leg, leg+1) with phi shifted per the control leg's value.
-
-    Acts as R_{leg, leg+1}(x; phi + family(j, a)) on the subspace where the
-    control leg carries the basis vector v_j.
-    """
-    phi = tuple(complex(t) for t in phi)
-    ops = [
-        dyn_r_matrix(ep, x, tuple(p + s for p, s in zip(phi, family.vector(ep.nome, j, a))))
-        for j in (1, 2, 3)
-    ]
-    return controlled_op(ops, n, leg, leg + 1, control)
-
-
-def weight_shifted_apply(
-    n: int,
-    legs: tuple[int, int],
-    op_of_phi: Callable[[tuple[complex, complex, complex]], np.ndarray],
-    phi: Sequence[complex],
-    beta: complex,
     control: int,
     weights: Sequence[Sequence[float]] = WEIGHTS,
 ) -> np.ndarray:
-    """Two-leg operator with phi shifted by beta times the control leg's weight.
+    """R on the legs (leg, leg+1) with phi shifted per the control leg's value.
 
-    The shift for control value j is beta * weights[j-1]; this realises the
-    weight-projection form of the dynamical shifts.
+    Acts as R_{leg, leg+1}(x; phi + s_j) on the subspace where the control
+    leg carries the basis vector v_j, with s_j built from the offset triple
+    ``family`` by the shift rule above.
     """
-    phi = tuple(complex(t) for t in phi)
-    ops = [op_of_phi(tuple(p + beta * w for p, w in zip(phi, weights[j - 1]))) for j in (1, 2, 3)]
-    return controlled_op(ops, n, *legs, control)
+    ops = _shifted_ops(ep, lambda f: dyn_r_matrix(ep, x, f), phi, family, a, weights)
+    return controlled_op(ops, n, leg, leg + 1, control)
+
+
+def _braid_form_residual(r12, r23, x: complex, y: complex) -> float:
+    # R12(x) R23(x+y) R12(y) against R23(y) R12(x+y) R23(x)
+    lhs = r12(x) @ r23(x + y) @ r12(y)
+    rhs = r23(y) @ r12(x + y) @ r23(x)
+    return rel_residual(lhs, rhs)
 
 
 def dybe_residual(
@@ -372,24 +343,24 @@ def dybe_residual(
     x: complex,
     y: complex,
     phi: Sequence[complex],
-    family: ShiftFamily,
+    family: Sequence[Sequence[int]],
+    weights: Sequence[Sequence[float]] = WEIGHTS,
 ) -> float:
     """Defect of the braid-form dynamical Yang-Baxter equation on three legs.
 
-    R12(x; +F(-k) by leg 3) R23(x+y; +F(k) by leg 1) R12(y; +F(-k) by leg 3)
+    R12(x; a = -k by leg 3) R23(x+y; a = k by leg 1) R12(y; a = -k by leg 3)
       = R23(y; ...) R12(x+y; ...) R23(x; ...).
+    Passing perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
 
     def r12(arg: complex) -> np.ndarray:
-        return shifted_r_apply(ep, 3, 1, arg, phi, family, -k, control=3)
+        return shifted_r_apply(ep, 3, 1, arg, phi, family, -k, control=3, weights=weights)
 
     def r23(arg: complex) -> np.ndarray:
-        return shifted_r_apply(ep, 3, 2, arg, phi, family, k, control=1)
+        return shifted_r_apply(ep, 3, 2, arg, phi, family, k, control=1, weights=weights)
 
-    lhs = r12(x) @ r23(x + y) @ r12(y)
-    rhs = r23(y) @ r12(x + y) @ r23(x)
-    return rel_residual(lhs, rhs)
+    return _braid_form_residual(r12, r23, x, y)
 
 
 _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
@@ -407,17 +378,16 @@ def felder_residual(
     With Rc = P R, the equation reads
     Rc23(x; m + k h1) Rc13(x+y; m - k h2) Rc12(y; m + k h3)
       = Rc12(y; m - k h3) Rc13(x+y; m + k h2) Rc23(x; m - k h1)
-    where h_i shifts by the weight carried by leg i.  Passing perturbed
-    ``weights`` gives a negative control.
+    where h_i shifts by the weight carried by leg i: the shift rule of the
+    weight family with a = -beta.  Passing perturbed ``weights`` gives a
+    negative control.
     """
     k = ep.kappa
     p_op = permutation_op()
 
     def rc(legs: tuple[int, int], arg: complex, beta: complex) -> np.ndarray:
-        control = _FELDER_CONTROLS[legs]
-        return weight_shifted_apply(
-            3, legs, lambda f: p_op @ dyn_r_matrix(ep, arg, f), phi, beta, control, weights
-        )
+        ops = _shifted_ops(ep, lambda f: p_op @ dyn_r_matrix(ep, arg, f), phi, XI_FAMILY, -beta, weights)
+        return controlled_op(ops, 3, *legs, _FELDER_CONTROLS[legs])
 
     lhs = rc((2, 3), x, k) @ rc((1, 3), x + y, -k) @ rc((1, 2), y, k)
     rhs = rc((1, 2), y, -k) @ rc((1, 3), x + y, k) @ rc((2, 3), x, -k)
@@ -466,6 +436,4 @@ def gl2_dybe_residual(
     def r23(arg: complex) -> np.ndarray:
         return embedded(2, arg, k, control=1)
 
-    lhs = r12(x) @ r23(x + xp) @ r12(xp)
-    rhs = r23(xp) @ r12(x + xp) @ r23(x)
-    return rel_residual(lhs, rhs)
+    return _braid_form_residual(r12, r23, x, xp)

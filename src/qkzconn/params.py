@@ -43,8 +43,9 @@ class RunConfig:
             raise ValueError(f"need at least two sites, got n={self.n}")
         if self.n > SITE_CAP:
             raise ValueError(f"n={self.n} exceeds the desk-scale cap {SITE_CAP}")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        # NaN and inf pass a plain "<= 0" test; both would decide every verdict
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
 
     def elliptic(self) -> EllipticParams:
         return EllipticParams(nome=Nome(self.p), kappa=complex(self.kappa))

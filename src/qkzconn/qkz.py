@@ -95,11 +95,6 @@ class AffineWord:
             cur = _letter_point_action(letter, cur)
         return cur
 
-    def sigma_action(self, z: Sequence[complex]) -> tuple[complex, ...]:
-        """z moved by the inverse group element, the shift entering transport."""
-        return self.inverse().point_action(z)
-
-
 def _letter_point_action(letter: Letter, z: tuple[complex, ...]) -> tuple[complex, ...]:
     kind, val = letter
     if kind == "s":

@@ -10,7 +10,6 @@ r3) counts the entries equal to 1, 2, 3.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -28,11 +27,6 @@ def simple(n: int, i: int) -> Perm:
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def longest_perm(n: int) -> Perm:
-    """The order-reversing permutation, the unique longest element."""
-    return tuple(range(n, 0, -1))
 
 
 def compose(u: Perm, v: Perm) -> Perm:
@@ -241,31 +235,3 @@ def conjugation_index(sigma: Perm, i: int, index_set: Iterable[int]) -> int:
         if u == simple(n, k):
             return k
     raise ValueError(f"conjugate {u} of s_{n - i} is not a simple reflection in I")  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class SwapClassification:
-    """How the swap at positions (n-i, n-i+1) moves a coset representative.
-
-    ``length_up`` is set only when ``in_coset``; ``idx_in_first_block`` only
-    when not.
-    """
-
-    in_coset: bool
-    length_up: bool | None
-    idx_in_first_block: bool | None
-
-
-def classify_swap(alpha: Sequence[int], i: int) -> SwapClassification:
-    """Predict, from alpha alone, the coset move of s_{n-i} on rep_of_index(alpha).
-
-    >>> classify_swap((3, 3, 1), 2)
-    SwapClassification(in_coset=False, length_up=None, idx_in_first_block=True)
-    """
-    n = len(alpha)
-    if not 1 <= i < n:
-        raise ValueError(f"index {i} out of range for n={n}")
-    a, b = alpha[n - i - 1], alpha[n - i]
-    if a != b:
-        return SwapClassification(in_coset=True, length_up=a > b, idx_in_first_block=None)
-    return SwapClassification(in_coset=False, length_up=None, idx_in_first_block=a == 3)

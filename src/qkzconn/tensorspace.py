@@ -56,15 +56,6 @@ def permutation_op() -> np.ndarray:
     return p
 
 
-def graded_permutation_op() -> np.ndarray:
-    """Graded flip P_g(u x w) = (-1)^{|u||w|} w x u on homogeneous vectors."""
-    p = np.zeros((DIM**2, DIM**2), dtype=complex)
-    for a in range(DIM):
-        for b in range(DIM):
-            p[b * DIM + a, a * DIM + b] = (-1.0) ** (PARITY[a] * PARITY[b])
-    return p
-
-
 def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
     """Embed a two-site operator on the (not necessarily adjacent) legs a < b.
 

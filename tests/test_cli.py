@@ -190,8 +190,18 @@ class TestOutputFile:
         assert payload["kind"] == "verification_report"
 
 
+#: usage errors: refused before any report or export is written
+_USAGE_ERRORS = [
+    ("verify", "dybe", "--n", "3", "--tol", "nan"),
+    ("verify", "dybe", "--n", "3", "--tol", "inf"),
+    ("verify", "elliptic", "--config", "/nonexistent"),
+    ("rmatrix", "--out", "/nonexistent/dir/x.json"),
+]
+
+
 class TestEvaluationFailuresAreInconclusive:
-    """Poles, overflow and non-finite coefficients end in exit code 2, not a traceback."""
+    """Poles, overflow, non-finite coefficients and usage errors end in exit
+    code 2, not a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -201,12 +211,16 @@ class TestEvaluationFailuresAreInconclusive:
             ("verify", "dybe", "--p", "0.999"),
             ("verify", "elliptic", "--p", "1e-300"),
             ("rmatrix", "--phi", "0.1,0.5,200"),
+            *_USAGE_ERRORS,
         ],
     )
     def test_exit_code_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        if argv[0] == "rmatrix":
+        if argv in _USAGE_ERRORS:
+            assert out == ""
+            assert len(err.splitlines()) == 1
+        elif argv[0] == "rmatrix":
             assert out == ""  # nothing exported
             assert err.startswith("inconclusive:")
         else:

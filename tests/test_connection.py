@@ -10,7 +10,6 @@ from qkzconn.connection import (
     PHI_FAMILY,
     PSI_FAMILY,
     XI_FAMILY,
-    ShiftFamily,
     connection_simple,
     connection_word,
     dual_position,
@@ -302,10 +301,27 @@ class TestThetaBudget:
 
 class TestShiftedApply:
     def test_zero_family_is_plain(self, ep, phi, rng):
-        zero_family = ShiftFamily("zero", lambda nome, j, a: (0.0, 0.0, 0.0))
+        # the weight family at a = 0 shifts nothing
         x = sample_scalar(rng, ep.nome)
-        got = shifted_r_apply(ep, 3, 1, x, phi, zero_family, ep.kappa, control=3)
+        got = shifted_r_apply(ep, 3, 1, x, phi, XI_FAMILY, 0.0, control=3)
         want = np.kron(np.kron(np.eye(1), dyn_r_matrix(ep, x, phi)), np.eye(3))
+        assert rel_residual(got, want) < 1e-13
+
+    @pytest.mark.parametrize("name", ["psi", "phi", "xi"])
+    def test_family_shift_vectors(self, ep, phi, name):
+        # the shift vectors of each family, for control values j = 1, 2, 3
+        a, h = 0.3 - 0.2j, half_period(ep)
+        family, vectors = {
+            "psi": (PSI_FAMILY, [(-a, 0, h), (0, -a, h), (0, 0, a)]),
+            "phi": (PHI_FAMILY, [(-a, 0, 0), (0, -a, 0), (0, 0, a - h)]),
+            "xi": (XI_FAMILY, [(-a, 0, 0), (0, -a, 0), (0, 0, a)]),
+        }[name]
+        x = 0.23 + 0.11j
+        want = sum(
+            np.kron(dyn_r_matrix(ep, x, [p + s for p, s in zip(phi, vec)]), np.diag(np.eye(3)[j]))
+            for j, vec in enumerate(vectors)
+        )
+        got = shifted_r_apply(ep, 3, 1, x, phi, family, a, control=3)
         assert rel_residual(got, want) < 1e-13
 
     def test_control_leg_must_be_outside(self, ep, phi):
@@ -314,7 +330,7 @@ class TestShiftedApply:
 
 
 class TestDybe:
-    @pytest.mark.parametrize("family", [PSI_FAMILY, PHI_FAMILY, XI_FAMILY], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("family", [PSI_FAMILY, PHI_FAMILY, XI_FAMILY], ids=["psi", "phi", "xi"])
     def test_braid_form(self, ep, rng, family):
         for _ in range(8):
             phi = sample_phi(rng)
@@ -323,13 +339,13 @@ class TestDybe:
             assert dybe_residual(ep, x, y, phi, family) < 1e-9
 
     def test_negative_control(self, ep, rng):
-        flipped = ShiftFamily("flipped", lambda nome, j, a: PSI_FAMILY.vector(nome, j, -a))
+        negated = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
         worst = 0.0
         for _ in range(5):
             phi = sample_phi(rng)
             x = sample_scalar(rng, ep.nome)
             y = sample_scalar(rng, ep.nome)
-            worst = max(worst, dybe_residual(ep, x, y, phi, flipped))
+            worst = max(worst, dybe_residual(ep, x, y, phi, PSI_FAMILY, weights=negated))
         assert worst > 1e-3
 
     def test_felder_form(self, ep, rng):

@@ -239,17 +239,6 @@ class TestYFamily:
 
 
 class TestTensorHelpers:
-    def test_graded_flip_signs(self):
-        from qkzconn.tensorspace import PARITY, graded_permutation_op
-
-        pg = graded_permutation_op()
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                col = pg[:, tensor_index((a, b))]
-                sign = (-1.0) ** (PARITY[a - 1] * PARITY[b - 1])
-                assert col[tensor_index((b, a))] == sign
-                assert np.count_nonzero(col) == 1
-
     def test_two_leg_matches_adjacent(self, q):
         b = braid_matrix(q)
         want = np.kron(np.kron(np.eye(3), b), np.eye(3))

@@ -38,7 +38,7 @@ class TestAffineWords:
     def test_rotation_action(self):
         w = affine_word(3, [XI])
         assert w.point_action((10.0, 20.0, 30.0)) == (31.0, 10.0, 20.0)
-        assert w.sigma_action((10.0, 20.0, 30.0)) == (20.0, 30.0, 9.0)
+        assert w.inverse().point_action((10.0, 20.0, 30.0)) == (20.0, 30.0, 9.0)
 
     def test_inverse(self):
         w = affine_word(3, [s_letter(2), XI])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qkzconn.symgroup import (
     act,
     all_perms,
-    classify_swap,
     compose,
     conjugation_index,
     content,
@@ -22,7 +21,6 @@ from qkzconn.symgroup import (
     is_min_coset_rep,
     leading_index,
     length,
-    longest_perm,
     min_coset_reps,
     multi_index_swap,
     occurrence_positions,
@@ -39,7 +37,7 @@ perms_n = st.integers(min_value=2, max_value=6).flatmap(
 class TestWords:
     def test_length_examples(self):
         assert length(identity_perm(4)) == 0
-        assert length(longest_perm(4)) == 6
+        assert length((4, 3, 2, 1)) == 6
         assert length((2, 3, 1)) == 2
 
     def test_length_brute_force(self):
@@ -250,33 +248,3 @@ class TestConjugationIndex:
                         k = conjugation_index(sigma, i, index_set)
                         assert k in index_set
                         assert moved == compose(sigma, simple(n, k))
-
-
-class TestClassifySwap:
-    def test_same_entries_odd(self):
-        out = classify_swap((3, 3, 1), 2)
-        assert not out.in_coset and out.idx_in_first_block
-
-    def test_distinct_entries(self):
-        out = classify_swap((1, 3, 2), 1)
-        assert out.in_coset and out.length_up
-
-    def test_constant_index(self):
-        for i in (1, 2):
-            assert not classify_swap((2, 2, 2), i).in_coset
-
-    def test_brute_force_against_lengths(self):
-        for n in (3, 4):
-            for alpha in itertools.product((1, 2, 3), repeat=n):
-                r = content(alpha)
-                index_set = content_stabiliser(n, r)
-                w = rep_of_index(alpha)
-                for i in range(1, n):
-                    moved = compose(simple(n, n - i), w)
-                    out = classify_swap(alpha, i)
-                    assert out.in_coset == is_min_coset_rep(moved, index_set)
-                    if out.in_coset:
-                        assert out.length_up == (length(moved) == length(w) + 1)
-                    else:
-                        k = conjugation_index(w, i, index_set)
-                        assert out.idx_in_first_block == (k in range(1, r[2]))
