@@ -29,7 +29,7 @@ from .symgroup import (
     leading_index,
     min_coset_reps,
 )
-from .tensorspace import tensor_index
+from .tensorspace import BlockOp, tensor_index
 
 __all__ = [
     "PrincipalSeriesSpec",
@@ -144,7 +144,7 @@ def dimension_count(n: int) -> int:
     return sum(len(min_coset_reps(n, content_stabiliser(n, r))) for r in content_labels(n))
 
 
-def eigen_residual(rep: SpinRep, r: Content, y_ops: list[np.ndarray] | None = None) -> float:
+def eigen_residual(rep: SpinRep, r: Content, y_ops: list[BlockOp] | None = None) -> float:
     """Worst eigen-equation defect of the leading basis vector of the block r.
 
     Checks Y_j v = p^{-gamma_j} v for all j and T_i v = eps_i q^{eps_i} v for
@@ -161,7 +161,7 @@ def eigen_residual(rep: SpinRep, r: Content, y_ops: list[np.ndarray] | None = No
     pairs = list(zip(y_ops, chars.y_values)) + [(rep.t(i), lam) for i, lam in chars.t_values]
     worst = 0.0
     for op, lam in pairs:
-        col = op[:, idx].copy()
+        col = op.column(idx)
         col[idx] -= lam
         worst = max(worst, float(np.linalg.norm(col)) / max(1.0, abs(lam)))
     return worst
@@ -177,7 +177,7 @@ def sign_residual(rep: SpinRep, r: Content, w: Perm, inclusive: bool = True) -> 
     src = tensor_index(leading_index(r))
     dst = tensor_index(act(w, leading_index(r)))
     sign = (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
-    col = t_word(rep, w)[:, src].copy()
+    col = t_word(rep, w).column(src)
     col[dst] -= sign
     return float(np.linalg.norm(col))
 
@@ -223,10 +223,10 @@ def greedy_match_distance(predicted: Sequence[complex], observed: Sequence[compl
 
 def spectrum_match_residual(rep: SpinRep, j: int) -> float:
     """Greedy-matching distance between the predicted multiset and the numerical
-    eigenvalues of the braid-limit operator for lam = e_j."""
+    eigenvalues of the braid-limit operator for lam = e_j, computed per block."""
     n = rep.n
     lam = tuple(1 if k == j else 0 for k in range(1, n + 1))
-    eigs = np.linalg.eigvals(y_tilde(rep, lam))
+    eigs = y_tilde(rep, lam).eigvals()
     pred = predicted_y_tilde_spectrum(rep.params.elliptic, n, rep.phi, j)
     return greedy_match_distance(pred, list(eigs))
 

@@ -2,10 +2,13 @@
 
 The constant braid matrix acts on neighbouring legs as the generators T_i,
 and the quasi-cyclic generator acts as a rotation composed with a diagonal
-twist on the last leg.  The commuting family Y_j and its braid-limit
-companion are assembled from these by the standard products; Baxterization
-turns the braid matrix into the spectral-parameter solution of the quantum
-Yang-Baxter equation (the supersymmetric three-state vertex model weights).
+twist on the last leg.  Both keep the content of a multi-index, so every
+generator, and every product of them, is a ``BlockOp``: it is built and
+multiplied one content block at a time.  The commuting family Y_j and its
+braid-limit companion are assembled from these by the standard products;
+Baxterization turns the braid matrix into the spectral-parameter solution of
+the quantum Yang-Baxter equation (the supersymmetric three-state vertex model
+weights).
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from .elliptic import EllipticParams, PoleError, pow_p
 from .symgroup import Perm, reduced_word
 from .tensorspace import (
     DIM,
+    BlockOp,
+    block_layout,
     frob,
-    identity_op,
-    multi_indices,
     permutation_op,
     rel_residual,
-    tensor_index,
     two_leg_op,
 )
 
@@ -150,15 +152,15 @@ def qybe_residual(r_of_z, x: complex, y: complex) -> float:
 
 @dataclass
 class SpinRep:
-    """Generator matrices of the spin representation on (C^3)^(x n)."""
+    """Generators of the spin representation on (C^3)^(x n), as content blocks."""
 
     params: HeckeParams
     phi: tuple[complex, complex, complex]
     braid: np.ndarray
-    t_ops: tuple[np.ndarray, ...]
-    t_inv_ops: tuple[np.ndarray, ...]
-    zeta: np.ndarray
-    zeta_inv: np.ndarray
+    t_ops: tuple[BlockOp, ...]
+    t_inv_ops: tuple[BlockOp, ...]
+    zeta: BlockOp
+    zeta_inv: BlockOp
     _y_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -169,40 +171,46 @@ class SpinRep:
     def dim(self) -> int:
         return DIM**self.params.n
 
-    def t(self, i: int) -> np.ndarray:
+    def t(self, i: int) -> BlockOp:
         return self.t_ops[i - 1]
 
-    def t_inv(self, i: int) -> np.ndarray:
+    def t_inv(self, i: int) -> BlockOp:
         return self.t_inv_ops[i - 1]
 
 
-def _twist_rotation(ep: EllipticParams, n: int, phi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    # rotation-with-twist: v_(a_1 .. a_n) -> p^{-phi_{a_n}} v_(a_n a_1 .. a_{n-1})
-    dim = DIM**n
-    zeta = np.zeros((dim, dim), dtype=complex)
-    zeta_inv = np.zeros((dim, dim), dtype=complex)
+def _twist_rotation(ep: EllipticParams, n: int, phi: Sequence[complex]) -> tuple[BlockOp, BlockOp]:
+    # rotation-with-twist: v_(a_1 .. a_n) -> p^{-phi_{a_n}} v_(a_n a_1 .. a_{n-1});
+    # the rotated vector has the same content, so it sits in the same block
+    layout = block_layout(n)
     twists = [pow_p(ep, -complex(phi[j])) for j in range(3)]
-    for alpha in multi_indices(n):
-        col = tensor_index(alpha)
-        beta = (alpha[-1],) + alpha[:-1]
-        row = tensor_index(beta)
-        c = twists[alpha[-1] - 1]
-        zeta[row, col] = c
-        zeta_inv[col, row] = 1.0 / c
-    return zeta, zeta_inv
+    twist = np.array(twists)
+    twist_inv = np.array([1.0 / c for c in twists])
+    zeta, zeta_inv = [], []
+    for idx in layout.index:
+        k, d = idx.shape
+        last = idx % DIM
+        rows = layout.pos[last * DIM ** (n - 1) + idx // DIM]
+        blk, cols = np.arange(k)[:, None], np.arange(d)
+        fwd = np.zeros((k, d, d), dtype=complex)
+        bwd = np.zeros((k, d, d), dtype=complex)
+        fwd[blk, rows, cols] = twist[last]
+        bwd[blk, cols, rows] = twist_inv[last]
+        zeta.append(fwd)
+        zeta_inv.append(bwd)
+    return BlockOp(layout, zeta), BlockOp(layout, zeta_inv)
 
 
 def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
-    """Build all generator matrices for the given twist."""
+    """Build the generators for the given twist, block by block."""
     phi = tuple(complex(t) for t in phi)
     if len(phi) != 3:
         raise ValueError("the twist takes exactly three components")
     q = params.q
     b = braid_matrix(q)
     n = params.n
-    t_ops = tuple(two_leg_op(b, n, i, i + 1) for i in range(1, n))
+    t_ops = tuple(BlockOp.two_leg(b, n, i, i + 1) for i in range(1, n))
     b_inv = b - (q - 1.0 / q) * np.eye(9, dtype=complex)
-    t_inv_ops = tuple(two_leg_op(b_inv, n, i, i + 1) for i in range(1, n))
+    t_inv_ops = tuple(BlockOp.two_leg(b_inv, n, i, i + 1) for i in range(1, n))
     zeta, zeta_inv = _twist_rotation(params.elliptic, n, phi)
     return SpinRep(
         params=params,
@@ -215,14 +223,14 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     )
 
 
-def y_operator(rep: SpinRep, j: int) -> np.ndarray:
-    """The commuting element T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j as a matrix."""
+def y_operator(rep: SpinRep, j: int) -> BlockOp:
+    """The commuting element T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j."""
     n = rep.n
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range for n={n}")
     if j in rep._y_cache:
         return rep._y_cache[j]
-    mat = identity_op(n)
+    mat = BlockOp.identity(n)
     for i in range(j - 1, 0, -1):
         mat = mat @ rep.t_inv(i)
     mat = mat @ rep.zeta
@@ -232,29 +240,29 @@ def y_operator(rep: SpinRep, j: int) -> np.ndarray:
     return mat
 
 
-def y_operators(rep: SpinRep) -> list[np.ndarray]:
+def y_operators(rep: SpinRep) -> list[BlockOp]:
     return [y_operator(rep, j) for j in range(1, rep.n + 1)]
 
 
-def y_power(rep: SpinRep, lam: Sequence[int]) -> np.ndarray:
-    """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n} (negative exponents via inversion)."""
+def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
+    """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n} (negative exponents via blockwise inversion)."""
     if len(lam) != rep.n:
         raise ValueError("exponent vector length must match the number of sites")
-    mat = identity_op(rep.n)
+    mat = BlockOp.identity(rep.n)
     for j, e in enumerate(lam, start=1):
         if e == 0:
             continue
         yj = y_operator(rep, j)
         if e < 0:
-            yj = np.linalg.inv(yj)
+            yj = yj.inv()
             e = -e
-        mat = mat @ np.linalg.matrix_power(yj, e)
+        mat = mat @ yj.matrix_power(e)
     return mat
 
 
-def t_word(rep: SpinRep, w: Perm) -> np.ndarray:
+def t_word(rep: SpinRep, w: Perm) -> BlockOp:
     """T_w, the product of T_i over a reduced word of w."""
-    mat = identity_op(rep.n)
+    mat = BlockOp.identity(rep.n)
     for i in reduced_word(w):
         mat = mat @ rep.t(i)
     return mat
@@ -265,7 +273,7 @@ def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:
     return tuple((n + 1 - 2 * j) * kappa for j in range(1, n + 1))
 
 
-def y_tilde(rep: SpinRep, lam: Sequence[int]) -> np.ndarray:
+def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
     """Braid-limit family p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}."""
     n = rep.n
     ep = rep.params.elliptic
@@ -274,7 +282,7 @@ def y_tilde(rep: SpinRep, lam: Sequence[int]) -> np.ndarray:
     w0 = tuple(range(n, 0, -1))
     lam_rev = tuple(reversed(tuple(lam)))  # w0 acts on exponents by reversal
     tw0 = t_word(rep, w0)
-    return pow_p(ep, -pairing) * tw0 @ y_power(rep, lam_rev) @ np.linalg.inv(tw0)
+    return pow_p(ep, -pairing) * tw0 @ y_power(rep, lam_rev) @ tw0.inv()
 
 
 def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:
@@ -289,7 +297,7 @@ def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:
     y_lam = y_power(rep, lam)
     y_slam = y_power(rep, tuple(s_lam))
     ti = rep.t(i)
-    clear = identity_op(rep.n) - np.linalg.inv(y_operator(rep, i)) @ y_operator(rep, i + 1)
+    clear = BlockOp.identity(rep.n) - y_operator(rep, i).inv() @ y_operator(rep, i + 1)
     lhs = (ti @ y_lam - y_slam @ ti) @ clear
     rhs = (q - 1.0 / q) * (y_lam - y_slam)
     scale = max(frob(ti @ y_lam @ clear), frob(rhs), 1.0)

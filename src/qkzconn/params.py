@@ -19,7 +19,9 @@ __all__ = [
 ]
 
 
-#: largest site count a run accepts: one dense operator on (C^3)^(x 6) is 729 x 729
+#: largest site count a run accepts.  The spin representation is stored by
+#: content block (the largest block at n = 6 is 90 x 90); what still bounds n
+#: is the dense tensor monodromy of the connection checks, 3^n x 3^n
 SITE_CAP = 6
 
 
@@ -60,7 +62,13 @@ class RunConfig:
 
 
 def sample_phi(rng: np.random.Generator) -> tuple[complex, complex, complex]:
-    """A generic dynamical-parameter triple with well-separated components."""
+    """A dynamical-parameter triple, each component drawn independently.
+
+    Nothing keeps the components apart: two of them can land arbitrarily
+    close, near the pole phi_a = phi_b of the dynamical R-matrix.  A caller
+    that needs separated components redraws, as the benchmark's
+    ``generic_phi`` does.
+    """
     re = rng.uniform(-0.45, 0.45, size=3)
     im = rng.uniform(0.02, 0.3, size=3)
     return tuple(complex(a, b) for a, b in zip(re, im))

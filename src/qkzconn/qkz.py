@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 
 from .elliptic import PoleError, pow_p
 from .heckespin import SpinRep, y_tilde
-from .tensorspace import identity_op, rel_residual
+from .tensorspace import BlockOp, rel_residual
 
 __all__ = [
     "Letter",
@@ -155,9 +154,9 @@ def translation_power_word(n: int, lam: Sequence[int]) -> AffineWord:
     return word
 
 
-def transport_letter(rep: SpinRep, letter: Letter, z: Sequence[complex]) -> np.ndarray:
+def transport_letter(rep: SpinRep, letter: Letter, z: Sequence[complex]) -> BlockOp:
     """One-letter transport: the xi letters are constant, the s_i letters are
-    (T_i^{-1} - p^{z_i - z_{i+1}} T_i) / (1/q - q p^{z_i - z_{i+1}})."""
+    (T_i^{-1} - p^{z_i - z_{i+1}} T_i) / (1/q - q p^{z_i - z_{i+1}}), formed per block."""
     kind, val = letter
     if kind == "xi":
         return rep.zeta if val == 1 else rep.zeta_inv
@@ -175,11 +174,11 @@ def transport_letter(rep: SpinRep, letter: Letter, z: Sequence[complex]) -> np.n
     return (rep.t_inv(i) - t * rep.t(i)) / den
 
 
-def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> np.ndarray:
+def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:
     """Cocycle product C_{l_1}(z) C_{l_2}(l_1^{-1} z) C_{l_3}(l_2^{-1} l_1^{-1} z) ..."""
     if word.n != rep.n:
         raise ValueError("word and representation disagree on the number of sites")
-    mat = identity_op(rep.n)
+    mat = BlockOp.identity(rep.n)
     zcur = tuple(complex(t) for t in z)
     for k, letter in enumerate(word.letters):
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -19,9 +19,7 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "complex_to_pair",
-    "pair_to_complex",
     "matrix_to_lists",
-    "lists_to_matrix",
     "dynamical_r_payload",
     "connection_payload",
     "decomposition_payload",
@@ -35,16 +33,8 @@ def complex_to_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def pair_to_complex(pair: Sequence[float]) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def matrix_to_lists(mat: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_pair(v) for v in row] for row in np.asarray(mat)]
-
-
-def lists_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
 
 
 def _parameters(p: float, kappa: complex, phi=None, z=None) -> dict[str, Any]:

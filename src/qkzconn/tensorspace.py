@@ -1,4 +1,4 @@
-"""Dense complex operators on tensor powers of the 3-dimensional site space.
+"""Complex operators on tensor powers of the 3-dimensional site space.
 
 The tensor-product basis of (C^3)^(x n) is enumerated odometer-style: the
 multi-index (a_1, ..., a_n) over {1, 2, 3} sits at linear index
@@ -11,12 +11,23 @@ the operator's shape (d^2 x d^2), so the same rule serves the three-state
 sites and the two-state sites of the gl(2) fixture.  ``controlled_op``
 builds on it for the dynamical shifts, which pick the operator by the value
 of a third, control leg.
+
+The spin representation preserves the content of a multi-index (how many of
+its entries are 1, 2 and 3), so its operators are block-diagonal by content.
+``BlockOp`` stores only those blocks: ``block_layout(n)`` groups the blocks
+of n sites by their dimension d, and a ``BlockOp`` holds one (k, d, d) stack
+per group.  Products, sums, inverses and powers act stack by stack.
+``BlockOp.two_leg`` writes the blocks of ``two_leg_op`` for a local operator
+that keeps the content of its two legs, without forming the dense matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +52,6 @@ def tensor_index(alpha: Sequence[int]) -> int:
     for a in alpha:
         idx = 3 * idx + (a - 1)
     return idx
-
-
-def identity_op(n: int) -> np.ndarray:
-    return np.eye(DIM**n, dtype=complex)
 
 
 def permutation_op() -> np.ndarray:
@@ -90,11 +97,163 @@ def controlled_op(ops: Sequence[np.ndarray], n: int, a: int, b: int, control: in
     return out
 
 
-def frob(mat: np.ndarray) -> float:
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """Where the content blocks of (C^3)^(x n) sit in the tensor basis.
+
+    Group g holds the blocks of one dimension d: ``index[g]`` is a (k, d)
+    array whose row b lists the tensor indices of one block in ascending
+    order.  ``group``, ``block`` and ``pos`` map a tensor index back to its
+    group, its row in that group and its place in the row; ``digits`` holds
+    the multi-index of every basis vector, shifted to {0, 1, 2}.
+    """
+
+    n: int
+    digits: np.ndarray
+    index: tuple[np.ndarray, ...]
+    group: np.ndarray
+    block: np.ndarray
+    pos: np.ndarray
+
+
+@functools.cache
+def block_layout(n: int) -> BlockLayout:
+    """The layout of the n-site content blocks, built once per n and shared."""
+    digits = np.indices((DIM,) * n).reshape(n, -1).T
+    # content (r1, r2, r3) as one integer key; r3 = n - r1 - r2
+    key = np.count_nonzero(digits == 0, axis=1) * (n + 1) + np.count_nonzero(digits == 1, axis=1)
+    label = np.unique(key, return_inverse=True)[1].reshape(-1)
+    sizes = np.bincount(label)
+    group, block, pos = (np.empty(DIM**n, dtype=np.intp) for _ in range(3))
+    index = []
+    for g, d in enumerate(np.unique(sizes)):
+        members = np.flatnonzero(sizes == d)
+        rows = np.stack([np.flatnonzero(label == c) for c in members])
+        group[rows] = g
+        block[rows] = np.arange(len(members))[:, None]
+        pos[rows] = np.arange(d)
+        index.append(rows)
+    for arr in (digits, group, block, pos, *index):
+        arr.flags.writeable = False
+    return BlockLayout(n, digits, tuple(index), group, block, pos)
+
+
+class BlockOp:
+    """A content-preserving operator on (C^3)^(x n), stored block by block.
+
+    ``stacks[g]`` is the (k, d, d) stack of the blocks of group g of
+    ``layout``; the entries between different contents are zero and are not
+    stored.  ``@``, ``+`` and ``-`` take another BlockOp on the same sites,
+    ``*`` and ``/`` a scalar.  ``shape`` is the logical (3^n, 3^n) and
+    ``nbytes`` what the stacks hold.
+    """
+
+    __slots__ = ("layout", "stacks")
+    # numpy defers to the operators below: a numpy scalar times a BlockOp is
+    # a BlockOp, and mixing a BlockOp with an ndarray raises TypeError
+    __array_ufunc__ = None
+
+    def __init__(self, layout: BlockLayout, stacks) -> None:
+        self.layout = layout
+        self.stacks = tuple(stacks)
+
+    @classmethod
+    def identity(cls, n: int) -> "BlockOp":
+        layout = block_layout(n)
+        return cls(layout, (np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1, 1)) for idx in layout.index))
+
+    @classmethod
+    def two_leg(cls, op: np.ndarray, n: int, a: int, b: int) -> "BlockOp":
+        """The blocks of ``two_leg_op(op, n, a, b)`` for a 9x9 op that keeps the
+        content of its two legs, built from the layout without the dense matrix."""
+        if not 1 <= a < b <= n:
+            raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
+        pair = np.sort(np.indices((DIM, DIM)).reshape(2, -1), axis=0)
+        pair_key = pair[0] * DIM + pair[1]
+        if np.any(op[pair_key[:, None] != pair_key[None, :]]):
+            raise ValueError("the operator changes the content of its two legs")
+        layout = block_layout(n)
+        rest = [k for k in range(n) if k not in (a - 1, b - 1)]
+        stacks = []
+        for idx in layout.index:
+            digits = layout.digits[idx]
+            local = digits[..., a - 1] * DIM + digits[..., b - 1]
+            others = digits[..., rest]
+            same = np.all(others[:, :, None] == others[:, None, :], axis=-1)
+            stacks.append(np.where(same, op[local[:, :, None], local[:, None, :]], 0.0))
+        return cls(layout, stacks)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = DIM**self.layout.n
+        return (dim, dim)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(s.nbytes for s in self.stacks)
+
+    def _pairwise(self, other, fn) -> "BlockOp":
+        if not isinstance(other, BlockOp):
+            return NotImplemented
+        if other.layout is not self.layout:
+            raise ValueError(f"operators on {self.layout.n} and {other.layout.n} sites do not combine")
+        return BlockOp(self.layout, map(fn, self.stacks, other.stacks))
+
+    def __matmul__(self, other: "BlockOp") -> "BlockOp":
+        return self._pairwise(other, np.matmul)
+
+    def __add__(self, other: "BlockOp") -> "BlockOp":
+        return self._pairwise(other, np.add)
+
+    def __sub__(self, other: "BlockOp") -> "BlockOp":
+        return self._pairwise(other, np.subtract)
+
+    def __mul__(self, c: complex) -> "BlockOp":
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
+        return BlockOp(self.layout, (s * c for s in self.stacks))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c: complex) -> "BlockOp":
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
+        return BlockOp(self.layout, (s / c for s in self.stacks))
+
+    def inv(self) -> "BlockOp":
+        return BlockOp(self.layout, map(np.linalg.inv, self.stacks))
+
+    def matrix_power(self, e: int) -> "BlockOp":
+        return BlockOp(self.layout, (np.linalg.matrix_power(s, e) for s in self.stacks))
+
+    def eigvals(self) -> np.ndarray:
+        """The eigenvalues of every block, concatenated."""
+        return np.concatenate([np.linalg.eigvals(s).reshape(-1) for s in self.stacks])
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the operator in tensor-basis coordinates."""
+        layout = self.layout
+        g, b, p = layout.group[j], layout.block[j], layout.pos[j]
+        out = np.zeros(DIM**layout.n, dtype=complex)
+        out[layout.index[g][b]] = self.stacks[g][b, :, p]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The full 3^n x 3^n matrix (for independent references in tests)."""
+        out = np.zeros(self.shape, dtype=complex)
+        for idx, s in zip(self.layout.index, self.stacks):
+            out[idx[:, :, None], idx[:, None, :]] = s
+        return out
+
+
+def frob(mat: np.ndarray | BlockOp) -> float:
+    """Frobenius norm of a matrix; a BlockOp's is that of its stored blocks."""
+    if isinstance(mat, BlockOp):
+        return math.hypot(*(float(np.linalg.norm(s)) for s in mat.stacks))
     return float(np.linalg.norm(mat))
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def rel_residual(lhs: np.ndarray | BlockOp, rhs: np.ndarray | BlockOp) -> float:
     """Frobenius distance of two matrices over the larger of their norms."""
     scale = max(frob(lhs), frob(rhs))
     if scale == 0.0:

@@ -1,0 +1,193 @@
+"""Content-block operators against dense references written out here.
+
+The references embed the braid matrix with ``two_leg_op`` and build the
+rotation-with-twist entry by entry, so they share no code with the block
+construction in ``spin_rep``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from qkzconn.elliptic import pow_p
+from qkzconn.heckespin import (
+    HeckeParams,
+    braid_matrix,
+    cross_relation_residual,
+    rho_vector,
+    spin_rep,
+    t_word,
+    y_operator,
+    y_power,
+    y_tilde,
+)
+from qkzconn.qkz import affine_word, translation_power_word, translation_word, transport_word
+from qkzconn.tensorspace import BlockOp, block_layout, frob, rel_residual, tensor_index, two_leg_op
+
+
+def dense_generators(ep, phi, n):
+    """T_i, T_i^{-1} (from two_leg_op), zeta and zeta^{-1} (entry by entry) as dense matrices."""
+    q = HeckeParams(elliptic=ep, n=n).q
+    b = braid_matrix(q)
+    b_inv = b - (q - 1.0 / q) * np.eye(9)
+    t = [two_leg_op(b, n, i, i + 1) for i in range(1, n)]
+    t_inv = [two_leg_op(b_inv, n, i, i + 1) for i in range(1, n)]
+    zeta = np.zeros((3**n, 3**n), dtype=complex)
+    zeta_inv = np.zeros((3**n, 3**n), dtype=complex)
+    for alpha in itertools.product((1, 2, 3), repeat=n):
+        c = pow_p(ep, -complex(phi[alpha[-1] - 1]))
+        col = tensor_index(alpha)
+        row = tensor_index((alpha[-1],) + alpha[:-1])
+        zeta[row, col] = c
+        zeta_inv[col, row] = 1.0 / c
+    return t, t_inv, zeta, zeta_inv
+
+
+def dense_product(mats, dim):
+    out = np.eye(dim, dtype=complex)
+    for m in mats:
+        out = out @ m
+    return out
+
+
+def content_mask(n):
+    """True where the row and column multi-indices have different contents."""
+    key = np.array([tuple(alpha.count(v) for v in (1, 2, 3)) for alpha in itertools.product((1, 2, 3), repeat=n)])
+    return np.any(key[:, None, :] != key[None, :, :], axis=-1)
+
+
+@pytest.fixture(scope="module", params=[3, 4, 5])
+def sized(request, ep, phi):
+    """(n, rep, dense generators) for n = 3, 4, 5."""
+    n = request.param
+    return n, spin_rep(HeckeParams(elliptic=ep, n=n), phi), dense_generators(ep, phi, n)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_block_diagonal_and_equal_to_dense(self, ep, phi, n):
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        t, t_inv, zeta, zeta_inv = dense_generators(ep, phi, n)
+        off = content_mask(n)
+        pairs = [(rep.t(i), t[i - 1]) for i in range(1, n)]
+        pairs += [(rep.t_inv(i), t_inv[i - 1]) for i in range(1, n)]
+        pairs += [(rep.zeta, zeta), (rep.zeta_inv, zeta_inv)]
+        for op, ref in pairs:
+            assert np.max(np.abs(ref[off])) == 0.0
+            assert np.array_equal(op.dense(), ref)
+
+    def test_shape_and_storage(self, reps):
+        rep = reps[4]
+        layout = block_layout(4)
+        assert rep.zeta.shape == (81, 81)
+        assert sum(idx.size for idx in layout.index) == 81
+        assert rep.zeta.nbytes == 16 * sum(idx.shape[0] * idx.shape[1] ** 2 for idx in layout.index)
+        assert rep.t(1).layout is rep.zeta.layout is layout
+
+    def test_rejects_content_changing_operator(self):
+        op = np.zeros((9, 9), dtype=complex)
+        op[1, 2] = 1.0  # v1 v3 -> v1 v2 changes the pair's content
+        with pytest.raises(ValueError):
+            BlockOp.two_leg(op, 3, 1, 2)
+
+
+class TestArithmetic:
+    def test_matches_dense(self, reps, rng):
+        rep = reps[3]
+        a, b = rep.t(1), rep.zeta
+        da, db = a.dense(), b.dense()
+        c = complex(rng.normal(), rng.normal())
+        assert np.allclose((a @ b).dense(), da @ db, rtol=0, atol=1e-14)
+        assert np.array_equal((a + b).dense(), da + db)
+        assert np.array_equal((a - b).dense(), da - db)
+        assert np.array_equal((c * a).dense(), c * da)
+        assert np.array_equal((a * c).dense(), c * da)
+        assert np.array_equal((a / c).dense(), da / c)
+        assert rel_residual(b.inv().dense(), np.linalg.inv(db)) < 1e-13
+        assert rel_residual(b.matrix_power(3).dense(), np.linalg.matrix_power(db, 3)) < 1e-13
+        assert frob(a) == pytest.approx(np.linalg.norm(da), rel=1e-15)
+        for j in (0, 5, 13, 26):
+            assert np.array_equal(b.column(j), db[:, j])
+
+    def test_eigvals_are_the_dense_spectrum(self, reps):
+        y = y_operator(reps[3], 1)
+        got = np.sort_complex(y.eigvals())
+        want = np.sort_complex(np.linalg.eigvals(y.dense()))
+        assert got.shape == (27,)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_no_silent_mixing(self, reps):
+        rep = reps[3]
+        with pytest.raises(TypeError):
+            rep.t(1) @ np.eye(27)
+        with pytest.raises(TypeError):
+            np.eye(27) - rep.t(1)
+        with pytest.raises(ValueError):
+            rep.t(1) @ reps[2].t(1)
+
+
+class TestProductsAgainstDense:
+    def test_t_word_longest(self, sized):
+        n, rep, (t, _, _, _) = sized
+        # w0 = s_1 (s_2 s_1) (s_3 s_2 s_1) ...
+        word = [i for k in range(1, n) for i in range(k, 0, -1)]
+        want = dense_product([t[i - 1] for i in word], 3**n)
+        assert rel_residual(t_word(rep, tuple(range(n, 0, -1))).dense(), want) < 1e-13
+
+    def test_y_operators(self, sized):
+        n, rep, (t, t_inv, zeta, _) = sized
+        for j in range(1, n + 1):
+            mats = [t_inv[i - 1] for i in range(j - 1, 0, -1)] + [zeta] + [t[i - 1] for i in range(n - 1, j - 1, -1)]
+            assert rel_residual(y_operator(rep, j).dense(), dense_product(mats, 3**n)) < 1e-13
+
+    def test_y_power_negative_exponent(self, sized):
+        n, rep, _ = sized
+        y = [y_operator(rep, j).dense() for j in range(1, n + 1)]
+        lam = (-1,) + (0,) * (n - 2) + (2,)
+        want = np.linalg.inv(y[0]) @ y[-1] @ y[-1]
+        assert rel_residual(y_power(rep, lam).dense(), want) < 1e-13
+
+    def test_y_tilde(self, ep, sized):
+        n, rep, (t, _, _, _) = sized
+        lam = (1,) + (0,) * (n - 2) + (-1,)
+        tw0 = dense_product([t[i - 1] for k in range(1, n) for i in range(k, 0, -1)], 3**n)
+        y = [y_operator(rep, j).dense() for j in range(1, n + 1)]
+        # w0 reverses the exponents: Y^{w0 lam} = Y_1^{-1} Y_n
+        pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
+        want = pow_p(ep, -pairing) * tw0 @ np.linalg.inv(y[0]) @ y[-1] @ np.linalg.inv(tw0)
+        assert rel_residual(y_tilde(rep, lam).dense(), want) < 1e-13
+
+    def test_transport_of_translation_word(self, ep, sized, rng):
+        n, rep, (t, t_inv, zeta, zeta_inv) = sized
+        q = rep.params.q
+        word = translation_word(n, 1) * translation_power_word(n, (0,) * (n - 1) + (-1,))
+        z = tuple(complex(rng.uniform(-1, 1), rng.uniform(0, 1)) for _ in range(n))
+        want = np.eye(3**n, dtype=complex)
+        cur = z
+        for kind, val in word.letters:
+            if kind == "xi":
+                letter = zeta if val == 1 else zeta_inv
+            else:
+                x = pow_p(ep, cur[val - 1] - cur[val])
+                letter = (t_inv[val - 1] - x * t[val - 1]) / (1.0 / q - q * x)
+            want = want @ letter
+            cur = affine_word(n, [(kind, val)]).inverse().point_action(cur)
+        assert rel_residual(transport_word(rep, word, z).dense(), want) < 1e-13
+
+    def test_cross_relation_residual(self, sized):
+        n, rep, (t, _, _, _) = sized
+        q = rep.params.q
+        y = [y_operator(rep, j).dense() for j in range(1, n + 1)]
+        eye = np.eye(3**n)
+        for i in range(1, n):
+            lam = (1,) * i + (0,) * (n - i)  # lam_i = 1, lam_{i+1} = 0
+            s_lam = lam[: i - 1] + (0, 1) + lam[i + 1 :]
+            y_lam = dense_product([y[j] for j in range(n) if lam[j]], 3**n)
+            y_slam = dense_product([y[j] for j in range(n) if s_lam[j]], 3**n)
+            clear = eye - np.linalg.inv(y[i - 1]) @ y[i]
+            lhs = (t[i - 1] @ y_lam - y_slam @ t[i - 1]) @ clear
+            rhs = (q - 1.0 / q) * (y_lam - y_slam)
+            scale = max(np.linalg.norm(t[i - 1] @ y_lam @ clear), np.linalg.norm(rhs), 1.0)
+            want = np.linalg.norm(lhs - rhs) / scale
+            assert abs(cross_relation_residual(rep, i, lam) - want) < 1e-13

@@ -8,7 +8,15 @@ import pytest
 
 from qkzconn import checks
 from qkzconn.cli import main
-from qkzconn.serialize import lists_to_matrix
+
+
+def pair_to_complex(pair):
+    return complex(pair[0], pair[1])
+
+
+def lists_to_matrix(rows):
+    """The matrix of an export's nested [re, im] lists."""
+    return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
 
 
 def _reject_constant(name):
@@ -106,7 +114,7 @@ class TestRMatrix:
         code, out, _ = run_cli(capsys, "rmatrix", "--x", "0.3+0.1j", "--seed", "4")
         payload = json.loads(out)
         mat = lists_to_matrix(payload["entries"])
-        from qkzconn.serialize import dumps, dynamical_r_payload, pair_to_complex
+        from qkzconn.serialize import dumps, dynamical_r_payload
 
         rebuilt = dynamical_r_payload(
             payload["parameters"]["p"],
