@@ -119,18 +119,17 @@ class BlockLayout:
 @functools.cache
 def block_layout(n: int) -> BlockLayout:
     """The layout of the n-site content blocks, built once per n and shared."""
-    digits = np.indices((DIM,) * n).reshape(n, -1).T
-    # content (r1, r2, r3) as one integer key; r3 = n - r1 - r2
-    key = np.count_nonzero(digits == 0, axis=1) * (n + 1) + np.count_nonzero(digits == 1, axis=1)
-    label = np.unique(key, return_inverse=True)[1].reshape(-1)
-    sizes = np.bincount(label)
+    alphas = list(itertools.product(range(DIM), repeat=n))
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for t, alpha in enumerate(alphas):
+        blocks.setdefault(tuple(alpha.count(v) for v in range(DIM)), []).append(t)
+    digits = np.array(alphas, dtype=np.intp)
     group, block, pos = (np.empty(DIM**n, dtype=np.intp) for _ in range(3))
     index = []
-    for g, d in enumerate(np.unique(sizes)):
-        members = np.flatnonzero(sizes == d)
-        rows = np.stack([np.flatnonzero(label == c) for c in members])
+    for g, d in enumerate(sorted({len(rows) for rows in blocks.values()})):
+        rows = np.array([rows for rows in blocks.values() if len(rows) == d], dtype=np.intp)
         group[rows] = g
-        block[rows] = np.arange(len(members))[:, None]
+        block[rows] = np.arange(len(rows))[:, None]
         pos[rows] = np.arange(d)
         index.append(rows)
     for arr in (digits, group, block, pos, *index):
@@ -160,7 +159,8 @@ class BlockOp:
     @classmethod
     def identity(cls, n: int) -> "BlockOp":
         layout = block_layout(n)
-        return cls(layout, (np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1, 1)) for idx in layout.index))
+        eyes = (np.tile(np.eye(d, dtype=complex), (k, 1, 1)) for k, d in (idx.shape for idx in layout.index))
+        return cls(layout, eyes)
 
     @classmethod
     def two_leg(cls, op: np.ndarray, n: int, a: int, b: int) -> "BlockOp":
@@ -168,9 +168,8 @@ class BlockOp:
         content of its two legs, built from the layout without the dense matrix."""
         if not 1 <= a < b <= n:
             raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-        pair = np.sort(np.indices((DIM, DIM)).reshape(2, -1), axis=0)
-        pair_key = pair[0] * DIM + pair[1]
-        if np.any(op[pair_key[:, None] != pair_key[None, :]]):
+        content = [sorted(divmod(k, DIM)) for k in range(DIM * DIM)]
+        if any(op[r, c] != 0 for r, cr in enumerate(content) for c, cc in enumerate(content) if cr != cc):
             raise ValueError("the operator changes the content of its two legs")
         layout = block_layout(n)
         rest = [k for k in range(n) if k not in (a - 1, b - 1)]
