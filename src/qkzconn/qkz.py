@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-
 from .elliptic import PoleError, pow_p
 from .heckespin import SpinRep, y_tilde
 from .tensorspace import BlockOp, rel_residual
