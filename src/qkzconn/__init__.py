@@ -20,6 +20,7 @@ from .connection import (
     ConnectionMatrix,
     connection_simple,
     connection_word,
+    connection_words,
     dybe_residual,
     dyn_r_matrix,
     felder_residual,
@@ -39,6 +40,7 @@ from .elliptic import (
     c_func,
     coeff_a,
     coeff_b,
+    coefficients,
     default_params,
     pow_p,
     theta,

@@ -60,6 +60,7 @@ from .symgroup import (
     content_stabiliser,
     inverse,
     min_coset_reps,
+    reduced_word,
     simple,
 )
 from .tensorspace import (
@@ -484,13 +485,10 @@ def _connection_cocycle(ctx: VerifyContext, rng):
                 w2 = perms[rng.integers(len(perms))]
 
                 def residual(z):
-                    lhs = conn.connection_word(ctx.ep, spec, compose(w1, w2), z).entries
-                    shifted = act(inverse(w1), z)
-                    rhs = (
-                        conn.connection_word(ctx.ep, spec, w1, z).entries
-                        @ conn.connection_word(ctx.ep, spec, w2, shifted).entries
-                    )
-                    return rel_residual(lhs, rhs)
+                    words = [(reduced_word(compose(w1, w2)), z), (reduced_word(w1), z)]
+                    words.append((reduced_word(w2), act(inverse(w1), z)))
+                    lhs, m1, m2 = conn.connection_words(ctx.ep, spec, words)
+                    return rel_residual(lhs, m1 @ m2)
 
                 worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return worst
@@ -506,19 +504,10 @@ def _connection_braid(ctx: VerifyContext, rng):
         for _ in range(10):
 
             def residual(z):
-                lhs = conn.connection_simple(ctx.ep, spec, 1, z).entries
-                lhs = lhs @ conn.connection_simple(ctx.ep, spec, 2, act(simple(n, 1), z)).entries
-                lhs = lhs @ conn.connection_simple(
-                    ctx.ep, spec, 1, act(compose(simple(n, 2), simple(n, 1)), z)
-                ).entries
-                rhs = conn.connection_simple(ctx.ep, spec, 2, z).entries
-                rhs = rhs @ conn.connection_simple(ctx.ep, spec, 1, act(simple(n, 2), z)).entries
-                rhs = rhs @ conn.connection_simple(
-                    ctx.ep, spec, 2, act(compose(simple(n, 1), simple(n, 2)), z)
-                ).entries
-                both = rel_residual(lhs, rhs)
-                via_word = rel_residual(lhs, conn.connection_word(ctx.ep, spec, w121, z).entries)
-                return _worst(both, via_word)
+                # the letter products s1 s2 s1 and s2 s1 s2, and the reduced word of w121
+                words = [((1, 2, 1), z), ((2, 1, 2), z), (reduced_word(w121), z)]
+                lhs, rhs, via_word = conn.connection_words(ctx.ep, spec, words)
+                return _worst(rel_residual(lhs, rhs), rel_residual(lhs, via_word))
 
             worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return worst
@@ -533,9 +522,9 @@ def _connection_unitarity(ctx: VerifyContext, rng):
             eye = np.eye(len(min_coset_reps(n, spec.index_set)), dtype=complex)
             for i in range(1, n):
                 def residual(z):
-                    m1 = conn.connection_simple(ctx.ep, spec, i, z).entries
-                    m2 = conn.connection_simple(ctx.ep, spec, i, act(simple(n, i), z)).entries
-                    return rel_residual(m1 @ m2, eye)
+                    # s_i at z, then s_i at the swapped point
+                    (m,) = conn.connection_words(ctx.ep, spec, [((i, i), z)])
+                    return rel_residual(m, eye)
 
                 worst = _worst(worst, ctx.eval_band(rng, n, residual))
     return worst
@@ -600,8 +589,8 @@ def _gl2_fixture(ctx: VerifyContext, rng):
         x = sample_scalar(rng, ep.nome)
         xp = sample_scalar(rng, ep.nome)
         y = sample_dynamical(rng)
-        m = conn.gl2_matrix(ep, x, y)
-        worst = _worst(worst, rel_residual(m @ conn.gl2_matrix(ep, -x, y), eye4))
+        m, m_back = conn.gl2_matrix(ep, [x, -x], y)
+        worst = _worst(worst, rel_residual(m @ m_back, eye4))
         worst = _worst(worst, conn.gl2_dybe_residual(ep, x, xp, y))
         # middle 2x2 block against the rank-2 empty-index connection matrix
         spec = blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(y / 2.0, -y / 2.0))
@@ -657,7 +646,8 @@ def _dyn_unitarity(ctx: VerifyContext, rng):
     for _ in range(30):
         phi = sample_phi(rng)
         x = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi) @ conn.dyn_r_matrix(ep, -x, phi), eye))
+        r, r_back = conn.dyn_r_matrix(ep, [x, -x], phi)
+        worst = _worst(worst, rel_residual(r @ r_back, eye))
     return worst
 
 
@@ -710,7 +700,8 @@ def _dynamical_translation(ctx: VerifyContext, rng):
         t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         shifted = tuple(v + t for v in phi)
         x = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, rel_residual(conn.dyn_r_matrix(ep, x, phi), conn.dyn_r_matrix(ep, x, shifted)))
+        r, r_shifted = conn.dyn_r_matrix(ep, x, [phi, shifted])
+        worst = _worst(worst, rel_residual(r, r_shifted))
     return worst
 
 

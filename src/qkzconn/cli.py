@@ -193,9 +193,9 @@ def cmd_rmatrix(args: argparse.Namespace) -> int:
     ep = cfg.elliptic()
     phi = cfg.resolved_phi()
     x = args.x
-    entries = conn.dyn_r_matrix(ep, x, phi)
     probe = complex(0.21, 0.13)
-    unit = conn.dyn_r_matrix(ep, probe, phi) @ conn.dyn_r_matrix(ep, -probe, phi)
+    entries, r_probe, r_back = conn.dyn_r_matrix(ep, [x, probe, -probe], phi)
+    unit = r_probe @ r_back
     residuals = {"unitarity_probe": float(np.linalg.norm(unit - np.eye(9)) / 3.0)}
     payload = serialize.dynamical_r_payload(cfg.p, complex(cfg.kappa), phi, x, entries, residuals)
     _emit(serialize.dumps(payload), cfg.out)

@@ -12,15 +12,15 @@ value carried by a control leg.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .blocks import PrincipalSeriesSpec, content_block, validate_spec
-from .elliptic import EllipticParams, PoleError, coeff_a, coeff_b, c_func
+from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
-    Content,
     Perm,
     act,
     compose,
@@ -55,6 +55,7 @@ __all__ = [
     "dual_position",
     "connection_simple",
     "connection_word",
+    "connection_words",
     "tensor_monodromy_simple",
     "tensor_monodromy_word",
     "tensor_monodromy_from_blocks",
@@ -90,81 +91,205 @@ class ConnectionMatrix:
     entries: np.ndarray
 
 
-def _odd_unit(ep: EllipticParams, x: complex) -> complex:
-    # -c(x)/c(-x) from one batch; the pole of c at x = 0 cancels in the
-    # ratio, with limit 1
-    if x == 0:
-        return 1.0 + 0.0j
-    c = c_func(ep, np.array([x, -x]))
-    return complex(-c[0] / c[1])
+class _Letter(NamedTuple):
+    """The z-independent pattern of a one-letter matrix.
+
+    A column is fixed with value 1 (``ones``), fixed with the odd unit
+    -c(x)/c(-x) (``odd``), or moving: a moving column ``cols[k]`` carries
+    A(y_k, x) on the diagonal and ``signs[k] * B(y_k, x)`` at the row
+    ``rows[k]``, with y_k = gamma[gi[k]] - gamma[gj[k]] for the spectral
+    vector gamma of the matrix.
+    """
+
+    dim: int
+    ones: np.ndarray
+    odd: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
+    signs: np.ndarray
+    gi: np.ndarray
+    gj: np.ndarray
 
 
-def _fill_moving(
-    ep: EllipticParams, mat: np.ndarray, x: complex, cols, rows, ys, signs=1.0
-) -> None:
-    # A on the diagonal of each moving column, signs * B at its swapped row;
-    # one coeff_a and one coeff_b batch over the columns' y
-    if cols:
-        ys = np.asarray(ys, dtype=complex)
-        mat[cols, cols] = coeff_a(ep, ys, x)
-        mat[rows, cols] = signs * coeff_b(ep, ys, x)
+def _letter(dim: int, ones, odd, cols, rows, signs, gi, gj) -> _Letter:
+    index = [np.array(v, dtype=np.intp) for v in (ones, odd, cols, rows)]
+    gamma_index = [np.array(v, dtype=np.intp) for v in (gi, gj)]
+    return _Letter(dim, *index, np.array(signs, dtype=float), *gamma_index)
 
 
-def connection_simple(
-    ep: EllipticParams, spec: PrincipalSeriesSpec, i: int, z: Sequence[complex]
-) -> ConnectionMatrix:
-    """One-letter connection matrix for the simple reflection s_i."""
-    n = spec.n
-    validate_spec(ep, spec)
-    z = tuple(complex(t) for t in z)
-    if len(z) != n:
-        raise ValueError("evaluation point must have one coordinate per site")
-    basis = min_coset_reps(n, spec.index_set)
+def _fill(letter: _Letter, a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    # a (K, moving) stack of the letter's matrices; a and b hold one row of
+    # moving-column values per matrix, ``unit`` one odd unit per matrix
+    m = np.zeros((len(unit), letter.dim, letter.dim), dtype=complex)
+    m[:, letter.ones, letter.ones] = 1.0
+    m[:, letter.odd, letter.odd] = unit[:, None]
+    m[:, letter.cols, letter.cols] = a
+    m[:, letter.rows, letter.cols] = letter.signs * b
+    return m
+
+
+class _Word(NamedTuple):
+    # letter patterns with their labels, the spectral vector, the letters'
+    # arguments x_k and the matrix dimension
+    letters: tuple[_Letter, ...]
+    labels: tuple[int, ...]
+    gamma: np.ndarray
+    xs: tuple[complex, ...]
+    dim: int
+
+
+def _walk(labels: Sequence[int], z: tuple[complex, ...]) -> tuple[complex, ...]:
+    # x_k = z_(i_k) - z_(i_k + 1) at the point moved by the letters before k;
+    # s_i swaps the coordinates i and i + 1
+    z = list(z)
+    xs = []
+    for i in labels:
+        xs.append(z[i - 1] - z[i])
+        z[i - 1], z[i] = z[i], z[i - 1]
+    return tuple(xs)
+
+
+def _products(ep: EllipticParams, words: Sequence[_Word]) -> list[np.ndarray]:
+    """The product of each word's one-letter matrices, left to right.
+
+    Every coefficient of every letter comes from one elliptic batch.
+    """
+    ys, xs, us = [], [], []
+    for word in words:
+        for letter, x in zip(word.letters, word.xs):
+            ys.append(word.gamma[letter.gi] - word.gamma[letter.gj])
+            xs.append(np.full(len(letter.cols), x))
+            # a letter without an odd column asks for the unit at u = 0,
+            # which is 1 and costs no theta factor
+            us.append(x if len(letter.odd) else 0j)
+    y, x = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs))
+    try:
+        a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=np.array(us, dtype=complex))
+    except PoleError as exc:
+        names = "; ".join(" ".join(f"s_{i}" for i in word.labels) for word in words)
+        raise PoleError(
+            f"one-letter matrices of {names}: {exc}", factor=exc.factor, magnitude=exc.magnitude
+        ) from exc
+    out = []
+    start = letter_no = 0
+    for word in words:
+        mat = np.eye(word.dim, dtype=complex)
+        for k, letter in enumerate(word.letters):
+            stop = start + len(letter.cols)
+            unit = units[letter_no : letter_no + 1]
+            one = _fill(letter, a[None, start:stop], b[None, start:stop], unit)[0]
+            start, letter_no = stop, letter_no + 1
+            # the identity times the first letter is that letter, exactly
+            mat = one if k == 0 else mat @ one
+        out.append(mat)
+    return out
+
+
+@functools.cache
+def _block_letter(n: int, index_set: tuple[int, ...], signs: tuple[int, ...], i: int) -> _Letter:
+    # s_i moves sigma to s_(n-i) sigma; a column that stays is 1 or the odd
+    # unit by the sign of its conjugation index
+    basis = min_coset_reps(n, index_set)
     pos = {w: k for k, w in enumerate(basis)}
-    x = z[i - 1] - z[i]
     ni = dual_position(n, i)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    cols, rows, ys, odd = [], [], [], []
+    ones, odd, cols, rows, gi, gj = [], [], [], [], [], []
     for col, sigma in enumerate(basis):
         moved = compose(simple(n, ni), sigma)
         if moved in pos:
             sigma_inv = inverse(sigma)
             cols.append(col)
             rows.append(pos[moved])
-            ys.append(spec.gamma[sigma_inv[ni - 1] - 1] - spec.gamma[sigma_inv[ni] - 1])
-        elif spec.sign_of(conjugation_index(sigma, i, spec.index_set)) == 1:
-            mat[col, col] = 1.0
+            gi.append(sigma_inv[ni - 1] - 1)
+            gj.append(sigma_inv[ni] - 1)
+        elif signs[index_set.index(conjugation_index(sigma, i, index_set))] == 1:
+            ones.append(col)
         else:
             odd.append(col)
-    try:
-        if odd:
-            mat[odd, odd] = _odd_unit(ep, x)
-        _fill_moving(ep, mat, x, cols, rows, ys)
-    except PoleError as exc:
-        raise PoleError(
-            f"one-letter matrix for s_{i}: {exc}", factor=exc.factor, magnitude=exc.magnitude
-        ) from exc
-    return ConnectionMatrix(spec=spec, word=simple(n, i), z=z, basis=basis, entries=mat)
+    return _letter(len(basis), ones, odd, cols, rows, np.ones(len(cols)), gi, gj)
+
+
+def _block_word(spec: PrincipalSeriesSpec, labels: Sequence[int], z: Sequence[complex]) -> _Word:
+    n = spec.n
+    z = tuple(complex(t) for t in z)
+    if len(z) != n:
+        raise ValueError("evaluation point must have one coordinate per site")
+    letters = tuple(_block_letter(n, spec.index_set, spec.signs, i) for i in labels)
+    dim = len(min_coset_reps(n, spec.index_set))
+    return _Word(letters, tuple(labels), np.array(spec.gamma, dtype=complex), _walk(labels, z), dim)
+
+
+def connection_words(
+    ep: EllipticParams,
+    spec: PrincipalSeriesSpec,
+    words: Sequence[tuple[Sequence[int], Sequence[complex]]],
+) -> list[np.ndarray]:
+    """Products of one-letter matrices, one per (letters, z) in ``words``.
+
+    For the letters (i_1, ..., i_r) at z this is
+    M^{s_i_1}(z) M^{s_i_2}(s_i_1 z) ... , each letter at the point moved by
+    the letters before it.  All letters of all words come from one elliptic
+    batch, so a pole in any of them raises PoleError.
+    """
+    validate_spec(ep, spec)
+    return _products(ep, [_block_word(spec, labels, z) for labels, z in words])
+
+
+def _connection_matrix(
+    ep: EllipticParams, spec: PrincipalSeriesSpec, labels: Sequence[int], w: Perm, z: Sequence[complex]
+) -> ConnectionMatrix:
+    (entries,) = connection_words(ep, spec, [(labels, z)])
+    basis = min_coset_reps(spec.n, spec.index_set)
+    return ConnectionMatrix(spec=spec, word=tuple(w), z=tuple(complex(t) for t in z), basis=basis, entries=entries)
+
+
+def connection_simple(
+    ep: EllipticParams, spec: PrincipalSeriesSpec, i: int, z: Sequence[complex]
+) -> ConnectionMatrix:
+    """One-letter connection matrix for the simple reflection s_i."""
+    return _connection_matrix(ep, spec, (i,), simple(spec.n, i), z)
 
 
 def connection_word(
     ep: EllipticParams, spec: PrincipalSeriesSpec, w: Perm, z: Sequence[complex]
 ) -> ConnectionMatrix:
     """Monodromy matrix of an arbitrary w via the cocycle rule
-    M^{w w'}(z) = M^w(z) M^{w'}(w^{-1} z)."""
-    n = spec.n
-    z = tuple(complex(t) for t in z)
-    basis = min_coset_reps(n, spec.index_set)
-    mat = np.eye(len(basis), dtype=complex)
-    zcur = z
-    for i in reduced_word(w):
-        mat = mat @ connection_simple(ep, spec, i, zcur).entries
-        zcur = act(simple(n, i), zcur)
-    return ConnectionMatrix(spec=spec, word=tuple(w), z=z, basis=basis, entries=mat)
+    M^{w w'}(z) = M^w(z) M^{w'}(w^{-1} z), along the reduced word of w."""
+    return _connection_matrix(ep, spec, reduced_word(w), w, z)
 
 
 # ---------------------------------------------------------------------------
 # monodromy on the tensor-product basis
+
+
+@functools.cache
+def _tensor_letter(n: int, i: int) -> _Letter:
+    # the pattern of tensor_monodromy_simple; gi and gj index the spectral
+    # vectors of all contents, concatenated in content_labels order
+    ni = dual_position(n, i)
+    offset = {r: n * k for k, r in enumerate(content_labels(n))}
+    ones, odd, cols, rows, signs, gi, gj = [], [], [], [], [], [], []
+    for col, beta in enumerate(multi_indices(n)):
+        a, b = beta[ni - 1], beta[ni]
+        if a == b:
+            (odd if a == 3 else ones).append(col)
+            continue
+        w_inv = inverse(rep_of_index(beta))
+        off = offset[content(beta)]
+        cols.append(col)
+        rows.append(tensor_index(multi_index_swap(beta, ni)))
+        signs.append((-1.0) ** ((a == 3) + (b == 3)))
+        gi.append(off + w_inv[ni - 1] - 1)
+        gj.append(off + w_inv[ni] - 1)
+    return _letter(DIM**n, ones, odd, cols, rows, signs, gi, gj)
+
+
+def _tensor_word(
+    ep: EllipticParams, n: int, phi: Sequence[complex], labels: Sequence[int], z: Sequence[complex]
+) -> _Word:
+    z = tuple(complex(t) for t in z)
+    gamma = np.array([g for r in content_labels(n) for g in content_block(ep, n, r, phi).gamma])
+    letters = tuple(_tensor_letter(n, i) for i in labels)
+    return _Word(letters, tuple(labels), gamma, _walk(labels, z), DIM**n)
 
 
 def tensor_monodromy_simple(
@@ -178,48 +303,14 @@ def tensor_monodromy_simple(
     swapped index with A- and B-coefficients whose argument is the gamma
     difference of the block of beta read through its coset representative.
     """
-    z = tuple(complex(t) for t in z)
-    x = z[i - 1] - z[i]
-    ni = dual_position(n, i)
-    dim = DIM**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    gamma_cache: dict[Content, tuple[complex, ...]] = {}
-    cols, rows, ys, signs, odd = [], [], [], [], []
-    for beta in multi_indices(n):
-        col = tensor_index(beta)
-        a, b = beta[ni - 1], beta[ni]
-        if a == b:
-            if a == 3:
-                odd.append(col)
-            else:
-                mat[col, col] = 1.0
-            continue
-        r = content(beta)
-        if r not in gamma_cache:
-            gamma_cache[r] = content_block(ep, n, r, phi).gamma
-        gamma = gamma_cache[r]
-        w_inv = inverse(rep_of_index(beta))
-        cols.append(col)
-        rows.append(tensor_index(multi_index_swap(beta, ni)))
-        ys.append(gamma[w_inv[ni - 1] - 1] - gamma[w_inv[ni] - 1])
-        signs.append((-1.0) ** ((a == 3) + (b == 3)))
-    if odd:
-        mat[odd, odd] = _odd_unit(ep, x)
-    _fill_moving(ep, mat, x, cols, rows, ys, np.array(signs))
-    return mat
+    return _products(ep, [_tensor_word(ep, n, phi, (i,), z)])[0]
 
 
 def tensor_monodromy_word(
     ep: EllipticParams, n: int, phi: Sequence[complex], w: Perm, z: Sequence[complex]
 ) -> np.ndarray:
     """Tensor-basis monodromy of w assembled by the cocycle rule."""
-    z = tuple(complex(t) for t in z)
-    mat = np.eye(DIM**n, dtype=complex)
-    zcur = z
-    for i in reduced_word(w):
-        mat = mat @ tensor_monodromy_simple(ep, n, phi, i, zcur)
-        zcur = act(simple(n, i), zcur)
-    return mat
+    return _products(ep, [_tensor_word(ep, n, phi, reduced_word(w), z)])[0]
 
 
 def tensor_monodromy_from_blocks(
@@ -229,20 +320,18 @@ def tensor_monodromy_from_blocks(
 
     Entry (alpha, beta) within the block of content r is
     (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
-    vanishes.
+    vanishes.  Every block's word comes from one elliptic batch.
     """
-    z = tuple(complex(t) for t in z)
-    dim = DIM**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for r in content_labels(n):
-        spec = content_block(ep, n, r, phi)
-        block = connection_word(ep, spec, w, z)
+    labels = reduced_word(w)
+    specs = [content_block(ep, n, r, phi) for r in content_labels(n)]
+    blocks = _products(ep, [_block_word(spec, labels, z) for spec in specs])
+    mat = np.zeros((DIM**n, DIM**n), dtype=complex)
+    for r, spec, entries in zip(content_labels(n), specs, blocks):
+        basis = min_coset_reps(n, spec.index_set)
         lead = leading_index(r)
-        signs = [(-1.0) ** eta_exponent(u, r) for u in block.basis]
-        indices = [tensor_index(act(u, lead)) for u in block.basis]
-        for a, (ia, sa) in enumerate(zip(indices, signs)):
-            for b, (ib, sb) in enumerate(zip(indices, signs)):
-                mat[ia, ib] = sa * sb * block.entries[a, b]
+        signs = np.array([(-1.0) ** eta_exponent(u, r) for u in basis])
+        idx = [tensor_index(act(u, lead)) for u in basis]
+        mat[np.ix_(idx, idx)] = np.outer(signs, signs) * entries
     return mat
 
 
@@ -250,29 +339,44 @@ def tensor_monodromy_from_blocks(
 # the dynamical R-matrix
 
 
-# two-site basis positions: pure even, pure odd, and the six mixed columns
-# (a, b) with their exchange rows (b, a) and exchange signs
-_EVEN_PURE = [tensor_index((1, 1)), tensor_index((2, 2))]
-_ODD_PURE = tensor_index((3, 3))
-_MIXED = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
-_MIXED_COLS = [tensor_index(ab) for ab in _MIXED]
-_MIXED_ROWS = [tensor_index((b, a)) for a, b in _MIXED]
-_MIXED_SIGNS = np.array([(-1.0) ** (PARITY[a - 1] + PARITY[b - 1]) for a, b in _MIXED])
+def _mixed_letter() -> _Letter:
+    # two-site basis: the pure even columns are 1, the pure odd column is the
+    # odd unit; the mixed column (a, b) moves to (b, a) with the exchange
+    # sign (-1)^(p(a)+p(b)) and y = phi_a - phi_b
+    mixed = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    return _letter(
+        DIM**2,
+        [tensor_index((1, 1)), tensor_index((2, 2))],
+        [tensor_index((3, 3))],
+        [tensor_index(ab) for ab in mixed],
+        [tensor_index((b, a)) for a, b in mixed],
+        [(-1.0) ** (PARITY[a - 1] + PARITY[b - 1]) for a, b in mixed],
+        [a - 1 for a, _ in mixed],
+        [b - 1 for _, b in mixed],
+    )
 
 
-def dyn_r_matrix(ep: EllipticParams, x: complex, phi: Sequence[complex]) -> np.ndarray:
+_R_LETTER = _mixed_letter()
+
+
+def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
     """The 9x9 elliptic dynamical R-matrix on the ordered two-site basis.
 
     Diagonal values 1, 1, -c(x)/c(-x) on the pure columns; the mixed column
     (i, j) carries A^{phi_i - phi_j}(x) on the diagonal and the exchange
     entry (-1)^(p(i)+p(j)) B^{phi_i - phi_j}(x).
+
+    ``x`` of shape S and ``phi`` of shape S' + (3,) broadcast to a stack of
+    shape S'' + (9, 9), with every entry from one elliptic batch; a scalar x
+    and one triple phi give one 9x9 matrix.
     """
-    r = np.zeros((9, 9), dtype=complex)
-    r[_EVEN_PURE, _EVEN_PURE] = 1.0
-    r[_ODD_PURE, _ODD_PURE] = _odd_unit(ep, x)
-    ys = [complex(phi[a - 1]) - complex(phi[b - 1]) for a, b in _MIXED]
-    _fill_moving(ep, r, x, _MIXED_COLS, _MIXED_ROWS, ys, _MIXED_SIGNS)
-    return r
+    x, phi = np.asarray(x, dtype=complex), np.asarray(phi, dtype=complex)
+    shape = np.broadcast_shapes(x.shape, phi.shape[:-1])
+    xs = np.broadcast_to(x, shape).reshape(-1, 1)
+    phis = np.broadcast_to(phi, shape + (3,)).reshape(-1, 3)
+    ys = phis[:, _R_LETTER.gi] - phis[:, _R_LETTER.gj]
+    a, b, unit, _ = coefficients(ep, a=(ys, xs), b=(ys, xs), u=xs[:, 0])
+    return _fill(_R_LETTER, a, b, unit).reshape(shape + (9, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +396,19 @@ PHI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, -1))
 XI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
-def _shifted_ops(
+def _shifted_phis(
     ep: EllipticParams,
-    op_of_phi: Callable[[tuple[complex, ...]], np.ndarray],
     phi: Sequence[complex],
     offsets: Sequence[Sequence[int]],
     a: complex,
     weights: Sequence[Sequence[float]],
-) -> list[np.ndarray]:
-    # op_of_phi(phi + s_j) for each control value j
+) -> np.ndarray:
+    # row j-1 is phi + s_j for the control value j
     h = -1j * np.pi / ep.nome.log_p
     phi = tuple(complex(t) for t in phi)
-    ops = []
-    for w, off in zip(weights, offsets):
-        s = [-a * wk + ok * h for wk, ok in zip(w, off)]
-        ops.append(op_of_phi(tuple(p + sk for p, sk in zip(phi, s))))
-    return ops
+    return np.array(
+        [[p + (-a * wk + ok * h) for p, wk, ok in zip(phi, w, off)] for w, off in zip(weights, offsets)]
+    )
 
 
 def shifted_r_apply(
@@ -327,14 +428,15 @@ def shifted_r_apply(
     leg carries the basis vector v_j, with s_j built from the offset triple
     ``family`` by the shift rule above.
     """
-    ops = _shifted_ops(ep, lambda f: dyn_r_matrix(ep, x, f), phi, family, a, weights)
+    ops = dyn_r_matrix(ep, x, _shifted_phis(ep, phi, family, a, weights))
     return controlled_op(ops, n, leg, leg + 1, control)
 
 
-def _braid_form_residual(r12, r23, x: complex, y: complex) -> float:
+def _braid_form_residual(r12, r23) -> float:
+    # r12 and r23 hold the operators at x, y and x + y:
     # R12(x) R23(x+y) R12(y) against R23(y) R12(x+y) R23(x)
-    lhs = r12(x) @ r23(x + y) @ r12(y)
-    rhs = r23(y) @ r12(x + y) @ r23(x)
+    lhs = r12[0] @ r23[2] @ r12[1]
+    rhs = r23[1] @ r12[2] @ r23[0]
     return rel_residual(lhs, rhs)
 
 
@@ -350,17 +452,16 @@ def dybe_residual(
 
     R12(x; a = -k by leg 3) R23(x+y; a = k by leg 1) R12(y; a = -k by leg 3)
       = R23(y; ...) R12(x+y; ...) R23(x; ...).
-    Passing perturbed ``weights`` gives a negative control.
+    All 18 shifted R-matrices come from one elliptic batch.  Passing
+    perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
-
-    def r12(arg: complex) -> np.ndarray:
-        return shifted_r_apply(ep, 3, 1, arg, phi, family, -k, control=3, weights=weights)
-
-    def r23(arg: complex) -> np.ndarray:
-        return shifted_r_apply(ep, 3, 2, arg, phi, family, k, control=1, weights=weights)
-
-    return _braid_form_residual(r12, r23, x, y)
+    args = np.repeat([x, y, x + y], 3)
+    phis = [np.tile(_shifted_phis(ep, phi, family, a, weights), (3, 1)) for a in (-k, k)]
+    r = dyn_r_matrix(ep, np.tile(args, 2), np.concatenate(phis)).reshape(2, 3, 3, 9, 9)
+    r12 = [controlled_op(ops, 3, 1, 2, 3) for ops in r[0]]
+    r23 = [controlled_op(ops, 3, 2, 3, 1) for ops in r[1]]
+    return _braid_form_residual(r12, r23)
 
 
 _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
@@ -379,18 +480,21 @@ def felder_residual(
     Rc23(x; m + k h1) Rc13(x+y; m - k h2) Rc12(y; m + k h3)
       = Rc12(y; m - k h3) Rc13(x+y; m + k h2) Rc23(x; m - k h1)
     where h_i shifts by the weight carried by leg i: the shift rule of the
-    weight family with a = -beta.  Passing perturbed ``weights`` gives a
-    negative control.
+    weight family with a = -beta.  All 18 shifted R-matrices come from one
+    elliptic batch.  Passing perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
-    p_op = permutation_op()
-
-    def rc(legs: tuple[int, int], arg: complex, beta: complex) -> np.ndarray:
-        ops = _shifted_ops(ep, lambda f: p_op @ dyn_r_matrix(ep, arg, f), phi, XI_FAMILY, -beta, weights)
-        return controlled_op(ops, 3, *legs, _FELDER_CONTROLS[legs])
-
-    lhs = rc((2, 3), x, k) @ rc((1, 3), x + y, -k) @ rc((1, 2), y, k)
-    rhs = rc((1, 2), y, -k) @ rc((1, 3), x + y, k) @ rc((2, 3), x, -k)
+    # (legs, argument, beta) of the left-hand factors, then the right-hand ones
+    factors = [
+        ((2, 3), x, k), ((1, 3), x + y, -k), ((1, 2), y, k),
+        ((1, 2), y, -k), ((1, 3), x + y, k), ((2, 3), x, -k),
+    ]
+    args = np.repeat([arg for _, arg, _ in factors], 3)
+    phis = np.concatenate([_shifted_phis(ep, phi, XI_FAMILY, -beta, weights) for _, _, beta in factors])
+    rc = permutation_op() @ dyn_r_matrix(ep, args, phis).reshape(6, 3, 9, 9)
+    ops = [controlled_op(rc[f], 3, *legs, _FELDER_CONTROLS[legs]) for f, (legs, _, _) in enumerate(factors)]
+    lhs = ops[0] @ ops[1] @ ops[2]
+    rhs = ops[3] @ ops[4] @ ops[5]
     return rel_residual(lhs, rhs)
 
 
@@ -398,14 +502,23 @@ def felder_residual(
 # the rank-one elliptic fixture (two-state sites)
 
 
-def gl2_matrix(ep: EllipticParams, x: complex, y: complex) -> np.ndarray:
-    """The 4x4 elliptic matrix with scalar dynamical parameter y."""
-    ys = np.array([y, -y], dtype=complex)
-    a, b = coeff_a(ep, ys, x), coeff_b(ep, ys, x)
-    m = np.eye(4, dtype=complex)
-    m[1, 1], m[1, 2] = a[0], b[1]
-    m[2, 1], m[2, 2] = b[0], a[1]
-    return m
+#: the 4x4 fixture: (1,1) and (2,2) are fixed, (1,2) moves to (2,1) with
+#: y and (2,1) to (1,2) with -y
+_GL2_LETTER = _letter(4, [0, 3], [], [1, 2], [2, 1], [1.0, 1.0], [], [])
+
+
+def gl2_matrix(ep: EllipticParams, x, y) -> np.ndarray:
+    """The 4x4 elliptic matrix with scalar dynamical parameter y.
+
+    ``x`` and ``y`` broadcast to a stack of 4x4 matrices, with every entry
+    from one elliptic batch.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    ys = np.stack([y.ravel(), -y.ravel()], axis=1)
+    xs = x.reshape(-1, 1)
+    a, b, _, _ = coefficients(ep, a=(ys, xs), b=(ys, xs))
+    unit = np.ones(len(ys), dtype=complex)
+    return _fill(_GL2_LETTER, a, b, unit).reshape(x.shape + (4, 4))
 
 
 def _gl2_scalar_shift(j: int, a: complex) -> complex:
@@ -422,18 +535,13 @@ def gl2_dybe_residual(
     The empirically determined convention: the control value j = 1 shifts
     the scalar parameter by -a and j = 2 by +a, with a = -kappa on the pair
     (1,2) controlled by leg 3 and a = +kappa on the pair (2,3) controlled by
-    leg 1.  ``flip_shifts`` negates the shifts (negative control).
+    leg 1.  ``flip_shifts`` negates the shifts (negative control).  All 12
+    matrices come from one elliptic batch.
     """
     k = -ep.kappa if flip_shifts else ep.kappa
-
-    def embedded(pair_leg: int, arg: complex, a: complex, control: int) -> np.ndarray:
-        ops = [gl2_matrix(ep, arg, y + _gl2_scalar_shift(j, a)) for j in (1, 2)]
-        return controlled_op(ops, 3, pair_leg, pair_leg + 1, control)
-
-    def r12(arg: complex) -> np.ndarray:
-        return embedded(1, arg, -k, control=3)
-
-    def r23(arg: complex) -> np.ndarray:
-        return embedded(2, arg, k, control=1)
-
-    return _braid_form_residual(r12, r23, x, xp)
+    args = np.repeat([x, xp, x + xp], 2)
+    dyn = [[y + _gl2_scalar_shift(j, a) for j in (1, 2)] * 3 for a in (-k, k)]
+    m = gl2_matrix(ep, np.tile(args, 2), np.concatenate(dyn)).reshape(2, 3, 2, 4, 4)
+    r12 = [controlled_op(ops, 3, 1, 2, 3) for ops in m[0]]
+    r23 = [controlled_op(ops, 3, 2, 3, 1) for ops in m[1]]
+    return _braid_form_residual(r12, r23)

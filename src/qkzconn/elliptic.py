@@ -14,13 +14,18 @@ Its zero set is z in p^Z, which is where the pole guards of the coefficient
 functions fire.
 
 The kernel works on numpy arrays: ``pow_p`` and ``theta`` take a scalar or
-an array, and ``coeff_a``, ``coeff_b`` and ``c_func`` broadcast over their
-arguments and evaluate every theta factor of a call in one batch.  A scalar
-argument is the 0-d case of the same code and returns a Python complex.
+an array.  One evaluator, ``coefficients``, computes A and B at stacked
+(y, x) pairs, the odd unit -c(u)/c(-u) and c itself from one ``pow_p`` and
+one ``theta`` call, and ``coeff_a``, ``coeff_b`` and ``c_func`` are thin
+calls into it.  The connection layer makes one such batch per residual
+evaluation: every A, B and odd unit of a draw, across all of its local
+matrices.  A scalar argument is the 0-d case of the same code and returns a
+Python complex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +45,7 @@ __all__ = [
     "coeff_a",
     "coeff_b",
     "c_func",
+    "coefficients",
 ]
 
 THETA_TRUNCATION_TOL = 1e-16
@@ -172,14 +178,6 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
     return _scalar_or_array(out)
 
 
-def _stacked_powers(ep: EllipticParams, shape: tuple, *exponents) -> np.ndarray:
-    # p^e for each exponent, broadcast to ``shape`` and stacked on axis 0
-    stacked = np.empty((len(exponents), *shape), dtype=complex)
-    for k, e in enumerate(exponents):
-        stacked[k] = e
-    return pow_p(ep, stacked)
-
-
 def _pole_guard(ep: EllipticParams, val: np.ndarray, label: str) -> None:
     mag = np.abs(val)
     if (mag < ep.pole_tol).any():
@@ -198,48 +196,90 @@ def _finite(out: np.ndarray, name: str):
     return _scalar_or_array(out)
 
 
+def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
+    """A at the pairs ``a = (y, x)``, B at the pairs ``b``, the odd unit
+    -c(u)/c(-u) at each u, and c at each argument of ``c``.
+
+    The whole batch costs one ``pow_p`` and one ``theta`` call, so it shares
+    one theta factor count.  The pole of c at u = 0 cancels in the odd unit,
+    with limit 1.  A pole anywhere in the batch raises PoleError with the
+    label of its factor.  Returns the four results in that order, each shaped
+    like its (broadcast) arguments; a 0-d result is a Python complex.
+    """
+    k2 = 2.0 * ep.kappa
+    ya, xa = (np.asarray(t, dtype=complex) for t in a)
+    yb, xb = (np.asarray(t, dtype=complex) for t in b)
+    u, c = np.asarray(u, dtype=complex), np.asarray(c, dtype=complex)
+    moving = u != 0
+    # c at its own arguments, then at each moving u, then at its negative
+    cx = np.concatenate([c.ravel(), u[moving], -u[moving]])
+    dya, dxb = ya - xa, xb - yb
+    sa, sb = dya.shape, dxb.shape
+    na, nb, nc = dya.size, dxb.size, cx.size
+    # exponents in three runs: the guarded theta denominators, in the order
+    # they are checked; the theta numerators; the prefactors
+    rows = (
+        (cx, nc), (ya, sa), (k2 - xa, sa), (k2 - xb, sb), (-yb, sb),
+        (k2, sa), (dya, sa), (k2 - yb, sb), (-xb, sb), (k2 + cx, nc),
+        ((k2 - ya) * xa, sa), (k2 * dxb, sb), (k2 * cx, nc),
+    )
+    ends = list(itertools.accumulate((nc, na, na, nb, nb, na, na, nb, nb, nc, na, nb, nc)))
+    exps = np.empty(ends[-1], dtype=complex)
+    for (val, shape), lo, hi in zip(rows, [0] + ends, ends):
+        exps[lo:hi].reshape(shape)[...] = val
+    pw = pow_p(ep, exps)
+    n_den = ends[4]
+    # arguments recur across a batch (p^(2 kappa) in every A, one x across a
+    # matrix); theta of each distinct argument once gives the same values
+    z, back = np.unique(pw[: 2 * n_den], return_inverse=True)
+    th = theta(ep, z)[back]
+    if n_den and np.abs(th[:n_den]).min() < ep.pole_tol:
+        labels = ("p^x", "p^y", "p^(2*kappa-x)", "p^(2*kappa-x)", "p^(-y)")
+        for label, lo, hi in zip(labels, [0] + ends, ends):
+            _pole_guard(ep, th[lo:hi], label)
+    c_den, a_y, a_kx, b_kx, b_my, a_k, a_yx, b_ky, b_mx, c_num = (
+        th[lo:hi] for lo, hi in zip([0] + ends, ends[:10])
+    )
+    pre = pw[2 * n_den :]
+    out = np.empty(na + nb + nc, dtype=complex)
+    out_a, out_b, out_c = out[:na], out[na : na + nb], out[na + nb :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply((a_k * a_yx) / (a_y * a_kx), pre[:na], out=out_a)
+        np.multiply((b_ky * b_mx) / (b_kx * b_my), pre[na : na + nb], out=out_b)
+        np.divide(pre[na + nb :] * c_num, c_den, out=out_c)
+        if not np.isfinite(out).all():
+            for part, name in ((out_c, "c-function"), (out_a, "A-coefficient"), (out_b, "B-coefficient")):
+                _finite(part, name)
+        unit = np.ones(u.shape, dtype=complex)
+        k, m = c.size, (nc - c.size) // 2
+        unit[moving] = -out_c[k : k + m] / out_c[k + m :]
+    return (
+        _scalar_or_array(out_a.reshape(sa)),
+        _scalar_or_array(out_b.reshape(sb)),
+        _finite(unit, "odd unit"),
+        _scalar_or_array(out_c[:k].reshape(c.shape)),
+    )
+
+
 def coeff_a(ep: EllipticParams, y, x):
     """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}.
 
-    Broadcasts over y and x with one theta call on the stacked arguments.
+    Broadcasts over y and x.
     """
-    k2 = 2.0 * ep.kappa
-    y, x = np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)
-    pw = _stacked_powers(ep, np.broadcast(y, x).shape, k2, y - x, y, k2 - x, (k2 - y) * x)
-    th = theta(ep, pw[:4])
-    _pole_guard(ep, th[2], "p^y")
-    _pole_guard(ep, th[3], "p^(2*kappa-x)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (th[0] * th[1]) / (th[2] * th[3]) * pw[4]
-    return _finite(out, "A-coefficient")
+    return coefficients(ep, a=(y, x))[0]
 
 
 def coeff_b(ep: EllipticParams, y, x):
     """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}.
 
-    Broadcasts over y and x with one theta call on the stacked arguments.
+    Broadcasts over y and x.
     """
-    k2 = 2.0 * ep.kappa
-    y, x = np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)
-    pw = _stacked_powers(ep, np.broadcast(y, x).shape, k2 - y, -x, k2 - x, -y, k2 * (x - y))
-    th = theta(ep, pw[:4])
-    _pole_guard(ep, th[2], "p^(2*kappa-x)")
-    _pole_guard(ep, th[3], "p^(-y)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (th[0] * th[1]) / (th[2] * th[3]) * pw[4]
-    return _finite(out, "B-coefficient")
+    return coefficients(ep, b=(y, x))[1]
 
 
 def c_func(ep: EllipticParams, x):
     """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x).
 
-    Broadcasts over x with one theta call on the stacked arguments.
+    Broadcasts over x.
     """
-    k2 = 2.0 * ep.kappa
-    x = np.asarray(x, dtype=complex)
-    pw = _stacked_powers(ep, x.shape, k2 + x, x, k2 * x)
-    th = theta(ep, pw[:2])
-    _pole_guard(ep, th[1], "p^x")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = pw[2] * th[0] / th[1]
-    return _finite(out, "c-function")
+    return coefficients(ep, c=x)[3]

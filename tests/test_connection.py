@@ -12,6 +12,7 @@ from qkzconn.connection import (
     XI_FAMILY,
     connection_simple,
     connection_word,
+    connection_words,
     dual_position,
     dybe_residual,
     dyn_r_matrix,
@@ -23,10 +24,10 @@ from qkzconn.connection import (
     tensor_monodromy_simple,
     tensor_monodromy_word,
 )
-from qkzconn import elliptic
+from qkzconn import connection, elliptic
 from qkzconn.elliptic import PoleError, coeff_a, coeff_b, c_func
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
-from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, simple
+from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, reduced_word, simple
 from qkzconn.tensorspace import (
     multi_indices,
     permutation_op,
@@ -140,6 +141,31 @@ class TestConnectionWord:
                 @ connection_word(ep, spec, w2, act(inverse(w1), z)).entries
             )
             assert rel_residual(lhs, rhs) < 1e-9
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_word_is_product_of_letters(self, ep, phi, rng, n):
+        # every content, along the reduced word of the longest element
+        w0 = tuple(range(n, 0, -1))
+        for r in content_labels(n):
+            spec = content_block(ep, n, r, phi)
+            z = band_z(rng, n)
+            want = np.eye(len(connection_simple(ep, spec, 1, z).basis), dtype=complex)
+            zcur = z
+            for i in reduced_word(w0):
+                want = want @ connection_simple(ep, spec, i, zcur).entries
+                zcur = act(simple(n, i), zcur)
+            assert rel_residual(connection_word(ep, spec, w0, z).entries, want) < 1e-13
+
+    def test_words_share_one_batch(self, ep, phi, rng):
+        n = 3
+        spec = content_block(ep, n, (1, 1, 1), phi)
+        z = band_z(rng, n)
+        words = [((1, 2, 1), z), ((2,), act(simple(n, 1), z)), ((), z)]
+        got = connection_words(ep, spec, words)
+        assert rel_residual(got[0], connection_word(ep, spec, (3, 2, 1), z).entries) < 1e-13
+        assert rel_residual(got[1], connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries) < 1e-13
+        assert np.array_equal(got[2], np.eye(6))
 
 
 class TestTensorMonodromy:
@@ -256,6 +282,20 @@ class TestDynamicalR:
         shifted = tuple(v + t for v in phi)
         assert rel_residual(dyn_r_matrix(ep, x, phi), dyn_r_matrix(ep, x, shifted)) < 1e-12
 
+    def test_stack_slices_match_scalar_calls(self, ep, rng):
+        xs = np.array([sample_scalar(rng, ep.nome) for _ in range(5)])
+        phis = np.array([sample_phi(rng) for _ in range(5)])
+        stack = dyn_r_matrix(ep, xs, phis)
+        assert stack.shape == (5, 9, 9)
+        for k in range(5):
+            want = dyn_r_matrix(ep, xs[k], phis[k])
+            assert want.shape == (9, 9)
+            assert np.all(np.abs(stack[k] - want) <= 1e-14 * np.abs(want))
+        # one phi broadcast against a stack of x
+        shared = dyn_r_matrix(ep, xs[:2], phis[0])
+        assert shared.shape == (2, 9, 9)
+        assert np.all(np.abs(shared[1] - dyn_r_matrix(ep, xs[1], phis[0])) <= 1e-14 * np.abs(shared[1]))
+
     def test_matches_entrywise_scalar_build(self, ep, phi):
         x = 0.23 + 0.11j
         want = np.zeros((9, 9), dtype=complex)
@@ -297,6 +337,21 @@ class TestThetaBudget:
     def test_tensor_monodromy_simple(self, ep, phi, rng, theta_calls, n, i):
         tensor_monodromy_simple(ep, n, phi, i, band_z(rng, n))
         assert len(theta_calls) <= 3
+
+    def test_one_batch_per_residual(self, ep, phi, rng, theta_calls):
+        # a residual evaluation is one elliptic batch, whatever its size
+        x, y = sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome)
+        for evaluate in (
+            lambda: dybe_residual(ep, x, y, phi, PSI_FAMILY),
+            lambda: felder_residual(ep, x, y, phi),
+            lambda: gl2_dybe_residual(ep, x, y, 0.2 + 0.1j),
+            lambda: connection_word(ep, content_block(ep, 4, (2, 1, 1), phi), (4, 3, 2, 1), band_z(rng, 4)),
+            lambda: tensor_monodromy_word(ep, 3, phi, (3, 2, 1), band_z(rng, 3)),
+            lambda: tensor_monodromy_from_blocks(ep, 3, phi, (3, 2, 1), band_z(rng, 3)),
+        ):
+            theta_calls.clear()
+            evaluate()
+            assert len(theta_calls) == 1
 
 
 class TestShiftedApply:
@@ -347,6 +402,24 @@ class TestDybe:
             y = sample_scalar(rng, ep.nome)
             worst = max(worst, dybe_residual(ep, x, y, phi, PSI_FAMILY, weights=negated))
         assert worst > 1e-3
+
+    @pytest.mark.parametrize("k", [0, 7, 17])
+    def test_one_pole_among_the_matrices_raises(self, ep, phi, monkeypatch, k):
+        # move matrix k of the draw's 18 onto the pole phi_1 - phi_2 = 1
+        real = connection.dyn_r_matrix
+        stacks = []
+
+        def one_pole(ep_, xs, phis):
+            phis = np.array(phis)
+            stacks.append(len(phis))
+            phis[k, :2] = (0.5, -0.5)
+            return real(ep_, xs, phis)
+
+        monkeypatch.setattr(connection, "dyn_r_matrix", one_pole)
+        with pytest.raises(PoleError) as err:
+            dybe_residual(ep, 0.21 + 0.1j, -0.13 + 0.2j, phi, PSI_FAMILY)
+        assert stacks == [18]
+        assert err.value.factor == "p^y"
 
     def test_felder_form(self, ep, rng):
         for _ in range(8):

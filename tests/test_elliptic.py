@@ -19,6 +19,7 @@ from qkzconn.elliptic import (
     c_func,
     coeff_a,
     coeff_b,
+    coefficients,
     default_params,
     pow_p,
     theta,
@@ -275,6 +276,64 @@ class TestCoefficients:
         # theta products of |z| ~ p^(-200) overflow; the NaN must not escape
         with pytest.raises(NonFiniteError):
             fn(params, *args)
+
+
+class TestFusedEvaluator:
+    """A, B, the odd unit and c from one mixed batch, as the connection layer calls them."""
+
+    def test_mixed_batch_matches_single_calls(self, params, rng):
+        period = 2 * math.pi / abs(math.log(P))
+        for _ in range(20):
+            ys = rng.uniform(-0.8, 0.8, 6) + 1j * rng.uniform(-0.5, 0.5, 6)
+            xs = rng.uniform(-1, 1, 6) + 1j * rng.uniform(0, period, 6)
+            us = rng.uniform(-1, 1, 4) + 1j * rng.uniform(0, period, 4)
+            cs = rng.uniform(-1, 1, 3) + 1j * rng.uniform(0, period, 3)
+            a, b, unit, c = coefficients(params, a=(ys, xs), b=(ys, xs), u=us, c=cs)
+            for y, x, got_a, got_b in zip(ys, xs, a, b):
+                want_a, want_b = coeff_a(params, y, x), coeff_b(params, y, x)
+                assert abs(got_a - want_a) <= 1e-15 * abs(want_a)
+                assert abs(got_b - want_b) <= 1e-15 * abs(want_b)
+            for u, got in zip(us, unit):
+                want = -c_func(params, u) / c_func(params, -u)
+                assert abs(got - want) <= 1e-15 * abs(want)
+            for x, got in zip(cs, c):
+                assert abs(got - c_func(params, x)) <= 1e-15 * abs(got)
+
+    def test_shapes_and_scalars(self, params):
+        a, b, unit, c = coefficients(params, a=(np.full((2, 3), 0.3 + 0.1j), 0.1), u=[0.2, 0.3])
+        assert a.shape == (2, 3) and b.shape == (0,) and unit.shape == (2,) and c.shape == (0,)
+        assert isinstance(coefficients(params, u=0.2)[2], complex)
+
+    @pytest.mark.parametrize(
+        "group, label",
+        [("a", "p^y"), ("a_x", "p^(2*kappa-x)"), ("b", "p^(-y)"), ("u", "p^x")],
+    )
+    def test_one_pole_in_a_batch_names_its_factor(self, params, group, label):
+        ys = np.array([0.3 + 0.1j, -0.2 + 0.2j, 0.1 - 0.3j])
+        xs = np.array([0.2 + 0.1j, -0.4 + 0.3j, 0.3 + 0.2j])
+        us = np.array([0.25 + 0.1j, -0.3 + 0.2j])
+        ya, xa, yb = ys.copy(), xs.copy(), ys.copy()
+        if group == "a":
+            ya[1] = 1.0  # theta(p^1) in the A-denominator
+        elif group == "a_x":
+            xa[2] = 2.0 * KAPPA  # theta(p^0) in the A-denominator
+        elif group == "b":
+            yb[0] = 1.0  # theta(p^-1) in the B-denominator
+        else:
+            us[1] = 1.0  # theta(p^1) in the c-denominator
+        with pytest.raises(PoleError) as err:
+            coefficients(params, a=(ya, xa), b=(yb, xs), u=us)
+        assert err.value.factor == label
+        assert err.value.magnitude < params.pole_tol
+
+    def test_zero_gives_unit_one_inside_a_batch(self, params):
+        us = np.array([0.3 + 0.1j, 0.0, -0.2 + 0.4j])
+        a, _, unit, _ = coefficients(params, a=(0.3 + 0.1j, us), u=us)
+        assert unit[1] == 1.0
+        for k in (0, 2):
+            want = -c_func(params, us[k]) / c_func(params, -us[k])
+            assert abs(unit[k] - want) <= 1e-15 * abs(want)
+        assert abs(a[1] - 1.0) < 1e-12  # A(y, 0) = 1 in the same batch
 
 
 class TestParams:
