@@ -67,8 +67,8 @@ from .qkz import (
     braid_limit_residual,
     flatness_residual,
     translation_word,
-    transport_letter,
     transport_word,
+    transport_words,
 )
 
 __version__ = "0.1.0"

@@ -39,9 +39,8 @@ from .elliptic import (
     EllipticError,
     EllipticParams,
     PoleError,
-    coeff_a,
-    coeff_b,
     c_func,
+    coefficients,
     theta,
 )
 from .params import (
@@ -210,29 +209,28 @@ def _worst(*residuals: float) -> float:
 # elliptic suite
 
 
+def _annulus_points(rng, p: float, count: int) -> np.ndarray:
+    # count points p <= |z| < 1, drawn as (modulus, angle) pairs in turn
+    mod, angle = np.array([(rng.uniform(p, 1.0), rng.uniform()) for _ in range(count)]).T
+    return mod * np.exp(2j * np.pi * angle)
+
+
 @register("theta-symmetry", "elliptic", "theta(p/z) = theta(z) on the fundamental annulus", 1e-10)
 def _theta_symmetry(ctx: VerifyContext, rng):
     ep = ctx.ep
     p = ep.nome.p
-    worst = 0.0
-    for _ in range(200):
-        mod = rng.uniform(p, 1.0)
-        z = mod * np.exp(2j * np.pi * rng.uniform())
-        a, b = theta(ep, p / z), theta(ep, z)
-        worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
+    z = _annulus_points(rng, p, 200)
+    a, b = np.split(theta(ep, np.concatenate([p / z, z])), 2)
+    return _worst(*(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
 
 
 @register("theta-quasiperiodicity", "elliptic", "theta(p z) = -theta(z)/z", 1e-10)
 def _theta_quasi(ctx: VerifyContext, rng):
     ep = ctx.ep
-    worst = 0.0
-    for _ in range(200):
-        mod = rng.uniform(ep.nome.p, 1.0)
-        z = mod * np.exp(2j * np.pi * rng.uniform())
-        a, b = theta(ep, ep.nome.p * z), -theta(ep, z) / z
-        worst = _worst(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
+    z = _annulus_points(rng, ep.nome.p, 200)
+    a, th = np.split(theta(ep, np.concatenate([ep.nome.p * z, z])), 2)
+    b = -th / z
+    return _worst(*(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))))
 
 
 @register("theta-truncation", "elliptic", "doubling the factor count leaves theta fixed", THETA_TRUNCATION_TOL * 10)
@@ -250,23 +248,19 @@ def _theta_truncation(ctx: VerifyContext, rng):
 @register("coeff-boundary", "elliptic", "A(y, 0) = 1 and B(y, 0) = 0 for generic y", 1e-12)
 def _coeff_boundary(ctx: VerifyContext, rng):
     ep = ctx.ep
-    worst = 0.0
-    for _ in range(50):
-        y = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, abs(coeff_a(ep, y, 0.0) - 1.0), abs(coeff_b(ep, y, 0.0)))
-    return worst
+    y = [sample_scalar(rng, ep.nome) for _ in range(50)]
+    a, b, _, _ = coefficients(ep, a=(y, 0.0), b=(y, 0.0))
+    return _worst(*np.abs(a - 1.0), *np.abs(b))
 
 
 @register("c-ratio-inverse", "elliptic", "the odd diagonal unit and its reverse multiply to 1", 1e-10)
 def _c_ratio(ctx: VerifyContext, rng):
     ep = ctx.ep
-    worst = 0.0
-    for _ in range(20):
-        x = sample_scalar(rng, ep.nome)
-        u = -c_func(ep, x) / c_func(ep, -x)
-        v = -c_func(ep, -x) / c_func(ep, x)
-        worst = _worst(worst, abs(u * v - 1.0))
-    return worst
+    x = np.array([sample_scalar(rng, ep.nome) for _ in range(20)])
+    c, c_back = np.split(c_func(ep, np.concatenate([x, -x])), 2)
+    u = -c / c_back
+    v = -c_back / c
+    return _worst(*np.abs(u * v - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +599,16 @@ def _gl2_fixture(ctx: VerifyContext, rng):
 # dybe suite
 
 
+def _sweep_draws(ctx: VerifyContext, rng, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # count draws of (phi, x, y) in turn, returned as the stacks x, y, phi
+    draws = [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome), sample_scalar(rng, ctx.ep.nome)) for _ in range(count)]
+    phi, x, y = (np.array(v) for v in zip(*draws))
+    return x, y, phi
+
+
 def _dybe_sweep(ctx: VerifyContext, rng, family, weights=WEIGHTS) -> float:
-    worst = 0.0
-    ep = ctx.ep
-    for _ in range(SAMPLES):
-        phi = sample_phi(rng)
-        x = sample_scalar(rng, ep.nome)
-        y = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, conn.dybe_residual(ep, x, y, phi, family, weights))
-    return worst
+    x, y, phi = _sweep_draws(ctx, rng, SAMPLES)
+    return _worst(*conn.dybe_residual(ctx.ep, x, y, phi, family, weights))
 
 
 @register("dybe-psi", "dybe", "braid-form dynamical Yang-Baxter equation, back-shifted family")
@@ -653,27 +648,15 @@ def _dyn_unitarity(ctx: VerifyContext, rng):
 
 @register("felder-form", "dybe", "permuted-form equation with weight shifts")
 def _felder_form(ctx: VerifyContext, rng):
-    ep = ctx.ep
-    worst = 0.0
-    for _ in range(SAMPLES):
-        phi = sample_phi(rng)
-        x = sample_scalar(rng, ep.nome)
-        y = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, conn.felder_residual(ep, x, y, phi))
-    return worst
+    x, y, phi = _sweep_draws(ctx, rng, SAMPLES)
+    return _worst(*conn.felder_residual(ctx.ep, x, y, phi))
 
 
 @register("felder-negative-control", "dybe", "swapping two weight vectors must break the equation", 1e-3)
 def _felder_negative(ctx: VerifyContext, rng):
-    ep = ctx.ep
     swapped = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-    worst = 0.0
-    for _ in range(5):
-        phi = sample_phi(rng)
-        x = sample_scalar(rng, ep.nome)
-        y = sample_scalar(rng, ep.nome)
-        worst = _worst(worst, conn.felder_residual(ep, x, y, phi, weights=swapped))
-    return worst
+    x, y, phi = _sweep_draws(ctx, rng, 5)
+    return _worst(*conn.felder_residual(ctx.ep, x, y, phi, weights=swapped))
 
 
 @register("weight-conservation", "dybe", "R-matrix entries vanish off the content-preserving pattern", 1e-30)
@@ -730,8 +713,7 @@ def _transport_cocycle(ctx: VerifyContext, rng):
         words.append(xi_word * base * xi_word.inverse())
         for _ in range(3):
             def residual(z):
-                mats = [qkz.transport_word(rep, w, z) for w in words]
-                return rel_residual(mats[0], mats[1])
+                return rel_residual(*qkz.transport_words(rep, [(w, z) for w in words]))
 
             worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
     return worst
@@ -742,13 +724,13 @@ def _qkz_flatness(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for _ in range(10):
             def residual(z):
-                local = 0.0
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        local = _worst(local, qkz.flatness_residual(rep, i, j, z))
-                return local
+                # both sides of every pair from one transport batch
+                words = [side for i, j in pairs for side in qkz.flatness_words(n, i, j, z)]
+                mats = qkz.transport_words(rep, words)
+                return _worst(*(rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])))
 
             worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
     return worst
@@ -763,9 +745,8 @@ def _qkz_flatness_negative(ctx: VerifyContext, rng):
 
     def residual(z):
         # wrong shift: evaluate the second factor at z instead of the moved point
-        lhs = qkz.transport_word(rep, w1, z) @ qkz.transport_word(rep, w2, z)
-        rhs = qkz.transport_word(rep, w2, z) @ qkz.transport_word(rep, w1, z)
-        return rel_residual(lhs, rhs)
+        m1, m2 = qkz.transport_words(rep, [(w1, z), (w2, z)])
+        return rel_residual(m1 @ m2, m2 @ m1)
 
     return _worst(*(ctx.eval_resampling(rng, n, residual) for _ in range(5)))
 

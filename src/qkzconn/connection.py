@@ -398,17 +398,16 @@ XI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 def _shifted_phis(
     ep: EllipticParams,
-    phi: Sequence[complex],
+    phi,
     offsets: Sequence[Sequence[int]],
     a: complex,
     weights: Sequence[Sequence[float]],
 ) -> np.ndarray:
-    # row j-1 is phi + s_j for the control value j
+    # row j-1 is phi + s_j for the control value j; phi of shape S + (3,)
+    # gives S + (3, 3)
     h = -1j * np.pi / ep.nome.log_p
-    phi = tuple(complex(t) for t in phi)
-    return np.array(
-        [[p + (-a * wk + ok * h) for p, wk, ok in zip(phi, w, off)] for w, off in zip(weights, offsets)]
-    )
+    shifts = np.array([[-a * wk + ok * h for wk, ok in zip(w, off)] for w, off in zip(weights, offsets)])
+    return np.asarray(phi, dtype=complex)[..., None, :] + shifts
 
 
 def shifted_r_apply(
@@ -432,36 +431,53 @@ def shifted_r_apply(
     return controlled_op(ops, n, leg, leg + 1, control)
 
 
-def _braid_form_residual(r12, r23) -> float:
-    # r12 and r23 hold the operators at x, y and x + y:
-    # R12(x) R23(x+y) R12(y) against R23(y) R12(x+y) R23(x)
-    lhs = r12[0] @ r23[2] @ r12[1]
-    rhs = r23[1] @ r12[2] @ r23[0]
-    return rel_residual(lhs, rhs)
+def _stack_residual(lhs: np.ndarray, rhs: np.ndarray):
+    # rel_residual of each pair of matrices of two stacks: a float for one
+    # pair, an array shaped like the stack axes for more
+    big = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
+    out = np.linalg.norm(lhs - rhs, axis=(-2, -1)) / np.where(big > 0.0, big, 1.0)
+    return out.item() if out.ndim == 0 else out
+
+
+def _braid_form(r12, r23) -> tuple[np.ndarray, np.ndarray]:
+    # r12(m) and r23(m) build the operators at x, y and x + y (m = 0, 1, 2)
+    # as the products reach them, so that few stacks are alive at once:
+    # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x)
+    lhs = r12(0) @ r23(2) @ r12(1)
+    return lhs, r23(1) @ r12(2) @ r23(0)
 
 
 def dybe_residual(
     ep: EllipticParams,
-    x: complex,
-    y: complex,
-    phi: Sequence[complex],
+    x,
+    y,
+    phi,
     family: Sequence[Sequence[int]],
     weights: Sequence[Sequence[float]] = WEIGHTS,
-) -> float:
+):
     """Defect of the braid-form dynamical Yang-Baxter equation on three legs.
 
     R12(x; a = -k by leg 3) R23(x+y; a = k by leg 1) R12(y; a = -k by leg 3)
       = R23(y; ...) R12(x+y; ...) R23(x; ...).
-    All 18 shifted R-matrices come from one elliptic batch.  Passing
-    perturbed ``weights`` gives a negative control.
+    ``x`` and ``y`` of shape S and ``phi`` of shape S + (3,) give one
+    residual per draw, shaped S (a float for scalars and one triple).  All
+    18 shifted R-matrices of every draw come from one elliptic batch.
+    Passing perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
-    args = np.repeat([x, y, x + y], 3)
-    phis = [np.tile(_shifted_phis(ep, phi, family, a, weights), (3, 1)) for a in (-k, k)]
-    r = dyn_r_matrix(ep, np.tile(args, 2), np.concatenate(phis)).reshape(2, 3, 3, 9, 9)
-    r12 = [controlled_op(ops, 3, 1, 2, 3) for ops in r[0]]
-    r23 = [controlled_op(ops, 3, 2, 3, 1) for ops in r[1]]
-    return _braid_form_residual(r12, r23)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    # the 18 R-matrices of a draw in the order (a, argument, control value)
+    args = np.broadcast_to(np.stack([x, y, x + y], axis=-1)[..., None, :, None], x.shape + (2, 3, 3))
+    phis = np.stack([_shifted_phis(ep, phi, family, a, weights) for a in (-k, k)], axis=-3)
+    phis = np.broadcast_to(phis[..., None, :, :], x.shape + (2, 3, 3, 3))
+    r = dyn_r_matrix(ep, args.reshape(x.shape + (18,)), phis.reshape(x.shape + (18, 3)))
+    r = r.reshape(x.shape + (2, 3, 3, 9, 9))
+    return _stack_residual(
+        *_braid_form(
+            lambda m: controlled_op(r[..., 0, m, :, :, :], 3, 1, 2, 3),
+            lambda m: controlled_op(r[..., 1, m, :, :, :], 3, 2, 3, 1),
+        )
+    )
 
 
 _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
@@ -469,33 +485,44 @@ _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
 
 def felder_residual(
     ep: EllipticParams,
-    x: complex,
-    y: complex,
-    phi: Sequence[complex],
+    x,
+    y,
+    phi,
     weights: Sequence[Sequence[float]] = WEIGHTS,
-) -> float:
+):
     """Defect of the permuted-form dynamical Yang-Baxter equation.
 
     With Rc = P R, the equation reads
     Rc23(x; m + k h1) Rc13(x+y; m - k h2) Rc12(y; m + k h3)
       = Rc12(y; m - k h3) Rc13(x+y; m + k h2) Rc23(x; m - k h1)
     where h_i shifts by the weight carried by leg i: the shift rule of the
-    weight family with a = -beta.  All 18 shifted R-matrices come from one
-    elliptic batch.  Passing perturbed ``weights`` gives a negative control.
+    weight family with a = -beta.  ``x``, ``y`` and ``phi`` stack as in
+    ``dybe_residual``, with one residual per draw; all 18 shifted R-matrices
+    of every draw come from one elliptic batch.  Passing perturbed
+    ``weights`` gives a negative control.
     """
     k = ep.kappa
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
     # (legs, argument, beta) of the left-hand factors, then the right-hand ones
     factors = [
         ((2, 3), x, k), ((1, 3), x + y, -k), ((1, 2), y, k),
         ((1, 2), y, -k), ((1, 3), x + y, k), ((2, 3), x, -k),
     ]
-    args = np.repeat([arg for _, arg, _ in factors], 3)
-    phis = np.concatenate([_shifted_phis(ep, phi, XI_FAMILY, -beta, weights) for _, _, beta in factors])
-    rc = permutation_op() @ dyn_r_matrix(ep, args, phis).reshape(6, 3, 9, 9)
-    ops = [controlled_op(rc[f], 3, *legs, _FELDER_CONTROLS[legs]) for f, (legs, _, _) in enumerate(factors)]
-    lhs = ops[0] @ ops[1] @ ops[2]
-    rhs = ops[3] @ ops[4] @ ops[5]
-    return rel_residual(lhs, rhs)
+    # the 18 R-matrices of a draw in the order (factor, control value)
+    args = np.broadcast_to(np.stack([arg for _, arg, _ in factors], axis=-1)[..., None], x.shape + (6, 3))
+    phis = np.stack([_shifted_phis(ep, phi, XI_FAMILY, -beta, weights) for _, _, beta in factors], axis=-3)
+    phis = np.broadcast_to(phis, x.shape + (6, 3, 3))
+    r = dyn_r_matrix(ep, args.reshape(x.shape + (18,)), phis.reshape(x.shape + (18, 3)))
+    rc = permutation_op() @ r.reshape(x.shape + (6, 3, 9, 9))
+    del r  # a sweep's stack of R-matrices; only rc is needed below
+
+    def op(f):
+        # built as the product reaches it, so that few stacks are alive at once
+        legs = factors[f][0]
+        return controlled_op(rc[..., f, :, :, :], 3, *legs, _FELDER_CONTROLS[legs])
+
+    lhs = op(0) @ op(1) @ op(2)
+    return _stack_residual(lhs, op(3) @ op(4) @ op(5))
 
 
 # ---------------------------------------------------------------------------
@@ -544,4 +571,4 @@ def gl2_dybe_residual(
     m = gl2_matrix(ep, np.tile(args, 2), np.concatenate(dyn)).reshape(2, 3, 2, 4, 4)
     r12 = [controlled_op(ops, 3, 1, 2, 3) for ops in m[0]]
     r23 = [controlled_op(ops, 3, 2, 3, 1) for ops in m[1]]
-    return _braid_form_residual(r12, r23)
+    return rel_residual(*_braid_form(r12.__getitem__, r23.__getitem__))

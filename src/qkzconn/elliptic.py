@@ -52,6 +52,8 @@ THETA_TRUNCATION_TOL = 1e-16
 POLE_TOL = 1e-10
 RESONANCE_TOL = 1e-8
 MAX_THETA_FACTORS = 10_000
+#: factors per block of theta arguments evaluated together (16 bytes each)
+THETA_BLOCK = 1 << 13
 
 
 class EllipticError(Exception):
@@ -170,12 +172,18 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
     pm[0] = 1.0
     np.cumprod(pm, out=pm)
     # one row of factors per argument: reducing along the contiguous axis
-    # multiplies them in order m = 0..M, the same for any batch size
+    # multiplies them in order m = 0..M, the same for any batch size.  Rows
+    # go in blocks of about THETA_BLOCK factors, so a large batch holds a
+    # bounded set of temporaries
     zs = z.reshape(-1, 1)
+    out = np.empty(zs.shape[0], dtype=complex)
+    rows = max(1, THETA_BLOCK // (m_top + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = (1.0 - pm[:-1] * zs) * (1.0 - pm[1:] * (1.0 / zs))
-        out = factors.prod(axis=1).reshape(z.shape)
-    return _scalar_or_array(out)
+        for lo in range(0, zs.shape[0], rows):
+            part = zs[lo : lo + rows]
+            factors = (1.0 - pm[:-1] * part) * (1.0 - pm[1:] * (1.0 / part))
+            factors.prod(axis=1, out=out[lo : lo + rows])
+    return _scalar_or_array(out.reshape(z.shape))
 
 
 def _pole_guard(ep: EllipticParams, val: np.ndarray, label: str) -> None:
@@ -228,6 +236,9 @@ def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
     for (val, shape), lo, hi in zip(rows, [0] + ends, ends):
         exps[lo:hi].reshape(shape)[...] = val
     pw = pow_p(ep, exps)
+    # a stacked sweep's batch holds tens of thousands of exponents: free them
+    # before the dedupe below
+    del exps
     n_den = ends[4]
     # arguments recur across a batch (p^(2 kappa) in every A, one x across a
     # matrix); theta of each distinct argument once gives the same values

@@ -13,6 +13,8 @@ weights).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,7 +65,7 @@ class HeckeParams:
         if abs(q - 1.0) < 1e-8 or abs(q + 1.0) < 1e-8:
             raise ValueError(f"q = {q} is too close to +-1; the quadratic relation degenerates")
 
-    @property
+    @functools.cached_property
     def q(self) -> complex:
         return pow_p(self.elliptic, -self.elliptic.kappa)
 
@@ -223,21 +225,22 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     )
 
 
+def _product(n: int, factors: Sequence[BlockOp]) -> BlockOp:
+    # left to right from the first factor (I @ X = X exactly); the identity
+    # only for an empty product
+    return functools.reduce(operator.matmul, factors) if factors else BlockOp.identity(n)
+
+
 def y_operator(rep: SpinRep, j: int) -> BlockOp:
     """The commuting element T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j."""
     n = rep.n
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range for n={n}")
-    if j in rep._y_cache:
-        return rep._y_cache[j]
-    mat = BlockOp.identity(n)
-    for i in range(j - 1, 0, -1):
-        mat = mat @ rep.t_inv(i)
-    mat = mat @ rep.zeta
-    for i in range(n - 1, j - 1, -1):
-        mat = mat @ rep.t(i)
-    rep._y_cache[j] = mat
-    return mat
+    if j not in rep._y_cache:
+        factors = [rep.t_inv(i) for i in range(j - 1, 0, -1)]
+        factors += [rep.zeta] + [rep.t(i) for i in range(n - 1, j - 1, -1)]
+        rep._y_cache[j] = _product(n, factors)
+    return rep._y_cache[j]
 
 
 def y_operators(rep: SpinRep) -> list[BlockOp]:
@@ -248,7 +251,7 @@ def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
     """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n} (negative exponents via blockwise inversion)."""
     if len(lam) != rep.n:
         raise ValueError("exponent vector length must match the number of sites")
-    mat = BlockOp.identity(rep.n)
+    factors = []
     for j, e in enumerate(lam, start=1):
         if e == 0:
             continue
@@ -256,16 +259,13 @@ def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
         if e < 0:
             yj = yj.inv()
             e = -e
-        mat = mat @ yj.matrix_power(e)
-    return mat
+        factors.append(yj.matrix_power(e))
+    return _product(rep.n, factors)
 
 
 def t_word(rep: SpinRep, w: Perm) -> BlockOp:
     """T_w, the product of T_i over a reduced word of w."""
-    mat = BlockOp.identity(rep.n)
-    for i in reduced_word(w):
-        mat = mat @ rep.t(i)
-    return mat
+    return _product(rep.n, [rep.t(i) for i in reduced_word(w)])
 
 
 def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:

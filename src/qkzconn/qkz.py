@@ -11,12 +11,15 @@ to the commuting braid-limit operators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .elliptic import PoleError, pow_p
 from .heckespin import SpinRep, y_tilde
-from .tensorspace import BlockOp, rel_residual
+from .tensorspace import BlockOp, block_layout, rel_residual
 
 __all__ = [
     "Letter",
@@ -28,8 +31,9 @@ __all__ = [
     "translation_word",
     "translation_defect",
     "translation_power_word",
-    "transport_letter",
+    "transport_words",
     "transport_word",
+    "flatness_words",
     "flatness_residual",
     "braid_limit_residual",
 ]
@@ -108,8 +112,11 @@ def affine_word(n: int, letters: Sequence[Letter]) -> AffineWord:
     return AffineWord(n, tuple(letters))
 
 
+@functools.cache
 def translation_word(n: int, j: int) -> AffineWord:
     """A word realising the translation by e_j, verified by its affine action.
+
+    Cached per (n, j); an ``AffineWord`` is immutable.
 
     Built from xi = s_1 ... s_{n-1} tau(e_n): the base case is
     tau(e_n) = s_{n-1} ... s_1 xi, and tau(e_j) is its conjugate by a cycle
@@ -153,49 +160,113 @@ def translation_power_word(n: int, lam: Sequence[int]) -> AffineWord:
     return word
 
 
-def transport_letter(rep: SpinRep, letter: Letter, z: Sequence[complex]) -> BlockOp:
-    """One-letter transport: the xi letters are constant, the s_i letters are
-    (T_i^{-1} - p^{z_i - z_{i+1}} T_i) / (1/q - q p^{z_i - z_{i+1}}), formed per block."""
-    kind, val = letter
-    if kind == "xi":
-        return rep.zeta if val == 1 else rep.zeta_inv
-    i = val
+def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[complex]]]) -> list[BlockOp]:
+    """Cocycle products C_{l_1}(z) C_{l_2}(l_1^{-1} z) C_{l_3}(l_2^{-1} l_1^{-1} z) ...,
+    one per (word, z) in ``words``.
+
+    A xi letter transports by zeta or zeta^{-1}; the letter s_i at the point
+    z transports by (T_i^{-1} - t T_i) / (1/q - q t) with t = p^{z_i - z_{i+1}}.
+    Every t of every word comes from one ``pow_p`` call and every denominator
+    is checked at once: a pole raises PoleError naming the word and the letter.
+    Each content group multiplies the letters of all words at one position as
+    one (words, k, d, d) stack, starting from the first letter; a shorter
+    word is padded with the identity.  A xi letter or a pad takes t = 0 and
+    denominator 1, which leave it exact, so the batch equals the one-word
+    products bit for bit.
+    """
+    if not words:
+        return []
+    n = rep.n
     ep = rep.params.elliptic
     q = rep.params.q
-    t = pow_p(ep, complex(z[i - 1]) - complex(z[i]))
+    length = max(len(word.letters) for word, _ in words)
+    # the generator of each letter: 0 the identity, 1 zeta, 2 zeta^{-1} and
+    # 2 + i the pair (T_i^{-1}, T_i); each s_i is read at the point moved by
+    # the inverses of the letters before it
+    gen = np.zeros((len(words), max(length, 1)), dtype=np.intp)
+    xs, at = [], []
+    for w, (word, z) in enumerate(words):
+        if word.n != n:
+            raise ValueError("word and representation disagree on the number of sites")
+        zcur = tuple(complex(t) for t in z)
+        for k, letter in enumerate(word.letters):
+            kind, val = letter
+            if kind == "s":
+                gen[w, k] = 2 + val
+                xs.append(zcur[val - 1] - zcur[val])
+                at.append((w, k))
+            else:
+                gen[w, k] = 1 if val == 1 else 2
+            zcur = _letter_point_action((kind, -val) if kind == "xi" else letter, zcur)
+    t = pow_p(ep, np.array(xs, dtype=complex))
     den = 1.0 / q - q * t
-    if abs(den) < ep.pole_tol * max(1.0, abs(q * t)):
+    pole = np.abs(den) < ep.pole_tol * np.maximum(1.0, np.abs(q * t))
+    if pole.any():
+        first = int(np.argmax(pole))
+        w, k = at[first]
+        letters = words[w][0].letters
+        i = letters[k][1]
         raise PoleError(
-            f"pole: transport denominator 1/q - q p^(z_{i}-z_{i + 1}) has modulus {abs(den):.3e}",
+            f"word {w} {letters}, letter {k} {letters[k]}: pole: transport denominator "
+            f"1/q - q p^(z_{i}-z_{i + 1}) has modulus {abs(den[first]):.3e}",
             factor="1/q - q*p^(z_i - z_{i+1})",
-            magnitude=abs(den),
+            magnitude=float(abs(den[first])),
         )
-    return (rep.t_inv(i) - t * rep.t(i)) / den
+    tw = np.zeros(gen.shape, dtype=complex)
+    dw = np.ones(gen.shape, dtype=complex)
+    where = tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)
+    tw[where], dw[where] = t, den
+    tw, dw = (v.T[:, :, None, None, None] for v in (tw, dw))
+    # per position: do the words take different generators, and does any take an s_i
+    mixed = (gen.T != gen.T[:, :1]).any(axis=1).tolist()
+    moving = (gen.T > 2).any(axis=1).tolist()
+    layout = block_layout(n)
+    stacks = []
+    for g, (k, d) in enumerate(idx.shape for idx in layout.index):
+        inv_ops = [_eye(k, d), rep.zeta.stacks[g], rep.zeta_inv.stacks[g], *(op.stacks[g] for op in rep.t_inv_ops)]
+        # a letter without T_i takes t = 0 and denominator 1, which return it exactly
+        ops = inv_ops[:3] + [op.stacks[g] for op in rep.t_ops]
+        for pos, rows in enumerate(gen.T.tolist()):
+            letter = _gather(inv_ops, rows, mixed[pos])
+            if moving[pos]:
+                # (T^{-1} - t T) / den, with one new array
+                part = tw[pos] * _gather(ops, rows, mixed[pos])
+                letter = np.divide(np.subtract(letter, part, out=part), dw[pos], out=part)
+            # the first letter is the starting product
+            mat = letter if pos == 0 else mat @ letter
+        stacks.append(np.broadcast_to(mat, (len(words),) + mat.shape[1:]))
+    return [BlockOp(layout, (mat[w] for mat in stacks)) for w in range(len(words))]
+
+
+def _gather(ops: list[np.ndarray], rows: list[int], mixed: bool) -> np.ndarray:
+    # ops[r] for each word's row r as a (words, k, d, d) stack, or as a
+    # (1, k, d, d) view when every word takes the same operator
+    return np.stack([ops[r] for r in rows]) if mixed else ops[rows[0]][None]
+
+
+@functools.cache
+def _eye(k: int, d: int) -> np.ndarray:
+    # the identity of a (k, d, d) group, read only
+    return np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
 
 
 def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:
-    """Cocycle product C_{l_1}(z) C_{l_2}(l_1^{-1} z) C_{l_3}(l_2^{-1} l_1^{-1} z) ..."""
-    if word.n != rep.n:
-        raise ValueError("word and representation disagree on the number of sites")
-    mat = BlockOp.identity(rep.n)
-    zcur = tuple(complex(t) for t in z)
-    for k, letter in enumerate(word.letters):
-        try:
-            mat = mat @ transport_letter(rep, letter, zcur)
-        except PoleError as exc:
-            raise PoleError(f"letter {k} {letter}: {exc}", factor=exc.factor, magnitude=exc.magnitude) from exc
-        zcur = _letter_point_action((letter[0], -letter[1]) if letter[0] == "xi" else letter, zcur)
-    return mat
+    """The transport of one word at z (see ``transport_words``)."""
+    return transport_words(rep, [(word, z)])[0]
 
 
 def flatness_residual(rep: SpinRep, i: int, j: int, z: Sequence[complex]) -> float:
     """Defect of the commuting-translation identity
     C_{tau(e_i)}(z) C_{tau(e_j)}(z - e_i) = C_{tau(e_j)}(z) C_{tau(e_i)}(z - e_j)."""
-    wi = translation_word(rep.n, i)
-    wj = translation_word(rep.n, j)
-    lhs = transport_word(rep, wi * wj, z)
-    rhs = transport_word(rep, wj * wi, z)
+    lhs, rhs = transport_words(rep, flatness_words(rep.n, i, j, z))
     return rel_residual(lhs, rhs)
+
+
+def flatness_words(n: int, i: int, j: int, z: Sequence[complex]) -> list[tuple[AffineWord, Sequence[complex]]]:
+    """The two sides of the flatness identity for (i, j) as (word, z) pairs."""
+    wi = translation_word(n, i)
+    wj = translation_word(n, j)
+    return [(wi * wj, z), (wj * wi, z)]
 
 
 def braid_limit_residual(rep: SpinRep, lam: Sequence[int], depth: float) -> float:

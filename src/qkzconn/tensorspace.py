@@ -66,34 +66,42 @@ def permutation_op() -> np.ndarray:
 def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
     """Embed a two-site operator on the (not necessarily adjacent) legs a < b.
 
-    The site dimension d is read from the operator's shape (d^2 x d^2).
+    The site dimension d is read from the operator's shape (d^2 x d^2).  An
+    op of shape S + (d^2, d^2) gives a stack of shape S + (d^n, d^n).
     """
     if not 1 <= a < b <= n:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-    d = math.isqrt(op.shape[0])
-    out = np.empty((d**n, d**n), dtype=complex)
+    op = np.asarray(op)
+    d = math.isqrt(op.shape[-1])
+    lead = op.shape[:-2]
+    m = len(lead)
+    out = np.empty(lead + (d**n, d**n), dtype=complex)
     # view the result with the row legs a, b first, then the column legs a, b
     legs = [a - 1, b - 1] + [k for k in range(n) if k not in (a - 1, b - 1)]
-    view = out.reshape((d,) * (2 * n)).transpose(legs + [n + k for k in legs])
+    axes = list(range(m)) + [m + k for k in legs] + [m + n + k for k in legs]
+    view = out.reshape(lead + (d,) * (2 * n)).transpose(axes)
     rest = (1,) * (n - 2)
     eye = np.eye(d ** (n - 2)).reshape((1, 1) + (d,) * (n - 2) + (1, 1) + (d,) * (n - 2))
-    np.multiply(op.reshape((d, d) + rest + (d, d) + rest), eye, out=view)
+    np.multiply(op.reshape(lead + (d, d) + rest + (d, d) + rest), eye, out=view)
     return out
 
 
-def controlled_op(ops: Sequence[np.ndarray], n: int, a: int, b: int, control: int) -> np.ndarray:
-    """Act with ops[j-1] on the legs (a, b) where the control leg carries v_j.
+def controlled_op(ops, n: int, a: int, b: int, control: int) -> np.ndarray:
+    """Act with ops[..., j-1, :, :] on the legs (a, b) where the control leg carries v_j.
 
-    The result is the sum over j of two_leg_op(ops[j-1], n, a, b) restricted
-    to the columns whose control leg holds the value j; d = len(ops).
+    The result is the sum over j of two_leg_op(ops[..., j-1, :, :], n, a, b)
+    restricted to the columns whose control leg holds the value j; d is the
+    length of the axis -3 of ``ops`` (a sequence of d operators, or a stack
+    S + (d, d^2, d^2) that gives S + (d^n, d^n)).
     """
     if control in (a, b):
         raise ValueError("the control leg must lie outside the acting pair")
-    d = len(ops)
+    ops = np.asarray(ops)
+    d = ops.shape[-3]
     value = np.arange(d**n) // d ** (n - control) % d
-    out = two_leg_op(ops[0], n, a, b)
+    out = two_leg_op(ops[..., 0, :, :], n, a, b)
     for j in range(1, d):
-        np.copyto(out, two_leg_op(ops[j], n, a, b), where=value == j)
+        np.copyto(out, two_leg_op(ops[..., j, :, :], n, a, b), where=value == j)
     return out
 
 

@@ -16,7 +16,7 @@ from qkzconn.checks import (
     run_suite,
 )
 from qkzconn.elliptic import PoleError
-from qkzconn.params import RunConfig
+from qkzconn.params import RunConfig, sample_phi, sample_point, sample_scalar
 
 
 class TestRegistry:
@@ -67,6 +67,59 @@ class TestResampling:
         c = ctx.rng("other-check").uniform(size=3)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def _sweep(count):
+    def draws(ctx, rng):
+        for _ in range(count):
+            sample_phi(rng), sample_scalar(rng, ctx.ep.nome), sample_scalar(rng, ctx.ep.nome)
+
+    return draws
+
+
+def _points(site_counts, per_n):
+    def draws(ctx, rng):
+        for n in site_counts:
+            for _ in range(per_n):
+                sample_point(rng, n, ctx.ep.nome)
+
+    return draws
+
+
+def _annulus(ctx, rng):
+    for _ in range(200):
+        rng.uniform(ctx.ep.nome.p, 1.0), rng.uniform()
+
+
+#: the draws each batched body made one sample at a time, in that order
+#: (no draw at these settings hits a pole, so none is resampled)
+SAMPLE_SEQUENCES = {
+    "theta-symmetry": _annulus,
+    "theta-quasiperiodicity": _annulus,
+    "coeff-boundary": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(50)],
+    "c-ratio-inverse": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(20)],
+    "dybe-psi": _sweep(checks.SAMPLES),
+    "dybe-phi": _sweep(checks.SAMPLES),
+    "dybe-xi": _sweep(checks.SAMPLES),
+    "dybe-negative-control": _sweep(checks.SAMPLES),
+    "felder-form": _sweep(checks.SAMPLES),
+    "felder-negative-control": _sweep(5),
+    "transport-cocycle": _points((2, 3, 4), 3),
+    "qkz-flatness": _points((2, 3, 4), 10),
+    "qkz-flatness-negative-control": _points((2,), 5),
+}
+
+
+class TestSampleStreams:
+    @pytest.mark.parametrize("check_id", sorted(SAMPLE_SEQUENCES))
+    def test_batched_body_consumes_the_one_by_one_stream(self, check_id):
+        ctx = VerifyContext(RunConfig(n=4))
+        (body,) = [c.fn for c in checks._REGISTRY if c.check_id == check_id]
+        rng = ctx.rng(check_id)
+        body(ctx, rng)
+        replay = ctx.rng(check_id)
+        SAMPLE_SEQUENCES[check_id](ctx, replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestReport:
@@ -141,7 +194,7 @@ class TestNonFiniteResiduals:
         def overflow(*args, **kwargs):
             raise OverflowError("synthetic")
 
-        monkeypatch.setattr(checks, "coeff_a", overflow)
+        monkeypatch.setattr(checks, "coefficients", overflow)
         report = run_suite("elliptic", RunConfig(n=2))
         (result,) = [r for r in report.results if r.check == "coeff-boundary"]
         assert result.status == "inconclusive"

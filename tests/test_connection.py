@@ -421,6 +421,47 @@ class TestDybe:
         assert stacks == [18]
         assert err.value.factor == "p^y"
 
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            lambda ep, x, y, phi: dybe_residual(ep, x, y, phi, PSI_FAMILY),
+            lambda ep, x, y, phi: dybe_residual(ep, x, y, phi, PHI_FAMILY),
+            lambda ep, x, y, phi: dybe_residual(ep, x, y, phi, XI_FAMILY),
+            lambda ep, x, y, phi: felder_residual(ep, x, y, phi),
+        ],
+        ids=["dybe-psi", "dybe-phi", "dybe-xi", "felder"],
+    )
+    def test_stacked_draws_equal_per_draw_calls(self, ep, rng, residual):
+        draws = [(sample_phi(rng), sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome)) for _ in range(6)]
+        phi, x, y = (np.array(v) for v in zip(*draws))
+        one = np.array([residual(ep, x[k], y[k], phi[k]) for k in range(6)])
+        # a (2, 3) stack of draws gives a (2, 3) array of residuals
+        stacked = residual(ep, x.reshape(2, 3), y.reshape(2, 3), phi.reshape(2, 3, 3))
+        assert stacked.shape == (2, 3)
+        assert np.max(np.abs(stacked.ravel() - one)) <= 1e-15
+        assert all(isinstance(r, float) for r in one)
+
+    def test_stacked_negative_controls_equal_per_draw_calls(self, ep, rng):
+        negated = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
+        swapped = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+        draws = [(sample_phi(rng), sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome)) for _ in range(5)]
+        phi, x, y = (np.array(v) for v in zip(*draws))
+        for residual in (
+            lambda x, y, phi: dybe_residual(ep, x, y, phi, PSI_FAMILY, weights=negated),
+            lambda x, y, phi: felder_residual(ep, x, y, phi, weights=swapped),
+        ):
+            one = np.array([residual(x[k], y[k], phi[k]) for k in range(5)])
+            assert np.max(np.abs(residual(x, y, phi) - one) / one) <= 1e-15
+
+    def test_pole_in_one_draw_of_a_stack_raises(self, ep, rng):
+        phi = np.array([sample_phi(rng) for _ in range(3)])
+        phi[1, 1] = phi[1, 0] + 1.0  # phi_1 - phi_2 = -1 is a pole of B
+        x = np.array([0.21 + 0.1j, -0.3 + 0.2j, 0.1 + 0.3j])
+        with pytest.raises(PoleError):
+            dybe_residual(ep, x, x[::-1], phi, PSI_FAMILY)
+        with pytest.raises(PoleError):
+            felder_residual(ep, x, x[::-1], phi)
+
     def test_felder_form(self, ep, rng):
         for _ in range(8):
             phi = sample_phi(rng)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qkzconn import heckespin
 from qkzconn.elliptic import PoleError, pow_p
 from qkzconn.heckespin import (
     HeckeParams,
@@ -50,6 +51,20 @@ def basis_vec(alpha):
     v = np.zeros(3 ** len(alpha), dtype=complex)
     v[tensor_index(alpha)] = 1.0
     return v
+
+
+class TestHeckeParams:
+    def test_q_is_computed_once_with_the_same_bits(self, ep, monkeypatch):
+        calls = []
+
+        def counted(ep_, x):
+            calls.append(x)
+            return pow_p(ep_, x)
+
+        monkeypatch.setattr(heckespin, "pow_p", counted)
+        params = HeckeParams(elliptic=ep, n=3)
+        assert [params.q for _ in range(3)] == [pow_p(ep, -ep.kappa)] * 3
+        assert len(calls) == 1
 
 
 class TestBraidMatrix:
@@ -267,3 +282,17 @@ class TestTensorHelpers:
             on_j = [1.0 if alpha[control - 1] == j else 0.0 for alpha in itertools.product(range(d), repeat=3)]
             want += two_leg_op(ops[j], 3, a, b) @ np.diag(on_j)
         assert np.array_equal(controlled_op(ops, 3, a, b, control), want)
+
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_stacked_embeddings_equal_per_item_calls(self, q, d):
+        # a (2, 4) stack of local operators and a (2, 4) stack of control triples
+        gen = np.random.default_rng(5)
+        shape = (2, 4, d, d * d, d * d)
+        ops = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        legs = two_leg_op(ops[..., 1, :, :], 4, 2, 4)
+        controlled = controlled_op(ops, 3, 1, 3, 2)
+        assert legs.shape == (2, 4, d**4, d**4)
+        assert controlled.shape == (2, 4, d**3, d**3)
+        for s in np.ndindex(2, 4):
+            assert np.array_equal(legs[s], two_leg_op(ops[s][1], 4, 2, 4))
+            assert np.array_equal(controlled[s], controlled_op(list(ops[s]), 3, 1, 3, 2))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qkzconn.elliptic import PoleError
 from qkzconn.heckespin import y_tilde
 from qkzconn.params import sample_point
 from qkzconn.qkz import (
@@ -17,8 +18,8 @@ from qkzconn.qkz import (
     s_letter,
     translation_word,
     translation_power_word,
-    transport_letter,
     transport_word,
+    transport_words,
 )
 from qkzconn.tensorspace import permutation_op, rel_residual
 
@@ -71,8 +72,8 @@ class TestTransport:
     def test_xi_letter_is_rotation(self, reps, rng, ep):
         rep = reps[3]
         z = point(rng, 3, ep)
-        assert np.array_equal(transport_letter(rep, XI, z).dense(), rep.zeta.dense())
-        assert np.array_equal(transport_letter(rep, XI_INV, z).dense(), rep.zeta_inv.dense())
+        assert np.array_equal(transport_word(rep, affine_word(3, [XI]), z).dense(), rep.zeta.dense())
+        assert np.array_equal(transport_word(rep, affine_word(3, [XI_INV]), z).dense(), rep.zeta_inv.dense())
 
     def test_s_letter_matches_local_r(self, reps, rng, ep):
         # the one-letter transport is the permuted Baxterized matrix at p^(z_i - z_{i+1})
@@ -80,7 +81,7 @@ class TestTransport:
         q = rep.params.q
         z = point(rng, 3, ep)
         for i in (1, 2):
-            got = transport_letter(rep, s_letter(i), z).dense()
+            got = transport_word(rep, affine_word(3, [s_letter(i)]), z).dense()
             local = permutation_op() @ perk_schultz(pow_p(ep, z[i - 1] - z[i]), q)
             want = np.kron(np.kron(np.eye(3 ** (i - 1)), local), np.eye(3 ** (2 - i)))
             assert rel_residual(got, want) < 1e-12
@@ -116,6 +117,67 @@ class TestTransport:
         z = point(rng, 3, ep)
         w = affine_word(3, [s_letter(1), s_letter(1)])
         assert rel_residual(transport_word(rep, w, z).dense(), np.eye(27)) < 1e-12
+
+
+def batch_words(n):
+    """Words of different lengths with xi and xi^{-1} letters: every translation
+    pair, a bare rotation and the empty word."""
+    words = [translation_word(n, i) * translation_word(n, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return words + [affine_word(n, [XI_INV, s_letter(1)]), affine_word(n, [])]
+
+
+def dense_transport(rep, word, z):
+    """Left-to-right product of dense one-letter matrices from BlockOp.dense()."""
+    n, q, ep = rep.n, rep.params.q, rep.params.elliptic
+    out = np.eye(3**n, dtype=complex)
+    for k, (kind, val) in enumerate(word.letters):
+        if kind == "xi":
+            letter = (rep.zeta if val == 1 else rep.zeta_inv).dense()
+        else:
+            # the point moved by the inverse of the prefix before letter k
+            cur = affine_word(n, word.letters[:k]).inverse().point_action(z)
+            t = pow_p(ep, cur[val - 1] - cur[val])
+            letter = (rep.t_inv(val).dense() - t * rep.t(val).dense()) / (1.0 / q - q * t)
+        out = out @ letter
+    return out
+
+
+class TestTransportWords:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_equals_one_word_calls_and_dense_product(self, reps, rng, ep, n):
+        rep = reps[n]
+        words = batch_words(n)
+        points = [point(rng, n, ep) for _ in words]
+        batch = transport_words(rep, list(zip(words, points)))
+        assert len(batch) == len(words)
+        for word, z, got in zip(words, points, batch):
+            one = transport_word(rep, word, z)
+            assert all(np.array_equal(a, b) for a, b in zip(got.stacks, one.stacks))
+            assert rel_residual(got.dense(), dense_transport(rep, word, z)) < 1e-13
+
+    def test_empty_batch(self, reps):
+        assert transport_words(reps[2], []) == []
+
+    def test_pole_in_one_word_names_its_letter(self, reps, ep):
+        # 1/q - q p^x vanishes at x = 2 kappa; the second word's letter 1 (s_1)
+        # is read at s_2 z = (z_1, z_3, z_2), so z_1 - z_3 = 2 kappa puts it on the pole
+        rep = reps[3]
+        z_pole = (2 * ep.kappa + 0.1j, 0.3 + 0.2j, 0.1j)
+        fine = (0.1 + 0.05j, -0.3 + 0.1j, 0.2 + 0.3j)
+        words = [(translation_word(3, 1), fine), (affine_word(3, [s_letter(2), s_letter(1)]), z_pole)]
+        with pytest.raises(PoleError) as err:
+            transport_words(rep, words)
+        assert "word 1" in str(err.value)
+        assert "letter 1 ('s', 1)" in str(err.value)
+        assert err.value.factor == "1/q - q*p^(z_i - z_{i+1})"
+        # the same word alone raises the same pole
+        with pytest.raises(PoleError):
+            transport_word(rep, *words[1])
+        transport_word(rep, *words[0])
+
+    def test_site_count_mismatch(self, reps, rng, ep):
+        with pytest.raises(ValueError):
+            transport_words(reps[3], [(translation_word(2, 1), point(rng, 2, ep))])
 
 
 class TestFlatness:
