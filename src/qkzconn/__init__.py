@@ -28,8 +28,10 @@ from .connection import (
     gl2_matrix,
     shifted_r_apply,
     tensor_monodromy_from_blocks,
+    tensor_monodromy_from_blocks_words,
     tensor_monodromy_simple,
     tensor_monodromy_word,
+    tensor_monodromy_words,
 )
 from .elliptic import (
     EllipticParams,

@@ -15,6 +15,11 @@ the only code that turns a body's output into a ``CheckResult``:
   when the residual is above the tolerance, i.e. when the perturbation breaks
   the identity.  A NaN residual fails both;
 - with fewer than ``min_n`` sites the check is ``skipped``;
+- a sweep that resamples a point on a pole goes through ``resample_sweep``:
+  it draws every sample first and evaluates them in one batch, and walks
+  the stream draw by draw only when the batch fails, so its samples are
+  those of the one-by-one loop; its detail reports ``draws`` and
+  ``pole_resamples``;
 - a body that raises ``ResampleExhausted`` (repeated pole hits),
   ``NotGeneric`` (degenerate spectral labels), ``EllipticError`` or
   ``OverflowError`` is reported ``inconclusive`` rather than failed.
@@ -22,11 +27,12 @@ the only code that turns a body's output into a ``CheckResult``:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,20 +183,9 @@ class VerifyContext:
     def site_counts(self, lo: int, hi: int) -> list[int]:
         return [n for n in range(lo, hi + 1) if n <= self.cfg.n]
 
-    def eval_resampling(self, rng, n: int, fn, retries: int = 5, sampler=None):
-        for _ in range(retries):
-            if sampler is None:
-                z = sample_point(rng, n, self.ep.nome)
-            else:
-                z = sampler(rng, n)
-            try:
-                return fn(z)
-            except PoleError:
-                continue
-        raise ResampleExhausted(f"{retries} pole hits in a row")
-
-    def eval_band(self, rng, n: int, fn, retries: int = 5):
-        return self.eval_resampling(rng, n, fn, retries=retries, sampler=sample_point_band)
+    def point(self, rng: np.random.Generator, n: int) -> tuple[complex, ...]:
+        """An evaluation point over one vertical period (``sample_point``)."""
+        return sample_point(rng, n, self.ep.nome)
 
 
 def _worst(*residuals: float) -> float:
@@ -203,6 +198,71 @@ def _worst(*residuals: float) -> float:
     """
     vals = [float(r) for r in residuals]
     return max(vals) if all(math.isfinite(v) for v in vals) else math.nan
+
+
+class Draw(NamedTuple):
+    """One draw of a resampling sweep."""
+
+    case: Any  # what the loop fixes for the draw: a block, a letter, a site count
+    own: Any  # what the draw samples before its point (a phi, a pair of words), or None
+    z: tuple[complex, ...]  # the evaluation point
+
+
+class Sweep(NamedTuple):
+    residuals: list[float]  # one per draw, in the order of the loop
+    pole_resamples: int  # points drawn in place of one that hit a pole
+
+
+def resample_sweep(
+    rng: np.random.Generator,
+    cases: Sequence[tuple[int, Any]],
+    point: Callable[[np.random.Generator, int], tuple[complex, ...]],
+    evaluate: Callable[[list[Draw]], Sequence[float]],
+    own: Callable[[np.random.Generator, Any], Any] | None = None,
+    retries: int = 5,
+) -> Sweep:
+    """Evaluate one draw per ``(n, case)`` of ``cases``, resampling the point on a pole.
+
+    A draw samples its own parameters, ``own(rng, case)``, then its point,
+    ``point(rng, n)``.  The sweep draws every sample in that order first and
+    makes one ``evaluate`` call on all the draws, which returns one residual
+    per draw.  If that call fails (a pole, or any other evaluation error),
+    the sweep restores the stream and walks it draw by draw, as a loop that
+    evaluates each draw alone: a draw whose point hits a pole takes the next
+    point of the stream, and ``retries`` hits in a row raise
+    ResampleExhausted.  Either way the draws, the residuals (up to the theta
+    factor count a batch shares) and the stream's final state are those of
+    the walk.
+    """
+    state = rng.bit_generator.state
+    draws = [Draw(case, own(rng, case) if own else None, point(rng, n)) for n, case in cases]
+    try:
+        return Sweep([float(r) for r in evaluate(draws)], 0)
+    except (EllipticError, OverflowError):
+        # the walk resamples where the batch hit a pole, so later draws may
+        # differ from the batch's: only the walk decides
+        rng.bit_generator.state = state
+    residuals, hits = [], 0
+    for n, case in cases:
+        mine = own(rng, case) if own else None
+        for _ in range(retries):
+            try:
+                (residual,) = evaluate([Draw(case, mine, point(rng, n))])
+            except PoleError:
+                hits += 1
+                continue
+            residuals.append(float(residual))
+            break
+        else:
+            raise ResampleExhausted(f"{retries} pole hits in a row")
+    return Sweep(residuals, hits)
+
+
+def _sweep_verdict(*sweeps: Sweep) -> Verdict:
+    # the worst residual of one or more sweeps, with their draw and resample counts
+    residuals = [r for sweep in sweeps for r in sweep.residuals]
+    detail = {"draws": len(residuals), "pole_resamples": sum(sweep.pole_resamples for sweep in sweeps)}
+    return Verdict(_worst(0.0, *residuals), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -467,111 +527,114 @@ def _genericity(ctx: VerifyContext, rng):
 # connection suite
 
 
+@functools.cache
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(all_perms(n))
+
+
+def _random_perm(rng, n: int) -> tuple[int, ...]:
+    perms = _perms(n)
+    return perms[rng.integers(len(perms))]
+
+
+def _blocks(ctx: VerifyContext, n: int) -> list[blk.PrincipalSeriesSpec]:
+    return [blk.content_block(ctx.ep, n, r, ctx.phi) for r in content_labels(n)]
+
+
 @register("connection-cocycle", "connection", "M(w w') factors through the shifted product", 1e-9)
 def _connection_cocycle(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 4):
-        perms = list(all_perms(n))
-        for r in content_labels(n):
-            spec = blk.content_block(ctx.ep, n, r, ctx.phi)
-            for _ in range(3):
-                w1 = perms[rng.integers(len(perms))]
-                w2 = perms[rng.integers(len(perms))]
+    # three draws of (w1, w2) and a point per block
+    cases = [(n, spec) for n in ctx.site_counts(2, 4) for spec in _blocks(ctx, n) for _ in range(3)]
 
-                def residual(z):
-                    words = [(reduced_word(compose(w1, w2)), z), (reduced_word(w1), z)]
-                    words.append((reduced_word(w2), act(inverse(w1), z)))
-                    lhs, m1, m2 = conn.connection_words(ctx.ep, spec, words)
-                    return rel_residual(lhs, m1 @ m2)
+    def own(rng, spec):
+        return _random_perm(rng, spec.n), _random_perm(rng, spec.n)
 
-                worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return worst
+    def evaluate(draws):
+        words = []
+        for d in draws:
+            w1, w2 = d.own
+            words += [
+                (d.case, reduced_word(compose(w1, w2)), d.z),
+                (d.case, reduced_word(w1), d.z),
+                (d.case, reduced_word(w2), act(inverse(w1), d.z)),
+            ]
+        mats = conn.connection_words(ctx.ep, words)
+        return [rel_residual(lhs, m1 @ m2) for lhs, m1, m2 in zip(mats[::3], mats[1::3], mats[2::3])]
+
+    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate, own))
 
 
 @register("connection-braid", "connection", "reduced-word independence of the monodromy matrices", 1e-9, min_n=3)
 def _connection_braid(ctx: VerifyContext, rng):
-    worst = 0.0
     n = 3
     w121 = compose(simple(n, 1), compose(simple(n, 2), simple(n, 1)))
-    for r in content_labels(n):
-        spec = blk.content_block(ctx.ep, n, r, ctx.phi)
-        for _ in range(10):
+    cases = [(n, spec) for spec in _blocks(ctx, n) for _ in range(10)]
 
-            def residual(z):
-                # the letter products s1 s2 s1 and s2 s1 s2, and the reduced word of w121
-                words = [((1, 2, 1), z), ((2, 1, 2), z), (reduced_word(w121), z)]
-                lhs, rhs, via_word = conn.connection_words(ctx.ep, spec, words)
-                return _worst(rel_residual(lhs, rhs), rel_residual(lhs, via_word))
+    def evaluate(draws):
+        # the letter products s1 s2 s1 and s2 s1 s2, and the reduced word of w121
+        words = [(d.case, labels, d.z) for d in draws for labels in ((1, 2, 1), (2, 1, 2), reduced_word(w121))]
+        mats = conn.connection_words(ctx.ep, words)
+        return [
+            _worst(rel_residual(lhs, rhs), rel_residual(lhs, via_word))
+            for lhs, rhs, via_word in zip(mats[::3], mats[1::3], mats[2::3])
+        ]
 
-            worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return worst
+    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate))
 
 
 @register("connection-unitarity", "connection", "one-letter matrices invert at the swapped point", 1e-9)
 def _connection_unitarity(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 4):
-        for r in content_labels(n):
-            spec = blk.content_block(ctx.ep, n, r, ctx.phi)
-            eye = np.eye(len(min_coset_reps(n, spec.index_set)), dtype=complex)
-            for i in range(1, n):
-                def residual(z):
-                    # s_i at z, then s_i at the swapped point
-                    (m,) = conn.connection_words(ctx.ep, spec, [((i, i), z)])
-                    return rel_residual(m, eye)
+    # s_i at z, then s_i at the swapped point
+    cases = [(n, (spec, (i, i))) for n in ctx.site_counts(2, 4) for spec in _blocks(ctx, n) for i in range(1, n)]
 
-                worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return worst
+    def evaluate(draws):
+        mats = conn.connection_words(ctx.ep, [(*d.case, d.z) for d in draws])
+        return [rel_residual(m, np.eye(len(m), dtype=complex)) for m in mats]
+
+    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate))
+
+
+def _draw_phi(rng, case) -> tuple[complex, complex, complex]:
+    return sample_phi(rng)
 
 
 @register("rank2-dynamical", "connection", "the two-site tensor monodromy is the dynamical R-matrix", 1e-9)
 def _rank2_dynamical(ctx: VerifyContext, rng):
-    worst = 0.0
-    for _ in range(SAMPLES):
-        phi = sample_phi(rng)
+    def evaluate(draws):
+        ms = conn.tensor_monodromy_words(ctx.ep, [(d.own, (1,), d.z) for d in draws])
+        rs = conn.dyn_r_matrix(ctx.ep, [d.z[0] - d.z[1] for d in draws], [d.own for d in draws])
+        return [rel_residual(m, r) for m, r in zip(ms, rs)]
 
-        def residual(z):
-            m = conn.tensor_monodromy_simple(ctx.ep, 2, phi, 1, z)
-            r = conn.dyn_r_matrix(ctx.ep, z[0] - z[1], phi)
-            return rel_residual(m, r)
-
-        worst = _worst(worst, ctx.eval_band(rng, 2, residual))
-    return worst
+    return _sweep_verdict(resample_sweep(rng, [(2, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi))
 
 
 @register("rank3-shifted", "connection", "three-site monodromies act as control-shifted R-matrices", 1e-9, min_n=3)
 def _rank3_shifted(ctx: VerifyContext, rng):
     k = ctx.ep.kappa
-    worst = 0.0
-    for _ in range(SAMPLES):
-        phi = sample_phi(rng)
 
-        def residual(z):
-            m1 = conn.tensor_monodromy_simple(ctx.ep, 3, phi, 1, z)
-            s1 = conn.shifted_r_apply(ctx.ep, 3, 2, z[0] - z[1], phi, conn.PSI_FAMILY, k, control=1)
-            m2 = conn.tensor_monodromy_simple(ctx.ep, 3, phi, 2, z)
-            s2 = conn.shifted_r_apply(ctx.ep, 3, 1, z[1] - z[2], phi, conn.PSI_FAMILY, -k, control=3)
-            return _worst(rel_residual(m1, s1), rel_residual(m2, s2))
+    def evaluate(draws):
+        phi, z = np.array([d.own for d in draws]), np.array([d.z for d in draws])
+        ms = conn.tensor_monodromy_words(ctx.ep, [(d.own, (i,), d.z) for d in draws for i in (1, 2)])
+        s1 = conn.shifted_r_apply(ctx.ep, 3, 2, z[:, 0] - z[:, 1], phi, conn.PSI_FAMILY, k, control=1)
+        s2 = conn.shifted_r_apply(ctx.ep, 3, 1, z[:, 1] - z[:, 2], phi, conn.PSI_FAMILY, -k, control=3)
+        return [
+            _worst(rel_residual(m1, a), rel_residual(m2, b)) for m1, m2, a, b in zip(ms[::2], ms[1::2], s1, s2)
+        ]
 
-        worst = _worst(worst, ctx.eval_band(rng, 3, residual))
-    return worst
+    return _sweep_verdict(resample_sweep(rng, [(3, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi))
 
 
 @register("monodromy-routes", "connection", "cocycle route equals the block-scatter route", 1e-9)
 def _monodromy_routes(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 3):
-        perms = list(all_perms(n))
-        for _ in range(4):
-            w = perms[rng.integers(len(perms))]
+    cases = [(n, n) for n in ctx.site_counts(2, 3) for _ in range(4)]
 
-            def residual(z):
-                a = conn.tensor_monodromy_word(ctx.ep, n, ctx.phi, w, z)
-                b = conn.tensor_monodromy_from_blocks(ctx.ep, n, ctx.phi, w, z)
-                return rel_residual(a, b)
+    def evaluate(draws):
+        words = [(ctx.phi, reduced_word(d.own), d.z) for d in draws]
+        via_cocycle = conn.tensor_monodromy_words(ctx.ep, words)
+        via_blocks = conn.tensor_monodromy_from_blocks_words(ctx.ep, words)
+        return [rel_residual(a, b) for a, b in zip(via_cocycle, via_blocks)]
 
-            worst = _worst(worst, ctx.eval_band(rng, n, residual))
-    return worst
+    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate, _random_perm))
 
 
 @register("gl2-fixture", "connection", "the 4x4 elliptic fixture: unitarity, block match, braid form", 1e-9)
@@ -637,13 +700,10 @@ def _dybe_negative(ctx: VerifyContext, rng):
 def _dyn_unitarity(ctx: VerifyContext, rng):
     ep = ctx.ep
     eye = np.eye(9, dtype=complex)
-    worst = 0.0
-    for _ in range(30):
-        phi = sample_phi(rng)
-        x = sample_scalar(rng, ep.nome)
-        r, r_back = conn.dyn_r_matrix(ep, [x, -x], phi)
-        worst = _worst(worst, rel_residual(r @ r_back, eye))
-    return worst
+    phi, x = (np.array(v) for v in zip(*[(sample_phi(rng), sample_scalar(rng, ep.nome)) for _ in range(30)]))
+    # R(x) and R(-x) of every draw from one stacked call
+    r = conn.dyn_r_matrix(ep, np.stack([x, -x], axis=-1), phi[:, None, :])
+    return _worst(0.0, *(rel_residual(r_x @ r_back, eye) for r_x, r_back in r))
 
 
 @register("felder-form", "dybe", "permuted-form equation with weight shifts")
@@ -677,15 +737,15 @@ def _weight_conservation(ctx: VerifyContext, rng):
 @register("dynamical-translation", "dybe", "shifting all dynamical parameters together changes nothing", 1e-12)
 def _dynamical_translation(ctx: VerifyContext, rng):
     ep = ctx.ep
-    worst = 0.0
+    phis, xs = [], []
     for _ in range(5):
         phi = sample_phi(rng)
         t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        shifted = tuple(v + t for v in phi)
-        x = sample_scalar(rng, ep.nome)
-        r, r_shifted = conn.dyn_r_matrix(ep, x, [phi, shifted])
-        worst = _worst(worst, rel_residual(r, r_shifted))
-    return worst
+        phis.append([phi, tuple(v + t for v in phi)])
+        xs.append(sample_scalar(rng, ep.nome))
+    # R at phi and at the shifted phi of every draw from one stacked call
+    r = conn.dyn_r_matrix(ep, np.array(xs)[:, None], phis)
+    return _worst(0.0, *(rel_residual(r_phi, r_shifted) for r_phi, r_shifted in r))
 
 
 # ---------------------------------------------------------------------------
@@ -702,53 +762,66 @@ def _translation_words(ctx: VerifyContext, rng):
     return Verdict(1.0 if bad else 0.0, {"failures": bad})
 
 
+def _per_site_count(residuals) -> Callable[[list[Draw]], list[float]]:
+    # an evaluator that calls residuals(n, draws) once for the draws of each
+    # site count n, and returns their residuals in the order of the draws
+    def evaluate(draws: list[Draw]) -> list[float]:
+        out = [math.nan] * len(draws)
+        groups: dict[int, list[int]] = {}
+        for k, d in enumerate(draws):
+            groups.setdefault(len(d.z), []).append(k)
+        for n, ks in groups.items():
+            for k, r in zip(ks, residuals(n, [draws[k] for k in ks])):
+                out[k] = r
+        return out
+
+    return evaluate
+
+
 @register("transport-cocycle", "qkz", "transport depends only on the group element", 1e-10)
 def _transport_cocycle(ctx: VerifyContext, rng):
-    worst = 0.0
+    cases = []
     for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
         base = qkz.affine_word(n, [qkz.s_letter(i) for i in range(n - 1, 0, -1)] + [qkz.XI])
-        words = [qkz.translation_word(n, 1)]
         xi_word = qkz.affine_word(n, [qkz.XI])
-        words.append(xi_word * base * xi_word.inverse())
-        for _ in range(3):
-            def residual(z):
-                return rel_residual(*qkz.transport_words(rep, [(w, z) for w in words]))
+        cases += [(n, (qkz.translation_word(n, 1), xi_word * base * xi_word.inverse()))] * 3
 
-            worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
-    return worst
+    def residuals(n, draws):
+        mats = qkz.transport_words(ctx.rep(n), [(w, d.z) for d in draws for w in d.case])
+        return [rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])]
+
+    return _sweep_verdict(resample_sweep(rng, cases, ctx.point, _per_site_count(residuals)))
 
 
 @register("qkz-flatness", "qkz", "translation transports commute after the cocycle shift")
 def _qkz_flatness(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
+    def residuals(n, draws):
+        # both sides of every pair (i, j) of every draw from one transport batch
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for _ in range(10):
-            def residual(z):
-                # both sides of every pair from one transport batch
-                words = [side for i, j in pairs for side in qkz.flatness_words(n, i, j, z)]
-                mats = qkz.transport_words(rep, words)
-                return _worst(*(rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])))
+        words = [side for d in draws for i, j in pairs for side in qkz.flatness_words(n, i, j, d.z)]
+        mats = qkz.transport_words(ctx.rep(n), words)
+        per_pair = [rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])]
+        return [_worst(*per_pair[k : k + len(pairs)]) for k in range(0, len(per_pair), len(pairs))]
 
-            worst = _worst(worst, ctx.eval_resampling(rng, n, residual))
-    return worst
+    # one sweep per draw: a batch of the ten draws at n = 4 would hold 120 transports
+    evaluate = _per_site_count(residuals)
+    return _sweep_verdict(
+        *(resample_sweep(rng, [(n, None)], ctx.point, evaluate) for n in ctx.site_counts(2, 4) for _ in range(10))
+    )
 
 
 @register("qkz-flatness-negative-control", "qkz", "dropping the cocycle shift must break flatness", 1e-3)
 def _qkz_flatness_negative(ctx: VerifyContext, rng):
     n = 2
-    rep = ctx.rep(n)
     w1 = qkz.translation_word(n, 1)
     w2 = qkz.translation_word(n, 2)
 
-    def residual(z):
+    def evaluate(draws):
         # wrong shift: evaluate the second factor at z instead of the moved point
-        m1, m2 = qkz.transport_words(rep, [(w1, z), (w2, z)])
-        return rel_residual(m1 @ m2, m2 @ m1)
+        mats = qkz.transport_words(ctx.rep(n), [(w, d.z) for d in draws for w in (w1, w2)])
+        return [rel_residual(m1 @ m2, m2 @ m1) for m1, m2 in zip(mats[::2], mats[1::2])]
 
-    return _worst(*(ctx.eval_resampling(rng, n, residual) for _ in range(5)))
+    return _sweep_verdict(resample_sweep(rng, [(n, None)] * 5, ctx.point, evaluate))
 
 
 @register("braid-limit", "qkz", "translation transports converge to the braid-limit operators", 1e-10)

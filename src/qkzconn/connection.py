@@ -27,6 +27,7 @@ from .symgroup import (
     conjugation_index,
     content,
     content_labels,
+    content_stabiliser,
     eta_exponent,
     inverse,
     leading_index,
@@ -58,7 +59,9 @@ __all__ = [
     "connection_words",
     "tensor_monodromy_simple",
     "tensor_monodromy_word",
+    "tensor_monodromy_words",
     "tensor_monodromy_from_blocks",
+    "tensor_monodromy_from_blocks_words",
     "dyn_r_matrix",
     "shifted_r_apply",
     "dybe_residual",
@@ -117,15 +120,22 @@ def _letter(dim: int, ones, odd, cols, rows, signs, gi, gj) -> _Letter:
     return _Letter(dim, *index, np.array(signs, dtype=float), *gamma_index)
 
 
-def _fill(letter: _Letter, a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    # a (K, moving) stack of the letter's matrices; a and b hold one row of
-    # moving-column values per matrix, ``unit`` one odd unit per matrix
-    m = np.zeros((len(unit), letter.dim, letter.dim), dtype=complex)
-    m[:, letter.ones, letter.ones] = 1.0
-    m[:, letter.odd, letter.odd] = unit[:, None]
-    m[:, letter.cols, letter.cols] = a
-    m[:, letter.rows, letter.cols] = letter.signs * b
-    return m
+@functools.cache
+def _pad(dim: int) -> _Letter:
+    # the identity as a letter: every column fixed with value 1
+    return _letter(dim, range(dim), [], [], [], [], [], [])
+
+
+def _fill(m: np.ndarray, at, letter: _Letter, a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> None:
+    # write the letter into the slots ``at`` (a slice, or a column of slot
+    # numbers) of a zeroed (K, dim, dim) stack m; a and b hold one row of
+    # moving-column values per slot, ``unit`` one odd unit per slot
+    dim = letter.dim
+    flat = m.reshape(len(m), dim * dim)
+    flat[at, letter.ones * (dim + 1)] = 1.0
+    flat[at, letter.odd * (dim + 1)] = unit[:, None]
+    flat[at, letter.cols * (dim + 1)] = a
+    flat[at, letter.rows * dim + letter.cols] = letter.signs * b
 
 
 class _Word(NamedTuple):
@@ -152,37 +162,62 @@ def _walk(labels: Sequence[int], z: tuple[complex, ...]) -> tuple[complex, ...]:
 def _products(ep: EllipticParams, words: Sequence[_Word]) -> list[np.ndarray]:
     """The product of each word's one-letter matrices, left to right.
 
-    Every coefficient of every letter comes from one elliptic batch.
+    Every coefficient of every letter comes from one elliptic batch.  The
+    words of one dimension multiply one letter position at a time as a
+    (words, dim, dim) stack, starting from their first letters; each
+    position's letters are filled as one stack, and a shorter word is padded
+    with the identity, which leaves its product exact.  So a batch equals the
+    one-word products bit for bit, given the same coefficients.
     """
-    ys, xs, us = [], [], []
+    groups: dict[int, list[_Word]] = {}
     for word in words:
-        for letter, x in zip(word.letters, word.xs):
-            ys.append(word.gamma[letter.gi] - word.gamma[letter.gj])
-            xs.append(np.full(len(letter.cols), x))
-            # a letter without an odd column asks for the unit at u = 0,
-            # which is 1 and costs no theta factor
-            us.append(x if len(letter.odd) else 0j)
-    y, x = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs))
+        groups.setdefault(word.dim, []).append(word)
+    # each position of each dimension, with the slots that hold each distinct
+    # letter there (the pad for the words that have ended); the batch takes
+    # their coefficients in that order.  A letter without an odd column, or a
+    # pad, asks for the unit at u = 0, which is 1 and costs no theta factor
+    plan = []
+    ys, xs, us = [], [], []
+    for dim, members in groups.items():
+        for k in range(max(1, max(len(word.letters) for word in members))):
+            slots: dict[int, list[int]] = {}
+            for s, word in enumerate(members):
+                slots.setdefault(id(word.letters[k]) if k < len(word.letters) else 0, []).append(s)
+            fills = []
+            for same in slots.values():
+                if k >= len(members[same[0]].letters):
+                    fills.append((_pad(dim), same))
+                    us.append(np.zeros(len(same), dtype=complex))
+                    continue
+                letter = members[same[0]].letters[k]
+                x = np.array([members[s].xs[k] for s in same])
+                gamma = np.array([members[s].gamma for s in same])
+                ys.append((gamma[:, letter.gi] - gamma[:, letter.gj]).ravel())
+                xs.append(np.repeat(x, len(letter.cols)))
+                us.append(x if len(letter.odd) else np.zeros(len(same), dtype=complex))
+                fills.append((letter, same))
+            plan.append((dim, k, fills))
+    y, x, u = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs, us))
     try:
-        a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=np.array(us, dtype=complex))
+        a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=u)
     except PoleError as exc:
         names = "; ".join(" ".join(f"s_{i}" for i in word.labels) for word in words)
         raise PoleError(
             f"one-letter matrices of {names}: {exc}", factor=exc.factor, magnitude=exc.magnitude
         ) from exc
-    out = []
-    start = letter_no = 0
-    for word in words:
-        mat = np.eye(word.dim, dtype=complex)
-        for k, letter in enumerate(word.letters):
-            stop = start + len(letter.cols)
-            unit = units[letter_no : letter_no + 1]
-            one = _fill(letter, a[None, start:stop], b[None, start:stop], unit)[0]
-            start, letter_no = stop, letter_no + 1
-            # the identity times the first letter is that letter, exactly
-            mat = one if k == 0 else mat @ one
-        out.append(mat)
-    return out
+    stacks = {}
+    start = slot = 0
+    for dim, k, fills in plan:
+        one = np.zeros((len(groups[dim]), dim, dim), dtype=complex)
+        for letter, same in fills:
+            rows, cols = len(same), len(letter.cols)
+            a_k, b_k = (v[start : start + rows * cols].reshape(rows, cols) for v in (a, b))
+            _fill(one, np.array(same)[:, None], letter, a_k, b_k, units[slot : slot + rows])
+            start, slot = start + rows * cols, slot + rows
+        # the first letter is the starting product
+        stacks[dim] = one if k == 0 else stacks[dim] @ one
+    at = {dim: iter(stack) for dim, stack in stacks.items()}
+    return [next(at[word.dim]) for word in words]
 
 
 @functools.cache
@@ -220,24 +255,25 @@ def _block_word(spec: PrincipalSeriesSpec, labels: Sequence[int], z: Sequence[co
 
 def connection_words(
     ep: EllipticParams,
-    spec: PrincipalSeriesSpec,
-    words: Sequence[tuple[Sequence[int], Sequence[complex]]],
+    words: Sequence[tuple[PrincipalSeriesSpec, Sequence[int], Sequence[complex]]],
 ) -> list[np.ndarray]:
-    """Products of one-letter matrices, one per (letters, z) in ``words``.
+    """Products of one-letter matrices, one per (spec, letters, z) in ``words``.
 
     For the letters (i_1, ..., i_r) at z this is
-    M^{s_i_1}(z) M^{s_i_2}(s_i_1 z) ... , each letter at the point moved by
-    the letters before it.  All letters of all words come from one elliptic
+    M^{s_i_1}(z) M^{s_i_2}(s_i_1 z) ... on the block ``spec``, each letter at
+    the point moved by the letters before it.  The words may lie on
+    different blocks.  All letters of all words come from one elliptic
     batch, so a pole in any of them raises PoleError.
     """
-    validate_spec(ep, spec)
-    return _products(ep, [_block_word(spec, labels, z) for labels, z in words])
+    for spec in dict.fromkeys(spec for spec, _, _ in words):
+        validate_spec(ep, spec)
+    return _products(ep, [_block_word(spec, labels, z) for spec, labels, z in words])
 
 
 def _connection_matrix(
     ep: EllipticParams, spec: PrincipalSeriesSpec, labels: Sequence[int], w: Perm, z: Sequence[complex]
 ) -> ConnectionMatrix:
-    (entries,) = connection_words(ep, spec, [(labels, z)])
+    (entries,) = connection_words(ep, [(spec, labels, z)])
     basis = min_coset_reps(spec.n, spec.index_set)
     return ConnectionMatrix(spec=spec, word=tuple(w), z=tuple(complex(t) for t in z), basis=basis, entries=entries)
 
@@ -283,13 +319,39 @@ def _tensor_letter(n: int, i: int) -> _Letter:
     return _letter(DIM**n, ones, odd, cols, rows, signs, gi, gj)
 
 
-def _tensor_word(
-    ep: EllipticParams, n: int, phi: Sequence[complex], labels: Sequence[int], z: Sequence[complex]
-) -> _Word:
+def _tensor_gamma(ep: EllipticParams, n: int, phi: Sequence[complex]) -> np.ndarray:
+    # the spectral vectors of all contents, concatenated in content_labels order
+    return np.array([g for r in content_labels(n) for g in content_block(ep, n, r, phi).gamma])
+
+
+def _tensor_word(gamma: np.ndarray, n: int, labels: Sequence[int], z: Sequence[complex]) -> _Word:
     z = tuple(complex(t) for t in z)
-    gamma = np.array([g for r in content_labels(n) for g in content_block(ep, n, r, phi).gamma])
+    if len(z) != n:
+        raise ValueError("evaluation point must have one coordinate per site")
     letters = tuple(_tensor_letter(n, i) for i in labels)
     return _Word(letters, tuple(labels), gamma, _walk(labels, z), DIM**n)
+
+
+def tensor_monodromy_words(
+    ep: EllipticParams,
+    words: Sequence[tuple[Sequence[complex], Sequence[int], Sequence[complex]]],
+) -> list[np.ndarray]:
+    """Tensor-basis monodromies, one per (phi, letters, z) in ``words``.
+
+    The word of the letters (i_1, ..., i_r) on n = len(z) sites is the
+    product of the one-letter operators of ``tensor_monodromy_simple``, each
+    at the point moved by the letters before it.  The words may differ in
+    phi and in n.  All letters of all words come from one elliptic batch,
+    so a pole in any of them raises PoleError.
+    """
+    gammas: dict[tuple, np.ndarray] = {}
+    out = []
+    for phi, labels, z in words:
+        key = (len(z), tuple(complex(v) for v in phi))
+        if key not in gammas:
+            gammas[key] = _tensor_gamma(ep, *key)
+        out.append(_tensor_word(gammas[key], len(z), labels, z))
+    return _products(ep, out)
 
 
 def tensor_monodromy_simple(
@@ -302,37 +364,67 @@ def tensor_monodromy_simple(
     -c(x)/c(-x) for the odd entry), and otherwise couples beta to the
     swapped index with A- and B-coefficients whose argument is the gamma
     difference of the block of beta read through its coset representative.
+    The one-letter case of ``tensor_monodromy_words``.
     """
-    return _products(ep, [_tensor_word(ep, n, phi, (i,), z)])[0]
+    return _products(ep, [_tensor_word(_tensor_gamma(ep, n, phi), n, (i,), z)])[0]
 
 
 def tensor_monodromy_word(
     ep: EllipticParams, n: int, phi: Sequence[complex], w: Perm, z: Sequence[complex]
 ) -> np.ndarray:
-    """Tensor-basis monodromy of w assembled by the cocycle rule."""
-    return _products(ep, [_tensor_word(ep, n, phi, reduced_word(w), z)])[0]
+    """Tensor-basis monodromy of w assembled by the cocycle rule; the
+    one-word case of ``tensor_monodromy_words`` along the reduced word of w."""
+    return _products(ep, [_tensor_word(_tensor_gamma(ep, n, phi), n, reduced_word(w), z)])[0]
+
+
+@functools.cache
+def _block_scatter(n: int, r: tuple[int, int, int]) -> tuple[list[int], np.ndarray]:
+    # the tensor indices of the block of content r, in its basis order, and
+    # the outer product of the basis signs (-1)^eta(w_alpha)
+    basis = min_coset_reps(n, content_stabiliser(n, r))
+    lead = leading_index(r)
+    signs = np.array([(-1.0) ** eta_exponent(u, r) for u in basis])
+    return [tensor_index(act(u, lead)) for u in basis], np.outer(signs, signs)
+
+
+def tensor_monodromy_from_blocks_words(
+    ep: EllipticParams,
+    words: Sequence[tuple[Sequence[complex], Sequence[int], Sequence[complex]]],
+) -> list[np.ndarray]:
+    """Tensor-basis monodromies scattered from the per-block matrices, one per
+    (phi, letters, z) in ``words``.
+
+    Entry (alpha, beta) within the block of content r is
+    (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
+    vanishes.  Every block's word of every word comes from one elliptic
+    batch.
+    """
+    block_words = [
+        _block_word(content_block(ep, len(z), r, phi), labels, z)
+        for phi, labels, z in words
+        for r in content_labels(len(z))
+    ]
+    blocks = iter(_products(ep, block_words))
+    out = []
+    for _, _, z in words:
+        n = len(z)
+        mat = np.zeros((DIM**n, DIM**n), dtype=complex)
+        for r in content_labels(n):
+            idx, signs = _block_scatter(n, r)
+            mat[np.ix_(idx, idx)] = signs * next(blocks)
+        out.append(mat)
+    return out
 
 
 def tensor_monodromy_from_blocks(
     ep: EllipticParams, n: int, phi: Sequence[complex], w: Perm, z: Sequence[complex]
 ) -> np.ndarray:
-    """Tensor-basis monodromy of w scattered from the per-block matrices.
-
-    Entry (alpha, beta) within the block of content r is
-    (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
-    vanishes.  Every block's word comes from one elliptic batch.
-    """
-    labels = reduced_word(w)
-    specs = [content_block(ep, n, r, phi) for r in content_labels(n)]
-    blocks = _products(ep, [_block_word(spec, labels, z) for spec in specs])
-    mat = np.zeros((DIM**n, DIM**n), dtype=complex)
-    for r, spec, entries in zip(content_labels(n), specs, blocks):
-        basis = min_coset_reps(n, spec.index_set)
-        lead = leading_index(r)
-        signs = np.array([(-1.0) ** eta_exponent(u, r) for u in basis])
-        idx = [tensor_index(act(u, lead)) for u in basis]
-        mat[np.ix_(idx, idx)] = np.outer(signs, signs) * entries
-    return mat
+    """Tensor-basis monodromy of w scattered from the per-block matrices; the
+    one-word case of ``tensor_monodromy_from_blocks_words`` along the reduced
+    word of w."""
+    if len(z) != n:
+        raise ValueError("evaluation point must have one coordinate per site")
+    return tensor_monodromy_from_blocks_words(ep, [(phi, reduced_word(w), z)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +468,9 @@ def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
     phis = np.broadcast_to(phi, shape + (3,)).reshape(-1, 3)
     ys = phis[:, _R_LETTER.gi] - phis[:, _R_LETTER.gj]
     a, b, unit, _ = coefficients(ep, a=(ys, xs), b=(ys, xs), u=xs[:, 0])
-    return _fill(_R_LETTER, a, b, unit).reshape(shape + (9, 9))
+    m = np.zeros((len(xs), 9, 9), dtype=complex)
+    _fill(m, slice(None), _R_LETTER, a, b, unit)
+    return m.reshape(shape + (9, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +508,8 @@ def shifted_r_apply(
     ep: EllipticParams,
     n: int,
     leg: int,
-    x: complex,
-    phi: Sequence[complex],
+    x,
+    phi,
     family: Sequence[Sequence[int]],
     a: complex,
     control: int,
@@ -425,8 +519,11 @@ def shifted_r_apply(
 
     Acts as R_{leg, leg+1}(x; phi + s_j) on the subspace where the control
     leg carries the basis vector v_j, with s_j built from the offset triple
-    ``family`` by the shift rule above.
+    ``family`` by the shift rule above.  ``x`` of shape S and ``phi`` of
+    shape S + (3,) give a stack of shape S + (3^n, 3^n), with every
+    R-matrix from one elliptic batch.
     """
+    x = np.asarray(x, dtype=complex)[..., None]
     ops = dyn_r_matrix(ep, x, _shifted_phis(ep, phi, family, a, weights))
     return controlled_op(ops, n, leg, leg + 1, control)
 
@@ -544,8 +641,9 @@ def gl2_matrix(ep: EllipticParams, x, y) -> np.ndarray:
     ys = np.stack([y.ravel(), -y.ravel()], axis=1)
     xs = x.reshape(-1, 1)
     a, b, _, _ = coefficients(ep, a=(ys, xs), b=(ys, xs))
-    unit = np.ones(len(ys), dtype=complex)
-    return _fill(_GL2_LETTER, a, b, unit).reshape(x.shape + (4, 4))
+    m = np.zeros((len(ys), 4, 4), dtype=complex)
+    _fill(m, slice(None), _GL2_LETTER, a, b, np.ones(len(ys), dtype=complex))
+    return m.reshape(x.shape + (4, 4))
 
 
 def _gl2_scalar_shift(j: int, a: complex) -> complex:

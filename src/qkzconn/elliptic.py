@@ -18,8 +18,8 @@ an array.  One evaluator, ``coefficients``, computes A and B at stacked
 (y, x) pairs, the odd unit -c(u)/c(-u) and c itself from one ``pow_p`` and
 one ``theta`` call, and ``coeff_a``, ``coeff_b`` and ``c_func`` are thin
 calls into it.  The connection layer makes one such batch per residual
-evaluation: every A, B and odd unit of a draw, across all of its local
-matrices.  A scalar argument is the 0-d case of the same code and returns a
+evaluation: every A, B and odd unit of a draw, or of every draw of a sweep,
+across all of its local matrices.  A scalar argument is the 0-d case of the same code and returns a
 Python complex.
 """
 
@@ -224,39 +224,44 @@ def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
     dya, dxb = ya - xa, xb - yb
     sa, sb = dya.shape, dxb.shape
     na, nb, nc = dya.size, dxb.size, cx.size
+    # an argument of one variable (or none) keeps its own shape, and
+    # broadcasts only in the arithmetic below; it is empty where A or B is
+    # asked at no point, so the batch holds the same distinct arguments
+    ya, xa, ka = (t if na else np.broadcast_to(t, sa) for t in (ya, xa, np.asarray(k2)))
+    yb, xb = (t if nb else np.broadcast_to(t, sb) for t in (yb, xb))
     # exponents in three runs: the guarded theta denominators, in the order
     # they are checked; the theta numerators; the prefactors
     rows = (
-        (cx, nc), (ya, sa), (k2 - xa, sa), (k2 - xb, sb), (-yb, sb),
-        (k2, sa), (dya, sa), (k2 - yb, sb), (-xb, sb), (k2 + cx, nc),
-        ((k2 - ya) * xa, sa), (k2 * dxb, sb), (k2 * cx, nc),
+        cx, ya, k2 - xa, k2 - xb, -yb,
+        ka, dya, k2 - yb, -xb, k2 + cx,
+        (k2 - ya) * xa, k2 * dxb, k2 * cx,
     )
-    ends = list(itertools.accumulate((nc, na, na, nb, nb, na, na, nb, nb, nc, na, nb, nc)))
+    ends = list(itertools.accumulate(row.size for row in rows))
     exps = np.empty(ends[-1], dtype=complex)
-    for (val, shape), lo, hi in zip(rows, [0] + ends, ends):
-        exps[lo:hi].reshape(shape)[...] = val
+    for row, lo, hi in zip(rows, [0] + ends, ends):
+        exps[lo:hi].reshape(row.shape)[...] = row
     pw = pow_p(ep, exps)
     # a stacked sweep's batch holds tens of thousands of exponents: free them
     # before the dedupe below
     del exps
-    n_den = ends[4]
-    # arguments recur across a batch (p^(2 kappa) in every A, one x across a
-    # matrix); theta of each distinct argument once gives the same values
-    z, back = np.unique(pw[: 2 * n_den], return_inverse=True)
+    n_theta = ends[9]
+    # arguments recur across a batch (one x across a matrix, one y across a
+    # sweep's shifts); theta of each distinct argument once gives the same values
+    z, back = np.unique(pw[:n_theta], return_inverse=True)
     th = theta(ep, z)[back]
-    if n_den and np.abs(th[:n_den]).min() < ep.pole_tol:
+    if ends[4] and np.abs(th[: ends[4]]).min() < ep.pole_tol:
         labels = ("p^x", "p^y", "p^(2*kappa-x)", "p^(2*kappa-x)", "p^(-y)")
         for label, lo, hi in zip(labels, [0] + ends, ends):
             _pole_guard(ep, th[lo:hi], label)
     c_den, a_y, a_kx, b_kx, b_my, a_k, a_yx, b_ky, b_mx, c_num = (
-        th[lo:hi] for lo, hi in zip([0] + ends, ends[:10])
+        th[lo:hi].reshape(row.shape) for row, lo, hi in zip(rows, [0] + ends, ends[:10])
     )
-    pre = pw[2 * n_den :]
+    pre = pw[n_theta:]
     out = np.empty(na + nb + nc, dtype=complex)
     out_a, out_b, out_c = out[:na], out[na : na + nb], out[na + nb :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.multiply((a_k * a_yx) / (a_y * a_kx), pre[:na], out=out_a)
-        np.multiply((b_ky * b_mx) / (b_kx * b_my), pre[na : na + nb], out=out_b)
+        np.multiply((a_k * a_yx) / (a_y * a_kx), pre[:na].reshape(sa), out=out_a.reshape(sa))
+        np.multiply((b_ky * b_mx) / (b_kx * b_my), pre[na : na + nb].reshape(sb), out=out_b.reshape(sb))
         np.divide(pre[na + nb :] * c_num, c_den, out=out_c)
         if not np.isfinite(out).all():
             for part, name in ((out_c, "c-function"), (out_a, "A-coefficient"), (out_b, "B-coefficient")):

@@ -9,6 +9,7 @@ r3) counts the entries equal to 1, 2, 3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -123,8 +124,15 @@ def min_coset_reps(n: int, index_set: Iterable[int]) -> tuple[Perm, ...]:
 
     >>> min_coset_reps(3, {2})
     ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+
+    Cached per (n, frozenset(index_set)): every call with the same pair
+    returns the same tuple.
     """
-    index_set = frozenset(index_set)
+    return _min_coset_reps(n, frozenset(index_set))
+
+
+@functools.cache
+def _min_coset_reps(n: int, index_set: frozenset[int]) -> tuple[Perm, ...]:
     return tuple(w for w in all_perms(n) if is_min_coset_rep(w, index_set))
 
 

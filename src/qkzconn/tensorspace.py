@@ -73,17 +73,33 @@ def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
     op = np.asarray(op)
     d = math.isqrt(op.shape[-1])
+    out = np.empty(op.shape[:-2] + (d**n, d**n), dtype=complex)
+    _write_two_leg(out, op, n, a, b)
+    return out
+
+
+def _write_two_leg(out: np.ndarray, op: np.ndarray, n: int, a: int, b: int, control: int = 0, j: int = 0) -> None:
+    # write op x I on the legs (a, b) into out; with a control leg (1-based),
+    # only into the columns where it holds the value j
     lead = op.shape[:-2]
     m = len(lead)
-    out = np.empty(lead + (d**n, d**n), dtype=complex)
+    d = math.isqrt(op.shape[-1])
     # view the result with the row legs a, b first, then the column legs a, b
-    legs = [a - 1, b - 1] + [k for k in range(n) if k not in (a - 1, b - 1)]
+    rest = [k for k in range(n) if k not in (a - 1, b - 1)]
+    legs = [a - 1, b - 1] + rest
     axes = list(range(m)) + [m + k for k in legs] + [m + n + k for k in legs]
     view = out.reshape(lead + (d,) * (2 * n)).transpose(axes)
-    rest = (1,) * (n - 2)
     eye = np.eye(d ** (n - 2)).reshape((1, 1) + (d,) * (n - 2) + (1, 1) + (d,) * (n - 2))
-    np.multiply(op.reshape(lead + (d, d) + rest + (d, d) + rest), eye, out=view)
-    return out
+    cols = n - 2
+    if control:
+        # the column axis of the control leg is fixed at j: in those columns
+        # the identity factor keeps only the rows where the control leg is j
+        c = rest.index(control - 1)
+        fixed = (slice(None),) * (m + n + 2 + c) + (j,)
+        view = view[fixed]
+        eye = eye[(slice(None),) * (n + 2 + c) + (j,)]
+        cols -= 1
+    np.multiply(op.reshape(lead + (d, d) + (1,) * (n - 2) + (d, d) + (1,) * cols), eye, out=view)
 
 
 def controlled_op(ops, n: int, a: int, b: int, control: int) -> np.ndarray:
@@ -92,16 +108,18 @@ def controlled_op(ops, n: int, a: int, b: int, control: int) -> np.ndarray:
     The result is the sum over j of two_leg_op(ops[..., j-1, :, :], n, a, b)
     restricted to the columns whose control leg holds the value j; d is the
     length of the axis -3 of ``ops`` (a sequence of d operators, or a stack
-    S + (d, d^2, d^2) that gives S + (d^n, d^n)).
+    S + (d, d^2, d^2) that gives S + (d^n, d^n)).  Each value's columns are
+    written directly into the one result.
     """
     if control in (a, b):
         raise ValueError("the control leg must lie outside the acting pair")
+    if not 1 <= a < b <= n:
+        raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
     ops = np.asarray(ops)
     d = ops.shape[-3]
-    value = np.arange(d**n) // d ** (n - control) % d
-    out = two_leg_op(ops[..., 0, :, :], n, a, b)
-    for j in range(1, d):
-        np.copyto(out, two_leg_op(ops[..., j, :, :], n, a, b), where=value == j)
+    out = np.empty(ops.shape[:-3] + (d**n, d**n), dtype=complex)
+    for j in range(d):
+        _write_two_leg(out, ops[..., j, :, :], n, a, b, control, j)
     return out
 
 

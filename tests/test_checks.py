@@ -7,16 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkzconn import checks, qkz
+from qkzconn import blocks, checks, connection, qkz
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
     VerifyContext,
     list_checks,
+    resample_sweep,
     run_suite,
 )
-from qkzconn.elliptic import PoleError
-from qkzconn.params import RunConfig, sample_phi, sample_point, sample_scalar
+from qkzconn.elliptic import PoleError, default_params
+from qkzconn.params import RunConfig, sample_phi, sample_point, sample_point_band, sample_scalar
+from qkzconn.symgroup import content_labels
 
 
 class TestRegistry:
@@ -33,32 +35,78 @@ class TestRegistry:
             run_suite("nope", RunConfig(n=2))
 
 
+def _walk(rng, cases, point, evaluate_one, own, retries=5):
+    # the one-by-one loop: each draw samples its own parameters, then points
+    # until one evaluates without a pole
+    out = []
+    for n, case in cases:
+        mine = own(rng, case)
+        for _ in range(retries):
+            z = point(rng, n)
+            try:
+                out.append(evaluate_one(case, mine, z))
+                break
+            except PoleError:
+                continue
+        else:
+            raise ResampleExhausted(f"{retries} pole hits in a row")
+    return out
+
+
 class TestResampling:
     def test_pole_retries_then_gives_up(self):
-        ctx = VerifyContext(RunConfig(n=2))
         calls = []
 
-        def always_pole(z):
-            calls.append(z)
+        def always_pole(draws):
+            calls.append(len(draws))
             raise PoleError("synthetic")
 
         rng = np.random.default_rng(0)
         with pytest.raises(ResampleExhausted):
-            ctx.eval_resampling(rng, 2, always_pole, retries=5)
-        assert len(calls) == 5
+            resample_sweep(rng, [(2, None)] * 3, sample_point_band, always_pole, retries=5)
+        # one batch of all three draws, then five points of the first draw alone
+        assert calls == [3, 1, 1, 1, 1, 1]
 
     def test_recovers_after_pole(self):
-        ctx = VerifyContext(RunConfig(n=2))
-        state = {"first": True}
-
-        def once(z):
-            if state["first"]:
-                state["first"] = False
-                raise PoleError("synthetic")
-            return 42.0
-
         rng = np.random.default_rng(0)
-        assert ctx.eval_resampling(rng, 2, once) == 42.0
+        first = sample_point_band(np.random.default_rng(0), 2)
+
+        def pole_at_first_point(draws):
+            if any(d.z == first for d in draws):
+                raise PoleError("synthetic")
+            return [42.0] * len(draws)
+
+        sweep = resample_sweep(rng, [(2, None)], sample_point_band, pole_at_first_point)
+        assert sweep == ([42.0], 1)
+
+    @pytest.mark.parametrize("pole_below", [-0.6, -2.0], ids=["poles", "no-poles"])
+    def test_sweep_matches_the_walk(self, pole_below):
+        # poles on the draws whose first coordinate lies left of pole_below;
+        # the residual depends on the case, the draw's own sample and its point
+        def residual(case, own, z):
+            if z[0].real < pole_below:
+                raise PoleError("synthetic")
+            return case + own + abs(sum(z))
+
+        batches = []
+
+        def evaluate(draws):
+            batches.append(len(draws))
+            return [residual(d.case, d.own, d.z) for d in draws]
+
+        def own(rng, case):
+            return rng.uniform()
+
+        cases = [(n, float(k)) for k, n in enumerate([2, 3, 4] * 10)]
+        rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+        sweep = resample_sweep(rng, cases, sample_point_band, evaluate, own)
+        want = _walk(replay, cases, sample_point_band, residual, own)
+        assert sweep.residuals == want
+        assert rng.bit_generator.state == replay.bit_generator.state
+        if pole_below > -1.0:
+            assert sweep.pole_resamples > 0 and batches[0] == len(cases) and set(batches[1:]) == {1}
+        else:
+            assert sweep.pole_resamples == 0 and batches == [len(cases)]
 
     def test_per_check_rng_is_stable(self):
         ctx = VerifyContext(RunConfig(n=2, seed=5))
@@ -86,6 +134,40 @@ def _points(site_counts, per_n):
     return draws
 
 
+def _perm(rng, n):
+    rng.integers(math.factorial(n))
+
+
+def _blocks_draws(site_counts, per_block, own=lambda rng, n: None):
+    def draws(ctx, rng):
+        for n in site_counts:
+            for _ in content_labels(n):
+                for _ in range(per_block(n)):
+                    own(rng, n)
+                    sample_point_band(rng, n)
+
+    return draws
+
+
+def _phi_band(n):
+    def draws(ctx, rng):
+        for _ in range(checks.SAMPLES):
+            sample_phi(rng), sample_point_band(rng, n)
+
+    return draws
+
+
+def _routes(ctx, rng):
+    for n in (2, 3):
+        for _ in range(4):
+            _perm(rng, n), sample_point_band(rng, n)
+
+
+def _translation(ctx, rng):
+    for _ in range(5):
+        sample_phi(rng), rng.uniform(-2, 2), rng.uniform(-2, 2), sample_scalar(rng, ctx.ep.nome)
+
+
 def _annulus(ctx, rng):
     for _ in range(200):
         rng.uniform(ctx.ep.nome.p, 1.0), rng.uniform()
@@ -104,6 +186,14 @@ SAMPLE_SEQUENCES = {
     "dybe-negative-control": _sweep(checks.SAMPLES),
     "felder-form": _sweep(checks.SAMPLES),
     "felder-negative-control": _sweep(5),
+    "connection-cocycle": _blocks_draws((2, 3, 4), lambda n: 3, lambda rng, n: (_perm(rng, n), _perm(rng, n))),
+    "connection-braid": _blocks_draws((3,), lambda n: 10),
+    "connection-unitarity": _blocks_draws((2, 3, 4), lambda n: n - 1),
+    "rank2-dynamical": _phi_band(2),
+    "rank3-shifted": _phi_band(3),
+    "monodromy-routes": _routes,
+    "dyn-unitarity": lambda ctx, rng: [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome)) for _ in range(30)],
+    "dynamical-translation": _translation,
     "transport-cocycle": _points((2, 3, 4), 3),
     "qkz-flatness": _points((2, 3, 4), 10),
     "qkz-flatness-negative-control": _points((2,), 5),
@@ -137,6 +227,80 @@ class TestReport:
     def test_timings_populated(self):
         report = run_suite("elliptic", RunConfig(n=2))
         assert set(report.timings) == {r.check for r in report.results}
+
+
+#: the checks whose sweeps resample a point on a pole
+RESAMPLING = (
+    "connection-cocycle", "connection-braid", "connection-unitarity", "rank2-dynamical",
+    "rank3-shifted", "monodromy-routes", "transport-cocycle", "qkz-flatness",
+    "qkz-flatness-negative-control",
+)
+
+
+class TestSweepDetail:
+    def test_resampling_checks_report_their_draws(self):
+        results = {r.check: r for s in ("connection", "qkz") for r in run_suite(s, RunConfig(n=3)).results}
+        for check_id in RESAMPLING:
+            detail = results[check_id].detail
+            assert detail["pole_resamples"] == 0, check_id
+            assert detail["draws"] > 0, check_id
+        # the draw counts of the loops: three per block of n = 2, 3 and ten per block of n = 3
+        assert results["connection-cocycle"].detail["draws"] == 3 * (6 + 10)
+        assert results["connection-braid"].detail["draws"] == 10 * 10
+        assert results["qkz-flatness"].detail["draws"] == 20
+
+
+class TestStackedProducts:
+    """``connection._products`` multiplies words of one dimension position by position."""
+
+    @staticmethod
+    def fake_coefficients(ep, a=((), ()), b=((), ()), u=(), c=()):
+        # an elementwise stand-in, so one word alone gets the coefficients it gets in a batch
+        ya, xa = (np.asarray(t, dtype=complex) for t in a)
+        yb, xb = (np.asarray(t, dtype=complex) for t in b)
+        u = np.asarray(u, dtype=complex)
+        return np.cos(ya) + 0.3 * xa, np.sin(yb - xb) - 0.2j, 1.0 + 0.5j * u + u * u, None
+
+    @staticmethod
+    def one_word(word):
+        # the letters filled one by one and multiplied left to right as 2-d matrices
+        mat = np.eye(word.dim, dtype=complex)
+        for k, (letter, x) in enumerate(zip(word.letters, word.xs)):
+            y = word.gamma[letter.gi] - word.gamma[letter.gj]
+            a, b, unit, _ = TestStackedProducts.fake_coefficients(None, (y, x), (y, x), [x])
+            m = np.zeros((word.dim, word.dim), dtype=complex)
+            m[letter.ones, letter.ones] = 1.0
+            m[letter.odd, letter.odd] = unit[0]
+            m[letter.cols, letter.cols] = a
+            m[letter.rows, letter.cols] = letter.signs * b
+            mat = m if k == 0 else mat @ m
+        return mat
+
+    def test_batch_equals_one_word_products(self, monkeypatch):
+        monkeypatch.setattr(connection, "coefficients", self.fake_coefficients)
+        ep = default_params()
+        phi = (0.11 + 0.05j, -0.23 + 0.17j, 0.31 + 0.09j)
+        z3, z4 = (0.1 + 0.2j, -0.3 + 0.1j, 0.25 + 0.05j), (0.1j, 0.2, -0.3 + 0.1j, 0.4 + 0.2j)
+        # blocks of dimensions 6, 3 and 12 and tensor words of dimension 27,
+        # with lengths 0 to 6 mixed within each dimension
+        spec6, spec3 = blocks.content_block(ep, 3, (1, 1, 1), phi), blocks.content_block(ep, 3, (2, 1, 0), phi)
+        spec12 = blocks.content_block(ep, 4, (2, 1, 1), phi)
+        words = [
+            connection._block_word(spec6, (1, 2, 1), z3),
+            connection._block_word(spec3, (2,), z3),
+            connection._block_word(spec6, (), z3),
+            connection._block_word(spec12, (1, 2, 3, 1, 2, 1), z4),
+            connection._block_word(spec6, (2, 1), z3[::-1]),
+            connection._block_word(spec3, (1, 2, 1, 2), z3),
+            connection._block_word(spec12, (3,), z4),
+            connection._tensor_word(connection._tensor_gamma(ep, 3, phi), 3, (1, 2, 1), z3),
+            connection._tensor_word(connection._tensor_gamma(ep, 3, phi), 3, (2,), z3),
+        ]
+        batch = connection._products(ep, words)
+        assert len(batch) == len(words)
+        for word, got in zip(words, batch):
+            assert got.shape == (word.dim, word.dim)
+            assert np.array_equal(got, self.one_word(word))
 
 
 class TestVerdictRule:

@@ -161,8 +161,8 @@ class TestConnectionWord:
         n = 3
         spec = content_block(ep, n, (1, 1, 1), phi)
         z = band_z(rng, n)
-        words = [((1, 2, 1), z), ((2,), act(simple(n, 1), z)), ((), z)]
-        got = connection_words(ep, spec, words)
+        words = [(spec, (1, 2, 1), z), (spec, (2,), act(simple(n, 1), z)), (spec, (), z)]
+        got = connection_words(ep, words)
         assert rel_residual(got[0], connection_word(ep, spec, (3, 2, 1), z).entries) < 1e-13
         assert rel_residual(got[1], connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries) < 1e-13
         assert np.array_equal(got[2], np.eye(6))
