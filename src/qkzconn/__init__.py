@@ -24,12 +24,8 @@ from .connection import (
     dybe_residual,
     dyn_r_matrix,
     felder_residual,
-    gl2_dybe_residual,
-    gl2_matrix,
     shifted_r_apply,
-    tensor_monodromy_from_blocks,
     tensor_monodromy_from_blocks_words,
-    tensor_monodromy_simple,
     tensor_monodromy_word,
     tensor_monodromy_words,
 )

@@ -639,23 +639,25 @@ def _monodromy_routes(ctx: VerifyContext, rng):
 
 @register("gl2-fixture", "connection", "the 4x4 elliptic fixture: unitarity, block match, braid form", 1e-9)
 def _gl2_fixture(ctx: VerifyContext, rng):
+    # the fixture is the even restriction of the 9x9 R-matrix at
+    # phi = (y/2, -y/2, 0), where phi_1 - phi_2 = y exactly
     ep = ctx.ep
-    worst = 0.0
+    draws = [(sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome), sample_dynamical(rng)) for _ in range(SAMPLES)]
+    x, xp, y = (np.array(v) for v in zip(*draws))
+    phi = np.stack([y / 2.0, -y / 2.0, np.zeros_like(y)], axis=-1)
+    even = [tensor_index((a, b)) for a in (1, 2) for b in (1, 2)]
+    # R(x) and R(-x) of every draw from one stacked call
+    r = conn.dyn_r_matrix(ep, np.stack([x, -x], axis=-1), phi[:, None, :])[..., even, :][..., even]
     eye4 = np.eye(4, dtype=complex)
-    for _ in range(SAMPLES):
-        x = sample_scalar(rng, ep.nome)
-        xp = sample_scalar(rng, ep.nome)
-        y = sample_dynamical(rng)
-        m, m_back = conn.gl2_matrix(ep, [x, -x], y)
-        worst = _worst(worst, rel_residual(m @ m_back, eye4))
-        worst = _worst(worst, conn.gl2_dybe_residual(ep, x, xp, y))
-        # middle 2x2 block against the rank-2 empty-index connection matrix
-        spec = blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(y / 2.0, -y / 2.0))
-        z = (x, 0.0)
-        cm = conn.connection_simple(ep, spec, 1, z).entries
-        block = np.array([[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
-        worst = _worst(worst, rel_residual(cm, block))
-    return worst
+    worst = _worst(0.0, *(rel_residual(m @ m_back, eye4) for m, m_back in r))
+    worst = _worst(worst, *conn.dybe_residual(ep, x, xp, phi, conn.XI_FAMILY, WEIGHTS[:2]))
+    # middle 2x2 block against the rank-2 empty-index connection matrix
+    words = [
+        (blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(v / 2.0, -v / 2.0)), (1,), (u, 0.0))
+        for u, v in zip(x, y)
+    ]
+    cms = conn.connection_words(ep, words)
+    return _worst(worst, *(rel_residual(cm, m[1:3, 1:3]) for cm, (m, _) in zip(cms, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Exit codes: 0 all residuals below tolerance, 1 at least one residual
 failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
 an elliptic evaluation that hits a pole or leaves the double range, or a
-usage error, such as a file that cannot be read or written).
+usage error, such as a file that cannot be read or written or a config
+value that does not parse).  Usage errors print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ def _parse_z(text: str) -> tuple[complex, ...]:
     return tuple(_parse_complex(t) for t in text.split(","))
 
 
+class UsageError(Exception):
+    """A flag or config value that the run cannot use; exit code 2."""
+
+
 def _read_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -59,7 +64,7 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed config line {line!r}")
+                raise UsageError(f"malformed config line {line!r}")
             key, val = line.split("=", 1)
             values[key.strip()] = val.strip().strip('"')
     return values
@@ -82,8 +87,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            base[key] = _CONFIG_PARSERS[key](raw)
+                raise UsageError(f"unknown config key {key!r}")
+            try:
+                base[key] = _CONFIG_PARSERS[key](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config {key} = {raw!r}: {exc}") from None
     for key in _CONFIG_PARSERS:
         flag = getattr(args, key if key != "format" else "fmt", None)
         if flag is not None:
@@ -99,7 +107,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
     if "tol" in base:
         kwargs["residual_tol"] = base["tol"]
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _report_payload(report: Report, timestamp: bool = True) -> dict:
@@ -326,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, EllipticError, OverflowError) as exc:
         # degenerate parameters or an evaluation outside the double range
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ from .tensorspace import (
     PARITY,
     multi_indices,
     permutation_op,
-    rel_residual,
     WEIGHTS,
     controlled_op,
     tensor_index,
@@ -57,17 +56,13 @@ __all__ = [
     "connection_simple",
     "connection_word",
     "connection_words",
-    "tensor_monodromy_simple",
     "tensor_monodromy_word",
     "tensor_monodromy_words",
-    "tensor_monodromy_from_blocks",
     "tensor_monodromy_from_blocks_words",
     "dyn_r_matrix",
     "shifted_r_apply",
     "dybe_residual",
     "felder_residual",
-    "gl2_matrix",
-    "gl2_dybe_residual",
 ]
 
 
@@ -299,8 +294,13 @@ def connection_word(
 
 @functools.cache
 def _tensor_letter(n: int, i: int) -> _Letter:
-    # the pattern of tensor_monodromy_simple; gi and gj index the spectral
-    # vectors of all contents, concatenated in content_labels order
+    # the monodromy of s_i conjugated to the tensor basis.  On a multi-index
+    # beta it is diagonal when the entries at the dual positions (n-i, n-i+1)
+    # agree (1 for even entries, the odd unit -c(x)/c(-x) for the odd one);
+    # otherwise it couples beta to the swapped index with A- and
+    # B-coefficients whose argument is the gamma difference of the block of
+    # beta read through its coset representative.  gi and gj index the
+    # spectral vectors of all contents, concatenated in content_labels order
     ni = dual_position(n, i)
     offset = {r: n * k for k, r in enumerate(content_labels(n))}
     ones, odd, cols, rows, signs, gi, gj = [], [], [], [], [], [], []
@@ -339,8 +339,8 @@ def tensor_monodromy_words(
     """Tensor-basis monodromies, one per (phi, letters, z) in ``words``.
 
     The word of the letters (i_1, ..., i_r) on n = len(z) sites is the
-    product of the one-letter operators of ``tensor_monodromy_simple``, each
-    at the point moved by the letters before it.  The words may differ in
+    product of the one-letter tensor-basis monodromies (``_tensor_letter``),
+    each at the point moved by the letters before it.  The words may differ in
     phi and in n.  All letters of all words come from one elliptic batch,
     so a pole in any of them raises PoleError.
     """
@@ -352,21 +352,6 @@ def tensor_monodromy_words(
             gammas[key] = _tensor_gamma(ep, *key)
         out.append(_tensor_word(gammas[key], len(z), labels, z))
     return _products(ep, out)
-
-
-def tensor_monodromy_simple(
-    ep: EllipticParams, n: int, phi: Sequence[complex], i: int, z: Sequence[complex]
-) -> np.ndarray:
-    """The monodromy of s_i conjugated to the tensor basis, written directly.
-
-    On a multi-index beta the operator is diagonal when the entries at the
-    dual positions (n-i, n-i+1) agree (with value 1 for even entries and
-    -c(x)/c(-x) for the odd entry), and otherwise couples beta to the
-    swapped index with A- and B-coefficients whose argument is the gamma
-    difference of the block of beta read through its coset representative.
-    The one-letter case of ``tensor_monodromy_words``.
-    """
-    return _products(ep, [_tensor_word(_tensor_gamma(ep, n, phi), n, (i,), z)])[0]
 
 
 def tensor_monodromy_word(
@@ -414,17 +399,6 @@ def tensor_monodromy_from_blocks_words(
             mat[np.ix_(idx, idx)] = signs * next(blocks)
         out.append(mat)
     return out
-
-
-def tensor_monodromy_from_blocks(
-    ep: EllipticParams, n: int, phi: Sequence[complex], w: Perm, z: Sequence[complex]
-) -> np.ndarray:
-    """Tensor-basis monodromy of w scattered from the per-block matrices; the
-    one-word case of ``tensor_monodromy_from_blocks_words`` along the reduced
-    word of w."""
-    if len(z) != n:
-        raise ValueError("evaluation point must have one coordinate per site")
-    return tensor_monodromy_from_blocks_words(ep, [(phi, reduced_word(w), z)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +510,6 @@ def _stack_residual(lhs: np.ndarray, rhs: np.ndarray):
     return out.item() if out.ndim == 0 else out
 
 
-def _braid_form(r12, r23) -> tuple[np.ndarray, np.ndarray]:
-    # r12(m) and r23(m) build the operators at x, y and x + y (m = 0, 1, 2)
-    # as the products reach them, so that few stacks are alive at once:
-    # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x)
-    lhs = r12(0) @ r23(2) @ r12(1)
-    return lhs, r23(1) @ r12(2) @ r23(0)
-
-
 def dybe_residual(
     ep: EllipticParams,
     x,
@@ -558,23 +524,35 @@ def dybe_residual(
       = R23(y; ...) R12(x+y; ...) R23(x; ...).
     ``x`` and ``y`` of shape S and ``phi`` of shape S + (3,) give one
     residual per draw, shaped S (a float for scalars and one triple).  All
-    18 shifted R-matrices of every draw come from one elliptic batch.
+    shifted R-matrices of every draw come from one elliptic batch.
     Passing perturbed ``weights`` gives a negative control.
+
+    The length d of ``weights`` is the site set: the first d basis vectors.
+    Three weights give the equation on (C^3)^(x 3); two restrict every
+    R-matrix to the even two-site basis and the control values to v_1 and
+    v_2, which gives the rank-one (gl(2)) equation on (C^2)^(x 3).
     """
     k = ep.kappa
+    d = len(weights)
+    sites = [DIM * a + b for a in range(d) for b in range(d)]
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    # the 18 R-matrices of a draw in the order (a, argument, control value)
-    args = np.broadcast_to(np.stack([x, y, x + y], axis=-1)[..., None, :, None], x.shape + (2, 3, 3))
+    # the 6d R-matrices of a draw in the order (a, argument, control value)
+    args = np.broadcast_to(np.stack([x, y, x + y], axis=-1)[..., None, :, None], x.shape + (2, 3, d))
     phis = np.stack([_shifted_phis(ep, phi, family, a, weights) for a in (-k, k)], axis=-3)
-    phis = np.broadcast_to(phis[..., None, :, :], x.shape + (2, 3, 3, 3))
-    r = dyn_r_matrix(ep, args.reshape(x.shape + (18,)), phis.reshape(x.shape + (18, 3)))
-    r = r.reshape(x.shape + (2, 3, 3, 9, 9))
-    return _stack_residual(
-        *_braid_form(
-            lambda m: controlled_op(r[..., 0, m, :, :, :], 3, 1, 2, 3),
-            lambda m: controlled_op(r[..., 1, m, :, :, :], 3, 2, 3, 1),
-        )
-    )
+    phis = np.broadcast_to(phis[..., None, :, :], x.shape + (2, 3, d, 3))
+    r = dyn_r_matrix(ep, args.reshape(x.shape + (6 * d,)), phis.reshape(x.shape + (6 * d, 3)))
+    r = r.reshape(x.shape + (2, 3, d, 9, 9))
+
+    def op(f, m):
+        # R12 controlled by leg 3 (f = 0) or R23 by leg 1 (f = 1) at x, y or
+        # x + y (m = 0, 1, 2), built as the product reaches it, so that few
+        # stacks are alive at once
+        ops = r[..., f, m, :, :, :][..., sites, :][..., sites]
+        return controlled_op(ops, 3, *((1, 2, 3), (2, 3, 1))[f])
+
+    # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x)
+    lhs = op(0, 0) @ op(1, 2) @ op(0, 1)
+    return _stack_residual(lhs, op(1, 1) @ op(0, 2) @ op(1, 0))
 
 
 _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
@@ -620,53 +598,3 @@ def felder_residual(
 
     lhs = op(0) @ op(1) @ op(2)
     return _stack_residual(lhs, op(3) @ op(4) @ op(5))
-
-
-# ---------------------------------------------------------------------------
-# the rank-one elliptic fixture (two-state sites)
-
-
-#: the 4x4 fixture: (1,1) and (2,2) are fixed, (1,2) moves to (2,1) with
-#: y and (2,1) to (1,2) with -y
-_GL2_LETTER = _letter(4, [0, 3], [], [1, 2], [2, 1], [1.0, 1.0], [], [])
-
-
-def gl2_matrix(ep: EllipticParams, x, y) -> np.ndarray:
-    """The 4x4 elliptic matrix with scalar dynamical parameter y.
-
-    ``x`` and ``y`` broadcast to a stack of 4x4 matrices, with every entry
-    from one elliptic batch.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    ys = np.stack([y.ravel(), -y.ravel()], axis=1)
-    xs = x.reshape(-1, 1)
-    a, b, _, _ = coefficients(ep, a=(ys, xs), b=(ys, xs))
-    m = np.zeros((len(ys), 4, 4), dtype=complex)
-    _fill(m, slice(None), _GL2_LETTER, a, b, np.ones(len(ys), dtype=complex))
-    return m.reshape(x.shape + (4, 4))
-
-
-def _gl2_scalar_shift(j: int, a: complex) -> complex:
-    # restriction of the xi-family to two-state sites: control value 1 lowers
-    # the scalar dynamical parameter by a, control value 2 raises it
-    return -a if j == 1 else a
-
-
-def gl2_dybe_residual(
-    ep: EllipticParams, x: complex, xp: complex, y: complex, flip_shifts: bool = False
-) -> float:
-    """Braid-form dynamical Yang-Baxter defect of the 4x4 fixture on (C^2)^(x 3).
-
-    The empirically determined convention: the control value j = 1 shifts
-    the scalar parameter by -a and j = 2 by +a, with a = -kappa on the pair
-    (1,2) controlled by leg 3 and a = +kappa on the pair (2,3) controlled by
-    leg 1.  ``flip_shifts`` negates the shifts (negative control).  All 12
-    matrices come from one elliptic batch.
-    """
-    k = -ep.kappa if flip_shifts else ep.kappa
-    args = np.repeat([x, xp, x + xp], 2)
-    dyn = [[y + _gl2_scalar_shift(j, a) for j in (1, 2)] * 3 for a in (-k, k)]
-    m = gl2_matrix(ep, np.tile(args, 2), np.concatenate(dyn)).reshape(2, 3, 2, 4, 4)
-    r12 = [controlled_op(ops, 3, 1, 2, 3) for ops in m[0]]
-    r23 = [controlled_op(ops, 3, 2, 3, 1) for ops in m[1]]
-    return rel_residual(*_braid_form(r12.__getitem__, r23.__getitem__))

@@ -45,6 +45,10 @@ class RunConfig:
             raise ValueError(f"need at least two sites, got n={self.n}")
         if self.n > SITE_CAP:
             raise ValueError(f"n={self.n} exceeds the desk-scale cap {SITE_CAP}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.fmt not in ("json", "table"):
+            raise ValueError(f"format must be json or table, got {self.fmt!r}")
         # NaN and inf pass a plain "<= 0" test; both would decide every verdict
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")

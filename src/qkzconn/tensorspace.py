@@ -8,9 +8,9 @@ For n = 2 this reproduces the ordered basis (v1 v1, v1 v2, v1 v3, v2 v1, ...).
 Local operators are embedded in one way: ``two_leg_op`` writes op x I into
 the legs (a, b) of a d^n x d^n matrix, with the site dimension d read from
 the operator's shape (d^2 x d^2), so the same rule serves the three-state
-sites and the two-state sites of the gl(2) fixture.  ``controlled_op``
-builds on it for the dynamical shifts, which pick the operator by the value
-of a third, control leg.
+sites and their two-state even restriction (the rank-one fixture).
+``controlled_op`` builds on it for the dynamical shifts, which pick the
+operator by the value of a third, control leg.
 
 The spin representation preserves the content of a multi-index (how many of
 its entries are 1, 2 and 3), so its operators are block-diagonal by content.

@@ -17,7 +17,14 @@ from qkzconn.checks import (
     run_suite,
 )
 from qkzconn.elliptic import PoleError, default_params
-from qkzconn.params import RunConfig, sample_phi, sample_point, sample_point_band, sample_scalar
+from qkzconn.params import (
+    RunConfig,
+    sample_dynamical,
+    sample_phi,
+    sample_point,
+    sample_point_band,
+    sample_scalar,
+)
 from qkzconn.symgroup import content_labels
 
 
@@ -192,6 +199,10 @@ SAMPLE_SEQUENCES = {
     "rank2-dynamical": _phi_band(2),
     "rank3-shifted": _phi_band(3),
     "monodromy-routes": _routes,
+    "gl2-fixture": lambda ctx, rng: [
+        (sample_scalar(rng, ctx.ep.nome), sample_scalar(rng, ctx.ep.nome), sample_dynamical(rng))
+        for _ in range(checks.SAMPLES)
+    ],
     "dyn-unitarity": lambda ctx, rng: [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome)) for _ in range(30)],
     "dynamical-translation": _translation,
     "transport-cocycle": _points((2, 3, 4), 3),

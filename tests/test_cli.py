@@ -8,6 +8,7 @@ import pytest
 
 from qkzconn import checks
 from qkzconn.cli import main
+from qkzconn.params import RunConfig
 
 
 def pair_to_complex(pair):
@@ -198,12 +199,20 @@ class TestOutputFile:
         assert payload["kind"] == "verification_report"
 
 
+class ConfigText(str):
+    """An argument that stands for a config file holding this text."""
+
+
 #: usage errors: refused before any report or export is written
 _USAGE_ERRORS = [
     ("verify", "dybe", "--n", "3", "--tol", "nan"),
     ("verify", "dybe", "--n", "3", "--tol", "inf"),
     ("verify", "elliptic", "--config", "/nonexistent"),
     ("rmatrix", "--out", "/nonexistent/dir/x.json"),
+    ("verify", "dybe", "--seed", "-5"),
+    ("verify", "elliptic", "--config", ConfigText("phi = 1,2\n")),
+    ("verify", "elliptic", "--config", ConfigText("kappa = abc\n")),
+    ("verify", "elliptic", "--config", ConfigText("format = xml\n")),
 ]
 
 
@@ -222,8 +231,11 @@ class TestEvaluationFailuresAreInconclusive:
             *_USAGE_ERRORS,
         ],
     )
-    def test_exit_code_two(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_exit_code_two(self, capsys, tmp_path, argv):
+        files = {a: tmp_path / f"run{k}.cfg" for k, a in enumerate(argv) if isinstance(a, ConfigText)}
+        for text, path in files.items():
+            path.write_text(text)
+        code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
         assert code == 2
         if argv in _USAGE_ERRORS:
             assert out == ""
@@ -234,3 +246,10 @@ class TestEvaluationFailuresAreInconclusive:
         else:
             assert "0 failed" in out
             assert "inconclusive" in out
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-5)
+        code, _, err = run_cli(capsys, "verify", "dybe", "--seed", "-5")
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err and "-5" in err

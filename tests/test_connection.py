@@ -17,18 +17,18 @@ from qkzconn.connection import (
     dybe_residual,
     dyn_r_matrix,
     felder_residual,
-    gl2_dybe_residual,
-    gl2_matrix,
     shifted_r_apply,
-    tensor_monodromy_from_blocks,
-    tensor_monodromy_simple,
+    tensor_monodromy_from_blocks_words,
     tensor_monodromy_word,
+    tensor_monodromy_words,
 )
 from qkzconn import connection, elliptic
 from qkzconn.elliptic import PoleError, coeff_a, coeff_b, c_func
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
 from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, reduced_word, simple
 from qkzconn.tensorspace import (
+    WEIGHTS,
+    controlled_op,
     multi_indices,
     permutation_op,
     rel_residual,
@@ -42,6 +42,20 @@ def half_period(ep):
 
 def band_z(rng, n):
     return sample_point_band(rng, n)
+
+
+#: the even two-site basis vectors v_a v_b with a, b in {1, 2}
+EVEN = [tensor_index((a, b)) for a in (1, 2) for b in (1, 2)]
+
+
+def even(r):
+    # the restriction of a (stack of) 9x9 matrices to the even two-site basis
+    return r[..., EVEN, :][..., EVEN]
+
+
+def fixture_phi(y, phi3=0.0):
+    # phi_1 - phi_2 = y exactly
+    return (y / 2, -y / 2, phi3)
 
 
 class TestConnectionSimple:
@@ -173,7 +187,7 @@ class TestTensorMonodromy:
         for _ in range(5):
             phi = sample_phi(rng)
             z = band_z(rng, 2)
-            m = tensor_monodromy_simple(ep, 2, phi, 1, z)
+            (m,) = tensor_monodromy_words(ep, [(phi, (1,), z)])
             r = dyn_r_matrix(ep, z[0] - z[1], phi)
             assert rel_residual(m, r) < 1e-9
 
@@ -183,7 +197,7 @@ class TestTensorMonodromy:
         n, i = 3, 1
         z = band_z(rng, n)
         x = z[0] - z[1]
-        m = tensor_monodromy_simple(ep, n, phi, i, z)
+        (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (1, 3, 2)
         col = m[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep)
@@ -196,7 +210,7 @@ class TestTensorMonodromy:
         n, i = 3, 1
         z = band_z(rng, n)
         x = z[0] - z[1]
-        m = tensor_monodromy_simple(ep, n, phi, i, z)
+        (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (2, 3, 2)
         col = m[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep) + ep.kappa
@@ -207,7 +221,7 @@ class TestTensorMonodromy:
         n, i = 3, 1
         z = band_z(rng, n)
         x = z[0] - z[1]
-        m = tensor_monodromy_simple(ep, n, phi, i, z)
+        (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         for beta, want in (
             ((3, 1, 1), 1.0),  # equal even entries at the dual pair
             ((1, 3, 3), -c_func(ep, x) / c_func(ep, -x)),  # equal odd entries
@@ -220,7 +234,7 @@ class TestTensorMonodromy:
             for w in [simple(n, 1), (tuple(range(n, 0, -1)))]:
                 z = band_z(rng, n)
                 a = tensor_monodromy_word(ep, n, phi, w, z)
-                b = tensor_monodromy_from_blocks(ep, n, phi, w, z)
+                (b,) = tensor_monodromy_from_blocks_words(ep, [(phi, reduced_word(w), z)])
                 assert rel_residual(a, b) < 1e-9
 
     def test_rank3_shift_identities(self, ep, rng):
@@ -228,10 +242,10 @@ class TestTensorMonodromy:
         for _ in range(5):
             phi = sample_phi(rng)
             z = band_z(rng, 3)
-            m1 = tensor_monodromy_simple(ep, 3, phi, 1, z)
+            (m1,) = tensor_monodromy_words(ep, [(phi, (1,), z)])
             s1 = shifted_r_apply(ep, 3, 2, z[0] - z[1], phi, PSI_FAMILY, ep.kappa, control=1)
             assert rel_residual(m1, s1) < 1e-9
-            m2 = tensor_monodromy_simple(ep, 3, phi, 2, z)
+            (m2,) = tensor_monodromy_words(ep, [(phi, (2,), z)])
             s2 = shifted_r_apply(ep, 3, 1, z[1] - z[2], phi, PSI_FAMILY, -ep.kappa, control=3)
             assert rel_residual(m2, s2) < 1e-9
 
@@ -335,7 +349,7 @@ class TestThetaBudget:
 
     @pytest.mark.parametrize("n, i", [(2, 1), (3, 2), (4, 2)])
     def test_tensor_monodromy_simple(self, ep, phi, rng, theta_calls, n, i):
-        tensor_monodromy_simple(ep, n, phi, i, band_z(rng, n))
+        tensor_monodromy_words(ep, [(phi, (i,), band_z(rng, n))])
         assert len(theta_calls) <= 3
 
     def test_one_batch_per_residual(self, ep, phi, rng, theta_calls):
@@ -344,10 +358,10 @@ class TestThetaBudget:
         for evaluate in (
             lambda: dybe_residual(ep, x, y, phi, PSI_FAMILY),
             lambda: felder_residual(ep, x, y, phi),
-            lambda: gl2_dybe_residual(ep, x, y, 0.2 + 0.1j),
+            lambda: dybe_residual(ep, x, y, fixture_phi(0.2 + 0.1j), XI_FAMILY, WEIGHTS[:2]),
             lambda: connection_word(ep, content_block(ep, 4, (2, 1, 1), phi), (4, 3, 2, 1), band_z(rng, 4)),
             lambda: tensor_monodromy_word(ep, 3, phi, (3, 2, 1), band_z(rng, 3)),
-            lambda: tensor_monodromy_from_blocks(ep, 3, phi, (3, 2, 1), band_z(rng, 3)),
+            lambda: tensor_monodromy_from_blocks_words(ep, [(phi, (1, 2, 1), band_z(rng, 3))]),
         ):
             theta_calls.clear()
             evaluate()
@@ -484,15 +498,17 @@ class TestDybe:
 
 
 class TestGl2Fixture:
+    """The two-state fixture: the even restriction of the 9x9 R-matrix."""
+
     def test_identity_at_zero(self, ep):
-        assert np.max(np.abs(gl2_matrix(ep, 0.0, 0.3 + 0.1j) - np.eye(4))) < 1e-12
+        assert np.max(np.abs(even(dyn_r_matrix(ep, 0.0, fixture_phi(0.3 + 0.1j))) - np.eye(4))) < 1e-12
 
     def test_unitarity(self, ep, rng):
         for _ in range(10):
             x = sample_scalar(rng, ep.nome)
             y = sample_dynamical(rng)
-            prod = gl2_matrix(ep, x, y) @ gl2_matrix(ep, -x, y)
-            assert rel_residual(prod, np.eye(4)) < 1e-9
+            r, r_back = even(dyn_r_matrix(ep, [x, -x], fixture_phi(y)))
+            assert rel_residual(r @ r_back, np.eye(4)) < 1e-9
 
     def test_agrees_with_rank2_connection(self, ep, rng):
         for _ in range(10):
@@ -500,14 +516,50 @@ class TestGl2Fixture:
             y = sample_dynamical(rng)
             spec = PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(y / 2, -y / 2))
             cm = connection_simple(ep, spec, 1, (x, 0.0)).entries
-            m = gl2_matrix(ep, x, y)
+            m = even(dyn_r_matrix(ep, x, fixture_phi(y)))
             block = np.array([[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
             assert rel_residual(cm, block) < 1e-9
 
     def test_braid_form_and_control(self, ep, rng):
+        negated = tuple(tuple(-v for v in w) for w in WEIGHTS[:2])
         for _ in range(5):
             x = sample_scalar(rng, ep.nome)
             xp = sample_scalar(rng, ep.nome)
-            y = sample_dynamical(rng)
-            assert gl2_dybe_residual(ep, x, xp, y) < 1e-9
-            assert gl2_dybe_residual(ep, x, xp, y, flip_shifts=True) > 1e-3
+            phi = fixture_phi(sample_dynamical(rng))
+            assert dybe_residual(ep, x, xp, phi, XI_FAMILY, WEIGHTS[:2]) < 1e-9
+            assert dybe_residual(ep, x, xp, phi, XI_FAMILY, negated) > 1e-3
+
+    def test_two_weights_equal_a_hand_built_braid_form(self, ep, rng):
+        # the rank-one rule written out: control value v_1 lowers the scalar
+        # parameter y by a and v_2 raises it, with a = -kappa on the pair
+        # (1, 2) controlled by leg 3 and a = +kappa on (2, 3) controlled by leg 1
+        def by_hand(x, xp, y, k):
+            def ops(arg, a):
+                return [even(dyn_r_matrix(ep, arg, fixture_phi(y + s))) for s in (-a, a)]
+
+            def r12(arg):
+                return controlled_op(ops(arg, -k), 3, 1, 2, 3)
+
+            def r23(arg):
+                return controlled_op(ops(arg, k), 3, 2, 3, 1)
+
+            return rel_residual(r12(x) @ r23(x + xp) @ r12(xp), r23(xp) @ r12(x + xp) @ r23(x))
+
+        negated = tuple(tuple(-v for v in w) for w in WEIGHTS[:2])
+        for _ in range(3):
+            x, xp, y = sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome), sample_dynamical(rng)
+            got = dybe_residual(ep, x, xp, fixture_phi(y), XI_FAMILY, WEIGHTS[:2])
+            assert got < 1e-9 and by_hand(x, xp, y, ep.kappa) < 1e-9
+            # away from zero the two residuals agree to rounding
+            got = dybe_residual(ep, x, xp, fixture_phi(y), XI_FAMILY, negated)
+            want = by_hand(x, xp, y, -ep.kappa)
+            assert want > 1e-3
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_even_restriction_ignores_phi3(self, ep, rng):
+        for _ in range(5):
+            x, y = sample_scalar(rng, ep.nome), sample_dynamical(rng)
+            phi3 = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.02, 0.3))
+            want = even(dyn_r_matrix(ep, x, fixture_phi(y)))
+            got = even(dyn_r_matrix(ep, x, fixture_phi(y, phi3)))
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
