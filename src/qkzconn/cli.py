@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ from .symgroup import (
     identity_perm,
     leading_index,
     min_coset_reps,
+    reduced_word,
 )
 
 
@@ -254,10 +256,13 @@ def _parse_word(text: str, n: int):
         return identity_perm(n)
     letters = []
     for tok in text.replace(",", " ").split():
-        if not tok.startswith("s"):
-            raise ValueError(f"cannot parse word letter {tok!r}; expected e.g. 's1 s2 s1'")
+        if not (tok.startswith("s") and tok[1:].isdecimal()):
+            raise UsageError(f"cannot parse word letter {tok!r}; expected e.g. 's1 s2 s1'")
         letters.append(int(tok[1:]))
-    return from_word(n, letters)
+    try:
+        return from_word(n, letters)
+    except ValueError as exc:  # a letter s_i outside 1 <= i < n
+        raise UsageError(str(exc)) from None
 
 
 def cmd_connection(args: argparse.Namespace) -> int:
@@ -265,29 +270,26 @@ def cmd_connection(args: argparse.Namespace) -> int:
     ep = cfg.elliptic()
     phi = cfg.resolved_phi()
     n = args.n if args.n is not None else cfg.n
-    try:
-        w = _parse_word(args.w, n)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    w = _parse_word(args.w, n)
     z = args.z if args.z is not None else sample_point(cfg.rng(), n, ep.nome)
     if len(z) != n:
-        print(f"evaluation point needs {n} coordinates, got {len(z)}", file=sys.stderr)
-        return 2
-    blocks_out = []
-    for r in content_labels(n):
-        spec = blk.content_block(ep, n, r, phi)
-        cm = conn.connection_word(ep, spec, w, z)
-        blocks_out.append(
-            {
-                "content": r,
-                "index_set": spec.index_set,
-                "signs": spec.signs,
-                "gamma": spec.gamma,
-                "basis": cm.basis,
-                "entries": cm.entries,
-            }
-        )
+        raise UsageError(f"evaluation point needs {n} coordinates, got {len(z)}")
+    contents = content_labels(n)
+    specs = [blk.content_block(ep, n, r, phi) for r in contents]
+    labels = reduced_word(w)
+    mats = conn.connection_words(ep, [(spec, labels, z) for spec in specs])
+    blocks_out = [
+        {
+            "content": r,
+            "index_set": spec.index_set,
+            "signs": spec.signs,
+            "gamma": spec.gamma,
+            "basis": min_coset_reps(n, spec.index_set),
+            "entries": entries,
+        }
+        for r, spec, entries in zip(contents, specs, mats)
+    ]
+    # an independent route: the export gate compares it with the blocks
     tensor = conn.tensor_monodromy_word(ep, n, phi, w, z)
     payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks_out, tensor)
     _emit(serialize.dumps(payload), cfg.out)
@@ -306,7 +308,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args returns a fresh
+    # Namespace each time, so one parser serves every call in a process
     parser = argparse.ArgumentParser(
         prog="qkzconn",
         description="numerical verification of the elliptic dynamical R-matrix "
@@ -333,8 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     p_conn.add_argument("--z", type=_parse_z, default=None, help="evaluation point z1,z2,...")
     _add_common(p_conn)
     p_conn.set_defaults(fn=cmd_connection)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

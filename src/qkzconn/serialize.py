@@ -34,7 +34,10 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def matrix_to_lists(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(v) for v in row] for row in np.asarray(mat)]
+    """Rows of [re, im] pairs: the same Python floats as ``complex_to_pair``
+    per entry, -0.0 included, built in one pass."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _parameters(p: float, kappa: complex, phi=None, z=None) -> dict[str, Any]:
@@ -122,5 +125,6 @@ def finite_or_null(obj: Any) -> Any:
 
 
 def dumps(payload: dict[str, Any]) -> str:
-    """Strict JSON: a non-finite float raises ValueError instead of writing ``NaN``."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    """Strict JSON on one line: a non-finite float raises ValueError instead of
+    writing ``NaN``.  Without ``indent``, ``json`` runs its C encoder."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False)

@@ -2,13 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qkzconn
 from qkzconn import checks
+from qkzconn.blocks import content_block
 from qkzconn.cli import main
+from qkzconn.connection import connection_word, tensor_monodromy_word
 from qkzconn.params import RunConfig
+from qkzconn.symgroup import content_labels, from_word
 
 
 def pair_to_complex(pair):
@@ -176,6 +183,30 @@ class TestConnectionCommand:
         code, _, err = run_cli(capsys, "connection", "--n", "2", "--w", "garbage")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_batch_matches_one_word_routes(self, capsys, n):
+        # the blocks come from one elliptic batch, so each may move in its
+        # last bits against its own connection_word; the tensor operator is
+        # computed on its own and is bit for bit
+        letters = [i for k in range(1, n) for i in range(k, 0, -1)]
+        z = (0.21 + 0.05j, 0.02, -0.3 + 0.11j, 0.1)[:n]
+        text_z = ",".join(str(t) for t in z)
+        code, out, _ = run_cli(
+            capsys, "connection", "--n", str(n), "--w", " ".join(f"s{i}" for i in letters), f"--z={text_z}"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        cfg = RunConfig(n=n)
+        ep, phi, w = cfg.elliptic(), cfg.resolved_phi(), from_word(n, letters)
+        assert [tuple(b["content"]) for b in payload["blocks"]] == content_labels(n)
+        for block in payload["blocks"]:
+            want = connection_word(ep, content_block(ep, n, tuple(block["content"]), phi), w, z)
+            assert [tuple(u) for u in block["basis"]] == list(want.basis)
+            got = lists_to_matrix(block["entries"])
+            assert np.all(np.abs(got - want.entries) <= 1e-13 * np.abs(want.entries))
+        tensor = lists_to_matrix(payload["tensor_operator"])
+        assert np.array_equal(tensor, tensor_monodromy_word(ep, n, phi, w, z))
+
     def test_rank2_matches_rmatrix(self, capsys):
         # the two-site tensor operator for the flip is the exported R-matrix at z1 - z2
         code1, out1, _ = run_cli(
@@ -213,6 +244,10 @@ _USAGE_ERRORS = [
     ("verify", "elliptic", "--config", ConfigText("phi = 1,2\n")),
     ("verify", "elliptic", "--config", ConfigText("kappa = abc\n")),
     ("verify", "elliptic", "--config", ConfigText("format = xml\n")),
+    ("connection", "--n", "3", "--w", "s3"),
+    ("connection", "--n", "3", "--w", "sX"),
+    ("connection", "--n", "3", "--w", "s0"),
+    ("connection", "--n", "3", "--z", "0.1,0.2"),
 ]
 
 
@@ -240,6 +275,7 @@ class TestEvaluationFailuresAreInconclusive:
         if argv in _USAGE_ERRORS:
             assert out == ""
             assert len(err.splitlines()) == 1
+            assert err.startswith("error:")
         elif argv[0] == "rmatrix":
             assert out == ""  # nothing exported
             assert err.startswith("inconclusive:")
@@ -253,3 +289,36 @@ class TestEvaluationFailuresAreInconclusive:
         code, _, err = run_cli(capsys, "verify", "dybe", "--seed", "-5")
         assert code == 2
         assert err.startswith("error:") and "seed" in err and "-5" in err
+
+    def test_non_finite_point_writes_no_export(self, capsys, tmp_path):
+        out_file = tmp_path / "c.json"
+        code, out, err = run_cli(capsys, "connection", "--n", "3", "--z=nan,0,0", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert not out_file.exists()
+
+
+def fresh_process(*argv):
+    """Exit code and stdout of ``python -m qkzconn.cli`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(qkzconn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def test_cached_parser_does_not_leak_between_calls(capsys, tmp_path):
+    first, fresh = tmp_path / "first.json", tmp_path / "fresh.json"
+    code1, out1, _ = run_cli(capsys, "rmatrix", "--seed", "4", "--x=0.1+0.2j", "--out", str(first))
+    code2, out2, _ = run_cli(capsys, "rmatrix")
+    assert code1 == code2 == 0
+    assert out1 == ""
+    # the bare call takes the default x and seed and writes to stdout
+    bare = json.loads(out2)["parameters"]
+    assert bare["x"] == [0.3, 0.1]
+    assert bare["phi"] == [[t.real, t.imag] for t in RunConfig().resolved_phi()]
+    assert fresh_process("rmatrix", "--seed", "4", "--x=0.1+0.2j", "--out", str(fresh))[0] == 0
+    assert first.read_text() == fresh.read_text()
+    assert fresh_process("rmatrix") == (0, out2)
