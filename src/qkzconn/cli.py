@@ -289,7 +289,8 @@ def cmd_connection(args: argparse.Namespace) -> int:
         }
         for r, spec, entries in zip(contents, specs, mats)
     ]
-    # an independent route: the export gate compares it with the blocks
+    # computed on its own, not scattered from the blocks, so the two routes
+    # of the monodromy can be checked against each other
     tensor = conn.tensor_monodromy_word(ep, n, phi, w, z)
     payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks_out, tensor)
     _emit(serialize.dumps(payload), cfg.out)
