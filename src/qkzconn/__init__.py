@@ -19,14 +19,12 @@ from .connection import (
     XI_FAMILY,
     ConnectionMatrix,
     connection_simple,
-    connection_word,
     connection_words,
     dybe_residual,
     dyn_r_matrix,
     felder_residual,
     shifted_r_apply,
     tensor_monodromy_from_blocks_words,
-    tensor_monodromy_word,
     tensor_monodromy_words,
 )
 from .elliptic import (

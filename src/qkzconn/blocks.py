@@ -21,6 +21,7 @@ from .heckespin import SpinRep, rho_vector, t_word, y_operators, y_tilde
 from .symgroup import (
     Content,
     Perm,
+    act,
     content_labels,
     content_stabiliser,
     eta_exponent,
@@ -172,8 +173,6 @@ def sign_residual(rep: SpinRep, r: Content, w: Perm, inclusive: bool = True) -> 
     n = rep.n
     if not is_min_coset_rep(w, content_stabiliser(n, r)):
         raise ValueError(f"{w} is not a minimal coset representative for content {r}")
-    from .symgroup import act
-
     src = tensor_index(leading_index(r))
     dst = tensor_index(act(w, leading_index(r)))
     sign = (-1.0) ** eta_exponent(w, r, inclusive=inclusive)

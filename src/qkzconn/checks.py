@@ -603,7 +603,7 @@ def _rank2_dynamical(ctx: VerifyContext, rng):
     def evaluate(draws):
         ms = conn.tensor_monodromy_words(ctx.ep, [(d.own, (1,), d.z) for d in draws])
         rs = conn.dyn_r_matrix(ctx.ep, [d.z[0] - d.z[1] for d in draws], [d.own for d in draws])
-        return [rel_residual(m, r) for m, r in zip(ms, rs)]
+        return [rel_residual(m.dense(), r) for m, r in zip(ms, rs)]
 
     return _sweep_verdict(resample_sweep(rng, [(2, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi))
 
@@ -614,7 +614,8 @@ def _rank3_shifted(ctx: VerifyContext, rng):
 
     def evaluate(draws):
         phi, z = np.array([d.own for d in draws]), np.array([d.z for d in draws])
-        ms = conn.tensor_monodromy_words(ctx.ep, [(d.own, (i,), d.z) for d in draws for i in (1, 2)])
+        words = [(d.own, (i,), d.z) for d in draws for i in (1, 2)]
+        ms = [m.dense() for m in conn.tensor_monodromy_words(ctx.ep, words)]
         s1 = conn.shifted_r_apply(ctx.ep, 3, 2, z[:, 0] - z[:, 1], phi, conn.PSI_FAMILY, k, control=1)
         s2 = conn.shifted_r_apply(ctx.ep, 3, 1, z[:, 1] - z[:, 2], phi, conn.PSI_FAMILY, -k, control=3)
         return [

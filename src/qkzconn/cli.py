@@ -3,13 +3,14 @@
 Exit codes: 0 all residuals below tolerance, 1 at least one residual
 failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
 an elliptic evaluation that hits a pole or leaves the double range, or a
-usage error, such as a file that cannot be read or written or a config
-value that does not parse).  Usage errors print one ``error:`` line on stderr.
+usage error: an unreadable or unwritable file, or a flag or config value
+that does not parse or is not finite, each printed as one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import functools
 import sys
@@ -21,6 +22,7 @@ from . import connection as conn
 from . import serialize
 from .checks import SAMPLES, SUITES, Report, run_suite
 from .elliptic import EllipticError
+from .heckespin import HeckeParams, spin_rep, y_operators
 from .params import RunConfig, sample_point
 from .symgroup import (
     act,
@@ -37,9 +39,13 @@ from .symgroup import (
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number from {text!r}") from exc
+    # nan and inf parse, but no evaluation can use them
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite complex number")
+    return value
 
 
 def _parse_phi(text: str) -> tuple[complex, complex, complex]:
@@ -55,6 +61,12 @@ def _parse_z(text: str) -> tuple[complex, ...]:
 
 class UsageError(Exception):
     """A flag or config value that the run cannot use; exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # a flag that does not parse is a usage error: one ``error:`` line
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _read_config_file(path: str) -> dict:
@@ -217,11 +229,9 @@ def cmd_rmatrix(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    from .heckespin import HeckeParams, spin_rep, y_operators
-
     ep = cfg.elliptic()
     phi = cfg.resolved_phi()
-    n = args.n if args.n is not None else cfg.n
+    n = cfg.n
     report = blk.genericity_report(cfg.p, complex(cfg.kappa), phi, n)
     if not report.ok:
         print(f"inconclusive: genericity violations {report.violations[:5]}", file=sys.stderr)
@@ -269,7 +279,7 @@ def cmd_connection(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     ep = cfg.elliptic()
     phi = cfg.resolved_phi()
-    n = args.n if args.n is not None else cfg.n
+    n = cfg.n
     w = _parse_word(args.w, n)
     z = args.z if args.z is not None else sample_point(cfg.rng(), n, ep.nome)
     if len(z) != n:
@@ -289,9 +299,10 @@ def cmd_connection(args: argparse.Namespace) -> int:
         }
         for r, spec, entries in zip(contents, specs, mats)
     ]
-    # computed on its own, not scattered from the blocks, so the two routes
-    # of the monodromy can be checked against each other
-    tensor = conn.tensor_monodromy_word(ep, n, phi, w, z)
+    # computed on its own, not assembled from the blocks, so the two routes
+    # of the monodromy can be checked against each other; the export is the
+    # one place where it becomes a dense 3^n x 3^n matrix
+    tensor = conn.tensor_monodromy_words(ep, [(phi, labels, z)])[0].dense()
     payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks_out, tensor)
     _emit(serialize.dumps(payload), cfg.out)
     return 0
@@ -313,7 +324,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _parser() -> argparse.ArgumentParser:
     # built on the first call, not at import; parse_args returns a fresh
     # Namespace each time, so one parser serves every call in a process
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkzconn",
         description="numerical verification of the elliptic dynamical R-matrix "
         "and the qKZ connection machinery for the three-state supersymmetric chain",
@@ -343,8 +354,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,11 +8,17 @@ matrices to the tensor-product basis (with the explicit signs of the basis
 map) produces an operator that acts locally on two neighbouring legs as a
 dynamical R-matrix, with the dynamical parameters shifted according to the
 value carried by a control leg.
+
+The tensor-basis monodromy keeps content, so both of its independent routes
+return a ``tensorspace.BlockOp`` built block by block on the one product
+engine ``_products``: one takes its letters from the tensor basis, the other
+reorders the block matrices with the signs of the basis map.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -21,28 +27,28 @@ import numpy as np
 from .blocks import PrincipalSeriesSpec, content_block, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
+    Content,
     Perm,
     act,
     compose,
     conjugation_index,
     content,
-    content_labels,
     content_stabiliser,
     eta_exponent,
     inverse,
     leading_index,
     min_coset_reps,
     multi_index_swap,
-    reduced_word,
     rep_of_index,
     simple,
 )
 from .tensorspace import (
     DIM,
     PARITY,
-    multi_indices,
     permutation_op,
     WEIGHTS,
+    BlockOp,
+    block_layout,
     controlled_op,
     tensor_index,
 )
@@ -54,9 +60,7 @@ __all__ = [
     "XI_FAMILY",
     "dual_position",
     "connection_simple",
-    "connection_word",
     "connection_words",
-    "tensor_monodromy_word",
     "tensor_monodromy_words",
     "tensor_monodromy_from_blocks_words",
     "dyn_r_matrix",
@@ -196,7 +200,7 @@ def _products(ep: EllipticParams, words: Sequence[_Word]) -> list[np.ndarray]:
     try:
         a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=u)
     except PoleError as exc:
-        names = "; ".join(" ".join(f"s_{i}" for i in word.labels) for word in words)
+        names = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in word.labels) for word in words))
         raise PoleError(
             f"one-letter matrices of {names}: {exc}", factor=exc.factor, magnitude=exc.magnitude
         ) from exc
@@ -265,119 +269,112 @@ def connection_words(
     return _products(ep, [_block_word(spec, labels, z) for spec, labels, z in words])
 
 
-def _connection_matrix(
-    ep: EllipticParams, spec: PrincipalSeriesSpec, labels: Sequence[int], w: Perm, z: Sequence[complex]
-) -> ConnectionMatrix:
-    (entries,) = connection_words(ep, [(spec, labels, z)])
-    basis = min_coset_reps(spec.n, spec.index_set)
-    return ConnectionMatrix(spec=spec, word=tuple(w), z=tuple(complex(t) for t in z), basis=basis, entries=entries)
-
-
 def connection_simple(
     ep: EllipticParams, spec: PrincipalSeriesSpec, i: int, z: Sequence[complex]
 ) -> ConnectionMatrix:
     """One-letter connection matrix for the simple reflection s_i."""
-    return _connection_matrix(ep, spec, (i,), simple(spec.n, i), z)
-
-
-def connection_word(
-    ep: EllipticParams, spec: PrincipalSeriesSpec, w: Perm, z: Sequence[complex]
-) -> ConnectionMatrix:
-    """Monodromy matrix of an arbitrary w via the cocycle rule
-    M^{w w'}(z) = M^w(z) M^{w'}(w^{-1} z), along the reduced word of w."""
-    return _connection_matrix(ep, spec, reduced_word(w), w, z)
+    (entries,) = connection_words(ep, [(spec, (i,), z)])
+    basis = min_coset_reps(spec.n, spec.index_set)
+    return ConnectionMatrix(spec=spec, word=simple(spec.n, i), z=tuple(map(complex, z)), basis=basis, entries=entries)
 
 
 # ---------------------------------------------------------------------------
-# monodromy on the tensor-product basis
+# monodromy on the tensor-product basis, one content block at a time
 
 
 @functools.cache
-def _tensor_letter(n: int, i: int) -> _Letter:
-    # the monodromy of s_i conjugated to the tensor basis.  On a multi-index
-    # beta it is diagonal when the entries at the dual positions (n-i, n-i+1)
-    # agree (1 for even entries, the odd unit -c(x)/c(-x) for the odd one);
-    # otherwise it couples beta to the swapped index with A- and
-    # B-coefficients whose argument is the gamma difference of the block of
-    # beta read through its coset representative.  gi and gj index the
-    # spectral vectors of all contents, concatenated in content_labels order
+def _layout_blocks(n: int) -> tuple[tuple[Content, np.ndarray, np.ndarray], ...]:
+    # per block of block_layout(n), in layout order: its content r, the coset
+    # basis in layout order (the argsort of the places of w_alpha . leading)
+    # and the outer product of the signs (-1)^eta(w_alpha) in that order
+    layout = block_layout(n)
+    out = []
+    for rows in itertools.chain.from_iterable(layout.index):
+        r = content((layout.digits[rows[0]] + 1).tolist())
+        basis = min_coset_reps(n, content_stabiliser(n, r))
+        order = np.argsort(layout.pos[[tensor_index(act(u, leading_index(r))) for u in basis]])
+        signs = np.array([(-1.0) ** eta_exponent(basis[u], r) for u in order])
+        out.append((r, order, np.outer(signs, signs)))
+    return tuple(out)
+
+
+@functools.cache
+def _tensor_letter(n: int, i: int) -> tuple[_Letter, ...]:
+    # the monodromy of s_i in the tensor basis, one letter per block of
+    # block_layout(n) in layout order; rows and columns are places in the
+    # block, and gi, gj index the block's own spectral vector.  A multi-index
+    # beta whose entries at the dual positions (n-i, n-i+1) agree is fixed (1
+    # if even, the odd unit -c(x)/c(-x) if odd); otherwise it moves to the
+    # swapped index, with the gamma difference read through its coset
+    # representative and the exchange sign of its two entries
     ni = dual_position(n, i)
-    offset = {r: n * k for k, r in enumerate(content_labels(n))}
-    ones, odd, cols, rows, signs, gi, gj = [], [], [], [], [], [], []
-    for col, beta in enumerate(multi_indices(n)):
-        a, b = beta[ni - 1], beta[ni]
-        if a == b:
-            (odd if a == 3 else ones).append(col)
-            continue
-        w_inv = inverse(rep_of_index(beta))
-        off = offset[content(beta)]
-        cols.append(col)
-        rows.append(tensor_index(multi_index_swap(beta, ni)))
-        signs.append((-1.0) ** ((a == 3) + (b == 3)))
-        gi.append(off + w_inv[ni - 1] - 1)
-        gj.append(off + w_inv[ni] - 1)
-    return _letter(DIM**n, ones, odd, cols, rows, signs, gi, gj)
+    layout = block_layout(n)
+    letters = []
+    for rows in itertools.chain.from_iterable(layout.index):
+        ones, odd, cols, swapped, signs, gi, gj = [], [], [], [], [], [], []
+        for col, beta in enumerate((layout.digits[rows] + 1).tolist()):
+            a, b = beta[ni - 1], beta[ni]
+            if a == b:
+                (odd if a == 3 else ones).append(col)
+                continue
+            w_inv = inverse(rep_of_index(beta))
+            cols.append(col)
+            swapped.append(layout.pos[tensor_index(multi_index_swap(beta, ni))])
+            signs.append((-1.0) ** ((a == 3) + (b == 3)))
+            gi.append(w_inv[ni - 1] - 1)
+            gj.append(w_inv[ni] - 1)
+        letters.append(_letter(len(rows), ones, odd, cols, swapped, signs, gi, gj))
+    return tuple(letters)
 
 
-def _tensor_gamma(ep: EllipticParams, n: int, phi: Sequence[complex]) -> np.ndarray:
-    # the spectral vectors of all contents, concatenated in content_labels order
-    return np.array([g for r in content_labels(n) for g in content_block(ep, n, r, phi).gamma])
+def _tensor_words(gammas: Sequence[np.ndarray], labels: Sequence[int], z: Sequence[complex]) -> list[_Word]:
+    # the word of the letters on each block of block_layout(len(z)), in
+    # layout order, with the block's spectral vector from ``gammas``
+    n = len(z)
+    xs = _walk(labels, tuple(complex(t) for t in z))
+    letters = [_tensor_letter(n, i) for i in labels]
+    return [
+        _Word(tuple(letter[k] for letter in letters), tuple(labels), gamma, xs, len(order))
+        for k, (gamma, (_, order, _)) in enumerate(zip(gammas, _layout_blocks(n)))
+    ]
 
 
-def _tensor_word(gamma: np.ndarray, n: int, labels: Sequence[int], z: Sequence[complex]) -> _Word:
-    z = tuple(complex(t) for t in z)
-    if len(z) != n:
-        raise ValueError("evaluation point must have one coordinate per site")
-    letters = tuple(_tensor_letter(n, i) for i in labels)
-    return _Word(letters, tuple(labels), gamma, _walk(labels, z), DIM**n)
+def _block_ops(words: Sequence[tuple], mats: Sequence[np.ndarray]) -> list[BlockOp]:
+    # the block matrices of each word, in layout order, stacked group by group
+    mats = iter(mats)
+    layouts = [block_layout(len(z)) for _, _, z in words]
+    return [BlockOp(layout, [np.stack([next(mats) for _ in idx]) for idx in layout.index]) for layout in layouts]
 
 
 def tensor_monodromy_words(
     ep: EllipticParams,
     words: Sequence[tuple[Sequence[complex], Sequence[int], Sequence[complex]]],
-) -> list[np.ndarray]:
+) -> list[BlockOp]:
     """Tensor-basis monodromies, one per (phi, letters, z) in ``words``.
 
     The word of the letters (i_1, ..., i_r) on n = len(z) sites is the
     product of the one-letter tensor-basis monodromies (``_tensor_letter``),
-    each at the point moved by the letters before it.  The words may differ in
-    phi and in n.  All letters of all words come from one elliptic batch,
-    so a pole in any of them raises PoleError.
+    each at the point moved by the letters before it, taken one content
+    block at a time.  The words may differ in phi and in n.  All letters of
+    all words come from one elliptic batch, so a pole in any of them raises
+    PoleError.
     """
-    gammas: dict[tuple, np.ndarray] = {}
-    out = []
+    gammas: dict[tuple, list[np.ndarray]] = {}
+    block_words = []
     for phi, labels, z in words:
-        key = (len(z), tuple(complex(v) for v in phi))
-        if key not in gammas:
-            gammas[key] = _tensor_gamma(ep, *key)
-        out.append(_tensor_word(gammas[key], len(z), labels, z))
-    return _products(ep, out)
-
-
-def tensor_monodromy_word(
-    ep: EllipticParams, n: int, phi: Sequence[complex], w: Perm, z: Sequence[complex]
-) -> np.ndarray:
-    """Tensor-basis monodromy of w assembled by the cocycle rule; the
-    one-word case of ``tensor_monodromy_words`` along the reduced word of w."""
-    return _products(ep, [_tensor_word(_tensor_gamma(ep, n, phi), n, reduced_word(w), z)])[0]
-
-
-@functools.cache
-def _block_scatter(n: int, r: tuple[int, int, int]) -> tuple[list[int], np.ndarray]:
-    # the tensor indices of the block of content r, in its basis order, and
-    # the outer product of the basis signs (-1)^eta(w_alpha)
-    basis = min_coset_reps(n, content_stabiliser(n, r))
-    lead = leading_index(r)
-    signs = np.array([(-1.0) ** eta_exponent(u, r) for u in basis])
-    return [tensor_index(act(u, lead)) for u in basis], np.outer(signs, signs)
+        n, phi = len(z), tuple(complex(v) for v in phi)
+        if (n, phi) not in gammas:
+            gammas[n, phi] = [np.array(content_block(ep, n, r, phi).gamma) for r, _, _ in _layout_blocks(n)]
+        block_words += _tensor_words(gammas[n, phi], labels, z)
+    return _block_ops(words, _products(ep, block_words))
 
 
 def tensor_monodromy_from_blocks_words(
     ep: EllipticParams,
     words: Sequence[tuple[Sequence[complex], Sequence[int], Sequence[complex]]],
-) -> list[np.ndarray]:
-    """Tensor-basis monodromies scattered from the per-block matrices, one per
-    (phi, letters, z) in ``words``.
+) -> list[BlockOp]:
+    """Tensor-basis monodromies assembled from the per-block matrices, one
+    per (phi, letters, z) in ``words``.
 
     Entry (alpha, beta) within the block of content r is
     (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
@@ -387,18 +384,11 @@ def tensor_monodromy_from_blocks_words(
     block_words = [
         _block_word(content_block(ep, len(z), r, phi), labels, z)
         for phi, labels, z in words
-        for r in content_labels(len(z))
+        for r, _, _ in _layout_blocks(len(z))
     ]
-    blocks = iter(_products(ep, block_words))
-    out = []
-    for _, _, z in words:
-        n = len(z)
-        mat = np.zeros((DIM**n, DIM**n), dtype=complex)
-        for r in content_labels(n):
-            idx, signs = _block_scatter(n, r)
-            mat[np.ix_(idx, idx)] = signs * next(blocks)
-        out.append(mat)
-    return out
+    mats = iter(_products(ep, block_words))
+    per_word = [_layout_blocks(len(z)) for _, _, z in words]
+    return _block_ops(words, [signs * next(mats)[np.ix_(order, order)] for lb in per_word for _, order, signs in lb])
 
 
 # ---------------------------------------------------------------------------

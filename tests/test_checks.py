@@ -292,10 +292,12 @@ class TestStackedProducts:
         ep = default_params()
         phi = (0.11 + 0.05j, -0.23 + 0.17j, 0.31 + 0.09j)
         z3, z4 = (0.1 + 0.2j, -0.3 + 0.1j, 0.25 + 0.05j), (0.1j, 0.2, -0.3 + 0.1j, 0.4 + 0.2j)
-        # blocks of dimensions 6, 3 and 12 and tensor words of dimension 27,
-        # with lengths 0 to 6 mixed within each dimension
+        # blocks of dimensions 6, 3 and 12 and the per-block tensor words of
+        # n = 3 (dimensions 1, 3 and 6), with lengths 0 to 6 mixed within
+        # each dimension
         spec6, spec3 = blocks.content_block(ep, 3, (1, 1, 1), phi), blocks.content_block(ep, 3, (2, 1, 0), phi)
         spec12 = blocks.content_block(ep, 4, (2, 1, 1), phi)
+        gammas = [np.array(blocks.content_block(ep, 3, r, phi).gamma) for r, _, _ in connection._layout_blocks(3)]
         words = [
             connection._block_word(spec6, (1, 2, 1), z3),
             connection._block_word(spec3, (2,), z3),
@@ -304,8 +306,8 @@ class TestStackedProducts:
             connection._block_word(spec6, (2, 1), z3[::-1]),
             connection._block_word(spec3, (1, 2, 1, 2), z3),
             connection._block_word(spec12, (3,), z4),
-            connection._tensor_word(connection._tensor_gamma(ep, 3, phi), 3, (1, 2, 1), z3),
-            connection._tensor_word(connection._tensor_gamma(ep, 3, phi), 3, (2,), z3),
+            *connection._tensor_words(gammas, (1, 2, 1), z3),
+            *connection._tensor_words(gammas, (2,), z3),
         ]
         batch = connection._products(ep, words)
         assert len(batch) == len(words)

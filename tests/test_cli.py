@@ -13,9 +13,9 @@ import qkzconn
 from qkzconn import checks
 from qkzconn.blocks import content_block
 from qkzconn.cli import main
-from qkzconn.connection import connection_word, tensor_monodromy_word
+from qkzconn.connection import connection_words, tensor_monodromy_words
 from qkzconn.params import RunConfig
-from qkzconn.symgroup import content_labels, from_word
+from qkzconn.symgroup import content_labels, from_word, min_coset_reps, reduced_word
 
 
 def pair_to_complex(pair):
@@ -186,8 +186,8 @@ class TestConnectionCommand:
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_batch_matches_one_word_routes(self, capsys, n):
         # the blocks come from one elliptic batch, so each may move in its
-        # last bits against its own connection_word; the tensor operator is
-        # computed on its own and is bit for bit
+        # last bits against a batch of its own word alone; the tensor
+        # operator is computed on its own and is bit for bit
         letters = [i for k in range(1, n) for i in range(k, 0, -1)]
         z = (0.21 + 0.05j, 0.02, -0.3 + 0.11j, 0.1)[:n]
         text_z = ",".join(str(t) for t in z)
@@ -197,15 +197,17 @@ class TestConnectionCommand:
         assert code == 0
         payload = json.loads(out)
         cfg = RunConfig(n=n)
-        ep, phi, w = cfg.elliptic(), cfg.resolved_phi(), from_word(n, letters)
+        ep, phi, labels = cfg.elliptic(), cfg.resolved_phi(), reduced_word(from_word(n, letters))
         assert [tuple(b["content"]) for b in payload["blocks"]] == content_labels(n)
         for block in payload["blocks"]:
-            want = connection_word(ep, content_block(ep, n, tuple(block["content"]), phi), w, z)
-            assert [tuple(u) for u in block["basis"]] == list(want.basis)
+            spec = content_block(ep, n, tuple(block["content"]), phi)
+            (want,) = connection_words(ep, [(spec, labels, z)])
+            assert [tuple(u) for u in block["basis"]] == list(min_coset_reps(n, spec.index_set))
             got = lists_to_matrix(block["entries"])
-            assert np.all(np.abs(got - want.entries) <= 1e-13 * np.abs(want.entries))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         tensor = lists_to_matrix(payload["tensor_operator"])
-        assert np.array_equal(tensor, tensor_monodromy_word(ep, n, phi, w, z))
+        (want,) = tensor_monodromy_words(ep, [(phi, labels, z)])
+        assert np.array_equal(tensor, want.dense())
 
     def test_rank2_matches_rmatrix(self, capsys):
         # the two-site tensor operator for the flip is the exported R-matrix at z1 - z2
@@ -248,6 +250,17 @@ _USAGE_ERRORS = [
     ("connection", "--n", "3", "--w", "sX"),
     ("connection", "--n", "3", "--w", "s0"),
     ("connection", "--n", "3", "--z", "0.1,0.2"),
+    ("rmatrix", "--x=nan"),
+    ("rmatrix", "--x=1+infj"),
+    ("rmatrix", "--phi=nan,0,0"),
+    ("rmatrix", "--kappa=nan"),
+    ("connection", "--n", "3", "--w", "s1", "--z=inf,0,0"),
+    ("connection", "--n", "3", "--z=nan,0,0"),
+    ("verify", "elliptic", "--config", ConfigText("kappa = nan\n")),
+    ("verify", "elliptic", "--config", ConfigText("phi = 0,inf,0\n")),
+    ("rmatrix", "--x", "abc"),
+    ("rmatrix", "--p", "x"),
+    ("verify", "nosuchsuite"),
 ]
 
 
@@ -289,6 +302,12 @@ class TestEvaluationFailuresAreInconclusive:
         code, _, err = run_cli(capsys, "verify", "dybe", "--seed", "-5")
         assert code == 2
         assert err.startswith("error:") and "seed" in err and "-5" in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["rmatrix", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qkzconn rmatrix")
 
     def test_non_finite_point_writes_no_export(self, capsys, tmp_path):
         out_file = tmp_path / "c.json"

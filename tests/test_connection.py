@@ -11,7 +11,6 @@ from qkzconn.connection import (
     PSI_FAMILY,
     XI_FAMILY,
     connection_simple,
-    connection_word,
     connection_words,
     dual_position,
     dybe_residual,
@@ -19,7 +18,6 @@ from qkzconn.connection import (
     felder_residual,
     shifted_r_apply,
     tensor_monodromy_from_blocks_words,
-    tensor_monodromy_word,
     tensor_monodromy_words,
 )
 from qkzconn import connection, elliptic
@@ -28,6 +26,8 @@ from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, samp
 from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, reduced_word, simple
 from qkzconn.tensorspace import (
     WEIGHTS,
+    BlockOp,
+    block_layout,
     controlled_op,
     multi_indices,
     permutation_op,
@@ -56,6 +56,12 @@ def even(r):
 def fixture_phi(y, phi3=0.0):
     # phi_1 - phi_2 = y exactly
     return (y / 2, -y / 2, phi3)
+
+
+def word_product(ep, spec, w, z):
+    # the block matrix of w along its reduced word
+    (m,) = connection_words(ep, [(spec, reduced_word(w), z)])
+    return m
 
 
 class TestConnectionSimple:
@@ -118,8 +124,8 @@ class TestConnectionSimple:
 class TestConnectionWord:
     def test_identity_word(self, ep, phi, rng):
         spec = content_block(ep, 3, (1, 1, 1), phi)
-        cm = connection_word(ep, spec, identity_perm(3), band_z(rng, 3))
-        assert np.array_equal(cm.entries, np.eye(6))
+        m = word_product(ep, spec, identity_perm(3), band_z(rng, 3))
+        assert np.array_equal(m, np.eye(6))
 
     def test_braid_relation(self, ep, phi, rng):
         n = 3
@@ -139,7 +145,7 @@ class TestConnectionWord:
             assert rel_residual(lhs, rhs) < 1e-9
             # both reduced words of the longest element give the same matrix
             w0 = (3, 2, 1)
-            assert rel_residual(connection_word(ep, spec, w0, z).entries, lhs) < 1e-9
+            assert rel_residual(word_product(ep, spec, w0, z), lhs) < 1e-9
 
     def test_cocycle(self, ep, phi, rng):
         n = 3
@@ -149,11 +155,8 @@ class TestConnectionWord:
             w1 = perms[rng.integers(len(perms))]
             w2 = perms[rng.integers(len(perms))]
             z = band_z(rng, n)
-            lhs = connection_word(ep, spec, compose(w1, w2), z).entries
-            rhs = (
-                connection_word(ep, spec, w1, z).entries
-                @ connection_word(ep, spec, w2, act(inverse(w1), z)).entries
-            )
+            lhs = word_product(ep, spec, compose(w1, w2), z)
+            rhs = word_product(ep, spec, w1, z) @ word_product(ep, spec, w2, act(inverse(w1), z))
             assert rel_residual(lhs, rhs) < 1e-9
 
 
@@ -169,7 +172,7 @@ class TestConnectionWord:
             for i in reduced_word(w0):
                 want = want @ connection_simple(ep, spec, i, zcur).entries
                 zcur = act(simple(n, i), zcur)
-            assert rel_residual(connection_word(ep, spec, w0, z).entries, want) < 1e-13
+            assert rel_residual(word_product(ep, spec, w0, z), want) < 1e-13
 
     def test_words_share_one_batch(self, ep, phi, rng):
         n = 3
@@ -177,7 +180,7 @@ class TestConnectionWord:
         z = band_z(rng, n)
         words = [(spec, (1, 2, 1), z), (spec, (2,), act(simple(n, 1), z)), (spec, (), z)]
         got = connection_words(ep, words)
-        assert rel_residual(got[0], connection_word(ep, spec, (3, 2, 1), z).entries) < 1e-13
+        assert rel_residual(got[0], word_product(ep, spec, (3, 2, 1), z)) < 1e-13
         assert rel_residual(got[1], connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries) < 1e-13
         assert np.array_equal(got[2], np.eye(6))
 
@@ -189,7 +192,7 @@ class TestTensorMonodromy:
             z = band_z(rng, 2)
             (m,) = tensor_monodromy_words(ep, [(phi, (1,), z)])
             r = dyn_r_matrix(ep, z[0] - z[1], phi)
-            assert rel_residual(m, r) < 1e-9
+            assert rel_residual(m.dense(), r) < 1e-9
 
     def test_worked_case_single_content(self, ep, phi, rng):
         # the action on v1 x v3 x v2 carries the argument
@@ -199,7 +202,7 @@ class TestTensorMonodromy:
         x = z[0] - z[1]
         (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (1, 3, 2)
-        col = m[:, tensor_index(beta)]
+        col = m.column(tensor_index(beta))
         y = phi[2] - phi[1] + half_period(ep)
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
         assert col[tensor_index((1, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
@@ -212,7 +215,7 @@ class TestTensorMonodromy:
         x = z[0] - z[1]
         (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (2, 3, 2)
-        col = m[:, tensor_index(beta)]
+        col = m.column(tensor_index(beta))
         y = phi[2] - phi[1] + half_period(ep) + ep.kappa
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
         assert col[tensor_index((2, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
@@ -227,15 +230,26 @@ class TestTensorMonodromy:
             ((1, 3, 3), -c_func(ep, x) / c_func(ep, -x)),  # equal odd entries
         ):
             idx = tensor_index(beta)
-            assert m[idx, idx] == pytest.approx(want)
+            assert m.column(idx)[idx] == pytest.approx(want)
 
     def test_routes_agree(self, ep, phi, rng):
         for n in (2, 3):
             for w in [simple(n, 1), (tuple(range(n, 0, -1)))]:
                 z = band_z(rng, n)
-                a = tensor_monodromy_word(ep, n, phi, w, z)
-                (b,) = tensor_monodromy_from_blocks_words(ep, [(phi, reduced_word(w), z)])
+                words = [(phi, reduced_word(w), z)]
+                (a,), (b,) = tensor_monodromy_words(ep, words), tensor_monodromy_from_blocks_words(ep, words)
                 assert rel_residual(a, b) < 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_routes_agree_at_the_export_size(self, ep, phi, rng, n):
+        # the longest element, as the CLI export computes it; the battery's
+        # monodromy-routes stops at n = 3
+        words = [(phi, reduced_word(tuple(range(n, 0, -1))), band_z(rng, n))]
+        (a,), (b,) = tensor_monodromy_words(ep, words), tensor_monodromy_from_blocks_words(ep, words)
+        for m in (a, b):
+            assert isinstance(m, BlockOp)
+            assert m.layout is block_layout(n)
+        assert rel_residual(a, b) < 1e-12
 
     def test_rank3_shift_identities(self, ep, rng):
         k = dyn_r_matrix  # noqa: F841 - keep the import grouping honest
@@ -244,10 +258,10 @@ class TestTensorMonodromy:
             z = band_z(rng, 3)
             (m1,) = tensor_monodromy_words(ep, [(phi, (1,), z)])
             s1 = shifted_r_apply(ep, 3, 2, z[0] - z[1], phi, PSI_FAMILY, ep.kappa, control=1)
-            assert rel_residual(m1, s1) < 1e-9
+            assert rel_residual(m1.dense(), s1) < 1e-9
             (m2,) = tensor_monodromy_words(ep, [(phi, (2,), z)])
             s2 = shifted_r_apply(ep, 3, 1, z[1] - z[2], phi, PSI_FAMILY, -ep.kappa, control=3)
-            assert rel_residual(m2, s2) < 1e-9
+            assert rel_residual(m2.dense(), s2) < 1e-9
 
 
 class TestDynamicalR:
@@ -359,8 +373,8 @@ class TestThetaBudget:
             lambda: dybe_residual(ep, x, y, phi, PSI_FAMILY),
             lambda: felder_residual(ep, x, y, phi),
             lambda: dybe_residual(ep, x, y, fixture_phi(0.2 + 0.1j), XI_FAMILY, WEIGHTS[:2]),
-            lambda: connection_word(ep, content_block(ep, 4, (2, 1, 1), phi), (4, 3, 2, 1), band_z(rng, 4)),
-            lambda: tensor_monodromy_word(ep, 3, phi, (3, 2, 1), band_z(rng, 3)),
+            lambda: word_product(ep, content_block(ep, 4, (2, 1, 1), phi), (4, 3, 2, 1), band_z(rng, 4)),
+            lambda: tensor_monodromy_words(ep, [(phi, (1, 2, 1), band_z(rng, 3))]),
             lambda: tensor_monodromy_from_blocks_words(ep, [(phi, (1, 2, 1), band_z(rng, 3))]),
         ):
             theta_calls.clear()

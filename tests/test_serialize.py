@@ -69,7 +69,8 @@ def connection_payload(ep, phi, n=3):
         }
         for r, spec, m in zip(content_labels(n), specs, mats)
     ]
-    tensor = connection.tensor_monodromy_word(ep, n, phi, (3, 2, 1), z)
+    (tensor,) = connection.tensor_monodromy_words(ep, [(phi, labels, z)])
+    tensor = tensor.dense()
     return serialize.connection_payload(CFG.p, complex(CFG.kappa), phi, z, out, tensor)
 
 
