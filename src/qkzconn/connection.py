@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import PrincipalSeriesSpec, content_block, validate_spec
+from .blocks import PrincipalSeriesSpec, _block_gamma_raw, content_block, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
     Content,
@@ -359,12 +359,15 @@ def tensor_monodromy_words(
     all words come from one elliptic batch, so a pole in any of them raises
     PoleError.
     """
+    # each block's spectral vector, as content_block computes it, without
+    # building and validating the rest of the block's spec
+    log_p = ep.nome.log_p
     gammas: dict[tuple, list[np.ndarray]] = {}
     block_words = []
     for phi, labels, z in words:
         n, phi = len(z), tuple(complex(v) for v in phi)
         if (n, phi) not in gammas:
-            gammas[n, phi] = [np.array(content_block(ep, n, r, phi).gamma) for r, _, _ in _layout_blocks(n)]
+            gammas[n, phi] = [np.array(_block_gamma_raw(log_p, ep.kappa, phi, n, r)) for r, _, _ in _layout_blocks(n)]
         block_words += _tensor_words(gammas[n, phi], labels, z)
     return _block_ops(words, _products(ep, block_words))
 

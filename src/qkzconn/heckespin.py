@@ -164,6 +164,8 @@ class SpinRep:
     zeta: BlockOp
     zeta_inv: BlockOp
     _y_cache: dict = field(default_factory=dict, repr=False)
+    # the generators' column entries for the qKZ transport, read on first use
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

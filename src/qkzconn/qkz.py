@@ -7,11 +7,19 @@ transport operator of a word is the left-to-right cocycle product, each
 letter evaluated at the point moved by the inverses of the preceding
 letters.  Deep in the dominant chamber the translation transports converge
 to the commuting braid-limit operators.
+
+Every transport letter, (T_i^{-1} - t T_i) / (1/q - q t), zeta or
+zeta^{-1}, has at most two nonzeros per column, at the places the letter
+table of ``tensorspace`` names.  ``transport_words`` reads those entries
+once per spin representation from its generators and multiplies each letter
+into the product by column operations, at a cost of O(sum k d^2) per letter
+instead of the O(sum k d^3) of a block matmul.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +27,7 @@ import numpy as np
 
 from .elliptic import PoleError, pow_p
 from .heckespin import SpinRep, y_tilde
-from .tensorspace import BlockOp, block_layout, rel_residual
+from .tensorspace import BlockOp, block_layout, letter_table, rel_residual
 
 __all__ = [
     "Letter",
@@ -168,11 +176,16 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     z transports by (T_i^{-1} - t T_i) / (1/q - q t) with t = p^{z_i - z_{i+1}}.
     Every t of every word comes from one ``pow_p`` call and every denominator
     is checked at once: a pole raises PoleError naming the word and the letter.
-    Each content group multiplies the letters of all words at one position as
-    one (words, k, d, d) stack, starting from the first letter; a shorter
-    word is padded with the identity.  A xi letter or a pad takes t = 0 and
-    denominator 1, which leave it exact, so the batch equals the one-word
-    products bit for bit.
+
+    Column c of every letter is a_c e_c + b_c e_pi(c), with pi the letter's
+    column permutation from ``letter_table``, so a letter multiplies the
+    product by column operations: (M L)[:, c] = a_c M[:, c] + b_c M[:, pi(c)].
+    Each content group keeps the products of all words as one
+    (words, k*d, d) stack of transposed blocks, so that pi gathers whole
+    rows; it starts from the first letter, and a shorter word is padded with
+    the identity.  A xi letter or a pad takes t = 0 and denominator 1, which
+    leave its coefficients exact, and every operation acts on each word
+    alone, so the batch equals the one-word products bit for bit.
     """
     if not words:
         return []
@@ -180,10 +193,11 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     ep = rep.params.elliptic
     q = rep.params.q
     length = max(len(word.letters) for word, _ in words)
-    # the generator of each letter: 0 the identity, 1 zeta, 2 zeta^{-1} and
-    # 2 + i the pair (T_i^{-1}, T_i); each s_i is read at the point moved by
-    # the inverses of the letters before it
-    gen = np.zeros((len(words), max(length, 1)), dtype=np.intp)
+    # the generator of each letter, per position and word, a row of the
+    # letter table: 0 the identity, 1 zeta, 2 zeta^{-1} and 2 + i the pair
+    # (T_i^{-1}, T_i); each s_i is read at the point moved by the inverses
+    # of the letters before it
+    gen = np.zeros((max(length, 1), len(words)), dtype=np.intp)
     xs, at = [], []
     for w, (word, z) in enumerate(words):
         if word.n != n:
@@ -192,18 +206,18 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
         for k, letter in enumerate(word.letters):
             kind, val = letter
             if kind == "s":
-                gen[w, k] = 2 + val
+                gen[k, w] = 2 + val
                 xs.append(zcur[val - 1] - zcur[val])
-                at.append((w, k))
+                at.append((k, w))
             else:
-                gen[w, k] = 1 if val == 1 else 2
+                gen[k, w] = 1 if val == 1 else 2
             zcur = _letter_point_action((kind, -val) if kind == "xi" else letter, zcur)
     t = pow_p(ep, np.array(xs, dtype=complex))
     den = 1.0 / q - q * t
     pole = np.abs(den) < ep.pole_tol * np.maximum(1.0, np.abs(q * t))
     if pole.any():
         first = int(np.argmax(pole))
-        w, k = at[first]
+        k, w = at[first]
         letters = words[w][0].letters
         i = letters[k][1]
         raise PoleError(
@@ -212,42 +226,56 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
             factor="1/q - q*p^(z_i - z_{i+1})",
             magnitude=float(abs(den[first])),
         )
-    tw = np.zeros(gen.shape, dtype=complex)
-    dw = np.ones(gen.shape, dtype=complex)
+    tw = np.zeros(gen.shape + (1,), dtype=complex)
+    dw = np.ones(gen.shape + (1,), dtype=complex)
     where = tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)
-    tw[where], dw[where] = t, den
-    tw, dw = (v.T[:, :, None, None, None] for v in (tw, dw))
-    # per position: do the words take different generators, and does any take an s_i
-    mixed = (gen.T != gen.T[:, :1]).any(axis=1).tolist()
-    moving = (gen.T > 2).any(axis=1).tolist()
+    tw[where], dw[where] = t[:, None], den[:, None]
+    nw = len(words)
     layout = block_layout(n)
     stacks = []
-    for g, (k, d) in enumerate(idx.shape for idx in layout.index):
-        inv_ops = [_eye(k, d), rep.zeta.stacks[g], rep.zeta_inv.stacks[g], *(op.stacks[g] for op in rep.t_inv_ops)]
-        # a letter without T_i takes t = 0 and denominator 1, which return it exactly
-        ops = inv_ops[:3] + [op.stacks[g] for op in rep.t_ops]
-        for pos, rows in enumerate(gen.T.tolist()):
-            letter = _gather(inv_ops, rows, mixed[pos])
-            if moving[pos]:
-                # (T^{-1} - t T) / den, with one new array
-                part = tw[pos] * _gather(ops, rows, mixed[pos])
-                letter = np.divide(np.subtract(letter, part, out=part), dw[pos], out=part)
-            # the first letter is the starting product
-            mat = letter if pos == 0 else mat @ letter
-        stacks.append(np.broadcast_to(mat, (len(words),) + mat.shape[1:]))
-    return [BlockOp(layout, (mat[w] for mat in stacks)) for w in range(len(words))]
+    for (k, d), (perm, d_inv, o_inv, d_t, o_t) in zip((idx.shape for idx in layout.index), _letter_columns(rep)):
+        kd = k * d
+        # a_c and b_c of every letter of every word, (positions, words, k*d)
+        a = (d_inv[gen] - tw * d_t[gen]) / dw
+        b = (o_inv[gen] - tw * o_t[gen]) / dw
+        # the products, transposed: row j*d + c of mat[w] holds column c of
+        # block j of word w's product, and row w*k*d + j*d + c of ``rows``
+        mat = np.zeros((nw, kd, d), dtype=complex)
+        rows = mat.reshape(nw * kd, d)
+        src = (perm[gen] + kd * np.arange(nw)[:, None]).reshape(len(gen), nw * kd)
+        # the first letter; its entry in row pi(c) goes first, as at a fixed
+        # point of pi it is 0 (kd is a multiple of d)
+        every = np.arange(nw * kd)
+        rows[every, src[0] % d] = b[0].reshape(-1)
+        rows[every, every % d] = a[0].reshape(-1)
+        for pos in range(1, len(gen)):
+            moved = np.take(rows, src[pos], axis=0).reshape(nw, kd, d)
+            moved *= b[pos, :, :, None]
+            mat *= a[pos, :, :, None]
+            mat += moved
+        stacks.append(mat.reshape(nw, k, d, d).swapaxes(-1, -2))
+    return [BlockOp(layout, (mat[w] for mat in stacks)) for w in range(nw)]
 
 
-def _gather(ops: list[np.ndarray], rows: list[int], mixed: bool) -> np.ndarray:
-    # ops[r] for each word's row r as a (words, k, d, d) stack, or as a
-    # (1, k, d, d) view when every word takes the same operator
-    return np.stack([ops[r] for r in rows]) if mixed else ops[rows[0]][None]
+def _letter_columns(rep: SpinRep) -> tuple[tuple[np.ndarray, ...], ...]:
+    # per content group: the letter table's column permutations, then the
+    # diagonal entries and the entries in row pi(c) of the first operator of
+    # each generator (1, zeta, zeta^{-1}, T_i^{-1}) and of the second
+    # (0, 0, 0, T_i), each a (n + 2, k*d) array.  Read once per rep from its
+    # own stacks; a nonzero anywhere else raises ValueError.
+    if rep._columns is None:
+        table = letter_table(rep.n)
+        eye = BlockOp.identity(rep.n)
+        zero = 0.0 * eye
 
+        def read(ops):
+            entries = [op.column_entries([perms[r] for perms in table]) for r, op in enumerate(ops)]
+            return [[np.stack([e[part][g] for e in entries]) for part in (0, 1)] for g in range(len(table))]
 
-@functools.cache
-def _eye(k: int, d: int) -> np.ndarray:
-    # the identity of a (k, d, d) group, read only
-    return np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+        first = read([eye, rep.zeta, rep.zeta_inv, *rep.t_inv_ops])
+        second = read([zero, zero, zero, *rep.t_ops])
+        rep._columns = tuple((perms, *f, *s) for perms, f, s in zip(table, first, second))
+    return rep._columns
 
 
 def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:
@@ -272,8 +300,8 @@ def flatness_words(n: int, i: int, j: int, z: Sequence[complex]) -> list[tuple[A
 def braid_limit_residual(rep: SpinRep, lam: Sequence[int], depth: float) -> float:
     """Distance of the translation transport from its braid limit, evaluated at
     the point with z_i - z_{i+1} = -depth for all i."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
+    if not (math.isfinite(depth) and depth > 0):
+        raise ValueError(f"depth must be positive and finite, got {depth}")
     n = rep.n
     z = tuple(complex((k - 1) * depth) for k in range(1, n + 1))
     word = translation_power_word(n, lam)

@@ -17,8 +17,17 @@ its entries are 1, 2 and 3), so its operators are block-diagonal by content.
 ``BlockOp`` stores only those blocks: ``block_layout(n)`` groups the blocks
 of n sites by their dimension d, and a ``BlockOp`` holds one (k, d, d) stack
 per group.  Products, sums, inverses and powers act stack by stack.
-``BlockOp.two_leg`` writes the blocks of ``two_leg_op`` for a local operator
-that keeps the content of its two legs, without forming the dense matrix.
+
+Every letter of the spin representation moves a basis vector to at most one
+other basis vector of its block: a content-preserving two-leg operator sends
+e_(..ab..) into span{e_(..ab..), e_(..ba..)}, and the rotation sends each
+basis vector to one rotated basis vector.  ``letter_table(n)`` holds, per
+content group, the column permutation pi of each letter (the identity, the
+rotation, its inverse and the swap of the legs i, i+1), so that column c of
+such a letter is d_c e_c + o_c e_pi(c).  ``BlockOp.two_leg`` scatters the
+diagonal and the swap entry of each column of a local operator that keeps
+the content of its two legs, without forming the dense matrix, and
+``BlockOp.column_entries`` reads the two entries back.
 """
 
 from __future__ import annotations
@@ -163,6 +172,48 @@ def block_layout(n: int) -> BlockLayout:
     return BlockLayout(n, digits, tuple(index), group, block, pos)
 
 
+def _leg_swap(n: int, a: int, b: int) -> tuple[int, ...]:
+    # the digit order that exchanges the legs a and b (1-based)
+    order = list(range(n))
+    order[a - 1], order[b - 1] = b - 1, a - 1
+    return tuple(order)
+
+
+@functools.cache
+def _column_perms(n: int, order: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    # per group of block_layout(n), for the column c of block b at flat place
+    # b*d + c: the flat place b*d + pi(c) of the basis vector whose digits
+    # are those of c read in ``order`` (it has the same content, so the same block)
+    layout = block_layout(n)
+    moved = layout.digits[:, list(order)] @ DIM ** np.arange(n - 1, -1, -1)
+    perms = []
+    for idx in layout.index:
+        target = moved[idx].reshape(-1)
+        perm = layout.block[target] * idx.shape[1] + layout.pos[target]
+        perm.flags.writeable = False
+        perms.append(perm)
+    return tuple(perms)
+
+
+@functools.cache
+def letter_table(n: int) -> tuple[np.ndarray, ...]:
+    """The column permutations of the spin-representation letters on n sites.
+
+    One read-only (n + 2, k*d) array per group of ``block_layout(n)``, one
+    row per letter: 0 the identity, 1 the rotation (the digits (a_1, ..., a_n)
+    of a column go to (a_n, a_1, ..., a_{n-1})), 2 its inverse and 2 + i the
+    swap of the legs i and i + 1.  Entry b*d + c of a row is b*d + pi(c): the
+    flat place in the group of the row where column c of block b may hold its
+    second nonzero.  Built on first use, once per n.
+    """
+    orders = [tuple(range(n)), (n - 1, *range(n - 1)), (*range(1, n), 0)]
+    orders += [_leg_swap(n, i, i + 1) for i in range(1, n)]
+    table = tuple(np.stack(rows) for rows in zip(*(_column_perms(n, order) for order in orders)))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 class BlockOp:
     """A content-preserving operator on (C^3)^(x n), stored block by block.
 
@@ -191,21 +242,30 @@ class BlockOp:
     @classmethod
     def two_leg(cls, op: np.ndarray, n: int, a: int, b: int) -> "BlockOp":
         """The blocks of ``two_leg_op(op, n, a, b)`` for a 9x9 op that keeps the
-        content of its two legs, built from the layout without the dense matrix."""
+        content of its two legs, built from the layout without the dense matrix.
+
+        Column c of a block, with the digits (x, y) on the legs (a, b), holds
+        op[(x, y), (x, y)] on the diagonal and op[(y, x), (x, y)] in the row
+        of the basis vector with the two legs swapped; every other entry is 0.
+        """
         if not 1 <= a < b <= n:
             raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
         content = [sorted(divmod(k, DIM)) for k in range(DIM * DIM)]
         if any(op[r, c] != 0 for r, cr in enumerate(content) for c, cc in enumerate(content) if cr != cc):
             raise ValueError("the operator changes the content of its two legs")
         layout = block_layout(n)
-        rest = [k for k in range(n) if k not in (a - 1, b - 1)]
         stacks = []
-        for idx in layout.index:
-            digits = layout.digits[idx]
-            local = digits[..., a - 1] * DIM + digits[..., b - 1]
-            others = digits[..., rest]
-            same = np.all(others[:, :, None] == others[:, None, :], axis=-1)
-            stacks.append(np.where(same, op[local[:, :, None], local[:, None, :]], 0.0))
+        for idx, perm in zip(layout.index, _column_perms(n, _leg_swap(n, a, b))):
+            k, d = idx.shape
+            digits = layout.digits[idx.reshape(-1)]
+            x, y = digits[:, a - 1], digits[:, b - 1]
+            local = x * DIM + y
+            blk, col = np.divmod(np.arange(k * d), d)
+            stack = np.zeros((k, d, d), dtype=complex)
+            # the swap entry first: where x = y it is the diagonal entry itself
+            stack[blk, perm % d, col] = op[y * DIM + x, local]
+            stack[blk, col, col] = op[local, local]
+            stacks.append(stack)
         return cls(layout, stacks)
 
     @property
@@ -254,6 +314,30 @@ class BlockOp:
     def eigvals(self) -> np.ndarray:
         """The eigenvalues of every block, concatenated."""
         return np.concatenate([np.linalg.eigvals(s).reshape(-1) for s in self.stacks])
+
+    def column_entries(self, perms: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The diagonal entry and the entry in row pi(c) of every column c.
+
+        ``perms[g]`` is the flat column permutation of group g (a row of a
+        ``letter_table`` array).  Both results hold one flat (k*d,) array per
+        group, the second 0 where pi(c) = c.  Raises ValueError if a column has
+        a nonzero anywhere else.
+        """
+        diags, offs = [], []
+        for s, perm in zip(self.stacks, perms):
+            d = s.shape[-1]
+            flat = np.arange(perm.size)
+            col = flat % d
+            # entry (b, r, c) of the stack sits at (b*d + r)*d + c
+            entries = s.reshape(-1)
+            diag = entries[flat * d + col]
+            off = entries[perm * d + col]
+            off[perm == flat] = 0.0
+            if np.count_nonzero(s) != np.count_nonzero(diag) + np.count_nonzero(off):
+                raise ValueError("the operator has a nonzero outside the diagonal and the permuted entry of a column")
+            diags.append(diag)
+            offs.append(off)
+        return diags, offs
 
     def column(self, j: int) -> np.ndarray:
         """Column j of the operator in tensor-basis coordinates."""

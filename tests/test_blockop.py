@@ -85,6 +85,18 @@ class TestGenerators:
         assert rep.zeta.nbytes == 16 * sum(idx.shape[0] * idx.shape[1] ** 2 for idx in layout.index)
         assert rep.t(1).layout is rep.zeta.layout is layout
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_leg_is_the_dense_embedding_on_its_blocks(self, rng, n):
+        # a random op that keeps the content of its two legs, on every leg pair
+        content = [sorted(divmod(k, 3)) for k in range(9)]
+        keeps = np.array([[cr == cc for cc in content] for cr in content])
+        op = np.where(keeps, rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), 0.0)
+        off = content_mask(n)
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            ref = two_leg_op(op, n, a, b)
+            assert np.max(np.abs(ref[off])) == 0.0
+            assert np.array_equal(BlockOp.two_leg(op, n, a, b).dense(), ref)
+
     def test_rejects_content_changing_operator(self):
         op = np.zeros((9, 9), dtype=complex)
         op[1, 2] = 1.0  # v1 v3 -> v1 v2 changes the pair's content

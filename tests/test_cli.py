@@ -68,6 +68,15 @@ class TestVerify:
         p2.pop("timings")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
+    @pytest.mark.parametrize("p, depth", [("0.35", 40), ("0.6", 59), ("0.7", 84)])
+    def test_braid_limit_depth_follows_p(self, capsys, p, depth):
+        # the braid-limit depth grows with p, so p^depth stays below the tolerance
+        code, out, _ = run_cli(capsys, "verify", "qkz", "--p", p, "--format", "json")
+        assert code == 0
+        (result,) = [r for r in json.loads(out)["results"] if r["check"] == "braid-limit"]
+        assert result["passed"] is True
+        assert result["detail"]["depth"] == depth
+
     def test_site_count_above_cap_is_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "hecke", "--n", "7")[0] == 2
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qkzconn.blocks import PrincipalSeriesSpec, content_block
+from qkzconn.blocks import PrincipalSeriesSpec, _block_gamma_raw, content_block
 from qkzconn.connection import (
     PHI_FAMILY,
     PSI_FAMILY,
@@ -186,6 +186,15 @@ class TestConnectionWord:
 
 
 class TestTensorMonodromy:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_spectral_vectors_are_those_of_content_block(self, ep, rng, n):
+        # the tensor route reads each block's gamma without building its spec
+        log_p = ep.nome.log_p
+        for _ in range(3):
+            phi = sample_phi(rng)
+            for r in content_labels(n):
+                assert _block_gamma_raw(log_p, ep.kappa, phi, n, r) == content_block(ep, n, r, phi).gamma
+
     def test_rank2_equals_dynamical_r(self, ep, rng):
         for _ in range(5):
             phi = sample_phi(rng)

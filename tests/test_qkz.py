@@ -1,12 +1,13 @@
 """Transport cocycle: words, flatness and the braid limit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qkzconn.elliptic import PoleError
-from qkzconn.heckespin import y_tilde
+from qkzconn.heckespin import HeckeParams, spin_rep, y_tilde
 from qkzconn.params import sample_point
 from qkzconn.qkz import (
     XI,
@@ -21,7 +22,7 @@ from qkzconn.qkz import (
     transport_word,
     transport_words,
 )
-from qkzconn.tensorspace import permutation_op, rel_residual
+from qkzconn.tensorspace import BlockOp, block_layout, letter_table, permutation_op, rel_residual, tensor_index
 
 from qkzconn.elliptic import pow_p
 from qkzconn.heckespin import perk_schultz
@@ -142,10 +143,15 @@ def dense_transport(rep, word, z):
     return out
 
 
+@pytest.fixture(scope="module")
+def rep5(ep, phi):
+    return spin_rep(HeckeParams(elliptic=ep, n=5), phi)
+
+
 class TestTransportWords:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_batch_equals_one_word_calls_and_dense_product(self, reps, rng, ep, n):
-        rep = reps[n]
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_batch_equals_one_word_calls_and_dense_product(self, reps, rep5, rng, ep, n):
+        rep = rep5 if n == 5 else reps[n]
         words = batch_words(n)
         points = [point(rng, n, ep) for _ in words]
         batch = transport_words(rep, list(zip(words, points)))
@@ -179,6 +185,62 @@ class TestTransportWords:
         with pytest.raises(ValueError):
             transport_words(reps[3], [(translation_word(2, 1), point(rng, 2, ep))])
 
+    @pytest.mark.parametrize("name, row", [("t_ops", 3), ("t_inv_ops", 4), ("zeta", 1), ("zeta_inv", 2)])
+    def test_off_pattern_generator_is_rejected(self, reps, rng, ep, name, row):
+        # one more nonzero in column 0 of the first 3-dimensional block, in a
+        # row that is neither 0 nor where the letter table sends column 0
+        rep = reps[3]
+        g = next(g for g, idx in enumerate(block_layout(3).index) if idx.shape[1] == 3)
+        perm = letter_table(3)[g][row]
+        r = max({0, 1, 2} - {0, int(perm[0]) % 3})
+        gens = getattr(rep, name)
+        op = gens[row - 3] if isinstance(gens, tuple) else gens
+        stacks = [s.copy() for s in op.stacks]
+        assert stacks[g][0, r, 0] == 0
+        stacks[g][0, r, 0] = 0.5
+        bad = BlockOp(op.layout, stacks)
+        if isinstance(gens, tuple):
+            bad = gens[: row - 3] + (bad,) + gens[row - 2 :]
+        with pytest.raises(ValueError, match="nonzero outside"):
+            transport_words(dataclasses.replace(rep, **{name: bad}), [(translation_word(3, 1), point(rng, 3, ep))])
+        # the rep it was copied from still transports
+        transport_word(rep, translation_word(3, 1), point(rng, 3, ep))
+
+
+class TestLetterColumns:
+    """Every generator block is the two entries per column of the letter table."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generators_are_two_entries_per_column(self, ep, phi, n):
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        table = letter_table(n)
+        ops = [(1, rep.zeta), (2, rep.zeta_inv)]
+        ops += [(2 + i, rep.t_inv(i)) for i in range(1, n)] + [(2 + i, rep.t(i)) for i in range(1, n)]
+        for row, op in ops:
+            perms = [perms[row] for perms in table]
+            diags, offs = op.column_entries(perms)
+            for s, perm, diag, off in zip(op.stacks, perms, diags, offs):
+                k, d, _ = s.shape
+                rebuilt = np.zeros_like(s)
+                blk, col = np.divmod(np.arange(k * d), d)
+                rebuilt[blk, col, col] = diag
+                rebuilt[blk, perm % d, col] += off
+                assert np.array_equal(rebuilt, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_moves_the_multi_indices(self, n):
+        # row 1 rotates (a_1 .. a_n) to (a_n a_1 .. a_{n-1}), row 2 back, row 2 + i swaps a_i, a_{i+1}
+        layout = block_layout(n)
+        moves = [lambda a: a, lambda a: a[-1:] + a[:-1], lambda a: a[1:] + a[:1]]
+        moves += [lambda a, i=i: a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :] for i in range(1, n)]
+        for idx, perms in zip(layout.index, letter_table(n)):
+            d = idx.shape[1]
+            for move, perm in zip(moves, perms):
+                for flat, target in enumerate(perm):
+                    alpha = tuple(int(v) + 1 for v in layout.digits[idx.reshape(-1)[flat]])
+                    assert idx[flat // d, target % d] == tensor_index(move(alpha))
+                    assert target // d == flat // d
+
 
 class TestFlatness:
     def test_equal_indices_trivial(self, reps, rng, ep):
@@ -211,6 +273,11 @@ class TestFlatness:
 class TestBraidLimit:
     def test_trivial_exponent(self, reps):
         assert braid_limit_residual(reps[2], (0, 0), 10.0) == 0.0
+
+    @pytest.mark.parametrize("depth", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_depth_that_is_not_positive_and_finite(self, reps, depth):
+        with pytest.raises(ValueError, match="depth"):
+            braid_limit_residual(reps[2], (1, 0), depth)
 
     def test_deep_convergence(self, reps):
         assert braid_limit_residual(reps[2], (1, 0), 40.0) < 1e-10
