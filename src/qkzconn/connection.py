@@ -9,10 +9,13 @@ map) produces an operator that acts locally on two neighbouring legs as a
 dynamical R-matrix, with the dynamical parameters shifted according to the
 value carried by a control leg.
 
-The tensor-basis monodromy keeps content, so both of its independent routes
-return a ``tensorspace.BlockOp`` built block by block on the one product
-engine ``_products``: one takes its letters from the tensor basis, the other
-reorders the block matrices with the signs of the basis map.
+Every one-letter matrix, on a block, in the tensor basis or on two sites
+(the dynamical R-matrix), has at most two nonzeros per column, so every word
+multiplies on the one product engine ``tensorspace.column_products``.  The
+tensor-basis monodromy keeps content, and both of its independent routes
+return a ``tensorspace.BlockOp``: one takes its letters from the tensor
+basis, one content group at a time, the other reorders the block matrices
+with the signs of the basis map.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .symgroup import (
     inverse,
     leading_index,
     min_coset_reps,
-    multi_index_swap,
     rep_of_index,
     simple,
 )
@@ -49,7 +51,9 @@ from .tensorspace import (
     WEIGHTS,
     BlockOp,
     block_layout,
+    column_products,
     controlled_op,
+    letter_table,
     tensor_index,
 )
 
@@ -93,163 +97,113 @@ class ConnectionMatrix:
     entries: np.ndarray
 
 
-class _Letter(NamedTuple):
-    """The z-independent pattern of a one-letter matrix.
+# the kinds of a letter's column: fixed with the value 1, fixed with the odd
+# unit -c(x)/c(-x), or moving, with A(y, x) on the diagonal and sign * B(y, x)
+# in the row perm[c]
+_EVEN, _ODD, _MOVING = 0, 1, 2
 
-    A column is fixed with value 1 (``ones``), fixed with the odd unit
-    -c(x)/c(-x) (``odd``), or moving: a moving column ``cols[k]`` carries
-    A(y_k, x) on the diagonal and ``signs[k] * B(y_k, x)`` at the row
-    ``rows[k]``, with y_k = gamma[gi[k]] - gamma[gj[k]] for the spectral
-    vector gamma of the matrix.
-    """
 
-    dim: int
-    ones: np.ndarray
-    odd: np.ndarray
-    cols: np.ndarray
-    rows: np.ndarray
-    signs: np.ndarray
+class _Letters(NamedTuple):
+    """Column data of one-letter matrices, indexed [..., column]: the column
+    permutation, the kind, the exchange sign and the indices gi, gj into the
+    spectral vector gamma with y = gamma[gi] - gamma[gj]."""
+
+    perm: np.ndarray
+    kind: np.ndarray
+    sign: np.ndarray
     gi: np.ndarray
     gj: np.ndarray
 
-
-def _letter(dim: int, ones, odd, cols, rows, signs, gi, gj) -> _Letter:
-    index = [np.array(v, dtype=np.intp) for v in (ones, odd, cols, rows)]
-    gamma_index = [np.array(v, dtype=np.intp) for v in (gi, gj)]
-    return _Letter(dim, *index, np.array(signs, dtype=float), *gamma_index)
+    def take(self, rows) -> "_Letters":
+        return _Letters(*(field[rows] for field in self))
 
 
-@functools.cache
-def _pad(dim: int) -> _Letter:
-    # the identity as a letter: every column fixed with value 1
-    return _letter(dim, range(dim), [], [], [], [], [], [])
+def _table(letters: Sequence[tuple]) -> _Letters:
+    # a read-only table, one row per (perm, kind, sign, gi, gj) letter after
+    # the identity in row 0
+    dim = len(letters[0][0])
+    identity = (range(dim), [_EVEN] * dim, [1.0] * dim, [0] * dim, [0] * dim)
+    dtypes = (np.intp, np.int8, float, np.intp, np.intp)
+    table = _Letters(*(np.array(rows, dtype=t) for rows, t in zip(zip(identity, *letters), dtypes)))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-def _fill(m: np.ndarray, at, letter: _Letter, a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> None:
-    # write the letter into the slots ``at`` (a slice, or a column of slot
-    # numbers) of a zeroed (K, dim, dim) stack m; a and b hold one row of
-    # moving-column values per slot, ``unit`` one odd unit per slot
-    dim = letter.dim
-    flat = m.reshape(len(m), dim * dim)
-    flat[at, letter.ones * (dim + 1)] = 1.0
-    flat[at, letter.odd * (dim + 1)] = unit[:, None]
-    flat[at, letter.cols * (dim + 1)] = a
-    flat[at, letter.rows * dim + letter.cols] = letter.signs * b
+def _word_plan(words: Sequence[tuple[Sequence[int], Sequence[complex]]]) -> tuple[np.ndarray, np.ndarray]:
+    # the (positions, words) array of the letters of (labels, z) words, padded
+    # with 0 (the identity row of a table), and each letter's
+    # x = z_i - z_(i+1) at the point moved by the letters before it
+    shape = (max(1, *(len(labels) for labels, _ in words)), len(words))
+    lab, x = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=complex)
+    for w, (labels, z) in enumerate(words):
+        z = [complex(t) for t in z]
+        if not all(1 <= i < len(z) for i in labels):
+            raise ValueError(f"letters {tuple(labels)} out of range for n={len(z)}")
+        for k, i in enumerate(labels):
+            lab[k, w], x[k, w] = i, z[i - 1] - z[i]
+            z[i - 1], z[i] = z[i], z[i - 1]
+    return lab, x
 
 
-class _Word(NamedTuple):
-    # letter patterns with their labels, the spectral vector, the letters'
-    # arguments x_k and the matrix dimension
-    letters: tuple[_Letter, ...]
-    labels: tuple[int, ...]
-    gamma: np.ndarray
-    xs: tuple[complex, ...]
-    dim: int
+def _letter_products(ep: EllipticParams, plans: Sequence[tuple], names: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """The (words, k, d, d) products of each plan's words on ``column_products``.
 
-
-def _walk(labels: Sequence[int], z: tuple[complex, ...]) -> tuple[complex, ...]:
-    # x_k = z_(i_k) - z_(i_k + 1) at the point moved by the letters before k;
-    # s_i swaps the coordinates i and i + 1
-    z = list(z)
-    xs = []
-    for i in labels:
-        xs.append(z[i - 1] - z[i])
-        z[i - 1], z[i] = z[i], z[i - 1]
-    return tuple(xs)
-
-
-def _products(ep: EllipticParams, words: Sequence[_Word]) -> list[np.ndarray]:
-    """The product of each word's one-letter matrices, left to right.
-
-    Every coefficient of every letter comes from one elliptic batch.  The
-    words of one dimension multiply one letter position at a time as a
-    (words, dim, dim) stack, starting from their first letters; each
-    position's letters are filled as one stack, and a shorter word is padded
-    with the identity, which leaves its product exact.  So a batch equals the
-    one-word products bit for bit, given the same coefficients.
+    A plan is (letters, gamma, x, d): the ``_Letters`` at (position, word,
+    column), each word's spectral vector per column (words, columns, n), each
+    letter's x (positions, words) and the block dimension.  Every A, B and odd
+    unit of every plan comes from one elliptic batch: A and B at each moving
+    column, the unit once per letter with an odd column.  A pole raises
+    PoleError naming the words' letters ``names``.
     """
-    groups: dict[int, list[_Word]] = {}
-    for word in words:
-        groups.setdefault(word.dim, []).append(word)
-    # each position of each dimension, with the slots that hold each distinct
-    # letter there (the pad for the words that have ended); the batch takes
-    # their coefficients in that order.  A letter without an odd column, or a
-    # pad, asks for the unit at u = 0, which is 1 and costs no theta factor
-    plan = []
+    moving = [letters.kind == _MOVING for letters, _, _, _ in plans]
+    odd = [(letters.kind == _ODD).any(axis=-1) for letters, _, _, _ in plans]
     ys, xs, us = [], [], []
-    for dim, members in groups.items():
-        for k in range(max(1, max(len(word.letters) for word in members))):
-            slots: dict[int, list[int]] = {}
-            for s, word in enumerate(members):
-                slots.setdefault(id(word.letters[k]) if k < len(word.letters) else 0, []).append(s)
-            fills = []
-            for same in slots.values():
-                if k >= len(members[same[0]].letters):
-                    fills.append((_pad(dim), same))
-                    us.append(np.zeros(len(same), dtype=complex))
-                    continue
-                letter = members[same[0]].letters[k]
-                x = np.array([members[s].xs[k] for s in same])
-                gamma = np.array([members[s].gamma for s in same])
-                ys.append((gamma[:, letter.gi] - gamma[:, letter.gj]).ravel())
-                xs.append(np.repeat(x, len(letter.cols)))
-                us.append(x if len(letter.odd) else np.zeros(len(same), dtype=complex))
-                fills.append((letter, same))
-            plan.append((dim, k, fills))
+    for (letters, gamma, x, _), m, o in zip(plans, moving, odd):
+        words, cols = np.nonzero(m)[1:]
+        ys.append(gamma[words, cols, letters.gi[m]] - gamma[words, cols, letters.gj[m]])
+        xs.append(np.broadcast_to(x[..., None], m.shape)[m])
+        us.append(x[o])
     y, x, u = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs, us))
     try:
         a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=u)
     except PoleError as exc:
-        names = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in word.labels) for word in words))
+        words = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in labels) for labels in names))
         raise PoleError(
-            f"one-letter matrices of {names}: {exc}", factor=exc.factor, magnitude=exc.magnitude
+            f"one-letter matrices of {words}: {exc}", factor=exc.factor, magnitude=exc.magnitude
         ) from exc
-    stacks = {}
-    start = slot = 0
-    for dim, k, fills in plan:
-        one = np.zeros((len(groups[dim]), dim, dim), dtype=complex)
-        for letter, same in fills:
-            rows, cols = len(same), len(letter.cols)
-            a_k, b_k = (v[start : start + rows * cols].reshape(rows, cols) for v in (a, b))
-            _fill(one, np.array(same)[:, None], letter, a_k, b_k, units[slot : slot + rows])
-            start, slot = start + rows * cols, slot + rows
-        # the first letter is the starting product
-        stacks[dim] = one if k == 0 else stacks[dim] @ one
-    at = {dim: iter(stack) for dim, stack in stacks.items()}
-    return [next(at[word.dim]) for word in words]
+    out = []
+    for (letters, _, x, d), m, o, y_k, u_k in zip(plans, moving, odd, ys, us):
+        unit = np.ones(x.shape, dtype=complex)
+        unit[o], units = units[: len(u_k)], units[len(u_k) :]
+        diag = np.where(letters.kind == _ODD, unit[..., None], 1.0 + 0.0j)
+        off = np.zeros(m.shape, dtype=complex)
+        diag[m], off[m] = a[: len(y_k)], letters.sign[m] * b[: len(y_k)]
+        a, b = a[len(y_k) :], b[len(y_k) :]
+        out.append(column_products(letters.perm, diag, off, d))
+    return out
 
 
 @functools.cache
-def _block_letter(n: int, index_set: tuple[int, ...], signs: tuple[int, ...], i: int) -> _Letter:
-    # s_i moves sigma to s_(n-i) sigma; a column that stays is 1 or the odd
-    # unit by the sign of its conjugation index
+def _block_table(n: int, index_set: tuple[int, ...], signs: tuple[int, ...]) -> _Letters:
+    # row i for s_i: it moves sigma to s_(n-i) sigma when that is a basis
+    # vector; a column that stays is 1 or the odd unit by the sign of its
+    # conjugation index
     basis = min_coset_reps(n, index_set)
     pos = {w: k for k, w in enumerate(basis)}
-    ni = dual_position(n, i)
-    ones, odd, cols, rows, gi, gj = [], [], [], [], [], []
-    for col, sigma in enumerate(basis):
-        moved = compose(simple(n, ni), sigma)
-        if moved in pos:
-            sigma_inv = inverse(sigma)
-            cols.append(col)
-            rows.append(pos[moved])
-            gi.append(sigma_inv[ni - 1] - 1)
-            gj.append(sigma_inv[ni] - 1)
-        elif signs[index_set.index(conjugation_index(sigma, i, index_set))] == 1:
-            ones.append(col)
-        else:
-            odd.append(col)
-    return _letter(len(basis), ones, odd, cols, rows, np.ones(len(cols)), gi, gj)
-
-
-def _block_word(spec: PrincipalSeriesSpec, labels: Sequence[int], z: Sequence[complex]) -> _Word:
-    n = spec.n
-    z = tuple(complex(t) for t in z)
-    if len(z) != n:
-        raise ValueError("evaluation point must have one coordinate per site")
-    letters = tuple(_block_letter(n, spec.index_set, spec.signs, i) for i in labels)
-    dim = len(min_coset_reps(n, spec.index_set))
-    return _Word(letters, tuple(labels), np.array(spec.gamma, dtype=complex), _walk(labels, z), dim)
+    inv = np.array([inverse(sigma) for sigma in basis]) - 1
+    letters = []
+    for i in range(1, n):
+        ni = dual_position(n, i)
+        perm = [pos.get(compose(simple(n, ni), sigma), col) for col, sigma in enumerate(basis)]
+        kind = [
+            _MOVING if perm[col] != col
+            else _EVEN if signs[index_set.index(conjugation_index(sigma, i, index_set))] == 1
+            else _ODD
+            for col, sigma in enumerate(basis)
+        ]
+        letters.append((perm, kind, np.ones(len(basis)), inv[:, ni - 1], inv[:, ni]))
+    return _table(letters)
 
 
 def connection_words(
@@ -261,12 +215,36 @@ def connection_words(
     For the letters (i_1, ..., i_r) at z this is
     M^{s_i_1}(z) M^{s_i_2}(s_i_1 z) ... on the block ``spec``, each letter at
     the point moved by the letters before it.  The words may lie on
-    different blocks.  All letters of all words come from one elliptic
-    batch, so a pole in any of them raises PoleError.
+    different blocks; the words of one block dimension multiply on one
+    ``column_products`` call, with their letters taken from their blocks'
+    tables.  All letters of all words come from one elliptic batch, so a pole
+    in any of them raises PoleError.
     """
     for spec in dict.fromkeys(spec for spec, _, _ in words):
         validate_spec(ep, spec)
-    return _products(ep, [_block_word(spec, labels, z) for spec, labels, z in words])
+    groups: dict[int, list[int]] = {}
+    tables = []
+    for w, (spec, _, z) in enumerate(words):
+        if len(z) != spec.n:
+            raise ValueError("evaluation point must have one coordinate per site")
+        tables.append(_block_table(spec.n, spec.index_set, spec.signs))
+        groups.setdefault(tables[-1].perm.shape[1], []).append(w)
+    plans = []
+    for dim, members in groups.items():
+        lab, x = _word_plan([words[w][1:] for w in members])
+        # the group's distinct tables stacked, each word's rows offset into them
+        distinct = {id(tables[w]): tables[w] for w in members}
+        offset = dict(zip(distinct, np.cumsum([0] + [len(t.perm) for t in distinct.values()])))
+        lab += np.array([offset[id(tables[w])] for w in members])
+        gamma = np.zeros((len(members), dim, max(words[w][0].n for w in members)), dtype=complex)
+        for k, w in enumerate(members):
+            gamma[k, :, : words[w][0].n] = words[w][0].gamma
+        plans.append((_Letters(*map(np.concatenate, zip(*distinct.values()))).take(lab), gamma, x, dim))
+    out: list = [None] * len(words)
+    for members, mats in zip(groups.values(), _letter_products(ep, plans, [labels for _, labels, _ in words])):
+        for w, mat in zip(members, mats):
+            out[w] = mat[0]
+    return out
 
 
 def connection_simple(
@@ -279,7 +257,7 @@ def connection_simple(
 
 
 # ---------------------------------------------------------------------------
-# monodromy on the tensor-product basis, one content block at a time
+# monodromy on the tensor-product basis, one content group at a time
 
 
 @functools.cache
@@ -299,51 +277,28 @@ def _layout_blocks(n: int) -> tuple[tuple[Content, np.ndarray, np.ndarray], ...]
 
 
 @functools.cache
-def _tensor_letter(n: int, i: int) -> tuple[_Letter, ...]:
-    # the monodromy of s_i in the tensor basis, one letter per block of
-    # block_layout(n) in layout order; rows and columns are places in the
-    # block, and gi, gj index the block's own spectral vector.  A multi-index
-    # beta whose entries at the dual positions (n-i, n-i+1) agree is fixed (1
-    # if even, the odd unit -c(x)/c(-x) if odd); otherwise it moves to the
-    # swapped index, with the gamma difference read through its coset
-    # representative and the exchange sign of its two entries
-    ni = dual_position(n, i)
+def _tensor_table(n: int) -> tuple[_Letters, ...]:
+    # the monodromy of s_i in the tensor basis, one table per group of
+    # block_layout(n), row i for s_i; gi, gj index the spectral vector of the
+    # column's block.  A multi-index beta whose entries at the dual positions
+    # (n-i, n-i+1) agree is fixed (1 if even, the odd unit if odd); otherwise
+    # it moves to the swapped index (the leg swap of letter_table(n)), with
+    # the exchange sign of its two entries and the gamma difference read
+    # through its coset representative
     layout = block_layout(n)
-    letters = []
-    for rows in itertools.chain.from_iterable(layout.index):
-        ones, odd, cols, swapped, signs, gi, gj = [], [], [], [], [], [], []
-        for col, beta in enumerate((layout.digits[rows] + 1).tolist()):
-            a, b = beta[ni - 1], beta[ni]
-            if a == b:
-                (odd if a == 3 else ones).append(col)
-                continue
-            w_inv = inverse(rep_of_index(beta))
-            cols.append(col)
-            swapped.append(layout.pos[tensor_index(multi_index_swap(beta, ni))])
-            signs.append((-1.0) ** ((a == 3) + (b == 3)))
-            gi.append(w_inv[ni - 1] - 1)
-            gj.append(w_inv[ni] - 1)
-        letters.append(_letter(len(rows), ones, odd, cols, swapped, signs, gi, gj))
-    return tuple(letters)
-
-
-def _tensor_words(gammas: Sequence[np.ndarray], labels: Sequence[int], z: Sequence[complex]) -> list[_Word]:
-    # the word of the letters on each block of block_layout(len(z)), in
-    # layout order, with the block's spectral vector from ``gammas``
-    n = len(z)
-    xs = _walk(labels, tuple(complex(t) for t in z))
-    letters = [_tensor_letter(n, i) for i in labels]
-    return [
-        _Word(tuple(letter[k] for letter in letters), tuple(labels), gamma, xs, len(order))
-        for k, (gamma, (_, order, _)) in enumerate(zip(gammas, _layout_blocks(n)))
-    ]
-
-
-def _block_ops(words: Sequence[tuple], mats: Sequence[np.ndarray]) -> list[BlockOp]:
-    # the block matrices of each word, in layout order, stacked group by group
-    mats = iter(mats)
-    layouts = [block_layout(len(z)) for _, _, z in words]
-    return [BlockOp(layout, [np.stack([next(mats) for _ in idx]) for idx in layout.index]) for layout in layouts]
+    parity = np.array(PARITY)
+    tables = []
+    for idx, perms in zip(layout.index, letter_table(n)):
+        digits = layout.digits[idx.reshape(-1)]
+        inv = np.array([inverse(rep_of_index(beta)) for beta in (digits + 1).tolist()]) - 1
+        letters = []
+        for i in range(1, n):
+            ni = dual_position(n, i)
+            a, b = digits[:, ni - 1], digits[:, ni]
+            kind = np.where(a == b, np.where(parity[a] == 1, _ODD, _EVEN), _MOVING)
+            letters.append((perms[2 + ni], kind, (-1.0) ** (parity[a] + parity[b]), inv[:, ni - 1], inv[:, ni]))
+        tables.append(_table(letters))
+    return tuple(tables)
 
 
 def tensor_monodromy_words(
@@ -353,23 +308,34 @@ def tensor_monodromy_words(
     """Tensor-basis monodromies, one per (phi, letters, z) in ``words``.
 
     The word of the letters (i_1, ..., i_r) on n = len(z) sites is the
-    product of the one-letter tensor-basis monodromies (``_tensor_letter``),
-    each at the point moved by the letters before it, taken one content
-    block at a time.  The words may differ in phi and in n.  All letters of
-    all words come from one elliptic batch, so a pole in any of them raises
-    PoleError.
+    product of the one-letter tensor-basis monodromies (``_tensor_table``),
+    each at the point moved by the letters before it, one
+    ``column_products`` call per content group of ``block_layout(n)``.  The
+    words may differ in phi and in n.  All letters of all words come from one
+    elliptic batch, so a pole in any of them raises PoleError.
     """
-    # each block's spectral vector, as content_block computes it, without
-    # building and validating the rest of the block's spec
-    log_p = ep.nome.log_p
-    gammas: dict[tuple, list[np.ndarray]] = {}
-    block_words = []
-    for phi, labels, z in words:
-        n, phi = len(z), tuple(complex(v) for v in phi)
-        if (n, phi) not in gammas:
-            gammas[n, phi] = [np.array(_block_gamma_raw(log_p, ep.kappa, phi, n, r)) for r, _, _ in _layout_blocks(n)]
-        block_words += _tensor_words(gammas[n, phi], labels, z)
-    return _block_ops(words, _products(ep, block_words))
+    by_n: dict[int, list[int]] = {}
+    for w, (_, _, z) in enumerate(words):
+        by_n.setdefault(len(z), []).append(w)
+    plans = []
+    for n, members in by_n.items():
+        lab, x = _word_plan([words[w][1:] for w in members])
+        # each block's spectral vector, as content_block computes it, without
+        # building and validating the rest of the block's spec, per word in
+        # layout order
+        rs = [r for r, _, _ in _layout_blocks(n)]
+        gamma = np.array([[_block_gamma_raw(ep.nome.log_p, ep.kappa, words[w][0], n, r) for r in rs] for w in members])
+        start = 0
+        for table, (k, d) in zip(_tensor_table(n), (idx.shape for idx in block_layout(n).index)):
+            plans.append((table.take(lab), np.repeat(gamma[:, start : start + k], d, axis=1), x, d))
+            start += k
+    products = iter(_letter_products(ep, plans, [labels for _, labels, _ in words]))
+    out: list = [None] * len(words)
+    for n, members in by_n.items():
+        stacks = [next(products) for _ in block_layout(n).index]
+        for k, w in enumerate(members):
+            out[w] = BlockOp(block_layout(n), (s[k] for s in stacks))
+    return out
 
 
 def tensor_monodromy_from_blocks_words(
@@ -381,41 +347,33 @@ def tensor_monodromy_from_blocks_words(
 
     Entry (alpha, beta) within the block of content r is
     (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
-    vanishes.  Every block's word of every word comes from one elliptic
-    batch.
+    vanishes.  Every block's word of every word comes from one
+    ``connection_words`` call.
     """
-    block_words = [
-        _block_word(content_block(ep, len(z), r, phi), labels, z)
-        for phi, labels, z in words
-        for r, _, _ in _layout_blocks(len(z))
-    ]
-    mats = iter(_products(ep, block_words))
     per_word = [_layout_blocks(len(z)) for _, _, z in words]
-    return _block_ops(words, [signs * next(mats)[np.ix_(order, order)] for lb in per_word for _, order, signs in lb])
+    block_words = [
+        (content_block(ep, len(z), r, phi), labels, z) for (phi, labels, z), lb in zip(words, per_word) for r, _, _ in lb
+    ]
+    mats = iter(connection_words(ep, block_words))
+    out = []
+    for (_, _, z), lb in zip(words, per_word):
+        layout = block_layout(len(z))
+        blocks = (signs * next(mats)[np.ix_(order, order)] for _, order, signs in lb)
+        out.append(BlockOp(layout, [np.stack([next(blocks) for _ in idx]) for idx in layout.index]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the dynamical R-matrix
 
-
-def _mixed_letter() -> _Letter:
-    # two-site basis: the pure even columns are 1, the pure odd column is the
-    # odd unit; the mixed column (a, b) moves to (b, a) with the exchange
-    # sign (-1)^(p(a)+p(b)) and y = phi_a - phi_b
-    mixed = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
-    return _letter(
-        DIM**2,
-        [tensor_index((1, 1)), tensor_index((2, 2))],
-        [tensor_index((3, 3))],
-        [tensor_index(ab) for ab in mixed],
-        [tensor_index((b, a)) for a, b in mixed],
-        [(-1.0) ** (PARITY[a - 1] + PARITY[b - 1]) for a, b in mixed],
-        [a - 1 for a, _ in mixed],
-        [b - 1 for _, b in mixed],
-    )
-
-
-_R_LETTER = _mixed_letter()
+# two-site basis: the pure even columns are 1, the pure odd column is the odd
+# unit; the mixed column (a, b) moves to (b, a) with the exchange sign
+# (-1)^(p(a)+p(b)) and y = phi_a - phi_b
+_PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+_MIXED = [tensor_index(ab) for ab in _PAIRS if ab[0] != ab[1]]
+_R_PERM = np.array([tensor_index((b, a)) for a, b in _PAIRS])
+_R_SIGN = np.array([(-1.0) ** (PARITY[a - 1] + PARITY[b - 1]) for a, b in _PAIRS if a != b])
+_R_GI, _R_GJ = (np.array([ab[k] - 1 for ab in _PAIRS if ab[0] != ab[1]]) for k in (0, 1))
 
 
 def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
@@ -426,18 +384,22 @@ def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
     entry (-1)^(p(i)+p(j)) B^{phi_i - phi_j}(x).
 
     ``x`` of shape S and ``phi`` of shape S' + (3,) broadcast to a stack of
-    shape S'' + (9, 9), with every entry from one elliptic batch; a scalar x
-    and one triple phi give one 9x9 matrix.
+    shape S'' + (9, 9), with every entry from one elliptic batch and each
+    matrix one letter of ``column_products``; a scalar x and one triple phi
+    give one 9x9 matrix.
     """
     x, phi = np.asarray(x, dtype=complex), np.asarray(phi, dtype=complex)
     shape = np.broadcast_shapes(x.shape, phi.shape[:-1])
     xs = np.broadcast_to(x, shape).reshape(-1, 1)
     phis = np.broadcast_to(phi, shape + (3,)).reshape(-1, 3)
-    ys = phis[:, _R_LETTER.gi] - phis[:, _R_LETTER.gj]
+    ys = phis[:, _R_GI] - phis[:, _R_GJ]
     a, b, unit, _ = coefficients(ep, a=(ys, xs), b=(ys, xs), u=xs[:, 0])
-    m = np.zeros((len(xs), 9, 9), dtype=complex)
-    _fill(m, slice(None), _R_LETTER, a, b, unit)
-    return m.reshape(shape + (9, 9))
+    diag = np.ones((len(xs), 9), dtype=complex)
+    off = np.zeros((len(xs), 9), dtype=complex)
+    diag[:, tensor_index((3, 3))] = unit
+    diag[:, _MIXED], off[:, _MIXED] = a, _R_SIGN * b
+    m = column_products(np.broadcast_to(_R_PERM, (1, len(xs), 9)), diag[None], off[None], 9)
+    return np.ascontiguousarray(m.reshape(shape + (9, 9)))
 
 
 # ---------------------------------------------------------------------------

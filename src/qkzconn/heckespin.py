@@ -4,11 +4,14 @@ The constant braid matrix acts on neighbouring legs as the generators T_i,
 and the quasi-cyclic generator acts as a rotation composed with a diagonal
 twist on the last leg.  Both keep the content of a multi-index, so every
 generator, and every product of them, is a ``BlockOp``: it is built and
-multiplied one content block at a time.  The commuting family Y_j and its
-braid-limit companion are assembled from these by the standard products;
+multiplied one content block at a time.  Every generator has at most two
+nonzeros per column, and ``SpinRep`` stores them as those column entries;
+the generator operators, the braid-limit family ``y_tilde`` and the qKZ
+transports are built from them by ``tensorspace.column_products``.  The
+commuting family Y_j and the products T_w multiply the generator operators;
 Baxterization turns the braid matrix into the spectral-parameter solution of
-the quantum Yang-Baxter equation (the supersymmetric three-state vertex model
-weights).
+the quantum Yang-Baxter equation (the supersymmetric three-state vertex
+model weights).
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from .tensorspace import (
     DIM,
     BlockOp,
     block_layout,
+    column_products,
     frob,
+    letter_table,
     permutation_op,
     rel_residual,
+    two_leg_columns,
     two_leg_op,
 )
 
@@ -163,9 +169,12 @@ class SpinRep:
     t_inv_ops: tuple[BlockOp, ...]
     zeta: BlockOp
     zeta_inv: BlockOp
+    #: per group of ``block_layout(n)``, the column entries of the generators
+    #: as a (2, 2, n + 2, k*d) array [side, diagonal or row pi(c), letter,
+    #: column] with the letters of ``letter_table(n)``: side 0 holds the
+    #: identity, zeta, zeta^{-1} and T_i^{-1}, side 1 zero, zero, zero and T_i
+    columns: tuple[np.ndarray, ...] = field(repr=False)
     _y_cache: dict = field(default_factory=dict, repr=False)
-    # the generators' column entries for the qKZ transport, read on first use
-    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -182,26 +191,43 @@ class SpinRep:
         return self.t_inv_ops[i - 1]
 
 
-def _twist_rotation(ep: EllipticParams, n: int, phi: Sequence[complex]) -> tuple[BlockOp, BlockOp]:
-    # rotation-with-twist: v_(a_1 .. a_n) -> p^{-phi_{a_n}} v_(a_n a_1 .. a_{n-1});
-    # the rotated vector has the same content, so it sits in the same block
-    layout = block_layout(n)
-    twists = [pow_p(ep, -complex(phi[j])) for j in range(3)]
+def _generator_columns(params: HeckeParams, b: np.ndarray, phi: Sequence[complex]) -> list[np.ndarray]:
+    # the ``SpinRep.columns`` of the braid matrix b and the twist phi.  zeta
+    # sends v_(a_1 .. a_n) to p^{-phi_{a_n}} v_(a_n a_1 .. a_{n-1}), and
+    # zeta^{-1} sends v_(a_1 .. a_n) to p^{phi_{a_1}} v_(a_2 .. a_n a_1)
+    n, q = params.n, params.q
+    b_inv = b - (q - 1.0 / q) * np.eye(9, dtype=complex)
+    twists = [pow_p(params.elliptic, -complex(phi[j])) for j in range(3)]
     twist = np.array(twists)
     twist_inv = np.array([1.0 / c for c in twists])
-    zeta, zeta_inv = [], []
-    for idx in layout.index:
-        k, d = idx.shape
-        last = idx % DIM
-        rows = layout.pos[last * DIM ** (n - 1) + idx // DIM]
-        blk, cols = np.arange(k)[:, None], np.arange(d)
-        fwd = np.zeros((k, d, d), dtype=complex)
-        bwd = np.zeros((k, d, d), dtype=complex)
-        fwd[blk, rows, cols] = twist[last]
-        bwd[blk, cols, rows] = twist_inv[last]
-        zeta.append(fwd)
-        zeta_inv.append(bwd)
-    return BlockOp(layout, zeta), BlockOp(layout, zeta_inv)
+    layout = block_layout(n)
+    out = []
+    for idx, perms in zip(layout.index, letter_table(n)):
+        digits = layout.digits[idx.reshape(-1)]
+        fixed = perms == np.arange(idx.size)
+        cols = np.zeros((2, 2, n + 2, idx.size), dtype=complex)
+        cols[0, 0, 0] = 1.0
+        for row, values in ((1, twist[digits[:, -1]]), (2, twist_inv[digits[:, 0]])):
+            cols[0, :, row] = np.where(fixed[row], values, 0.0), np.where(fixed[row], 0.0, values)
+        out.append(cols)
+    for side, op in enumerate((b_inv, b)):
+        for i in range(1, n):
+            for cols, entries in zip(out, two_leg_columns(op, n, i, i + 1)):
+                cols[side, :, 2 + i] = entries
+    return out
+
+
+def _generator_products(n: int, columns: Sequence[np.ndarray], rows, sides) -> list[BlockOp]:
+    # the products of generator letters by ``column_products``, one per word:
+    # ``rows`` (positions, words) names each letter's row of letter_table(n)
+    # and ``sides`` its side of ``columns`` (1 for T_i, 0 otherwise)
+    rows, sides = np.asarray(rows, dtype=np.intp), np.asarray(sides, dtype=np.intp)
+    layout = block_layout(n)
+    stacks = [
+        np.ascontiguousarray(column_products(perms[rows], cols[sides, 0, rows], cols[sides, 1, rows], idx.shape[1]))
+        for idx, perms, cols in zip(layout.index, letter_table(n), columns)
+    ]
+    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(rows.shape[1])]
 
 
 def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
@@ -209,21 +235,21 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     phi = tuple(complex(t) for t in phi)
     if len(phi) != 3:
         raise ValueError("the twist takes exactly three components")
-    q = params.q
-    b = braid_matrix(q)
+    b = braid_matrix(params.q)
     n = params.n
-    t_ops = tuple(BlockOp.two_leg(b, n, i, i + 1) for i in range(1, n))
-    b_inv = b - (q - 1.0 / q) * np.eye(9, dtype=complex)
-    t_inv_ops = tuple(BlockOp.two_leg(b_inv, n, i, i + 1) for i in range(1, n))
-    zeta, zeta_inv = _twist_rotation(params.elliptic, n, phi)
+    columns = _generator_columns(params, b, phi)
+    # one letter each: zeta, zeta^{-1}, the T_i^{-1}, then the T_i
+    rows = [1, 2] + 2 * list(range(3, n + 2))
+    gens = _generator_products(n, columns, [rows], [[0] * (n + 1) + [1] * (n - 1)])
     return SpinRep(
         params=params,
         phi=phi,
         braid=b,
-        t_ops=t_ops,
-        t_inv_ops=t_inv_ops,
-        zeta=zeta,
-        zeta_inv=zeta_inv,
+        t_ops=tuple(gens[n + 1 :]),
+        t_inv_ops=tuple(gens[2 : n + 1]),
+        zeta=gens[0],
+        zeta_inv=gens[1],
+        columns=tuple(columns),
     )
 
 
@@ -275,16 +301,35 @@ def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:
     return tuple((n + 1 - 2 * j) * kappa for j in range(1, n + 1))
 
 
+def _y_letters(n: int, j: int, e: int) -> list[tuple[int, int]]:
+    # Y_j^e as (letter-table row, side) letters: Y_j = T_{j-1}^{-1} .. T_1^{-1}
+    # zeta T_{n-1} .. T_j, and Y_j^{-1} the reversed word of inverse letters
+    word = [(2 + i, 0) for i in range(j - 1, 0, -1)] + [(1, 0)] + [(2 + i, 1) for i in range(n - 1, j - 1, -1)]
+    if e < 0:
+        word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
+    return abs(e) * word
+
+
 def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
-    """Braid-limit family p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}."""
+    """Braid-limit family p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}.
+
+    One word of generator letters: T_i along a reduced word of w0, the
+    letters of Y_1^{mu_1} .. Y_n^{mu_n} with mu = w0 lam (lam reversed), and
+    T_i^{-1} along the reversed reduced word, evaluated by one
+    ``column_products`` call per content group.
+    """
     n = rep.n
+    if len(lam) != n:
+        raise ValueError("exponent vector length must match the number of sites")
     ep = rep.params.elliptic
-    rho = rho_vector(n, ep.kappa)
-    pairing = sum(r * l for r, l in zip(rho, lam))
-    w0 = tuple(range(n, 0, -1))
-    lam_rev = tuple(reversed(tuple(lam)))  # w0 acts on exponents by reversal
-    tw0 = t_word(rep, w0)
-    return pow_p(ep, -pairing) * tw0 @ y_power(rep, lam_rev) @ tw0.inv()
+    pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
+    w0 = reduced_word(tuple(range(n, 0, -1)))
+    word = [(2 + i, 1) for i in w0]
+    for j, e in enumerate(reversed(tuple(lam)), start=1):
+        word += _y_letters(n, j, e)
+    word += [(2 + i, 0) for i in reversed(w0)]
+    rows, sides = np.array(word).T[:, :, None]
+    return pow_p(ep, -pairing) * _generator_products(n, rep.columns, rows, sides)[0]
 
 
 def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:

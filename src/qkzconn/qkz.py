@@ -10,10 +10,10 @@ to the commuting braid-limit operators.
 
 Every transport letter, (T_i^{-1} - t T_i) / (1/q - q t), zeta or
 zeta^{-1}, has at most two nonzeros per column, at the places the letter
-table of ``tensorspace`` names.  ``transport_words`` reads those entries
-once per spin representation from its generators and multiplies each letter
-into the product by column operations, at a cost of O(sum k d^2) per letter
-instead of the O(sum k d^3) of a block matmul.
+table of ``tensorspace`` names.  ``transport_words`` combines the column
+entries that the spin representation stores for its generators and
+multiplies the letters on ``tensorspace.column_products``, at a cost of
+O(sum k d^2) per letter instead of the O(sum k d^3) of a block matmul.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .elliptic import PoleError, pow_p
 from .heckespin import SpinRep, y_tilde
-from .tensorspace import BlockOp, block_layout, letter_table, rel_residual
+from .tensorspace import BlockOp, block_layout, column_products, letter_table, rel_residual
 
 __all__ = [
     "Letter",
@@ -178,14 +178,12 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     is checked at once: a pole raises PoleError naming the word and the letter.
 
     Column c of every letter is a_c e_c + b_c e_pi(c), with pi the letter's
-    column permutation from ``letter_table``, so a letter multiplies the
-    product by column operations: (M L)[:, c] = a_c M[:, c] + b_c M[:, pi(c)].
-    Each content group keeps the products of all words as one
-    (words, k*d, d) stack of transposed blocks, so that pi gathers whole
-    rows; it starts from the first letter, and a shorter word is padded with
-    the identity.  A xi letter or a pad takes t = 0 and denominator 1, which
-    leave its coefficients exact, and every operation acts on each word
-    alone, so the batch equals the one-word products bit for bit.
+    column permutation from ``letter_table`` and a_c, b_c combined from the
+    generators' entries in ``SpinRep.columns``, so the words multiply on
+    ``column_products``, one call per content group; a shorter word is padded
+    with the identity.  A xi letter or a pad takes t = 0 and denominator 1,
+    which leave its coefficients exact, so the batch equals the one-word
+    products bit for bit.
     """
     if not words:
         return []
@@ -230,52 +228,15 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     dw = np.ones(gen.shape + (1,), dtype=complex)
     where = tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)
     tw[where], dw[where] = t[:, None], den[:, None]
-    nw = len(words)
     layout = block_layout(n)
     stacks = []
-    for (k, d), (perm, d_inv, o_inv, d_t, o_t) in zip((idx.shape for idx in layout.index), _letter_columns(rep)):
-        kd = k * d
-        # a_c and b_c of every letter of every word, (positions, words, k*d)
-        a = (d_inv[gen] - tw * d_t[gen]) / dw
-        b = (o_inv[gen] - tw * o_t[gen]) / dw
-        # the products, transposed: row j*d + c of mat[w] holds column c of
-        # block j of word w's product, and row w*k*d + j*d + c of ``rows``
-        mat = np.zeros((nw, kd, d), dtype=complex)
-        rows = mat.reshape(nw * kd, d)
-        src = (perm[gen] + kd * np.arange(nw)[:, None]).reshape(len(gen), nw * kd)
-        # the first letter; its entry in row pi(c) goes first, as at a fixed
-        # point of pi it is 0 (kd is a multiple of d)
-        every = np.arange(nw * kd)
-        rows[every, src[0] % d] = b[0].reshape(-1)
-        rows[every, every % d] = a[0].reshape(-1)
-        for pos in range(1, len(gen)):
-            moved = np.take(rows, src[pos], axis=0).reshape(nw, kd, d)
-            moved *= b[pos, :, :, None]
-            mat *= a[pos, :, :, None]
-            mat += moved
-        stacks.append(mat.reshape(nw, k, d, d).swapaxes(-1, -2))
-    return [BlockOp(layout, (mat[w] for mat in stacks)) for w in range(nw)]
-
-
-def _letter_columns(rep: SpinRep) -> tuple[tuple[np.ndarray, ...], ...]:
-    # per content group: the letter table's column permutations, then the
-    # diagonal entries and the entries in row pi(c) of the first operator of
-    # each generator (1, zeta, zeta^{-1}, T_i^{-1}) and of the second
-    # (0, 0, 0, T_i), each a (n + 2, k*d) array.  Read once per rep from its
-    # own stacks; a nonzero anywhere else raises ValueError.
-    if rep._columns is None:
-        table = letter_table(rep.n)
-        eye = BlockOp.identity(rep.n)
-        zero = 0.0 * eye
-
-        def read(ops):
-            entries = [op.column_entries([perms[r] for perms in table]) for r, op in enumerate(ops)]
-            return [[np.stack([e[part][g] for e in entries]) for part in (0, 1)] for g in range(len(table))]
-
-        first = read([eye, rep.zeta, rep.zeta_inv, *rep.t_inv_ops])
-        second = read([zero, zero, zero, *rep.t_ops])
-        rep._columns = tuple((perms, *f, *s) for perms, f, s in zip(table, first, second))
-    return rep._columns
+    for idx, perms, cols in zip(layout.index, letter_table(n), rep.columns):
+        # a_c, then b_c, of every letter of every word, (positions, words, k*d):
+        # the entries of (T_i^{-1} - t T_i) / (1/q - q t)
+        inv, fwd = cols
+        a, b = ((inv[k][gen] - tw * fwd[k][gen]) / dw for k in (0, 1))
+        stacks.append(column_products(perms[gen], a, b, idx.shape[1]))
+    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
 
 
 def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:

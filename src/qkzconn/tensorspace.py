@@ -18,16 +18,18 @@ its entries are 1, 2 and 3), so its operators are block-diagonal by content.
 of n sites by their dimension d, and a ``BlockOp`` holds one (k, d, d) stack
 per group.  Products, sums, inverses and powers act stack by stack.
 
-Every letter of the spin representation moves a basis vector to at most one
-other basis vector of its block: a content-preserving two-leg operator sends
-e_(..ab..) into span{e_(..ab..), e_(..ba..)}, and the rotation sends each
-basis vector to one rotated basis vector.  ``letter_table(n)`` holds, per
-content group, the column permutation pi of each letter (the identity, the
-rotation, its inverse and the swap of the legs i, i+1), so that column c of
-such a letter is d_c e_c + o_c e_pi(c).  ``BlockOp.two_leg`` scatters the
-diagonal and the swap entry of each column of a local operator that keeps
-the content of its two legs, without forming the dense matrix, and
-``BlockOp.column_entries`` reads the two entries back.
+Every letter the program multiplies has at most two nonzeros per column:
+a content-preserving two-leg operator sends e_(..ab..) into
+span{e_(..ab..), e_(..ba..)}, the rotation sends each basis vector to one
+rotated basis vector, and a one-letter connection matrix sends a coset
+representative sigma into span{sigma, s sigma}.  So column c of a letter is
+a_c e_c + b_c e_pi(c) for a column permutation pi, and ``column_products``,
+the one product engine, multiplies words of such letters by column
+operations.  ``letter_table(n)`` holds, per content group, the column
+permutation pi of each spin-representation letter (the identity, the
+rotation, its inverse and the swap of the legs i, i+1), and
+``two_leg_columns`` the two entries per column of a local operator that
+keeps the content of its two legs.
 """
 
 from __future__ import annotations
@@ -214,6 +216,64 @@ def letter_table(n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
+
+def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """The products of words of letters with at most two nonzeros per column.
+
+    ``perm``, ``a`` and ``b`` are (positions, words, k*d) stacks, with at
+    least one position.  Column c of block j of the letter at (position,
+    word), at the flat place j*d + c, is a e_c + b e_pi(c), where perm holds
+    the flat place j*d + pi(c) and b is 0 where pi(c) = c.  Returns the
+    (words, k, d, d) products of each word's letters, left to right,
+    multiplied in as column operations:
+    (M L)[:, c] = a_c M[:, c] + b_c M[:, pi(c)].  The products are kept
+    transposed as (words, k*d, d) stacks, so that pi gathers whole rows; every
+    operation acts on each word alone, so a batch equals its one-word calls
+    bit for bit.  The identity letter (pi(c) = c, a = 1, b = 0) pads a shorter
+    word exactly.
+    """
+    nw, kd = perm.shape[1:]
+    # row w*k*d + j*d + c of ``rows`` holds column c of block j of word w's product
+    mat = np.zeros((nw, kd, d), dtype=complex)
+    rows = mat.reshape(nw * kd, d)
+    src = (perm + kd * np.arange(nw)[:, None]).reshape(len(perm), nw * kd)
+    every = np.arange(nw * kd)
+    # the first letter is the starting product; its entry in row pi(c) goes
+    # first, as at a fixed point of pi it is 0 (kd is a multiple of d)
+    rows[every, src[0] % d] = b[0].reshape(-1)
+    rows[every, every % d] = a[0].reshape(-1)
+    for pos in range(1, len(perm)):
+        moved = np.take(rows, src[pos], axis=0).reshape(nw, kd, d)
+        moved *= b[pos, :, :, None]
+        mat *= a[pos, :, :, None]
+        mat += moved
+    return mat.reshape(nw, kd // d, d, d).swapaxes(-1, -2)
+
+
+def two_leg_columns(op: np.ndarray, n: int, a: int, b: int) -> list[np.ndarray]:
+    """The two entries per column of ``two_leg_op(op, n, a, b)`` for a 9x9 op
+    that keeps the content of its two legs, one (2, k*d) array per group of
+    ``block_layout(n)``.
+
+    Column c, with the digits (x, y) on the legs (a, b), holds op[(x, y), (x, y)]
+    on the diagonal (row 0) and op[(y, x), (x, y)] in the row of the basis
+    vector with the two legs swapped (row 1, 0 where x = y); every other entry
+    is 0.
+    """
+    if not 1 <= a < b <= n:
+        raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
+    content = np.sort(np.divmod(np.arange(DIM * DIM), DIM), axis=0)
+    if np.any(np.asarray(op)[(content[:, :, None] != content[:, None, :]).any(axis=0)] != 0):
+        raise ValueError("the operator changes the content of its two legs")
+    layout = block_layout(n)
+    out = []
+    for idx in layout.index:
+        digits = layout.digits[idx.reshape(-1)]
+        x, y = digits[:, a - 1], digits[:, b - 1]
+        local = x * DIM + y
+        out.append(np.stack([op[local, local], np.where(x == y, 0.0, op[y * DIM + x, local])]))
+    return out
+
 class BlockOp:
     """A content-preserving operator on (C^3)^(x n), stored block by block.
 
@@ -242,31 +302,13 @@ class BlockOp:
     @classmethod
     def two_leg(cls, op: np.ndarray, n: int, a: int, b: int) -> "BlockOp":
         """The blocks of ``two_leg_op(op, n, a, b)`` for a 9x9 op that keeps the
-        content of its two legs, built from the layout without the dense matrix.
-
-        Column c of a block, with the digits (x, y) on the legs (a, b), holds
-        op[(x, y), (x, y)] on the diagonal and op[(y, x), (x, y)] in the row
-        of the basis vector with the two legs swapped; every other entry is 0.
-        """
-        if not 1 <= a < b <= n:
-            raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-        content = [sorted(divmod(k, DIM)) for k in range(DIM * DIM)]
-        if any(op[r, c] != 0 for r, cr in enumerate(content) for c, cc in enumerate(content) if cr != cc):
-            raise ValueError("the operator changes the content of its two legs")
+        content of its two legs, built from ``two_leg_columns`` by one letter
+        of ``column_products`` per group, without the dense matrix."""
+        cols = two_leg_columns(op, n, a, b)
         layout = block_layout(n)
-        stacks = []
-        for idx, perm in zip(layout.index, _column_perms(n, _leg_swap(n, a, b))):
-            k, d = idx.shape
-            digits = layout.digits[idx.reshape(-1)]
-            x, y = digits[:, a - 1], digits[:, b - 1]
-            local = x * DIM + y
-            blk, col = np.divmod(np.arange(k * d), d)
-            stack = np.zeros((k, d, d), dtype=complex)
-            # the swap entry first: where x = y it is the diagonal entry itself
-            stack[blk, perm % d, col] = op[y * DIM + x, local]
-            stack[blk, col, col] = op[local, local]
-            stacks.append(stack)
-        return cls(layout, stacks)
+        perms = _column_perms(n, _leg_swap(n, a, b))
+        pairs = zip(layout.index, perms, cols)
+        return cls(layout, (column_products(p[None, None], *c[:, None, None], idx.shape[1])[0] for idx, p, c in pairs))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -314,30 +356,6 @@ class BlockOp:
     def eigvals(self) -> np.ndarray:
         """The eigenvalues of every block, concatenated."""
         return np.concatenate([np.linalg.eigvals(s).reshape(-1) for s in self.stacks])
-
-    def column_entries(self, perms: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The diagonal entry and the entry in row pi(c) of every column c.
-
-        ``perms[g]`` is the flat column permutation of group g (a row of a
-        ``letter_table`` array).  Both results hold one flat (k*d,) array per
-        group, the second 0 where pi(c) = c.  Raises ValueError if a column has
-        a nonzero anywhere else.
-        """
-        diags, offs = [], []
-        for s, perm in zip(self.stacks, perms):
-            d = s.shape[-1]
-            flat = np.arange(perm.size)
-            col = flat % d
-            # entry (b, r, c) of the stack sits at (b*d + r)*d + c
-            entries = s.reshape(-1)
-            diag = entries[flat * d + col]
-            off = entries[perm * d + col]
-            off[perm == flat] = 0.0
-            if np.count_nonzero(s) != np.count_nonzero(diag) + np.count_nonzero(off):
-                raise ValueError("the operator has a nonzero outside the diagonal and the permuted entry of a column")
-            diags.append(diag)
-            offs.append(off)
-        return diags, offs
 
     def column(self, j: int) -> np.ndarray:
         """Column j of the operator in tensor-basis coordinates."""

@@ -23,6 +23,7 @@ from qkzconn.heckespin import (
     y_tilde,
 )
 from qkzconn.qkz import affine_word, translation_power_word, translation_word, transport_word
+from qkzconn.symgroup import reduced_word
 from qkzconn.tensorspace import BlockOp, block_layout, frob, rel_residual, tensor_index, two_leg_op
 
 
@@ -169,6 +170,23 @@ class TestProductsAgainstDense:
         pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
         want = pow_p(ep, -pairing) * tw0 @ np.linalg.inv(y[0]) @ y[-1] @ np.linalg.inv(tw0)
         assert rel_residual(y_tilde(rep, lam).dense(), want) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_y_tilde_is_the_dense_conjugate(self, ep, phi, n):
+        # p^{-(rho, lam)} tw0 @ y_power(w0 lam) @ inv(tw0), every factor from the dense generators
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        t, t_inv, zeta, _ = dense_generators(ep, phi, n)
+        dim = 3**n
+        tw0 = dense_product([t[i - 1] for i in reduced_word(tuple(range(n, 0, -1)))], dim)
+        y = [
+            dense_product([t_inv[i - 1] for i in range(j - 1, 0, -1)] + [zeta] + [t[i - 1] for i in range(n - 1, j - 1, -1)], dim)
+            for j in range(1, n + 1)
+        ]
+        for lam in [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (2, -1) + (0,) * (n - 2), tuple(range(n))[::-1]]:
+            powers = [np.linalg.matrix_power(yj if e >= 0 else np.linalg.inv(yj), abs(e)) for yj, e in zip(y, lam[::-1])]
+            pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
+            want = pow_p(ep, -pairing) * tw0 @ dense_product(powers, dim) @ np.linalg.inv(tw0)
+            assert rel_residual(y_tilde(rep, lam).dense(), want) < 1e-12
 
     def test_transport_of_translation_word(self, ep, sized, rng):
         n, rep, (t, t_inv, zeta, zeta_inv) = sized

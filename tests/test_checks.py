@@ -262,7 +262,7 @@ class TestSweepDetail:
 
 
 class TestStackedProducts:
-    """``connection._products`` multiplies words of one dimension position by position."""
+    """Words of one block dimension multiply on ``tensorspace.column_products``."""
 
     @staticmethod
     def fake_coefficients(ep, a=((), ()), b=((), ()), u=(), c=()):
@@ -273,47 +273,125 @@ class TestStackedProducts:
         return np.cos(ya) + 0.3 * xa, np.sin(yb - xb) - 0.2j, 1.0 + 0.5j * u + u * u, None
 
     @staticmethod
-    def one_word(word):
-        # the letters filled one by one and multiplied left to right as 2-d matrices
-        mat = np.eye(word.dim, dtype=complex)
-        for k, (letter, x) in enumerate(zip(word.letters, word.xs)):
-            y = word.gamma[letter.gi] - word.gamma[letter.gj]
+    def dense_product(letters, gammas, xs):
+        # each letter's column data filled into a dense matrix, multiplied
+        # left to right as 2-d matrices; column c has the spectral vector gammas[c]
+        cols = np.arange(len(gammas))
+        mat = np.eye(len(gammas), dtype=complex)
+        for letter, x in zip(letters, xs):
+            y = gammas[cols, letter.gi] - gammas[cols, letter.gj]
             a, b, unit, _ = TestStackedProducts.fake_coefficients(None, (y, x), (y, x), [x])
-            m = np.zeros((word.dim, word.dim), dtype=complex)
-            m[letter.ones, letter.ones] = 1.0
-            m[letter.odd, letter.odd] = unit[0]
-            m[letter.cols, letter.cols] = a
-            m[letter.rows, letter.cols] = letter.signs * b
-            mat = m if k == 0 else mat @ m
+            moving = letter.kind == connection._MOVING
+            m = np.zeros_like(mat)
+            m[cols, cols] = np.where(moving, a, np.where(letter.kind == connection._ODD, unit[0], 1.0))
+            m[letter.perm[moving], cols[moving]] = letter.sign[moving] * b[moving]
+            mat = mat @ m
         return mat
+
+    @staticmethod
+    def points(labels, z):
+        # x of each letter at the point moved by the letters before it
+        return connection._word_plan([(labels, z)])[1][: len(labels), 0]
+
+    @staticmethod
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_batch_equals_one_word_products(self, monkeypatch):
         monkeypatch.setattr(connection, "coefficients", self.fake_coefficients)
         ep = default_params()
         phi = (0.11 + 0.05j, -0.23 + 0.17j, 0.31 + 0.09j)
-        z3, z4 = (0.1 + 0.2j, -0.3 + 0.1j, 0.25 + 0.05j), (0.1j, 0.2, -0.3 + 0.1j, 0.4 + 0.2j)
-        # blocks of dimensions 6, 3 and 12 and the per-block tensor words of
-        # n = 3 (dimensions 1, 3 and 6), with lengths 0 to 6 mixed within
-        # each dimension
-        spec6, spec3 = blocks.content_block(ep, 3, (1, 1, 1), phi), blocks.content_block(ep, 3, (2, 1, 0), phi)
-        spec12 = blocks.content_block(ep, 4, (2, 1, 1), phi)
-        gammas = [np.array(blocks.content_block(ep, 3, r, phi).gamma) for r, _, _ in connection._layout_blocks(3)]
+        z2, z3 = (0.3 - 0.1j, -0.2j), (0.1 + 0.2j, -0.3 + 0.1j, 0.25 + 0.05j)
+        z4 = (0.1j, 0.2, -0.3 + 0.1j, 0.4 + 0.2j)
+        # blocks of dimensions 1, 3, 6 (at n = 3 and 4) and 12, with lengths
+        # 0 to 6 mixed within each dimension
+        contents = [(3, (3, 0, 0)), (3, (2, 1, 0)), (3, (1, 1, 1)), (4, (2, 2, 0)), (4, (2, 1, 1))]
+        spec = {(n, r): blocks.content_block(ep, n, r, phi) for n, r in contents}
         words = [
-            connection._block_word(spec6, (1, 2, 1), z3),
-            connection._block_word(spec3, (2,), z3),
-            connection._block_word(spec6, (), z3),
-            connection._block_word(spec12, (1, 2, 3, 1, 2, 1), z4),
-            connection._block_word(spec6, (2, 1), z3[::-1]),
-            connection._block_word(spec3, (1, 2, 1, 2), z3),
-            connection._block_word(spec12, (3,), z4),
-            *connection._tensor_words(gammas, (1, 2, 1), z3),
-            *connection._tensor_words(gammas, (2,), z3),
+            (spec[3, (1, 1, 1)], (1, 2, 1), z3),
+            (spec[3, (2, 1, 0)], (2,), z3),
+            (spec[3, (1, 1, 1)], (), z3),
+            (spec[4, (2, 1, 1)], (1, 2, 3, 1, 2, 1), z4),
+            (spec[3, (1, 1, 1)], (2, 1), z3[::-1]),
+            (spec[4, (2, 2, 0)], (1, 3, 2), z4),
+            (spec[3, (2, 1, 0)], (1, 2, 1, 2), z3),
+            (spec[4, (2, 1, 1)], (3,), z4),
+            (spec[3, (3, 0, 0)], (1, 2), z3),
+            (spec[3, (3, 0, 0)], (), z3),
         ]
-        batch = connection._products(ep, words)
+        batch = connection.connection_words(ep, words)
         assert len(batch) == len(words)
         for word, got in zip(words, batch):
-            assert got.shape == (word.dim, word.dim)
-            assert np.array_equal(got, self.one_word(word))
+            assert np.array_equal(got, connection.connection_words(ep, [word])[0])
+            s, labels, z = word
+            table = connection._block_table(s.n, s.index_set, s.signs)
+            dim = table.perm.shape[1]
+            gammas = np.tile(np.array(s.gamma), (dim, 1))
+            want = self.dense_product([table.take(i) for i in labels], gammas, self.points(labels, z))
+            assert got.shape == (dim, dim)
+            assert self.close(got, want)
+        # the tensor route: the content groups of n = 3 (dimensions 1, 3 and 6) and of n = 2
+        twords = [(phi, (1, 2, 1), z3), (phi, (2,), z3), (phi, (), z3), (phi, (1,), z2), (phi, (2, 1, 2, 1, 2, 1), z3)]
+        tbatch = connection.tensor_monodromy_words(ep, twords)
+        for word, got in zip(twords, tbatch):
+            (one,) = connection.tensor_monodromy_words(ep, [word])
+            assert all(np.array_equal(a, b) for a, b in zip(got.stacks, one.stacks))
+            _, labels, z = word
+            n = len(z)
+            rows = [blocks.content_block(ep, n, r, phi).gamma for r, _, _ in connection._layout_blocks(n)]
+            start = 0
+            for table, stack in zip(connection._tensor_table(n), got.stacks):
+                # the group's k blocks of dimension d as one block-diagonal k*d x k*d matrix
+                k, d, _ = stack.shape
+                gammas = np.repeat(np.array(rows[start : start + k]), d, axis=0)
+                want = self.dense_product([table.take(i) for i in labels], gammas, self.points(labels, z))
+                block_diag = np.zeros_like(want)
+                for j in range(k):
+                    block_diag[j * d : (j + 1) * d, j * d : (j + 1) * d] = stack[j]
+                assert self.close(block_diag, want)
+                start += k
+
+
+class TestMonodromyRoutes:
+    """``monodromy-routes`` compares two constructions that build their letters apart."""
+
+    @staticmethod
+    def flip_first_exchange_sign(table):
+        # the exchange sign of the first moving column of s_1
+        col = int(np.argmax(table.kind[1] == connection._MOVING))
+        sign = table.sign.copy()
+        sign[1, col] = -sign[1, col]
+        return table._replace(sign=sign)
+
+    @staticmethod
+    def routes_result():
+        results = run_suite("connection", RunConfig()).results
+        return next(r for r in results if r.check == "monodromy-routes")
+
+    def test_a_wrong_sign_in_the_tensor_route_fails(self, monkeypatch):
+        original = connection._tensor_table
+
+        def patched(n):
+            # one sign, in the 6-dimensional block of n = 3 (content (1, 1, 1))
+            tables = original(n)
+            return tuple(self.flip_first_exchange_sign(t) if n == 3 and t.perm.shape[1] == 6 else t for t in tables)
+
+        assert self.routes_result().passed
+        monkeypatch.setattr(connection, "_tensor_table", patched)
+        result = self.routes_result()
+        assert result.status == "ran" and not result.passed
+
+    def test_a_wrong_sign_in_the_block_route_fails(self, monkeypatch):
+        original = connection._block_table
+
+        def patched(n, index_set, signs):
+            # one sign, in the block of n = 3 with no index set (content (1, 1, 1))
+            table = original(n, index_set, signs)
+            return self.flip_first_exchange_sign(table) if (n, index_set) == (3, ()) else table
+
+        monkeypatch.setattr(connection, "_block_table", patched)
+        result = self.routes_result()
+        assert result.status == "ran" and not result.passed
 
 
 class TestVerdictRule:

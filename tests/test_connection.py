@@ -184,6 +184,15 @@ class TestConnectionWord:
         assert rel_residual(got[1], connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries) < 1e-13
         assert np.array_equal(got[2], np.eye(6))
 
+    @pytest.mark.parametrize("labels", [(0,), (3,), (-1,), (1, 0, 2)])
+    def test_rejects_a_letter_out_of_range(self, ep, phi, rng, labels):
+        # label 0 would be the identity row of a letter table, and -1 its last row
+        z = band_z(rng, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            connection_words(ep, [(content_block(ep, 3, (1, 1, 1), phi), labels, z)])
+        with pytest.raises(ValueError, match="out of range"):
+            tensor_monodromy_words(ep, [(phi, labels, z)])
+
 
 class TestTensorMonodromy:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

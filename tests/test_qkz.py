@@ -1,6 +1,5 @@
 """Transport cocycle: words, flatness and the braid limit."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,10 +21,11 @@ from qkzconn.qkz import (
     transport_word,
     transport_words,
 )
-from qkzconn.tensorspace import BlockOp, block_layout, letter_table, permutation_op, rel_residual, tensor_index
+from qkzconn.tensorspace import block_layout, letter_table, permutation_op, rel_residual, tensor_index
 
 from qkzconn.elliptic import pow_p
 from qkzconn.heckespin import perk_schultz
+from test_blockop import dense_generators
 
 
 def point(rng, n, ep):
@@ -185,47 +185,30 @@ class TestTransportWords:
         with pytest.raises(ValueError):
             transport_words(reps[3], [(translation_word(2, 1), point(rng, 2, ep))])
 
-    @pytest.mark.parametrize("name, row", [("t_ops", 3), ("t_inv_ops", 4), ("zeta", 1), ("zeta_inv", 2)])
-    def test_off_pattern_generator_is_rejected(self, reps, rng, ep, name, row):
-        # one more nonzero in column 0 of the first 3-dimensional block, in a
-        # row that is neither 0 nor where the letter table sends column 0
-        rep = reps[3]
-        g = next(g for g, idx in enumerate(block_layout(3).index) if idx.shape[1] == 3)
-        perm = letter_table(3)[g][row]
-        r = max({0, 1, 2} - {0, int(perm[0]) % 3})
-        gens = getattr(rep, name)
-        op = gens[row - 3] if isinstance(gens, tuple) else gens
-        stacks = [s.copy() for s in op.stacks]
-        assert stacks[g][0, r, 0] == 0
-        stacks[g][0, r, 0] = 0.5
-        bad = BlockOp(op.layout, stacks)
-        if isinstance(gens, tuple):
-            bad = gens[: row - 3] + (bad,) + gens[row - 2 :]
-        with pytest.raises(ValueError, match="nonzero outside"):
-            transport_words(dataclasses.replace(rep, **{name: bad}), [(translation_word(3, 1), point(rng, 3, ep))])
-        # the rep it was copied from still transports
-        transport_word(rep, translation_word(3, 1), point(rng, 3, ep))
-
 
 class TestLetterColumns:
-    """Every generator block is the two entries per column of the letter table."""
+    """The stored column entries are the generators, two entries per column."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generators_are_two_entries_per_column(self, ep, phi, n):
+        # each generator rebuilt densely from rep.columns at the rows the
+        # letter table names equals the independent dense generator
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
-        table = letter_table(n)
-        ops = [(1, rep.zeta), (2, rep.zeta_inv)]
-        ops += [(2 + i, rep.t_inv(i)) for i in range(1, n)] + [(2 + i, rep.t(i)) for i in range(1, n)]
-        for row, op in ops:
-            perms = [perms[row] for perms in table]
-            diags, offs = op.column_entries(perms)
-            for s, perm, diag, off in zip(op.stacks, perms, diags, offs):
-                k, d, _ = s.shape
-                rebuilt = np.zeros_like(s)
-                blk, col = np.divmod(np.arange(k * d), d)
-                rebuilt[blk, col, col] = diag
-                rebuilt[blk, perm % d, col] += off
-                assert np.array_equal(rebuilt, s)
+        t, t_inv, zeta, zeta_inv = dense_generators(ep, phi, n)
+        refs = [(1, 0, zeta), (2, 0, zeta_inv)]
+        refs += [(2 + i, 0, t_inv[i - 1]) for i in range(1, n)] + [(2 + i, 1, t[i - 1]) for i in range(1, n)]
+        layout = block_layout(n)
+        for row, side, ref in refs:
+            rebuilt = np.zeros_like(ref)
+            for idx, perms, cols in zip(layout.index, letter_table(n), rep.columns):
+                flat = idx.reshape(-1)  # the tensor index of each flat place of the group
+                rebuilt[flat, flat] = cols[side, 0, row]
+                rebuilt[flat[perms[row]], flat] += cols[side, 1, row]
+            assert np.array_equal(rebuilt, ref)
+        for cols in rep.columns:
+            # the identity, and no T_i-side entries for the identity and zeta^{+-1}
+            assert np.array_equal(cols[0, :, 0], np.stack([np.ones(cols.shape[-1]), np.zeros(cols.shape[-1])]))
+            assert not cols[1, :, :3].any()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_table_moves_the_multi_indices(self, n):
