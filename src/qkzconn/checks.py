@@ -781,13 +781,17 @@ def _per_site_count(residuals) -> Callable[[list[Draw]], list[float]]:
     return evaluate
 
 
+def _cocycle_words(n: int) -> tuple[qkz.AffineWord, qkz.AffineWord]:
+    # two words for tau(e_1): the reduced one of ``translation_word`` (n
+    # letters) and the conjugate of tau(e_n) = s_{n-1} .. s_1 xi by the cycle
+    # s_1 .. s_{n-1} (3n - 2 letters: free reduction cancels only xi xi^{-1})
+    cycle = qkz.affine_word(n, [qkz.s_letter(i) for i in range(1, n)])
+    return qkz.translation_word(n, 1), cycle * qkz.translation_word(n, n) * cycle.inverse()
+
+
 @register("transport-cocycle", "qkz", "transport depends only on the group element", 1e-10)
 def _transport_cocycle(ctx: VerifyContext, rng):
-    cases = []
-    for n in ctx.site_counts(2, 4):
-        base = qkz.affine_word(n, [qkz.s_letter(i) for i in range(n - 1, 0, -1)] + [qkz.XI])
-        xi_word = qkz.affine_word(n, [qkz.XI])
-        cases += [(n, (qkz.translation_word(n, 1), xi_word * base * xi_word.inverse()))] * 3
+    cases = [(n, _cocycle_words(n)) for n in ctx.site_counts(2, 4) for _ in range(3)]
 
     def residuals(n, draws):
         mats = qkz.transport_words(ctx.rep(n), [(w, d.z) for d in draws for w in d.case])

@@ -5,13 +5,13 @@ and the quasi-cyclic generator acts as a rotation composed with a diagonal
 twist on the last leg.  Both keep the content of a multi-index, so every
 generator, and every product of them, is a ``BlockOp``: it is built and
 multiplied one content block at a time.  Every generator has at most two
-nonzeros per column, and ``SpinRep`` stores them as those column entries;
-the generator operators, the braid-limit family ``y_tilde`` and the qKZ
-transports are built from them by ``tensorspace.column_products``.  The
-commuting family Y_j and the products T_w multiply the generator operators;
-Baxterization turns the braid matrix into the spectral-parameter solution of
-the quantum Yang-Baxter equation (the supersymmetric three-state vertex
-model weights).
+nonzeros per column, and ``spin_rep`` computes only those column entries.
+The braid-limit family ``y_tilde`` and the qKZ transports are built from
+them by ``tensorspace.column_products``; so are the generator operators, on
+first use.  The commuting family Y_j and the products T_w multiply the
+generator operators; Baxterization turns the braid matrix into the
+spectral-parameter solution of the quantum Yang-Baxter equation (the
+supersymmetric three-state vertex model weights).
 """
 
 from __future__ import annotations
@@ -160,15 +160,17 @@ def qybe_residual(r_of_z, x: complex, y: complex) -> float:
 
 @dataclass
 class SpinRep:
-    """Generators of the spin representation on (C^3)^(x n), as content blocks."""
+    """Generators of the spin representation on (C^3)^(x n), as content blocks.
+
+    ``columns`` holds every generator as its two entries per column.  The
+    generator operators ``t_ops``, ``t_inv_ops``, ``zeta`` and ``zeta_inv``
+    are built from them on first use, all four by one ``_generator_products``
+    call; the qKZ transports and ``y_tilde`` read only ``columns``.
+    """
 
     params: HeckeParams
     phi: tuple[complex, complex, complex]
     braid: np.ndarray
-    t_ops: tuple[BlockOp, ...]
-    t_inv_ops: tuple[BlockOp, ...]
-    zeta: BlockOp
-    zeta_inv: BlockOp
     #: per group of ``block_layout(n)``, the column entries of the generators
     #: as a (2, 2, n + 2, k*d) array [side, diagonal or row pi(c), letter,
     #: column] with the letters of ``letter_table(n)``: side 0 holds the
@@ -183,6 +185,30 @@ class SpinRep:
     @property
     def dim(self) -> int:
         return DIM**self.params.n
+
+    @functools.cached_property
+    def _generators(self) -> tuple[BlockOp, BlockOp, tuple[BlockOp, ...], tuple[BlockOp, ...]]:
+        # zeta, zeta^{-1}, the T_i^{-1} and the T_i, one letter each
+        n = self.n
+        rows = [1, 2] + 2 * list(range(3, n + 2))
+        gens = _generator_products(n, self.columns, [rows], [[0] * (n + 1) + [1] * (n - 1)])
+        return gens[0], gens[1], tuple(gens[2 : n + 1]), tuple(gens[n + 1 :])
+
+    @property
+    def zeta(self) -> BlockOp:
+        return self._generators[0]
+
+    @property
+    def zeta_inv(self) -> BlockOp:
+        return self._generators[1]
+
+    @property
+    def t_inv_ops(self) -> tuple[BlockOp, ...]:
+        return self._generators[2]
+
+    @property
+    def t_ops(self) -> tuple[BlockOp, ...]:
+        return self._generators[3]
 
     def t(self, i: int) -> BlockOp:
         return self.t_ops[i - 1]
@@ -231,26 +257,13 @@ def _generator_products(n: int, columns: Sequence[np.ndarray], rows, sides) -> l
 
 
 def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
-    """Build the generators for the given twist, block by block."""
+    """The spin representation for the given twist: the column entries of its
+    generators, from which the generator operators are built on first use."""
     phi = tuple(complex(t) for t in phi)
     if len(phi) != 3:
         raise ValueError("the twist takes exactly three components")
     b = braid_matrix(params.q)
-    n = params.n
-    columns = _generator_columns(params, b, phi)
-    # one letter each: zeta, zeta^{-1}, the T_i^{-1}, then the T_i
-    rows = [1, 2] + 2 * list(range(3, n + 2))
-    gens = _generator_products(n, columns, [rows], [[0] * (n + 1) + [1] * (n - 1)])
-    return SpinRep(
-        params=params,
-        phi=phi,
-        braid=b,
-        t_ops=tuple(gens[n + 1 :]),
-        t_inv_ops=tuple(gens[2 : n + 1]),
-        zeta=gens[0],
-        zeta_inv=gens[1],
-        columns=tuple(columns),
-    )
+    return SpinRep(params=params, phi=phi, braid=b, columns=tuple(_generator_columns(params, b, phi)))
 
 
 def _product(n: int, factors: Sequence[BlockOp]) -> BlockOp:

@@ -126,18 +126,17 @@ def translation_word(n: int, j: int) -> AffineWord:
 
     Cached per (n, j); an ``AffineWord`` is immutable.
 
-    Built from xi = s_1 ... s_{n-1} tau(e_n): the base case is
-    tau(e_n) = s_{n-1} ... s_1 xi, and tau(e_j) is its conjugate by a cycle
-    moving position n to position j.
+    tau(e_j) = s_{j-1} ... s_1 xi s_{n-1} ... s_j: the s-letters on the right
+    move z_j to the last place, xi shifts it by one into the first place, and
+    the s-letters on the left move it back to place j.  The word has n
+    letters: n - 1 simple reflections, the length of tau(e_j), and one xi,
+    which has length 0.
     """
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range for n={n}")
-    base = affine_word(n, [s_letter(i) for i in range(n - 1, 0, -1)] + [XI])
-    if j == n:
-        word = base
-    else:
-        cycle = affine_word(n, [s_letter(i) for i in range(j, n)])
-        word = cycle * base * cycle.inverse()
+    left = [s_letter(i) for i in range(j - 1, 0, -1)]
+    right = [s_letter(i) for i in range(n - 1, j - 1, -1)]
+    word = affine_word(n, left + [XI] + right)
     defect = translation_defect(word, j)
     if defect != 0.0:
         raise ValueError(f"translation word for e_{j} misses the unit shift by {defect}")

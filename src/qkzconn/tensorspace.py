@@ -265,14 +265,28 @@ def two_leg_columns(op: np.ndarray, n: int, a: int, b: int) -> list[np.ndarray]:
     content = np.sort(np.divmod(np.arange(DIM * DIM), DIM), axis=0)
     if np.any(np.asarray(op)[(content[:, :, None] != content[:, None, :]).any(axis=0)] != 0):
         raise ValueError("the operator changes the content of its two legs")
+    return [
+        np.stack([op[local, local], np.where(same, 0.0, op[swapped, local])])
+        for local, swapped, same in _two_leg_places(n, a, b)
+    ]
+
+
+@functools.cache
+def _two_leg_places(n: int, a: int, b: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # per group of block_layout(n), for every column with the digits (x, y)
+    # on the legs (a, b): the local index x*d + y, the swapped y*d + x and
+    # whether x = y, read-only and built once per (n, a, b)
     layout = block_layout(n)
     out = []
     for idx in layout.index:
         digits = layout.digits[idx.reshape(-1)]
         x, y = digits[:, a - 1], digits[:, b - 1]
-        local = x * DIM + y
-        out.append(np.stack([op[local, local], np.where(x == y, 0.0, op[y * DIM + x, local])]))
-    return out
+        places = (x * DIM + y, y * DIM + x, x == y)
+        for arr in places:
+            arr.flags.writeable = False
+        out.append(places)
+    return tuple(out)
+
 
 class BlockOp:
     """A content-preserving operator on (C^3)^(x n), stored block by block.

@@ -352,6 +352,31 @@ class TestStackedProducts:
                 start += k
 
 
+class TestTransportCocycle:
+    """``transport-cocycle`` compares two distinct words for one group element."""
+
+    def test_every_case_compares_two_distinct_words(self, monkeypatch):
+        real = qkz.transport_words
+        batches = []
+
+        def recording(rep, words):
+            batches.append([w for w, _ in words])
+            return real(rep, words)
+
+        monkeypatch.setattr(qkz, "transport_words", recording)
+        (check,) = [c for c in checks._REGISTRY if c.check_id == "transport-cocycle"]
+        result = checks._run_check(checks.VerifyContext(RunConfig()), check)
+        assert result.status == "ran" and result.passed
+        assert 0.0 < result.residual < result.tol
+        pairs = [pair for words in batches for pair in zip(words[::2], words[1::2])]
+        assert sorted({lhs.n for lhs, _ in pairs}) == [2, 3, 4]
+        assert len(pairs) >= 9
+        for lhs, rhs in pairs:
+            probe = tuple(complex(10 * (k + 1), k) for k in range(lhs.n))
+            assert lhs.letters != rhs.letters
+            assert lhs.point_action(probe) == rhs.point_action(probe)
+
+
 class TestMonodromyRoutes:
     """``monodromy-routes`` compares two constructions that build their letters apart."""
 

@@ -16,6 +16,7 @@ from qkzconn.qkz import (
     braid_limit_residual,
     flatness_residual,
     s_letter,
+    translation_defect,
     translation_word,
     translation_power_word,
     transport_word,
@@ -63,6 +64,16 @@ class TestAffineWords:
                 want = tuple(v + (1.0 if k == j - 1 else 0.0) for k, v in enumerate(z))
                 assert moved == want
 
+    def test_translation_words_are_reduced(self):
+        # tau(e_j) = s_{j-1} .. s_1 xi s_{n-1} .. s_j: n - 1 simple reflections and one xi
+        for n in range(2, 8):
+            for j in range(1, n + 1):
+                w = translation_word(n, j)
+                assert len(w.letters) == n
+                assert sum(kind == "s" for kind, _ in w.letters) == n - 1
+                assert w.letters.count(XI) == 1
+                assert translation_defect(w, j) == 0.0
+
     def test_translation_power_word(self):
         w = translation_power_word(3, (2, 0, -1))
         z = (5.0, 6.0, 7.0)
@@ -103,10 +114,9 @@ class TestTransport:
         # two distinct words for the same translation transport identically
         for n in (2, 3):
             rep = reps[n]
-            base = affine_word(n, [s_letter(i) for i in range(n - 1, 0, -1)] + [XI])
-            xi_w = affine_word(n, [XI])
-            alt = xi_w * base * xi_w.inverse()
+            alt = conjugate_translation_word(n, 1)
             probe = tuple(float(11 * k) for k in range(n))
+            assert alt.letters != translation_word(n, 1).letters
             assert alt.point_action(probe) == translation_word(n, 1).point_action(probe)
             z = point(rng, n, ep)
             got = transport_word(rep, alt, z)
@@ -118,6 +128,27 @@ class TestTransport:
         z = point(rng, 3, ep)
         w = affine_word(3, [s_letter(1), s_letter(1)])
         assert rel_residual(transport_word(rep, w, z).dense(), np.eye(27)) < 1e-12
+
+
+def conjugate_translation_word(n, j):
+    """tau(e_j) as the conjugate of tau(e_n) = s_{n-1} .. s_1 xi by the cycle
+    s_j .. s_{n-1}: 3n - 2j letters for the group element of ``translation_word(n, j)``."""
+    cycle = affine_word(n, [s_letter(i) for i in range(j, n)])
+    return cycle * translation_word(n, n) * cycle.inverse()
+
+
+class TestReducedTranslationWords:
+    def test_transport_equals_the_conjugate_words(self, ep, phi, rng):
+        # by the cocycle property the reduced and the conjugate word transport
+        # alike; only the rounding of the longer product differs
+        for n in range(2, 6):
+            rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+            z = point(rng, n, ep)
+            words = [(w, z) for j in range(1, n + 1) for w in (translation_word(n, j), conjugate_translation_word(n, j))]
+            mats = transport_words(rep, words)
+            for j, (reduced, conjugate) in enumerate(zip(mats[::2], mats[1::2]), start=1):
+                assert len(conjugate_translation_word(n, j).letters) == 3 * n - 2 * j
+                assert rel_residual(reduced, conjugate) < 1e-12
 
 
 def batch_words(n):
