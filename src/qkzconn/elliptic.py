@@ -25,6 +25,7 @@ Python complex.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ import numpy as np
 __all__ = [
     "Nome",
     "EllipticParams",
+    "check_coupling",
     "EllipticError",
     "ThetaDomainError",
     "ThetaOverflowError",
@@ -108,6 +110,7 @@ class EllipticParams:
             raise ValueError("theta_truncation_tol must be positive")
         if self.pole_tol <= 0.0:
             raise ValueError("pole_tol must be positive")
+        check_coupling(self.kappa)
         # Resonance guard: |p^(2 kappa)| on the lattice |p^m| collapses the
         # coefficient functions (theta(p^(2 kappa)) sits in every numerator).
         t = 2.0 * complex(self.kappa).real
@@ -115,6 +118,13 @@ class EllipticParams:
             raise ValueError(
                 f"kappa={self.kappa!r} is resonant: |p^(2 kappa)| lies on the lattice |p^Z|"
             )
+
+
+def check_coupling(kappa: complex) -> None:
+    """Raise ValueError unless both parts of kappa, and 2 Re kappa, are finite."""
+    k = complex(kappa)
+    if not (cmath.isfinite(k) and math.isfinite(2.0 * k.real)):
+        raise ValueError(f"kappa={kappa!r} is not a finite coupling (both parts and 2 Re kappa must be finite)")
 
 
 def default_params(p: float = 0.35, kappa: complex = 0.27, **kwargs) -> EllipticParams:

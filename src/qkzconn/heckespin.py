@@ -5,10 +5,14 @@ and the quasi-cyclic generator acts as a rotation composed with a diagonal
 twist on the last leg.  Both keep the content of a multi-index, so every
 generator, and every product of them, is a ``BlockOp``: it is built and
 multiplied one content block at a time.  Every generator has at most two
-nonzeros per column, and ``spin_rep`` computes only those column entries.
-The braid-limit family ``y_tilde`` and the qKZ transports are built from
-them by ``tensorspace.column_products``; so are the generator operators, on
-first use.  The commuting family Y_j and the products T_w multiply the
+nonzeros per column, and ``spin_rep`` computes only those column entries,
+those of all the T_i (and of all the T_i^{-1}) by one gather per content
+group.  The braid-limit family ``y_tilde`` and the qKZ transports are built
+from them by ``tensorspace.column_products``; so are the generator
+operators, on first use.  ``y_tilde`` is a product of the commuting family
+X_j of the opposite orientation (T_i and T_i^{-1} swapped in the word of
+Y_j), which is the T_w0 conjugate of the Y family, so it needs no T_w0
+letter.  The commuting family Y_j and the products T_w multiply the
 generator operators; Baxterization turns the braid matrix into the
 spectral-parameter solution of the quantum Yang-Baxter equation (the
 supersymmetric three-state vertex model weights).
@@ -32,9 +36,9 @@ from .tensorspace import (
     column_products,
     frob,
     letter_table,
+    neighbour_columns,
     permutation_op,
     rel_residual,
-    two_leg_columns,
     two_leg_op,
 )
 
@@ -237,9 +241,8 @@ def _generator_columns(params: HeckeParams, b: np.ndarray, phi: Sequence[complex
             cols[0, :, row] = np.where(fixed[row], values, 0.0), np.where(fixed[row], 0.0, values)
         out.append(cols)
     for side, op in enumerate((b_inv, b)):
-        for i in range(1, n):
-            for cols, entries in zip(out, two_leg_columns(op, n, i, i + 1)):
-                cols[side, :, 2 + i] = entries
+        for cols, entries in zip(out, neighbour_columns(op, n)):
+            cols[side, :, 3:] = entries
     return out
 
 
@@ -314,35 +317,47 @@ def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:
     return tuple((n + 1 - 2 * j) * kappa for j in range(1, n + 1))
 
 
-def _y_letters(n: int, j: int, e: int) -> list[tuple[int, int]]:
-    # Y_j^e as (letter-table row, side) letters: Y_j = T_{j-1}^{-1} .. T_1^{-1}
-    # zeta T_{n-1} .. T_j, and Y_j^{-1} the reversed word of inverse letters
-    word = [(2 + i, 0) for i in range(j - 1, 0, -1)] + [(1, 0)] + [(2 + i, 1) for i in range(n - 1, j - 1, -1)]
+def _family_letters(n: int, j: int, e: int, opposite: bool = False) -> list[tuple[int, int]]:
+    # Y_j^e as (letter-table row, side) letters, Y_j = T_{j-1}^{-1} .. T_1^{-1}
+    # zeta T_{n-1} .. T_j, or with ``opposite`` X_j^e, X_j = T_{j-1} .. T_1
+    # zeta T_{n-1}^{-1} .. T_j^{-1}: the same word with T_i and T_i^{-1}
+    # swapped.  A negative power is the reversed word of inverse letters
+    left, right = (1, 0) if opposite else (0, 1)
+    word = [(2 + i, left) for i in range(j - 1, 0, -1)] + [(1, 0)] + [(2 + i, right) for i in range(n - 1, j - 1, -1)]
     if e < 0:
         word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
     return abs(e) * word
 
 
 def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
-    """Braid-limit family p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}.
+    """Braid-limit family p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}, built as
+    p^{-(rho, lam)} X_1^{lam_1} .. X_n^{lam_n} with no T_w0 letter.
 
-    One word of generator letters: T_i along a reduced word of w0, the
-    letters of Y_1^{mu_1} .. Y_n^{mu_n} with mu = w0 lam (lam reversed), and
-    T_i^{-1} along the reversed reduced word, evaluated by one
-    ``column_products`` call per content group.
+    X_j = T_{j-1} .. T_1 zeta T_{n-1}^{-1} .. T_j^{-1} is the word of Y_j with
+    T_i and T_i^{-1} swapped, and T_w0 Y_{n+1-j} T_w0^{-1} = X_j:
+
+    - j = 1: T_w0 = T_1 .. T_{n-1} T_w0', with w0' the longest element on the
+      sites 1 .. n-1.  T_w0' commutes with Y_n = T_{n-1}^{-1} .. T_1^{-1} zeta,
+      so T_w0 Y_n T_w0^{-1} = T_1 .. T_{n-1} Y_n T_{n-1}^{-1} .. T_1^{-1}
+      = zeta T_{n-1}^{-1} .. T_1^{-1} = X_1.
+    - From Y_j = T_j Y_{j+1} T_j and T_w0 T_i T_w0^{-1} = T_{n-i}, conjugating
+      Y_{n-j} = T_{n-j} Y_{n+1-j} T_{n-j} by T_w0 gives X_{j+1} = T_j X_j T_j.
+
+    Y^{w0 lam} = Y_1^{lam_n} .. Y_n^{lam_1}, and the X_j commute, so the
+    conjugate is the product of the X_j^{lam_j}: one word of n sum_j |lam_j|
+    generator letters, evaluated by one ``column_products`` call per content
+    group.  lam = 0 is p^0 times the identity, with no product.
     """
     n = rep.n
     if len(lam) != n:
         raise ValueError("exponent vector length must match the number of sites")
     ep = rep.params.elliptic
-    pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
-    w0 = reduced_word(tuple(range(n, 0, -1)))
-    word = [(2 + i, 1) for i in w0]
-    for j, e in enumerate(reversed(tuple(lam)), start=1):
-        word += _y_letters(n, j, e)
-    word += [(2 + i, 0) for i in reversed(w0)]
+    scale = pow_p(ep, -sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam)))
+    word = [letter for j, e in enumerate(lam, start=1) for letter in _family_letters(n, j, e, opposite=True)]
+    if not word:
+        return scale * BlockOp.identity(n)
     rows, sides = np.array(word).T[:, :, None]
-    return pow_p(ep, -pairing) * _generator_products(n, rep.columns, rows, sides)[0]
+    return scale * _generator_products(n, rep.columns, rows, sides)[0]
 
 
 def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:

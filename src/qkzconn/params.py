@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticParams, Nome
+from .elliptic import EllipticParams, Nome, check_coupling
 
 __all__ = [
     "RunConfig",
@@ -47,6 +47,7 @@ class RunConfig:
             raise ValueError(f"n={self.n} exceeds the desk-scale cap {SITE_CAP}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        check_coupling(self.kappa)
         if self.fmt not in ("json", "table"):
             raise ValueError(f"format must be json or table, got {self.fmt!r}")
         # NaN and inf pass a plain "<= 0" test; both would decide every verdict

@@ -29,7 +29,8 @@ operations.  ``letter_table(n)`` holds, per content group, the column
 permutation pi of each spin-representation letter (the identity, the
 rotation, its inverse and the swap of the legs i, i+1), and
 ``two_leg_columns`` the two entries per column of a local operator that
-keeps the content of its two legs.
+keeps the content of its two legs; ``neighbour_columns`` gives them for
+every neighbour pair (i, i+1) at once.
 """
 
 from __future__ import annotations
@@ -262,13 +263,29 @@ def two_leg_columns(op: np.ndarray, n: int, a: int, b: int) -> list[np.ndarray]:
     """
     if not 1 <= a < b <= n:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-    content = np.sort(np.divmod(np.arange(DIM * DIM), DIM), axis=0)
-    if np.any(np.asarray(op)[(content[:, :, None] != content[:, None, :]).any(axis=0)] != 0):
-        raise ValueError("the operator changes the content of its two legs")
+    _check_content(op)
     return [
         np.stack([op[local, local], np.where(same, 0.0, op[swapped, local])])
         for local, swapped, same in _two_leg_places(n, a, b)
     ]
+
+
+def neighbour_columns(op: np.ndarray, n: int) -> list[np.ndarray]:
+    """``two_leg_columns(op, n, i, i + 1)`` for i = 1 .. n-1, stacked as one
+    (2, n-1, k*d) array [row, pair, column] per group of ``block_layout(n)``:
+    one gather per group from the entries of op and a trailing 0, which
+    stands at the places where the two legs agree."""
+    _check_content(op)
+    flat = np.append(np.asarray(op, dtype=complex).reshape(-1), 0.0)
+    return [flat[places] for places in _neighbour_places(n)]
+
+
+def _check_content(op: np.ndarray) -> None:
+    # a 9x9 op keeps the content of its two legs when it is 0 between
+    # local indices (x, y) and (x', y') with {x, y} != {x', y'}
+    content = np.sort(np.divmod(np.arange(DIM * DIM), DIM), axis=0)
+    if np.any(np.asarray(op)[(content[:, :, None] != content[:, None, :]).any(axis=0)] != 0):
+        raise ValueError("the operator changes the content of its two legs")
 
 
 @functools.cache
@@ -284,6 +301,21 @@ def _two_leg_places(n: int, a: int, b: int) -> tuple[tuple[np.ndarray, np.ndarra
         places = (x * DIM + y, y * DIM + x, x == y)
         for arr in places:
             arr.flags.writeable = False
+        out.append(places)
+    return tuple(out)
+
+
+@functools.cache
+def _neighbour_places(n: int) -> tuple[np.ndarray, ...]:
+    # per group of block_layout(n), the (2, n-1, k*d) places in op.reshape(-1)
+    # of the two entries per column for every neighbour pair (i, i+1), in the
+    # terms of _two_leg_places: op[local, local], then op[swapped, local] or,
+    # where x = y, the trailing 0 at DIM**4; read-only and built once per n
+    out = []
+    for pairs in zip(*(_two_leg_places(n, i, i + 1) for i in range(1, n))):
+        local, swapped, same = (np.stack(arr) for arr in zip(*pairs))
+        places = np.stack([local * DIM**2 + local, np.where(same, DIM**4, swapped * DIM**2 + local)])
+        places.flags.writeable = False
         out.append(places)
     return tuple(out)
 

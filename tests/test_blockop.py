@@ -188,6 +188,23 @@ class TestProductsAgainstDense:
             want = pow_p(ep, -pairing) * tw0 @ dense_product(powers, dim) @ np.linalg.inv(tw0)
             assert rel_residual(y_tilde(rep, lam).dense(), want) < 1e-12
 
+    def test_y_tilde_is_the_blockop_conjugate_at_n6(self, ep, phi):
+        # too large for dense products: p^{-(rho, lam)} T_w0 Y^{w0 lam} T_w0^{-1}
+        # from BlockOp matmuls of rep.t along a reduced word of w0 and y_power
+        n = 6
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        tw0 = BlockOp.identity(n)
+        for i in reduced_word(tuple(range(n, 0, -1))):
+            tw0 = tw0 @ rep.t(i)
+        tw0_inv = tw0.inv()
+        gen = np.random.default_rng(6)
+        lams = [tuple(s * int(k == j) for k in range(n)) for j in range(n) for s in (1, -1)]
+        lams += [tuple(int(v) for v in gen.integers(-1, 2, size=n)) for _ in range(4)]
+        for lam in lams:
+            pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
+            want = pow_p(ep, -pairing) * (tw0 @ y_power(rep, lam[::-1]) @ tw0_inv)
+            assert rel_residual(y_tilde(rep, lam), want) < 1e-12
+
     def test_transport_of_translation_word(self, ep, sized, rng):
         n, rep, (t, t_inv, zeta, zeta_inv) = sized
         q = rep.params.q

@@ -270,6 +270,9 @@ _USAGE_ERRORS = [
     ("rmatrix", "--x", "abc"),
     ("rmatrix", "--p", "x"),
     ("verify", "nosuchsuite"),
+    # 2 Re kappa overflows to inf
+    ("verify", "elliptic", "--kappa", "1e308"),
+    ("verify", "elliptic", "--config", ConfigText("kappa = 1e308\n")),
 ]
 
 

@@ -24,6 +24,7 @@ from qkzconn.elliptic import (
     pow_p,
     theta,
 )
+from qkzconn.params import RunConfig
 
 P = 0.35
 KAPPA = 0.27
@@ -348,6 +349,18 @@ class TestParams:
             EllipticParams(nome=Nome(P), kappa=0.0)
         with pytest.raises(ValueError):
             EllipticParams(nome=Nome(P), kappa=0.5)
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [1e308, -1e308, math.inf, -math.inf, math.nan, complex(0.27, math.nan), complex(0.27, math.inf)],
+        ids=["1e308", "-1e308", "inf", "-inf", "nan", "0.27+nanj", "0.27+infj"],
+    )
+    def test_non_finite_kappa_rejected(self, kappa):
+        # 2 Re kappa must be finite too: 1e308 doubles to inf in the resonance guard
+        with pytest.raises(ValueError, match="kappa"):
+            default_params(kappa=kappa)
+        with pytest.raises(ValueError, match="kappa"):
+            RunConfig(kappa=kappa)
 
     def test_log_p_negative(self):
         assert Nome(P).log_p < 0.0

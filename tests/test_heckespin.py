@@ -24,9 +24,11 @@ from qkzconn.heckespin import (
 )
 from qkzconn.tensorspace import (
     controlled_op,
+    neighbour_columns,
     permutation_op,
     rel_residual,
     tensor_index,
+    two_leg_columns,
     two_leg_op,
 )
 
@@ -251,6 +253,86 @@ class TestYFamily:
         got = t_word(rep, w0)
         want = rep.t(1) @ rep.t(2) @ rep.t(1)
         assert rel_residual(got, want) < 1e-13
+
+
+class TestYTildeWord:
+    """``y_tilde`` is one product of the X_j letters, with no T_w0 letter."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_product_of_n_letters_per_unit(self, ep, phi, n, monkeypatch):
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        calls = []
+        products = heckespin._generator_products
+
+        def recorded(n_, columns, rows, sides):
+            calls.append(np.shape(rows))
+            return products(n_, columns, rows, sides)
+
+        monkeypatch.setattr(heckespin, "_generator_products", recorded)
+        gen = np.random.default_rng(n)
+        lams = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (2, -1) + (0,) * (n - 2)]
+        lams += [tuple(int(v) for v in gen.integers(-2, 3, size=n)) for _ in range(3)]
+        for lam in lams:
+            calls.clear()
+            y_tilde(rep, lam)
+            assert calls == [(n * sum(abs(e) for e in lam), 1)] or not any(lam)
+        calls.clear()
+        got = y_tilde(rep, (0,) * n)
+        assert calls == []
+        assert np.array_equal(got.dense(), pow_p(ep, 0.0) * np.eye(3**n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_letters_spell_y_and_its_conjugate(self, reps, n):
+        # the letters of Y_j^e are y_operator's product; those of X_j^e are
+        # T_w0 Y_{n+1-j}^e T_w0^{-1}
+        rep = reps[n]
+        tw0 = t_word(rep, tuple(range(n, 0, -1)))
+        for j in range(1, n + 1):
+            for e in (1, -1, 2):
+                words = [heckespin._family_letters(n, j, e, opposite) for opposite in (False, True)]
+                rows, sides = np.array(words).transpose(2, 1, 0)
+                y_word, x_word = heckespin._generator_products(n, rep.columns, rows, sides)
+                assert rel_residual(y_word, y_power(rep, tuple(e * (k == j) for k in range(1, n + 1)))) < 1e-13
+                want = tw0 @ y_power(rep, tuple(e * (k == n + 1 - j) for k in range(1, n + 1))) @ tw0.inv()
+                assert rel_residual(x_word, want) < 1e-13
+
+
+class TestGeneratorColumns:
+    """``spin_rep`` writes the T_i and T_i^{-1} columns of all neighbour pairs
+    with one gather per side; they are the per-pair ``two_leg_columns``."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stacked_columns_are_the_per_pair_columns(self, ep, phi, n):
+        params = HeckeParams(elliptic=ep, n=n)
+        q = params.q
+        b = braid_matrix(q)
+        b_inv = b - (q - 1.0 / q) * np.eye(9, dtype=complex)
+        columns = spin_rep(params, phi).columns
+        for side, op in enumerate((b_inv, b)):
+            for i in range(1, n):
+                for cols, want in zip(columns, two_leg_columns(op, n, i, i + 1), strict=True):
+                    assert cols[side, :, 2 + i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_neighbour_columns_of_a_random_operator(self, n):
+        gen = np.random.default_rng(40 + n)
+        content = [sorted(divmod(k, 3)) for k in range(9)]
+        keeps = np.array([[cr == cc for cc in content] for cr in content])
+        op = np.where(keeps, gen.normal(size=(9, 9)) + 1j * gen.normal(size=(9, 9)), 0.0)
+        stacked = neighbour_columns(op, n)
+        for i in range(1, n):
+            for got, want in zip(stacked, two_leg_columns(op, n, i, i + 1), strict=True):
+                assert got[:, i - 1].tobytes() == want.tobytes()
+
+    def test_content_changing_operator_raises_the_same_error(self, ep, phi):
+        params = HeckeParams(elliptic=ep, n=3)
+        op = braid_matrix(params.q)
+        op[1, 2] = 1.0  # v1 v3 -> v1 v2 changes the pair's content
+        with pytest.raises(ValueError) as stacked:
+            heckespin._generator_columns(params, op, phi)
+        with pytest.raises(ValueError) as per_pair:
+            two_leg_columns(op, 3, 1, 2)
+        assert str(stacked.value) == str(per_pair.value) == "the operator changes the content of its two legs"
 
 
 class TestTensorHelpers:
