@@ -10,7 +10,7 @@ from .blocks import (
     eigen_residual,
     genericity_report,
     predicted_y_tilde_spectrum,
-    sign_residual,
+    sign_residuals,
     spectrum_match_residual,
 )
 from .connection import (

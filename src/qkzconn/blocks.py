@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticParams, pow_p
-from .heckespin import SpinRep, rho_vector, t_word, y_operators, y_tilde
+from .elliptic import EllipticParams, check_coupling, pow_p
+from .heckespin import SpinRep, rho_vector, t_words, y_operators, y_tilde
 from .symgroup import (
     Content,
     Perm,
@@ -26,7 +26,6 @@ from .symgroup import (
     content_stabiliser,
     eta_exponent,
     inverse,
-    is_min_coset_rep,
     leading_index,
     min_coset_reps,
 )
@@ -40,7 +39,7 @@ __all__ = [
     "content_block",
     "dimension_count",
     "eigen_residual",
-    "sign_residual",
+    "sign_residuals",
     "predicted_y_tilde_spectrum",
     "spectrum_match_residual",
     "genericity_report",
@@ -168,17 +167,25 @@ def eigen_residual(rep: SpinRep, r: Content, y_ops: list[BlockOp] | None = None)
     return worst
 
 
-def sign_residual(rep: SpinRep, r: Content, w: Perm, inclusive: bool = True) -> float:
-    """Defect of T_w v_leading = (-1)^eta(w) v_{w . leading} for a coset rep w."""
+def sign_residuals(rep: SpinRep, r: Content) -> list[tuple[Perm, float, float]]:
+    """(w, inclusive, strict) per minimal coset representative w of the block
+    r: the defects of T_w v_leading = (-1)^eta(w) v_{w . leading} under both
+    sign counts of ``eta_exponent``, with every T_w from one ``t_words`` call."""
     n = rep.n
-    if not is_min_coset_rep(w, content_stabiliser(n, r)):
-        raise ValueError(f"{w} is not a minimal coset representative for content {r}")
-    src = tensor_index(leading_index(r))
-    dst = tensor_index(act(w, leading_index(r)))
-    sign = (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
-    col = t_word(rep, w).column(src)
-    col[dst] -= sign
-    return float(np.linalg.norm(col))
+    lead = leading_index(r)
+    src = tensor_index(lead)
+    reps = min_coset_reps(n, content_stabiliser(n, r))
+    out = []
+    for w, tw in zip(reps, t_words(rep, reps)):
+        col = tw.column(src)
+        dst = tensor_index(act(w, lead))
+        entry = col[dst]
+        defects = []
+        for inclusive in (True, False):
+            col[dst] = entry - (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
+            defects.append(float(np.linalg.norm(col)))
+        out.append((w, *defects))
+    return out
 
 
 def _spectral_labels(
@@ -269,8 +276,10 @@ def genericity_report(
     """Check the spectral labels for collisions and lattice resonances.
 
     Works on raw parameters (no resonance guard) so that degenerate choices
-    such as kappa = 0 produce a report instead of an exception.
+    such as kappa = 0 produce a report instead of an exception; a coupling
+    that is not finite raises ValueError (``elliptic.check_coupling``).
     """
+    check_coupling(kappa)
     log_p = math.log(p)
     kappa = complex(kappa)
     violations: list[tuple] = []

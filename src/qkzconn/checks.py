@@ -62,9 +62,7 @@ from .symgroup import (
     act,
     compose,
     content_labels,
-    content_stabiliser,
     inverse,
-    min_coset_reps,
     reduced_word,
     simple,
 )
@@ -473,8 +471,8 @@ def _sign_map(ctx: VerifyContext, rng):
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
         for r in content_labels(n):
-            for w in min_coset_reps(n, content_stabiliser(n, r)):
-                worst = _worst(worst, blk.sign_residual(rep, r, w))
+            for _, inclusive, _ in blk.sign_residuals(rep, r):
+                worst = _worst(worst, inclusive)
     return worst
 
 
@@ -486,9 +484,8 @@ def _sign_variants(ctx: VerifyContext, rng):
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
         for r in content_labels(n):
-            for w in min_coset_reps(n, content_stabiliser(n, r)):
-                worst_inclusive = _worst(worst_inclusive, blk.sign_residual(rep, r, w, inclusive=True))
-                res_printed = blk.sign_residual(rep, r, w, inclusive=False)
+            for w, inclusive, res_printed in blk.sign_residuals(rep, r):
+                worst_inclusive = _worst(worst_inclusive, inclusive)
                 if res_printed > 1.0:
                     printed_mismatches += 1
                     if witness is None and r[2] == 1:

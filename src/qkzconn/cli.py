@@ -252,7 +252,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "gamma": spec.gamma,
                 "basis_map": basis_map,
                 "eigen_residual": blk.eigen_residual(rep, r, y_ops),
-                "max_sign_residual": max(blk.sign_residual(rep, r, w) for w in reps),
+                "max_sign_residual": max(inclusive for _, inclusive, _ in blk.sign_residuals(rep, r)),
             }
         )
     payload = serialize.decomposition_payload(cfg.p, complex(cfg.kappa), phi, n, blocks_out)

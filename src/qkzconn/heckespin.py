@@ -3,25 +3,26 @@
 The constant braid matrix acts on neighbouring legs as the generators T_i,
 and the quasi-cyclic generator acts as a rotation composed with a diagonal
 twist on the last leg.  Both keep the content of a multi-index, so every
-generator, and every product of them, is a ``BlockOp``: it is built and
-multiplied one content block at a time.  Every generator has at most two
-nonzeros per column, and ``spin_rep`` computes only those column entries,
-those of all the T_i (and of all the T_i^{-1}) by one gather per content
-group.  The braid-limit family ``y_tilde`` and the qKZ transports are built
-from them by ``tensorspace.column_products``; so are the generator
-operators, on first use.  ``y_tilde`` is a product of the commuting family
-X_j of the opposite orientation (T_i and T_i^{-1} swapped in the word of
-Y_j), which is the T_w0 conjugate of the Y family, so it needs no T_w0
-letter.  The commuting family Y_j and the products T_w multiply the
-generator operators; Baxterization turns the braid matrix into the
-spectral-parameter solution of the quantum Yang-Baxter equation (the
-supersymmetric three-state vertex model weights).
+generator, and every product of them, is a ``BlockOp``: it is built one
+content block at a time.  Every generator has at most two nonzeros per
+column, and ``spin_rep`` computes only those column entries, those of all
+the T_i (and of all the T_i^{-1}) by one gather per content group.
+``spin_products`` is the one product of words in these letters, by one
+``tensorspace.column_products`` call per content group.  It builds the
+generator operators (on first use), the commuting family Y_j, its powers
+Y^lam, the products T_w, the braid-limit family ``y_tilde`` and the qKZ
+transports.  A negative power is a word of inverse letters, so no block is
+inverted.  ``y_tilde`` is a product of the commuting family X_j of the
+opposite orientation (T_i and T_i^{-1} swapped in the word of Y_j), which
+is the T_w0 conjugate of the Y family, so it needs no T_w0 letter.
+Baxterization turns the braid matrix into the spectral-parameter solution
+of the quantum Yang-Baxter equation (the supersymmetric three-state vertex
+model weights).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,7 +55,8 @@ __all__ = [
     "y_operator",
     "y_operators",
     "y_power",
-    "t_word",
+    "t_words",
+    "spin_products",
     "y_tilde",
     "rho_vector",
     "cross_relation_residual",
@@ -168,8 +170,8 @@ class SpinRep:
 
     ``columns`` holds every generator as its two entries per column.  The
     generator operators ``t_ops``, ``t_inv_ops``, ``zeta`` and ``zeta_inv``
-    are built from them on first use, all four by one ``_generator_products``
-    call; the qKZ transports and ``y_tilde`` read only ``columns``.
+    are built from them on first use, all four by one ``spin_products``
+    call; the qKZ transports and every other product read only ``columns``.
     """
 
     params: HeckeParams
@@ -180,7 +182,6 @@ class SpinRep:
     #: column] with the letters of ``letter_table(n)``: side 0 holds the
     #: identity, zeta, zeta^{-1} and T_i^{-1}, side 1 zero, zero, zero and T_i
     columns: tuple[np.ndarray, ...] = field(repr=False)
-    _y_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -194,8 +195,8 @@ class SpinRep:
     def _generators(self) -> tuple[BlockOp, BlockOp, tuple[BlockOp, ...], tuple[BlockOp, ...]]:
         # zeta, zeta^{-1}, the T_i^{-1} and the T_i, one letter each
         n = self.n
-        rows = [1, 2] + 2 * list(range(3, n + 2))
-        gens = _generator_products(n, self.columns, [rows], [[0] * (n + 1) + [1] * (n - 1)])
+        words = [[(1, 0)], [(2, 0)]] + [[(2 + i, side)] for side in (0, 1) for i in range(1, n)]
+        gens = spin_products(self, words)
         return gens[0], gens[1], tuple(gens[2 : n + 1]), tuple(gens[n + 1 :])
 
     @property
@@ -246,19 +247,6 @@ def _generator_columns(params: HeckeParams, b: np.ndarray, phi: Sequence[complex
     return out
 
 
-def _generator_products(n: int, columns: Sequence[np.ndarray], rows, sides) -> list[BlockOp]:
-    # the products of generator letters by ``column_products``, one per word:
-    # ``rows`` (positions, words) names each letter's row of letter_table(n)
-    # and ``sides`` its side of ``columns`` (1 for T_i, 0 otherwise)
-    rows, sides = np.asarray(rows, dtype=np.intp), np.asarray(sides, dtype=np.intp)
-    layout = block_layout(n)
-    stacks = [
-        np.ascontiguousarray(column_products(perms[rows], cols[sides, 0, rows], cols[sides, 1, rows], idx.shape[1]))
-        for idx, perms, cols in zip(layout.index, letter_table(n), columns)
-    ]
-    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(rows.shape[1])]
-
-
 def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     """The spin representation for the given twist: the column entries of its
     generators, from which the generator operators are built on first use."""
@@ -269,64 +257,83 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     return SpinRep(params=params, phi=phi, braid=b, columns=tuple(_generator_columns(params, b, phi)))
 
 
-def _product(n: int, factors: Sequence[BlockOp]) -> BlockOp:
-    # left to right from the first factor (I @ X = X exactly); the identity
-    # only for an empty product
-    return functools.reduce(operator.matmul, factors) if factors else BlockOp.identity(n)
+def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.0, den=1.0) -> list[BlockOp]:
+    """The product of each word of spin-representation letters, one ``BlockOp``
+    per word, by one ``column_products`` call per content group.
+
+    A letter is a pair (row, side): its row of ``letter_table(n)`` (0 the
+    identity, 1 zeta, 2 zeta^{-1}, 2 + i the pair T_i^{-1}, T_i) and the side
+    of ``SpinRep.columns`` it reads as its own (1 for T_i, 0 otherwise).  Its
+    column entries are (own side - t * other side) / den, with ``t`` and
+    ``den`` scalars or (positions, words) arrays.  The qKZ transport letter
+    (T_i^{-1} - t T_i) / (1/q - q t) is side 0 with its t and den; a generator
+    letter takes t = 0 and den = 1, which leave its entries exact.  A shorter
+    word is padded with the identity letter, so an empty word is the identity.
+    """
+    n = rep.n
+    length = max(1, max(map(len, words), default=0))
+    padded = [list(word) + [(0, 0)] * (length - len(word)) for word in words]
+    rows, sides = np.array(padded, dtype=np.intp).reshape(len(words), length, 2).T
+    layout = block_layout(n)
+    stacks = []
+    other, minus_t, den = 1 - sides, -np.asarray(t)[..., None, None], np.asarray(den)[..., None, None]
+    for idx, perms, cols in zip(layout.index, letter_table(n), rep.columns):
+        # (positions, words, 2, k*d): a_c, then b_c, of every letter, as
+        # (own - t * other) / den in one array, without temporaries
+        entries = cols[other, :, rows]
+        entries *= minus_t
+        entries += cols[sides, :, rows]
+        entries /= den
+        stacks.append(column_products(perms[rows], entries[:, :, 0], entries[:, :, 1], idx.shape[1]))
+    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
+
+
+def _family_letters(n: int, lam: Sequence[int], opposite: bool = False) -> list[tuple[int, int]]:
+    # Y^lam = Y_1^{lam_1} .. Y_n^{lam_n} as (letter-table row, side) letters,
+    # Y_j = T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j, or with ``opposite``
+    # X^lam, X_j = T_{j-1} .. T_1 zeta T_{n-1}^{-1} .. T_j^{-1}: the same word
+    # with T_i and T_i^{-1} swapped.  A negative power is the reversed word of
+    # inverse letters
+    if len(lam) != n:
+        raise ValueError("exponent vector length must match the number of sites")
+    left, right = (1, 0) if opposite else (0, 1)
+    letters = []
+    for j, e in enumerate(lam, start=1):
+        word = [(2 + i, left) for i in range(j - 1, 0, -1)] + [(1, 0)] + [(2 + i, right) for i in range(n - 1, j - 1, -1)]
+        if e < 0:
+            word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
+        letters += abs(e) * word
+    return letters
 
 
 def y_operator(rep: SpinRep, j: int) -> BlockOp:
-    """The commuting element T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j."""
-    n = rep.n
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range for n={n}")
-    if j not in rep._y_cache:
-        factors = [rep.t_inv(i) for i in range(j - 1, 0, -1)]
-        factors += [rep.zeta] + [rep.t(i) for i in range(n - 1, j - 1, -1)]
-        rep._y_cache[j] = _product(n, factors)
-    return rep._y_cache[j]
+    """The commuting element Y_j = T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j."""
+    if not 1 <= j <= rep.n:
+        raise ValueError(f"index {j} out of range for n={rep.n}")
+    return y_power(rep, [int(k == j) for k in range(1, rep.n + 1)])
 
 
 def y_operators(rep: SpinRep) -> list[BlockOp]:
-    return [y_operator(rep, j) for j in range(1, rep.n + 1)]
+    """Y_1, ..., Y_n, all n words in one ``spin_products`` call."""
+    n = rep.n
+    return spin_products(rep, [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)])
 
 
 def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
-    """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n} (negative exponents via blockwise inversion)."""
-    if len(lam) != rep.n:
-        raise ValueError("exponent vector length must match the number of sites")
-    factors = []
-    for j, e in enumerate(lam, start=1):
-        if e == 0:
-            continue
-        yj = y_operator(rep, j)
-        if e < 0:
-            yj = yj.inv()
-            e = -e
-        factors.append(yj.matrix_power(e))
-    return _product(rep.n, factors)
+    """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n}: one word of n sum_j |lam_j| letters,
+    in which a negative power is spelled with inverse letters."""
+    return spin_products(rep, [_family_letters(rep.n, lam)])[0]
 
 
-def t_word(rep: SpinRep, w: Perm) -> BlockOp:
-    """T_w, the product of T_i over a reduced word of w."""
-    return _product(rep.n, [rep.t(i) for i in reduced_word(w)])
+def t_words(rep: SpinRep, perms: Sequence[Perm]) -> list[BlockOp]:
+    """T_w, the product of T_i over a reduced word of w, for each w in perms,
+    all in one ``spin_products`` call."""
+    return spin_products(rep, [[(2 + i, 1) for i in reduced_word(w)] for w in perms])
 
 
 def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:
     """((n-1) kappa, (n-3) kappa, ..., (1-n) kappa)."""
     return tuple((n + 1 - 2 * j) * kappa for j in range(1, n + 1))
-
-
-def _family_letters(n: int, j: int, e: int, opposite: bool = False) -> list[tuple[int, int]]:
-    # Y_j^e as (letter-table row, side) letters, Y_j = T_{j-1}^{-1} .. T_1^{-1}
-    # zeta T_{n-1} .. T_j, or with ``opposite`` X_j^e, X_j = T_{j-1} .. T_1
-    # zeta T_{n-1}^{-1} .. T_j^{-1}: the same word with T_i and T_i^{-1}
-    # swapped.  A negative power is the reversed word of inverse letters
-    left, right = (1, 0) if opposite else (0, 1)
-    word = [(2 + i, left) for i in range(j - 1, 0, -1)] + [(1, 0)] + [(2 + i, right) for i in range(n - 1, j - 1, -1)]
-    if e < 0:
-        word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
-    return abs(e) * word
 
 
 def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
@@ -345,34 +352,31 @@ def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
 
     Y^{w0 lam} = Y_1^{lam_n} .. Y_n^{lam_1}, and the X_j commute, so the
     conjugate is the product of the X_j^{lam_j}: one word of n sum_j |lam_j|
-    generator letters, evaluated by one ``column_products`` call per content
-    group.  lam = 0 is p^0 times the identity, with no product.
+    generator letters, evaluated by ``spin_products``.  lam = 0 is the empty
+    word, p^0 times the identity.
     """
     n = rep.n
-    if len(lam) != n:
-        raise ValueError("exponent vector length must match the number of sites")
     ep = rep.params.elliptic
+    word = _family_letters(n, lam, opposite=True)
     scale = pow_p(ep, -sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam)))
-    word = [letter for j, e in enumerate(lam, start=1) for letter in _family_letters(n, j, e, opposite=True)]
-    if not word:
-        return scale * BlockOp.identity(n)
-    rows, sides = np.array(word).T[:, :, None]
-    return scale * _generator_products(n, rep.columns, rows, sides)[0]
+    return scale * spin_products(rep, [word])[0]
 
 
 def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:
     """Defect of the Bernstein-Zelevinsky cross relation with denominator cleared.
 
-    (T_i Y^lam - Y^{s_i lam} T_i)(1 - Y_i^{-1} Y_{i+1}) = (q - 1/q)(Y^lam - Y^{s_i lam})
+    (T_i Y^lam - Y^{s_i lam} T_i)(1 - Y_i^{-1} Y_{i+1}) = (q - 1/q)(Y^lam - Y^{s_i lam}),
+    with its three Y products from one ``spin_products`` call.
     """
     q = rep.params.q
-    lam = tuple(lam)
+    n = rep.n
     s_lam = list(lam)
     s_lam[i - 1], s_lam[i] = s_lam[i], s_lam[i - 1]
-    y_lam = y_power(rep, lam)
-    y_slam = y_power(rep, tuple(s_lam))
+    ratio = [0] * n
+    ratio[i - 1], ratio[i] = -1, 1
+    y_lam, y_slam, y_ratio = spin_products(rep, [_family_letters(n, v) for v in (lam, s_lam, ratio)])
     ti = rep.t(i)
-    clear = BlockOp.identity(rep.n) - y_operator(rep, i).inv() @ y_operator(rep, i + 1)
+    clear = BlockOp.identity(n) - y_ratio
     lhs = (ti @ y_lam - y_slam @ ti) @ clear
     rhs = (q - 1.0 / q) * (y_lam - y_slam)
     scale = max(frob(ti @ y_lam @ clear), frob(rhs), 1.0)

@@ -10,10 +10,11 @@ to the commuting braid-limit operators.
 
 Every transport letter, (T_i^{-1} - t T_i) / (1/q - q t), zeta or
 zeta^{-1}, has at most two nonzeros per column, at the places the letter
-table of ``tensorspace`` names.  ``transport_words`` combines the column
-entries that the spin representation stores for its generators and
-multiplies the letters on ``tensorspace.column_products``, at a cost of
-O(sum k d^2) per letter instead of the O(sum k d^3) of a block matmul.
+table of ``tensorspace`` names.  ``transport_words`` hands the letters to
+``heckespin.spin_products``, which combines the column entries that the
+spin representation stores for its generators and multiplies them by
+column operations, at a cost of O(sum k d^2) per letter instead of the
+O(sum k d^3) of a block matmul.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import PoleError, pow_p
-from .heckespin import SpinRep, y_tilde
-from .tensorspace import BlockOp, block_layout, column_products, letter_table, rel_residual
+from .heckespin import SpinRep, spin_products, y_tilde
+from .tensorspace import BlockOp, rel_residual
 
 __all__ = [
     "Letter",
@@ -176,66 +177,56 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     Every t of every word comes from one ``pow_p`` call and every denominator
     is checked at once: a pole raises PoleError naming the word and the letter.
 
-    Column c of every letter is a_c e_c + b_c e_pi(c), with pi the letter's
-    column permutation from ``letter_table`` and a_c, b_c combined from the
-    generators' entries in ``SpinRep.columns``, so the words multiply on
-    ``column_products``, one call per content group; a shorter word is padded
-    with the identity.  A xi letter or a pad takes t = 0 and denominator 1,
-    which leave its coefficients exact, so the batch equals the one-word
-    products bit for bit.
+    The letters multiply on ``spin_products``, one ``column_products`` call
+    per content group, with a shorter word padded by the identity.  A xi
+    letter or a pad takes t = 0 and denominator 1, which leave its entries
+    exact, so the batch equals the one-word products value for value.
     """
     if not words:
         return []
     n = rep.n
     ep = rep.params.elliptic
     q = rep.params.q
-    length = max(len(word.letters) for word, _ in words)
-    # the generator of each letter, per position and word, a row of the
-    # letter table: 0 the identity, 1 zeta, 2 zeta^{-1} and 2 + i the pair
-    # (T_i^{-1}, T_i); each s_i is read at the point moved by the inverses
-    # of the letters before it
-    gen = np.zeros((max(length, 1), len(words)), dtype=np.intp)
+    # each letter as (letter-table row, side 0): 1 zeta, 2 zeta^{-1} and
+    # 2 + i the pair (T_i^{-1}, T_i); each s_i is read at the point moved by
+    # the inverses of the letters before it
+    letters = []
     xs, at = [], []
     for w, (word, z) in enumerate(words):
         if word.n != n:
             raise ValueError("word and representation disagree on the number of sites")
         zcur = tuple(complex(t) for t in z)
+        spelled = []
         for k, letter in enumerate(word.letters):
             kind, val = letter
             if kind == "s":
-                gen[k, w] = 2 + val
+                spelled.append((2 + val, 0))
                 xs.append(zcur[val - 1] - zcur[val])
                 at.append((k, w))
             else:
-                gen[k, w] = 1 if val == 1 else 2
+                spelled.append((1 if val == 1 else 2, 0))
             zcur = _letter_point_action((kind, -val) if kind == "xi" else letter, zcur)
+        letters.append(spelled)
     t = pow_p(ep, np.array(xs, dtype=complex))
     den = 1.0 / q - q * t
     pole = np.abs(den) < ep.pole_tol * np.maximum(1.0, np.abs(q * t))
     if pole.any():
         first = int(np.argmax(pole))
         k, w = at[first]
-        letters = words[w][0].letters
-        i = letters[k][1]
+        bad = words[w][0].letters
+        i = bad[k][1]
         raise PoleError(
-            f"word {w} {letters}, letter {k} {letters[k]}: pole: transport denominator "
+            f"word {w} {bad}, letter {k} {bad[k]}: pole: transport denominator "
             f"1/q - q p^(z_{i}-z_{i + 1}) has modulus {abs(den[first]):.3e}",
             factor="1/q - q*p^(z_i - z_{i+1})",
             magnitude=float(abs(den[first])),
         )
-    tw = np.zeros(gen.shape + (1,), dtype=complex)
-    dw = np.ones(gen.shape + (1,), dtype=complex)
+    shape = (max(1, max(map(len, letters))), len(words))
+    tw = np.zeros(shape, dtype=complex)
+    dw = np.ones(shape, dtype=complex)
     where = tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)
-    tw[where], dw[where] = t[:, None], den[:, None]
-    layout = block_layout(n)
-    stacks = []
-    for idx, perms, cols in zip(layout.index, letter_table(n), rep.columns):
-        # a_c, then b_c, of every letter of every word, (positions, words, k*d):
-        # the entries of (T_i^{-1} - t T_i) / (1/q - q t)
-        inv, fwd = cols
-        a, b = ((inv[k][gen] - tw * fwd[k][gen]) / dw for k in (0, 1))
-        stacks.append(column_products(perms[gen], a, b, idx.shape[1]))
-    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
+    tw[where], dw[where] = t, den
+    return spin_products(rep, letters, tw, dw)
 
 
 def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:

@@ -165,13 +165,6 @@ def occurrence_positions(alpha: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(k for k, a in enumerate(alpha, start=1) if a == j)
 
 
-def multi_index_swap(alpha: Sequence[int], k: int) -> tuple[int, ...]:
-    """alpha with the entries at positions k, k+1 exchanged (the action of s_k)."""
-    out = list(alpha)
-    out[k - 1], out[k] = out[k], out[k - 1]
-    return tuple(out)
-
-
 def content_stabiliser(n: int, r: Content) -> frozenset[int]:
     """Index set I of the parabolic stabilising the leading index of content r.
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qkzconn import heckespin
 from qkzconn.blocks import (
     PrincipalSeriesSpec,
     character_values,
@@ -14,7 +15,7 @@ from qkzconn.blocks import (
     genericity_report,
     greedy_match_distance,
     predicted_y_tilde_spectrum,
-    sign_residual,
+    sign_residuals,
     spectrum_match_residual,
     validate_spec,
 )
@@ -122,8 +123,9 @@ class TestDecomposition:
     def test_sign_residuals_exhaustive(self, reps):
         for n, rep in reps.items():
             for r in content_labels(n):
-                for w in min_coset_reps(n, content_stabiliser(n, r)):
-                    assert sign_residual(rep, r, w) < 1e-10
+                got = sign_residuals(rep, r)
+                assert [w for w, _, _ in got] == list(min_coset_reps(n, content_stabiliser(n, r)))
+                assert all(inclusive < 1e-10 for _, inclusive, _ in got)
 
     def test_sign_residual_strict_variant_fails(self, reps):
         rep = reps[3]
@@ -131,14 +133,28 @@ class TestDecomposition:
         for r in content_labels(3):
             if r[2] != 1:
                 continue
-            for w in min_coset_reps(3, content_stabiliser(3, r)):
-                if sign_residual(rep, r, w, inclusive=False) > 1.0:
-                    hits += 1
+            hits += sum(strict > 1.0 for _, _, strict in sign_residuals(rep, r))
         assert hits > 0
 
     def test_sign_residual_precondition(self, reps):
+        # the content must be a content label of the representation's n
         with pytest.raises(ValueError):
-            sign_residual(reps[3], (0, 2, 1), (1, 3, 2))
+            sign_residuals(reps[3], (0, 2, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sign_residuals_are_one_product_call_per_block(self, reps, n, monkeypatch):
+        calls = []
+        products = heckespin.spin_products
+
+        def recorded(rep, words, *args):
+            calls.append(len(words))
+            return products(rep, words, *args)
+
+        monkeypatch.setattr(heckespin, "spin_products", recorded)
+        for r in content_labels(n):
+            calls.clear()
+            sign_residuals(reps[n], r)
+            assert calls == [len(min_coset_reps(n, content_stabiliser(n, r)))]
 
     def test_sampled_rank5(self, ep, phi, rng):
         # exhaustive coverage stops at n = 4; spot-check a larger site count
@@ -151,10 +167,7 @@ class TestDecomposition:
         for _ in range(3):
             r = labels[rng.integers(len(labels))]
             assert eigen_residual(rep, r, y_ops) < 1e-10
-            reps_r = min_coset_reps(n, content_stabiliser(n, r))
-            for _ in range(3):
-                w = reps_r[rng.integers(len(reps_r))]
-                assert sign_residual(rep, r, w) < 1e-10
+            assert all(inclusive < 1e-10 for _, inclusive, _ in sign_residuals(rep, r))
 
 
 class TestSpectrum:
@@ -182,7 +195,13 @@ class TestGenericity:
     def test_zero_coupling_flagged(self, phi):
         report = genericity_report(0.35, 0.0, phi, 2)
         assert not report.ok
-        assert any(v[0] == "coupling" for v in report.violations)
+        assert ("coupling", 0) in report.violations
+
+    @pytest.mark.parametrize("kappa", [1e308, complex(0.27, math.nan)])
+    def test_non_finite_coupling_rejected(self, phi, kappa):
+        # 2 Re kappa overflows at 1e308; a NaN part has no lattice distance
+        with pytest.raises(ValueError, match="kappa"):
+            genericity_report(0.35, kappa, phi, 2)
 
     def test_equal_twists_collide(self, phi):
         degenerate = (phi[0], phi[0], phi[2])

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qkzconn import heckespin
+from qkzconn import heckespin, tensorspace
 from qkzconn.elliptic import PoleError, pow_p
 from qkzconn.heckespin import (
     HeckeParams,
@@ -15,14 +15,17 @@ from qkzconn.heckespin import (
     hecke_residual,
     perk_schultz,
     qybe_residual,
+    spin_products,
     spin_rep,
-    t_word,
+    t_words,
     y_operator,
     y_operators,
     y_power,
     y_tilde,
 )
+from qkzconn.symgroup import content_stabiliser, min_coset_reps, reduced_word
 from qkzconn.tensorspace import (
+    BlockOp,
     controlled_op,
     neighbour_columns,
     permutation_op,
@@ -250,9 +253,30 @@ class TestYFamily:
     def test_t_word_longest(self, reps):
         rep = reps[3]
         w0 = (3, 2, 1)
-        got = t_word(rep, w0)
+        (got,) = t_words(rep, [w0])
         want = rep.t(1) @ rep.t(2) @ rep.t(1)
         assert rel_residual(got, want) < 1e-13
+
+
+def blockop_product(n, factors):
+    """The BlockOp matmul chain of the factors, left to right."""
+    out = BlockOp.identity(n)
+    for f in factors:
+        out = out @ f
+    return out
+
+
+def recording(monkeypatch):
+    """Record the word lengths of every ``heckespin.spin_products`` call."""
+    calls = []
+    products = heckespin.spin_products
+
+    def recorded(rep, words, *args):
+        calls.append([len(w) for w in words])
+        return products(rep, words, *args)
+
+    monkeypatch.setattr(heckespin, "spin_products", recorded)
+    return calls
 
 
 class TestYTildeWord:
@@ -261,40 +285,92 @@ class TestYTildeWord:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_one_product_of_n_letters_per_unit(self, ep, phi, n, monkeypatch):
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
-        calls = []
-        products = heckespin._generator_products
-
-        def recorded(n_, columns, rows, sides):
-            calls.append(np.shape(rows))
-            return products(n_, columns, rows, sides)
-
-        monkeypatch.setattr(heckespin, "_generator_products", recorded)
+        calls = recording(monkeypatch)
         gen = np.random.default_rng(n)
         lams = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (2, -1) + (0,) * (n - 2)]
         lams += [tuple(int(v) for v in gen.integers(-2, 3, size=n)) for _ in range(3)]
         for lam in lams:
             calls.clear()
             y_tilde(rep, lam)
-            assert calls == [(n * sum(abs(e) for e in lam), 1)] or not any(lam)
+            assert calls == [[n * sum(abs(e) for e in lam)]]
+        # lam = 0 is the empty word, which the padding makes the exact identity
         calls.clear()
         got = y_tilde(rep, (0,) * n)
-        assert calls == []
+        assert calls == [[0]]
         assert np.array_equal(got.dense(), pow_p(ep, 0.0) * np.eye(3**n))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_family_letters_spell_y_and_its_conjugate(self, reps, n):
-        # the letters of Y_j^e are y_operator's product; those of X_j^e are
-        # T_w0 Y_{n+1-j}^e T_w0^{-1}
+        # the letters of Y_j^e are the BlockOp matmuls of the generators in
+        # Y_j = T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j, or of those in
+        # Y_j^{-1} = T_j^{-1} .. T_{n-1}^{-1} zeta^{-1} T_1 .. T_{j-1}; those
+        # of X_j^e are T_w0 Y_{n+1-j}^e T_w0^{-1}, with T_w0^{-1} the T_i^{-1}
+        # along the reversed word of w0
         rep = reps[n]
-        tw0 = t_word(rep, tuple(range(n, 0, -1)))
+        w0 = reduced_word(tuple(range(n, 0, -1)))
+        tw0 = blockop_product(n, [rep.t(i) for i in w0])
+        tw0_inv = blockop_product(n, [rep.t_inv(i) for i in reversed(w0)])
+
+        def y_ref(j, e):
+            word = [rep.t_inv(i) for i in range(j - 1, 0, -1)] + [rep.zeta] + [rep.t(i) for i in range(n - 1, j - 1, -1)]
+            if e < 0:
+                word = [rep.t_inv(i) for i in range(j, n)] + [rep.zeta_inv] + [rep.t(i) for i in range(1, j)]
+            return blockop_product(n, abs(e) * word)
+
         for j in range(1, n + 1):
             for e in (1, -1, 2):
-                words = [heckespin._family_letters(n, j, e, opposite) for opposite in (False, True)]
-                rows, sides = np.array(words).transpose(2, 1, 0)
-                y_word, x_word = heckespin._generator_products(n, rep.columns, rows, sides)
-                assert rel_residual(y_word, y_power(rep, tuple(e * (k == j) for k in range(1, n + 1)))) < 1e-13
-                want = tw0 @ y_power(rep, tuple(e * (k == n + 1 - j) for k in range(1, n + 1))) @ tw0.inv()
-                assert rel_residual(x_word, want) < 1e-13
+                lam = [e * (k == j) for k in range(1, n + 1)]
+                words = [heckespin._family_letters(n, lam, opposite) for opposite in (False, True)]
+                y_word, x_word = spin_products(rep, words)
+                assert rel_residual(y_word, y_ref(j, e)) < 1e-13
+                assert rel_residual(x_word, tw0 @ y_ref(n + 1 - j, e) @ tw0_inv) < 1e-13
+
+
+class TestSpinProducts:
+    """``spin_products`` is the one product of spin-representation words."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_y_operators_are_one_product_call(self, ep, phi, n, monkeypatch):
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        calls = recording(monkeypatch)
+        ys = y_operators(rep)
+        assert calls == [[n] * n]
+        for j, y in enumerate(ys, start=1):
+            assert np.array_equal(y.dense(), y_operator(rep, j).dense())
+
+    def test_padded_batch_equals_one_word_calls(self, reps, rng):
+        # words of different lengths, the empty word among them, with random
+        # t and den on their letters and t = 0, den = 1 on the pads: each
+        # product is its one-word call bit for bit
+        n = 3
+        rep = reps[n]
+        letters = [(1, 0), (2, 0)] + [(2 + i, side) for i in (1, 2) for side in (0, 1)]
+        words = [[letters[k] for k in rng.integers(len(letters), size=m)] for m in (5, 0, 2, 7)]
+        shape = (7, len(words))
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        den = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for w, word in enumerate(words):
+            t[len(word) :, w], den[len(word) :, w] = 0.0, 1.0
+        batch = spin_products(rep, words, t, den)
+        for w, word in enumerate(words):
+            (one,) = spin_products(rep, [word], t[: max(1, len(word)), w : w + 1], den[: max(1, len(word)), w : w + 1])
+            assert all(np.array_equal(a, b) for a, b in zip(batch[w].stacks, one.stacks))
+        assert np.array_equal(spin_products(rep, [[]])[0].dense(), np.eye(27))
+
+    @pytest.mark.parametrize("chunk", [1, 200, 1 << 14])
+    def test_chunks_of_words_equal_the_matmul_products(self, reps, chunk, monkeypatch):
+        # the T_w of a block, words of length 0 to 5, in engine chunks of one
+        # word, of a few words and of all words, with the empty words alone in
+        # a chunk at chunk = 1: each is its BlockOp matmul chain
+        monkeypatch.setattr(tensorspace, "_CHUNK_ENTRIES", chunk)
+        n = 4
+        rep = reps[n]
+        perms = min_coset_reps(n, content_stabiliser(n, (2, 1, 1))) + (tuple(range(1, n + 1)),)
+        for w, got in zip(perms, t_words(rep, perms)):
+            want = blockop_product(n, [rep.t(i) for i in reduced_word(w)])
+            assert rel_residual(got, want) < 1e-14
+            if not reduced_word(w):
+                assert np.array_equal(got.dense(), np.eye(3**n))
 
 
 class TestGeneratorColumns:

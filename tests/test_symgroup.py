@@ -22,7 +22,6 @@ from qkzconn.symgroup import (
     leading_index,
     length,
     min_coset_reps,
-    multi_index_swap,
     occurrence_positions,
     reduced_word,
     rep_of_index,
@@ -189,9 +188,6 @@ class TestMultiIndex:
                 assert len(images) == len(reps)
                 assert all(content(a) == r for a in images)
                 assert {rep_of_index(a) for a in images} == set(reps)
-
-    def test_swap(self):
-        assert multi_index_swap((1, 2, 3), 1) == (2, 1, 3)
 
 
 class TestEta:
