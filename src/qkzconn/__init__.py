@@ -51,7 +51,6 @@ from .heckespin import (
     perk_schultz,
     qybe_residual,
     spin_rep,
-    y_operator,
     y_operators,
     y_power,
     y_tilde,

@@ -365,12 +365,9 @@ def _affine_relations(ctx: VerifyContext, rng):
 @register("qybe", "hecke", "R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x)", 1e-10)
 def _qybe(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
-    worst = 0.0
-    for _ in range(SAMPLES):
-        x = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-        y = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-        worst = _worst(worst, hs.qybe_residual(lambda z: hs.perk_schultz(z, q), x, y))
-    return worst
+    draws = [[np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform()) for _ in "xy"] for _ in range(SAMPLES)]
+    r = np.array([[hs.perk_schultz(z, q) for z in (x, x * y, y)] for x, y in draws])
+    return _worst(*hs.qybe_residual(r[:, 0], r[:, 1], r[:, 2]))
 
 
 @register("baxterization-closed-form", "hecke", "Baxterized braid matrix equals its closed form", 1e-12)
@@ -612,7 +609,7 @@ def _rank3_shifted(ctx: VerifyContext, rng):
     def evaluate(draws):
         phi, z = np.array([d.own for d in draws]), np.array([d.z for d in draws])
         words = [(d.own, (i,), d.z) for d in draws for i in (1, 2)]
-        ms = [m.dense() for m in conn.tensor_monodromy_words(ctx.ep, words)]
+        ms = conn.tensor_monodromy_words(ctx.ep, words)
         s1 = conn.shifted_r_apply(ctx.ep, 3, 2, z[:, 0] - z[:, 1], phi, conn.PSI_FAMILY, k, control=1)
         s2 = conn.shifted_r_apply(ctx.ep, 3, 1, z[:, 1] - z[:, 2], phi, conn.PSI_FAMILY, -k, control=3)
         return [

@@ -45,16 +45,16 @@ from .symgroup import (
     simple,
 )
 from .tensorspace import (
-    DIM,
     PARITY,
     permutation_op,
     WEIGHTS,
     BlockOp,
     block_layout,
     column_products,
-    controlled_op,
     letter_table,
     tensor_index,
+    two_leg_columns,
+    word_residuals,
 )
 
 __all__ = [
@@ -443,26 +443,27 @@ def shifted_r_apply(
     a: complex,
     control: int,
     weights: Sequence[Sequence[float]] = WEIGHTS,
-) -> np.ndarray:
+) -> BlockOp | list[BlockOp]:
     """R on the legs (leg, leg+1) with phi shifted per the control leg's value.
 
     Acts as R_{leg, leg+1}(x; phi + s_j) on the subspace where the control
     leg carries the basis vector v_j, with s_j built from the offset triple
-    ``family`` by the shift rule above.  ``x`` of shape S and ``phi`` of
-    shape S + (3,) give a stack of shape S + (3^n, 3^n), with every
-    R-matrix from one elliptic batch.
+    ``family`` by the shift rule above.  A scalar ``x`` and one triple
+    ``phi`` give one ``BlockOp``; ``x`` of shape S and ``phi`` of shape
+    S + (3,) give a list of them in the order of ``np.ndindex(S)``, with
+    every R-matrix from one elliptic batch.  Each is one letter of
+    ``column_products``.
     """
-    x = np.asarray(x, dtype=complex)[..., None]
-    ops = dyn_r_matrix(ep, x, _shifted_phis(ep, phi, family, a, weights))
-    return controlled_op(ops, n, leg, leg + 1, control)
-
-
-def _stack_residual(lhs: np.ndarray, rhs: np.ndarray):
-    # rel_residual of each pair of matrices of two stacks: a float for one
-    # pair, an array shaped like the stack axes for more
-    big = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
-    out = np.linalg.norm(lhs - rhs, axis=(-2, -1)) / np.where(big > 0.0, big, 1.0)
-    return out.item() if out.ndim == 0 else out
+    x = np.asarray(x, dtype=complex)
+    ops = dyn_r_matrix(ep, x[..., None], _shifted_phis(ep, phi, family, a, weights)).reshape(-1, len(weights), 9, 9)
+    layout = block_layout(n)
+    stacks = []
+    for (perm, entries), idx in zip(two_leg_columns(ops, n, leg, leg + 1, control), layout.index):
+        # one one-letter word per draw
+        perms = np.broadcast_to(perm, (1, len(entries), perm.size))
+        stacks.append(column_products(perms, entries[None, :, 0], entries[None, :, 1], idx.shape[1]))
+    out = [BlockOp(layout, (s[w] for s in stacks)) for w in range(x.size)]
+    return out[0] if x.ndim == 0 else out
 
 
 def dybe_residual(
@@ -479,17 +480,18 @@ def dybe_residual(
       = R23(y; ...) R12(x+y; ...) R23(x; ...).
     ``x`` and ``y`` of shape S and ``phi`` of shape S + (3,) give one
     residual per draw, shaped S (a float for scalars and one triple).  All
-    shifted R-matrices of every draw come from one elliptic batch.
-    Passing perturbed ``weights`` gives a negative control.
+    shifted R-matrices of every draw come from one elliptic batch, and both
+    sides are words on ``tensorspace.word_residuals``.  Passing perturbed
+    ``weights`` gives a negative control.
 
     The length d of ``weights`` is the site set: the first d basis vectors.
-    Three weights give the equation on (C^3)^(x 3); two restrict every
-    R-matrix to the even two-site basis and the control values to v_1 and
-    v_2, which gives the rank-one (gl(2)) equation on (C^2)^(x 3).
+    Three weights give the equation on (C^3)^(x 3); two give the control
+    values v_1 and v_2 and take the residual on the blocks with no v_3 leg,
+    where every R-matrix acts by its even two-site restriction: the rank-one
+    (gl(2)) equation on (C^2)^(x 3).
     """
     k = ep.kappa
     d = len(weights)
-    sites = [DIM * a + b for a in range(d) for b in range(d)]
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
     # the 6d R-matrices of a draw in the order (a, argument, control value)
     args = np.broadcast_to(np.stack([x, y, x + y], axis=-1)[..., None, :, None], x.shape + (2, 3, d))
@@ -498,16 +500,14 @@ def dybe_residual(
     r = dyn_r_matrix(ep, args.reshape(x.shape + (6 * d,)), phis.reshape(x.shape + (6 * d, 3)))
     r = r.reshape(x.shape + (2, 3, d, 9, 9))
 
-    def op(f, m):
+    def letter(f, m):
         # R12 controlled by leg 3 (f = 0) or R23 by leg 1 (f = 1) at x, y or
-        # x + y (m = 0, 1, 2), built as the product reaches it, so that few
-        # stacks are alive at once
-        ops = r[..., f, m, :, :, :][..., sites, :][..., sites]
-        return controlled_op(ops, 3, *((1, 2, 3), (2, 3, 1))[f])
+        # x + y (m = 0, 1, 2)
+        return (r[..., f, m, :, :, :], *((1, 2, 3), (2, 3, 1))[f])
 
     # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x)
-    lhs = op(0, 0) @ op(1, 2) @ op(0, 1)
-    return _stack_residual(lhs, op(1, 1) @ op(0, 2) @ op(1, 0))
+    lhs = [letter(0, 0), letter(1, 2), letter(0, 1)]
+    return word_residuals(3, lhs, [letter(1, 1), letter(0, 2), letter(1, 0)], sites=d)
 
 
 _FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
@@ -528,8 +528,9 @@ def felder_residual(
     where h_i shifts by the weight carried by leg i: the shift rule of the
     weight family with a = -beta.  ``x``, ``y`` and ``phi`` stack as in
     ``dybe_residual``, with one residual per draw; all 18 shifted R-matrices
-    of every draw come from one elliptic batch.  Passing perturbed
-    ``weights`` gives a negative control.
+    of every draw come from one elliptic batch.  Rc keeps the content of its
+    two legs, so both sides are words on ``tensorspace.word_residuals``.
+    Passing perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
@@ -544,12 +545,5 @@ def felder_residual(
     phis = np.broadcast_to(phis, x.shape + (6, 3, 3))
     r = dyn_r_matrix(ep, args.reshape(x.shape + (18,)), phis.reshape(x.shape + (18, 3)))
     rc = permutation_op() @ r.reshape(x.shape + (6, 3, 9, 9))
-    del r  # a sweep's stack of R-matrices; only rc is needed below
-
-    def op(f):
-        # built as the product reaches it, so that few stacks are alive at once
-        legs = factors[f][0]
-        return controlled_op(rc[..., f, :, :, :], 3, *legs, _FELDER_CONTROLS[legs])
-
-    lhs = op(0) @ op(1) @ op(2)
-    return _stack_residual(lhs, op(3) @ op(4) @ op(5))
+    letters = [(rc[..., f, :, :, :], *legs, _FELDER_CONTROLS[legs]) for f, (legs, _, _) in enumerate(factors)]
+    return word_residuals(3, letters[:3], letters[3:])

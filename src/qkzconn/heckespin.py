@@ -39,8 +39,7 @@ from .tensorspace import (
     letter_table,
     neighbour_columns,
     permutation_op,
-    rel_residual,
-    two_leg_op,
+    word_residuals,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "perk_schultz",
     "qybe_residual",
     "spin_rep",
-    "y_operator",
     "y_operators",
     "y_power",
     "t_words",
@@ -156,12 +154,15 @@ def perk_schultz(z: complex, q: complex, pole_tol: float = 1e-10) -> np.ndarray:
     return r
 
 
-def qybe_residual(r_of_z, x: complex, y: complex) -> float:
-    """Defect of R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x) on three legs."""
-    r12 = two_leg_op(r_of_z(x), 3, 1, 2)
-    r13 = two_leg_op(r_of_z(x * y), 3, 1, 3)
-    r23 = two_leg_op(r_of_z(y), 3, 2, 3)
-    return rel_residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
+def qybe_residual(r_x: np.ndarray, r_xy: np.ndarray, r_y: np.ndarray):
+    """Defect of R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x) on three legs.
+
+    ``r_x``, ``r_xy`` and ``r_y`` are stacks S + (9, 9) of R(x), R(xy) and
+    R(y), which keep the content of their two legs; both sides of every draw
+    are words on ``tensorspace.word_residuals``.  Returns one residual per
+    draw, shaped S (a float for one draw).
+    """
+    return word_residuals(3, [(r_x, 1, 2), (r_xy, 1, 3), (r_y, 2, 3)], [(r_y, 2, 3), (r_xy, 1, 3), (r_x, 1, 2)])
 
 
 @dataclass
@@ -304,13 +305,6 @@ def _family_letters(n: int, lam: Sequence[int], opposite: bool = False) -> list[
             word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
         letters += abs(e) * word
     return letters
-
-
-def y_operator(rep: SpinRep, j: int) -> BlockOp:
-    """The commuting element Y_j = T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j."""
-    if not 1 <= j <= rep.n:
-        raise ValueError(f"index {j} out of range for n={rep.n}")
-    return y_power(rep, [int(k == j) for k in range(1, rep.n + 1)])
 
 
 def y_operators(rep: SpinRep) -> list[BlockOp]:

@@ -19,9 +19,10 @@ __all__ = [
 ]
 
 
-#: largest site count a run accepts.  The spin representation is stored by
+#: largest site count a run accepts.  Every operator on n sites is stored by
 #: content block (the largest block at n = 6 is 90 x 90); what still bounds n
-#: is the dense tensor monodromy of the connection checks, 3^n x 3^n
+#: is the time of the checks at n = 7, mostly in the sign checks, which build
+#: every T_w of a block on all content groups (``blocks.sign_residuals``)
 SITE_CAP = 6
 
 

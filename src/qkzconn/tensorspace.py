@@ -5,13 +5,6 @@ multi-index (a_1, ..., a_n) over {1, 2, 3} sits at linear index
 sum_k (a_k - 1) * 3^(n-k), so the first site is the most significant digit.
 For n = 2 this reproduces the ordered basis (v1 v1, v1 v2, v1 v3, v2 v1, ...).
 
-Local operators are embedded in one way: ``two_leg_op`` writes op x I into
-the legs (a, b) of a d^n x d^n matrix, with the site dimension d read from
-the operator's shape (d^2 x d^2), so the same rule serves the three-state
-sites and their two-state even restriction (the rank-one fixture).
-``controlled_op`` builds on it for the dynamical shifts, which pick the
-operator by the value of a third, control leg.
-
 The spin representation preserves the content of a multi-index (how many of
 its entries are 1, 2 and 3), so its operators are block-diagonal by content.
 ``BlockOp`` stores only those blocks: ``block_layout(n)`` groups the blocks
@@ -27,10 +20,16 @@ a_c e_c + b_c e_pi(c) for a column permutation pi, and ``column_products``,
 the one product engine, multiplies words of such letters by column
 operations.  ``letter_table(n)`` holds, per content group, the column
 permutation pi of each spin-representation letter (the identity, the
-rotation, its inverse and the swap of the legs i, i+1), and
-``two_leg_columns`` the two entries per column of a local operator that
-keeps the content of its two legs; ``neighbour_columns`` gives them for
-every neighbour pair (i, i+1) at once.
+rotation, its inverse and the swap of the legs i, i+1).
+
+Local operators are embedded in one way, as column data: ``two_leg_columns``
+gives the leg-swap permutation and the two entries per column of op x I on
+the legs (a, b), for a 9x9 operator (or a stack) that keeps the content of
+its two legs; a control leg picks the operator by its value, which gives the
+dynamical shifts.  ``neighbour_columns`` gives the entries of every
+neighbour pair (i, i+1) at once, and ``word_residuals`` compares two words
+of such letters draw by draw.  ``two_leg_op``, the dense embedding, is the
+tests' independent reference.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ def permutation_op() -> np.ndarray:
 
 
 def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
-    """Embed a two-site operator on the (not necessarily adjacent) legs a < b.
+    """Embed a two-site operator on the (not necessarily adjacent) legs a < b
+    as a dense d^n x d^n matrix, the tests' reference for ``two_leg_columns``.
 
     The site dimension d is read from the operator's shape (d^2 x d^2).  An
     op of shape S + (d^2, d^2) gives a stack of shape S + (d^n, d^n).
@@ -84,54 +84,18 @@ def two_leg_op(op: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
     if not 1 <= a < b <= n:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
     op = np.asarray(op)
-    d = math.isqrt(op.shape[-1])
-    out = np.empty(op.shape[:-2] + (d**n, d**n), dtype=complex)
-    _write_two_leg(out, op, n, a, b)
-    return out
-
-
-def _write_two_leg(out: np.ndarray, op: np.ndarray, n: int, a: int, b: int, control: int = 0, j: int = 0) -> None:
-    # write op x I on the legs (a, b) into out; with a control leg (1-based),
-    # only into the columns where it holds the value j
     lead = op.shape[:-2]
     m = len(lead)
     d = math.isqrt(op.shape[-1])
-    # view the result with the row legs a, b first, then the column legs a, b
+    out = np.empty(lead + (d**n, d**n), dtype=complex)
+    # view the result with the row legs a, b first, then the column legs a, b,
+    # and write op x I into that view
     rest = [k for k in range(n) if k not in (a - 1, b - 1)]
     legs = [a - 1, b - 1] + rest
     axes = list(range(m)) + [m + k for k in legs] + [m + n + k for k in legs]
     view = out.reshape(lead + (d,) * (2 * n)).transpose(axes)
     eye = np.eye(d ** (n - 2)).reshape((1, 1) + (d,) * (n - 2) + (1, 1) + (d,) * (n - 2))
-    cols = n - 2
-    if control:
-        # the column axis of the control leg is fixed at j: in those columns
-        # the identity factor keeps only the rows where the control leg is j
-        c = rest.index(control - 1)
-        fixed = (slice(None),) * (m + n + 2 + c) + (j,)
-        view = view[fixed]
-        eye = eye[(slice(None),) * (n + 2 + c) + (j,)]
-        cols -= 1
-    np.multiply(op.reshape(lead + (d, d) + (1,) * (n - 2) + (d, d) + (1,) * cols), eye, out=view)
-
-
-def controlled_op(ops, n: int, a: int, b: int, control: int) -> np.ndarray:
-    """Act with ops[..., j-1, :, :] on the legs (a, b) where the control leg carries v_j.
-
-    The result is the sum over j of two_leg_op(ops[..., j-1, :, :], n, a, b)
-    restricted to the columns whose control leg holds the value j; d is the
-    length of the axis -3 of ``ops`` (a sequence of d operators, or a stack
-    S + (d, d^2, d^2) that gives S + (d^n, d^n)).  Each value's columns are
-    written directly into the one result.
-    """
-    if control in (a, b):
-        raise ValueError("the control leg must lie outside the acting pair")
-    if not 1 <= a < b <= n:
-        raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
-    ops = np.asarray(ops)
-    d = ops.shape[-3]
-    out = np.empty(ops.shape[:-3] + (d**n, d**n), dtype=complex)
-    for j in range(d):
-        _write_two_leg(out, ops[..., j, :, :], n, a, b, control, j)
+    np.multiply(op.reshape(lead + (d, d) + (1,) * (n - 2) + (d, d) + (1,) * (n - 2)), eye, out=view)
     return out
 
 
@@ -269,73 +233,121 @@ def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> n
     return out.reshape(nw, kd // d, d, d).swapaxes(-1, -2)
 
 
-def two_leg_columns(op: np.ndarray, n: int, a: int, b: int) -> list[np.ndarray]:
-    """The two entries per column of ``two_leg_op(op, n, a, b)`` for a 9x9 op
-    that keeps the content of its two legs, one (2, k*d) array per group of
-    ``block_layout(n)``.
+def two_leg_columns(op: np.ndarray, n: int, a: int, b: int, control: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The column data of op x I on the legs (a, b) of n sites, for 9x9
+    operators that keep the content of their two legs: per group of
+    ``block_layout(n)``, the (k*d,) column permutation of the leg swap and the
+    entries, S + (2, k*d) for a stack S + (9, 9) of operators.
 
     Column c, with the digits (x, y) on the legs (a, b), holds op[(x, y), (x, y)]
     on the diagonal (row 0) and op[(y, x), (x, y)] in the row of the basis
     vector with the two legs swapped (row 1, 0 where x = y); every other entry
-    is 0.
+    is 0.  With a ``control`` leg, op is a stack S + (m, 9, 9), and a column
+    whose control leg holds v_j reads op[..., j-1, :, :]: the dynamical
+    shifts.  A value j > m reads the zero operator.  Each group's entries are
+    one gather from the flattened stack.
     """
     if not 1 <= a < b <= n:
         raise ValueError(f"leg pair ({a}, {b}) out of range for n={n}")
+    if control is not None and (control in (a, b) or not 1 <= control <= n):
+        raise ValueError(f"control leg {control} must be a leg of n={n} outside the pair ({a}, {b})")
+    op = np.asarray(op, dtype=complex)
     _check_content(op)
-    return [
-        np.stack([op[local, local], np.where(same, 0.0, op[swapped, local])])
-        for local, swapped, same in _two_leg_places(n, a, b)
-    ]
+    lead, m = (op.shape[:-2], 1) if control is None else (op.shape[:-3], op.shape[-3])
+    flat = np.concatenate([op.reshape(lead + (-1,)), np.zeros(lead + (1,), dtype=complex)], axis=-1)
+    perms = _column_perms(n, _leg_swap(n, a, b))
+    return [(perm, flat[..., places]) for perm, places in zip(perms, _two_leg_places(n, a, b, control, m))]
 
 
 def neighbour_columns(op: np.ndarray, n: int) -> list[np.ndarray]:
-    """``two_leg_columns(op, n, i, i + 1)`` for i = 1 .. n-1, stacked as one
-    (2, n-1, k*d) array [row, pair, column] per group of ``block_layout(n)``:
-    one gather per group from the entries of op and a trailing 0, which
-    stands at the places where the two legs agree."""
+    """The entries of ``two_leg_columns(op, n, i, i + 1)`` for i = 1 .. n-1,
+    stacked as one (2, n-1, k*d) array [row, pair, column] per group of
+    ``block_layout(n)``: one gather per group from the entries of op and a
+    trailing 0."""
     _check_content(op)
     flat = np.append(np.asarray(op, dtype=complex).reshape(-1), 0.0)
     return [flat[places] for places in _neighbour_places(n)]
 
 
+#: the entries of a 9x9 operator that change the content of its two legs:
+#: those between local indices (x, y) and (x', y') with {x, y} != {x', y'}
+_CHANGES_CONTENT = np.array([[sorted(divmod(r, DIM)) != sorted(divmod(c, DIM)) for c in range(DIM**2)] for r in range(DIM**2)])
+
+
 def _check_content(op: np.ndarray) -> None:
-    # a 9x9 op keeps the content of its two legs when it is 0 between
-    # local indices (x, y) and (x', y') with {x, y} != {x', y'}
-    content = np.sort(np.divmod(np.arange(DIM * DIM), DIM), axis=0)
-    if np.any(np.asarray(op)[(content[:, :, None] != content[:, None, :]).any(axis=0)] != 0):
+    # a 9x9 op, or each of a stack, keeps the content of its two legs when it
+    # is 0 at every entry of _CHANGES_CONTENT
+    if np.asarray(op)[..., _CHANGES_CONTENT].any():
         raise ValueError("the operator changes the content of its two legs")
 
 
 @functools.cache
-def _two_leg_places(n: int, a: int, b: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    # per group of block_layout(n), for every column with the digits (x, y)
-    # on the legs (a, b): the local index x*d + y, the swapped y*d + x and
-    # whether x = y, read-only and built once per (n, a, b)
+def _two_leg_places(n: int, a: int, b: int, control: int | None = None, m: int = 1) -> tuple[np.ndarray, ...]:
+    # per group of block_layout(n), the read-only (2, k*d) places of the two
+    # entries per column in a stack of m 9x9 operators, flattened and followed
+    # by a 0 at m*DIM**4: column c with the digits (x, y) on the legs (a, b)
+    # and j on the control leg (j = 0 without one) reads op[j][xy, xy] and
+    # op[j][yx, xy], or the trailing 0 where x = y or j >= m
     layout = block_layout(n)
     out = []
     for idx in layout.index:
         digits = layout.digits[idx.reshape(-1)]
         x, y = digits[:, a - 1], digits[:, b - 1]
-        places = (x * DIM + y, y * DIM + x, x == y)
-        for arr in places:
-            arr.flags.writeable = False
+        j = np.zeros_like(x) if control is None else digits[:, control - 1]
+        local = j * DIM**4 + (x * DIM + y) * (DIM**2 + 1)
+        swapped = j * DIM**4 + (y * DIM + x) * DIM**2 + x * DIM + y
+        places = np.where(j < m, np.stack([local, np.where(x == y, m * DIM**4, swapped)]), m * DIM**4)
+        places.flags.writeable = False
         out.append(places)
     return tuple(out)
 
 
 @functools.cache
 def _neighbour_places(n: int) -> tuple[np.ndarray, ...]:
-    # per group of block_layout(n), the (2, n-1, k*d) places in op.reshape(-1)
-    # of the two entries per column for every neighbour pair (i, i+1), in the
-    # terms of _two_leg_places: op[local, local], then op[swapped, local] or,
-    # where x = y, the trailing 0 at DIM**4; read-only and built once per n
+    # per group of block_layout(n), the read-only (2, n-1, k*d) places of
+    # _two_leg_places for every neighbour pair (i, i+1), built once per n
     out = []
     for pairs in zip(*(_two_leg_places(n, i, i + 1) for i in range(1, n))):
-        local, swapped, same = (np.stack(arr) for arr in zip(*pairs))
-        places = np.stack([local * DIM**2 + local, np.where(same, DIM**4, swapped * DIM**2 + local)])
+        places = np.stack(pairs, axis=1)
         places.flags.writeable = False
         out.append(places)
     return tuple(out)
+
+
+def word_residuals(n: int, lhs: Sequence[tuple], rhs: Sequence[tuple], sites: int = DIM):
+    """``rel_residual`` of two products of two-leg letters, one per draw.
+
+    ``lhs`` and ``rhs`` are words of the same length.  A letter is
+    (op, a, b) or (op, a, b, control), the arguments of ``two_leg_columns``
+    with the draws on the stack axes S of op, the same for every letter.  The
+    words are multiplied left to right, both sides of every draw in one
+    ``column_products`` call per content group.  The residual is taken over
+    the blocks whose legs hold only the first ``sites`` basis vectors
+    (``sites`` = 2: the blocks with no v_3 leg, which are (C^2)^(x n)).
+    Returns one residual per draw, shaped S (a float for one draw).
+    """
+    columns = [two_leg_columns(op, n, *legs) for op, *legs in (*lhs, *rhs)]
+    shape = columns[0][0][1].shape[:-2]
+    draws = math.prod(shape)
+    layout = block_layout(n)
+    # |lhs - rhs|^2, |lhs|^2 and |rhs|^2 per draw, summed over the kept blocks
+    sums = np.zeros((3, draws))
+    for g, idx in enumerate(layout.index):
+        keep = (layout.digits[idx[:, 0]] < sites).all(axis=1)
+        if not keep.any():
+            continue
+        k, d = idx.shape
+        # positions, then the words of every draw: the left sides, then the right
+        perm = np.repeat(np.stack([cols[g][0] for cols in columns]).reshape(2, -1, k * d).swapaxes(0, 1), draws, axis=1)
+        entries = np.stack([cols[g][1].reshape(draws, 2, k * d) for cols in columns])
+        entries = entries.reshape(2, -1, draws, 2, k * d).swapaxes(0, 1).reshape(-1, 2 * draws, 2, k * d)
+        prods = column_products(perm, entries[..., 0, :], entries[..., 1, :], d).reshape(2, draws, k, d, d)
+        prods = prods[:, :, keep]
+        parts = np.stack([prods[0] - prods[1], prods[0], prods[1]])
+        sums += (parts.real**2 + parts.imag**2).reshape(3, draws, -1).sum(axis=2)
+    big = np.sqrt(np.maximum(sums[1], sums[2]))
+    out = (np.sqrt(sums[0]) / np.where(big > 0.0, big, 1.0)).reshape(shape)
+    return out.item() if out.ndim == 0 else out
 
 
 class BlockOp:

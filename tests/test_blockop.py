@@ -18,7 +18,7 @@ from qkzconn.heckespin import (
     rho_vector,
     spin_rep,
     t_words,
-    y_operator,
+    y_operators,
     y_power,
     y_tilde,
 )
@@ -118,12 +118,14 @@ class TestGenerators:
             ref = two_leg_op(op, n, a, b)
             assert np.max(np.abs(ref[off])) == 0.0
             got = np.zeros_like(ref)
-            for idx, (diag, swap) in zip(layout.index, two_leg_columns(op, n, a, b)):
-                for col, d, s in zip(idx.reshape(-1), diag, swap):
+            for idx, (perm, (diag, swap)) in zip(layout.index, two_leg_columns(op, n, a, b)):
+                flat = idx.reshape(-1)
+                for col, row, d, s in zip(flat, flat[perm], diag, swap):
                     moved = list(alphas[col])
                     moved[a - 1], moved[b - 1] = moved[b - 1], moved[a - 1]
+                    assert row == tensor_index(moved)
                     got[col, col] += d
-                    got[tensor_index(moved), col] += s
+                    got[row, col] += s
             assert np.array_equal(got, ref)
 
 
@@ -144,7 +146,7 @@ class TestArithmetic:
             assert np.array_equal(b.column(j), db[:, j])
 
     def test_eigvals_are_the_dense_spectrum(self, reps):
-        y = y_operator(reps[3], 1)
+        y = y_operators(reps[3])[0]
         got = np.sort_complex(y.eigvals())
         want = np.sort_complex(np.linalg.eigvals(y.dense()))
         assert got.shape == (27,)
@@ -175,9 +177,9 @@ class TestProductsAgainstDense:
 
     def test_y_operators(self, sized):
         n, rep, (t, t_inv, zeta, _) = sized
-        for j in range(1, n + 1):
+        for j, y in enumerate(y_operators(rep), start=1):
             mats = [t_inv[i - 1] for i in range(j - 1, 0, -1)] + [zeta] + [t[i - 1] for i in range(n - 1, j - 1, -1)]
-            assert rel_residual(y_operator(rep, j).dense(), dense_product(mats, 3**n)) < 1e-13
+            assert rel_residual(y.dense(), dense_product(mats, 3**n)) < 1e-13
 
     def test_y_power_negative_exponent(self, sized):
         n, rep, gens = sized

@@ -2,12 +2,13 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkzconn import blocks, checks, connection, qkz
+from qkzconn import blocks, checks, connection, qkz, tensorspace
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -350,6 +351,24 @@ class TestStackedProducts:
                     block_diag[j * d : (j + 1) * d, j * d : (j + 1) * d] = stack[j]
                 assert self.close(block_diag, want)
                 start += k
+
+
+class TestOneEmbedding:
+    """Every local operator of the battery is embedded by its column data."""
+
+    def test_suites_build_no_dense_embedding(self, monkeypatch):
+        # two_leg_op, and every name the package imported it under, raises
+        real = tensorspace.two_leg_op
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check embedded a local operator densely")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qkzconn") and getattr(module, "two_leg_op", None) is real:
+                monkeypatch.setattr(module, "two_leg_op", refuse)
+        for suite in ("hecke", "connection", "dybe"):
+            report = run_suite(suite, RunConfig(n=3))
+            assert report.results and all(r.status == "ran" and r.passed for r in report.results), suite
 
 
 class TestTransportCocycle:

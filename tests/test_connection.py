@@ -1,5 +1,6 @@
 """Connection matrices, the tensor-basis monodromy and the dynamical R-matrix."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,11 +29,11 @@ from qkzconn.tensorspace import (
     WEIGHTS,
     BlockOp,
     block_layout,
-    controlled_op,
     multi_indices,
     permutation_op,
     rel_residual,
     tensor_index,
+    two_leg_op,
 )
 
 
@@ -270,16 +271,15 @@ class TestTensorMonodromy:
         assert rel_residual(a, b) < 1e-12
 
     def test_rank3_shift_identities(self, ep, rng):
-        k = dyn_r_matrix  # noqa: F841 - keep the import grouping honest
         for _ in range(5):
             phi = sample_phi(rng)
             z = band_z(rng, 3)
             (m1,) = tensor_monodromy_words(ep, [(phi, (1,), z)])
             s1 = shifted_r_apply(ep, 3, 2, z[0] - z[1], phi, PSI_FAMILY, ep.kappa, control=1)
-            assert rel_residual(m1.dense(), s1) < 1e-9
+            assert rel_residual(m1, s1) < 1e-9
             (m2,) = tensor_monodromy_words(ep, [(phi, (2,), z)])
             s2 = shifted_r_apply(ep, 3, 1, z[1] - z[2], phi, PSI_FAMILY, -ep.kappa, control=3)
-            assert rel_residual(m2.dense(), s2) < 1e-9
+            assert rel_residual(m2, s2) < 1e-9
 
 
 class TestDynamicalR:
@@ -405,8 +405,18 @@ class TestShiftedApply:
         # the weight family at a = 0 shifts nothing
         x = sample_scalar(rng, ep.nome)
         got = shifted_r_apply(ep, 3, 1, x, phi, XI_FAMILY, 0.0, control=3)
-        want = np.kron(np.kron(np.eye(1), dyn_r_matrix(ep, x, phi)), np.eye(3))
-        assert rel_residual(got, want) < 1e-13
+        assert isinstance(got, BlockOp) and got.layout is block_layout(3)
+        want = np.kron(dyn_r_matrix(ep, x, phi), np.eye(3))
+        assert rel_residual(got.dense(), want) < 1e-13
+
+    def test_stack_gives_one_operator_per_draw(self, ep, rng):
+        x = np.array([sample_scalar(rng, ep.nome) for _ in range(4)]).reshape(2, 2)
+        phi = np.array([sample_phi(rng) for _ in range(4)]).reshape(2, 2, 3)
+        stacked = shifted_r_apply(ep, 4, 2, x, phi, PSI_FAMILY, 0.3, control=4)
+        assert len(stacked) == 4
+        for got, s in zip(stacked, np.ndindex(2, 2)):
+            want = shifted_r_apply(ep, 4, 2, x[s], phi[s], PSI_FAMILY, 0.3, control=4)
+            assert rel_residual(got, want) <= 1e-15
 
     @pytest.mark.parametrize("name", ["psi", "phi", "xi"])
     def test_family_shift_vectors(self, ep, phi, name):
@@ -423,7 +433,7 @@ class TestShiftedApply:
             for j, vec in enumerate(vectors)
         )
         got = shifted_r_apply(ep, 3, 1, x, phi, family, a, control=3)
-        assert rel_residual(got, want) < 1e-13
+        assert rel_residual(got.dense(), want) < 1e-13
 
     def test_control_leg_must_be_outside(self, ep, phi):
         with pytest.raises(ValueError):
@@ -562,18 +572,27 @@ class TestGl2Fixture:
             assert dybe_residual(ep, x, xp, phi, XI_FAMILY, negated) > 1e-3
 
     def test_two_weights_equal_a_hand_built_braid_form(self, ep, rng):
-        # the rank-one rule written out: control value v_1 lowers the scalar
-        # parameter y by a and v_2 raises it, with a = -kappa on the pair
-        # (1, 2) controlled by leg 3 and a = +kappa on (2, 3) controlled by leg 1
+        # the rank-one rule written out on (C^2)^(x 3): control value v_1
+        # lowers the scalar parameter y by a and v_2 raises it, with a = -kappa
+        # on the pair (1, 2) controlled by leg 3 and a = +kappa on (2, 3)
+        # controlled by leg 1; each is the sum over the control value j of the
+        # dense embedding times the projector onto the columns where the
+        # control leg holds v_j
+        digits = list(itertools.product(range(2), repeat=3))
+
         def by_hand(x, xp, y, k):
-            def ops(arg, a):
-                return [even(dyn_r_matrix(ep, arg, fixture_phi(y + s))) for s in (-a, a)]
+            def controlled(arg, a, legs, control):
+                ops = [even(dyn_r_matrix(ep, arg, fixture_phi(y + s))) for s in (-a, a)]
+                return sum(
+                    two_leg_op(op, 3, *legs) @ np.diag([float(alpha[control - 1] == j) for alpha in digits])
+                    for j, op in enumerate(ops)
+                )
 
             def r12(arg):
-                return controlled_op(ops(arg, -k), 3, 1, 2, 3)
+                return controlled(arg, -k, (1, 2), 3)
 
             def r23(arg):
-                return controlled_op(ops(arg, k), 3, 2, 3, 1)
+                return controlled(arg, k, (2, 3), 1)
 
             return rel_residual(r12(x) @ r23(x + xp) @ r12(xp), r23(xp) @ r12(x + xp) @ r23(x))
 

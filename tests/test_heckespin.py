@@ -18,7 +18,6 @@ from qkzconn.heckespin import (
     spin_products,
     spin_rep,
     t_words,
-    y_operator,
     y_operators,
     y_power,
     y_tilde,
@@ -26,7 +25,7 @@ from qkzconn.heckespin import (
 from qkzconn.symgroup import content_stabiliser, min_coset_reps, reduced_word
 from qkzconn.tensorspace import (
     BlockOp,
-    controlled_op,
+    block_layout,
     neighbour_columns,
     permutation_op,
     rel_residual,
@@ -50,6 +49,10 @@ def local_op(q, d):
 @pytest.fixture(scope="module")
 def q(ep):
     return HeckeParams(elliptic=ep, n=2).q
+
+
+#: the entries of a 9x9 operator that keep the content of its two legs
+KEEPS = np.array([[sorted(divmod(r, 3)) == sorted(divmod(c, 3)) for c in range(9)] for r in range(9)])
 
 
 def basis_vec(alpha):
@@ -134,16 +137,32 @@ class TestBaxterization:
             baxterize(braid_matrix(q), 1.0 / q**2, q)
 
     def test_qybe(self, q, rng):
-        for _ in range(20):
-            x = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-            y = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-            assert qybe_residual(lambda z: perk_schultz(z, q), x, y) < 1e-10
+        draws = [[np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform()) for _ in "xy"] for _ in range(20)]
+        r = np.array([[perk_schultz(z, q) for z in (x, x * y, y)] for x, y in draws])
+        stacked = qybe_residual(r[:, 0], r[:, 1], r[:, 2])
+        assert stacked.shape == (20,)
+        assert np.all(stacked < 1e-10)
+        one = [qybe_residual(*r[k]) for k in range(20)]
+        assert all(isinstance(v, float) for v in one)
+        assert np.max(np.abs(stacked - one)) <= 1e-16
+
+    def test_qybe_matches_the_dense_products(self, q):
+        # the column route against R12, R13 and R23 embedded densely
+        r_x, r_xy, r_y = (perk_schultz(z, q) for z in (0.3 + 0.2j, (0.3 + 0.2j) * (0.7 - 0.4j), 0.7 - 0.4j))
+        r12, r13, r23 = two_leg_op(r_x, 3, 1, 2), two_leg_op(r_xy, 3, 1, 3), two_leg_op(r_y, 3, 2, 3)
+        want = rel_residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
+        assert want < 1e-14
+        bad = r_xy + np.diag(np.arange(9.0))
+        got = qybe_residual(r_x, bad, r_y)
+        want = rel_residual(r12 @ two_leg_op(bad, 3, 1, 3) @ r23, r23 @ two_leg_op(bad, 3, 1, 3) @ r12)
+        assert want > 1e-3 and abs(got - want) <= 1e-13 * want
 
     def test_qybe_trivial_and_negative(self, q, rng):
         eye = np.eye(9, dtype=complex)
-        assert qybe_residual(lambda z: eye, 0.3, 0.7) == 0.0
-        bad = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        assert qybe_residual(lambda z: bad, 0.3, 0.7) > 1e-3
+        assert qybe_residual(eye, eye, eye) == 0.0
+        # a random operator that keeps the content of its two legs
+        bad = np.where(KEEPS, rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), 0.0)
+        assert qybe_residual(bad, bad, bad) > 1e-3
 
     def test_unitarity(self, q, rng):
         p_op = permutation_op()
@@ -201,9 +220,9 @@ class TestSpinRep:
 
 class TestYFamily:
     def test_n2_factorizations(self, reps):
-        rep = reps[2]
-        assert rel_residual(y_operator(rep, 1), rep.zeta @ rep.t(1)) < 1e-14
-        assert rel_residual(y_operator(rep, 2), rep.t_inv(1) @ rep.zeta) < 1e-14
+        y1, y2 = y_operators(reps[2])
+        assert rel_residual(y1, reps[2].zeta @ reps[2].t(1)) < 1e-14
+        assert rel_residual(y2, reps[2].t_inv(1) @ reps[2].zeta) < 1e-14
 
     def test_commutation(self, reps):
         for rep in reps.values():
@@ -222,7 +241,7 @@ class TestYFamily:
         # content (1, 0, 1): the leading vector picks up -p^(-phi_3)
         rep = reps[2]
         v = basis_vec((3, 1))
-        got = y_operator(rep, 1).dense() @ v
+        got = y_operators(rep)[0].dense() @ v
         want = -pow_p(ep, -phi[2]) * v
         assert np.max(np.abs(got - want)) < 1e-13
 
@@ -239,7 +258,7 @@ class TestYFamily:
     def test_y_tilde_n2_form(self, ep, reps):
         rep = reps[2]
         got = y_tilde(rep, (1, 0))
-        want = pow_p(ep, -ep.kappa) * rep.t(1) @ y_operator(rep, 2) @ rep.t_inv(1)
+        want = pow_p(ep, -ep.kappa) * rep.t(1) @ y_operators(rep)[1] @ rep.t_inv(1)
         assert rel_residual(got, want) < 1e-13
 
     def test_y_tilde_commuting_family(self, reps, rng):
@@ -336,7 +355,7 @@ class TestSpinProducts:
         ys = y_operators(rep)
         assert calls == [[n] * n]
         for j, y in enumerate(ys, start=1):
-            assert np.array_equal(y.dense(), y_operator(rep, j).dense())
+            assert np.array_equal(y.dense(), y_power(rep, [int(k == j) for k in range(1, n + 1)]).dense())
 
     def test_padded_batch_equals_one_word_calls(self, reps, rng):
         # words of different lengths, the empty word among them, with random
@@ -386,18 +405,16 @@ class TestGeneratorColumns:
         columns = spin_rep(params, phi).columns
         for side, op in enumerate((b_inv, b)):
             for i in range(1, n):
-                for cols, want in zip(columns, two_leg_columns(op, n, i, i + 1), strict=True):
+                for cols, (_, want) in zip(columns, two_leg_columns(op, n, i, i + 1), strict=True):
                     assert cols[side, :, 2 + i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_neighbour_columns_of_a_random_operator(self, n):
         gen = np.random.default_rng(40 + n)
-        content = [sorted(divmod(k, 3)) for k in range(9)]
-        keeps = np.array([[cr == cc for cc in content] for cr in content])
-        op = np.where(keeps, gen.normal(size=(9, 9)) + 1j * gen.normal(size=(9, 9)), 0.0)
+        op = np.where(KEEPS, gen.normal(size=(9, 9)) + 1j * gen.normal(size=(9, 9)), 0.0)
         stacked = neighbour_columns(op, n)
         for i in range(1, n):
-            for got, want in zip(stacked, two_leg_columns(op, n, i, i + 1), strict=True):
+            for got, (_, want) in zip(stacked, two_leg_columns(op, n, i, i + 1), strict=True):
                 assert got[:, i - 1].tobytes() == want.tobytes()
 
     def test_content_changing_operator_raises_the_same_error(self, ep, phi):
@@ -409,6 +426,15 @@ class TestGeneratorColumns:
         with pytest.raises(ValueError) as per_pair:
             two_leg_columns(op, 3, 1, 2)
         assert str(stacked.value) == str(per_pair.value) == "the operator changes the content of its two legs"
+
+    @pytest.mark.parametrize("control", [None, 3])
+    def test_one_content_changing_operator_in_a_stack_raises(self, q, control):
+        # a (2, 3) stack of operators that keep content, but for one entry of one
+        ops = np.broadcast_to(braid_matrix(q), (2, 3, 9, 9)).copy()
+        ops[1, 2, 1, 2] = 1.0  # v1 v3 -> v1 v2 changes the pair's content
+        with pytest.raises(ValueError, match="changes the content"):
+            two_leg_columns(ops, 3, 1, 2, control)
+        two_leg_columns(ops[:1], 3, 1, 2, control)
 
 
 class TestTensorHelpers:
@@ -431,26 +457,59 @@ class TestTensorHelpers:
                     want = op[a_out[a - 1] * d + a_out[b - 1], a_in[a - 1] * d + a_in[b - 1]]
                 assert abs(m[row, col] - want) < 1e-15
 
-    @pytest.mark.parametrize("d", [3, 2])
+    @pytest.mark.parametrize("m", [3, 2])
     @pytest.mark.parametrize("a, b, control", [(1, 2, 3), (2, 3, 1), (1, 3, 2)])
-    def test_controlled_op_sums_projected_embeddings(self, q, d, a, b, control):
-        ops = [local_op(q, d) * (j + 1) + j * np.eye(d * d) for j in range(d)]
-        want = np.zeros((d**3, d**3), dtype=complex)
-        for j in range(d):
-            on_j = [1.0 if alpha[control - 1] == j else 0.0 for alpha in itertools.product(range(d), repeat=3)]
+    def test_controlled_op_sums_projected_embeddings(self, q, m, a, b, control):
+        # m operators for the control values v_1 .. v_m; a column whose
+        # control leg holds a value past them reads the zero operator
+        ops = [braid_matrix(q) * (j + 1) + j * np.eye(9) for j in range(m)]
+        want = np.zeros((27, 27), dtype=complex)
+        for j in range(m):
+            on_j = [1.0 if alpha[control - 1] == j else 0.0 for alpha in itertools.product(range(3), repeat=3)]
             want += two_leg_op(ops[j], 3, a, b) @ np.diag(on_j)
-        assert np.array_equal(controlled_op(ops, 3, a, b, control), want)
+        assert np.array_equal(columns_dense(3, two_leg_columns(ops, 3, a, b, control)), want)
+
+    def test_control_leg_must_lie_outside_the_pair(self, q):
+        ops = [braid_matrix(q)] * 3
+        for control in (1, 2, 4):
+            with pytest.raises(ValueError):
+                two_leg_columns(ops, 3, 1, 2, control)
+        with pytest.raises(ValueError):
+            two_leg_columns(ops, 3, 2, 4, 1)
 
     @pytest.mark.parametrize("d", [3, 2])
     def test_stacked_embeddings_equal_per_item_calls(self, q, d):
-        # a (2, 4) stack of local operators and a (2, 4) stack of control triples
+        # a (2, 4) stack of local operators
         gen = np.random.default_rng(5)
-        shape = (2, 4, d, d * d, d * d)
+        shape = (2, 4, d * d, d * d)
         ops = gen.normal(size=shape) + 1j * gen.normal(size=shape)
-        legs = two_leg_op(ops[..., 1, :, :], 4, 2, 4)
-        controlled = controlled_op(ops, 3, 1, 3, 2)
+        legs = two_leg_op(ops, 4, 2, 4)
         assert legs.shape == (2, 4, d**4, d**4)
-        assert controlled.shape == (2, 4, d**3, d**3)
         for s in np.ndindex(2, 4):
-            assert np.array_equal(legs[s], two_leg_op(ops[s][1], 4, 2, 4))
-            assert np.array_equal(controlled[s], controlled_op(list(ops[s]), 3, 1, 3, 2))
+            assert np.array_equal(legs[s], two_leg_op(ops[s], 4, 2, 4))
+
+    @pytest.mark.parametrize("control", [None, 2])
+    def test_stacked_columns_equal_per_item_calls(self, control):
+        # a (2, 4) stack of operators, or of control triples of them, that keep content
+        gen = np.random.default_rng(5)
+        shape = (2, 4) + (() if control is None else (3,)) + (9, 9)
+        ops = np.where(KEEPS, gen.normal(size=shape) + 1j * gen.normal(size=shape), 0.0)
+        stacked = two_leg_columns(ops, 3, 1, 3, control)
+        for s in np.ndindex(2, 4):
+            for (perm, entries), (want_perm, want) in zip(stacked, two_leg_columns(ops[s], 3, 1, 3, control), strict=True):
+                assert entries.shape == (2, 4) + want.shape
+                assert perm is want_perm and np.array_equal(entries[s], want)
+        if control is not None:
+            on_j = [[float(alpha[1] == j) for alpha in itertools.product(range(3), repeat=3)] for j in range(3)]
+            want = sum(two_leg_op(ops[1, 2, j], 3, 1, 3) @ np.diag(on_j[j]) for j in range(3))
+            assert np.array_equal(columns_dense(3, [(p, e[1, 2]) for p, e in stacked]), want)
+
+
+def columns_dense(n, columns):
+    """The dense matrix of the column data of ``two_leg_columns``, placed by ``block_layout``."""
+    out = np.zeros((3**n, 3**n), dtype=complex)
+    for idx, (perm, (diag, swap)) in zip(block_layout(n).index, columns):
+        flat = idx.reshape(-1)
+        out[flat, flat] += diag
+        out[flat[perm], flat] += swap
+    return out
