@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticParams, check_coupling, pow_p
-from .heckespin import SpinRep, rho_vector, t_words, y_operators, y_tilde
+from .heckespin import SpinRep, _family_letters, rho_vector, spin_images, y_tilde
 from .symgroup import (
     Content,
     Perm,
@@ -28,8 +28,9 @@ from .symgroup import (
     inverse,
     leading_index,
     min_coset_reps,
+    reduced_word,
 )
-from .tensorspace import BlockOp, tensor_index
+from .tensorspace import block_layout, tensor_index
 
 __all__ = [
     "PrincipalSeriesSpec",
@@ -144,46 +145,44 @@ def dimension_count(n: int) -> int:
     return sum(len(min_coset_reps(n, content_stabiliser(n, r))) for r in content_labels(n))
 
 
-def eigen_residual(rep: SpinRep, r: Content, y_ops: list[BlockOp] | None = None) -> float:
+def eigen_residual(rep: SpinRep, r: Content) -> float:
     """Worst eigen-equation defect of the leading basis vector of the block r.
 
     Checks Y_j v = p^{-gamma_j} v for all j and T_i v = eps_i q^{eps_i} v for
     i in the block's index set, with the eigenvalues read from the block's
-    character (``character_values``).
+    character (``character_values``), and every image from one
+    ``spin_images`` call.
     """
     ep = rep.params.elliptic
     n = rep.n
     spec = content_block(ep, n, r, rep.phi)
-    idx = tensor_index(leading_index(r))
-    if y_ops is None:
-        y_ops = y_operators(rep)
+    src = tensor_index(leading_index(r))
     chars = character_values(ep, spec)
-    pairs = list(zip(y_ops, chars.y_values)) + [(rep.t(i), lam) for i, lam in chars.t_values]
-    worst = 0.0
-    for op, lam in pairs:
-        col = op.column(idx)
-        col[idx] -= lam
-        worst = max(worst, float(np.linalg.norm(col)) / max(1.0, abs(lam)))
-    return worst
+    words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
+    words += [[(2 + i, 1)] for i, _ in chars.t_values]
+    lams = list(chars.y_values) + [lam for _, lam in chars.t_values]
+    images = spin_images(rep, words, src)
+    images[:, block_layout(n).pos[src]] -= lams
+    return max(float(np.linalg.norm(img)) / max(1.0, abs(lam)) for img, lam in zip(images, lams))
 
 
 def sign_residuals(rep: SpinRep, r: Content) -> list[tuple[Perm, float, float]]:
     """(w, inclusive, strict) per minimal coset representative w of the block
     r: the defects of T_w v_leading = (-1)^eta(w) v_{w . leading} under both
-    sign counts of ``eta_exponent``, with every T_w from one ``t_words`` call."""
+    sign counts of ``eta_exponent``, with T_w along a reduced word of w and
+    every image from one ``spin_images`` call."""
     n = rep.n
     lead = leading_index(r)
-    src = tensor_index(lead)
     reps = min_coset_reps(n, content_stabiliser(n, r))
+    images = spin_images(rep, [[(2 + i, 1) for i in reduced_word(w)] for w in reps], tensor_index(lead))
     out = []
-    for w, tw in zip(reps, t_words(rep, reps)):
-        col = tw.column(src)
-        dst = tensor_index(act(w, lead))
-        entry = col[dst]
+    for w, img in zip(reps, images):
+        dst = block_layout(n).pos[tensor_index(act(w, lead))]
+        entry = img[dst]
         defects = []
         for inclusive in (True, False):
-            col[dst] = entry - (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
-            defects.append(float(np.linalg.norm(col)))
+            img[dst] = entry - (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
+            defects.append(float(np.linalg.norm(img)))
         out.append((w, *defects))
     return out
 
@@ -290,36 +289,29 @@ def genericity_report(
 
     spectral = _spectral_labels(log_p, kappa, phi, n)
     labels = [(r, sigma) for r, sigma, _ in spectral]
-    s_vectors = [s for _, _, s in spectral]
 
     # collisions: all components of s_b - s_a vanish modulo 2 pi i / log p.
-    # At large labels the exponentials overflow; an overflowing value is
+    # At large labels the exponentials overflow or underflow; such a value is
     # neither a collision nor a resonance, so the warnings are silenced.
-    comp = np.array(s_vectors, dtype=complex)
-    count = comp.shape[0]
+    comp = np.array([s for _, _, s in spectral], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         unit = np.exp((comp[None, :, :] - comp[:, None, :]) * log_p)
         collide = np.all(np.abs(unit - 1.0) <= tol, axis=2)
-    for a in range(count):
-        for b in range(a + 1, count):
-            if collide[a, b]:
-                violations.append(("collision", a, b))
+    violations += [("collision", int(a), int(b)) for a, b in np.argwhere(np.triu(collide, 1))]
 
-    # lattice resonances of the partial sums (pairings with varpi_i)
-    partials = np.array(
-        [[sum(s[:i]) for i in range(1, n)] for s in s_vectors], dtype=complex
-    )
+    # lattice resonances of the partial sums (pairings with varpi_i): a value
+    # within tol of p^m has m nearest to log_p |value|, and none if that is not finite
+    partials = np.cumsum(comp[:, :-1], axis=1)
     for i in range(n - 1):
         col = partials[:, i]
         diff = col[None, :] - col[:, None]  # entry (a, b) is (s_b - s_a, varpi_{i+1})
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.exp(diff * log_p)
-            for m in range(-window, window + 1):
-                if m == 0:
-                    continue
-                bad = np.argwhere(np.abs(vals / (p**m) - 1.0) <= tol)
-                for a, b in bad:
-                    violations.append(("resonance", int(a), int(b), i + 1, m))
+            near = np.rint(np.log(np.abs(vals)) / log_p)
+            near[~(np.abs(near) <= window)] = 0  # out of the window, or not finite
+            a, b = np.nonzero((near != 0) & (np.abs(vals / p**near - 1.0) <= tol))
+        m = near[a, b].astype(int)
+        violations += [("resonance", int(a[k]), int(b[k]), i + 1, int(m[k])) for k in np.lexsort((b, a, m))]
     return GenericityReport(
         n=n, window=window, tol=tol, labels=tuple(labels), violations=tuple(violations)
     )

@@ -456,9 +456,8 @@ def _eigen_equations(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
         rep = ctx.rep(n)
-        y_ops = hs.y_operators(rep)
         for r in content_labels(n):
-            worst = _worst(worst, blk.eigen_residual(rep, r, y_ops))
+            worst = _worst(worst, blk.eigen_residual(rep, r))
     return worst
 
 

@@ -22,7 +22,7 @@ from . import connection as conn
 from . import serialize
 from .checks import SAMPLES, SUITES, Report, run_suite
 from .elliptic import EllipticError
-from .heckespin import HeckeParams, spin_rep, y_operators
+from .heckespin import HeckeParams, spin_rep
 from .params import RunConfig, sample_point
 from .symgroup import (
     act,
@@ -237,7 +237,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(f"inconclusive: genericity violations {report.violations[:5]}", file=sys.stderr)
         return 2
     rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
-    y_ops = y_operators(rep)
     blocks_out = []
     for r in content_labels(n):
         spec = blk.content_block(ep, n, r, phi)
@@ -251,7 +250,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "signs": spec.signs,
                 "gamma": spec.gamma,
                 "basis_map": basis_map,
-                "eigen_residual": blk.eigen_residual(rep, r, y_ops),
+                "eigen_residual": blk.eigen_residual(rep, r),
                 "max_sign_residual": max(inclusive for _, inclusive, _ in blk.sign_residuals(rep, r)),
             }
         )

@@ -10,11 +10,13 @@ the T_i (and of all the T_i^{-1}) by one gather per content group.
 ``spin_products`` is the one product of words in these letters, by one
 ``tensorspace.column_products`` call per content group.  It builds the
 generator operators (on first use), the commuting family Y_j, its powers
-Y^lam, the products T_w, the braid-limit family ``y_tilde`` and the qKZ
-transports.  A negative power is a word of inverse letters, so no block is
-inverted.  ``y_tilde`` is a product of the commuting family X_j of the
-opposite orientation (T_i and T_i^{-1} swapped in the word of Y_j), which
-is the T_w0 conjugate of the Y family, so it needs no T_w0 letter.
+Y^lam, the braid-limit family ``y_tilde`` and the qKZ transports.
+``spin_images`` applies such words to one basis vector, all that the eigen
+and sign checks of ``blocks`` read.  A negative power is a word of inverse
+letters, so no block is inverted.  ``y_tilde`` is a product of the
+commuting family X_j of the opposite orientation (T_i and T_i^{-1} swapped
+in the word of Y_j), which is the T_w0 conjugate of the Y family, so it
+needs no T_w0 letter.
 Baxterization turns the braid matrix into the spectral-parameter solution
 of the quantum Yang-Baxter equation (the supersymmetric three-state vertex
 model weights).
@@ -29,11 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticParams, PoleError, pow_p
-from .symgroup import Perm, reduced_word
 from .tensorspace import (
     DIM,
     BlockOp,
     block_layout,
+    column_images,
     column_products,
     frob,
     letter_table,
@@ -53,8 +55,8 @@ __all__ = [
     "spin_rep",
     "y_operators",
     "y_power",
-    "t_words",
     "spin_products",
+    "spin_images",
     "y_tilde",
     "rho_vector",
     "cross_relation_residual",
@@ -258,6 +260,13 @@ def spin_rep(params: HeckeParams, phi: Sequence[complex]) -> SpinRep:
     return SpinRep(params=params, phi=phi, braid=b, columns=tuple(_generator_columns(params, b, phi)))
 
 
+def _padded(words: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
+    # the (positions, words) rows, then sides, of the words padded with the identity letter
+    length = max(1, max(map(len, words), default=0))
+    padded = [list(word) + [(0, 0)] * (length - len(word)) for word in words]
+    return np.array(padded, dtype=np.intp).reshape(len(words), length, 2).T
+
+
 def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.0, den=1.0) -> list[BlockOp]:
     """The product of each word of spin-representation letters, one ``BlockOp``
     per word, by one ``column_products`` call per content group.
@@ -272,9 +281,7 @@ def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.
     word is padded with the identity letter, so an empty word is the identity.
     """
     n = rep.n
-    length = max(1, max(map(len, words), default=0))
-    padded = [list(word) + [(0, 0)] * (length - len(word)) for word in words]
-    rows, sides = np.array(padded, dtype=np.intp).reshape(len(words), length, 2).T
+    rows, sides = _padded(words)
     layout = block_layout(n)
     stacks = []
     other, minus_t, den = 1 - sides, -np.asarray(t)[..., None, None], np.asarray(den)[..., None, None]
@@ -287,6 +294,23 @@ def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.
         entries /= den
         stacks.append(column_products(perms[rows], entries[:, :, 0], entries[:, :, 1], idx.shape[1]))
     return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
+
+
+def spin_images(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], source: int) -> np.ndarray:
+    """The image of the basis vector e_source under each word of generator
+    letters (those of ``spin_products`` at t = 0 and den = 1), by one
+    ``column_images`` call on the content block of e_source: a (words, d)
+    array whose entry c is the coordinate at place c of the block, as
+    ``block_layout(n).pos`` numbers the places."""
+    layout = block_layout(rep.n)
+    g, b, pos = layout.group[source], layout.block[source], layout.pos[source]
+    d = layout.index[g].shape[1]
+    rows, sides = _padded(words)
+    # the letters' column data on block b alone, at the flat places b*d .. b*d + d - 1
+    place = slice(b * d, (b + 1) * d)
+    entries = rep.columns[g][sides, :, rows, place]
+    start = np.broadcast_to(np.eye(d, dtype=complex)[pos], (len(words), d))
+    return column_images(letter_table(rep.n)[g][rows, place] - b * d, entries[:, :, 0], entries[:, :, 1], start)
 
 
 def _family_letters(n: int, lam: Sequence[int], opposite: bool = False) -> list[tuple[int, int]]:
@@ -317,12 +341,6 @@ def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
     """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n}: one word of n sum_j |lam_j| letters,
     in which a negative power is spelled with inverse letters."""
     return spin_products(rep, [_family_letters(rep.n, lam)])[0]
-
-
-def t_words(rep: SpinRep, perms: Sequence[Perm]) -> list[BlockOp]:
-    """T_w, the product of T_i over a reduced word of w, for each w in perms,
-    all in one ``spin_products`` call."""
-    return spin_products(rep, [[(2 + i, 1) for i in reduced_word(w)] for w in perms])
 
 
 def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:

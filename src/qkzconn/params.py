@@ -21,8 +21,9 @@ __all__ = [
 
 #: largest site count a run accepts.  Every operator on n sites is stored by
 #: content block (the largest block at n = 6 is 90 x 90); what still bounds n
-#: is the time of the checks at n = 7, mostly in the sign checks, which build
-#: every T_w of a block on all content groups (``blocks.sign_residuals``)
+#: is memory: at n = 7 ``blocks.genericity_report`` holds (3^n)^2 n complex
+#: label differences (535 MB), and the ``connection`` export's dense
+#: operator is 76.5 MB
 SITE_CAP = 6
 
 

@@ -18,9 +18,10 @@ rotated basis vector, and a one-letter connection matrix sends a coset
 representative sigma into span{sigma, s sigma}.  So column c of a letter is
 a_c e_c + b_c e_pi(c) for a column permutation pi, and ``column_products``,
 the one product engine, multiplies words of such letters by column
-operations.  ``letter_table(n)`` holds, per content group, the column
-permutation pi of each spin-representation letter (the identity, the
-rotation, its inverse and the swap of the legs i, i+1).
+operations; ``column_images`` applies the same words to vectors.
+``letter_table(n)`` holds, per content group, the column permutation pi of
+each spin-representation letter (the identity, the rotation, its inverse
+and the swap of the legs i, i+1).
 
 Local operators are embedded in one way, as column data: ``two_leg_columns``
 gives the leg-swap permutation and the two entries per column of op x I on
@@ -181,12 +182,6 @@ def letter_table(n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-#: product entries per chunk of words (256 KiB), which each letter passes over
-#: four times: a chunk in a core's cache took the 90 words of the n = 6 content
-#: (2, 2, 2) 0.19 s on a 2-vCPU host, one chunk of all 90 words 0.31 s
-_CHUNK_ENTRIES = 1 << 14
-
-
 def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """The products of words of letters with at most two nonzeros per column.
 
@@ -200,37 +195,39 @@ def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> n
     transposed as (words, k*d, d) stacks, so that pi gathers whole rows; every
     operation acts on each word alone.  The identity letter (pi(c) = c,
     a = 1, b = 0) pads a shorter word exactly: a batch equals its one-word
-    calls value for value (zero entries may differ in sign).  The words go in
-    chunks of at most ``_CHUNK_ENTRIES`` product entries; a call of several
-    chunks stops each after its last letter that is not the identity.
+    calls value for value (zero entries may differ in sign).
     """
     nw, kd = perm.shape[1:]
-    out = np.zeros((nw, kd, d), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (kd * d))
-    for lo in range(0, nw, step):
-        words = slice(lo, lo + step)
-        mat = out[words]
-        used = len(perm)
-        if step < nw:
-            # a chunk of shorter words stops after its last letter that is not
-            # the identity (a single chunk holds the longest word, so it never can)
-            live = np.flatnonzero(((perm[:, words] != np.arange(kd)) | (a[:, words] != 1) | (b[:, words] != 0)).any(axis=(1, 2)))
-            used = live[-1] + 1 if live.size else 1
-        cw = len(mat)
-        # row w*k*d + j*d + c of ``rows`` holds column c of block j of word w's product
-        rows = mat.reshape(cw * kd, d)
-        src = (perm[:used, words] + kd * np.arange(cw)[:, None]).reshape(used, cw * kd)
-        every = np.arange(cw * kd)
-        # the first letter is the starting product; its entry in row pi(c) goes
-        # first, as at a fixed point of pi it is 0 (kd is a multiple of d)
-        rows[every, src[0] % d] = b[0, words].reshape(-1)
-        rows[every, every % d] = a[0, words].reshape(-1)
-        for pos in range(1, used):
-            moved = np.take(rows, src[pos], axis=0).reshape(cw, kd, d)
-            moved *= b[pos, words, :, None]
-            mat *= a[pos, words, :, None]
-            mat += moved
-    return out.reshape(nw, kd // d, d, d).swapaxes(-1, -2)
+    # row w*k*d + j*d + c of ``rows`` holds column c of block j of word w's product
+    mat = np.zeros((nw, kd, d), dtype=complex)
+    rows = mat.reshape(nw * kd, d)
+    src = (perm + kd * np.arange(nw)[:, None]).reshape(len(perm), nw * kd)
+    every = np.arange(nw * kd)
+    # the first letter is the starting product; its entry in row pi(c) goes
+    # first, as at a fixed point of pi it is 0 (kd is a multiple of d)
+    rows[every, src[0] % d] = b[0].reshape(-1)
+    rows[every, every % d] = a[0].reshape(-1)
+    for pos in range(1, len(perm)):
+        moved = np.take(rows, src[pos], axis=0).reshape(nw, kd, d)
+        moved *= b[pos, :, :, None]
+        mat *= a[pos, :, :, None]
+        mat += moved
+    return mat.reshape(nw, kd // d, d, d).swapaxes(-1, -2)
+
+
+def column_images(perm: np.ndarray, a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (words, k*d) images of a (words, k*d) stack of vectors v under the
+    words of ``column_products``' column data, each word's letters applied
+    last letter first.  Column c of a letter L sends v_c to a_c v_c at c and
+    b_c v_c at pi(c), so L v is a v plus b v added at the places pi: a
+    scatter, which holds for the rotation too, whose pi is no involution."""
+    out = np.array(v, dtype=complex)
+    words = np.arange(len(out))[:, None]
+    for p, x, y in zip(perm[::-1], a[::-1], b[::-1]):
+        moved = y * out
+        out *= x
+        out[words, p] += moved
+    return out
 
 
 def two_leg_columns(op: np.ndarray, n: int, a: int, b: int, control: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -415,14 +412,6 @@ class BlockOp:
     def eigvals(self) -> np.ndarray:
         """The eigenvalues of every block, concatenated."""
         return np.concatenate([np.linalg.eigvals(s).reshape(-1) for s in self.stacks])
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of the operator in tensor-basis coordinates."""
-        layout = self.layout
-        g, b, p = layout.group[j], layout.block[j], layout.pos[j]
-        out = np.zeros(DIM**layout.n, dtype=complex)
-        out[layout.index[g][b]] = self.stacks[g][b, :, p]
-        return out
 
     def dense(self) -> np.ndarray:
         """The full 3^n x 3^n matrix (for independent references in tests)."""

@@ -16,8 +16,8 @@ from qkzconn.heckespin import (
     braid_matrix,
     cross_relation_residual,
     rho_vector,
+    spin_products,
     spin_rep,
-    t_words,
     y_operators,
     y_power,
     y_tilde,
@@ -142,8 +142,6 @@ class TestArithmetic:
         assert np.array_equal((a * c).dense(), c * da)
         assert np.array_equal((a / c).dense(), da / c)
         assert frob(a) == pytest.approx(np.linalg.norm(da), rel=1e-15)
-        for j in (0, 5, 13, 26):
-            assert np.array_equal(b.column(j), db[:, j])
 
     def test_eigvals_are_the_dense_spectrum(self, reps):
         y = y_operators(reps[3])[0]
@@ -170,7 +168,8 @@ class TestProductsAgainstDense:
         want = dense_product([t[i - 1] for i in word], 3**n)
         s1 = (2, 1) + tuple(range(3, n + 1))
         ident = tuple(range(1, n + 1))
-        got_w0, got_s1, got_e = t_words(rep, [tuple(range(n, 0, -1)), s1, ident])
+        perms = [tuple(range(n, 0, -1)), s1, ident]
+        got_w0, got_s1, got_e = spin_products(rep, [[(2 + i, 1) for i in reduced_word(w)] for w in perms])
         assert rel_residual(got_w0.dense(), want) < 1e-13
         assert np.array_equal(got_s1.dense(), t[0])
         assert np.array_equal(got_e.dense(), np.eye(3**n))

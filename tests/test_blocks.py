@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qkzconn import heckespin
+from qkzconn import blocks, heckespin
 from qkzconn.blocks import (
     PrincipalSeriesSpec,
     character_values,
@@ -20,7 +20,6 @@ from qkzconn.blocks import (
     validate_spec,
 )
 from qkzconn.elliptic import pow_p
-from qkzconn.heckespin import y_operators
 from qkzconn.symgroup import content_labels, content_stabiliser, min_coset_reps
 
 
@@ -116,9 +115,8 @@ class TestDecomposition:
 
     def test_eigen_residuals(self, reps):
         for n, rep in reps.items():
-            y_ops = y_operators(rep)
             for r in content_labels(n):
-                assert eigen_residual(rep, r, y_ops) < 1e-10
+                assert eigen_residual(rep, r) < 1e-10
 
     def test_sign_residuals_exhaustive(self, reps):
         for n, rep in reps.items():
@@ -143,30 +141,32 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sign_residuals_are_one_product_call_per_block(self, reps, n, monkeypatch):
+        # every T_w of a block acts on the leading vector in one spin_images
+        # call, and no product operator is built
         calls = []
-        products = heckespin.spin_products
+        images = heckespin.spin_images
 
-        def recorded(rep, words, *args):
+        def recorded(rep, words, source):
             calls.append(len(words))
-            return products(rep, words, *args)
+            return images(rep, words, source)
 
-        monkeypatch.setattr(heckespin, "spin_products", recorded)
+        monkeypatch.setattr(blocks, "spin_images", recorded)
+        monkeypatch.setattr(heckespin, "spin_products", None)
         for r in content_labels(n):
             calls.clear()
             sign_residuals(reps[n], r)
             assert calls == [len(min_coset_reps(n, content_stabiliser(n, r)))]
 
-    def test_sampled_rank5(self, ep, phi, rng):
-        # exhaustive coverage stops at n = 4; spot-check a larger site count
+    def test_rank5_exhaustive(self, ep, phi):
+        # every block of n = 5, the largest site count the Tier-1 run covers whole
         from qkzconn.heckespin import HeckeParams, spin_rep
 
         n = 5
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
-        y_ops = y_operators(rep)
         labels = content_labels(n)
-        for _ in range(3):
-            r = labels[rng.integers(len(labels))]
-            assert eigen_residual(rep, r, y_ops) < 1e-10
+        assert len(labels) == 21
+        for r in labels:
+            assert eigen_residual(rep, r) < 1e-10
             assert all(inclusive < 1e-10 for _, inclusive, _ in sign_residuals(rep, r))
 
 
@@ -213,3 +213,58 @@ class TestGenericity:
         a, b = next(v[1:] for v in report.violations if v[0] == "collision")
         ra, rb = report.labels[a][0], report.labels[b][0]
         assert ra[2] == rb[2] and {ra[:2], rb[:2]} == {ra[:2], (ra[1], ra[0])}
+
+    @pytest.mark.parametrize(
+        "kappa, twists, n, count",
+        [
+            (0.0, None, 3, None),
+            (0.27, "equal", 3, None),
+            (0.25, (0.0, 0.5, 1.0), 4, 1811),
+            (0.1, (0.2, 0.5, -0.4), 4, 368),
+        ],
+        ids=["zero-coupling", "equal-twists", "1811-violations", "368-violations"],
+    )
+    def test_matches_the_scan_over_the_window(self, phi, kappa, twists, n, count):
+        # the report against a scan of every exponent of the window, violation
+        # by violation and in the same order: kappa = 0, equal twists, and
+        # two twists with many resonances
+        if twists is None:
+            twists = phi
+        elif twists == "equal":
+            twists = (phi[0], phi[0], phi[2])
+        got = genericity_report(0.35, kappa, twists, n).violations
+        assert got == window_scan(0.35, kappa, twists, n)
+        assert got
+        if count is not None:
+            assert len(got) == count
+
+
+def window_scan(p, kappa, phi, n, window=20, tol=1e-8):
+    """The violations of ``genericity_report``, found by a Python scan of
+    every label pair and every exponent of the window."""
+    log_p = math.log(p)
+    kappa = complex(kappa)
+    out = []
+    t = 2.0 * kappa.real
+    if abs(t - round(t)) <= tol:
+        out.append(("coupling", int(round(t))))
+    s_vectors = [s for _, _, s in blocks._spectral_labels(log_p, kappa, phi, n)]
+    comp = np.array(s_vectors, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.exp((comp[None, :, :] - comp[:, None, :]) * log_p)
+        collide = np.all(np.abs(unit - 1.0) <= tol, axis=2)
+    for a in range(len(comp)):
+        for b in range(a + 1, len(comp)):
+            if collide[a, b]:
+                out.append(("collision", a, b))
+    partials = np.array([[sum(s[:i]) for i in range(1, n)] for s in s_vectors], dtype=complex)
+    for i in range(n - 1):
+        col = partials[:, i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp((col[None, :] - col[:, None]) * log_p)
+            for m in range(-window, window + 1):
+                if m == 0:
+                    continue
+                for a, b in np.argwhere(np.abs(vals / (p**m) - 1.0) <= tol):
+                    out.append(("resonance", int(a), int(b), i + 1, m))
+    return tuple(out)

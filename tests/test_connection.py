@@ -221,7 +221,7 @@ class TestTensorMonodromy:
         x = z[0] - z[1]
         (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (1, 3, 2)
-        col = m.column(tensor_index(beta))
+        col = m.dense()[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep)
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
         assert col[tensor_index((1, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
@@ -234,7 +234,7 @@ class TestTensorMonodromy:
         x = z[0] - z[1]
         (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         beta = (2, 3, 2)
-        col = m.column(tensor_index(beta))
+        col = m.dense()[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep) + ep.kappa
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
         assert col[tensor_index((2, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
@@ -249,7 +249,7 @@ class TestTensorMonodromy:
             ((1, 3, 3), -c_func(ep, x) / c_func(ep, -x)),  # equal odd entries
         ):
             idx = tensor_index(beta)
-            assert m.column(idx)[idx] == pytest.approx(want)
+            assert m.dense()[idx, idx] == pytest.approx(want)
 
     def test_routes_agree(self, ep, phi, rng):
         for n in (2, 3):

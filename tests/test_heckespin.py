@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qkzconn import heckespin, tensorspace
+from qkzconn import heckespin
 from qkzconn.elliptic import PoleError, pow_p
 from qkzconn.heckespin import (
     HeckeParams,
@@ -15,14 +15,14 @@ from qkzconn.heckespin import (
     hecke_residual,
     perk_schultz,
     qybe_residual,
+    spin_images,
     spin_products,
     spin_rep,
-    t_words,
     y_operators,
     y_power,
     y_tilde,
 )
-from qkzconn.symgroup import content_stabiliser, min_coset_reps, reduced_word
+from qkzconn.symgroup import content_labels, leading_index, reduced_word
 from qkzconn.tensorspace import (
     BlockOp,
     block_layout,
@@ -272,7 +272,7 @@ class TestYFamily:
     def test_t_word_longest(self, reps):
         rep = reps[3]
         w0 = (3, 2, 1)
-        (got,) = t_words(rep, [w0])
+        (got,) = spin_products(rep, [[(2 + i, 1) for i in reduced_word(w0)]])
         want = rep.t(1) @ rep.t(2) @ rep.t(1)
         assert rel_residual(got, want) < 1e-13
 
@@ -376,20 +376,34 @@ class TestSpinProducts:
             assert all(np.array_equal(a, b) for a, b in zip(batch[w].stacks, one.stacks))
         assert np.array_equal(spin_products(rep, [[]])[0].dense(), np.eye(27))
 
-    @pytest.mark.parametrize("chunk", [1, 200, 1 << 14])
-    def test_chunks_of_words_equal_the_matmul_products(self, reps, chunk, monkeypatch):
-        # the T_w of a block, words of length 0 to 5, in engine chunks of one
-        # word, of a few words and of all words, with the empty words alone in
-        # a chunk at chunk = 1: each is its BlockOp matmul chain
-        monkeypatch.setattr(tensorspace, "_CHUNK_ENTRIES", chunk)
-        n = 4
-        rep = reps[n]
-        perms = min_coset_reps(n, content_stabiliser(n, (2, 1, 1))) + (tuple(range(1, n + 1)),)
-        for w, got in zip(perms, t_words(rep, perms)):
-            want = blockop_product(n, [rep.t(i) for i in reduced_word(w)])
-            assert rel_residual(got, want) < 1e-14
-            if not reduced_word(w):
-                assert np.array_equal(got.dense(), np.eye(3**n))
+
+class TestSpinImages:
+    """``spin_images`` applies words of generator letters to one basis vector."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_images_are_the_product_columns(self, ep, phi, n):
+        # zeta^{+-1} (the rotation, whose column permutation is no
+        # involution), T_i^{+-1}, the empty word and words of mixed lengths in
+        # one call, applied to every block's leading vector: each image is the
+        # column of the same word's product, and zero outside the block
+        rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        letters = [(1, 0), (2, 0)] + [(2 + i, side) for i in range(1, n) for side in (0, 1)]
+        gen = np.random.default_rng(n)
+        words = [[letter] for letter in letters] + [[]]
+        words += [[letters[k] for k in gen.integers(len(letters), size=m)] for m in (2, 5, 9)]
+        layout = block_layout(n)
+        prods = [p.dense() for p in spin_products(rep, words)]
+        for r in content_labels(n):
+            src = tensor_index(leading_index(r))
+            block = layout.index[layout.group[src]][layout.block[src]]
+            images = spin_images(rep, words, src)
+            assert images.shape == (len(words), block.size)
+            for img, prod in zip(images, prods):
+                col = prod[:, src].copy()
+                assert np.max(np.abs(img - col[block])) <= 1e-14 * max(1.0, np.max(np.abs(col)))
+                col[block] = 0.0
+                assert not col.any()
+            assert np.array_equal(images[len(letters)], np.eye(block.size)[layout.pos[src]])
 
 
 class TestGeneratorColumns:
