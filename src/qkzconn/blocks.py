@@ -10,6 +10,7 @@ T_w for minimal coset representatives w, up to an explicit sign.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticParams, check_coupling, pow_p
-from .heckespin import SpinRep, _family_letters, rho_vector, spin_images, y_tilde
+from .heckespin import SpinRep, _family_letters, _padded, _padded_images, rho_vector, spin_images, y_tilde
 from .symgroup import (
     Content,
     Perm,
@@ -126,6 +127,26 @@ def _block_gamma_raw(
     return tuple(gamma)
 
 
+def _block_gammas(
+    log_p: float, kappa: complex, phis: Sequence[Sequence[complex]], n: int, rs: Sequence[Content]
+) -> np.ndarray:
+    # _block_gamma_raw for every twist of phis and content of rs, as one
+    # (twists, contents, n) array: the same operations in the same order,
+    # so the same values bit for bit
+    r1, r2, r3 = np.array(rs).T[:, None, :, None]
+    phi = np.array(phis, dtype=complex).T[:, :, None, None]
+    i = np.arange(1, n + 1)
+    i_pi = 1j * math.pi / log_p
+    eta1 = -i_pi * r3 + (r1 + 1) * kappa
+    eta2 = -i_pi * r3 + (r2 + 1) * kappa
+    eta3 = -i_pi * (n - 1) - (r3 + 1) * kappa
+    return np.where(
+        i <= r3,
+        eta3 + phi[2] + 2 * i * kappa,
+        np.where(i <= r3 + r2, eta2 + phi[1] - 2 * (i - r3) * kappa, eta1 + phi[0] - 2 * (i - r2 - r3) * kappa),
+    )
+
+
 def content_block(
     ep: EllipticParams, n: int, r: Content, phi: Sequence[complex]
 ) -> PrincipalSeriesSpec:
@@ -145,23 +166,33 @@ def dimension_count(n: int) -> int:
     return sum(len(min_coset_reps(n, content_stabiliser(n, r))) for r in content_labels(n))
 
 
+@functools.cache
+def _eigen_letters(n: int) -> np.ndarray:
+    # the padded (row, side) letters of the words Y_1 .. Y_n, then T_1 ..
+    # T_{n-1}, built once per n; eigen_residual picks its words by index
+    words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
+    letters = _padded(words + [[(2 + i, 1)] for i in range(1, n)])
+    letters.flags.writeable = False
+    return letters
+
+
 def eigen_residual(rep: SpinRep, r: Content) -> float:
     """Worst eigen-equation defect of the leading basis vector of the block r.
 
     Checks Y_j v = p^{-gamma_j} v for all j and T_i v = eps_i q^{eps_i} v for
     i in the block's index set, with the eigenvalues read from the block's
-    character (``character_values``), and every image from one
-    ``spin_images`` call.
+    character (``character_values``), and every image from one call of
+    ``spin_images``' body on the words of ``_eigen_letters(n)``.
     """
     ep = rep.params.elliptic
     n = rep.n
     spec = content_block(ep, n, r, rep.phi)
     src = tensor_index(leading_index(r))
     chars = character_values(ep, spec)
-    words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
-    words += [[(2 + i, 1)] for i, _ in chars.t_values]
+    rows, sides = _eigen_letters(n)
+    words = [*range(n), *(n - 1 + i for i, _ in chars.t_values)]
     lams = list(chars.y_values) + [lam for _, lam in chars.t_values]
-    images = spin_images(rep, words, src)
+    images = _padded_images(rep, rows[:, words], sides[:, words], src)
     images[:, block_layout(n).pos[src]] -= lams
     return max(float(np.linalg.norm(img)) / max(1.0, abs(lam)) for img, lam in zip(images, lams))
 

@@ -299,9 +299,9 @@ def cmd_connection(args: argparse.Namespace) -> int:
         for r, spec, entries in zip(contents, specs, mats)
     ]
     # computed on its own, not assembled from the blocks, so the two routes
-    # of the monodromy can be checked against each other; the export is the
-    # one place where it becomes a dense 3^n x 3^n matrix
-    tensor = conn.tensor_monodromy_words(ep, [(phi, labels, z)])[0].dense()
+    # of the monodromy can be checked against each other; ``dumps`` writes
+    # its 3^n x 3^n rows from the stored blocks
+    tensor = conn.tensor_monodromy_words(ep, [(phi, labels, z)])[0]
     payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks_out, tensor)
     _emit(serialize.dumps(payload), cfg.out)
     return 0

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import PrincipalSeriesSpec, _block_gamma_raw, content_block, validate_spec
+from .blocks import PrincipalSeriesSpec, _block_gammas, content_block, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
     Content,
@@ -324,7 +324,7 @@ def tensor_monodromy_words(
         # building and validating the rest of the block's spec, per word in
         # layout order
         rs = [r for r, _, _ in _layout_blocks(n)]
-        gamma = np.array([[_block_gamma_raw(ep.nome.log_p, ep.kappa, words[w][0], n, r) for r in rs] for w in members])
+        gamma = _block_gammas(ep.nome.log_p, ep.kappa, [words[w][0] for w in members], n, rs)
         start = 0
         for table, (k, d) in zip(_tensor_table(n), (idx.shape for idx in block_layout(n).index)):
             plans.append((table.take(lab), np.repeat(gamma[:, start : start + k], d, axis=1), x, d))

@@ -302,14 +302,18 @@ def spin_images(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], source
     ``column_images`` call on the content block of e_source: a (words, d)
     array whose entry c is the coordinate at place c of the block, as
     ``block_layout(n).pos`` numbers the places."""
+    return _padded_images(rep, *_padded(words), source)
+
+
+def _padded_images(rep: SpinRep, rows: np.ndarray, sides: np.ndarray, source: int) -> np.ndarray:
+    # spin_images of words already padded into (positions, words) rows and sides
     layout = block_layout(rep.n)
     g, b, pos = layout.group[source], layout.block[source], layout.pos[source]
     d = layout.index[g].shape[1]
-    rows, sides = _padded(words)
     # the letters' column data on block b alone, at the flat places b*d .. b*d + d - 1
     place = slice(b * d, (b + 1) * d)
     entries = rep.columns[g][sides, :, rows, place]
-    start = np.broadcast_to(np.eye(d, dtype=complex)[pos], (len(words), d))
+    start = np.broadcast_to(np.eye(d, dtype=complex)[pos], (rows.shape[1], d))
     return column_images(letter_table(rep.n)[g][rows, place] - b * d, entries[:, :, 0], entries[:, :, 1], start)
 
 

@@ -22,8 +22,8 @@ __all__ = [
 #: largest site count a run accepts.  Every operator on n sites is stored by
 #: content block (the largest block at n = 6 is 90 x 90); what still bounds n
 #: is memory: at n = 7 ``blocks.genericity_report`` holds (3^n)^2 n complex
-#: label differences (535 MB), and the ``connection`` export's dense
-#: operator is 76.5 MB
+#: label differences (535 MB), and the ``connection`` export's
+#: ``tensor_operator`` is about 67 MB of JSON text
 SITE_CAP = 6
 
 

@@ -4,6 +4,13 @@ Complex numbers are stored as [re, im] pairs; matrices as nested lists of
 such pairs.  Spectral data (the gamma vectors) is stored exactly as complex
 values, including imaginary half-period offsets, rather than as evaluated
 powers of the nome.
+
+``dumps`` writes a payload as ``json.dumps(payload, sort_keys=True,
+allow_nan=False)`` would, one top-level value at a time.  Every value goes
+through the C encoder except a ``BlockOp`` (the ``tensor_operator`` of a
+connection export), whose 3^n x 3^n rows are written from its stored blocks:
+the repr of each stored part, and ``[0.0, 0.0]`` for every cell outside the
+blocks, the bytes of ``matrix_to_lists(op.dense())`` without building it.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import math
 from typing import Any
 
 import numpy as np
+
+from .tensorspace import BlockOp
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +70,9 @@ def dynamical_r_payload(p, kappa, phi, x, entries, residuals=None) -> dict[str, 
     }
 
 
-def connection_payload(p, kappa, phi, z, blocks, tensor_entries=None, residuals=None) -> dict[str, Any]:
-    """blocks: list of dicts with keys content, index_set, signs, gamma, basis, entries."""
+def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp | None = None, residuals=None) -> dict[str, Any]:
+    """blocks: list of dicts with keys content, index_set, signs, gamma, basis,
+    entries.  ``tensor_op`` is stored as it is, for ``dumps`` to write."""
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "connection_matrices",
@@ -80,8 +90,8 @@ def connection_payload(p, kappa, phi, z, blocks, tensor_entries=None, residuals=
         ],
         "residuals": residuals or {},
     }
-    if tensor_entries is not None:
-        payload["tensor_operator"] = matrix_to_lists(tensor_entries)
+    if tensor_op is not None:
+        payload["tensor_operator"] = tensor_op
     return payload
 
 
@@ -124,7 +134,39 @@ def finite_or_null(obj: Any) -> Any:
     return obj
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_ZERO_CELL = "[0.0, 0.0]"
+
+
+def _operator_text(op: BlockOp) -> str:
+    # one str.format per row, on a template made once per block: the block's
+    # columns hold "[{!r}, {!r}]" and every other cell the constant zero
+    if not all(np.isfinite(s).all() for s in op.stacks):
+        raise ValueError("Out of range float values are not JSON compliant")
+    dim = op.shape[0]
+    rows = [""] * dim
+    for idx, s in zip(op.layout.index, op.stacks):
+        k, d = idx.shape
+        # per block and row, its entries as re, im, re, im, ...
+        values = np.stack([s.real, s.imag], axis=-1).reshape(k, d, 2 * d).tolist()
+        for cols, block in zip(idx.tolist(), values):
+            cells = [_ZERO_CELL] * dim
+            for j in cols:
+                cells[j] = "[{!r}, {!r}]"
+            template = "[" + ", ".join(cells) + "]"
+            for i, row in zip(cols, block):
+                rows[i] = template.format(*row)
+    return "[" + ", ".join(rows) + "]"
+
+
 def dumps(payload: dict[str, Any]) -> str:
-    """Strict JSON on one line: a non-finite float raises ValueError instead of
-    writing ``NaN``.  Without ``indent``, ``json`` runs its C encoder."""
-    return json.dumps(payload, sort_keys=True, allow_nan=False)
+    """Strict JSON on one line, with sorted keys: a non-finite float raises
+    ValueError instead of writing ``NaN``.  Each top-level value but a
+    ``BlockOp`` goes through ``json``'s C encoder."""
+    items = (
+        json.encoder.encode_basestring_ascii(key)
+        + ": "
+        + (_operator_text(value) if isinstance(value, BlockOp) else _ENCODER.encode(value))
+        for key, value in sorted(payload.items())
+    )
+    return "{" + ", ".join(items) + "}"

@@ -72,6 +72,19 @@ class TestBlockData:
         with pytest.raises(ValueError):
             content_block(ep, 3, (1, 1, 2), phi)
 
+    @pytest.mark.parametrize("kappa", [0.27, 0.3 - 0.05j, complex(0.27, 0.0), complex(0.0, -0.0)])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_batched_spectral_vectors_are_the_scalar_ones_bit_for_bit(self, rng, n, kappa):
+        # the array form used by tensor_monodromy_words against the loop that
+        # content_block uses, signed zeros of the twist included
+        phis = [tuple(complex(*rng.normal(size=2)) for _ in range(3)) for _ in range(3)]
+        phis.append((complex(-0.0, 0.0), complex(0.0, -0.0), 0j))
+        rs = content_labels(n)
+        got = blocks._block_gammas(-1.05, kappa, phis, n, rs)
+        want = np.array([[blocks._block_gamma_raw(-1.05, kappa, phi, n, r) for r in rs] for phi in phis])
+        assert got.shape == want.shape == (len(phis), len(rs), n)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCharacter:
     def test_plus_sign_value(self, ep, phi):

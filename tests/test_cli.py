@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import qkzconn
-from qkzconn import checks
+from qkzconn import checks, cli, connection, serialize
 from qkzconn.blocks import content_block
 from qkzconn.cli import main
 from qkzconn.connection import connection_words, tensor_monodromy_words
-from qkzconn.params import RunConfig
+from qkzconn.params import RunConfig, sample_point
 from qkzconn.symgroup import content_labels, from_word, min_coset_reps, reduced_word
+from qkzconn.tensorspace import BlockOp
 
 
 def pair_to_complex(pair):
@@ -218,6 +219,39 @@ class TestConnectionCommand:
         (want,) = tensor_monodromy_words(ep, [(phi, labels, z)])
         assert np.array_equal(tensor, want.dense())
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("word", ["e", "s1", "w0"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_text_is_the_dense_reference(self, capsys, n, word, seed):
+        # the export, written from the stored blocks of the tensor operator,
+        # is byte for byte json.dumps of the payload with the dense nested lists
+        if word == "w0":
+            word = " ".join(f"s{i}" for k in range(1, n) for i in range(k, 0, -1))
+        argv = ["connection", "--n", str(n), "--w", word, "--seed", str(seed)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg = cli.build_config(cli._parser().parse_args(argv))
+        ep, phi = cfg.elliptic(), cfg.resolved_phi()
+        z = sample_point(cfg.rng(), n, ep.nome)
+        labels = reduced_word(cli._parse_word(word, n))
+        specs = [content_block(ep, n, r, phi) for r in content_labels(n)]
+        mats = connection_words(ep, [(spec, labels, z) for spec in specs])
+        blocks = [
+            {
+                "content": r,
+                "index_set": spec.index_set,
+                "signs": spec.signs,
+                "gamma": spec.gamma,
+                "basis": min_coset_reps(n, spec.index_set),
+                "entries": m,
+            }
+            for r, spec, m in zip(content_labels(n), specs, mats)
+        ]
+        (op,) = tensor_monodromy_words(ep, [(phi, labels, z)])
+        dense = serialize.matrix_to_lists(op.dense())
+        payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks, dense)
+        assert out == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
     def test_rank2_matches_rmatrix(self, capsys):
         # the two-site tensor operator for the flip is the exported R-matrix at z1 - z2
         code1, out1, _ = run_cli(
@@ -327,6 +361,28 @@ class TestEvaluationFailuresAreInconclusive:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tensor_entry_writes_no_export(self, capsys, tmp_path, monkeypatch, bad, part):
+        # a non-finite stored entry of the tensor operator raises in dumps,
+        # before the --out file is opened
+        real = connection.tensor_monodromy_words
+
+        def spoiled(ep, words):
+            (op,) = real(ep, words)
+            stacks = [s.copy() for s in op.stacks]
+            old = stacks[0][0, 0, 0]
+            stacks[0][0, 0, 0] = complex(bad, old.imag) if part == "real" else complex(old.real, bad)
+            return [BlockOp(op.layout, stacks)]
+
+        monkeypatch.setattr(connection, "tensor_monodromy_words", spoiled)
+        out_file = tmp_path / "c.json"
+        code, out, err = run_cli(capsys, "connection", "--n", "3", "--w", "s1", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inconclusive: ValueError")
         assert not out_file.exists()
 
 

@@ -1,4 +1,8 @@
-"""JSON encoding of exports: the same values as the per-entry encoder, strict on NaN and inf."""
+"""JSON encoding of exports: the same values as the per-entry encoder, strict on NaN and inf.
+
+A ``BlockOp`` in a payload is written from its stored blocks; the reference
+for its text is ``json.dumps`` of ``matrix_to_lists(op.dense())``.
+"""
 
 import json
 import math
@@ -10,6 +14,7 @@ from qkzconn import blocks, connection, serialize
 from qkzconn.params import RunConfig, sample_point_band
 from qkzconn.serialize import complex_to_pair, dumps, matrix_to_lists
 from qkzconn.symgroup import content_labels, min_coset_reps, reduced_word
+from qkzconn.tensorspace import BlockOp, block_layout
 
 CFG = RunConfig()
 
@@ -70,8 +75,20 @@ def connection_payload(ep, phi, n=3):
         for r, spec, m in zip(content_labels(n), specs, mats)
     ]
     (tensor,) = connection.tensor_monodromy_words(ep, [(phi, labels, z)])
-    tensor = tensor.dense()
     return serialize.connection_payload(CFG.p, complex(CFG.kappa), phi, z, out, tensor)
+
+
+def dense_reference(payload):
+    """The payload with every BlockOp replaced by the nested lists of its dense matrix."""
+    return {k: matrix_to_lists(v.dense()) if isinstance(v, BlockOp) else v for k, v in payload.items()}
+
+
+def with_entry(op, value, part):
+    """A copy of ``op`` with one stored entry's real or imaginary part set to ``value``."""
+    stacks = [s.copy() for s in op.stacks]
+    old = stacks[-1][-1, 0, -1]
+    stacks[-1][-1, 0, -1] = complex(value, old.imag) if part == "real" else complex(old.real, value)
+    return BlockOp(op.layout, stacks)
 
 
 @pytest.mark.parametrize("build", [rmatrix_payload, connection_payload])
@@ -79,7 +96,27 @@ def test_dumps_parses_to_the_indented_document(ep, phi, build):
     payload = build(ep, phi)
     text = dumps(payload)
     assert "\n" not in text
-    assert json.loads(text) == json.loads(json.dumps(payload, sort_keys=True, indent=2))
+    assert json.loads(text) == json.loads(json.dumps(dense_reference(payload), sort_keys=True, indent=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dumps_writes_a_block_operator_as_its_dense_lists(rng, n):
+    # random blocks with -0.0, 0.0 and subnormal parts among them: the text
+    # is the C encoder's text of the dense lists, and parses back to the
+    # same floats, the sign of every zero included
+    layout = block_layout(n)
+    shapes = [(k, d, d) for k, d in (idx.shape for idx in layout.index)]
+    stacks = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+    specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    specials += [complex(5e-324, -5e-324), complex(-2.5e-310, 1e-308)]
+    for s in stacks:
+        flat = s.reshape(-1)
+        flat[rng.choice(flat.size, size=min(flat.size, len(specials)), replace=False)] = specials[: flat.size]
+    op = BlockOp(layout, stacks)
+    payload = {"b": [1.5, -0.0], "tensor_operator": op, "a": {"z": 1, "y": None}}
+    text = dumps(payload)
+    assert text == json.dumps(dense_reference(payload), sort_keys=True, allow_nan=False)
+    assert same_floats(json.loads(text)["tensor_operator"], per_entry_lists(op.dense()))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -94,13 +131,16 @@ def test_dumps_rejects_non_finite_rmatrix_entry(ep, phi, bad, where):
         dumps(payload)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("target", ["block", "tensor"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("target", ["block", "tensor", "tensor-imag"])
 def test_dumps_rejects_non_finite_connection_entry(ep, phi, bad, target):
+    # "tensor" sets the real part of a stored entry of the BlockOp,
+    # "tensor-imag" its imaginary part
     payload = connection_payload(ep, phi)
     if target == "block":
         payload["blocks"][-1]["entries"][-1][-1][1] = bad
     else:
-        payload["tensor_operator"][13][13][0] = bad
+        part = "real" if target == "tensor" else "imag"
+        payload["tensor_operator"] = with_entry(payload["tensor_operator"], bad, part)
     with pytest.raises(ValueError):
         dumps(payload)
