@@ -51,8 +51,6 @@ from .heckespin import (
     perk_schultz,
     qybe_residual,
     spin_rep,
-    y_operators,
-    y_power,
     y_tilde,
 )
 from .params import RunConfig, sample_phi, sample_point, sample_scalar

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticParams, check_coupling, pow_p
-from .heckespin import SpinRep, _family_letters, _padded, _padded_images, rho_vector, spin_images, y_tilde
+from .heckespin import SpinRep, _family_letters, _padded, _padded_images, _t, rho_vector, spin_images, y_tilde
 from .symgroup import (
     Content,
     Perm,
@@ -171,7 +171,7 @@ def _eigen_letters(n: int) -> np.ndarray:
     # the padded (row, side) letters of the words Y_1 .. Y_n, then T_1 ..
     # T_{n-1}, built once per n; eigen_residual picks its words by index
     words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
-    letters = _padded(words + [[(2 + i, 1)] for i in range(1, n)])
+    letters = _padded(words + [[_t(i)] for i in range(1, n)])
     letters.flags.writeable = False
     return letters
 
@@ -205,7 +205,7 @@ def sign_residuals(rep: SpinRep, r: Content) -> list[tuple[Perm, float, float]]:
     n = rep.n
     lead = leading_index(r)
     reps = min_coset_reps(n, content_stabiliser(n, r))
-    images = spin_images(rep, [[(2 + i, 1) for i in reduced_word(w)] for w in reps], tensor_index(lead))
+    images = spin_images(rep, [[_t(i) for i in reduced_word(w)] for w in reps], tensor_index(lead))
     out = []
     for w, img in zip(reps, images):
         dst = block_layout(n).pos[tensor_index(act(w, lead))]

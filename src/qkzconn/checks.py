@@ -333,32 +333,23 @@ def _hecke_relation(ctx: VerifyContext, rng):
 
 @register("braid-relations", "hecke", "T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1} and distant commutation", 1e-12)
 def _braid_relations(ctx: VerifyContext, rng):
+    t = hs._t
     worst = 0.0
     for n in ctx.site_counts(3, 5):
-        rep = ctx.rep(n)
-        for i in range(1, n - 1):
-            worst = _worst(
-                worst,
-                rel_residual(
-                    rep.t(i) @ rep.t(i + 1) @ rep.t(i),
-                    rep.t(i + 1) @ rep.t(i) @ rep.t(i + 1),
-                ),
-            )
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                worst = _worst(worst, rel_residual(rep.t(i) @ rep.t(j), rep.t(j) @ rep.t(i)))
+        pairs = [([t(i), t(i + 1), t(i)], [t(i + 1), t(i), t(i + 1)]) for i in range(1, n - 1)]
+        pairs += [([t(i), t(j)], [t(j), t(i)]) for i in range(1, n) for j in range(i + 2, n)]
+        worst = _worst(worst, *hs.word_pair_residuals(ctx.rep(n), pairs))
     return worst
 
 
 @register("affine-relations", "hecke", "zeta T_i = T_{i+1} zeta and zeta^2 T_{n-1} = T_1 zeta^2", 1e-12)
 def _affine_relations(ctx: VerifyContext, rng):
+    t, zeta = hs._t, hs._ZETA
     worst = 0.0
     for n in ctx.site_counts(2, 5):
-        rep = ctx.rep(n)
-        for i in range(1, n - 1):
-            worst = _worst(worst, rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta))
-        z2 = rep.zeta @ rep.zeta
-        worst = _worst(worst, rel_residual(z2 @ rep.t(n - 1), rep.t(1) @ z2))
+        pairs = [([zeta, t(i)], [t(i + 1), zeta]) for i in range(1, n - 1)]
+        pairs.append(([zeta, zeta, t(n - 1)], [t(1), zeta, zeta]))
+        worst = _worst(worst, *hs.word_pair_residuals(ctx.rep(n), pairs))
     return worst
 
 
@@ -405,11 +396,9 @@ def _braid_limit_scalar(ctx: VerifyContext, rng):
 def _y_commutation(ctx: VerifyContext, rng):
     worst = 0.0
     for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
-        ys = hs.y_operators(rep)
-        for a in range(n):
-            for b in range(a + 1, n):
-                worst = _worst(worst, rel_residual(ys[a] @ ys[b], ys[b] @ ys[a]))
+        ys = [hs._family_letters(n, [int(k == j) for k in range(n)]) for j in range(n)]
+        pairs = [(ys[a] + ys[b], ys[b] + ys[a]) for a in range(n) for b in range(a + 1, n)]
+        worst = _worst(worst, *hs.word_pair_residuals(ctx.rep(n), pairs))
     return worst
 
 
@@ -429,15 +418,16 @@ def _cross_relations(ctx: VerifyContext, rng):
 
 @register("ytilde-commutation", "hecke", "the braid-limit family pairwise commutes", 1e-10)
 def _ytilde_commutation(ctx: VerifyContext, rng):
+    # X^lam X^mu against X^mu X^lam: the scalars p^{-(rho, lam)} of
+    # ``y_tilde`` are common to both sides and cancel in the relative residual
     worst = 0.0
     for n in ctx.site_counts(2, 3):
-        rep = ctx.rep(n)
+        pairs = []
         for _ in range(4):
-            lam = tuple(int(v) for v in rng.integers(-1, 2, size=n))
-            mu = tuple(int(v) for v in rng.integers(-1, 2, size=n))
-            a = hs.y_tilde(rep, lam)
-            b = hs.y_tilde(rep, mu)
-            worst = _worst(worst, rel_residual(a @ b, b @ a))
+            lam = hs._family_letters(n, [int(v) for v in rng.integers(-1, 2, size=n)], opposite=True)
+            mu = hs._family_letters(n, [int(v) for v in rng.integers(-1, 2, size=n)], opposite=True)
+            pairs.append((lam + mu, mu + lam))
+        worst = _worst(worst, *hs.word_pair_residuals(ctx.rep(n), pairs))
     return worst
 
 

@@ -9,8 +9,12 @@ column, and ``spin_rep`` computes only those column entries, those of all
 the T_i (and of all the T_i^{-1}) by one gather per content group.
 ``spin_products`` is the one product of words in these letters, by one
 ``tensorspace.column_products`` call per content group.  It builds the
-generator operators (on first use), the commuting family Y_j, its powers
-Y^lam, the braid-limit family ``y_tilde`` and the qKZ transports.
+commuting family Y_j and its powers Y^lam, the braid-limit family
+``y_tilde`` and the qKZ transports, and ``word_pair_residuals`` checks every
+relation of the generators as a pair of words on it.  The generator
+operators (``SpinRep.t_ops`` and the rest) are built by it too, but remain
+only as the tests' references and for the benchmark tracer: no product of
+them is taken.
 ``spin_images`` applies such words to one basis vector, all that the eigen
 and sign checks of ``blocks`` read.  A negative power is a word of inverse
 letters, so no block is inverted.  ``y_tilde`` is a product of the
@@ -41,6 +45,7 @@ from .tensorspace import (
     letter_table,
     neighbour_columns,
     permutation_op,
+    rel_residual,
     word_residuals,
 )
 
@@ -53,9 +58,8 @@ __all__ = [
     "perk_schultz",
     "qybe_residual",
     "spin_rep",
-    "y_operators",
-    "y_power",
     "spin_products",
+    "word_pair_residuals",
     "spin_images",
     "y_tilde",
     "rho_vector",
@@ -171,10 +175,12 @@ def qybe_residual(r_x: np.ndarray, r_xy: np.ndarray, r_y: np.ndarray):
 class SpinRep:
     """Generators of the spin representation on (C^3)^(x n), as content blocks.
 
-    ``columns`` holds every generator as its two entries per column.  The
-    generator operators ``t_ops``, ``t_inv_ops``, ``zeta`` and ``zeta_inv``
-    are built from them on first use, all four by one ``spin_products``
-    call; the qKZ transports and every other product read only ``columns``.
+    ``columns`` holds every generator as its two entries per column, and
+    every product of generators, the qKZ transports and the relation checks
+    read only ``columns``.  The generator operators ``t_ops``, ``t_inv_ops``,
+    ``zeta`` and ``zeta_inv`` are built from them on first use, all four by
+    one ``spin_products`` call; they remain only as the tests' references
+    and for the benchmark tracer.
     """
 
     params: HeckeParams
@@ -217,12 +223,6 @@ class SpinRep:
     @property
     def t_ops(self) -> tuple[BlockOp, ...]:
         return self._generators[3]
-
-    def t(self, i: int) -> BlockOp:
-        return self.t_ops[i - 1]
-
-    def t_inv(self, i: int) -> BlockOp:
-        return self.t_inv_ops[i - 1]
 
 
 def _generator_columns(params: HeckeParams, b: np.ndarray, phi: Sequence[complex]) -> list[np.ndarray]:
@@ -296,6 +296,14 @@ def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.
     return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
 
 
+def word_pair_residuals(rep: SpinRep, pairs: Sequence[tuple[Sequence, Sequence]]) -> list[float]:
+    """``rel_residual`` of the two sides of each (lhs word, rhs word) pair of
+    generator letters (those of ``spin_products`` at t = 0 and den = 1), both
+    sides of every pair multiplied in one ``spin_products`` call."""
+    prods = spin_products(rep, [word for pair in pairs for word in pair])
+    return [rel_residual(lhs, rhs) for lhs, rhs in zip(prods[::2], prods[1::2])]
+
+
 def spin_images(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], source: int) -> np.ndarray:
     """The image of the basis vector e_source under each word of generator
     letters (those of ``spin_products`` at t = 0 and den = 1), by one
@@ -317,6 +325,15 @@ def _padded_images(rep: SpinRep, rows: np.ndarray, sides: np.ndarray, source: in
     return column_images(letter_table(rep.n)[g][rows, place] - b * d, entries[:, :, 0], entries[:, :, 1], start)
 
 
+#: the letter zeta of ``spin_products``
+_ZETA = (1, 0)
+
+
+def _t(i: int) -> tuple[int, int]:
+    # the letter T_i of ``spin_products``
+    return (2 + i, 1)
+
+
 def _family_letters(n: int, lam: Sequence[int], opposite: bool = False) -> list[tuple[int, int]]:
     # Y^lam = Y_1^{lam_1} .. Y_n^{lam_n} as (letter-table row, side) letters,
     # Y_j = T_{j-1}^{-1} .. T_1^{-1} zeta T_{n-1} .. T_j, or with ``opposite``
@@ -333,18 +350,6 @@ def _family_letters(n: int, lam: Sequence[int], opposite: bool = False) -> list[
             word = [(3 - row, 0) if row < 3 else (row, 1 - side) for row, side in reversed(word)]
         letters += abs(e) * word
     return letters
-
-
-def y_operators(rep: SpinRep) -> list[BlockOp]:
-    """Y_1, ..., Y_n, all n words in one ``spin_products`` call."""
-    n = rep.n
-    return spin_products(rep, [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)])
-
-
-def y_power(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
-    """Y^lam = Y_1^{lam_1} ... Y_n^{lam_n}: one word of n sum_j |lam_j| letters,
-    in which a negative power is spelled with inverse letters."""
-    return spin_products(rep, [_family_letters(rep.n, lam)])[0]
 
 
 def rho_vector(n: int, kappa: complex) -> tuple[complex, ...]:
@@ -381,8 +386,9 @@ def y_tilde(rep: SpinRep, lam: Sequence[int]) -> BlockOp:
 def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:
     """Defect of the Bernstein-Zelevinsky cross relation with denominator cleared.
 
-    (T_i Y^lam - Y^{s_i lam} T_i)(1 - Y_i^{-1} Y_{i+1}) = (q - 1/q)(Y^lam - Y^{s_i lam}),
-    with its three Y products from one ``spin_products`` call.
+    (T_i Y^lam - Y^{s_i lam} T_i)(1 - R) = (q - 1/q)(Y^lam - Y^{s_i lam}),
+    R = Y_i^{-1} Y_{i+1}, with its six words T_i Y^lam, Y^{s_i lam} T_i, their
+    products with R, Y^lam and Y^{s_i lam} from one ``spin_products`` call.
     """
     q = rep.params.q
     n = rep.n
@@ -390,10 +396,11 @@ def cross_relation_residual(rep: SpinRep, i: int, lam: Sequence[int]) -> float:
     s_lam[i - 1], s_lam[i] = s_lam[i], s_lam[i - 1]
     ratio = [0] * n
     ratio[i - 1], ratio[i] = -1, 1
-    y_lam, y_slam, y_ratio = spin_products(rep, [_family_letters(n, v) for v in (lam, s_lam, ratio)])
-    ti = rep.t(i)
-    clear = BlockOp.identity(n) - y_ratio
-    lhs = (ti @ y_lam - y_slam @ ti) @ clear
-    rhs = (q - 1.0 / q) * (y_lam - y_slam)
-    scale = max(frob(ti @ y_lam @ clear), frob(rhs), 1.0)
+    y_lam, y_slam, r = (_family_letters(n, v) for v in (lam, s_lam, ratio))
+    ti = [_t(i)]
+    words = [ti + y_lam, y_slam + ti, ti + y_lam + r, y_slam + ti + r, y_lam, y_slam]
+    ty, yt, tyr, ytr, y_lam_op, y_slam_op = spin_products(rep, words)
+    lhs = (ty - yt) - (tyr - ytr)
+    rhs = (q - 1.0 / q) * (y_lam_op - y_slam_op)
+    scale = max(frob(ty - tyr), frob(rhs), 1.0)
     return frob(lhs - rhs) / scale

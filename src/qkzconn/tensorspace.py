@@ -366,12 +366,6 @@ class BlockOp:
         self.layout = layout
         self.stacks = tuple(stacks)
 
-    @classmethod
-    def identity(cls, n: int) -> "BlockOp":
-        layout = block_layout(n)
-        eyes = (np.tile(np.eye(d, dtype=complex), (k, 1, 1)) for k, d in (idx.shape for idx in layout.index))
-        return cls(layout, eyes)
-
     @property
     def shape(self) -> tuple[int, int]:
         dim = DIM**self.layout.n

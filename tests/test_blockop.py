@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qkzconn.elliptic import pow_p
+from qkzconn import heckespin
 from qkzconn.heckespin import (
     HeckeParams,
     braid_matrix,
@@ -18,13 +19,11 @@ from qkzconn.heckespin import (
     rho_vector,
     spin_products,
     spin_rep,
-    y_operators,
-    y_power,
     y_tilde,
 )
 from qkzconn.qkz import affine_word, translation_power_word, translation_word, transport_word
 from qkzconn.symgroup import reduced_word
-from qkzconn.tensorspace import BlockOp, block_layout, frob, rel_residual, tensor_index, two_leg_columns, two_leg_op
+from qkzconn.tensorspace import block_layout, frob, rel_residual, tensor_index, two_leg_columns, two_leg_op
 
 
 def dense_generators(ep, phi, n):
@@ -61,12 +60,17 @@ def dense_y(gens, n):
     ]
 
 
-def blockop_product(n, factors):
-    """The BlockOp matmul chain of the factors, left to right."""
-    out = BlockOp.identity(n)
+def blockop_product(rep, factors):
+    """The BlockOp matmul chain of the factors, left to right, from the empty word."""
+    out = spin_products(rep, [[]])[0]
     for f in factors:
         out = out @ f
     return out
+
+
+def y_word(n, lam):
+    """The ``spin_products`` word of Y^lam."""
+    return heckespin._family_letters(n, lam)
 
 
 def content_mask(n):
@@ -88,8 +92,8 @@ class TestGenerators:
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
         t, t_inv, zeta, zeta_inv = dense_generators(ep, phi, n)
         off = content_mask(n)
-        pairs = [(rep.t(i), t[i - 1]) for i in range(1, n)]
-        pairs += [(rep.t_inv(i), t_inv[i - 1]) for i in range(1, n)]
+        pairs = [(rep.t_ops[i - 1], t[i - 1]) for i in range(1, n)]
+        pairs += [(rep.t_inv_ops[i - 1], t_inv[i - 1]) for i in range(1, n)]
         pairs += [(rep.zeta, zeta), (rep.zeta_inv, zeta_inv)]
         for op, ref in pairs:
             assert np.max(np.abs(ref[off])) == 0.0
@@ -101,7 +105,7 @@ class TestGenerators:
         assert rep.zeta.shape == (81, 81)
         assert sum(idx.size for idx in layout.index) == 81
         assert rep.zeta.nbytes == 16 * sum(idx.shape[0] * idx.shape[1] ** 2 for idx in layout.index)
-        assert rep.t(1).layout is rep.zeta.layout is layout
+        assert rep.t_ops[0].layout is rep.zeta.layout is layout
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_two_leg_is_the_dense_embedding_on_its_blocks(self, rng, n):
@@ -132,7 +136,7 @@ class TestGenerators:
 class TestArithmetic:
     def test_matches_dense(self, reps, rng):
         rep = reps[3]
-        a, b = rep.t(1), rep.zeta
+        a, b = rep.t_ops[0], rep.zeta
         da, db = a.dense(), b.dense()
         c = complex(rng.normal(), rng.normal())
         assert np.allclose((a @ b).dense(), da @ db, rtol=0, atol=1e-14)
@@ -144,7 +148,7 @@ class TestArithmetic:
         assert frob(a) == pytest.approx(np.linalg.norm(da), rel=1e-15)
 
     def test_eigvals_are_the_dense_spectrum(self, reps):
-        y = y_operators(reps[3])[0]
+        (y,) = spin_products(reps[3], [y_word(3, (1, 0, 0))])
         got = np.sort_complex(y.eigvals())
         want = np.sort_complex(np.linalg.eigvals(y.dense()))
         assert got.shape == (27,)
@@ -153,11 +157,11 @@ class TestArithmetic:
     def test_no_silent_mixing(self, reps):
         rep = reps[3]
         with pytest.raises(TypeError):
-            rep.t(1) @ np.eye(27)
+            rep.t_ops[0] @ np.eye(27)
         with pytest.raises(TypeError):
-            np.eye(27) - rep.t(1)
+            np.eye(27) - rep.t_ops[0]
         with pytest.raises(ValueError):
-            rep.t(1) @ reps[2].t(1)
+            rep.t_ops[0] @ reps[2].t_ops[0]
 
 
 class TestProductsAgainstDense:
@@ -176,7 +180,8 @@ class TestProductsAgainstDense:
 
     def test_y_operators(self, sized):
         n, rep, (t, t_inv, zeta, _) = sized
-        for j, y in enumerate(y_operators(rep), start=1):
+        ys = spin_products(rep, [y_word(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)])
+        for j, y in enumerate(ys, start=1):
             mats = [t_inv[i - 1] for i in range(j - 1, 0, -1)] + [zeta] + [t[i - 1] for i in range(n - 1, j - 1, -1)]
             assert rel_residual(y.dense(), dense_product(mats, 3**n)) < 1e-13
 
@@ -185,7 +190,7 @@ class TestProductsAgainstDense:
         y = dense_y(gens, n)
         lam = (-1,) + (0,) * (n - 2) + (2,)
         want = np.linalg.inv(y[0]) @ y[-1] @ y[-1]
-        assert rel_residual(y_power(rep, lam).dense(), want) < 1e-13
+        assert rel_residual(spin_products(rep, [y_word(n, lam)])[0].dense(), want) < 1e-13
 
     def test_y_tilde(self, ep, sized):
         n, rep, gens = sized
@@ -200,7 +205,7 @@ class TestProductsAgainstDense:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_y_tilde_is_the_dense_conjugate(self, ep, phi, n):
-        # p^{-(rho, lam)} tw0 @ y_power(w0 lam) @ inv(tw0), every factor from the dense generators
+        # p^{-(rho, lam)} tw0 @ Y^{w0 lam} @ inv(tw0), every factor from the dense generators
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
         gens = dense_generators(ep, phi, n)
         dim = 3**n
@@ -220,14 +225,14 @@ class TestProductsAgainstDense:
         n = 6
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
         w0 = reduced_word(tuple(range(n, 0, -1)))
-        tw0 = blockop_product(n, [rep.t(i) for i in w0])
-        tw0_inv = blockop_product(n, [rep.t_inv(i) for i in reversed(w0)])
+        tw0 = blockop_product(rep, [rep.t_ops[i - 1] for i in w0])
+        tw0_inv = blockop_product(rep, [rep.t_inv_ops[i - 1] for i in reversed(w0)])
         y = [
-            blockop_product(n, [rep.t_inv(i) for i in range(j - 1, 0, -1)] + [rep.zeta] + [rep.t(i) for i in range(n - 1, j - 1, -1)])
+            blockop_product(rep, [rep.t_inv_ops[i - 1] for i in range(j - 1, 0, -1)] + [rep.zeta] + [rep.t_ops[i - 1] for i in range(n - 1, j - 1, -1)])
             for j in range(1, n + 1)
         ]
         y_inv = [
-            blockop_product(n, [rep.t_inv(i) for i in range(j, n)] + [rep.zeta_inv] + [rep.t(i) for i in range(1, j)])
+            blockop_product(rep, [rep.t_inv_ops[i - 1] for i in range(j, n)] + [rep.zeta_inv] + [rep.t_ops[i - 1] for i in range(1, j)])
             for j in range(1, n + 1)
         ]
         gen = np.random.default_rng(6)
@@ -237,7 +242,7 @@ class TestProductsAgainstDense:
             pairing = sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam))
             # Y^{w0 lam} = Y_1^{lam_n} .. Y_n^{lam_1}
             powers = [(y if e > 0 else y_inv)[j] for j, e in enumerate(lam[::-1]) for _ in range(abs(e))]
-            want = pow_p(ep, -pairing) * (tw0 @ blockop_product(n, powers) @ tw0_inv)
+            want = pow_p(ep, -pairing) * (tw0 @ blockop_product(rep, powers) @ tw0_inv)
             assert rel_residual(y_tilde(rep, lam), want) < 1e-12
 
     def test_transport_of_translation_word(self, ep, sized, rng):

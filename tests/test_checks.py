@@ -1,6 +1,7 @@
 """The verification machinery itself: registry, resampling, report shape."""
 
 import ast
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkzconn import blocks, checks, connection, qkz, tensorspace
+from qkzconn import blocks, checks, connection, heckespin, qkz, tensorspace
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -369,6 +370,58 @@ class TestOneEmbedding:
         for suite in ("hecke", "connection", "dybe"):
             report = run_suite(suite, RunConfig(n=3))
             assert report.results and all(r.status == "ran" and r.passed for r in report.results), suite
+
+
+#: the checks that compare words of the generator letters
+WORD_PAIR_CHECKS = ("braid-relations", "affine-relations", "y-commutation", "cross-relations", "ytilde-commutation")
+
+
+class TestGeneratorOperatorsOffThePath:
+    """No check and no transport multiplies the generator operators of
+    ``SpinRep``: they are built only for the tests' references and the
+    benchmark tracer."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_generators(self, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("the generator operators were built")
+
+        monkeypatch.setattr(heckespin.SpinRep, "_generators", property(refuse))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_battery_passes(self, n):
+        report = run_suite("all", RunConfig(n=n))
+        assert len(report.results) == 42
+        assert all(r.status == "ran" and r.passed for r in report.results)
+
+    def test_transport_calls_run(self, ep, phi, rng):
+        n = 6
+        rep = heckespin.spin_rep(heckespin.HeckeParams(elliptic=ep, n=n), phi)
+        z = sample_point(rng, n, ep.nome)
+        assert qkz.flatness_residual(rep, 1, 6, z) < RunConfig().residual_tol
+        assert qkz.braid_limit_residual(rep, (1,) + (0,) * (n - 1), 40.0) < 1e-10
+
+
+class TestWordPairChecksFail:
+    def test_planted_nan_fails_every_word_pair_check(self, monkeypatch):
+        # one NaN in the T_1 column entries of the first content group, which
+        # t = 0 carries into the T_1^{-1} letter too
+        real = VerifyContext.rep
+
+        def poisoned(ctx, n):
+            rep = real(ctx, n)
+            columns = [cols.copy() for cols in rep.columns]
+            columns[0][1, 0, 3, 0] = np.nan
+            return dataclasses.replace(rep, columns=tuple(columns))
+
+        monkeypatch.setattr(VerifyContext, "rep", poisoned)
+        report = run_suite("hecke", RunConfig())
+        results = {r.check: r for r in report.results}
+        for check_id in WORD_PAIR_CHECKS:
+            result = results[check_id]
+            assert result.status == "ran" and result.passed is False, check_id
+            assert math.isnan(result.residual), check_id
+        assert report.exit_code == 1
 
 
 class TestTransportCocycle:

@@ -18,13 +18,11 @@ from qkzconn.heckespin import (
     spin_images,
     spin_products,
     spin_rep,
-    y_operators,
-    y_power,
+    word_pair_residuals,
     y_tilde,
 )
 from qkzconn.symgroup import content_labels, leading_index, reduced_word
 from qkzconn.tensorspace import (
-    BlockOp,
     block_layout,
     neighbour_columns,
     permutation_op,
@@ -53,6 +51,16 @@ def q(ep):
 
 #: the entries of a 9x9 operator that keep the content of its two legs
 KEEPS = np.array([[sorted(divmod(r, 3)) == sorted(divmod(c, 3)) for c in range(9)] for r in range(9)])
+
+
+def y_words(n):
+    """The ``_family_letters`` words of Y_1 .. Y_n."""
+    return [heckespin._family_letters(n, [int(k == j) for k in range(n)]) for j in range(n)]
+
+
+def y_ops(rep):
+    """Y_1 .. Y_n, the ``spin_products`` of their words."""
+    return spin_products(rep, y_words(rep.n))
 
 
 def basis_vec(alpha):
@@ -183,65 +191,65 @@ class TestSpinRep:
     def test_braid_relations(self, reps):
         rep = reps[4]
         for i in (1, 2):
-            lhs = rep.t(i) @ rep.t(i + 1) @ rep.t(i)
-            rhs = rep.t(i + 1) @ rep.t(i) @ rep.t(i + 1)
+            lhs = rep.t_ops[i - 1] @ rep.t_ops[i] @ rep.t_ops[i - 1]
+            rhs = rep.t_ops[i] @ rep.t_ops[i - 1] @ rep.t_ops[i]
             assert rel_residual(lhs, rhs) < 1e-12
-        assert rel_residual(rep.t(1) @ rep.t(3), rep.t(3) @ rep.t(1)) < 1e-12
+        assert rel_residual(rep.t_ops[0] @ rep.t_ops[2], rep.t_ops[2] @ rep.t_ops[0]) < 1e-12
 
     def test_affine_relations(self, reps):
         for n, rep in reps.items():
             for i in range(1, n - 1):
-                assert rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta) < 1e-12
+                assert rel_residual(rep.zeta @ rep.t_ops[i - 1], rep.t_ops[i] @ rep.zeta) < 1e-12
             z2 = rep.zeta @ rep.zeta
-            assert rel_residual(z2 @ rep.t(n - 1), rep.t(1) @ z2) < 1e-12
+            assert rel_residual(z2 @ rep.t_ops[n - 2], rep.t_ops[0] @ z2) < 1e-12
 
     def test_conjugation_by_rotation(self, reps):
         rep = reps[3]
-        got = rep.zeta @ rep.t(1) @ rep.zeta_inv
-        assert rel_residual(got, rep.t(2)) < 1e-12
+        got = rep.zeta @ rep.t_ops[0] @ rep.zeta_inv
+        assert rel_residual(got, rep.t_ops[1]) < 1e-12
 
     def test_hecke_inverse_is_exact(self, reps):
         for rep in reps.values():
             for i in range(1, rep.n):
-                assert rel_residual((rep.t(i) @ rep.t_inv(i)).dense(), np.eye(rep.dim)) < 1e-13
+                assert rel_residual((rep.t_ops[i - 1] @ rep.t_inv_ops[i - 1]).dense(), np.eye(rep.dim)) < 1e-13
 
     def test_relations_rank5(self, ep, phi):
         rep = spin_rep(HeckeParams(elliptic=ep, n=5), phi)
         for i in (1, 2, 3):
-            lhs = rep.t(i) @ rep.t(i + 1) @ rep.t(i)
-            rhs = rep.t(i + 1) @ rep.t(i) @ rep.t(i + 1)
+            lhs = rep.t_ops[i - 1] @ rep.t_ops[i] @ rep.t_ops[i - 1]
+            rhs = rep.t_ops[i] @ rep.t_ops[i - 1] @ rep.t_ops[i]
             assert rel_residual(lhs, rhs) < 1e-12
-        assert rel_residual(rep.t(1) @ rep.t(4), rep.t(4) @ rep.t(1)) < 1e-12
+        assert rel_residual(rep.t_ops[0] @ rep.t_ops[3], rep.t_ops[3] @ rep.t_ops[0]) < 1e-12
         for i in (1, 2, 3):
-            assert rel_residual(rep.zeta @ rep.t(i), rep.t(i + 1) @ rep.zeta) < 1e-12
+            assert rel_residual(rep.zeta @ rep.t_ops[i - 1], rep.t_ops[i] @ rep.zeta) < 1e-12
         z2 = rep.zeta @ rep.zeta
-        assert rel_residual(z2 @ rep.t(4), rep.t(1) @ z2) < 1e-12
+        assert rel_residual(z2 @ rep.t_ops[3], rep.t_ops[0] @ z2) < 1e-12
 
 
 class TestYFamily:
     def test_n2_factorizations(self, reps):
-        y1, y2 = y_operators(reps[2])
-        assert rel_residual(y1, reps[2].zeta @ reps[2].t(1)) < 1e-14
-        assert rel_residual(y2, reps[2].t_inv(1) @ reps[2].zeta) < 1e-14
+        y1, y2 = y_ops(reps[2])
+        assert rel_residual(y1, reps[2].zeta @ reps[2].t_ops[0]) < 1e-14
+        assert rel_residual(y2, reps[2].t_inv_ops[0] @ reps[2].zeta) < 1e-14
 
     def test_commutation(self, reps):
         for rep in reps.values():
-            ys = y_operators(rep)
+            ys = y_ops(rep)
             for a in range(len(ys)):
                 for b in range(a + 1, len(ys)):
                     assert rel_residual(ys[a] @ ys[b], ys[b] @ ys[a]) < 1e-10
 
     def test_product_commutes_with_generators(self, reps):
         rep = reps[3]
-        prod = y_power(rep, (1, 1, 1))
+        (prod,) = spin_products(rep, [heckespin._family_letters(3, (1, 1, 1))])
         for i in (1, 2):
-            assert rel_residual(prod @ rep.t(i), rep.t(i) @ prod) < 1e-11
+            assert rel_residual(prod @ rep.t_ops[i - 1], rep.t_ops[i - 1] @ prod) < 1e-11
 
     def test_eigenvalue_on_leading_vector(self, ep, phi, reps):
         # content (1, 0, 1): the leading vector picks up -p^(-phi_3)
         rep = reps[2]
         v = basis_vec((3, 1))
-        got = y_operators(rep)[0].dense() @ v
+        got = y_ops(rep)[0].dense() @ v
         want = -pow_p(ep, -phi[2]) * v
         assert np.max(np.abs(got - want)) < 1e-13
 
@@ -258,7 +266,7 @@ class TestYFamily:
     def test_y_tilde_n2_form(self, ep, reps):
         rep = reps[2]
         got = y_tilde(rep, (1, 0))
-        want = pow_p(ep, -ep.kappa) * rep.t(1) @ y_operators(rep)[1] @ rep.t_inv(1)
+        want = pow_p(ep, -ep.kappa) * rep.t_ops[0] @ y_ops(rep)[1] @ rep.t_inv_ops[0]
         assert rel_residual(got, want) < 1e-13
 
     def test_y_tilde_commuting_family(self, reps, rng):
@@ -273,13 +281,13 @@ class TestYFamily:
         rep = reps[3]
         w0 = (3, 2, 1)
         (got,) = spin_products(rep, [[(2 + i, 1) for i in reduced_word(w0)]])
-        want = rep.t(1) @ rep.t(2) @ rep.t(1)
+        want = rep.t_ops[0] @ rep.t_ops[1] @ rep.t_ops[0]
         assert rel_residual(got, want) < 1e-13
 
 
-def blockop_product(n, factors):
-    """The BlockOp matmul chain of the factors, left to right."""
-    out = BlockOp.identity(n)
+def blockop_product(rep, factors):
+    """The BlockOp matmul chain of the factors, left to right, from the empty word."""
+    out = spin_products(rep, [[]])[0]
     for f in factors:
         out = out @ f
     return out
@@ -327,14 +335,14 @@ class TestYTildeWord:
         # along the reversed word of w0
         rep = reps[n]
         w0 = reduced_word(tuple(range(n, 0, -1)))
-        tw0 = blockop_product(n, [rep.t(i) for i in w0])
-        tw0_inv = blockop_product(n, [rep.t_inv(i) for i in reversed(w0)])
+        tw0 = blockop_product(rep, [rep.t_ops[i - 1] for i in w0])
+        tw0_inv = blockop_product(rep, [rep.t_inv_ops[i - 1] for i in reversed(w0)])
 
         def y_ref(j, e):
-            word = [rep.t_inv(i) for i in range(j - 1, 0, -1)] + [rep.zeta] + [rep.t(i) for i in range(n - 1, j - 1, -1)]
+            word = [rep.t_inv_ops[i - 1] for i in range(j - 1, 0, -1)] + [rep.zeta] + [rep.t_ops[i - 1] for i in range(n - 1, j - 1, -1)]
             if e < 0:
-                word = [rep.t_inv(i) for i in range(j, n)] + [rep.zeta_inv] + [rep.t(i) for i in range(1, j)]
-            return blockop_product(n, abs(e) * word)
+                word = [rep.t_inv_ops[i - 1] for i in range(j, n)] + [rep.zeta_inv] + [rep.t_ops[i - 1] for i in range(1, j)]
+            return blockop_product(rep, abs(e) * word)
 
         for j in range(1, n + 1):
             for e in (1, -1, 2):
@@ -350,12 +358,19 @@ class TestSpinProducts:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_y_operators_are_one_product_call(self, ep, phi, n, monkeypatch):
+        # the words Y_a Y_b and Y_b Y_a of every pair a < b, both sides of
+        # every pair in one call, and the batch of all n Y_j words, each its
+        # one-word call value for value
         rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
+        words = y_words(n)
+        pairs = [(words[a] + words[b], words[b] + words[a]) for a, b in itertools.combinations(range(n), 2)]
         calls = recording(monkeypatch)
-        ys = y_operators(rep)
-        assert calls == [[n] * n]
-        for j, y in enumerate(ys, start=1):
-            assert np.array_equal(y.dense(), y_power(rep, [int(k == j) for k in range(1, n + 1)]).dense())
+        residuals = word_pair_residuals(rep, pairs)
+        assert calls == [[2 * n] * (2 * len(pairs))]
+        assert len(residuals) == len(pairs) and max(residuals, default=0.0) < 1e-10
+        for y, word in zip(spin_products(rep, words), words):
+            (one,) = spin_products(rep, [word])
+            assert all(np.array_equal(a, b) for a, b in zip(y.stacks, one.stacks))
 
     def test_padded_batch_equals_one_word_calls(self, reps, rng):
         # words of different lengths, the empty word among them, with random
@@ -375,6 +390,26 @@ class TestSpinProducts:
             (one,) = spin_products(rep, [word], t[: max(1, len(word)), w : w + 1], den[: max(1, len(word)), w : w + 1])
             assert all(np.array_equal(a, b) for a, b in zip(batch[w].stacks, one.stacks))
         assert np.array_equal(spin_products(rep, [[]])[0].dense(), np.eye(27))
+
+
+class TestWordPairResiduals:
+    """``word_pair_residuals`` compares the two words of each pair."""
+
+    def test_each_value_is_the_rel_residual_of_its_products(self, reps, rng):
+        rep = reps[3]
+        letters = [(1, 0), (2, 0)] + [(2 + i, side) for i in (1, 2) for side in (0, 1)]
+        words = [[letters[k] for k in rng.integers(len(letters), size=m)] for m in (4, 0, 3, 6)]
+        pairs = [(words[0], words[1]), (words[2], words[3]), (words[3], words[3])]
+        got = word_pair_residuals(rep, pairs)
+        want = [rel_residual(*spin_products(rep, pair)) for pair in pairs]
+        assert got == want
+        assert got[2] == 0.0
+
+    def test_a_misspelled_pair_fails(self, reps):
+        # T_1 T_2 against T_2 T_1: neighbouring generators do not commute
+        t1, t2 = (3, 1), (4, 1)
+        (residual,) = word_pair_residuals(reps[3], [([t1, t2], [t2, t1])])
+        assert residual >= 1e-3
 
 
 class TestSpinImages:

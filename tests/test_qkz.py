@@ -169,7 +169,7 @@ def dense_transport(rep, word, z):
             # the point moved by the inverse of the prefix before letter k
             cur = affine_word(n, word.letters[:k]).inverse().point_action(z)
             t = pow_p(ep, cur[val - 1] - cur[val])
-            letter = (rep.t_inv(val).dense() - t * rep.t(val).dense()) / (1.0 / q - q * t)
+            letter = (rep.t_inv_ops[val - 1].dense() - t * rep.t_ops[val - 1].dense()) / (1.0 / q - q * t)
         out = out @ letter
     return out
 
