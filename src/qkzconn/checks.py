@@ -777,8 +777,7 @@ def _transport_cocycle(ctx: VerifyContext, rng):
     cases = [(n, _cocycle_words(n)) for n in ctx.site_counts(2, 4) for _ in range(3)]
 
     def residuals(n, draws):
-        mats = qkz.transport_words(ctx.rep(n), [(w, d.z) for d in draws for w in d.case])
-        return [rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])]
+        return qkz.transport_pair_residuals(ctx.rep(n), [(w, d.z) for d in draws for w in d.case])
 
     return _sweep_verdict(resample_sweep(rng, cases, ctx.point, _per_site_count(residuals)))
 
@@ -789,8 +788,7 @@ def _qkz_flatness(ctx: VerifyContext, rng):
         # both sides of every pair (i, j) of every draw from one transport batch
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         words = [side for d in draws for i, j in pairs for side in qkz.flatness_words(n, i, j, d.z)]
-        mats = qkz.transport_words(ctx.rep(n), words)
-        per_pair = [rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])]
+        per_pair = qkz.transport_pair_residuals(ctx.rep(n), words)
         return [_worst(*per_pair[k : k + len(pairs)]) for k in range(0, len(per_pair), len(pairs))]
 
     # one sweep per draw: a batch of the ten draws at n = 4 would hold 120 transports

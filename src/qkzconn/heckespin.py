@@ -10,8 +10,8 @@ the T_i (and of all the T_i^{-1}) by one gather per content group.
 ``spin_products`` is the one product of words in these letters, by one
 ``tensorspace.column_products`` call per content group.  It builds the
 commuting family Y_j and its powers Y^lam, the braid-limit family
-``y_tilde`` and the qKZ transports, and ``word_pair_residuals`` checks every
-relation of the generators as a pair of words on it.  The generator
+``y_tilde`` and the qKZ transports; ``word_pair_residuals`` compares words
+pairwise by the same pass, building no operator.  The generator
 operators (``SpinRep.t_ops`` and the rest) are built by it too, but remain
 only as the tests' references and for the benchmark tracer: no product of
 them is taken.
@@ -38,6 +38,8 @@ from .elliptic import EllipticParams, PoleError, pow_p
 from .tensorspace import (
     DIM,
     BlockOp,
+    _pair_ratios,
+    _pair_sums,
     block_layout,
     column_images,
     column_products,
@@ -45,7 +47,6 @@ from .tensorspace import (
     letter_table,
     neighbour_columns,
     permutation_op,
-    rel_residual,
     word_residuals,
 )
 
@@ -280,28 +281,31 @@ def spin_products(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], t=0.
     letter takes t = 0 and den = 1, which leave its entries exact.  A shorter
     word is padded with the identity letter, so an empty word is the identity.
     """
-    n = rep.n
+    stacks = list(_group_products(rep, words, t, den))
+    return [BlockOp(block_layout(rep.n), (s[w] for s in stacks)) for w in range(len(words))]
+
+
+def _group_products(rep: SpinRep, words, t, den):
+    # the (words, k, d, d) products of spin_products, one content group at a time
     rows, sides = _padded(words)
-    layout = block_layout(n)
-    stacks = []
     other, minus_t, den = 1 - sides, -np.asarray(t)[..., None, None], np.asarray(den)[..., None, None]
-    for idx, perms, cols in zip(layout.index, letter_table(n), rep.columns):
+    for idx, perms, cols in zip(block_layout(rep.n).index, letter_table(rep.n), rep.columns):
         # (positions, words, 2, k*d): a_c, then b_c, of every letter, as
         # (own - t * other) / den in one array, without temporaries
         entries = cols[other, :, rows]
         entries *= minus_t
         entries += cols[sides, :, rows]
         entries /= den
-        stacks.append(column_products(perms[rows], entries[:, :, 0], entries[:, :, 1], idx.shape[1]))
-    return [BlockOp(layout, (s[w] for s in stacks)) for w in range(len(words))]
+        yield column_products(perms[rows], entries[:, :, 0], entries[:, :, 1], idx.shape[1])
 
 
-def word_pair_residuals(rep: SpinRep, pairs: Sequence[tuple[Sequence, Sequence]]) -> list[float]:
-    """``rel_residual`` of the two sides of each (lhs word, rhs word) pair of
-    generator letters (those of ``spin_products`` at t = 0 and den = 1), both
-    sides of every pair multiplied in one ``spin_products`` call."""
-    prods = spin_products(rep, [word for pair in pairs for word in pair])
-    return [rel_residual(lhs, rhs) for lhs, rhs in zip(prods[::2], prods[1::2])]
+def word_pair_residuals(rep: SpinRep, pairs: Sequence[tuple[Sequence, Sequence]], t=0.0, den=1.0) -> list[float]:
+    """``rel_residual`` of each (lhs, rhs) pair of words of ``spin_products`` letters (``t``, ``den``
+    for lhs_0, rhs_0, lhs_1, ...), each content group reduced as it is made: no operator is built."""
+    words = [word for pair in pairs for word in pair]
+    # the sums ignore the order of entries: reduce each stack's contiguous transpose
+    sums = sum(_pair_sums(s.swapaxes(-1, -2)) for s in _group_products(rep, words, t, den))
+    return _pair_ratios(sums).tolist()
 
 
 def spin_images(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], source: int) -> np.ndarray:

@@ -14,7 +14,7 @@ table of ``tensorspace`` names.  ``transport_words`` hands the letters to
 ``heckespin.spin_products``, which combines the column entries that the
 spin representation stores for its generators and multiplies them by
 column operations, at a cost of O(sum k d^2) per letter instead of the
-O(sum k d^3) of a block matmul.
+O(sum k d^3) of a block matmul; a law comparing two transports builds no operator.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import PoleError, pow_p
-from .heckespin import SpinRep, spin_products, y_tilde
-from .tensorspace import BlockOp, rel_residual
+from .heckespin import SpinRep, _family_letters, rho_vector, spin_products, word_pair_residuals
+from .tensorspace import BlockOp
 
 __all__ = [
     "Letter",
@@ -42,6 +42,7 @@ __all__ = [
     "translation_power_word",
     "transport_words",
     "transport_word",
+    "transport_pair_residuals",
     "flatness_words",
     "flatness_residual",
     "braid_limit_residual",
@@ -182,14 +183,22 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
     letter or a pad takes t = 0 and denominator 1, which leave its entries
     exact, so the batch equals the one-word products value for value.
     """
-    if not words:
-        return []
+    return spin_products(rep, *_transport_letters(rep, words))
+
+
+def transport_pair_residuals(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[complex]]]) -> list[float]:
+    """``word_pair_residuals`` of the transports of words[2k] and words[2k + 1]."""
+    letters, t, den = _transport_letters(rep, words)
+    return word_pair_residuals(rep, list(zip(letters[::2], letters[1::2])), t, den)
+
+
+def _transport_letters(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[complex]]], extra=()):
+    # each (word, z) spelled as letters (row, 0), row 1 zeta, 2 zeta^{-1}, 2 + i the pair
+    # (T_i^{-1}, T_i) with each s_i read at the point moved by the inverses of the letters
+    # before it; then the generator words ``extra``; and the (positions, words) t and den
     n = rep.n
     ep = rep.params.elliptic
     q = rep.params.q
-    # each letter as (letter-table row, side 0): 1 zeta, 2 zeta^{-1} and
-    # 2 + i the pair (T_i^{-1}, T_i); each s_i is read at the point moved by
-    # the inverses of the letters before it
     letters = []
     xs, at = [], []
     for w, (word, z) in enumerate(words):
@@ -221,12 +230,12 @@ def transport_words(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[com
             factor="1/q - q*p^(z_i - z_{i+1})",
             magnitude=float(abs(den[first])),
         )
-    shape = (max(1, max(map(len, letters))), len(words))
-    tw = np.zeros(shape, dtype=complex)
-    dw = np.ones(shape, dtype=complex)
+    letters += extra
+    shape = (max(1, max(map(len, letters), default=0)), len(letters))
+    tw, dw = np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex)
     where = tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)
     tw[where], dw[where] = t, den
-    return spin_products(rep, letters, tw, dw)
+    return letters, tw, dw
 
 
 def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> BlockOp:
@@ -237,8 +246,7 @@ def transport_word(rep: SpinRep, word: AffineWord, z: Sequence[complex]) -> Bloc
 def flatness_residual(rep: SpinRep, i: int, j: int, z: Sequence[complex]) -> float:
     """Defect of the commuting-translation identity
     C_{tau(e_i)}(z) C_{tau(e_j)}(z - e_i) = C_{tau(e_j)}(z) C_{tau(e_i)}(z - e_j)."""
-    lhs, rhs = transport_words(rep, flatness_words(rep.n, i, j, z))
-    return rel_residual(lhs, rhs)
+    return transport_pair_residuals(rep, flatness_words(rep.n, i, j, z))[0]
 
 
 def flatness_words(n: int, i: int, j: int, z: Sequence[complex]) -> list[tuple[AffineWord, Sequence[complex]]]:
@@ -249,13 +257,14 @@ def flatness_words(n: int, i: int, j: int, z: Sequence[complex]) -> list[tuple[A
 
 
 def braid_limit_residual(rep: SpinRep, lam: Sequence[int], depth: float) -> float:
-    """Distance of the translation transport from its braid limit, evaluated at
-    the point with z_i - z_{i+1} = -depth for all i."""
+    """Distance of the translation transport from its braid limit ``y_tilde``
+    (the X-family word, its scale p^{-(rho, lam)} as the first letter's
+    denominator p^{(rho, lam)}) at the point with z_i - z_{i+1} = -depth."""
     if not (math.isfinite(depth) and depth > 0):
         raise ValueError(f"depth must be positive and finite, got {depth}")
-    n = rep.n
+    n, ep = rep.n, rep.params.elliptic
     z = tuple(complex((k - 1) * depth) for k in range(1, n + 1))
-    word = translation_power_word(n, lam)
-    transported = transport_word(rep, word, z)
-    limit = y_tilde(rep, lam)
-    return rel_residual(transported, limit)
+    limit = [_family_letters(n, lam, opposite=True)]
+    letters, t, den = _transport_letters(rep, [(translation_power_word(n, lam), z)], limit)
+    den[0, 1] = pow_p(ep, sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam)))
+    return word_pair_residuals(rep, [letters], t, den)[0]

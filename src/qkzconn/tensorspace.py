@@ -192,14 +192,19 @@ def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> n
     (words, k, d, d) products of each word's letters, left to right,
     multiplied in as column operations:
     (M L)[:, c] = a_c M[:, c] + b_c M[:, pi(c)].  The products are kept
-    transposed as (words, k*d, d) stacks, so that pi gathers whole rows; every
-    operation acts on each word alone.  The identity letter (pi(c) = c,
-    a = 1, b = 0) pads a shorter word exactly: a batch equals its one-word
-    calls value for value (zero entries may differ in sign).
+    transposed as (words, k*d, d) stacks, so that pi gathers whole rows (into
+    a scratch stack that shares their allocation); every operation acts on
+    each word alone.  The identity letter (pi(c) = c, a = 1, b = 0) pads a
+    shorter word exactly: a batch equals its one-word calls value for value
+    (zero entries may differ in sign).
     """
     nw, kd = perm.shape[1:]
+    # the product and, from a second position on, the gather scratch as one allocation:
+    # freeing a block this large lifts glibc's trim threshold above a call's working
+    # set, so the next call reuses these pages instead of faulting in new ones
+    buf = np.zeros((min(len(perm), 2), nw, kd, d), dtype=complex)
+    mat, moved = buf[0], buf[-1]
     # row w*k*d + j*d + c of ``rows`` holds column c of block j of word w's product
-    mat = np.zeros((nw, kd, d), dtype=complex)
     rows = mat.reshape(nw * kd, d)
     src = (perm + kd * np.arange(nw)[:, None]).reshape(len(perm), nw * kd)
     every = np.arange(nw * kd)
@@ -208,7 +213,8 @@ def column_products(perm: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> n
     rows[every, src[0] % d] = b[0].reshape(-1)
     rows[every, every % d] = a[0].reshape(-1)
     for pos in range(1, len(perm)):
-        moved = np.take(rows, src[pos], axis=0).reshape(nw, kd, d)
+        # "clip" writes straight into ``moved`` ("raise" buffers); no perm row needs clipping
+        np.take(rows, src[pos], axis=0, out=moved.reshape(nw * kd, d), mode="clip")
         moved *= b[pos, :, :, None]
         mat *= a[pos, :, :, None]
         mat += moved
@@ -327,24 +333,37 @@ def word_residuals(n: int, lhs: Sequence[tuple], rhs: Sequence[tuple], sites: in
     shape = columns[0][0][1].shape[:-2]
     draws = math.prod(shape)
     layout = block_layout(n)
-    # |lhs - rhs|^2, |lhs|^2 and |rhs|^2 per draw, summed over the kept blocks
     sums = np.zeros((3, draws))
     for g, idx in enumerate(layout.index):
         keep = (layout.digits[idx[:, 0]] < sites).all(axis=1)
         if not keep.any():
             continue
         k, d = idx.shape
-        # positions, then the words of every draw: the left sides, then the right
-        perm = np.repeat(np.stack([cols[g][0] for cols in columns]).reshape(2, -1, k * d).swapaxes(0, 1), draws, axis=1)
+        # positions, then the two sides of every draw in turn
+        perm = np.tile(np.stack([cols[g][0] for cols in columns]).reshape(2, -1, k * d).swapaxes(0, 1), (1, draws, 1))
         entries = np.stack([cols[g][1].reshape(draws, 2, k * d) for cols in columns])
-        entries = entries.reshape(2, -1, draws, 2, k * d).swapaxes(0, 1).reshape(-1, 2 * draws, 2, k * d)
-        prods = column_products(perm, entries[..., 0, :], entries[..., 1, :], d).reshape(2, draws, k, d, d)
-        prods = prods[:, :, keep]
-        parts = np.stack([prods[0] - prods[1], prods[0], prods[1]])
-        sums += (parts.real**2 + parts.imag**2).reshape(3, draws, -1).sum(axis=2)
-    big = np.sqrt(np.maximum(sums[1], sums[2]))
-    out = (np.sqrt(sums[0]) / np.where(big > 0.0, big, 1.0)).reshape(shape)
+        entries = entries.reshape(2, -1, draws, 2, k * d).transpose(1, 2, 0, 3, 4).reshape(-1, 2 * draws, 2, k * d)
+        prods = column_products(perm, entries[..., 0, :], entries[..., 1, :], d)
+        sums += _pair_sums(prods[:, keep])
+    out = _pair_ratios(sums).reshape(shape)
     return out.item() if out.ndim == 0 else out
+
+
+def _pair_sums(stack: np.ndarray) -> np.ndarray:
+    # the (3, P) sums of re^2 + im^2 of L - R, L and R, for a (2P, ...) stack of pairs L, R in turn
+    sides = stack.reshape(len(stack) // 2, 2, math.prod(stack.shape[1:]))
+    sums = np.empty((3, len(sides)))
+    for row, part in enumerate((sides[:, 0] - sides[:, 1], sides[:, 0], sides[:, 1])):
+        square = part.real**2
+        sums[row] = np.add(square, part.imag**2, out=square).sum(axis=1)
+    return sums
+
+
+def _pair_ratios(sums: np.ndarray) -> np.ndarray:
+    # |L - R| / max(|L|, |R|) from _pair_sums: 0 if both are 0, NaN if a sum is not finite
+    finite = np.isfinite(sums).all(axis=0)
+    diff, big = np.sqrt(np.where(finite, [sums[0], np.maximum(sums[1], sums[2])], 0.0))
+    return np.where(finite, diff / np.where(big > 0.0, big, 1.0), np.nan)
 
 
 class BlockOp:
@@ -423,8 +442,8 @@ def frob(mat: np.ndarray | BlockOp) -> float:
 
 
 def rel_residual(lhs: np.ndarray | BlockOp, rhs: np.ndarray | BlockOp) -> float:
-    """Frobenius distance of two matrices over the larger of their norms."""
-    scale = max(frob(lhs), frob(rhs))
-    if scale == 0.0:
-        return 0.0
-    return frob(lhs - rhs) / scale
+    """|lhs - rhs| / max(|lhs|, |rhs|) in the Frobenius norm, NaN if any of the three is not finite."""
+    *norms, diff = frob(lhs), frob(rhs), frob(lhs - rhs)
+    if not all(map(math.isfinite, (*norms, diff))):
+        return math.nan
+    return diff / max(norms) if max(norms) > 0.0 else 0.0

@@ -403,9 +403,11 @@ class TestGeneratorOperatorsOffThePath:
 
 
 class TestWordPairChecksFail:
-    def test_planted_nan_fails_every_word_pair_check(self, monkeypatch):
+    @staticmethod
+    def poison(monkeypatch):
         # one NaN in the T_1 column entries of the first content group, which
-        # t = 0 carries into the T_1^{-1} letter too
+        # t = 0 carries into the T_1^{-1} letter too, and every transport
+        # letter of s_1 as well
         real = VerifyContext.rep
 
         def poisoned(ctx, n):
@@ -415,27 +417,39 @@ class TestWordPairChecksFail:
             return dataclasses.replace(rep, columns=tuple(columns))
 
         monkeypatch.setattr(VerifyContext, "rep", poisoned)
-        report = run_suite("hecke", RunConfig())
+
+    @staticmethod
+    def assert_nan_failures(suite, check_ids):
+        report = run_suite(suite, RunConfig())
         results = {r.check: r for r in report.results}
-        for check_id in WORD_PAIR_CHECKS:
+        for check_id in check_ids:
             result = results[check_id]
             assert result.status == "ran" and result.passed is False, check_id
             assert math.isnan(result.residual), check_id
         assert report.exit_code == 1
+
+    def test_planted_nan_fails_every_word_pair_check(self, monkeypatch):
+        self.poison(monkeypatch)
+        self.assert_nan_failures("hecke", WORD_PAIR_CHECKS)
+
+    def test_planted_nan_fails_every_transport_pair_check(self, monkeypatch):
+        # the transport pairs reduce per content group, with no operator built
+        self.poison(monkeypatch)
+        self.assert_nan_failures("qkz", ("qkz-flatness", "transport-cocycle", "braid-limit"))
 
 
 class TestTransportCocycle:
     """``transport-cocycle`` compares two distinct words for one group element."""
 
     def test_every_case_compares_two_distinct_words(self, monkeypatch):
-        real = qkz.transport_words
+        real = qkz.transport_pair_residuals
         batches = []
 
         def recording(rep, words):
             batches.append([w for w, _ in words])
             return real(rep, words)
 
-        monkeypatch.setattr(qkz, "transport_words", recording)
+        monkeypatch.setattr(qkz, "transport_pair_residuals", recording)
         (check,) = [c for c in checks._REGISTRY if c.check_id == "transport-cocycle"]
         result = checks._run_check(checks.VerifyContext(RunConfig()), check)
         assert result.status == "ran" and result.passed

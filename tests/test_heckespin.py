@@ -294,15 +294,16 @@ def blockop_product(rep, factors):
 
 
 def recording(monkeypatch):
-    """Record the word lengths of every ``heckespin.spin_products`` call."""
+    """Record the word lengths of every product pass, the private generator
+    behind both ``spin_products`` and ``word_pair_residuals``."""
     calls = []
-    products = heckespin.spin_products
+    products = heckespin._group_products
 
     def recorded(rep, words, *args):
         calls.append([len(w) for w in words])
         return products(rep, words, *args)
 
-    monkeypatch.setattr(heckespin, "spin_products", recorded)
+    monkeypatch.setattr(heckespin, "_group_products", recorded)
     return calls
 
 
@@ -402,7 +403,7 @@ class TestWordPairResiduals:
         pairs = [(words[0], words[1]), (words[2], words[3]), (words[3], words[3])]
         got = word_pair_residuals(rep, pairs)
         want = [rel_residual(*spin_products(rep, pair)) for pair in pairs]
-        assert got == want
+        assert got == pytest.approx(want, rel=1e-15, abs=4e-16)
         assert got[2] == 0.0
 
     def test_a_misspelled_pair_fails(self, reps):
