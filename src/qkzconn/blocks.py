@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+GENERICITY_WINDOW = 20
+GENERICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,12 @@ class PrincipalSeriesSpec:
         return self.signs[self.index_set.index(i)]
 
 
-def validate_spec(ep: EllipticParams, spec: PrincipalSeriesSpec, tol: float = MEMBERSHIP_TOL) -> None:
-    """Check gamma_i - gamma_{i+1} = 2 eps_i kappa on I, and sign constancy on runs."""
+def validate_spec(ep: EllipticParams, spec: PrincipalSeriesSpec) -> None:
+    """Check gamma_i - gamma_{i+1} = 2 eps_i kappa on I to ``MEMBERSHIP_TOL``, and sign constancy on runs."""
     for i in spec.index_set:
         want = 2.0 * spec.sign_of(i) * ep.kappa
         got = spec.gamma[i - 1] - spec.gamma[i]
-        if abs(got - want) > tol * max(1.0, abs(want)):
+        if abs(got - want) > MEMBERSHIP_TOL * max(1.0, abs(want)):
             raise ValueError(
                 f"gamma_{i} - gamma_{i + 1} = {got} differs from 2*eps*kappa = {want}"
             )
@@ -278,15 +280,13 @@ class GenericityReport:
     * ``("collision", a, b)`` -- two distinct spectral labels coincide, so
       the eigenvalue family cannot separate the blocks,
     * ``("resonance", a, b, i, m)`` -- p^((s_b - s_a, varpi_i)) = p^m for
-      some nonzero integer m in the search window.
+      some nonzero integer m with |m| <= ``GENERICITY_WINDOW``.
 
     Label indices a, b refer to ``labels``, the flattened (content, coset
     representative) list.
     """
 
     n: int
-    window: int
-    tol: float
     labels: tuple[tuple[Content, Perm], ...]
     violations: tuple[tuple, ...] = field(default_factory=tuple)
 
@@ -295,15 +295,9 @@ class GenericityReport:
         return not self.violations
 
 
-def genericity_report(
-    p: float,
-    kappa: complex,
-    phi: Sequence[complex],
-    n: int,
-    window: int = 20,
-    tol: float = 1e-8,
-) -> GenericityReport:
-    """Check the spectral labels for collisions and lattice resonances.
+def genericity_report(p: float, kappa: complex, phi: Sequence[complex], n: int) -> GenericityReport:
+    """Check the spectral labels for collisions and for lattice resonances p^m
+    with |m| <= ``GENERICITY_WINDOW``, each to ``GENERICITY_TOL``.
 
     Works on raw parameters (no resonance guard) so that degenerate choices
     such as kappa = 0 produce a report instead of an exception; a coupling
@@ -315,7 +309,7 @@ def genericity_report(
     violations: list[tuple] = []
 
     t = 2.0 * kappa.real
-    if abs(t - round(t)) <= tol:
+    if abs(t - round(t)) <= GENERICITY_TOL:
         violations.append(("coupling", int(round(t))))
 
     spectral = _spectral_labels(log_p, kappa, phi, n)
@@ -327,11 +321,11 @@ def genericity_report(
     comp = np.array([s for _, _, s in spectral], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         unit = np.exp((comp[None, :, :] - comp[:, None, :]) * log_p)
-        collide = np.all(np.abs(unit - 1.0) <= tol, axis=2)
+        collide = np.all(np.abs(unit - 1.0) <= GENERICITY_TOL, axis=2)
     violations += [("collision", int(a), int(b)) for a, b in np.argwhere(np.triu(collide, 1))]
 
     # lattice resonances of the partial sums (pairings with varpi_i): a value
-    # within tol of p^m has m nearest to log_p |value|, and none if that is not finite
+    # within GENERICITY_TOL of p^m has m nearest to log_p |value|, and none if that is not finite
     partials = np.cumsum(comp[:, :-1], axis=1)
     for i in range(n - 1):
         col = partials[:, i]
@@ -339,10 +333,8 @@ def genericity_report(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.exp(diff * log_p)
             near = np.rint(np.log(np.abs(vals)) / log_p)
-            near[~(np.abs(near) <= window)] = 0  # out of the window, or not finite
-            a, b = np.nonzero((near != 0) & (np.abs(vals / p**near - 1.0) <= tol))
+            near[~(np.abs(near) <= GENERICITY_WINDOW)] = 0  # out of the window, or not finite
+            a, b = np.nonzero((near != 0) & (np.abs(vals / p**near - 1.0) <= GENERICITY_TOL))
         m = near[a, b].astype(int)
         violations += [("resonance", int(a[k]), int(b[k]), i + 1, int(m[k])) for k in np.lexsort((b, a, m))]
-    return GenericityReport(
-        n=n, window=window, tol=tol, labels=tuple(labels), violations=tuple(violations)
-    )
+    return GenericityReport(n=n, labels=tuple(labels), violations=tuple(violations))

@@ -127,15 +127,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from None
 
 
-def _report_payload(report: Report, timestamp: bool = True) -> dict:
-    """The deterministic report body; timing data lives in separate fields.
+def _report_payload(report: Report) -> dict:
+    """The deterministic report body, and its timing data in ``timings``.
 
     A NaN or inf residual or detail value is written as null, which strict
     JSON parsers accept, where ``NaN`` would not be.
     """
     cfg = report.config
     phi = cfg.resolved_phi()
-    payload = serialize.finite_or_null({
+    return serialize.finite_or_null({
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "verification_report",
         "config": {
@@ -161,13 +161,11 @@ def _report_payload(report: Report, timestamp: bool = True) -> dict:
             for r in sorted(report.results, key=lambda r: (r.suite, r.check))
         ],
         "exit_code": report.exit_code,
-    })
-    if timestamp:
-        payload["timings"] = {
+        "timings": {
             "created": datetime.datetime.now().isoformat(),
             "seconds_per_check": {k: round(v, 6) for k, v in sorted(report.timings.items())},
-        }
-    return payload
+        },
+    })
 
 
 def _report_table(report: Report) -> str:

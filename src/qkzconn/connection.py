@@ -442,7 +442,6 @@ def shifted_r_apply(
     family: Sequence[Sequence[int]],
     a: complex,
     control: int,
-    weights: Sequence[Sequence[float]] = WEIGHTS,
 ) -> BlockOp | list[BlockOp]:
     """R on the legs (leg, leg+1) with phi shifted per the control leg's value.
 
@@ -455,7 +454,7 @@ def shifted_r_apply(
     ``column_products``.
     """
     x = np.asarray(x, dtype=complex)
-    ops = dyn_r_matrix(ep, x[..., None], _shifted_phis(ep, phi, family, a, weights)).reshape(-1, len(weights), 9, 9)
+    ops = dyn_r_matrix(ep, x[..., None], _shifted_phis(ep, phi, family, a, WEIGHTS)).reshape(-1, len(WEIGHTS), 9, 9)
     layout = block_layout(n)
     stacks = []
     for (perm, entries), idx in zip(two_leg_columns(ops, n, leg, leg + 1, control), layout.index):

@@ -9,9 +9,10 @@ The theta function is the renormalised product
 
     theta(z) = prod_{m>=0} (1 - p^m z) (1 - p^{m+1} / z),
 
-truncated once the tail factors are within ``theta_truncation_tol`` of 1.
+truncated once the tail factors are within ``THETA_TRUNCATION_TOL`` of 1.
 Its zero set is z in p^Z, which is where the pole guards of the coefficient
-functions fire.
+functions fire: a theta denominator of modulus below ``POLE_TOL`` raises
+PoleError.
 
 The kernel works on numpy arrays: ``pow_p`` and ``theta`` take a scalar or
 an array.  One evaluator, ``coefficients``, computes A and B at stacked
@@ -98,18 +99,12 @@ class Nome:
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Nome, coupling and the numerical guards used by every evaluation."""
+    """Nome and coupling; the guards are ``THETA_TRUNCATION_TOL`` and ``POLE_TOL``."""
 
     nome: Nome
     kappa: complex
-    theta_truncation_tol: float = THETA_TRUNCATION_TOL
-    pole_tol: float = POLE_TOL
 
     def __post_init__(self) -> None:
-        if self.theta_truncation_tol <= 0.0:
-            raise ValueError("theta_truncation_tol must be positive")
-        if self.pole_tol <= 0.0:
-            raise ValueError("pole_tol must be positive")
         check_coupling(self.kappa)
         # Resonance guard: |p^(2 kappa)| on the lattice |p^m| collapses the
         # coefficient functions (theta(p^(2 kappa)) sits in every numerator).
@@ -127,9 +122,9 @@ def check_coupling(kappa: complex) -> None:
         raise ValueError(f"kappa={kappa!r} is not a finite coupling (both parts and 2 Re kappa must be finite)")
 
 
-def default_params(p: float = 0.35, kappa: complex = 0.27, **kwargs) -> EllipticParams:
+def default_params(p: float = 0.35, kappa: complex = 0.27) -> EllipticParams:
     """Desk-scale defaults: theta products converge in ~35 factors."""
-    return EllipticParams(nome=Nome(p), kappa=complex(kappa), **kwargs)
+    return EllipticParams(nome=Nome(p), kappa=complex(kappa))
 
 
 def pow_p(ep: EllipticParams, x):
@@ -152,7 +147,7 @@ def _scalar_or_array(out: np.ndarray):
 def _factor_count(ep: EllipticParams, big: float) -> int:
     # smallest M with p^(M+1) * big < tol, where big = max(|z|, 1/|z|) over
     # the batch; factors run m = 0..M
-    bound = (math.log(ep.theta_truncation_tol) - math.log(big)) / ep.nome.log_p
+    bound = (math.log(THETA_TRUNCATION_TOL) - math.log(big)) / ep.nome.log_p
     m = max(0, math.ceil(bound - 1.0))
     if m + 1 > MAX_THETA_FACTORS:
         raise ThetaOverflowError(
@@ -196,15 +191,23 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
     return _scalar_or_array(out.reshape(z.shape))
 
 
-def _pole_guard(ep: EllipticParams, val: np.ndarray, label: str) -> None:
-    mag = np.abs(val)
-    if (mag < ep.pole_tol).any():
-        worst = float(mag.min())
-        raise PoleError(
-            f"pole: theta factor {label} has modulus {worst:.3e} < {ep.pole_tol:.1e}",
-            factor=label,
-            magnitude=worst,
-        )
+def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(z, return_inverse=True)`` of a finite complex array, up to
+    the order of the values: sorted by a 64-bit key, the real part's bits XOR
+    the imaginary part's with its halves swapped (v, -v and conj(v) differ),
+    after adding 0.0 folds -0.0 into 0.0.  Equal neighbours are one value; a
+    key two values share only splits a run, counting one value twice."""
+    folded = z + 0.0
+    bits = folded.view(np.uint64)
+    re, im = bits[0::2], bits[1::2]
+    order = np.argsort(re ^ (im << 32) ^ (im >> 32))
+    ranked = folded[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    back = np.empty_like(order)
+    back[order] = np.cumsum(new) - 1
+    return ranked[new], back
 
 
 def _finite(out: np.ndarray, name: str):
@@ -257,12 +260,15 @@ def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
     n_theta = ends[9]
     # arguments recur across a batch (one x across a matrix, one y across a
     # sweep's shifts); theta of each distinct argument once gives the same values
-    z, back = np.unique(pw[:n_theta], return_inverse=True)
+    z, back = _distinct(pw[:n_theta])
     th = theta(ep, z)[back]
-    if ends[4] and np.abs(th[: ends[4]]).min() < ep.pole_tol:
+    if ends[4] and np.abs(th[: ends[4]]).min() < POLE_TOL:
         labels = ("p^x", "p^y", "p^(2*kappa-x)", "p^(2*kappa-x)", "p^(-y)")
         for label, lo, hi in zip(labels, [0] + ends, ends):
-            _pole_guard(ep, th[lo:hi], label)
+            worst = float(np.abs(th[lo:hi]).min(initial=math.inf))
+            if worst < POLE_TOL:
+                message = f"pole: theta factor {label} has modulus {worst:.3e} < {POLE_TOL:.1e}"
+                raise PoleError(message, factor=label, magnitude=worst)
     c_den, a_y, a_kx, b_kx, b_my, a_k, a_yx, b_ky, b_mx, c_num = (
         th[lo:hi].reshape(row.shape) for row, lo, hi in zip(rows, [0] + ends, ends[:10])
     )

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticParams, PoleError, pow_p
+from .elliptic import POLE_TOL, EllipticParams, PoleError, pow_p
 from .tensorspace import (
     DIM,
     BlockOp,
@@ -115,9 +115,9 @@ def hecke_residual(b: np.ndarray, q: complex) -> float:
     return frob(defect) / frob(b) ** 2
 
 
-def _baxter_denominator(z: complex, q: complex, pole_tol: float) -> complex:
+def _baxter_denominator(z: complex, q: complex) -> complex:
     den = 1.0 / q - q * z
-    if abs(den) < pole_tol:
+    if abs(den) < POLE_TOL:
         raise PoleError(
             f"pole: Baxterization denominator 1/q - q z has modulus {abs(den):.3e} at z={z}",
             factor="1/q - q*z",
@@ -126,17 +126,17 @@ def _baxter_denominator(z: complex, q: complex, pole_tol: float) -> complex:
     return den
 
 
-def baxterize(b: np.ndarray, z: complex, q: complex, pole_tol: float = 1e-10) -> np.ndarray:
+def baxterize(b: np.ndarray, z: complex, q: complex) -> np.ndarray:
     """P (B^{-1} - z B) / (1/q - q z), using the exact inverse B^{-1} = B - q + 1/q."""
-    den = _baxter_denominator(z, q, pole_tol)
+    den = _baxter_denominator(z, q)
     eye = np.eye(b.shape[0], dtype=complex)
     b_inv = b - (q - 1.0 / q) * eye
     return permutation_op() @ (b_inv - z * b) / den
 
 
-def perk_schultz(z: complex, q: complex, pole_tol: float = 1e-10) -> np.ndarray:
+def perk_schultz(z: complex, q: complex) -> np.ndarray:
     """The closed-form 9x9 Baxterized matrix with entries a, b, c_+, c_-, w."""
-    den = _baxter_denominator(z, q, pole_tol)
+    den = _baxter_denominator(z, q)
     a_z = 1.0 + 0.0j  # (1/q - q z) / (1/q - q z)
     b_z = (1.0 - z) / den
     cp = (1.0 / q - q) / den

@@ -1,4 +1,5 @@
-"""Run configuration and deterministic parameter sampling."""
+"""Run configuration and deterministic parameter sampling; the constants
+``SITE_CAP``, ``BAND_WIDTH`` and ``BAND_HEIGHT`` are not ``RunConfig`` fields."""
 
 from __future__ import annotations
 
@@ -103,10 +104,13 @@ def sample_dynamical(rng: np.random.Generator) -> complex:
     return complex(re, rng.uniform(0.02, 0.4))
 
 
-def sample_point_band(
-    rng: np.random.Generator, n: int, width: float = 0.8, height: float = 0.3
-) -> tuple[complex, ...]:
-    """Evaluation point in a narrow horizontal band.
+BAND_WIDTH = 0.8
+BAND_HEIGHT = 0.3
+
+
+def sample_point_band(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
+    """Evaluation point in a narrow horizontal band: |Re z_i| <= BAND_WIDTH,
+    0 <= Im z_i <= BAND_HEIGHT.
 
     Connection-matrix sweeps use this window: the spectral vectors of the
     blocks carry imaginary parts of several half-periods, and the
@@ -115,5 +119,5 @@ def sample_point_band(
     range where unitarity products cancel to double precision.
     """
     return tuple(
-        complex(rng.uniform(-width, width), rng.uniform(0.0, height)) for _ in range(n)
+        complex(rng.uniform(-BAND_WIDTH, BAND_WIDTH), rng.uniform(0.0, BAND_HEIGHT)) for _ in range(n)
     )

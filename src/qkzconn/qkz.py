@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import PoleError, pow_p
+from .elliptic import POLE_TOL, PoleError, pow_p
 from .heckespin import SpinRep, _family_letters, rho_vector, spin_products, word_pair_residuals
 from .tensorspace import BlockOp
 
@@ -218,7 +218,7 @@ def _transport_letters(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[
         letters.append(spelled)
     t = pow_p(ep, np.array(xs, dtype=complex))
     den = 1.0 / q - q * t
-    pole = np.abs(den) < ep.pole_tol * np.maximum(1.0, np.abs(q * t))
+    pole = np.abs(den) < POLE_TOL * np.maximum(1.0, np.abs(q * t))
     if pole.any():
         first = int(np.argmax(pole))
         k, w = at[first]

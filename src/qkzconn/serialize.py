@@ -58,7 +58,7 @@ def _parameters(p: float, kappa: complex, phi=None, z=None) -> dict[str, Any]:
     return params
 
 
-def dynamical_r_payload(p, kappa, phi, x, entries, residuals=None) -> dict[str, Any]:
+def dynamical_r_payload(p, kappa, phi, x, entries, residuals) -> dict[str, Any]:
     basis = [f"v{a}*v{b}" for a in (1, 2, 3) for b in (1, 2, 3)]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -66,14 +66,14 @@ def dynamical_r_payload(p, kappa, phi, x, entries, residuals=None) -> dict[str, 
         "parameters": {**_parameters(p, kappa, phi=phi), "x": complex_to_pair(x)},
         "basis": basis,
         "entries": matrix_to_lists(entries),
-        "residuals": residuals or {},
+        "residuals": residuals,
     }
 
 
-def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp | None = None, residuals=None) -> dict[str, Any]:
+def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp) -> dict[str, Any]:
     """blocks: list of dicts with keys content, index_set, signs, gamma, basis,
     entries.  ``tensor_op`` is stored as it is, for ``dumps`` to write."""
-    payload: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "connection_matrices",
         "parameters": _parameters(p, kappa, phi=phi, z=z),
@@ -88,11 +88,9 @@ def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp | None = Non
             }
             for b in blocks
         ],
-        "residuals": residuals or {},
+        "residuals": {},
+        "tensor_operator": tensor_op,
     }
-    if tensor_op is not None:
-        payload["tensor_operator"] = tensor_op
-    return payload
 
 
 def decomposition_payload(p, kappa, phi, n, blocks) -> dict[str, Any]:

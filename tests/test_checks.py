@@ -72,7 +72,7 @@ class TestResampling:
 
         rng = np.random.default_rng(0)
         with pytest.raises(ResampleExhausted):
-            resample_sweep(rng, [(2, None)] * 3, sample_point_band, always_pole, retries=5)
+            resample_sweep(rng, [(2, None)] * 3, sample_point_band, always_pole)
         # one batch of all three draws, then five points of the first draw alone
         assert calls == [3, 1, 1, 1, 1, 1]
 
@@ -206,6 +206,7 @@ SAMPLE_SEQUENCES = {
         for _ in range(checks.SAMPLES)
     ],
     "dyn-unitarity": lambda ctx, rng: [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome)) for _ in range(30)],
+    "weight-conservation": lambda ctx, rng: [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome)) for _ in range(5)],
     "dynamical-translation": _translation,
     "transport-cocycle": _points((2, 3, 4), 3),
     "qkz-flatness": _points((2, 3, 4), 10),

@@ -22,7 +22,7 @@ from qkzconn.connection import (
     tensor_monodromy_words,
 )
 from qkzconn import connection, elliptic
-from qkzconn.elliptic import PoleError, coeff_a, coeff_b, c_func
+from qkzconn.elliptic import POLE_TOL, PoleError, coeff_a, coeff_b, c_func
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
 from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, reduced_word, simple
 from qkzconn.tensorspace import (
@@ -96,7 +96,7 @@ class TestConnectionSimple:
             connection_simple(ep, spec, 1, band_z(rng, 2))
         assert "s_1" in str(err.value)
         assert err.value.factor == "p^y"
-        assert err.value.magnitude < ep.pole_tol
+        assert err.value.magnitude < POLE_TOL
 
     def test_unitarity(self, ep, phi, rng):
         for n in (2, 3):

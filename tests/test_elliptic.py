@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkzconn import elliptic
 from qkzconn.elliptic import (
+    POLE_TOL,
+    THETA_TRUNCATION_TOL,
     EllipticParams,
     NonFiniteError,
     Nome,
@@ -108,7 +111,7 @@ class TestTheta:
             z = complex(rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
             a = theta(params, z)
             b = theta(params, z, min_factors=150)
-            assert abs(a - b) <= 10 * params.theta_truncation_tol * max(1.0, abs(b))
+            assert abs(a - b) <= 10 * THETA_TRUNCATION_TOL * max(1.0, abs(b))
 
     # the hypothesis windows stay off the zeros z = 1, z = p, where any
     # relative comparison degenerates to 0/0
@@ -249,7 +252,7 @@ class TestCoefficients:
         with pytest.raises(PoleError) as err:
             coeff_b(params, np.array([0.3 + 0.1j, 1.0, 0.5]), 0.3)
         assert err.value.factor == "p^(-y)"
-        assert err.value.magnitude < params.pole_tol
+        assert err.value.magnitude < POLE_TOL
 
     def test_batches_match_scalar_calls(self, params, rng):
         ys = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(0.0, 0.5, size=4)
@@ -325,7 +328,7 @@ class TestFusedEvaluator:
         with pytest.raises(PoleError) as err:
             coefficients(params, a=(ya, xa), b=(yb, xs), u=us)
         assert err.value.factor == label
-        assert err.value.magnitude < params.pole_tol
+        assert err.value.magnitude < POLE_TOL
 
     def test_zero_gives_unit_one_inside_a_batch(self, params):
         us = np.array([0.3 + 0.1j, 0.0, -0.2 + 0.4j])
@@ -335,6 +338,56 @@ class TestFusedEvaluator:
             want = -c_func(params, us[k]) / c_func(params, -us[k])
             assert abs(unit[k] - want) <= 1e-15 * abs(want)
         assert abs(a[1] - 1.0) < 1e-12  # A(y, 0) = 1 in the same batch
+
+
+def _unique_route(w):
+    return np.unique(w, return_inverse=True)
+
+
+def _has_signed_zero_twins(w):
+    # more bit patterns than values: two equal entries differ in the sign of a zero part
+    return len({t.tobytes() for t in w}) > len(np.unique(w))
+
+
+class TestDistinctArguments:
+    """The dedupe of a batch's theta arguments against ``np.unique``, bit for bit."""
+
+    def test_repeats_and_signed_zeros(self, params, rng):
+        v = complex(0.6388168820516134, 0.1468069172664991)
+        base = [
+            0.5 + 0j, complex(0.5, -0.0), complex(-0.0, 0.7), 0.7j,
+            v, -v, v.conjugate(), -v.conjugate(), 2.0 + 0j, complex(2.0, -0.0), complex(-0.3, -0.0), -0.3 + 0j,
+        ]
+        w = np.array(base * 5, dtype=complex)[rng.permutation(5 * len(base))]
+        assert _has_signed_zero_twins(w)
+        z, back = elliptic._distinct(w)
+        want_z, want_back = _unique_route(w)
+        assert len(z) == len(want_z) == 8
+        assert np.array_equal(z[back], w)
+        assert theta(params, z)[back].tobytes() == theta(params, want_z)[want_back].tobytes()
+        z, back = elliptic._distinct(np.zeros(0, dtype=complex))
+        assert z.shape == back.shape == (0,)
+
+    def test_coefficients_match_the_unique_route(self, params, monkeypatch):
+        # negative real exponents with +0.0 and -0.0 imaginary parts give theta
+        # arguments p^x of either zero sign
+        ys = np.array([0.3 + 0.1j, complex(-0.4, 0.0), complex(-0.4, -0.0), 0.3 + 0.1j])
+        xs = np.array([complex(-0.2, -0.0), -0.2 + 0j, 0.1 + 0.2j, 0.1 + 0.2j])
+        us = np.array([complex(-0.5, -0.0), -0.5 + 0j, 0.25 + 0.1j, 0.0])
+        cs = np.array([complex(-0.6, 0.0), complex(-0.6, -0.0), 0.4 + 0j])
+        args = dict(a=(ys, xs), b=(ys[::-1], xs), u=us, c=cs)
+        got = coefficients(params, **args)
+        seen = []
+
+        def unique_route(w):
+            seen.append(w.copy())
+            return _unique_route(w)
+
+        monkeypatch.setattr(elliptic, "_distinct", unique_route)
+        want = coefficients(params, **args)
+        assert _has_signed_zero_twins(seen[0])
+        for g, t in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(t).tobytes()
 
 
 class TestParams:

@@ -126,7 +126,7 @@ def test_dumps_rejects_non_finite_rmatrix_entry(ep, phi, bad, where):
     x = 0.3 + 0.1j
     entries = connection.dyn_r_matrix(ep, x, phi).copy()
     entries[i, j] = complex(bad, entries[i, j].imag) if part == "real" else complex(entries[i, j].real, bad)
-    payload = serialize.dynamical_r_payload(CFG.p, complex(CFG.kappa), phi, x, entries)
+    payload = serialize.dynamical_r_payload(CFG.p, complex(CFG.kappa), phi, x, entries, {})
     with pytest.raises(ValueError):
         dumps(payload)
 
