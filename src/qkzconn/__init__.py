@@ -4,13 +4,12 @@ KZ equations for the three-state supersymmetric vertex model."""
 from .blocks import (
     GenericityReport,
     PrincipalSeriesSpec,
+    block_residuals,
     character_values,
     content_block,
     dimension_count,
-    eigen_residual,
     genericity_report,
     predicted_y_tilde_spectrum,
-    sign_residuals,
     spectrum_match_residual,
 )
 from .connection import (

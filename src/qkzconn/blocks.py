@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticParams, check_coupling, pow_p
-from .heckespin import SpinRep, _family_letters, _padded, _padded_images, _t, rho_vector, spin_images, y_tilde
+from .heckespin import SpinRep, _family_letters, _padded, _t, rho_vector, spin_images, y_tilde
 from .symgroup import (
     Content,
     Perm,
@@ -40,8 +40,7 @@ __all__ = [
     "character_values",
     "content_block",
     "dimension_count",
-    "eigen_residual",
-    "sign_residuals",
+    "block_residuals",
     "predicted_y_tilde_spectrum",
     "spectrum_match_residual",
     "genericity_report",
@@ -169,55 +168,56 @@ def dimension_count(n: int) -> int:
 
 
 @functools.cache
-def _eigen_letters(n: int) -> np.ndarray:
-    # the padded (row, side) letters of the words Y_1 .. Y_n, then T_1 ..
-    # T_{n-1}, built once per n; eigen_residual picks its words by index
+def _block_words(n: int, r: Content) -> tuple:
+    # what block_residuals reads of the block r, built once per (n, r): the
+    # padded (row, side) letters of the words Y_1 .. Y_n, T_i for i in I, and
+    # T_w along a reduced word of each minimal coset representative w; the
+    # leading index; and per w, its landing place in the block and its two
+    # signs (-1)^eta(w), inclusive and strict
+    index_set = content_stabiliser(n, r)
+    reps = min_coset_reps(n, index_set)
+    lead = leading_index(r)
     words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
-    letters = _padded(words + [[_t(i)] for i in range(1, n)])
+    words += [[_t(i)] for i in sorted(index_set)]
+    words += [[_t(i) for i in reduced_word(w)] for w in reps]
+    letters = _padded(words)
     letters.flags.writeable = False
-    return letters
+    pos = block_layout(n).pos
+    landing = tuple(pos[tensor_index(act(w, lead))] for w in reps)
+    signs = tuple(tuple((-1.0) ** eta_exponent(w, r, inclusive=inc) for inc in (True, False)) for w in reps)
+    return letters, tensor_index(lead), reps, landing, signs
 
 
-def eigen_residual(rep: SpinRep, r: Content) -> float:
-    """Worst eigen-equation defect of the leading basis vector of the block r.
+def block_residuals(rep: SpinRep, r: Content) -> tuple[float, list[tuple[Perm, float, float]]]:
+    """The eigen and sign defects of the leading basis vector v of the block
+    r, every image from one ``spin_images`` call on the words of
+    ``_block_words(n, r)``.
 
-    Checks Y_j v = p^{-gamma_j} v for all j and T_i v = eps_i q^{eps_i} v for
-    i in the block's index set, with the eigenvalues read from the block's
-    character (``character_values``), and every image from one call of
-    ``spin_images``' body on the words of ``_eigen_letters(n)``.
+    The eigen defect is the worst of Y_j v = p^{-gamma_j} v over all j and
+    T_i v = eps_i q^{eps_i} v over the block's index set, each relative to
+    max(1, |eigenvalue|), with the eigenvalues read from the block's
+    character (``character_values``); a NaN defect makes it NaN.  The sign
+    defects are (w, inclusive, strict) per minimal coset representative w:
+    the defects of T_w v = (-1)^eta(w) v_{w . leading} under both sign
+    counts of ``eta_exponent``, with T_w along a reduced word of w.
     """
     ep = rep.params.elliptic
-    n = rep.n
-    spec = content_block(ep, n, r, rep.phi)
-    src = tensor_index(leading_index(r))
-    chars = character_values(ep, spec)
-    rows, sides = _eigen_letters(n)
-    words = [*range(n), *(n - 1 + i for i, _ in chars.t_values)]
+    chars = character_values(ep, content_block(ep, rep.n, r, rep.phi))
+    (rows, sides), src, reps, landing, signs = _block_words(rep.n, r)
     lams = list(chars.y_values) + [lam for _, lam in chars.t_values]
-    images = _padded_images(rep, rows[:, words], sides[:, words], src)
-    images[:, block_layout(n).pos[src]] -= lams
-    return max(float(np.linalg.norm(img)) / max(1.0, abs(lam)) for img, lam in zip(images, lams))
-
-
-def sign_residuals(rep: SpinRep, r: Content) -> list[tuple[Perm, float, float]]:
-    """(w, inclusive, strict) per minimal coset representative w of the block
-    r: the defects of T_w v_leading = (-1)^eta(w) v_{w . leading} under both
-    sign counts of ``eta_exponent``, with T_w along a reduced word of w and
-    every image from one ``spin_images`` call."""
-    n = rep.n
-    lead = leading_index(r)
-    reps = min_coset_reps(n, content_stabiliser(n, r))
-    images = spin_images(rep, [[_t(i) for i in reduced_word(w)] for w in reps], tensor_index(lead))
+    images = spin_images(rep, rows, sides, src)
+    eigen_images, sign_images = images[: len(lams)], images[len(lams) :]
+    eigen_images[:, block_layout(rep.n).pos[src]] -= lams
+    eigen = float(np.max([float(np.linalg.norm(img)) / max(1.0, abs(lam)) for img, lam in zip(eigen_images, lams)]))
     out = []
-    for w, img in zip(reps, images):
-        dst = block_layout(n).pos[tensor_index(act(w, lead))]
+    for w, img, dst, variants in zip(reps, sign_images, landing, signs):
         entry = img[dst]
         defects = []
-        for inclusive in (True, False):
-            img[dst] = entry - (-1.0) ** eta_exponent(w, r, inclusive=inclusive)
+        for sign in variants:
+            img[dst] = entry - sign
             defects.append(float(np.linalg.norm(img)))
         out.append((w, *defects))
-    return out
+    return eigen, out
 
 
 def _spectral_labels(

@@ -45,7 +45,6 @@ from .elliptic import (
     EllipticError,
     EllipticParams,
     PoleError,
-    c_func,
     coefficients,
     theta,
 )
@@ -180,6 +179,13 @@ class VerifyContext:
             self._reps[n] = hs.spin_rep(hs.HeckeParams(elliptic=self.ep, n=n), self.phi)
         return self._reps[n]
 
+    @functools.cached_property
+    def block_residuals(self) -> list[tuple[int, tuple[int, int, int], float, list]]:
+        """(n, r, eigen defect, sign defects) of ``blocks.block_residuals`` for
+        every block of n = 2 .. 4 up to the run's n, computed once per run and
+        read by the eigen and sign checks."""
+        return [(n, r, *blk.block_residuals(self.rep(n), r)) for n in self.site_counts(2, 4) for r in content_labels(n)]
+
     def site_counts(self, lo: int, hi: int) -> list[int]:
         return [n for n in range(lo, hi + 1) if n <= self.cfg.n]
 
@@ -312,14 +318,14 @@ def _coeff_boundary(ctx: VerifyContext, rng):
     return _worst(*np.abs(a - 1.0), *np.abs(b))
 
 
-@register("c-ratio-inverse", "elliptic", "the odd diagonal unit and its reverse multiply to 1", 1e-10)
-def _c_ratio(ctx: VerifyContext, rng):
+@register("c-periodicity", "elliptic", "c(x + 1) = c(x) and the odd unit -c(x)/c(-x) has period 1", 1e-10)
+def _c_periodicity(ctx: VerifyContext, rng):
     ep = ctx.ep
     x = np.array([sample_scalar(rng, ep.nome) for _ in range(20)])
-    c, c_back = np.split(c_func(ep, np.concatenate([x, -x])), 2)
-    u = -c / c_back
-    v = -c_back / c
-    return _worst(*np.abs(u * v - 1.0))
+    both = np.concatenate([x, x + 1.0])
+    _, _, unit, c = coefficients(ep, u=both, c=both)
+    a, b = np.split(np.stack([c, unit]), 2, axis=1)  # at x, at x + 1
+    return _worst(*(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +450,12 @@ def _dimension_count(ctx: VerifyContext, rng):
 
 @register("eigen-equations", "decomposition", "leading vectors solve the block eigen equations", 1e-10)
 def _eigen_equations(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
-        for r in content_labels(n):
-            worst = _worst(worst, blk.eigen_residual(rep, r))
-    return worst
+    return _worst(0.0, *(eigen for _, _, eigen, _ in ctx.block_residuals))
 
 
 @register("sign-map", "decomposition", "T_w moves the leading vector to a signed basis vector", 1e-10)
 def _sign_map(ctx: VerifyContext, rng):
-    worst = 0.0
-    for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
-        for r in content_labels(n):
-            for _, inclusive, _ in blk.sign_residuals(rep, r):
-                worst = _worst(worst, inclusive)
-    return worst
+    return _worst(0.0, *(inclusive for *_, signs in ctx.block_residuals for _, inclusive, _ in signs))
 
 
 @register("sign-exponent-variants", "decomposition", "the inclusive sign count matches the matrix oracle", 1e-10)
@@ -468,15 +463,13 @@ def _sign_variants(ctx: VerifyContext, rng):
     worst_inclusive = 0.0
     printed_mismatches = 0
     witness = None
-    for n in ctx.site_counts(2, 4):
-        rep = ctx.rep(n)
-        for r in content_labels(n):
-            for w, inclusive, res_printed in blk.sign_residuals(rep, r):
-                worst_inclusive = _worst(worst_inclusive, inclusive)
-                if res_printed > 1.0:
-                    printed_mismatches += 1
-                    if witness is None and r[2] == 1:
-                        witness = {"n": n, "content": list(r), "coset_rep": list(w)}
+    for n, r, _, signs in ctx.block_residuals:
+        for w, inclusive, res_printed in signs:
+            worst_inclusive = _worst(worst_inclusive, inclusive)
+            if res_printed > 1.0:
+                printed_mismatches += 1
+                if witness is None and r[2] == 1:
+                    witness = {"n": n, "content": list(r), "coset_rep": list(w)}
     # the strict sign count must also fail on a block with a single odd entry,
     # or the two variants are not told apart where they differ by definition
     return Verdict(

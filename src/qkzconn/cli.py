@@ -96,6 +96,10 @@ _CONFIG_PARSERS = {
 }
 
 
+#: the RunConfig field of each config key whose name differs
+_CONFIG_FIELDS = {"tol": "residual_tol", "format": "fmt"}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if getattr(args, "config", None):
@@ -110,19 +114,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key if key != "format" else "fmt", None)
         if flag is not None:
             base[key] = flag
-    kwargs = dict(
-        p=base.get("p", 0.35),
-        kappa=base.get("kappa", complex(0.27)),
-        phi=base.get("phi"),
-        n=base.get("n", 4),
-        seed=base.get("seed", 7),
-        out=base.get("out"),
-        fmt=base.get("format", "table"),
-    )
-    if "tol" in base:
-        kwargs["residual_tol"] = base["tol"]
+    # only the keys that were set: RunConfig holds the defaults
     try:
-        return RunConfig(**kwargs)
+        return RunConfig(**{_CONFIG_FIELDS.get(key, key): value for key, value in base.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -241,6 +235,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         reps = min_coset_reps(n, content_stabiliser(n, r))
         lead = leading_index(r)
         basis_map = [(act(w, lead), w, (-1) ** eta_exponent(w, r)) for w in reps]
+        eigen, signs = blk.block_residuals(rep, r)
         blocks_out.append(
             {
                 "content": r,
@@ -248,8 +243,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "signs": spec.signs,
                 "gamma": spec.gamma,
                 "basis_map": basis_map,
-                "eigen_residual": blk.eigen_residual(rep, r),
-                "max_sign_residual": max(inclusive for _, inclusive, _ in blk.sign_residuals(rep, r)),
+                "eigen_residual": eigen,
+                "max_sign_residual": float(np.max([inclusive for _, inclusive, _ in signs])),
             }
         )
     payload = serialize.decomposition_payload(cfg.p, complex(cfg.kappa), phi, n, blocks_out)

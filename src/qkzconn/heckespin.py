@@ -15,8 +15,8 @@ pairwise by the same pass, building no operator.  The generator
 operators (``SpinRep.t_ops`` and the rest) are built by it too, but remain
 only as the tests' references and for the benchmark tracer: no product of
 them is taken.
-``spin_images`` applies such words to one basis vector, all that the eigen
-and sign checks of ``blocks`` read.  A negative power is a word of inverse
+``spin_images`` applies such words to one basis vector, all that the block
+checks of ``blocks`` read.  A negative power is a word of inverse
 letters, so no block is inverted.  ``y_tilde`` is a product of the
 commuting family X_j of the opposite orientation (T_i and T_i^{-1} swapped
 in the word of Y_j), which is the T_w0 conjugate of the Y family, so it
@@ -308,17 +308,13 @@ def word_pair_residuals(rep: SpinRep, pairs: Sequence[tuple[Sequence, Sequence]]
     return _pair_ratios(sums).tolist()
 
 
-def spin_images(rep: SpinRep, words: Sequence[Sequence[tuple[int, int]]], source: int) -> np.ndarray:
+def spin_images(rep: SpinRep, rows: np.ndarray, sides: np.ndarray, source: int) -> np.ndarray:
     """The image of the basis vector e_source under each word of generator
-    letters (those of ``spin_products`` at t = 0 and den = 1), by one
-    ``column_images`` call on the content block of e_source: a (words, d)
-    array whose entry c is the coordinate at place c of the block, as
+    letters (those of ``spin_products`` at t = 0 and den = 1), padded into
+    the (positions, words) ``rows`` and ``sides`` of ``_padded(words)``, by
+    one ``column_images`` call on the content block of e_source: a (words,
+    d) array whose entry c is the coordinate at place c of the block, as
     ``block_layout(n).pos`` numbers the places."""
-    return _padded_images(rep, *_padded(words), source)
-
-
-def _padded_images(rep: SpinRep, rows: np.ndarray, sides: np.ndarray, source: int) -> np.ndarray:
-    # spin_images of words already padded into (positions, words) rows and sides
     layout = block_layout(rep.n)
     g, b, pos = layout.group[source], layout.block[source], layout.pos[source]
     d = layout.index[g].shape[1]

@@ -8,14 +8,13 @@ import pytest
 from qkzconn import blocks, heckespin
 from qkzconn.blocks import (
     PrincipalSeriesSpec,
+    block_residuals,
     character_values,
     content_block,
     dimension_count,
-    eigen_residual,
     genericity_report,
     greedy_match_distance,
     predicted_y_tilde_spectrum,
-    sign_residuals,
     spectrum_match_residual,
     validate_spec,
 )
@@ -129,12 +128,12 @@ class TestDecomposition:
     def test_eigen_residuals(self, reps):
         for n, rep in reps.items():
             for r in content_labels(n):
-                assert eigen_residual(rep, r) < 1e-10
+                assert block_residuals(rep, r)[0] < 1e-10
 
     def test_sign_residuals_exhaustive(self, reps):
         for n, rep in reps.items():
             for r in content_labels(n):
-                got = sign_residuals(rep, r)
+                _, got = block_residuals(rep, r)
                 assert [w for w, _, _ in got] == list(min_coset_reps(n, content_stabiliser(n, r)))
                 assert all(inclusive < 1e-10 for _, inclusive, _ in got)
 
@@ -144,31 +143,32 @@ class TestDecomposition:
         for r in content_labels(3):
             if r[2] != 1:
                 continue
-            hits += sum(strict > 1.0 for _, _, strict in sign_residuals(rep, r))
+            hits += sum(strict > 1.0 for _, _, strict in block_residuals(rep, r)[1])
         assert hits > 0
 
     def test_sign_residual_precondition(self, reps):
         # the content must be a content label of the representation's n
         with pytest.raises(ValueError):
-            sign_residuals(reps[3], (0, 2, 2))
+            block_residuals(reps[3], (0, 2, 2))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sign_residuals_are_one_product_call_per_block(self, reps, n, monkeypatch):
-        # every T_w of a block acts on the leading vector in one spin_images
-        # call, and no product operator is built
+        # the Y_j, the T_i (i in I) and every T_w of a block act on the
+        # leading vector in one spin_images call, and no product operator is built
         calls = []
         images = heckespin.spin_images
 
-        def recorded(rep, words, source):
-            calls.append(len(words))
-            return images(rep, words, source)
+        def recorded(rep, rows, sides, source):
+            calls.append(rows.shape[1])
+            return images(rep, rows, sides, source)
 
         monkeypatch.setattr(blocks, "spin_images", recorded)
         monkeypatch.setattr(heckespin, "spin_products", None)
         for r in content_labels(n):
             calls.clear()
-            sign_residuals(reps[n], r)
-            assert calls == [len(min_coset_reps(n, content_stabiliser(n, r)))]
+            block_residuals(reps[n], r)
+            index_set = content_stabiliser(n, r)
+            assert calls == [n + len(index_set) + len(min_coset_reps(n, index_set))]
 
     def test_rank5_exhaustive(self, ep, phi):
         # every block of n = 5, the largest site count the Tier-1 run covers whole
@@ -179,8 +179,9 @@ class TestDecomposition:
         labels = content_labels(n)
         assert len(labels) == 21
         for r in labels:
-            assert eigen_residual(rep, r) < 1e-10
-            assert all(inclusive < 1e-10 for _, inclusive, _ in sign_residuals(rep, r))
+            eigen, signs = block_residuals(rep, r)
+            assert eigen < 1e-10
+            assert all(inclusive < 1e-10 for _, inclusive, _ in signs)
 
 
 class TestSpectrum:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkzconn import blocks, checks, connection, heckespin, qkz, tensorspace
+from qkzconn import blocks, checks, cli, connection, heckespin, qkz, tensorspace
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -188,7 +188,7 @@ SAMPLE_SEQUENCES = {
     "theta-symmetry": _annulus,
     "theta-quasiperiodicity": _annulus,
     "coeff-boundary": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(50)],
-    "c-ratio-inverse": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(20)],
+    "c-periodicity": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(20)],
     "dybe-psi": _sweep(checks.SAMPLES),
     "dybe-phi": _sweep(checks.SAMPLES),
     "dybe-xi": _sweep(checks.SAMPLES),
@@ -437,6 +437,64 @@ class TestWordPairChecksFail:
         # the transport pairs reduce per content group, with no operator built
         self.poison(monkeypatch)
         self.assert_nan_failures("qkz", ("qkz-flatness", "transport-cocycle", "braid-limit"))
+
+
+class TestBlockPass:
+    """The eigen and sign checks read one ``blocks.block_residuals`` pass per run."""
+
+    def test_one_column_images_call_per_block(self, monkeypatch):
+        real = heckespin.column_images
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(heckespin, "column_images", counted)
+        assert run_suite("decomposition", RunConfig()).exit_code == 0
+        assert len(calls) == sum(len(content_labels(n)) for n in (2, 3, 4)) == 31
+
+    @pytest.mark.parametrize(
+        "row, check_ids", [(1, ("eigen-equations",)), (-1, ("sign-map", "sign-exponent-variants"))]
+    )
+    def test_planted_nan_image_fails(self, monkeypatch, capsys, row, check_ids):
+        # one NaN image after the first in every block: row 1 is the image
+        # under Y_2, the last row that under the last T_w.  Plain max keeps a
+        # NaN only in first position
+        real = heckespin.column_images
+
+        def planted(*args):
+            out = real(*args)
+            out[row] = np.nan
+            return out
+
+        monkeypatch.setattr(heckespin, "column_images", planted)
+        report = run_suite("decomposition", RunConfig())
+        results = {r.check: r for r in report.results}
+        for check_id in check_ids:
+            result = results[check_id]
+            assert result.status == "ran" and result.passed is False, check_id
+            assert math.isnan(result.residual), check_id
+        assert report.exit_code == 1
+        # the export carries the NaN, which the strict encoder refuses
+        assert cli.main(["decompose", "--n", "3"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestCPeriodicity:
+    def test_scaled_c_fails(self, monkeypatch):
+        # c times (3.7 + 2.1i) e^{|x|}: the factor is even, so it cancels in
+        # the odd unit and in -c(x)/c(-x) times its reverse, but not in c(x + 1) = c(x)
+        real = checks.coefficients
+
+        def scaled(ep, a=((), ()), b=((), ()), u=(), c=()):
+            out_a, out_b, unit, out_c = real(ep, a, b, u, c)
+            return out_a, out_b, unit, out_c * (3.7 + 2.1j) * np.exp(np.abs(np.asarray(c, dtype=complex)))
+
+        monkeypatch.setattr(checks, "coefficients", scaled)
+        (result,) = [r for r in run_suite("elliptic", RunConfig(n=2)).results if r.check == "c-periodicity"]
+        assert result.status == "ran" and result.passed is False
+        assert result.residual > 0.05
 
 
 class TestTransportCocycle:

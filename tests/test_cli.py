@@ -1,5 +1,6 @@
 """Command-line surface: suites, exports, determinism and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -384,6 +385,11 @@ class TestEvaluationFailuresAreInconclusive:
         assert out == ""
         assert err.startswith("inconclusive: ValueError")
         assert not out_file.exists()
+
+
+def test_build_config_defaults_are_run_config_defaults():
+    # no flag and no config file: every value is RunConfig's own default
+    assert cli.build_config(argparse.Namespace()) == RunConfig()
 
 
 def fresh_process(*argv):

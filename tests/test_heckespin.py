@@ -432,7 +432,7 @@ class TestSpinImages:
         for r in content_labels(n):
             src = tensor_index(leading_index(r))
             block = layout.index[layout.group[src]][layout.block[src]]
-            images = spin_images(rep, words, src)
+            images = spin_images(rep, *heckespin._padded(words), src)
             assert images.shape == (len(words), block.size)
             for img, prod in zip(images, prods):
                 col = prod[:, src].copy()
