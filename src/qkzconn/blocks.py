@@ -11,9 +11,11 @@ T_w for minimal coset representatives w, up to an explicit sign.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .symgroup import (
     Content,
     Perm,
     act,
+    content,
     content_labels,
     content_stabiliser,
     eta_exponent,
@@ -40,6 +43,8 @@ __all__ = [
     "character_values",
     "content_block",
     "dimension_count",
+    "BlockBasis",
+    "block_bases",
     "block_residuals",
     "predicted_y_tilde_spectrum",
     "spectrum_match_residual",
@@ -128,26 +133,6 @@ def _block_gamma_raw(
     return tuple(gamma)
 
 
-def _block_gammas(
-    log_p: float, kappa: complex, phis: Sequence[Sequence[complex]], n: int, rs: Sequence[Content]
-) -> np.ndarray:
-    # _block_gamma_raw for every twist of phis and content of rs, as one
-    # (twists, contents, n) array: the same operations in the same order,
-    # so the same values bit for bit
-    r1, r2, r3 = np.array(rs).T[:, None, :, None]
-    phi = np.array(phis, dtype=complex).T[:, :, None, None]
-    i = np.arange(1, n + 1)
-    i_pi = 1j * math.pi / log_p
-    eta1 = -i_pi * r3 + (r1 + 1) * kappa
-    eta2 = -i_pi * r3 + (r2 + 1) * kappa
-    eta3 = -i_pi * (n - 1) - (r3 + 1) * kappa
-    return np.where(
-        i <= r3,
-        eta3 + phi[2] + 2 * i * kappa,
-        np.where(i <= r3 + r2, eta2 + phi[1] - 2 * (i - r3) * kappa, eta1 + phi[0] - 2 * (i - r2 - r3) * kappa),
-    )
-
-
 def content_block(
     ep: EllipticParams, n: int, r: Content, phi: Sequence[complex]
 ) -> PrincipalSeriesSpec:
@@ -167,31 +152,54 @@ def dimension_count(n: int) -> int:
     return sum(len(min_coset_reps(n, content_stabiliser(n, r))) for r in content_labels(n))
 
 
+class BlockBasis(NamedTuple):
+    """The basis map of one content block r: the minimal coset
+    representatives w in lexicographic order and, per w, the multi-index
+    w . leading_index(r), its place in the block (``block_layout(n).pos``)
+    and the sign (-1)^eta(w) under the inclusive and the strict count of
+    ``eta_exponent``, each sign a Python int."""
+
+    reps: tuple[Perm, ...]
+    images: tuple[tuple[int, ...], ...]
+    places: tuple[int, ...]
+    signs: tuple[int, ...]
+    strict_signs: tuple[int, ...]
+
+
 @functools.cache
-def _block_words(n: int, r: Content) -> tuple:
-    # what block_residuals reads of the block r, built once per (n, r): the
-    # padded (row, side) letters of the words Y_1 .. Y_n, T_i for i in I, and
-    # T_w along a reduced word of each minimal coset representative w; the
-    # leading index; and per w, its landing place in the block and its two
-    # signs (-1)^eta(w), inclusive and strict
-    index_set = content_stabiliser(n, r)
-    reps = min_coset_reps(n, index_set)
-    lead = leading_index(r)
+def block_bases(n: int) -> Mapping[Content, BlockBasis]:
+    """The basis map of every block of n sites, keyed by content in the
+    order of the blocks of ``block_layout(n)``; built once per n, read-only."""
+    layout = block_layout(n)
+    out = {}
+    for row in itertools.chain.from_iterable(layout.index):
+        r = content((layout.digits[row[0]] + 1).tolist())
+        reps = min_coset_reps(n, content_stabiliser(n, r))
+        images = tuple(act(w, leading_index(r)) for w in reps)
+        places = tuple(int(layout.pos[tensor_index(alpha)]) for alpha in images)
+        signs, strict = (tuple((-1) ** eta_exponent(w, r, inclusive=inc) for w in reps) for inc in (True, False))
+        out[r] = BlockBasis(reps, images, places, signs, strict)
+    return types.MappingProxyType(out)
+
+
+@functools.cache
+def _block_words(n: int, r: Content) -> np.ndarray:
+    # the padded (row, side) letters of the words block_residuals applies to
+    # the block r, built once per (n, r): Y_1 .. Y_n, T_i for i in I, and T_w
+    # along a reduced word of each minimal coset representative w
     words = [_family_letters(n, [int(k == j) for k in range(1, n + 1)]) for j in range(1, n + 1)]
-    words += [[_t(i)] for i in sorted(index_set)]
-    words += [[_t(i) for i in reduced_word(w)] for w in reps]
+    words += [[_t(i)] for i in sorted(content_stabiliser(n, r))]
+    words += [[_t(i) for i in reduced_word(w)] for w in block_bases(n)[r].reps]
     letters = _padded(words)
     letters.flags.writeable = False
-    pos = block_layout(n).pos
-    landing = tuple(pos[tensor_index(act(w, lead))] for w in reps)
-    signs = tuple(tuple((-1.0) ** eta_exponent(w, r, inclusive=inc) for inc in (True, False)) for w in reps)
-    return letters, tensor_index(lead), reps, landing, signs
+    return letters
 
 
 def block_residuals(rep: SpinRep, r: Content) -> tuple[float, list[tuple[Perm, float, float]]]:
     """The eigen and sign defects of the leading basis vector v of the block
     r, every image from one ``spin_images`` call on the words of
-    ``_block_words(n, r)``.
+    ``_block_words(n, r)``, each image of T_w checked against the basis map
+    ``block_bases(n)[r]``.
 
     The eigen defect is the worst of Y_j v = p^{-gamma_j} v over all j and
     T_i v = eps_i q^{eps_i} v over the block's index set, each relative to
@@ -203,14 +211,16 @@ def block_residuals(rep: SpinRep, r: Content) -> tuple[float, list[tuple[Perm, f
     """
     ep = rep.params.elliptic
     chars = character_values(ep, content_block(ep, rep.n, r, rep.phi))
-    (rows, sides), src, reps, landing, signs = _block_words(rep.n, r)
+    rows, sides = _block_words(rep.n, r)
+    basis = block_bases(rep.n)[r]
+    src = tensor_index(leading_index(r))
     lams = list(chars.y_values) + [lam for _, lam in chars.t_values]
     images = spin_images(rep, rows, sides, src)
     eigen_images, sign_images = images[: len(lams)], images[len(lams) :]
     eigen_images[:, block_layout(rep.n).pos[src]] -= lams
     eigen = float(np.max([float(np.linalg.norm(img)) / max(1.0, abs(lam)) for img, lam in zip(eigen_images, lams)]))
     out = []
-    for w, img, dst, variants in zip(reps, sign_images, landing, signs):
+    for w, img, dst, *variants in zip(basis.reps, sign_images, basis.places, basis.signs, basis.strict_signs):
         entry = img[dst]
         defects = []
         for sign in variants:

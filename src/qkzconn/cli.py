@@ -24,17 +24,7 @@ from .checks import SAMPLES, SUITES, Report, run_suite
 from .elliptic import EllipticError
 from .heckespin import HeckeParams, spin_rep
 from .params import RunConfig, sample_point
-from .symgroup import (
-    act,
-    content_labels,
-    content_stabiliser,
-    eta_exponent,
-    from_word,
-    identity_perm,
-    leading_index,
-    min_coset_reps,
-    reduced_word,
-)
+from .symgroup import content_labels, from_word, identity_perm, min_coset_reps, reduced_word
 
 
 def _parse_complex(text: str) -> complex:
@@ -232,9 +222,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     blocks_out = []
     for r in content_labels(n):
         spec = blk.content_block(ep, n, r, phi)
-        reps = min_coset_reps(n, content_stabiliser(n, r))
-        lead = leading_index(r)
-        basis_map = [(act(w, lead), w, (-1) ** eta_exponent(w, r)) for w in reps]
+        basis = blk.block_bases(n)[r]
         eigen, signs = blk.block_residuals(rep, r)
         blocks_out.append(
             {
@@ -242,7 +230,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "index_set": spec.index_set,
                 "signs": spec.signs,
                 "gamma": spec.gamma,
-                "basis_map": basis_map,
+                "basis_map": list(zip(basis.images, basis.reps, basis.signs)),
                 "eigen_residual": eigen,
                 "max_sign_residual": float(np.max([inclusive for _, inclusive, _ in signs])),
             }

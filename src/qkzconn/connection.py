@@ -14,32 +14,25 @@ Every one-letter matrix, on a block, in the tensor basis or on two sites
 multiplies on the one product engine ``tensorspace.column_products``.  The
 tensor-basis monodromy keeps content, and both of its independent routes
 return a ``tensorspace.BlockOp``: one takes its letters from the tensor
-basis, one content group at a time, the other reorders the block matrices
-with the signs of the basis map.
+basis, one content group at a time, the other scatters the block matrices
+into it with the places and signs of the basis map ``blocks.block_bases``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import PrincipalSeriesSpec, _block_gammas, content_block, validate_spec
+from .blocks import BlockBasis, PrincipalSeriesSpec, _block_gamma_raw, block_bases, content_block, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
-    Content,
     Perm,
-    act,
     compose,
     conjugation_index,
-    content,
-    content_stabiliser,
-    eta_exponent,
     inverse,
-    leading_index,
     min_coset_reps,
     rep_of_index,
     simple,
@@ -261,22 +254,6 @@ def connection_simple(
 
 
 @functools.cache
-def _layout_blocks(n: int) -> tuple[tuple[Content, np.ndarray, np.ndarray], ...]:
-    # per block of block_layout(n), in layout order: its content r, the coset
-    # basis in layout order (the argsort of the places of w_alpha . leading)
-    # and the outer product of the signs (-1)^eta(w_alpha) in that order
-    layout = block_layout(n)
-    out = []
-    for rows in itertools.chain.from_iterable(layout.index):
-        r = content((layout.digits[rows[0]] + 1).tolist())
-        basis = min_coset_reps(n, content_stabiliser(n, r))
-        order = np.argsort(layout.pos[[tensor_index(act(u, leading_index(r))) for u in basis]])
-        signs = np.array([(-1.0) ** eta_exponent(basis[u], r) for u in order])
-        out.append((r, order, np.outer(signs, signs)))
-    return tuple(out)
-
-
-@functools.cache
 def _tensor_table(n: int) -> tuple[_Letters, ...]:
     # the monodromy of s_i in the tensor basis, one table per group of
     # block_layout(n), row i for s_i; gi, gj index the spectral vector of the
@@ -322,9 +299,14 @@ def tensor_monodromy_words(
         lab, x = _word_plan([words[w][1:] for w in members])
         # each block's spectral vector, as content_block computes it, without
         # building and validating the rest of the block's spec, per word in
-        # layout order
-        rs = [r for r, _, _ in _layout_blocks(n)]
-        gamma = _block_gammas(ep.nome.log_p, ep.kappa, [words[w][0] for w in members], n, rs)
+        # layout order: one _block_gamma_raw call per distinct twist (told
+        # apart bit for bit, signed zeros included) and content
+        keys = [np.asarray(words[w][0], dtype=complex).tobytes() for w in members]
+        rows: dict[bytes, list] = {}
+        for key, w in zip(keys, members):
+            if key not in rows:
+                rows[key] = [_block_gamma_raw(ep.nome.log_p, ep.kappa, words[w][0], n, r) for r in block_bases(n)]
+        gamma = np.array([rows[key] for key in keys])
         start = 0
         for table, (k, d) in zip(_tensor_table(n), (idx.shape for idx in block_layout(n).index)):
             plans.append((table.take(lab), np.repeat(gamma[:, start : start + k], d, axis=1), x, d))
@@ -346,20 +328,33 @@ def tensor_monodromy_from_blocks_words(
     per (phi, letters, z) in ``words``.
 
     Entry (alpha, beta) within the block of content r is
-    (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}; across blocks it
+    (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}, with the places
+    and signs of the basis map ``block_bases(n)``; across blocks it
     vanishes.  Every block's word of every word comes from one
     ``connection_words`` call.
     """
-    per_word = [_layout_blocks(len(z)) for _, _, z in words]
+    per_word = [block_bases(len(z)) for _, _, z in words]
     block_words = [
-        (content_block(ep, len(z), r, phi), labels, z) for (phi, labels, z), lb in zip(words, per_word) for r, _, _ in lb
+        (content_block(ep, len(z), r, phi), labels, z)
+        for (phi, labels, z), bases in zip(words, per_word)
+        for r in bases
     ]
     mats = iter(connection_words(ep, block_words))
     out = []
-    for (_, _, z), lb in zip(words, per_word):
+    for (_, _, z), bases in zip(words, per_word):
         layout = block_layout(len(z))
-        blocks = (signs * next(mats)[np.ix_(order, order)] for _, order, signs in lb)
+        blocks = (_scatter(next(mats), basis) for basis in bases.values())
         out.append(BlockOp(layout, [np.stack([next(blocks) for _ in idx]) for idx in layout.index]))
+    return out
+
+
+def _scatter(m: np.ndarray, basis: BlockBasis) -> np.ndarray:
+    # the block matrix m on the coset basis moved to the tensor basis: entry
+    # (a, b) goes to the places of w_a . leading and w_b . leading, times
+    # both signs (-1)^eta
+    signs = np.array(basis.signs)
+    out = np.empty_like(m)
+    out[np.ix_(basis.places, basis.places)] = np.outer(signs, signs) * m
     return out
 
 

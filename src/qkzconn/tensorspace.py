@@ -9,7 +9,7 @@ The spin representation preserves the content of a multi-index (how many of
 its entries are 1, 2 and 3), so its operators are block-diagonal by content.
 ``BlockOp`` stores only those blocks: ``block_layout(n)`` groups the blocks
 of n sites by their dimension d, and a ``BlockOp`` holds one (k, d, d) stack
-per group.  Products and sums act stack by stack.
+per group.  Products and differences act stack by stack.
 
 Every letter the program multiplies has at most two nonzeros per column:
 a content-preserving two-leg operator sends e_(..ab..) into
@@ -371,9 +371,9 @@ class BlockOp:
 
     ``stacks[g]`` is the (k, d, d) stack of the blocks of group g of
     ``layout``; the entries between different contents are zero and are not
-    stored.  ``@``, ``+`` and ``-`` take another BlockOp on the same sites,
-    ``*`` and ``/`` a scalar.  ``shape`` is the logical (3^n, 3^n) and
-    ``nbytes`` what the stacks hold.
+    stored.  ``@`` and ``-`` take another BlockOp on the same sites, ``*`` a
+    scalar.  ``shape`` is the logical (3^n, 3^n) and ``nbytes`` what the
+    stacks hold.
     """
 
     __slots__ = ("layout", "stacks")
@@ -404,9 +404,6 @@ class BlockOp:
     def __matmul__(self, other: "BlockOp") -> "BlockOp":
         return self._pairwise(other, np.matmul)
 
-    def __add__(self, other: "BlockOp") -> "BlockOp":
-        return self._pairwise(other, np.add)
-
     def __sub__(self, other: "BlockOp") -> "BlockOp":
         return self._pairwise(other, np.subtract)
 
@@ -416,11 +413,6 @@ class BlockOp:
         return BlockOp(self.layout, (s * c for s in self.stacks))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c: complex) -> "BlockOp":
-        if not isinstance(c, numbers.Number):
-            return NotImplemented
-        return BlockOp(self.layout, (s / c for s in self.stacks))
 
     def eigvals(self) -> np.ndarray:
         """The eigenvalues of every block, concatenated."""

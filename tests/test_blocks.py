@@ -1,11 +1,12 @@
 """Block data, joint-eigenvector checks and the glued spectrum."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
-from qkzconn import blocks, heckespin
+from qkzconn import blocks, connection, heckespin
 from qkzconn.blocks import (
     PrincipalSeriesSpec,
     block_residuals,
@@ -19,7 +20,8 @@ from qkzconn.blocks import (
     validate_spec,
 )
 from qkzconn.elliptic import pow_p
-from qkzconn.symgroup import content_labels, content_stabiliser, min_coset_reps
+from qkzconn.symgroup import content, content_labels, content_stabiliser, eta_exponent, min_coset_reps, rep_of_index
+from qkzconn.tensorspace import block_layout, tensor_index
 
 
 def half_period(ep):
@@ -73,16 +75,65 @@ class TestBlockData:
 
     @pytest.mark.parametrize("kappa", [0.27, 0.3 - 0.05j, complex(0.27, 0.0), complex(0.0, -0.0)])
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
-    def test_batched_spectral_vectors_are_the_scalar_ones_bit_for_bit(self, rng, n, kappa):
-        # the array form used by tensor_monodromy_words against the loop that
-        # content_block uses, signed zeros of the twist included
+    def test_batched_spectral_vectors_are_the_scalar_ones_bit_for_bit(self, rng, n, kappa, monkeypatch):
+        # the spectral vectors tensor_monodromy_words batches, for repeated and
+        # distinct twists, against those content_block builds one at a time,
+        # signed zeros of the twist included: one _block_gamma_raw call per
+        # distinct twist and content
+        ep = types.SimpleNamespace(nome=types.SimpleNamespace(log_p=-1.05), kappa=kappa)
         phis = [tuple(complex(*rng.normal(size=2)) for _ in range(3)) for _ in range(3)]
-        phis.append((complex(-0.0, 0.0), complex(0.0, -0.0), 0j))
-        rs = content_labels(n)
-        got = blocks._block_gammas(-1.05, kappa, phis, n, rs)
-        want = np.array([[blocks._block_gamma_raw(-1.05, kappa, phi, n, r) for r in rs] for phi in phis])
+        phis += [(complex(-0.0, 0.0), complex(0.0, -0.0), 0j), (0j, 0j, 0j), phis[0], phis[2]]
+        calls, plans = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return blocks._block_gamma_raw(*args)
+
+        def captured(ep, group_plans, names):
+            plans.extend(group_plans)
+            raise StopIteration
+
+        monkeypatch.setattr(connection, "_block_gamma_raw", counted)
+        monkeypatch.setattr(connection, "_letter_products", captured)
+        with pytest.raises(StopIteration):
+            connection.tensor_monodromy_words(ep, [(phi, (1,), tuple(0.1j * k for k in range(n))) for phi in phis])
+        rs = list(blocks.block_bases(n))
+        assert len(calls) == 5 * len(rs)
+        got = np.concatenate([gamma.reshape(len(phis), -1, d, n)[:, :, 0] for _, gamma, _, d in plans], axis=1)
+        want = np.array([[content_block(ep, n, r, phi).gamma for r in rs] for phi in phis])
         assert got.shape == want.shape == (len(phis), len(rs), n)
         assert got.tobytes() == want.tobytes()
+        assert all((gamma == gamma[:, :: d].repeat(d, axis=1)).all() for _, gamma, _, d in plans)
+
+
+class TestBlockBases:
+    """``block_bases(n)`` against references built apart from it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_basis_map(self, n):
+        bases = blocks.block_bases(n)
+        layout = block_layout(n)
+        # one entry per block, in layout order
+        rows = [row for idx in layout.index for row in idx]
+        assert len(bases) == len(rows)
+        for (r, basis), row in zip(bases.items(), rows):
+            assert sorted(layout.digits[row[0]].tolist()) == sorted([0] * r[0] + [1] * r[1] + [2] * r[2])
+            assert basis.reps == tuple(sorted(basis.reps))
+            assert basis.reps == min_coset_reps(n, content_stabiliser(n, r))
+            assert len(basis.images) == len(basis.places) == len(basis.signs) == len(basis.strict_signs) == len(row)
+            for w, image, place, sign, strict in zip(*basis):
+                assert content(image) == r
+                assert rep_of_index(image) == w
+                assert place == layout.pos[tensor_index(image)]
+                assert sign == (-1) ** eta_exponent(w, r)
+                assert strict == (-1) ** eta_exponent(w, r, inclusive=False)
+                assert type(place) is int and type(sign) is int and type(strict) is int
+            assert sorted(basis.places) == list(range(len(row)))
+
+    def test_built_once_and_read_only(self):
+        assert blocks.block_bases(3) is blocks.block_bases(3)
+        with pytest.raises(TypeError):
+            blocks.block_bases(3)[(3, 0, 0)] = None
 
 
 class TestCharacter:

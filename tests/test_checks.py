@@ -341,7 +341,7 @@ class TestStackedProducts:
             assert all(np.array_equal(a, b) for a, b in zip(got.stacks, one.stacks))
             _, labels, z = word
             n = len(z)
-            rows = [blocks.content_block(ep, n, r, phi).gamma for r, _, _ in connection._layout_blocks(n)]
+            rows = [blocks.content_block(ep, n, r, phi).gamma for r in blocks.block_bases(n)]
             start = 0
             for table, stack in zip(connection._tensor_table(n), got.stacks):
                 # the group's k blocks of dimension d as one block-diagonal k*d x k*d matrix
@@ -520,6 +520,23 @@ class TestTransportCocycle:
             probe = tuple(complex(10 * (k + 1), k) for k in range(lhs.n))
             assert lhs.letters != rhs.letters
             assert lhs.point_action(probe) == rhs.point_action(probe)
+
+
+class TestConnectionBraid:
+    def test_two_words_per_draw(self, monkeypatch):
+        # s1 s2 s1 against s2 s1 s2; the reduced word of w121 is s1 s2 s1 itself
+        real = connection.connection_words
+        sizes = []
+
+        def recording(ep, words):
+            sizes.append(len(words))
+            return real(ep, words)
+
+        monkeypatch.setattr(connection, "connection_words", recording)
+        (check,) = [c for c in checks._REGISTRY if c.check_id == "connection-braid"]
+        result = checks._run_check(checks.VerifyContext(RunConfig(n=3)), check)
+        assert result.status == "ran" and result.passed
+        assert sizes == [2 * result.detail["draws"]] == [2 * 10 * 10]
 
 
 class TestMonodromyRoutes:
