@@ -16,8 +16,6 @@ from .connection import (
     PHI_FAMILY,
     PSI_FAMILY,
     XI_FAMILY,
-    ConnectionMatrix,
-    connection_simple,
     connection_words,
     dybe_residual,
     dyn_r_matrix,

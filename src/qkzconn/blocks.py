@@ -255,18 +255,20 @@ def predicted_y_tilde_spectrum(
 
 
 def greedy_match_distance(predicted: Sequence[complex], observed: Sequence[complex]) -> float:
-    """Largest distance after greedily pairing each predicted value to the nearest
-    unused observed value."""
+    """Largest distance after greedily pairing each predicted value, in order, to
+    the nearest unused observed value (the first of equal ones); NaN if any
+    paired distance is NaN."""
     if len(predicted) != len(observed):
         raise ValueError("multisets must have equal size")
-    remaining = list(observed)
-    worst = 0.0
-    for val in predicted:
-        dists = [abs(val - o) for o in remaining]
-        k = int(np.argmin(dists))
-        worst = max(worst, dists[k])
-        remaining.pop(k)
-    return worst
+    diff = np.subtract.outer(np.asarray(predicted, dtype=complex), np.asarray(observed, dtype=complex))
+    # hypot rounds as the scalar abs does; the array abs of numpy may not
+    dist = np.hypot(diff.real, diff.imag)
+    matched = np.empty(len(dist))
+    for i, row in enumerate(dist):
+        k = np.argmin(row)
+        matched[i] = row[k]
+        dist[:, k] = np.inf  # used
+    return float(matched.max(initial=0.0))
 
 
 def spectrum_match_residual(rep: SpinRep, j: int) -> float:

@@ -21,7 +21,6 @@ into it with the places and signs of the basis map ``blocks.block_bases``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .blocks import BlockBasis, PrincipalSeriesSpec, _block_gamma_raw, block_bases, content_block, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
-    Perm,
     compose,
     conjugation_index,
     inverse,
@@ -51,12 +49,10 @@ from .tensorspace import (
 )
 
 __all__ = [
-    "ConnectionMatrix",
     "PSI_FAMILY",
     "PHI_FAMILY",
     "XI_FAMILY",
     "dual_position",
-    "connection_simple",
     "connection_words",
     "tensor_monodromy_words",
     "tensor_monodromy_from_blocks_words",
@@ -72,22 +68,6 @@ def dual_position(n: int, i: int) -> int:
     if not 1 <= i < n:
         raise ValueError(f"label {i} out of range for n={n}")
     return n - i
-
-
-@dataclass
-class ConnectionMatrix:
-    """Matrix of the monodromy operator of a word w on a principal-series block.
-
-    Rows and columns are indexed by ``basis``, the minimal coset
-    representatives in lexicographic one-line order; ``entries[a, b]`` is the
-    coefficient of basis[a] in the image of basis[b].
-    """
-
-    spec: PrincipalSeriesSpec
-    word: Perm
-    z: tuple[complex, ...]
-    basis: tuple[Perm, ...]
-    entries: np.ndarray
 
 
 # the kinds of a letter's column: fixed with the value 1, fixed with the odd
@@ -238,15 +218,6 @@ def connection_words(
         for w, mat in zip(members, mats):
             out[w] = mat[0]
     return out
-
-
-def connection_simple(
-    ep: EllipticParams, spec: PrincipalSeriesSpec, i: int, z: Sequence[complex]
-) -> ConnectionMatrix:
-    """One-letter connection matrix for the simple reflection s_i."""
-    (entries,) = connection_words(ep, [(spec, (i,), z)])
-    basis = min_coset_reps(spec.n, spec.index_set)
-    return ConnectionMatrix(spec=spec, word=simple(spec.n, i), z=tuple(map(complex, z)), basis=basis, entries=entries)
 
 
 # ---------------------------------------------------------------------------

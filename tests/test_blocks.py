@@ -251,6 +251,48 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             greedy_match_distance([1.0], [1.0, 2.0])
 
+    @staticmethod
+    def loop_distance(predicted, observed):
+        # the reference: the Python loop the vectorised form replaced, with
+        # its max(worst, d) (which drops a NaN) kept apart as the matched list
+        remaining = list(observed)
+        matched = []
+        for val in predicted:
+            dists = [abs(val - o) for o in remaining]
+            k = int(np.argmin(dists))
+            matched.append(dists[k])
+            remaining.pop(k)
+        return matched
+
+    @pytest.mark.parametrize("size", [9, 27, 81, 243])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_greedy_match_equals_the_loop(self, size, ties):
+        rng = np.random.default_rng(size)
+        for _ in range(10):
+            predicted = [complex(v) for v in rng.normal(size=size) + 1j * rng.normal(size=size)]
+            observed = np.array(predicted)[rng.permutation(size)] + 1e-9 * rng.normal(size=size)
+            if ties:
+                # rounding leaves equal values and equal distances to choose among
+                predicted = [complex(round(v.real, 1), round(v.imag, 1)) for v in predicted]
+                observed = np.round(observed, 1)
+            want = max(self.loop_distance(predicted, list(observed)))
+            assert greedy_match_distance(predicted, list(observed)) == want
+
+    def test_greedy_match_equals_the_loop_on_spectra(self, ep, phi, reps):
+        for n in (2, 3, 4):
+            for j in range(1, n + 1):
+                lam = tuple(int(k == j) for k in range(1, n + 1))
+                observed = list(heckespin.y_tilde(reps[n], lam).eigvals())
+                predicted = predicted_y_tilde_spectrum(ep, n, phi, j)
+                assert greedy_match_distance(predicted, observed) == max(self.loop_distance(predicted, observed))
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_greedy_match_keeps_a_nan(self, place):
+        predicted = [1.0, 2.0, 3.0]
+        predicted[place] = math.nan
+        assert 0.0 in self.loop_distance(predicted, [1.0, 2.0, 3.0])
+        assert math.isnan(greedy_match_distance(predicted, [1.0, 2.0, 3.0]))
+
 
 class TestGenericity:
     def test_default_parameters_clean(self, phi):

@@ -218,9 +218,12 @@ class TestSampleStreams:
     @pytest.mark.parametrize("check_id", sorted(SAMPLE_SEQUENCES))
     def test_batched_body_consumes_the_one_by_one_stream(self, check_id):
         ctx = VerifyContext(RunConfig(n=4))
-        (body,) = [c.fn for c in checks._REGISTRY if c.check_id == check_id]
+        (c,) = [c for c in checks._REGISTRY if c.check_id == check_id]
         rng = ctx.rng(check_id)
-        body(ctx, rng)
+        # through the runner, which drains the residuals: a generator body
+        # draws nothing until they are consumed
+        ctx.rng = lambda _: rng
+        assert checks._run_check(ctx, c).status == "ran"
         replay = ctx.rng(check_id)
         SAMPLE_SEQUENCES[check_id](ctx, replay)
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -377,6 +380,31 @@ class TestOneEmbedding:
 WORD_PAIR_CHECKS = ("braid-relations", "affine-relations", "y-commutation", "cross-relations", "ytilde-commutation")
 
 
+class TestEveryRunEvaluates:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_check_that_runs_evaluates_a_residual(self, monkeypatch, n):
+        # a check whose loops are empty at n must be registered with a higher
+        # min_n: it would read NaN and fail
+        counts = {}
+
+        def counted(c):
+            def fn(ctx, rng):
+                out = c.fn(ctx, rng)
+                verdict = out if isinstance(out, checks.Verdict) else checks.Verdict(out)
+                residuals = list(verdict.residuals)
+                counts[c.check_id] = len(residuals)
+                return verdict._replace(residuals=residuals)
+
+            return c._replace(fn=fn)
+
+        monkeypatch.setattr(checks, "_REGISTRY", [counted(c) for c in checks._REGISTRY])
+        report = run_suite("all", RunConfig(n=n))
+        ran = [r.check for r in report.results if r.status == "ran"]
+        assert ran and all(counts[check_id] > 0 for check_id in ran)
+        assert report.exit_code == 0
+        assert ("braid-relations" in ran) == (n >= 3)
+
+
 class TestGeneratorOperatorsOffThePath:
     """No check and no transport multiplies the generator operators of
     ``SpinRep``: they are built only for the tests' references and the
@@ -432,6 +460,15 @@ class TestWordPairChecksFail:
     def test_planted_nan_fails_every_word_pair_check(self, monkeypatch):
         self.poison(monkeypatch)
         self.assert_nan_failures("hecke", WORD_PAIR_CHECKS)
+
+    def test_planted_nan_in_the_middle_fails_braid_relations(self, monkeypatch):
+        # plain max keeps a NaN only in first position
+        monkeypatch.setattr(heckespin, "word_pair_residuals", lambda rep, pairs: [1e-16, math.nan, 1e-16])
+        report = run_suite("hecke", RunConfig())
+        (result,) = [r for r in report.results if r.check == "braid-relations"]
+        assert result.status == "ran" and result.passed is False
+        assert math.isnan(result.residual)
+        assert report.exit_code == 1
 
     def test_planted_nan_fails_every_transport_pair_check(self, monkeypatch):
         # the transport pairs reduce per content group, with no operator built
@@ -591,16 +628,74 @@ class TestVerdictRule:
             ("some-law", 1e-3, "ran", False),
             ("some-negative-control", 1e-12, "ran", False),
             ("some-negative-control", 1.0, "ran", True),
-            ("some-law", checks.Verdict(1e-12, {"k": 1}, holds=False), "ran", False),
+            ("some-law", checks.Verdict([1e-12], {"k": 1}, holds=False), "ran", False),
         ],
     )
     def test_outcome(self, check_id, out, status, passed):
-        c = checks._Check(check_id, "hecke", "law", 1e-9, 2, lambda ctx, rng: out)
+        # a number r stands for the body's one residual, [r]
+        residuals = out if isinstance(out, checks.Verdict) else [out]
+        c = checks._Check(check_id, "hecke", "law", 1e-9, 2, lambda ctx, rng: residuals)
         result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
         assert (result.status, result.passed, result.tol) == (status, passed, 1e-9)
 
+    #: the forms a body may return its residuals in
+    FORMS = {
+        "list": list,
+        "array": np.array,
+        "generator": lambda values: (v for v in values),
+        "verdict": lambda values: checks.Verdict(values, {"k": 1}),
+    }
+
+    @classmethod
+    def run(cls, check_id, form, values):
+        c = checks._Check(check_id, "hecke", "law", 1e-9, 2, lambda ctx, rng: cls.FORMS[form](values))
+        return checks._run_check(VerifyContext(RunConfig(n=2)), c)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize(
+        "check_id, values, passed",
+        [
+            ("some-law", [1e-12, 1e-10, 1e-11], True),
+            ("some-law", [1e-12, 1e-3, 1e-11], False),
+            ("some-negative-control", [1e-12, 1.0, 1e-11], True),
+            ("some-negative-control", [1e-12, 1e-10, 1e-11], False),
+        ],
+    )
+    def test_the_runner_takes_the_largest_residual(self, form, check_id, values, passed):
+        result = self.run(check_id, form, values)
+        assert (result.status, result.passed, result.residual) == ("ran", passed, max(values))
+        assert result.detail == ({"k": 1} if form == "verdict" else {})
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("check_id, value", [("some-law", 1e-12), ("some-negative-control", 1.0)])
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_residual_anywhere_fails(self, form, check_id, value, place, bad):
+        values = [value] * 3
+        values[place] = bad
+        result = self.run(check_id, form, values)
+        assert result.status == "ran" and result.passed is False
+        assert math.isnan(result.residual)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("check_id", ["some-law", "some-negative-control"])
+    def test_no_residual_fails(self, form, check_id):
+        result = self.run(check_id, form, [])
+        assert result.status == "ran" and result.passed is False
+        assert math.isnan(result.residual)
+
+    def test_an_error_while_consuming_is_inconclusive(self):
+        def body(ctx, rng):
+            yield 1e-12
+            raise PoleError("synthetic")
+
+        c = checks._Check("lazy", "hecke", "law", 1e-9, 2, body)
+        result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
+        assert result.status == "inconclusive" and result.passed is False
+        assert "PoleError" in result.detail["error"]
+
     def test_skip_below_min_n(self):
-        c = checks._Check("needs-three", "hecke", "law", None, 3, lambda ctx, rng: 0.0)
+        c = checks._Check("needs-three", "hecke", "law", None, 3, lambda ctx, rng: [0.0])
         result = checks._run_check(VerifyContext(RunConfig(n=2)), c)
         assert (result.status, result.passed, result.detail) == ("skipped", True, {"reason": "needs n >= 3"})
 

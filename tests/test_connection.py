@@ -11,7 +11,6 @@ from qkzconn.connection import (
     PHI_FAMILY,
     PSI_FAMILY,
     XI_FAMILY,
-    connection_simple,
     connection_words,
     dual_position,
     dybe_residual,
@@ -24,7 +23,16 @@ from qkzconn.connection import (
 from qkzconn import connection, elliptic
 from qkzconn.elliptic import POLE_TOL, PoleError, coeff_a, coeff_b, c_func
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
-from qkzconn.symgroup import act, compose, content_labels, identity_perm, inverse, reduced_word, simple
+from qkzconn.symgroup import (
+    act,
+    compose,
+    content_labels,
+    identity_perm,
+    inverse,
+    min_coset_reps,
+    reduced_word,
+    simple,
+)
 from qkzconn.tensorspace import (
     WEIGHTS,
     BlockOp,
@@ -69,9 +77,9 @@ class TestConnectionSimple:
     def test_full_parabolic_is_scalar_one(self, ep, phi):
         n = 3
         spec = content_block(ep, n, (n, 0, 0), phi)  # all signs +
-        cm = connection_simple(ep, spec, 1, (0.3 + 0.1j, 0.1, -0.2 + 0.05j))
-        assert cm.entries.shape == (1, 1)
-        assert cm.entries[0, 0] == pytest.approx(1.0)
+        m = connection_words(ep, [(spec, (1,), (0.3 + 0.1j, 0.1, -0.2 + 0.05j))])[0]
+        assert m.shape == (1, 1)
+        assert m[0, 0] == pytest.approx(1.0)
 
     def test_rank2_empty_index_pattern(self, ep, rng):
         gamma = (0.31 + 0.12j, -0.17 + 0.21j)
@@ -79,21 +87,21 @@ class TestConnectionSimple:
         z = band_z(rng, 2)
         x = z[0] - z[1]
         y = gamma[0] - gamma[1]
-        cm = connection_simple(ep, spec, 1, z)
-        assert cm.basis == ((1, 2), (2, 1))
+        m = connection_words(ep, [(spec, (1,), z)])[0]
+        assert min_coset_reps(2, spec.index_set) == ((1, 2), (2, 1))
         want = np.array(
             [
                 [coeff_a(ep, y, x), coeff_b(ep, -y, x)],
                 [coeff_b(ep, y, x), coeff_a(ep, -y, x)],
             ]
         )
-        assert np.allclose(cm.entries, want, atol=1e-13)
+        assert np.allclose(m, want, atol=1e-13)
 
     def test_pole_names_the_letter(self, ep, rng):
         # gamma difference y = 1 puts theta(p^1) = 0 in the A-denominator
         spec = PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(0.5, -0.5))
         with pytest.raises(PoleError) as err:
-            connection_simple(ep, spec, 1, band_z(rng, 2))
+            connection_words(ep, [(spec, (1,), band_z(rng, 2))])
         assert "s_1" in str(err.value)
         assert err.value.factor == "p^y"
         assert err.value.magnitude < POLE_TOL
@@ -104,22 +112,22 @@ class TestConnectionSimple:
                 spec = content_block(ep, n, r, phi)
                 for i in range(1, n):
                     z = band_z(rng, n)
-                    m1 = connection_simple(ep, spec, i, z).entries
-                    m2 = connection_simple(ep, spec, i, act(simple(n, i), z)).entries
+                    m1 = connection_words(ep, [(spec, (i,), z)])[0]
+                    m2 = connection_words(ep, [(spec, (i,), act(simple(n, i), z))])[0]
                     assert rel_residual(m1 @ m2, np.eye(m1.shape[0])) < 1e-9
 
     def test_off_diagonal_sparsity(self, ep, phi, rng):
         n, r = 3, (1, 1, 1)
         spec = content_block(ep, n, r, phi)
-        cm = connection_simple(ep, spec, 1, band_z(rng, n))
+        m = connection_words(ep, [(spec, (1,), band_z(rng, n))])[0]
         ni = dual_position(n, 1)
-        pos = {w: k for k, w in enumerate(cm.basis)}
-        for a, wa in enumerate(cm.basis):
-            for b, wb in enumerate(cm.basis):
+        basis = min_coset_reps(n, spec.index_set)
+        for a, wa in enumerate(basis):
+            for b, wb in enumerate(basis):
                 if a == b:
                     continue
                 if wa != compose(simple(n, ni), wb):
-                    assert cm.entries[a, b] == 0.0
+                    assert m[a, b] == 0.0
 
 
 class TestConnectionWord:
@@ -133,16 +141,12 @@ class TestConnectionWord:
         for r in content_labels(n):
             spec = content_block(ep, n, r, phi)
             z = band_z(rng, n)
-            lhs = connection_simple(ep, spec, 1, z).entries
-            lhs = lhs @ connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries
-            lhs = lhs @ connection_simple(
-                ep, spec, 1, act(compose(simple(n, 2), simple(n, 1)), z)
-            ).entries
-            rhs = connection_simple(ep, spec, 2, z).entries
-            rhs = rhs @ connection_simple(ep, spec, 1, act(simple(n, 2), z)).entries
-            rhs = rhs @ connection_simple(
-                ep, spec, 2, act(compose(simple(n, 1), simple(n, 2)), z)
-            ).entries
+            lhs = connection_words(ep, [(spec, (1,), z)])[0]
+            lhs = lhs @ connection_words(ep, [(spec, (2,), act(simple(n, 1), z))])[0]
+            lhs = lhs @ connection_words(ep, [(spec, (1,), act(compose(simple(n, 2), simple(n, 1)), z))])[0]
+            rhs = connection_words(ep, [(spec, (2,), z)])[0]
+            rhs = rhs @ connection_words(ep, [(spec, (1,), act(simple(n, 2), z))])[0]
+            rhs = rhs @ connection_words(ep, [(spec, (2,), act(compose(simple(n, 1), simple(n, 2)), z))])[0]
             assert rel_residual(lhs, rhs) < 1e-9
             # both reduced words of the longest element give the same matrix
             w0 = (3, 2, 1)
@@ -168,10 +172,10 @@ class TestConnectionWord:
         for r in content_labels(n):
             spec = content_block(ep, n, r, phi)
             z = band_z(rng, n)
-            want = np.eye(len(connection_simple(ep, spec, 1, z).basis), dtype=complex)
+            want = np.eye(len(min_coset_reps(n, spec.index_set)), dtype=complex)
             zcur = z
             for i in reduced_word(w0):
-                want = want @ connection_simple(ep, spec, i, zcur).entries
+                want = want @ connection_words(ep, [(spec, (i,), zcur)])[0]
                 zcur = act(simple(n, i), zcur)
             assert rel_residual(word_product(ep, spec, w0, z), want) < 1e-13
 
@@ -182,7 +186,7 @@ class TestConnectionWord:
         words = [(spec, (1, 2, 1), z), (spec, (2,), act(simple(n, 1), z)), (spec, (), z)]
         got = connection_words(ep, words)
         assert rel_residual(got[0], word_product(ep, spec, (3, 2, 1), z)) < 1e-13
-        assert rel_residual(got[1], connection_simple(ep, spec, 2, act(simple(n, 1), z)).entries) < 1e-13
+        assert rel_residual(got[1], connection_words(ep, [(spec, (2,), act(simple(n, 1), z))])[0]) < 1e-13
         assert np.array_equal(got[2], np.eye(6))
 
     @pytest.mark.parametrize("labels", [(0,), (3,), (-1,), (1, 0, 2)])
@@ -557,7 +561,7 @@ class TestGl2Fixture:
             x = sample_scalar(rng, ep.nome)
             y = sample_dynamical(rng)
             spec = PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(y / 2, -y / 2))
-            cm = connection_simple(ep, spec, 1, (x, 0.0)).entries
+            cm = connection_words(ep, [(spec, (1,), (x, 0.0))])[0]
             m = even(dyn_r_matrix(ep, x, fixture_phi(y)))
             block = np.array([[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
             assert rel_residual(cm, block) < 1e-9
