@@ -260,14 +260,16 @@ def greedy_match_distance(predicted: Sequence[complex], observed: Sequence[compl
     paired distance is NaN."""
     if len(predicted) != len(observed):
         raise ValueError("multisets must have equal size")
-    diff = np.subtract.outer(np.asarray(predicted, dtype=complex), np.asarray(observed, dtype=complex))
-    # hypot rounds as the scalar abs does; the array abs of numpy may not
-    dist = np.hypot(diff.real, diff.imag)
-    matched = np.empty(len(dist))
-    for i, row in enumerate(dist):
+    obs = np.asarray(observed, dtype=complex)
+    used = np.zeros(len(obs), dtype=bool)
+    matched = np.empty(len(obs))
+    for i, z in enumerate(np.asarray(predicted, dtype=complex)):
+        # hypot rounds as the scalar abs does; the array abs of numpy may not
+        row = np.hypot(z.real - obs.real, z.imag - obs.imag)
+        row[used] = np.inf
         k = np.argmin(row)
         matched[i] = row[k]
-        dist[:, k] = np.inf  # used
+        used[k] = True
     return float(matched.max(initial=0.0))
 
 
