@@ -713,7 +713,7 @@ def _dynamical_translation(ctx: VerifyContext, rng):
 @register("translation-words", "qkz", "translation words act as unit shifts on points", 0.5)
 def _translation_words(ctx: VerifyContext, rng):
     bad = []
-    for n in ctx.site_counts(2, 5):
+    for n in ctx.site_counts(2, ctx.cfg.n):
         for j in range(1, n + 1):
             if qkz.translation_defect(qkz.translation_word(n, j), j) != 0.0:
                 bad.append((n, j))

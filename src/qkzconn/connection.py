@@ -371,11 +371,12 @@ def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dynamical shifts
 #
-# One rule builds every shifted R-matrix: for the control value j and the
-# scalar a, phi is shifted by s_j = -a * weights[j-1] + offsets[j-1] * h with
-# the half period h = -i pi / log p.  A family is its offset triple.  s_j is
-# built first and then added to phi, because (phi + a) - h and phi + (a - h)
-# can differ in the last bit.
+# One rule builds every shifted R-matrix, in one builder (``_shifted_r``):
+# for the control value j and the scalar a, phi is shifted by
+# s_j = -a * weights[j-1] + offsets[j-1] * h with the half period
+# h = -i pi / log p.  A family is its offset triple.  s_j is built first and
+# then added to phi, because (phi + a) - h and phi + (a - h) can differ in
+# the last bit.
 
 #: back-shifted family: the even control values also move phi_3 by h
 PSI_FAMILY = ((0, 0, 1), (0, 0, 1), (0, 0, 0))
@@ -385,18 +386,22 @@ PHI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, -1))
 XI_FAMILY = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
-def _shifted_phis(
+def _shifted_r(
     ep: EllipticParams,
     phi,
-    offsets: Sequence[Sequence[int]],
-    a: complex,
+    factors: Sequence[tuple],
+    family: Sequence[Sequence[int]],
     weights: Sequence[Sequence[float]],
 ) -> np.ndarray:
-    # row j-1 is phi + s_j for the control value j; phi of shape S + (3,)
-    # gives S + (3, 3)
+    # R(argument; phi + s_j) for every (argument, a) factor and control value
+    # j, from one dyn_r_matrix batch: arguments of shape S and phi of shape
+    # S + (3,) give S + (factors, len(weights), 9, 9)
     h = -1j * np.pi / ep.nome.log_p
-    shifts = np.array([[-a * wk + ok * h for wk, ok in zip(w, off)] for w, off in zip(weights, offsets)])
-    return np.asarray(phi, dtype=complex)[..., None, :] + shifts
+    args = np.stack(np.broadcast_arrays(*(arg for arg, _ in factors)), axis=-1)
+    shifts = np.array(
+        [[[-a * wk + ok * h for wk, ok in zip(w, off)] for w, off in zip(weights, family)] for _, a in factors]
+    )
+    return dyn_r_matrix(ep, args[..., None], np.asarray(phi, dtype=complex)[..., None, None, :] + shifts)
 
 
 def shifted_r_apply(
@@ -420,7 +425,7 @@ def shifted_r_apply(
     ``column_products``.
     """
     x = np.asarray(x, dtype=complex)
-    ops = dyn_r_matrix(ep, x[..., None], _shifted_phis(ep, phi, family, a, WEIGHTS)).reshape(-1, len(WEIGHTS), 9, 9)
+    ops = _shifted_r(ep, phi, [(x, a)], family, WEIGHTS).reshape(-1, len(WEIGHTS), 9, 9)
     layout = block_layout(n)
     stacks = []
     for (perm, entries), idx in zip(two_leg_columns(ops, n, leg, leg + 1, control), layout.index):
@@ -456,26 +461,12 @@ def dybe_residual(
     (gl(2)) equation on (C^2)^(x 3).
     """
     k = ep.kappa
-    d = len(weights)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    # the 6d R-matrices of a draw in the order (a, argument, control value)
-    args = np.broadcast_to(np.stack([x, y, x + y], axis=-1)[..., None, :, None], x.shape + (2, 3, d))
-    phis = np.stack([_shifted_phis(ep, phi, family, a, weights) for a in (-k, k)], axis=-3)
-    phis = np.broadcast_to(phis[..., None, :, :], x.shape + (2, 3, d, 3))
-    r = dyn_r_matrix(ep, args.reshape(x.shape + (6 * d,)), phis.reshape(x.shape + (6 * d, 3)))
-    r = r.reshape(x.shape + (2, 3, d, 9, 9))
-
-    def letter(f, m):
-        # R12 controlled by leg 3 (f = 0) or R23 by leg 1 (f = 1) at x, y or
-        # x + y (m = 0, 1, 2)
-        return (r[..., f, m, :, :, :], *((1, 2, 3), (2, 3, 1))[f])
-
-    # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x)
-    lhs = [letter(0, 0), letter(1, 2), letter(0, 1)]
-    return word_residuals(3, lhs, [letter(1, 1), letter(0, 2), letter(1, 0)], sites=d)
-
-
-_FELDER_CONTROLS = {(2, 3): 1, (1, 3): 2, (1, 2): 3}
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    # R12(x) R23(x+y) R12(y) and R23(y) R12(x+y) R23(x): R12 controlled by
+    # leg 3 with a = -k, R23 by leg 1 with a = k
+    r = _shifted_r(ep, phi, [(x, -k), (x + y, k), (y, -k), (y, k), (x + y, -k), (x, k)], family, weights)
+    letters = [(r[..., f, :, :, :], *((1, 2, 3), (2, 3, 1))[f % 2]) for f in range(6)]
+    return word_residuals(3, letters[:3], letters[3:], sites=len(weights))
 
 
 def felder_residual(
@@ -498,17 +489,12 @@ def felder_residual(
     Passing perturbed ``weights`` gives a negative control.
     """
     k = ep.kappa
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    # (legs, argument, beta) of the left-hand factors, then the right-hand ones
-    factors = [
-        ((2, 3), x, k), ((1, 3), x + y, -k), ((1, 2), y, k),
-        ((1, 2), y, -k), ((1, 3), x + y, k), ((2, 3), x, -k),
-    ]
-    # the 18 R-matrices of a draw in the order (factor, control value)
-    args = np.broadcast_to(np.stack([arg for _, arg, _ in factors], axis=-1)[..., None], x.shape + (6, 3))
-    phis = np.stack([_shifted_phis(ep, phi, XI_FAMILY, -beta, weights) for _, _, beta in factors], axis=-3)
-    phis = np.broadcast_to(phis, x.shape + (6, 3, 3))
-    r = dyn_r_matrix(ep, args.reshape(x.shape + (18,)), phis.reshape(x.shape + (18, 3)))
-    rc = permutation_op() @ r.reshape(x.shape + (6, 3, 9, 9))
-    letters = [(rc[..., f, :, :, :], *legs, _FELDER_CONTROLS[legs]) for f, (legs, _, _) in enumerate(factors)]
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    # the left-hand factors, then the right-hand ones, with a = -beta; a
+    # factor on the legs (i, j) is controlled by the third leg 6 - i - j
+    legs = [(2, 3), (1, 3), (1, 2), (1, 2), (1, 3), (2, 3)]
+    rc = permutation_op() @ _shifted_r(
+        ep, phi, [(x, -k), (x + y, k), (y, -k), (y, k), (x + y, -k), (x, k)], XI_FAMILY, weights
+    )
+    letters = [(rc[..., f, :, :, :], i, j, 6 - i - j) for f, (i, j) in enumerate(legs)]
     return word_residuals(3, letters[:3], letters[3:])

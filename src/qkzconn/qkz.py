@@ -124,9 +124,11 @@ def affine_word(n: int, letters: Sequence[Letter]) -> AffineWord:
 
 @functools.cache
 def translation_word(n: int, j: int) -> AffineWord:
-    """A word realising the translation by e_j, verified by its affine action.
+    """A word realising the translation by e_j.
 
-    Cached per (n, j); an ``AffineWord`` is immutable.
+    Cached per (n, j); an ``AffineWord`` is immutable.  The check
+    ``translation-words`` verifies the spelling by its affine action
+    (``translation_defect``).
 
     tau(e_j) = s_{j-1} ... s_1 xi s_{n-1} ... s_j: the s-letters on the right
     move z_j to the last place, xi shifts it by one into the first place, and
@@ -138,11 +140,7 @@ def translation_word(n: int, j: int) -> AffineWord:
         raise ValueError(f"index {j} out of range for n={n}")
     left = [s_letter(i) for i in range(j - 1, 0, -1)]
     right = [s_letter(i) for i in range(n - 1, j - 1, -1)]
-    word = affine_word(n, left + [XI] + right)
-    defect = translation_defect(word, j)
-    if defect != 0.0:
-        raise ValueError(f"translation word for e_{j} misses the unit shift by {defect}")
-    return word
+    return affine_word(n, left + [XI] + right)
 
 
 def translation_defect(word: AffineWord, j: int) -> float:

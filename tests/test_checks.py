@@ -458,6 +458,26 @@ class TestWordPairChecksFail:
         self.assert_nan_failures("qkz", ("qkz-flatness", "transport-cocycle", "braid-limit"))
 
 
+class TestOneShiftedBuilder:
+    """Every control-shifted R-matrix of the battery comes from
+    ``connection._shifted_r``."""
+
+    def test_sign_error_in_the_builder_fails_every_shifted_check(self, monkeypatch):
+        # -a in place of a: every shifted equation breaks, and the negated
+        # weights of dybe-negative-control then restore the braid form
+        real = connection._shifted_r
+
+        def flipped(ep, phi, factors, family, weights):
+            return real(ep, phi, [(arg, -a) for arg, a in factors], family, weights)
+
+        monkeypatch.setattr(connection, "_shifted_r", flipped)
+        report = run_suite("all", RunConfig())
+        failed = {r.check for r in report.failed}
+        shifted = {"dybe-psi", "dybe-phi", "dybe-xi", "felder-form", "gl2-fixture", "rank3-shifted"}
+        assert shifted | {"dybe-negative-control"} <= failed
+        assert report.exit_code == 1
+
+
 class TestBlockPass:
     """The eigen and sign checks read one ``blocks.block_residuals`` pass per run."""
 
@@ -738,6 +758,21 @@ class TestChecksWithoutAssert:
         (result,) = [r for r in report.results if r.check == "translation-words"]
         assert result.passed is False
         assert result.detail["failures"] == [(2, 1), (2, 2)]
+
+    def test_misspelt_translation_word_fails(self, monkeypatch):
+        # the left part reversed, s_1 .. s_{j-1} xi s_{n-1} .. s_j, misses
+        # the unit shift from j = 3 on; the check reports it, nothing raises
+        def misspelt(n, j):
+            left = [qkz.s_letter(i) for i in range(1, j)]
+            right = [qkz.s_letter(i) for i in range(n - 1, j - 1, -1)]
+            return qkz.affine_word(n, left + [qkz.XI] + right)
+
+        monkeypatch.setattr(qkz, "translation_word", misspelt)
+        report = run_suite("qkz", RunConfig())
+        (result,) = [r for r in report.results if r.check == "translation-words"]
+        assert result.status == "ran" and result.passed is False
+        assert result.detail["failures"] == [(3, 3), (4, 3), (4, 4)]
+        assert report.exit_code == 1
 
     def test_zero_braid_limit_residual_fails(self, monkeypatch):
         monkeypatch.setattr(qkz, "braid_limit_residual", lambda rep, lam, depth: 0.0)

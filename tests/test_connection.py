@@ -465,15 +465,17 @@ class TestDybe:
 
     @pytest.mark.parametrize("k", [0, 7, 17])
     def test_one_pole_among_the_matrices_raises(self, ep, phi, monkeypatch, k):
-        # move matrix k of the draw's 18 onto the pole phi_1 - phi_2 = 1
+        # move matrix k of the draw's 18, in the flattened batch, onto the
+        # pole phi_1 - phi_2 = 1
         real = connection.dyn_r_matrix
         stacks = []
 
         def one_pole(ep_, xs, phis):
-            phis = np.array(phis)
-            stacks.append(len(phis))
-            phis[k, :2] = (0.5, -0.5)
-            return real(ep_, xs, phis)
+            shape = np.broadcast_shapes(np.shape(xs), np.shape(phis)[:-1])
+            flat = np.array(np.broadcast_to(phis, shape + (3,))).reshape(-1, 3)
+            stacks.append(len(flat))
+            flat[k, :2] = (0.5, -0.5)
+            return real(ep_, xs, flat.reshape(shape + (3,)))
 
         monkeypatch.setattr(connection, "dyn_r_matrix", one_pole)
         with pytest.raises(PoleError) as err:

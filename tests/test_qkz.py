@@ -56,7 +56,7 @@ class TestAffineWords:
             AffineWord(3, (("xi", 2),))
 
     def test_translation_words_all_sites(self):
-        for n in range(2, 6):
+        for n in range(2, 9):
             for j in range(1, n + 1):
                 w = translation_word(n, j)
                 z = tuple(float(7 * k) for k in range(n))
