@@ -14,6 +14,7 @@ import cmath
 import datetime
 import functools
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .checks import SAMPLES, SUITES, Report, run_suite
 from .elliptic import EllipticError
 from .heckespin import HeckeParams, spin_rep
 from .params import RunConfig, sample_point
-from .symgroup import content_labels, from_word, identity_perm, min_coset_reps, reduced_word
+from .symgroup import content_labels, from_word, identity_perm, reduced_word
 
 
 def _parse_complex(text: str) -> complex:
@@ -74,39 +75,43 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "p": float,
-    "kappa": _parse_complex,
-    "phi": _parse_phi,
-    "n": int,
-    "seed": int,
-    "tol": float,
-    "out": str,
-    "format": str,
+class _Setting(NamedTuple):
+    field: str  # the RunConfig field it sets
+    parse: Callable[[str], Any]  # reads a flag's or a config line's value
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+#: every run setting, keyed by its flag ``--key`` and its config key
+_SETTINGS = {
+    "p": _Setting("p", float, "nome in (0, 1)"),
+    "kappa": _Setting("kappa", _parse_complex, "coupling (complex, re+imj)"),
+    "phi": _Setting("phi", _parse_phi, "twist a,b,c (complex entries)"),
+    "n": _Setting("n", int, "number of tensor sites"),
+    "seed": _Setting("seed", int, "seed for the sweeps"),
+    "tol": _Setting("residual_tol", float, "default residual tolerance"),
+    "out": _Setting("out", str, "output file (stdout if omitted)"),
+    "format": _Setting("fmt", str, choices=("json", "table")),
 }
 
 
-#: the RunConfig field of each config key whose name differs
-_CONFIG_FIELDS = {"tol": "residual_tol", "format": "fmt"}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
+    values: dict = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _SETTINGS:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                base[key] = _CONFIG_PARSERS[key](raw)
+                values[key] = _SETTINGS[key].parse(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config {key} = {raw!r}: {exc}") from None
-    for key in _CONFIG_PARSERS:
-        flag = getattr(args, key if key != "format" else "fmt", None)
+    for key in _SETTINGS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            base[key] = flag
+            values[key] = flag
     # only the keys that were set: RunConfig holds the defaults
     try:
-        return RunConfig(**{_CONFIG_FIELDS.get(key, key): value for key, value in base.items()})
+        return RunConfig(**{_SETTINGS[key].field: value for key, value in values.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -219,23 +224,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(f"inconclusive: genericity violations {report.violations[:5]}", file=sys.stderr)
         return 2
     rep = spin_rep(HeckeParams(elliptic=ep, n=n), phi)
-    blocks_out = []
+    bases = blk.block_bases(n)
+    records = []
     for r in content_labels(n):
         spec = blk.content_block(ep, n, r, phi)
-        basis = blk.block_bases(n)[r]
         eigen, signs = blk.block_residuals(rep, r)
-        blocks_out.append(
-            {
-                "content": r,
-                "index_set": spec.index_set,
-                "signs": spec.signs,
-                "gamma": spec.gamma,
-                "basis_map": list(zip(basis.images, basis.reps, basis.signs)),
-                "eigen_residual": eigen,
-                "max_sign_residual": float(np.max([inclusive for _, inclusive, _ in signs])),
-            }
-        )
-    payload = serialize.decomposition_payload(cfg.p, complex(cfg.kappa), phi, n, blocks_out)
+        records.append((r, spec, bases[r], eigen, float(np.max([inclusive for _, inclusive, _ in signs]))))
+    payload = serialize.decomposition_payload(cfg.p, complex(cfg.kappa), phi, n, records)
     _emit(serialize.dumps(payload), cfg.out)
     return 0
 
@@ -268,35 +263,18 @@ def cmd_connection(args: argparse.Namespace) -> int:
     specs = [blk.content_block(ep, n, r, phi) for r in contents]
     labels = reduced_word(w)
     mats = conn.connection_words(ep, [(spec, labels, z) for spec in specs])
-    blocks_out = [
-        {
-            "content": r,
-            "index_set": spec.index_set,
-            "signs": spec.signs,
-            "gamma": spec.gamma,
-            "basis": min_coset_reps(n, spec.index_set),
-            "entries": entries,
-        }
-        for r, spec, entries in zip(contents, specs, mats)
-    ]
     # computed on its own, not assembled from the blocks, so the two routes
     # of the monodromy can be checked against each other; ``dumps`` writes
     # its 3^n x 3^n rows from the stored blocks
     tensor = conn.tensor_monodromy_words(ep, [(phi, labels, z)])[0]
-    payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks_out, tensor)
+    payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, zip(contents, specs, mats), tensor)
     _emit(serialize.dumps(payload), cfg.out)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=float, default=None, help="nome in (0, 1)")
-    parser.add_argument("--kappa", type=_parse_complex, default=None, help="coupling (complex, re+imj)")
-    parser.add_argument("--phi", type=_parse_phi, default=None, help="twist a,b,c (complex entries)")
-    parser.add_argument("--n", type=int, default=None, help="number of tensor sites")
-    parser.add_argument("--seed", type=int, default=None, help="seed for the sweeps")
-    parser.add_argument("--tol", type=float, default=None, help="default residual tolerance")
-    parser.add_argument("--out", type=str, default=None, help="output file (stdout if omitted)")
-    parser.add_argument("--format", dest="fmt", choices=("json", "table"), default=None)
+    for key, s in _SETTINGS.items():
+        parser.add_argument(f"--{key}", type=s.parse, default=None, help=s.help, choices=s.choices)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 

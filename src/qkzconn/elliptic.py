@@ -11,8 +11,9 @@ The theta function is the renormalised product
 
 truncated once the tail factors are within ``THETA_TRUNCATION_TOL`` of 1.
 Its zero set is z in p^Z, which is where the pole guards of the coefficient
-functions fire: a theta denominator of modulus below ``POLE_TOL`` raises
-PoleError.
+functions fire: a theta denominator of modulus below ``POLE_TOL`` times
+(p; p)_inf^2 = prod_{m>=1} (1 - p^m)^2, the modulus of theta'(1) and the
+scale of theta away from its zeros, raises PoleError.
 
 The kernel works on numpy arrays: ``pow_p`` and ``theta`` take a scalar or
 an array.  One evaluator, ``coefficients``, computes A and B at stacked
@@ -29,6 +30,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,20 +88,29 @@ class PoleError(EllipticError):
 
 @dataclass(frozen=True)
 class Nome:
-    """Elliptic nome p with its (negative) natural logarithm cached."""
+    """Elliptic nome p with its (negative) natural logarithm and its theta
+    pole threshold ``POLE_TOL * (p; p)_inf^2`` cached."""
 
     p: float
     log_p: float = field(init=False, repr=False)
+    pole_tol: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"nome must satisfy 0 < p < 1, got {self.p!r}")
         object.__setattr__(self, "log_p", math.log(self.p))
+        # theta's size off its zeros, 6e-8 at p = 0.85; floored at the least
+        # normal double, so an underflowed theta (p >= 0.996) is still a pole
+        euler, pm = 1.0, self.p
+        while pm > THETA_TRUNCATION_TOL:
+            euler *= 1.0 - pm
+            pm *= self.p
+        object.__setattr__(self, "pole_tol", max(POLE_TOL * euler * euler, sys.float_info.min))
 
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Nome and coupling; the guards are ``THETA_TRUNCATION_TOL`` and ``POLE_TOL``."""
+    """Nome and coupling; the guards are ``THETA_TRUNCATION_TOL`` and ``Nome.pole_tol``."""
 
     nome: Nome
     kappa: complex
@@ -262,12 +273,13 @@ def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
     # sweep's shifts); theta of each distinct argument once gives the same values
     z, back = _distinct(pw[:n_theta])
     th = theta(ep, z)[back]
-    if ends[4] and np.abs(th[: ends[4]]).min() < POLE_TOL:
+    tol = ep.nome.pole_tol
+    if ends[4] and np.abs(th[: ends[4]]).min() < tol:
         labels = ("p^x", "p^y", "p^(2*kappa-x)", "p^(2*kappa-x)", "p^(-y)")
         for label, lo, hi in zip(labels, [0] + ends, ends):
             worst = float(np.abs(th[lo:hi]).min(initial=math.inf))
-            if worst < POLE_TOL:
-                message = f"pole: theta factor {label} has modulus {worst:.3e} < {POLE_TOL:.1e}"
+            if worst < tol:
+                message = f"pole: theta factor {label} has modulus {worst:.3e} < {tol:.1e}"
                 raise PoleError(message, factor=label, magnitude=worst)
     c_den, a_y, a_kx, b_kx, b_my, a_k, a_yx, b_ky, b_mx, c_num = (
         th[lo:hi].reshape(row.shape) for row, lo, hi in zip(rows, [0] + ends, ends[:10])

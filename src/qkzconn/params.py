@@ -83,15 +83,12 @@ def sample_phi(rng: np.random.Generator) -> tuple[complex, complex, complex]:
 
 
 def sample_point(rng: np.random.Generator, n: int, nome: Nome) -> tuple[complex, ...]:
-    """Random evaluation point: |Re z_i| <= 1, Im z_i in one vertical period."""
-    period = 2.0 * math.pi / abs(nome.log_p)
-    return tuple(
-        complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, period)) for _ in range(n)
-    )
+    """Random evaluation point: n draws of ``sample_scalar``."""
+    return tuple(sample_scalar(rng, nome) for _ in range(n))
 
 
 def sample_scalar(rng: np.random.Generator, nome: Nome) -> complex:
-    """Random spectral-parameter difference, same strip as sample_point."""
+    """Random spectral-parameter difference: |Re x| <= 1, Im x in one vertical period."""
     period = 2.0 * math.pi / abs(nome.log_p)
     return complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, period))
 

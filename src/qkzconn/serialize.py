@@ -1,4 +1,6 @@
-"""Versioned JSON serialization of matrices, blocks and reports.
+"""Versioned JSON serialization of matrices, blocks and reports.  A block
+record is written here alone: ``_block`` writes the fields that the
+``connection`` and ``decompose`` exports share.
 
 Complex numbers are stored as [re, im] pairs; matrices as nested lists of
 such pairs.  Spectral data (the gamma vectors) is stored exactly as complex
@@ -21,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from .symgroup import min_coset_reps
 from .tensorspace import BlockOp
 
 SCHEMA_VERSION = 1
@@ -70,23 +73,31 @@ def dynamical_r_payload(p, kappa, phi, x, entries, residuals) -> dict[str, Any]:
     }
 
 
+def _block(content, spec) -> dict[str, Any]:
+    """The principal-series fields of a block record: its content and the
+    index set, signs and gamma vector of its ``PrincipalSeriesSpec``."""
+    return {
+        "content": list(content),
+        "index_set": list(spec.index_set),
+        "signs": list(spec.signs),
+        "gamma": [complex_to_pair(g) for g in spec.gamma],
+    }
+
+
 def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp) -> dict[str, Any]:
-    """blocks: list of dicts with keys content, index_set, signs, gamma, basis,
-    entries.  ``tensor_op`` is stored as it is, for ``dumps`` to write."""
+    """blocks: (content, spec, entries) triples, each written with its minimal
+    coset representatives.  ``tensor_op`` is stored as is, for ``dumps``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "connection_matrices",
         "parameters": _parameters(p, kappa, phi=phi, z=z),
         "blocks": [
             {
-                "content": list(b["content"]),
-                "index_set": list(b["index_set"]),
-                "signs": list(b["signs"]),
-                "gamma": [complex_to_pair(g) for g in b["gamma"]],
-                "basis": [list(w) for w in b["basis"]],
-                "entries": matrix_to_lists(b["entries"]),
+                **_block(content, spec),
+                "basis": [list(w) for w in min_coset_reps(spec.n, spec.index_set)],
+                "entries": matrix_to_lists(entries),
             }
-            for b in blocks
+            for content, spec, entries in blocks
         ],
         "residuals": {},
         "tensor_operator": tensor_op,
@@ -94,29 +105,23 @@ def connection_payload(p, kappa, phi, z, blocks, tensor_op: BlockOp) -> dict[str
 
 
 def decomposition_payload(p, kappa, phi, n, blocks) -> dict[str, Any]:
-    """blocks: list of dicts with content, index_set, signs, gamma, basis_map, residuals."""
+    """blocks: (content, spec, basis, eigen_residual, max_sign_residual)
+    tuples, ``basis`` the block's ``blocks.BlockBasis``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "block_decomposition",
         "parameters": {**_parameters(p, kappa, phi=phi), "n": n},
         "blocks": [
             {
-                "content": list(b["content"]),
-                "index_set": list(b["index_set"]),
-                "signs": list(b["signs"]),
-                "gamma": [complex_to_pair(g) for g in b["gamma"]],
+                **_block(content, spec),
                 "basis_map": [
-                    {
-                        "multi_index": list(alpha),
-                        "coset_rep": list(w),
-                        "sign": sign,
-                    }
-                    for alpha, w, sign in b["basis_map"]
+                    {"multi_index": list(alpha), "coset_rep": list(w), "sign": sign}
+                    for alpha, w, sign in zip(basis.images, basis.reps, basis.signs)
                 ],
-                "eigen_residual": b["eigen_residual"],
-                "max_sign_residual": b["max_sign_residual"],
+                "eigen_residual": eigen,
+                "max_sign_residual": max_sign,
             }
-            for b in blocks
+            for content, spec, basis, eigen, max_sign in blocks
         ],
     }
 

@@ -244,6 +244,13 @@ class TestReport:
         report = run_suite("elliptic", RunConfig(n=2))
         assert set(report.timings) == {r.check for r in report.results}
 
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_no_pole_at_large_p(self, seed):
+        # theta is about 6e-8 in size at p = 0.85: under an absolute pole
+        # threshold of 1e-10, these seeds read ordinary draws as poles
+        report = run_suite("dybe", RunConfig(p=0.85, seed=seed))
+        assert not report.inconclusive
+
 
 #: the checks whose sweeps resample a point on a pole
 RESAMPLING = (

@@ -1,6 +1,7 @@
 """Command-line surface: suites, exports, determinism and exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import qkzconn
 from qkzconn import checks, cli, connection, serialize
-from qkzconn.blocks import content_block
+from qkzconn.blocks import block_bases, content_block
 from qkzconn.cli import main
 from qkzconn.connection import connection_words, tensor_monodromy_words
 from qkzconn.params import RunConfig, sample_point
@@ -110,6 +111,50 @@ class TestVerify:
         assert payload["config"]["n"] == 2
 
 
+#: each run setting: its flag and config key, its RunConfig field, and two
+#: non-default values, as text and as read
+_SETTING_VALUES = [
+    ("p", "p", "0.4", 0.4, "0.5", 0.5),
+    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j, "0.31", 0.31),
+    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j),
+     "0,0.1j,0.2", (0, 0.1j, 0.2)),
+    ("n", "n", "3", 3, "2", 2),
+    ("seed", "seed", "12", 12, "0", 0),
+    ("tol", "residual_tol", "2e-9", 2e-9, "3e-10", 3e-10),
+    ("out", "out", "report.txt", "report.txt", "other.txt", "other.txt"),
+    ("format", "fmt", "json", "json", "table", "table"),
+]
+
+
+def config_of(tmp_path, flags=(), text=None):
+    """The RunConfig of ``verify elliptic`` with these flags and config file text."""
+    argv = ["verify", "elliptic", *flags]
+    if text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        argv += ["--config", str(path)]
+    return cli.build_config(cli._parser().parse_args(argv))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
+    def test_a_flag_and_a_config_line_set_the_same_field(self, tmp_path, setting):
+        key, field, text, value, _, _ = setting
+        want = dataclasses.replace(RunConfig(), **{field: value})
+        assert want != RunConfig()
+        assert config_of(tmp_path, [f"--{key}={text}"]) == want
+        assert config_of(tmp_path, text=f"{key} = {text}\n") == want
+
+    @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
+    def test_a_flag_overrides_its_own_config_key_only(self, tmp_path, setting):
+        key, field, _, _, other_text, other = setting
+        every_key = "".join(f"{k} = {t}\n" for k, _, t, _, _, _ in _SETTING_VALUES)
+        from_file = RunConfig(**{f: v for _, f, _, v, _, _ in _SETTING_VALUES})
+        assert config_of(tmp_path, text=every_key) == from_file
+        got = config_of(tmp_path, [f"--{key}={other_text}"], every_key)
+        assert got == dataclasses.replace(from_file, **{field: other})
+
+
 class TestRMatrix:
     def test_identity_at_zero(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--x", "0")
@@ -163,6 +208,25 @@ class TestDecompose:
         assert sum(len(b["basis_map"]) for b in payload["blocks"]) == 27
         assert all(b["eigen_residual"] < 1e-10 for b in payload["blocks"])
         assert all(b["max_sign_residual"] < 1e-10 for b in payload["blocks"])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_records_are_the_content_blocks_and_their_bases(self, capsys, n):
+        code, out, _ = run_cli(capsys, "decompose", "--n", str(n))
+        assert code == 0
+        cfg = RunConfig(n=n)
+        ep, phi = cfg.elliptic(), cfg.resolved_phi()
+        records = json.loads(out)["blocks"]
+        assert [tuple(b["content"]) for b in records] == content_labels(n)
+        for record in records:
+            r = tuple(record["content"])
+            spec, basis = content_block(ep, n, r, phi), block_bases(n)[r]
+            assert tuple(record["index_set"]) == spec.index_set
+            assert tuple(record["signs"]) == spec.signs
+            assert [pair_to_complex(g) for g in record["gamma"]] == list(spec.gamma)
+            got = [(tuple(e["multi_index"]), tuple(e["coset_rep"]), e["sign"]) for e in record["basis_map"]]
+            assert got == list(zip(basis.images, basis.reps, basis.signs))
+            # a float sign would compare equal here, but change the export bytes
+            assert all(type(e["sign"]) is int for e in record["basis_map"])
 
     def test_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "--n", "1")
@@ -237,17 +301,7 @@ class TestConnectionCommand:
         labels = reduced_word(cli._parse_word(word, n))
         specs = [content_block(ep, n, r, phi) for r in content_labels(n)]
         mats = connection_words(ep, [(spec, labels, z) for spec in specs])
-        blocks = [
-            {
-                "content": r,
-                "index_set": spec.index_set,
-                "signs": spec.signs,
-                "gamma": spec.gamma,
-                "basis": min_coset_reps(n, spec.index_set),
-                "entries": m,
-            }
-            for r, spec, m in zip(content_labels(n), specs, mats)
-        ]
+        blocks = zip(content_labels(n), specs, mats)
         (op,) = tensor_monodromy_words(ep, [(phi, labels, z)])
         dense = serialize.matrix_to_lists(op.dense())
         payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, blocks, dense)
@@ -290,6 +344,7 @@ _USAGE_ERRORS = [
     ("verify", "elliptic", "--config", ConfigText("phi = 1,2\n")),
     ("verify", "elliptic", "--config", ConfigText("kappa = abc\n")),
     ("verify", "elliptic", "--config", ConfigText("format = xml\n")),
+    ("verify", "elliptic", "--format", "xml"),
     ("connection", "--n", "3", "--w", "s3"),
     ("connection", "--n", "3", "--w", "sX"),
     ("connection", "--n", "3", "--w", "s0"),

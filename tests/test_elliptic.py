@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -253,6 +254,32 @@ class TestCoefficients:
             coeff_b(params, np.array([0.3 + 0.1j, 1.0, 0.5]), 0.3)
         assert err.value.factor == "p^(-y)"
         assert err.value.magnitude < POLE_TOL
+
+    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85])
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_a_zero_raises_at_every_nome(self, p, y):
+        # the threshold scales with theta's size, (p; p)_inf^2, but a zero
+        # of theta stays below it; the message prints the threshold
+        ep = default_params(p)
+        with pytest.raises(PoleError) as err:
+            coeff_b(ep, y, 0.3)
+        assert err.value.factor == "p^(-y)"
+        assert err.value.magnitude < ep.nome.pole_tol < POLE_TOL
+        assert f"< {ep.nome.pole_tol:.1e}" in str(err.value)
+
+    def test_an_underflowed_theta_is_a_pole(self):
+        # at p = 0.996, (p; p)_inf^2 underflows to 0; the threshold is floored
+        # at the smallest normal double, so a subnormal theta still raises
+        ep = default_params(0.996)
+        assert ep.nome.pole_tol == sys.float_info.min
+        with pytest.raises(PoleError) as err:
+            coeff_b(ep, 0.0, 0.3)
+        assert err.value.magnitude < sys.float_info.min
+
+    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99])
+    def test_pole_threshold_is_pole_tol_times_the_euler_product(self, p):
+        want = POLE_TOL * float(mp.qp(p)) ** 2
+        assert abs(Nome(p).pole_tol - want) <= 1e-12 * want
 
     def test_batches_match_scalar_calls(self, params, rng):
         ys = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(0.0, 0.5, size=4)

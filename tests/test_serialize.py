@@ -13,7 +13,7 @@ import pytest
 from qkzconn import blocks, connection, serialize
 from qkzconn.params import RunConfig, sample_point_band
 from qkzconn.serialize import complex_to_pair, dumps, matrix_to_lists
-from qkzconn.symgroup import content_labels, min_coset_reps, reduced_word
+from qkzconn.symgroup import content_labels, reduced_word
 from qkzconn.tensorspace import BlockOp, block_layout
 
 CFG = RunConfig()
@@ -63,19 +63,9 @@ def connection_payload(ep, phi, n=3):
     specs = [blocks.content_block(ep, n, r, phi) for r in content_labels(n)]
     labels = reduced_word((3, 2, 1))
     mats = connection.connection_words(ep, [(spec, labels, z) for spec in specs])
-    out = [
-        {
-            "content": r,
-            "index_set": spec.index_set,
-            "signs": spec.signs,
-            "gamma": spec.gamma,
-            "basis": min_coset_reps(n, spec.index_set),
-            "entries": m,
-        }
-        for r, spec, m in zip(content_labels(n), specs, mats)
-    ]
     (tensor,) = connection.tensor_monodromy_words(ep, [(phi, labels, z)])
-    return serialize.connection_payload(CFG.p, complex(CFG.kappa), phi, z, out, tensor)
+    blocks_out = zip(content_labels(n), specs, mats)
+    return serialize.connection_payload(CFG.p, complex(CFG.kappa), phi, z, blocks_out, tensor)
 
 
 def dense_reference(payload):
