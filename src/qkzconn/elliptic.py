@@ -100,9 +100,11 @@ class Nome:
             raise ValueError(f"nome must satisfy 0 < p < 1, got {self.p!r}")
         object.__setattr__(self, "log_p", math.log(self.p))
         # theta's size off its zeros, 6e-8 at p = 0.85; floored at the least
-        # normal double, so an underflowed theta (p >= 0.996) is still a pole
+        # normal double, so an underflowed theta (p >= 0.996) is still a pole.
+        # The product stops once the floor is certain, which bounds the loop
+        # as p -> 1 (a few factors then, at most about 7,800, near p = 0.995).
         euler, pm = 1.0, self.p
-        while pm > THETA_TRUNCATION_TOL:
+        while pm > THETA_TRUNCATION_TOL and POLE_TOL * euler * euler > sys.float_info.min:
             euler *= 1.0 - pm
             pm *= self.p
         object.__setattr__(self, "pole_tol", max(POLE_TOL * euler * euler, sys.float_info.min))

@@ -398,6 +398,13 @@ class TestEvaluationFailuresAreInconclusive:
             assert "0 failed" in out
             assert "inconclusive" in out
 
+    def test_nome_near_one_fails_promptly(self):
+        # theta cannot be truncated this close to p = 1; building the nome's
+        # pole threshold must not take 1/(1 - p) steps before that shows
+        code, out = fresh_process("verify", "elliptic", "--p", "0.9999999999", timeout=30)
+        assert code == 2
+        assert "0 passed, 0 failed, 5 inconclusive" in out
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-5)
@@ -447,12 +454,12 @@ def test_build_config_defaults_are_run_config_defaults():
     assert cli.build_config(argparse.Namespace()) == RunConfig()
 
 
-def fresh_process(*argv):
+def fresh_process(*argv, timeout=120):
     """Exit code and stdout of ``python -m qkzconn.cli`` in a new interpreter."""
     src = os.path.dirname(os.path.dirname(qkzconn.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
     return done.returncode, done.stdout
 

@@ -276,6 +276,11 @@ class TestCoefficients:
             coeff_b(ep, 0.0, 0.3)
         assert err.value.magnitude < sys.float_info.min
 
+    @pytest.mark.parametrize("p", [0.9999999, 1 - 1e-12, math.nextafter(1.0, 0.0)])
+    def test_nome_near_one_has_the_floor_threshold(self, p):
+        # the Euler product stops once the floor is certain, a few factors here
+        assert Nome(p).pole_tol == sys.float_info.min
+
     @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99])
     def test_pole_threshold_is_pole_tol_times_the_euler_product(self, p):
         want = POLE_TOL * float(mp.qp(p)) ** 2
