@@ -2,7 +2,8 @@
 """Decay study: distance of the translation transport from its braid limit.
 
 Sweeps the chamber depth and prints the log-residual per depth together with
-the fitted slope, which should track log(p).
+the fitted slope and the slope that the braid-limit check reads (between the
+depths a and 2a of ``braid_limit_slope``), both of which should track log(p).
 """
 
 import argparse
@@ -12,7 +13,7 @@ import numpy as np
 
 from qkzconn import HeckeParams, default_params, spin_rep
 from qkzconn.params import sample_phi
-from qkzconn.qkz import braid_limit_residual
+from qkzconn.qkz import braid_limit_residual, braid_limit_slope
 
 
 def main() -> None:
@@ -44,6 +45,7 @@ def main() -> None:
         ys = np.array([math.log(r) for _, r in clean])
         slope = float(np.polyfit(xs, ys, 1)[0])
         print(f"fitted log-slope {slope:.4f} vs log p = {ep.nome.log_p:.4f}")
+    print(f"check's window slope {braid_limit_slope(rep, lam):.4f} vs log p = {ep.nome.log_p:.4f}")
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ the only code that turns a body's output into a ``CheckResult``:
   those of the one-by-one loop; its detail reports ``draws`` and
   ``pole_resamples``;
 - a body that raises ``ResampleExhausted`` (repeated pole hits),
-  ``NotGeneric`` (degenerate spectral labels), ``EllipticError`` or
-  ``OverflowError``, also while its residuals are being consumed, is
-  reported ``inconclusive`` rather than failed.
+  ``NotGeneric`` (degenerate spectral labels), ``EllipticError``,
+  ``OverflowError`` or ``FloatingPointError`` (an overflow, under
+  ``np.errstate(over="raise")``), also while its residuals are being
+  consumed, is reported ``inconclusive`` rather than failed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ from .elliptic import (
     THETA_TRUNCATION_TOL,
     EllipticError,
     EllipticParams,
+    Nome,
     PoleError,
+    _sine,
     coefficients,
+    pow_p,
     theta,
 )
 from .params import (
@@ -239,9 +243,8 @@ def resample_sweep(
     the sweep restores the stream and walks it draw by draw, as a loop that
     evaluates each draw alone: a draw whose point hits a pole takes the next
     point of the stream, and ``POLE_RETRIES`` hits in a row raise
-    ResampleExhausted.  Either way the draws, the residuals (up to the theta
-    factor count a batch shares) and the stream's final state are those of
-    the walk.
+    ResampleExhausted.  Either way the draws, the residuals (up to rounding)
+    and the stream's final state are those of the walk.
     """
     state = rng.bit_generator.state
     draws = [Draw(case, own(rng, case) if own else None, point(rng, n)) for n, case in cases]
@@ -310,6 +313,21 @@ def _theta_truncation(ctx: VerifyContext, rng):
         base = theta(ep, z)
         refined = theta(ep, z, min_factors=120)
         yield abs(base - refined) / max(1e-300, abs(refined))
+
+
+@register("theta-modular", "elliptic", "theta(p^Y) = C(p) p^((Y - Y^2)/2) S(Y), the product against the modular frame", 1e-10)
+def _theta_modular(ctx: VerifyContext, rng):
+    # two routes that share no arithmetic, over two periods each way in Im Y
+    for p in (0.05, 0.35, 0.6, 0.9):
+        ep = EllipticParams(Nome(p), ctx.ep.kappa)
+        t, period = -ep.nome.log_p, -2.0 * math.pi / ep.nome.log_p
+        y = rng.uniform(-1.0, 2.0, 50) + 1j * rng.uniform(-2.0 * period, 2.0 * period, 50)
+        product = theta(ep, pow_p(ep, y))
+        j, yk, _, mant = _sine(ep.nome.log_p, y)
+        log_c = math.log(2.0) + t / 12.0 - math.pi**2 / (3.0 * t)
+        power = log_c - t * (y - y * y) / 2.0 - math.pi * period * (j * j - 1.0) / 4.0 - 1j * math.pi * j * yk
+        modular = np.exp(power) * mant
+        yield from np.abs(product - modular) / np.abs(product)
 
 
 @register("coeff-boundary", "elliptic", "A(y, 0) = 1 and B(y, 0) = 0 for generic y", 1e-12)
@@ -784,11 +802,8 @@ def _braid_limit(ctx: VerifyContext, rng):
         lams = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)]
         for lam in lams:
             residuals.append(qkz.braid_limit_residual(rep, lam, float(depth)))
-            r6 = qkz.braid_limit_residual(rep, lam, 6.0)
-            r12 = qkz.braid_limit_residual(rep, lam, 12.0)
-            # a residual of zero has no logarithm: the slope is undefined and the check fails
-            slope = (math.log(r12) - math.log(r6)) / 6.0 if r6 > 0 and r12 > 0 else math.nan
-            slope_errs.append(abs(slope - log_p) / abs(log_p))
+            # a residual of zero has no logarithm: the slope is NaN and the check fails
+            slope_errs.append(abs(qkz.braid_limit_slope(rep, lam) - log_p) / abs(log_p))
     # the decay rate must match log p, not only the deep residual
     slope_err = _worst(*slope_errs)
     return Verdict(residuals, {"depth": depth, "slope_relative_error": slope_err}, holds=slope_err < 0.2)
@@ -798,7 +813,7 @@ def _braid_limit(ctx: VerifyContext, rng):
 # runner
 
 #: failures of an evaluation, not of an identity: the check is inconclusive
-_INCONCLUSIVE = (ResampleExhausted, NotGeneric, EllipticError, OverflowError)
+_INCONCLUSIVE = (ResampleExhausted, NotGeneric, EllipticError, OverflowError, FloatingPointError)
 
 
 def _inconclusive(check_id: str, suite: str, law: str, **detail) -> CheckResult:
@@ -814,10 +829,13 @@ def _run_check(ctx: VerifyContext, c: _Check) -> CheckResult:
             c.check_id, c.suite, c.law, residual=None, tol=None, passed=True, status="skipped", detail=reason
         )
     try:
-        out = c.fn(ctx, ctx.rng(c.check_id))
-        verdict = out if isinstance(out, Verdict) else Verdict(out)
-        # a generator body computes as it is consumed, so inside the try
-        residual = _worst(*verdict.residuals)
+        # an overflow is inconclusive whatever the warning filters; a NaN
+        # from finite arithmetic still reaches the residual and fails
+        with np.errstate(over="raise"):
+            out = c.fn(ctx, ctx.rng(c.check_id))
+            verdict = out if isinstance(out, Verdict) else Verdict(out)
+            # a generator body computes as it is consumed, so inside the try
+            residual = _worst(*verdict.residuals)
     except _INCONCLUSIVE as exc:
         extra = getattr(exc, "detail", {})
         return _inconclusive(c.check_id, c.suite, c.law, error=f"{type(exc).__name__}: {exc}", **extra)

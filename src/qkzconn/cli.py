@@ -314,11 +314,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        # a numpy overflow raises, with or without -W error::RuntimeWarning
+        with np.errstate(over="raise"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, EllipticError, OverflowError) as exc:
+    except (ValueError, EllipticError, OverflowError, FloatingPointError) as exc:
         # degenerate parameters or an evaluation outside the double range
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

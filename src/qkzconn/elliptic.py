@@ -5,24 +5,16 @@ through the single-valued power p^x := exp(x * log p) with the real branch
 of log p.  This branch makes p^(x+y) = p^x * p^y hold exactly for complex
 exponents, which the coefficient identities below rely on.
 
-The theta function is the renormalised product
-
-    theta(z) = prod_{m>=0} (1 - p^m z) (1 - p^{m+1} / z),
-
-truncated once the tail factors are within ``THETA_TRUNCATION_TOL`` of 1.
-Its zero set is z in p^Z, which is where the pole guards of the coefficient
-functions fire: a theta denominator of modulus below ``POLE_TOL`` times
-(p; p)_inf^2 = prod_{m>=1} (1 - p^m)^2, the modulus of theta'(1) and the
-scale of theta away from its zeros, raises PoleError.
-
-The kernel works on numpy arrays: ``pow_p`` and ``theta`` take a scalar or
-an array.  One evaluator, ``coefficients``, computes A and B at stacked
-(y, x) pairs, the odd unit -c(u)/c(-u) and c itself from one ``pow_p`` and
-one ``theta`` call, and ``coeff_a``, ``coeff_b`` and ``c_func`` are thin
-calls into it.  The connection layer makes one such batch per residual
-evaluation: every A, B and odd unit of a draw, or of every draw of a sweep,
-across all of its local matrices.  A scalar argument is the 0-d case of the same code and returns a
-Python complex.
+``theta`` is the renormalised product prod_{m>=0} (1 - p^m z)(1 - p^{m+1}/z),
+truncated once the tail factors are within ``THETA_TRUNCATION_TOL`` of 1;
+the theta checks test it.  The coefficients use Jacobi's imaginary
+transformation (DLMF 20.7.30) instead: with t = -log p,
+theta(p^Y) = C(p) p^((Y - Y^2)/2) S(Y), C(p) = 2 exp(t/12 - pi^2/(3t)), where
+S (``_sine``) needs 3, 1 and 0 factors at p = 0.05, 0.35 and 0.6.  In A, B,
+c and the odd unit C(p) and the Gaussian cancel.  ``coefficients`` computes
+them all from one ``_sine`` batch, finite up to p -> 1, and ``coeff_a``,
+``coeff_b`` and ``c_func`` are thin calls into it.  ``pow_p`` and ``theta``
+take a scalar or an array; a scalar returns a Python complex.
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +47,9 @@ __all__ = [
 THETA_TRUNCATION_TOL = 1e-16
 POLE_TOL = 1e-10
 RESONANCE_TOL = 1e-8
+# the product theta's factor count grows like 36.8 / (1 - p): a cap, and
+# blocks of rows of 16-byte factors for a large batch
 MAX_THETA_FACTORS = 10_000
-#: factors per block of theta arguments evaluated together (16 bytes each)
 THETA_BLOCK = 1 << 13
 
 
@@ -74,7 +66,7 @@ class ThetaOverflowError(EllipticError):
 
 
 class NonFiniteError(EllipticError):
-    """A coefficient function evaluated to NaN or inf (theta products overflowed)."""
+    """A coefficient function evaluated to NaN or inf (outside the double range)."""
 
 
 class PoleError(EllipticError):
@@ -88,39 +80,27 @@ class PoleError(EllipticError):
 
 @dataclass(frozen=True)
 class Nome:
-    """Elliptic nome p with its (negative) natural logarithm and its theta
-    pole threshold ``POLE_TOL * (p; p)_inf^2`` cached."""
+    """Elliptic nome p with its (negative) natural logarithm cached."""
 
     p: float
     log_p: float = field(init=False, repr=False)
-    pole_tol: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"nome must satisfy 0 < p < 1, got {self.p!r}")
         object.__setattr__(self, "log_p", math.log(self.p))
-        # theta's size off its zeros, 6e-8 at p = 0.85; floored at the least
-        # normal double, so an underflowed theta (p >= 0.996) is still a pole.
-        # The product stops once the floor is certain, which bounds the loop
-        # as p -> 1 (a few factors then, at most about 7,800, near p = 0.995).
-        euler, pm = 1.0, self.p
-        while pm > THETA_TRUNCATION_TOL and POLE_TOL * euler * euler > sys.float_info.min:
-            euler *= 1.0 - pm
-            pm *= self.p
-        object.__setattr__(self, "pole_tol", max(POLE_TOL * euler * euler, sys.float_info.min))
 
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Nome and coupling; the guards are ``THETA_TRUNCATION_TOL`` and ``Nome.pole_tol``."""
+    """Nome and coupling; the guards are ``THETA_TRUNCATION_TOL`` and ``POLE_TOL``."""
 
     nome: Nome
     kappa: complex
 
     def __post_init__(self) -> None:
         check_coupling(self.kappa)
-        # Resonance guard: |p^(2 kappa)| on the lattice |p^m| collapses the
-        # coefficient functions (theta(p^(2 kappa)) sits in every numerator).
+        # resonance guard: 2 Re kappa in Z puts the zero S(2 kappa) into every A
         t = 2.0 * complex(self.kappa).real
         if abs(t - round(t)) < RESONANCE_TOL:
             raise ValueError(
@@ -141,11 +121,8 @@ def default_params(p: float = 0.35, kappa: complex = 0.27) -> EllipticParams:
 
 
 def pow_p(ep: EllipticParams, x):
-    """p^x on the principal branch exp(x * log p); entire in x.
-
-    Broadcasts over an array x; a scalar x gives a Python complex.  Raises
-    OverflowError when |p^x| exceeds the double range.
-    """
+    """p^x on the principal branch exp(x * log p), entire in x and broadcast
+    over an array x; OverflowError when |p^x| exceeds the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(np.multiply(x, ep.nome.log_p, dtype=complex))
     if not np.isfinite(out).all():
@@ -189,10 +166,8 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
     pm = np.full(m_top + 2, ep.nome.p)
     pm[0] = 1.0
     np.cumprod(pm, out=pm)
-    # one row of factors per argument: reducing along the contiguous axis
-    # multiplies them in order m = 0..M, the same for any batch size.  Rows
-    # go in blocks of about THETA_BLOCK factors, so a large batch holds a
-    # bounded set of temporaries
+    # one row of factors per argument, multiplied in order m = 0..M for any
+    # batch size, in blocks of about THETA_BLOCK factors
     zs = z.reshape(-1, 1)
     out = np.empty(zs.shape[0], dtype=complex)
     rows = max(1, THETA_BLOCK // (m_top + 1))
@@ -204,128 +179,122 @@ def theta(ep: EllipticParams, z, min_factors: int = 0):
     return _scalar_or_array(out.reshape(z.shape))
 
 
-def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(z, return_inverse=True)`` of a finite complex array, up to
-    the order of the values: sorted by a 64-bit key, the real part's bits XOR
-    the imaginary part's with its halves swapped (v, -v and conj(v) differ),
-    after adding 0.0 folds -0.0 into 0.0.  Equal neighbours are one value; a
-    key two values share only splits a run, counting one value twice."""
-    folded = z + 0.0
-    bits = folded.view(np.uint64)
-    re, im = bits[0::2], bits[1::2]
-    order = np.argsort(re ^ (im << 32) ^ (im >> 32))
-    ranked = folded[order]
-    new = np.empty(len(order), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    back = np.empty_like(order)
-    back[order] = np.cumsum(new) - 1
-    return ranked[new], back
+def _sine(log_p: float, y: np.ndarray, err=0.0):
+    """S(y + err) = sin(pi y) prod_{n>=1} (1 - 2 Q^n cos 2 pi y + Q^2n), with
+    Q = exp(-4 pi^2 / t) and t = -log p, as (j, yk, sine, mant) with
+    S = exp(-pi T (j^2 - 1) / 4 - i pi j yk) * mant and T = 2 pi / t.
+
+    y is reduced by 1, k times, to yk, and by the period i T of p^y, m times,
+    to y0 with |Im y0| <= T / 2.  j = 2m + s, s the sign of Im y0, is constant
+    between two rows Im y = m T of zeros.  ``mant`` is (-1)^(m + k) times the
+    product times ``sine`` = sin(pi y0) exp(i pi s y0), which is about
+    pi dist(y, zeros) near a zero.  ``err``, the rounding error of y, enters
+    ``sine`` and ``mant``; the exponent's -i pi j err is the caller's.
+    """
+    t = -log_p
+    period = 2.0 * math.pi / t
+    m, k = np.round(y.imag / period), np.round(y.real)
+    yk = y - k
+    w = yk - 1j * (m * period)
+    w += err
+    s = np.where(w.imag < 0.0, -1.0, 1.0)
+    # w = 2 pi i s y0 has |exp(w)| <= 1, and sin(pi y0) = s exp(-i pi s y0) expm1(w) / (2i)
+    w *= 2j * math.pi * s
+    em1 = np.expm1(w)
+    rest = 1.0 - 2.0 * np.abs(np.fmod(m + k, 2.0))
+    # factors (1 - Q^n exp(w))(1 - Q^n exp(-w)) until the largest term,
+    # exp(-(4n - 2) pi^2 / t), is below THETA_TRUNCATION_TOL; Q^n exp(-w) is
+    # one exp, as exp(-w) alone overflows where Q^n underflows
+    for n in range(1, math.floor((-math.log(THETA_TRUNCATION_TOL) * t / math.pi**2 - 2.0) / 4.0) + 2):
+        log_q = -4.0 * math.pi**2 * n / t
+        rest = rest * (1.0 - math.exp(log_q) * (em1 + 1.0)) * (1.0 - np.exp(log_q - w))
+    sine = s * em1 / 2j
+    return 2.0 * m + s, yk, sine, sine * rest
 
 
-def _finite(out: np.ndarray, name: str):
-    bad = np.count_nonzero(~np.isfinite(out))
-    if bad:
-        raise NonFiniteError(f"{name} is not finite at {bad} of {out.size} points")
-    return _scalar_or_array(out)
+def _two_sum(a, b):
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum, per part)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
     """A at the pairs ``a = (y, x)``, B at the pairs ``b``, the odd unit
-    -c(u)/c(-u) at each u, and c at each argument of ``c``.
+    -c(u)/c(-u) at each u and c at each argument of ``c``; with k = kappa,
 
-    The whole batch costs one ``pow_p`` and one ``theta`` call, so it shares
-    one theta factor count.  The pole of c at u = 0 cancels in the odd unit,
-    with limit 1.  A pole anywhere in the batch raises PoleError with the
-    label of its factor.  Returns the four results in that order, each shaped
+        A = S(2k) S(y-x) / (S(y) S(2k-x)),   B = S(2k-y) S(-x) / (S(2k-x) S(-y)),
+        -c(u)/c(-u) = S(2k+u) / S(2k-u),     c = p^(k - 2k^2) S(2k+x) / S(x).
+
+    The batch is one ``_sine`` call.  A denominator whose sine is below
+    ``POLE_TOL`` raises PoleError with the label of its theta factor, and a
+    value outside the double range NonFiniteError.  Each result is shaped
     like its (broadcast) arguments; a 0-d result is a Python complex.
     """
-    k2 = 2.0 * ep.kappa
+    k2, log_p = 2.0 * ep.kappa, ep.nome.log_p
     ya, xa = (np.asarray(t, dtype=complex) for t in a)
     yb, xb = (np.asarray(t, dtype=complex) for t in b)
     u, c = np.asarray(u, dtype=complex), np.asarray(c, dtype=complex)
-    moving = u != 0
-    # c at its own arguments, then at each moving u, then at its negative
-    cx = np.concatenate([c.ravel(), u[moving], -u[moving]])
-    dya, dxb = ya - xa, xb - yb
-    sa, sb = dya.shape, dxb.shape
-    na, nb, nc = dya.size, dxb.size, cx.size
-    # an argument of one variable (or none) keeps its own shape, and
-    # broadcasts only in the arithmetic below; it is empty where A or B is
-    # asked at no point, so the batch holds the same distinct arguments
-    ya, xa, ka = (t if na else np.broadcast_to(t, sa) for t in (ya, xa, np.asarray(k2)))
-    yb, xb = (t if nb else np.broadcast_to(t, sb) for t in (yb, xb))
-    # exponents in three runs: the guarded theta denominators, in the order
-    # they are checked; the theta numerators; the prefactors
-    rows = (
-        cx, ya, k2 - xa, k2 - xb, -yb,
-        ka, dya, k2 - yb, -xb, k2 + cx,
-        (k2 - ya) * xa, k2 * dxb, k2 * cx,
-    )
-    ends = list(itertools.accumulate(row.size for row in rows))
-    exps = np.empty(ends[-1], dtype=complex)
-    for row, lo, hi in zip(rows, [0] + ends, ends):
-        exps[lo:hi].reshape(row.shape)[...] = row
-    pw = pow_p(ep, exps)
-    # a stacked sweep's batch holds tens of thousands of exponents: free them
-    # before the dedupe below
-    del exps
-    n_theta = ends[9]
-    # arguments recur across a batch (one x across a matrix, one y across a
-    # sweep's shifts); theta of each distinct argument once gives the same values
-    z, back = _distinct(pw[:n_theta])
-    th = theta(ep, z)[back]
-    tol = ep.nome.pole_tol
-    if ends[4] and np.abs(th[: ends[4]]).min() < tol:
-        labels = ("p^x", "p^y", "p^(2*kappa-x)", "p^(2*kappa-x)", "p^(-y)")
+    sa = np.broadcast_shapes(ya.shape, xa.shape)
+    # the quotients S(num) / S(den), each argument a sum l + r whose rounding
+    # error _two_sum keeps: the denominators in the order they are guarded,
+    # each numerator mostly in its denominator's strip between rows of zeros;
+    # an argument of one variable keeps its own shape
+    dens = ((0.0, c), (k2, -u), (0.0, ya), (k2, -xa), (0.0, -yb), (k2, -xb))
+    nums = ((k2, c), (k2, u), (k2, 0.0), (ya, -xa), (k2, -yb), (0.0, -xb))
+    shapes = (c.shape, u.shape, ya.shape, sa, yb.shape, xb.shape)
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+    size = ends[-1]
+    terms = np.empty((2, 2 * size), dtype=complex)
+    for half, sums in enumerate((dens, nums)):
+        for (l, r), shape, lo, hi in zip(sums, shapes, [0] + ends, ends):
+            terms[0, half * size + lo : half * size + hi].reshape(shape)[...] = l
+            terms[1, half * size + lo : half * size + hi].reshape(shape)[...] = r
+    # a stacked sweep's batch holds tens of thousands of arguments: each
+    # array goes as soon as it is used up
+    args, errs = _two_sum(*terms)
+    del terms
+    j, yk, sine, mant = _sine(log_p, args, errs)
+    if size and np.abs(sine[:size]).min() < POLE_TOL:
+        labels = ("p^x", "p^(2*kappa-x)", "p^y", "p^(2*kappa-x)", "p^(-y)", "p^(2*kappa-x)")
         for label, lo, hi in zip(labels, [0] + ends, ends):
-            worst = float(np.abs(th[lo:hi]).min(initial=math.inf))
-            if worst < tol:
-                message = f"pole: theta factor {label} has modulus {worst:.3e} < {tol:.1e}"
-                raise PoleError(message, factor=label, magnitude=worst)
-    c_den, a_y, a_kx, b_kx, b_my, a_k, a_yx, b_ky, b_mx, c_num = (
-        th[lo:hi].reshape(row.shape) for row, lo, hi in zip(rows, [0] + ends, ends[:10])
-    )
-    pre = pw[n_theta:]
-    out = np.empty(na + nb + nc, dtype=complex)
-    out_a, out_b, out_c = out[:na], out[na : na + nb], out[na + nb :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.multiply((a_k * a_yx) / (a_y * a_kx), pre[:na].reshape(sa), out=out_a.reshape(sa))
-        np.multiply((b_ky * b_mx) / (b_kx * b_my), pre[na : na + nb].reshape(sb), out=out_b.reshape(sb))
-        np.divide(pre[na + nb :] * c_num, c_den, out=out_c)
-        if not np.isfinite(out).all():
-            for part, name in ((out_c, "c-function"), (out_a, "A-coefficient"), (out_b, "B-coefficient")):
-                _finite(part, name)
-        unit = np.ones(u.shape, dtype=complex)
-        k, m = c.size, (nc - c.size) // 2
-        unit[moving] = -out_c[k : k + m] / out_c[k + m :]
-    return (
-        _scalar_or_array(out_a.reshape(sa)),
-        _scalar_or_array(out_b.reshape(sb)),
-        _finite(unit, "odd unit"),
-        _scalar_or_array(out_c[:k].reshape(c.shape)),
-    )
+            worst = float(np.abs(sine[lo:hi]).min(initial=math.inf))
+            if worst < POLE_TOL:
+                raise PoleError(f"pole: theta factor {label} has sine modulus {worst:.3e} < {POLE_TOL:.1e}", label, worst)
+    del args, sine
+    # the exponent of S(y) / S(y') is -i pi (j y - j' y') - pi T (j^2 - j'^2) / 4,
+    # or -i pi ((j + j')/2 (y - y') + (j - j')/2 (y + y' - 2i cT)) with c the
+    # row of zeros (j + j')/4 between y and y', 0 for opposite arguments: the
+    # large terms cancel before they are rounded
+    (jd, jn), (yd, yn), (ed, en), (md, mn) = ((v[:size], v[size:]) for v in (j, yk, errs, mant))
+    half_sum, half_diff = (jn + jd) / 2.0, (jn - jd) / 2.0
+    row = 1j * (half_sum / 2.0 * (-2.0 * math.pi / log_p))
+    diff, total = (yn - yd) + (en - ed), ((yn - row) + (yd - row)) + (en + ed)
+    power = -1j * math.pi * (half_sum * diff + half_diff * total)
+    pw, ra = ([v[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, [0] + ends, ends)] for v in (power, mn / md))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (
+            np.exp(pw[3] + pw[2]) * (ra[3] * ra[2]),
+            np.exp(pw[4] + pw[5]) * (ra[4] * ra[5]),
+            np.exp(pw[1]) * ra[1],
+            np.exp(pw[0] + (ep.kappa - 2.0 * ep.kappa**2) * log_p) * ra[0],
+        )
+    for v, name in zip(out, ("A-coefficient", "B-coefficient", "odd unit", "c-function")):
+        if bad := np.count_nonzero(~np.isfinite(v)):
+            raise NonFiniteError(f"{name} is not finite at {bad} of {v.size} points")
+    return tuple(_scalar_or_array(v) for v in out)
 
 
 def coeff_a(ep: EllipticParams, y, x):
-    """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}.
-
-    Broadcasts over y and x.
-    """
+    """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}; broadcasts."""
     return coefficients(ep, a=(y, x))[0]
 
 
 def coeff_b(ep: EllipticParams, y, x):
-    """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}.
-
-    Broadcasts over y and x.
-    """
+    """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}; broadcasts."""
     return coefficients(ep, b=(y, x))[1]
 
 
 def c_func(ep: EllipticParams, x):
-    """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x).
-
-    Broadcasts over x.
-    """
+    """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x); broadcasts."""
     return coefficients(ep, c=x)[3]

@@ -46,6 +46,7 @@ __all__ = [
     "flatness_words",
     "flatness_residual",
     "braid_limit_residual",
+    "braid_limit_slope",
 ]
 
 Letter = tuple[str, int]
@@ -266,3 +267,12 @@ def braid_limit_residual(rep: SpinRep, lam: Sequence[int], depth: float) -> floa
     letters, t, den = _transport_letters(rep, [(translation_power_word(n, lam), z)], limit)
     den[0, 1] = pow_p(ep, sum(r * l for r, l in zip(rho_vector(n, ep.kappa), lam)))
     return word_pair_residuals(rep, [letters], t, den)[0]
+
+
+def braid_limit_slope(rep: SpinRep, lam: Sequence[int]) -> float:
+    """The decay rate of ``braid_limit_residual`` (log p) between the depths a
+    and 2a, a = ceil(6 log 0.35 / log p): 6 at p = 0.35, deeper as subleading
+    terms slow down (p -> 1), shallower before rounding (p -> 0); NaN at a zero."""
+    a = math.ceil(6.0 * math.log(0.35) / rep.params.elliptic.nome.log_p)
+    near, far = (braid_limit_residual(rep, lam, float(depth)) for depth in (a, 2 * a))
+    return (math.log(far) - math.log(near)) / a if near > 0 and far > 0 else math.nan

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkzconn import blocks, checks, cli, connection, heckespin, qkz, tensorspace
+from qkzconn import blocks, checks, cli, connection, elliptic, heckespin, qkz, tensorspace
 from qkzconn.checks import (
     SUITES,
     ResampleExhausted,
@@ -402,7 +402,7 @@ class TestGeneratorOperatorsOffThePath:
     def test_battery_passes(self, n):
         report = run_suite("all", RunConfig(n=n))
         min_n = {c.check_id: c.min_n for c in checks._REGISTRY}
-        assert len(report.results) == 42
+        assert len(report.results) == 43
         for r in report.results:
             if n < min_n[r.check]:
                 assert r.status == "skipped", r.check
@@ -541,6 +541,31 @@ class TestCPeriodicity:
         (result,) = [r for r in run_suite("elliptic", RunConfig(n=2)).results if r.check == "c-periodicity"]
         assert result.status == "ran" and result.passed is False
         assert result.residual > 0.05
+
+
+class TestThetaModular:
+    """``theta-modular`` referees the sine product S that the coefficients use."""
+
+    def test_passes(self):
+        (result,) = [r for r in run_suite("elliptic", RunConfig(n=2)).results if r.check == "theta-modular"]
+        assert result.status == "ran" and result.passed and result.residual < 1e-12
+
+    def test_a_sign_error_in_s_fails_it(self, monkeypatch):
+        # S without the sign (-1)^k of its reduction by k: every quotient of
+        # the coefficient checks shifts both arguments alike, so they pass,
+        # and only the product route sees it
+        real = elliptic._sine
+
+        def planted(log_p, y, err=0.0):
+            j, yk, sine, mant = real(log_p, y, err)
+            return j, yk, sine, mant * (1.0 - 2.0 * np.abs(np.fmod(np.round(y.real), 2.0)))
+
+        monkeypatch.setattr(elliptic, "_sine", planted)
+        monkeypatch.setattr(checks, "_sine", planted)
+        results = {r.check: r for r in run_suite("elliptic", RunConfig(n=2)).results}
+        assert results["theta-modular"].passed is False
+        assert results["theta-modular"].residual > 1.0
+        assert results["c-periodicity"].passed and results["coeff-boundary"].passed
 
 
 class TestTransportCocycle:

@@ -80,6 +80,14 @@ class TestVerify:
         assert result["passed"] is True
         assert result["detail"]["depth"] == depth
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_braid_limit_slope_window_follows_p(self, capsys, seed):
+        # at p = 0.85 the window 39/78 reads the decay rate; 6/12 read it 36% off
+        code, out, _ = run_cli(capsys, "verify", "qkz", "--p", "0.85", "--seed", seed, "--format", "json")
+        (result,) = [r for r in json.loads(out)["results"] if r["check"] == "braid-limit"]
+        assert result["passed"] is True
+        assert result["detail"]["slope_relative_error"] < 0.01
+
     def test_site_count_above_cap_is_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "hecke", "--n", "7")[0] == 2
 
@@ -376,8 +384,8 @@ class TestEvaluationFailuresAreInconclusive:
             ("verify", "all", "--phi", "800,0,0"),
             ("rmatrix", "--phi", "800,0,0"),
             ("verify", "dybe", "--p", "0.999"),
-            ("verify", "elliptic", "--p", "1e-300"),
-            ("rmatrix", "--phi", "0.1,0.5,200"),
+            ("verify", "qkz", "--n", "2", "--p", "1e-300"),
+            ("rmatrix", "--x=0.3+1000j", "--kappa=0.27+0.5j"),
             *_USAGE_ERRORS,
         ],
     )
@@ -399,11 +407,27 @@ class TestEvaluationFailuresAreInconclusive:
             assert "inconclusive" in out
 
     def test_nome_near_one_fails_promptly(self):
-        # theta cannot be truncated this close to p = 1; building the nome's
-        # pole threshold must not take 1/(1 - p) steps before that shows
+        # the product theta cannot be truncated this close to p = 1, so its
+        # three checks are inconclusive, and they say so promptly; the
+        # coefficients, in the modular frame, and theta-modular pass
         code, out = fresh_process("verify", "elliptic", "--p", "0.9999999999", timeout=30)
         assert code == 2
-        assert "0 passed, 0 failed, 5 inconclusive" in out
+        assert "3 passed, 0 failed, 3 inconclusive" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "qkz", "--n", "2", "--p", "1e-300"),
+            ("decompose", "--n", "2", "--p", "1e-300"),
+            ("verify", "all", "--n", "2", "--kappa", "0.27+1e3j"),
+        ],
+    )
+    def test_overflow_is_inconclusive_whatever_the_warning_filters(self, argv):
+        # a numpy overflow raises under np.errstate, so the verdict is the
+        # same with CI's -O -W error::RuntimeWarning as without it
+        for flags in ((), ("-O", "-W", "error::RuntimeWarning")):
+            code, _ = fresh_process(*argv, flags=flags)
+            assert code == 2, flags
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(ValueError, match="seed"):
@@ -454,12 +478,12 @@ def test_build_config_defaults_are_run_config_defaults():
     assert cli.build_config(argparse.Namespace()) == RunConfig()
 
 
-def fresh_process(*argv, timeout=120):
-    """Exit code and stdout of ``python -m qkzconn.cli`` in a new interpreter."""
+def fresh_process(*argv, timeout=120, flags=()):
+    """Exit code and stdout of ``python [flags] -m qkzconn.cli`` in a new interpreter."""
     src = os.path.dirname(os.path.dirname(qkzconn.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *flags, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
     return done.returncode, done.stdout
 

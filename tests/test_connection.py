@@ -365,23 +365,24 @@ class TestDynamicalR:
 
 
 class TestThetaBudget:
-    """Each local matrix costs a fixed number of theta batches, not one per entry."""
+    """Each local matrix costs a fixed number of elliptic batches (``_sine``
+    calls), not one per entry."""
 
     @pytest.fixture()
     def theta_calls(self, monkeypatch):
         calls = []
-        real = elliptic.theta
+        real = elliptic._sine
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(elliptic, "theta", counted)
+        monkeypatch.setattr(elliptic, "_sine", counted)
         return calls
 
     def test_dyn_r_matrix(self, ep, phi, theta_calls):
         dyn_r_matrix(ep, 0.23 + 0.11j, phi)
-        assert len(theta_calls) <= 3
+        assert len(theta_calls) == 1
 
     @pytest.mark.parametrize("n, i", [(2, 1), (3, 2), (4, 2)])
     def test_tensor_monodromy_simple(self, ep, phi, rng, theta_calls, n, i):

@@ -28,7 +28,7 @@ from qkzconn.elliptic import (
     pow_p,
     theta,
 )
-from qkzconn.params import RunConfig
+from qkzconn.params import RunConfig, sample_dynamical, sample_scalar
 
 P = 0.35
 KAPPA = 0.27
@@ -255,36 +255,47 @@ class TestCoefficients:
         assert err.value.factor == "p^(-y)"
         assert err.value.magnitude < POLE_TOL
 
-    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85])
+    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99, 0.999, 1 - 1e-7])
     @pytest.mark.parametrize("y", [0.0, 1.0])
     def test_a_zero_raises_at_every_nome(self, p, y):
-        # the threshold scales with theta's size, (p; p)_inf^2, but a zero
-        # of theta stays below it; the message prints the threshold
+        # the guard reads the sine of the reduced argument, about
+        # pi dist(y, Z) at every nome; the message prints POLE_TOL
         ep = default_params(p)
         with pytest.raises(PoleError) as err:
             coeff_b(ep, y, 0.3)
         assert err.value.factor == "p^(-y)"
-        assert err.value.magnitude < ep.nome.pole_tol < POLE_TOL
-        assert f"< {ep.nome.pole_tol:.1e}" in str(err.value)
+        assert err.value.magnitude < POLE_TOL
+        assert f"< {POLE_TOL:.1e}" in str(err.value)
 
     def test_an_underflowed_theta_is_a_pole(self):
-        # at p = 0.996, (p; p)_inf^2 underflows to 0; the threshold is floored
-        # at the smallest normal double, so a subnormal theta still raises
+        # at p = 0.996 theta's size (p; p)_inf^2 underflows to 0, while the
+        # sine of a zero is exactly 0 and of a nearby point is not
         ep = default_params(0.996)
-        assert ep.nome.pole_tol == sys.float_info.min
+        assert float(mp.qp(0.996)) ** 2 < sys.float_info.min
         with pytest.raises(PoleError) as err:
             coeff_b(ep, 0.0, 0.3)
-        assert err.value.magnitude < sys.float_info.min
+        assert err.value.magnitude == 0.0
+        assert math.isfinite(abs(coeff_b(ep, 0.01, 0.3)))
 
-    @pytest.mark.parametrize("p", [0.9999999, 1 - 1e-12, math.nextafter(1.0, 0.0)])
-    def test_nome_near_one_has_the_floor_threshold(self, p):
-        # the Euler product stops once the floor is certain, a few factors here
-        assert Nome(p).pole_tol == sys.float_info.min
+    @pytest.mark.parametrize("p", [0.99, 0.999, 1 - 1e-7, 1 - 1e-12, math.nextafter(1.0, 0.0)])
+    def test_nome_near_one_evaluates(self, p):
+        # no factor, no Euler product and no cap: the modular frame is finite up to p -> 1
+        ep = default_params(p)
+        y = np.array([0.3 + 0.1j, -0.2 + 0.3j, 0.4 - 0.2j])
+        x = np.array([0.2 + 0.05j, 0.1 - 0.3j, -0.35 + 0.15j])
+        for part in coefficients(ep, a=(y, x), b=(y, x), u=x, c=x):
+            assert np.isfinite(part).all()
 
     @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99])
-    def test_pole_threshold_is_pole_tol_times_the_euler_product(self, p):
-        want = POLE_TOL * float(mp.qp(p)) ** 2
-        assert abs(Nome(p).pole_tol - want) <= 1e-12 * want
+    def test_pole_threshold_is_pole_tol_over_pi_in_distance(self, p):
+        # the sine of the reduced argument is pi dist(y, Z) to first order:
+        # the guard fires at a distance POLE_TOL / pi from a zero, at any p
+        ep = default_params(p)
+        for k, t in ((0, 0.0), (1, 0.0), (0, 2.0 * math.pi / -ep.nome.log_p)):
+            zero = complex(k, t)
+            with pytest.raises(PoleError):
+                coeff_b(ep, zero + 0.9 * POLE_TOL / math.pi, 0.3)
+            assert math.isfinite(abs(coeff_b(ep, zero + 1.1 * POLE_TOL / math.pi, 0.3)))
 
     def test_batches_match_scalar_calls(self, params, rng):
         ys = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(0.0, 0.5, size=4)
@@ -300,18 +311,27 @@ class TestCoefficients:
         for x, g in zip(xs[:, 0], got):
             assert abs(g - c_func(params, x)) <= 1e-14 * abs(g)
 
+    def test_far_arguments_reduce(self, params):
+        # y = -199.9 puts theta's argument at |z| ~ p^-200, where the product
+        # overflowed; A is periodic in y with period 1, and the reduction
+        # gives the value at y = 0.1
+        far, near = coeff_a(params, np.array([0.4, -199.9]), 0.3 + 0.1j), coeff_a(params, np.array([0.4, 0.1]), 0.3 + 0.1j)
+        assert np.all(np.abs(far - near) <= 1e-13 * np.abs(near))
+
     @pytest.mark.parametrize(
         "fn, args",
         [
-            (coeff_a, (np.array([0.4, -199.9]), 0.3 + 0.1j)),
-            (coeff_b, (199.9, 0.3 + 0.1j)),
-            (c_func, (np.array([0.4, -300.0]),)),
+            (coeff_a, (np.array([0.4, 0.3]), 0.3 + 1000j)),
+            (coeff_b, (0.4, 0.3 + 1000j)),
+            (c_func, (np.array([0.4, 0.3 + 1000j]),)),
         ],
     )
-    def test_non_finite_values_raise(self, params, fn, args):
-        # theta products of |z| ~ p^(-200) overflow; the NaN must not escape
+    def test_non_finite_values_raise(self, fn, args):
+        # a complex coupling makes each coefficient grow like exp(4 pi Im kappa)
+        # per period 2 pi / t of Im x, past the double range at Im x = 1000;
+        # the inf or NaN must not escape
         with pytest.raises(NonFiniteError):
-            fn(params, *args)
+            fn(default_params(P, KAPPA + 0.5j), *args)
 
 
 class TestFusedEvaluator:
@@ -342,25 +362,41 @@ class TestFusedEvaluator:
 
     @pytest.mark.parametrize(
         "group, label",
-        [("a", "p^y"), ("a_x", "p^(2*kappa-x)"), ("b", "p^(-y)"), ("u", "p^x")],
+        [("a", "p^y"), ("a_x", "p^(2*kappa-x)"), ("b", "p^(-y)"), ("u", "p^(2*kappa-x)"), ("c", "p^x")],
     )
     def test_one_pole_in_a_batch_names_its_factor(self, params, group, label):
         ys = np.array([0.3 + 0.1j, -0.2 + 0.2j, 0.1 - 0.3j])
         xs = np.array([0.2 + 0.1j, -0.4 + 0.3j, 0.3 + 0.2j])
         us = np.array([0.25 + 0.1j, -0.3 + 0.2j])
-        ya, xa, yb = ys.copy(), xs.copy(), ys.copy()
+        ya, xa, yb, cs = ys.copy(), xs.copy(), ys.copy(), xs.copy()
         if group == "a":
             ya[1] = 1.0  # theta(p^1) in the A-denominator
         elif group == "a_x":
             xa[2] = 2.0 * KAPPA  # theta(p^0) in the A-denominator
         elif group == "b":
             yb[0] = 1.0  # theta(p^-1) in the B-denominator
+        elif group == "u":
+            us[1] = 2.0 * KAPPA  # theta(p^(2 kappa - u)) = theta(1) in the odd unit's denominator
         else:
-            us[1] = 1.0  # theta(p^1) in the c-denominator
+            cs[0] = 1.0  # theta(p^1) in the c-denominator
         with pytest.raises(PoleError) as err:
-            coefficients(params, a=(ya, xa), b=(yb, xs), u=us)
+            coefficients(params, a=(ya, xa), b=(yb, xs), u=us, c=cs)
         assert err.value.factor == label
         assert err.value.magnitude < POLE_TOL
+
+    def test_unit_has_no_pole_at_integer_u(self, params):
+        # theta(p^u) and theta(p^-u) vanish together at u in Z, and the unit
+        # S(2 kappa + u) / S(2 kappa - u) has no pole there; the reference
+        # is p^((4 kappa - 1) u) theta(p^(2 kappa + u)) / theta(p^(2 kappa - u))
+        us = np.array([1.0, -1.0, 2.0, 1.0 + 2j * math.pi / abs(math.log(P))])
+        unit = coefficients(params, u=us)[2]
+        for u, got in zip(us, unit):
+            with mp.workdps(40):
+                log_p, k2 = mp.mpf(math.log(P)), 2 * mp.mpf(KAPPA)
+                power = lambda e: mp.e ** (e * log_p)
+                th = lambda e: mp.qp(power(e), power(1)) * mp.qp(power(1 - e), power(1))
+                want = complex(power((2 * k2 - 1) * mp.mpc(u)) * th(k2 + mp.mpc(u)) / th(k2 - mp.mpc(u)))
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_zero_gives_unit_one_inside_a_batch(self, params):
         us = np.array([0.3 + 0.1j, 0.0, -0.2 + 0.4j])
@@ -372,54 +408,112 @@ class TestFusedEvaluator:
         assert abs(a[1] - 1.0) < 1e-12  # A(y, 0) = 1 in the same batch
 
 
-def _unique_route(w):
-    return np.unique(w, return_inverse=True)
+class TestSignedZeros:
+    def test_a_signed_zero_changes_no_bit(self, params):
+        # negative real arguments with +0.0 and -0.0 imaginary parts give
+        # the same bits
+        ys = np.array([complex(-0.4, 0.0), complex(-0.4, -0.0)])
+        xs = np.array([complex(-0.2, -0.0), -0.2 + 0j])
+        us = np.array([complex(-0.5, -0.0), -0.5 + 0j])
+        cs = np.array([complex(-0.6, 0.0), complex(-0.6, -0.0)])
+        for got in coefficients(params, a=(ys, xs), b=(ys, xs), u=us, c=cs):
+            assert got[0].tobytes() == got[1].tobytes()
 
 
-def _has_signed_zero_twins(w):
-    # more bit patterns than values: two equal entries differ in the sign of a zero part
-    return len({t.tobytes() for t in w}) > len(np.unique(w))
+def theta_40(p, e, route):
+    """theta(p^e) at 40 digits at the nome exp(log p) of the double log p, the
+    one the kernel evaluates at (the 40-digit log of p differs from it in the
+    17th digit): mpmath's q-Pochhammer product, or the modular formula
+    C(p) p^((e - e^2)/2) sin(pi e) prod (1 - 2 Q^n cos 2 pi e + Q^2n) with no
+    reduction of e, which converges at any p."""
+    with mp.workdps(40):
+        log_p, e = mp.mpf(math.log(p)), mp.mpc(e)
+        if route == "product":
+            return mp.qp(mp.e ** (e * log_p), mp.e**log_p) * mp.qp(mp.e ** ((1 - e) * log_p), mp.e**log_p)
+        t = -log_p
+        q, cos = mp.e ** (-4 * mp.pi**2 / t), mp.cos(2 * mp.pi * e)
+        s, n = mp.sin(mp.pi * e), 1
+        while abs(q**n * cos) > mp.mpf(10) ** -45 or q**n > mp.mpf(10) ** -45:
+            s *= 1 - 2 * q**n * cos + q ** (2 * n)
+            n += 1
+        return 2 * mp.e ** (t / 12 - mp.pi**2 / (3 * t) - t * (e - e * e) / 2) * s
 
 
-class TestDistinctArguments:
-    """The dedupe of a batch's theta arguments against ``np.unique``, bit for bit."""
+def coefficient_oracle(p, y, x, u, c):
+    """A(y, x), B(y, x), the odd unit at u and c at c, at 40 digits, composed
+    from ``theta_40`` and the prefactors as the definitions write them."""
+    with mp.workdps(40):
+        log_p, k2 = mp.mpf(math.log(p)), 2 * mp.mpc(KAPPA)
+        y, x, u, c = (mp.mpc(complex(v)) for v in (y, x, u, c))
 
-    def test_repeats_and_signed_zeros(self, params, rng):
-        v = complex(0.6388168820516134, 0.1468069172664991)
-        base = [
-            0.5 + 0j, complex(0.5, -0.0), complex(-0.0, 0.7), 0.7j,
-            v, -v, v.conjugate(), -v.conjugate(), 2.0 + 0j, complex(2.0, -0.0), complex(-0.3, -0.0), -0.3 + 0j,
-        ]
-        w = np.array(base * 5, dtype=complex)[rng.permutation(5 * len(base))]
-        assert _has_signed_zero_twins(w)
-        z, back = elliptic._distinct(w)
-        want_z, want_back = _unique_route(w)
-        assert len(z) == len(want_z) == 8
-        assert np.array_equal(z[back], w)
-        assert theta(params, z)[back].tobytes() == theta(params, want_z)[want_back].tobytes()
-        z, back = elliptic._distinct(np.zeros(0, dtype=complex))
-        assert z.shape == back.shape == (0,)
+        def power(e):
+            return mp.e ** (e * log_p)
 
-    def test_coefficients_match_the_unique_route(self, params, monkeypatch):
-        # negative real exponents with +0.0 and -0.0 imaginary parts give theta
-        # arguments p^x of either zero sign
-        ys = np.array([0.3 + 0.1j, complex(-0.4, 0.0), complex(-0.4, -0.0), 0.3 + 0.1j])
-        xs = np.array([complex(-0.2, -0.0), -0.2 + 0j, 0.1 + 0.2j, 0.1 + 0.2j])
-        us = np.array([complex(-0.5, -0.0), -0.5 + 0j, 0.25 + 0.1j, 0.0])
-        cs = np.array([complex(-0.6, 0.0), complex(-0.6, -0.0), 0.4 + 0j])
-        args = dict(a=(ys, xs), b=(ys[::-1], xs), u=us, c=cs)
-        got = coefficients(params, **args)
-        seen = []
+        def th(e):
+            return theta_40(p, e, "modular")
 
-        def unique_route(w):
-            seen.append(w.copy())
-            return _unique_route(w)
+        def cf(v):
+            return power(k2 * v) * th(k2 + v) / th(v)
 
-        monkeypatch.setattr(elliptic, "_distinct", unique_route)
-        want = coefficients(params, **args)
-        assert _has_signed_zero_twins(seen[0])
-        for g, t in zip(got, want):
-            assert np.asarray(g).tobytes() == np.asarray(t).tobytes()
+        a = th(k2) * th(y - x) / (th(y) * th(k2 - x)) * power((k2 - y) * x)
+        b = th(k2 - y) * th(-x) / (th(k2 - x) * th(-y)) * power(k2 * (x - y))
+        return [complex(v) for v in (a, b, -cf(u) / cf(-u), cf(c))]
+
+
+class TestModularFrame:
+    """A, B, the odd unit and c against 40-digit references, at any nome."""
+
+    @staticmethod
+    def draws(p, count):
+        gen = np.random.default_rng(4)
+        nome = Nome(p)
+        y = np.array([sample_dynamical(gen) for _ in range(count)])
+        x, u, c = (np.array([sample_scalar(gen, nome) for _ in range(count)]) for _ in range(3))
+        return y, x, u, c
+
+    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85])
+    def test_the_modular_reference_is_the_product(self, p):
+        # the two 40-digit routes to theta agree, across a period in Im e
+        gen = np.random.default_rng(6)
+        for _ in range(4):
+            e = complex(gen.uniform(-1.0, 2.0), gen.uniform(0.0, 2.0 * math.pi / -math.log(p)))
+            want, got = theta_40(p, e, "product"), theta_40(p, e, "modular")
+            assert abs(got - want) <= mp.mpf(10) ** -35 * abs(want)
+
+    @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99])
+    def test_against_40_digits(self, p):
+        # Im x, u and c span one period 2 pi / t of p^x: 625 at p = 0.99
+        y, x, u, c = self.draws(p, 60)
+        got = coefficients(default_params(p), a=(y, x), b=(y, x), u=u, c=c)
+        worst = np.zeros(4)
+        for k in range(len(y)):
+            want = coefficient_oracle(p, y[k], x[k], u[k], c[k])
+            worst = np.maximum(worst, [abs(g[k] - w) / abs(w) for g, w in zip(got, want)])
+        assert worst.max() <= 1e-14, worst
+
+    def test_agrees_with_the_product_kernel_at_p_099(self):
+        # the product theta needs 3,700 factors here; moderate draws keep its
+        # values in range
+        ep = default_params(0.99)
+        gen = np.random.default_rng(5)
+        y, x = (np.array([sample_dynamical(gen) for _ in range(40)]) for _ in range(2))
+        a, b, unit, c = coefficients(ep, a=(y, x), b=(y, x), u=x, c=x)
+        k2 = 2.0 * ep.kappa
+
+        def th(e):
+            return theta(ep, pow_p(ep, e))
+
+        def cf(v):
+            return pow_p(ep, k2 * v) * th(k2 + v) / th(v)
+
+        want = (
+            th(k2) * th(y - x) / (th(y) * th(k2 - x)) * pow_p(ep, (k2 - y) * x),
+            th(k2 - y) * th(-x) / (th(k2 - x) * th(-y)) * pow_p(ep, k2 * (x - y)),
+            -cf(x) / cf(-x),
+            cf(x),
+        )
+        for got, ref in zip((a, b, unit, c), want):
+            assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
 class TestParams:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qkzconn.elliptic import PoleError
+from qkzconn.elliptic import PoleError, default_params
 from qkzconn.heckespin import HeckeParams, spin_rep, y_tilde
 from qkzconn.params import sample_point
 from qkzconn.qkz import (
@@ -14,6 +14,7 @@ from qkzconn.qkz import (
     AffineWord,
     affine_word,
     braid_limit_residual,
+    braid_limit_slope,
     flatness_residual,
     s_letter,
     translation_defect,
@@ -313,6 +314,21 @@ class TestBraidLimit:
             r12 = braid_limit_residual(rep, lam, 12.0)
             slope = (math.log(r12) - math.log(r6)) / 6.0
             assert abs(slope - log_p) / abs(log_p) < 0.2
+
+    def test_slope_window_is_6_and_12_at_the_default_nome(self, reps, ep):
+        lam = (1, 0)
+        r6, r12 = (braid_limit_residual(reps[2], lam, d) for d in (6.0, 12.0))
+        assert ep.nome.p == 0.35
+        assert braid_limit_slope(reps[2], lam) == (math.log(r12) - math.log(r6)) / 6.0
+
+    @pytest.mark.parametrize("p", [0.02, 0.85])
+    def test_slope_window_scales_with_p(self, p, phi):
+        # depths 6 and 12 read the slope from rounding at p = 0.02 and from
+        # the subleading terms at p = 0.85; the window a, 2a reads log p
+        ep = default_params(p)
+        rep = spin_rep(HeckeParams(elliptic=ep, n=3), phi)
+        slope = braid_limit_slope(rep, (1, 0, 0))
+        assert abs(slope - ep.nome.log_p) / abs(ep.nome.log_p) < 0.05
 
     def test_limit_is_y_tilde(self, reps):
         # at a deep point the transport matches the closed-form operator entrywise
