@@ -30,9 +30,7 @@ from .elliptic import (
     PoleError,
     ThetaDomainError,
     ThetaOverflowError,
-    c_func,
     coeff_a,
-    coeff_b,
     coefficients,
     default_params,
     pow_p,

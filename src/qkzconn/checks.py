@@ -334,7 +334,7 @@ def _theta_modular(ctx: VerifyContext, rng):
 def _coeff_boundary(ctx: VerifyContext, rng):
     ep = ctx.ep
     y = [sample_scalar(rng, ep.nome) for _ in range(50)]
-    a, b, _, _ = coefficients(ep, a=(y, 0.0), b=(y, 0.0))
+    a, b, _, _ = coefficients(ep, y, 0.0)
     return [*np.abs(a - 1.0), *np.abs(b)]
 
 

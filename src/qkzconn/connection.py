@@ -139,7 +139,7 @@ def _letter_products(ep: EllipticParams, plans: Sequence[tuple], names: Sequence
         us.append(x[o])
     y, x, u = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs, us))
     try:
-        a, b, units, _ = coefficients(ep, a=(y, x), b=(y, x), u=u)
+        a, b, units, _ = coefficients(ep, y, x, u=u)
     except PoleError as exc:
         words = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in labels) for labels in names))
         raise PoleError(
@@ -356,15 +356,15 @@ def dyn_r_matrix(ep: EllipticParams, x, phi) -> np.ndarray:
     """
     x, phi = np.asarray(x, dtype=complex), np.asarray(phi, dtype=complex)
     shape = np.broadcast_shapes(x.shape, phi.shape[:-1])
-    xs = np.broadcast_to(x, shape).reshape(-1, 1)
-    phis = np.broadcast_to(phi, shape + (3,)).reshape(-1, 3)
-    ys = phis[:, _R_GI] - phis[:, _R_GJ]
-    a, b, unit, _ = coefficients(ep, a=(ys, xs), b=(ys, xs), u=xs[:, 0])
-    diag = np.ones((len(xs), 9), dtype=complex)
-    off = np.zeros((len(xs), 9), dtype=complex)
-    diag[:, tensor_index((3, 3))] = unit
-    diag[:, _MIXED], off[:, _MIXED] = a, _R_SIGN * b
-    m = column_products(np.broadcast_to(_R_PERM, (1, len(xs), 9)), diag[None], off[None], 9)
+    # each x and each phi difference enters the batch once, before the
+    # stack is broadcast
+    a, b, unit, _ = coefficients(ep, phi[..., _R_GI] - phi[..., _R_GJ], x[..., None], u=x)
+    diag = np.ones(shape + (9,), dtype=complex)
+    off = np.zeros(shape + (9,), dtype=complex)
+    diag[..., tensor_index((3, 3))] = unit
+    diag[..., _MIXED], off[..., _MIXED] = a, _R_SIGN * b
+    diag, off = diag.reshape(1, -1, 9), off.reshape(1, -1, 9)
+    m = column_products(np.broadcast_to(_R_PERM, off.shape), diag, off, 9)
     return np.ascontiguousarray(m.reshape(shape + (9, 9)))
 
 

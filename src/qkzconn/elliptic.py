@@ -12,9 +12,9 @@ transformation (DLMF 20.7.30) instead: with t = -log p,
 theta(p^Y) = C(p) p^((Y - Y^2)/2) S(Y), C(p) = 2 exp(t/12 - pi^2/(3t)), where
 S (``_sine``) needs 3, 1 and 0 factors at p = 0.05, 0.35 and 0.6.  In A, B,
 c and the odd unit C(p) and the Gaussian cancel.  ``coefficients`` computes
-them all from one ``_sine`` batch, finite up to p -> 1, and ``coeff_a``,
-``coeff_b`` and ``c_func`` are thin calls into it.  ``pow_p`` and ``theta``
-take a scalar or an array; a scalar returns a Python complex.
+them all from one ``_sine`` batch, finite up to p -> 1, with S at each of
+its arguments once; ``coeff_a`` is a thin call into it.  ``pow_p`` and
+``theta`` take a scalar or an array; a scalar returns a Python complex.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "pow_p",
     "theta",
     "coeff_a",
-    "coeff_b",
-    "c_func",
     "coefficients",
 ]
 
@@ -219,65 +217,87 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
-    """A at the pairs ``a = (y, x)``, B at the pairs ``b``, the odd unit
-    -c(u)/c(-u) at each u and c at each argument of ``c``; with k = kappa,
+def coefficients(ep: EllipticParams, y=(), x=(), u=(), c=()):
+    """A and B at the broadcast pairs (y, x), the odd unit -c(u)/c(-u) at
+    each u and c at each argument of ``c``; with k = kappa,
 
         A = S(2k) S(y-x) / (S(y) S(2k-x)),   B = S(2k-y) S(-x) / (S(2k-x) S(-y)),
         -c(u)/c(-u) = S(2k+u) / S(2k-u),     c = p^(k - 2k^2) S(2k+x) / S(x).
 
-    The batch is one ``_sine`` call.  A denominator whose sine is below
-    ``POLE_TOL`` raises PoleError with the label of its theta factor, and a
-    value outside the double range NonFiniteError.  Each result is shaped
-    like its (broadcast) arguments; a 0-d result is a Python complex.
+    The batch is one ``_sine`` call that evaluates each argument once, at
+    the shape of the variables it depends on: S(y) and S(2k-y) at y's,
+    S(2k-x) and S(-x) at x's, S(y-x) at the pairs', S(2k) once, S(c) and
+    S(2k+c) at c's, S(2k-u) and S(2k+u) at u's.
+
+    B's S(-y) is not evaluated: it is S(y)'s tuple (j, yk, err, mant)
+    negated.  ``_sine`` reduces -y by -k and -m where it reduces y by k and
+    m, and off a row of zeros (Im y0 != 0) its sign s flips too, so there
+    the negated tuple is exactly the one it computes for -y.  On a row both
+    signs take s = +1 and the strip labels differ by 2; the negated tuple
+    is then still S(-y), as S is odd, written in the neighbouring strip.
+
+    A denominator whose sine is below ``POLE_TOL`` raises PoleError with
+    the label of its theta factor (a pole of S(-y) is one of S(y), labelled
+    ``p^y``), and a value outside the double range NonFiniteError.  Each
+    result is shaped like its (broadcast) arguments; a 0-d result is a
+    Python complex.
     """
     k2, log_p = 2.0 * ep.kappa, ep.nome.log_p
-    ya, xa = (np.asarray(t, dtype=complex) for t in a)
-    yb, xb = (np.asarray(t, dtype=complex) for t in b)
-    u, c = np.asarray(u, dtype=complex), np.asarray(c, dtype=complex)
-    sa = np.broadcast_shapes(ya.shape, xa.shape)
-    # the quotients S(num) / S(den), each argument a sum l + r whose rounding
-    # error _two_sum keeps: the denominators in the order they are guarded,
-    # each numerator mostly in its denominator's strip between rows of zeros;
-    # an argument of one variable keeps its own shape
-    dens = ((0.0, c), (k2, -u), (0.0, ya), (k2, -xa), (0.0, -yb), (k2, -xb))
-    nums = ((k2, c), (k2, u), (k2, 0.0), (ya, -xa), (k2, -yb), (0.0, -xb))
-    shapes = (c.shape, u.shape, ya.shape, sa, yb.shape, xb.shape)
+    y, x, u, c = (np.asarray(t, dtype=complex) for t in (y, x, u, c))
+    pairs = np.broadcast_shapes(y.shape, x.shape)
+    # each argument a sum l + r whose rounding error _two_sum keeps: the
+    # denominators S(c), S(2k-u), S(y), S(2k-x) in the order they are
+    # guarded, the numerators S(2k+c), S(2k+u), S(2k-y), S(-x) over them,
+    # then S(2k) and S(y-x)
+    sums = ((0.0, c), (k2, -u), (0.0, y), (k2, -x), (k2, c), (k2, u), (k2, -y), (0.0, -x), (k2, 0.0), (y, -x))
+    shapes = (c.shape, u.shape, y.shape, x.shape) * 2 + ((), pairs)
     ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
-    size = ends[-1]
-    terms = np.empty((2, 2 * size), dtype=complex)
-    for half, sums in enumerate((dens, nums)):
-        for (l, r), shape, lo, hi in zip(sums, shapes, [0] + ends, ends):
-            terms[0, half * size + lo : half * size + hi].reshape(shape)[...] = l
-            terms[1, half * size + lo : half * size + hi].reshape(shape)[...] = r
+    starts = [0] + ends
+    terms = np.empty((2, ends[-1]), dtype=complex)
+    for (l, r), shape, lo, hi in zip(sums, shapes, starts, ends):
+        terms[0, lo:hi].reshape(shape)[...] = l
+        terms[1, lo:hi].reshape(shape)[...] = r
     # a stacked sweep's batch holds tens of thousands of arguments: each
     # array goes as soon as it is used up
     args, errs = _two_sum(*terms)
     del terms
     j, yk, sine, mant = _sine(log_p, args, errs)
-    if size and np.abs(sine[:size]).min() < POLE_TOL:
-        labels = ("p^x", "p^(2*kappa-x)", "p^y", "p^(2*kappa-x)", "p^(-y)", "p^(2*kappa-x)")
-        for label, lo, hi in zip(labels, [0] + ends, ends):
+    n = ends[3]
+    if n and np.abs(sine[:n]).min() < POLE_TOL:
+        for label, lo, hi in zip(("p^x", "p^(2*kappa-x)", "p^y", "p^(2*kappa-x)"), starts, ends):
             worst = float(np.abs(sine[lo:hi]).min(initial=math.inf))
             if worst < POLE_TOL:
                 raise PoleError(f"pole: theta factor {label} has sine modulus {worst:.3e} < {POLE_TOL:.1e}", label, worst)
     del args, sine
-    # the exponent of S(y) / S(y') is -i pi (j y - j' y') - pi T (j^2 - j'^2) / 4,
-    # or -i pi ((j + j')/2 (y - y') + (j - j')/2 (y + y' - 2i cT)) with c the
+    # every quotient S(y) / S(y') in one pass over gathered tuples: the
+    # numerators over the denominators, with S(-y) the negated tuple of
+    # S(y), then A's S(2k) / S(y) and S(y-x) / S(2k-x)
+    index = np.arange(ends[-1])
+    at_y, at_x = index[starts[2] : ends[2]], index[starts[3] : n]
+    num = np.concatenate((index[n : 2 * n], np.full(at_y.size, 2 * n), index[2 * n + 1 :]))
+    den = np.concatenate((index[:n], at_y, np.broadcast_to(at_x.reshape(x.shape), pairs).ravel()))
+    sign = np.ones(den.size)
+    sign[at_y] = -1.0
+    (jn, yn, en, mn), (jd, yd, ed, md) = ([v[num] for v in (j, yk, errs, mant)], [sign * v[den] for v in (j, yk, errs, mant)])
+    # its exponent is -i pi (j y - j' y') - pi T (j^2 - j'^2) / 4, or
+    # -i pi ((j + j')/2 (y - y') + (j - j')/2 (y + y' - 2i cT)) with c the
     # row of zeros (j + j')/4 between y and y', 0 for opposite arguments: the
     # large terms cancel before they are rounded
-    (jd, jn), (yd, yn), (ed, en), (md, mn) = ((v[:size], v[size:]) for v in (j, yk, errs, mant))
     half_sum, half_diff = (jn + jd) / 2.0, (jn - jd) / 2.0
     row = 1j * (half_sum / 2.0 * (-2.0 * math.pi / log_p))
     diff, total = (yn - yd) + (en - ed), ((yn - row) + (yd - row)) + (en + ed)
-    power = -1j * math.pi * (half_sum * diff + half_diff * total)
-    pw, ra = ([v[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, [0] + ends, ends)] for v in (power, mn / md))
+    power, ratio = -1j * math.pi * (half_sum * diff + half_diff * total), mn / md
+    bounds = (*starts[:4], n, n + at_y.size, num.size)
+    (pc, rc), (pu, ru), (pb, rb), (pb2, rb2), (pa, ra), (pa2, ra2) = (
+        (power[lo:hi].reshape(shape), ratio[lo:hi].reshape(shape))
+        for shape, lo, hi in zip((*shapes[:4], y.shape, pairs), bounds, bounds[1:])
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         out = (
-            np.exp(pw[3] + pw[2]) * (ra[3] * ra[2]),
-            np.exp(pw[4] + pw[5]) * (ra[4] * ra[5]),
-            np.exp(pw[1]) * ra[1],
-            np.exp(pw[0] + (ep.kappa - 2.0 * ep.kappa**2) * log_p) * ra[0],
+            np.exp(pa2 + pa) * (ra2 * ra),
+            np.exp(pb + pb2) * (rb * rb2),
+            np.exp(pu) * ru,
+            np.exp(pc + (ep.kappa - 2.0 * ep.kappa**2) * log_p) * rc,
         )
     for v, name in zip(out, ("A-coefficient", "B-coefficient", "odd unit", "c-function")):
         if bad := np.count_nonzero(~np.isfinite(v)):
@@ -287,14 +307,4 @@ def coefficients(ep: EllipticParams, a=((), ()), b=((), ()), u=(), c=()):
 
 def coeff_a(ep: EllipticParams, y, x):
     """A-coefficient theta(p^{2k}, p^{y-x}) / theta(p^y, p^{2k-x}) * p^{(2k-y)x}; broadcasts."""
-    return coefficients(ep, a=(y, x))[0]
-
-
-def coeff_b(ep: EllipticParams, y, x):
-    """B-coefficient theta(p^{2k-y}, p^{-x}) / theta(p^{2k-x}, p^{-y}) * p^{2k(x-y)}; broadcasts."""
-    return coefficients(ep, b=(y, x))[1]
-
-
-def c_func(ep: EllipticParams, x):
-    """Elliptic c-function p^{2k x} * theta(p^{2k+x}) / theta(p^x); broadcasts."""
-    return coefficients(ep, c=x)[3]
+    return coefficients(ep, y, x)[0]

@@ -36,7 +36,6 @@ __all__ = [
     "affine_word",
     "s_letter",
     "XI",
-    "XI_INV",
     "translation_word",
     "translation_defect",
     "translation_power_word",
@@ -52,7 +51,6 @@ __all__ = [
 Letter = tuple[str, int]
 
 XI: Letter = ("xi", 1)
-XI_INV: Letter = ("xi", -1)
 
 
 def s_letter(i: int) -> Letter:

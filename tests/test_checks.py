@@ -277,12 +277,10 @@ class TestStackedProducts:
     """Words of one block dimension multiply on ``tensorspace.column_products``."""
 
     @staticmethod
-    def fake_coefficients(ep, a=((), ()), b=((), ()), u=(), c=()):
+    def fake_coefficients(ep, y=(), x=(), u=(), c=()):
         # an elementwise stand-in, so one word alone gets the coefficients it gets in a batch
-        ya, xa = (np.asarray(t, dtype=complex) for t in a)
-        yb, xb = (np.asarray(t, dtype=complex) for t in b)
-        u = np.asarray(u, dtype=complex)
-        return np.cos(ya) + 0.3 * xa, np.sin(yb - xb) - 0.2j, 1.0 + 0.5j * u + u * u, None
+        y, x, u = (np.asarray(t, dtype=complex) for t in (y, x, u))
+        return np.cos(y) + 0.3 * x, np.sin(y - x) - 0.2j, 1.0 + 0.5j * u + u * u, None
 
     @staticmethod
     def dense_product(letters, gammas, xs):
@@ -292,7 +290,7 @@ class TestStackedProducts:
         mat = np.eye(len(gammas), dtype=complex)
         for letter, x in zip(letters, xs):
             y = gammas[cols, letter.gi] - gammas[cols, letter.gj]
-            a, b, unit, _ = TestStackedProducts.fake_coefficients(None, (y, x), (y, x), [x])
+            a, b, unit, _ = TestStackedProducts.fake_coefficients(None, y, x, [x])
             moving = letter.kind == connection._MOVING
             m = np.zeros_like(mat)
             m[cols, cols] = np.where(moving, a, np.where(letter.kind == connection._ODD, unit[0], 1.0))
@@ -533,8 +531,8 @@ class TestCPeriodicity:
         # the odd unit and in -c(x)/c(-x) times its reverse, but not in c(x + 1) = c(x)
         real = checks.coefficients
 
-        def scaled(ep, a=((), ()), b=((), ()), u=(), c=()):
-            out_a, out_b, unit, out_c = real(ep, a, b, u, c)
+        def scaled(ep, y=(), x=(), u=(), c=()):
+            out_a, out_b, unit, out_c = real(ep, y, x, u, c)
             return out_a, out_b, unit, out_c * (3.7 + 2.1j) * np.exp(np.abs(np.asarray(c, dtype=complex)))
 
         monkeypatch.setattr(checks, "coefficients", scaled)

@@ -21,7 +21,7 @@ from qkzconn.connection import (
     tensor_monodromy_words,
 )
 from qkzconn import connection, elliptic
-from qkzconn.elliptic import POLE_TOL, PoleError, coeff_a, coeff_b, c_func
+from qkzconn.elliptic import POLE_TOL, PoleError, coeff_a, coefficients
 from qkzconn.params import sample_dynamical, sample_phi, sample_point_band, sample_scalar
 from qkzconn.symgroup import (
     act,
@@ -91,8 +91,8 @@ class TestConnectionSimple:
         assert min_coset_reps(2, spec.index_set) == ((1, 2), (2, 1))
         want = np.array(
             [
-                [coeff_a(ep, y, x), coeff_b(ep, -y, x)],
-                [coeff_b(ep, y, x), coeff_a(ep, -y, x)],
+                [coeff_a(ep, y, x), coefficients(ep, -y, x)[1]],
+                [coefficients(ep, y, x)[1], coeff_a(ep, -y, x)],
             ]
         )
         assert np.allclose(m, want, atol=1e-13)
@@ -228,7 +228,7 @@ class TestTensorMonodromy:
         col = m.dense()[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep)
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
-        assert col[tensor_index((1, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
+        assert col[tensor_index((1, 2, 3))] == pytest.approx(-coefficients(ep, y, x)[1])
         assert np.count_nonzero(col) == 2
 
     def test_worked_case_repeated_content(self, ep, phi, rng):
@@ -241,7 +241,7 @@ class TestTensorMonodromy:
         col = m.dense()[:, tensor_index(beta)]
         y = phi[2] - phi[1] + half_period(ep) + ep.kappa
         assert col[tensor_index(beta)] == pytest.approx(coeff_a(ep, y, x))
-        assert col[tensor_index((2, 2, 3))] == pytest.approx(-coeff_b(ep, y, x))
+        assert col[tensor_index((2, 2, 3))] == pytest.approx(-coefficients(ep, y, x)[1])
 
     def test_diagonal_cases(self, ep, phi, rng):
         n, i = 3, 1
@@ -250,7 +250,7 @@ class TestTensorMonodromy:
         (m,) = tensor_monodromy_words(ep, [(phi, (i,), z)])
         for beta, want in (
             ((3, 1, 1), 1.0),  # equal even entries at the dual pair
-            ((1, 3, 3), -c_func(ep, x) / c_func(ep, -x)),  # equal odd entries
+            ((1, 3, 3), -coefficients(ep, c=x)[3] / coefficients(ep, c=-x)[3]),  # equal odd entries
         ):
             idx = tensor_index(beta)
             assert m.dense()[idx, idx] == pytest.approx(want)
@@ -320,10 +320,10 @@ class TestDynamicalR:
         r = dyn_r_matrix(ep, x, phi)
         # even-even exchange is +B, mixed-parity exchange is -B
         assert r[tensor_index((2, 1)), tensor_index((1, 2))] == pytest.approx(
-            coeff_b(ep, phi[0] - phi[1], x)
+            coefficients(ep, phi[0] - phi[1], x)[1]
         )
         assert r[tensor_index((3, 1)), tensor_index((1, 3))] == pytest.approx(
-            -coeff_b(ep, phi[0] - phi[2], x)
+            -coefficients(ep, phi[0] - phi[2], x)[1]
         )
 
     def test_translation_invariance(self, ep, phi, rng):
@@ -351,7 +351,7 @@ class TestDynamicalR:
         want = np.zeros((9, 9), dtype=complex)
         for k in (1, 2, 3):
             col = tensor_index((k, k))
-            want[col, col] = 1.0 if k < 3 else -c_func(ep, x) / c_func(ep, -x)
+            want[col, col] = 1.0 if k < 3 else -coefficients(ep, c=x)[3] / coefficients(ep, c=-x)[3]
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 if a != b:
@@ -359,23 +359,23 @@ class TestDynamicalR:
                     y = phi[a - 1] - phi[b - 1]
                     want[col, col] = coeff_a(ep, y, x)
                     sign = -1.0 if (a == 3) != (b == 3) else 1.0
-                    want[tensor_index((b, a)), col] = sign * coeff_b(ep, y, x)
+                    want[tensor_index((b, a)), col] = sign * coefficients(ep, y, x)[1]
         got = dyn_r_matrix(ep, x, phi)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestThetaBudget:
     """Each local matrix costs a fixed number of elliptic batches (``_sine``
-    calls), not one per entry."""
+    calls), not one per entry, and each batch evaluates S at each argument once."""
 
     @pytest.fixture()
     def theta_calls(self, monkeypatch):
         calls = []
         real = elliptic._sine
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(log_p, y, err=0.0):
+            calls.append(y.size)  # the call's count of S arguments
+            return real(log_p, y, err)
 
         monkeypatch.setattr(elliptic, "_sine", counted)
         return calls
@@ -403,6 +403,20 @@ class TestThetaBudget:
             theta_calls.clear()
             evaluate()
             assert len(theta_calls) == 1
+
+    def test_each_argument_once(self, ep, rng, theta_calls):
+        # per draw of a dyn_r_matrix stack: S(y) and S(2k - y) at the six phi
+        # differences, S(y - x) at each of them, S(2k - x), S(-x), S(2k - u)
+        # and S(2k + u) at x; and S(2k) once for the stack
+        x, y = (np.array([sample_scalar(rng, ep.nome) for _ in range(7)]) for _ in range(2))
+        phi = np.array([sample_phi(rng) for _ in range(7)])
+        dyn_r_matrix(ep, x, phi)
+        assert sum(theta_calls) == 22 * 7 + 1
+        # a dybe batch: each of the six arguments once per factor, not once
+        # per control value
+        theta_calls.clear()
+        dybe_residual(ep, x, y, phi, PSI_FAMILY)
+        assert sum(theta_calls) <= 2437
 
 
 class TestShiftedApply:

@@ -7,7 +7,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkzconn import elliptic
@@ -20,9 +20,7 @@ from qkzconn.elliptic import (
     PoleError,
     ThetaDomainError,
     ThetaOverflowError,
-    c_func,
     coeff_a,
-    coeff_b,
     coefficients,
     default_params,
     pow_p,
@@ -202,27 +200,27 @@ class TestCoefficients:
     def test_b_at_zero(self, params, rng):
         for _ in range(50):
             y = complex(rng.uniform(0.1, 0.8), rng.uniform(0.0, 0.5))
-            assert abs(coeff_b(params, y, 0.0)) < 1e-12
+            assert abs(coefficients(params, y, 0.0)[1]) < 1e-12
 
     def test_b_at_x_equals_y(self, params):
         y = 0.6 + 0.2j
-        assert abs(coeff_b(params, y, y) - 1.0) < 1e-12
+        assert abs(coefficients(params, y, y)[1] - 1.0) < 1e-12
 
     def test_b_frozen_value(self, params):
-        got = coeff_b(params, 0.6, 0.15)
+        got = coefficients(params, 0.6, 0.15)[1]
         assert abs(got - B_06_015) / abs(B_06_015) < 1e-10
 
     def test_c_zero_at_minus_two_kappa(self, params):
-        assert abs(c_func(params, -2.0 * KAPPA)) < 1e-12
+        assert abs(coefficients(params, c=-2.0 * KAPPA)[3]) < 1e-12
 
     def test_c_frozen_value(self, params):
-        got = c_func(params, 0.4)
+        got = coefficients(params, c=0.4)[3]
         assert abs(got - C_04) / abs(C_04) < 1e-10
 
     def test_c_ratio_cancellation(self, params):
         for x in (0.3, -0.3, 0.3 + 0.12j):
-            u = -c_func(params, x) / c_func(params, -x)
-            v = -c_func(params, -x) / c_func(params, x)
+            u = -coefficients(params, c=x)[3] / coefficients(params, c=-x)[3]
+            v = -coefficients(params, c=-x)[3] / coefficients(params, c=x)[3]
             assert abs(u * v - 1.0) < 1e-12
 
     def test_oracle_composition(self, params):
@@ -242,17 +240,17 @@ class TestCoefficients:
 
     def test_pole_error_names_factor(self, params):
         with pytest.raises(PoleError) as err:
-            c_func(params, 0.0)  # theta(p^0) = theta(1) = 0 in the denominator
+            coefficients(params, c=0.0)[3]  # theta(p^0) = theta(1) = 0 in the denominator
         assert "p^x" in str(err.value)
 
     def test_b_pole_at_integer_y(self, params):
         with pytest.raises(PoleError):
-            coeff_b(params, 1.0, 0.3)  # theta(p^{-1}) = 0 denominator
+            coefficients(params, 1.0, 0.3)[1]  # theta(p^{-1}) = 0 denominator
 
     def test_pole_inside_a_batch_names_factor(self, params):
         with pytest.raises(PoleError) as err:
-            coeff_b(params, np.array([0.3 + 0.1j, 1.0, 0.5]), 0.3)
-        assert err.value.factor == "p^(-y)"
+            coefficients(params, np.array([0.3 + 0.1j, 1.0, 0.5]), 0.3)[1]
+        assert err.value.factor == "p^y"  # S(-y) is the negated S(y)
         assert err.value.magnitude < POLE_TOL
 
     @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99, 0.999, 1 - 1e-7])
@@ -262,8 +260,8 @@ class TestCoefficients:
         # pi dist(y, Z) at every nome; the message prints POLE_TOL
         ep = default_params(p)
         with pytest.raises(PoleError) as err:
-            coeff_b(ep, y, 0.3)
-        assert err.value.factor == "p^(-y)"
+            coefficients(ep, y, 0.3)[1]
+        assert err.value.factor == "p^y"  # S(-y) is the negated S(y)
         assert err.value.magnitude < POLE_TOL
         assert f"< {POLE_TOL:.1e}" in str(err.value)
 
@@ -273,9 +271,9 @@ class TestCoefficients:
         ep = default_params(0.996)
         assert float(mp.qp(0.996)) ** 2 < sys.float_info.min
         with pytest.raises(PoleError) as err:
-            coeff_b(ep, 0.0, 0.3)
+            coefficients(ep, 0.0, 0.3)[1]
         assert err.value.magnitude == 0.0
-        assert math.isfinite(abs(coeff_b(ep, 0.01, 0.3)))
+        assert math.isfinite(abs(coefficients(ep, 0.01, 0.3)[1]))
 
     @pytest.mark.parametrize("p", [0.99, 0.999, 1 - 1e-7, 1 - 1e-12, math.nextafter(1.0, 0.0)])
     def test_nome_near_one_evaluates(self, p):
@@ -283,7 +281,7 @@ class TestCoefficients:
         ep = default_params(p)
         y = np.array([0.3 + 0.1j, -0.2 + 0.3j, 0.4 - 0.2j])
         x = np.array([0.2 + 0.05j, 0.1 - 0.3j, -0.35 + 0.15j])
-        for part in coefficients(ep, a=(y, x), b=(y, x), u=x, c=x):
+        for part in coefficients(ep, y, x, u=x, c=x):
             assert np.isfinite(part).all()
 
     @pytest.mark.parametrize("p", [0.05, 0.35, 0.85, 0.99])
@@ -294,22 +292,22 @@ class TestCoefficients:
         for k, t in ((0, 0.0), (1, 0.0), (0, 2.0 * math.pi / -ep.nome.log_p)):
             zero = complex(k, t)
             with pytest.raises(PoleError):
-                coeff_b(ep, zero + 0.9 * POLE_TOL / math.pi, 0.3)
-            assert math.isfinite(abs(coeff_b(ep, zero + 1.1 * POLE_TOL / math.pi, 0.3)))
+                coefficients(ep, zero + 0.9 * POLE_TOL / math.pi, 0.3)[1]
+            assert math.isfinite(abs(coefficients(ep, zero + 1.1 * POLE_TOL / math.pi, 0.3)[1]))
 
     def test_batches_match_scalar_calls(self, params, rng):
         ys = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(0.0, 0.5, size=4)
         xs = (rng.uniform(-0.8, 0.8, size=3) + 1j * rng.uniform(-0.3, 0.3, size=3))[:, None]
-        for fn in (coeff_a, coeff_b):
-            got = fn(params, ys, xs)
+        for part in (0, 1):  # A, B
+            got = coefficients(params, ys, xs)[part]
             assert got.shape == (3, 4)
             for (i, j), g in np.ndenumerate(got):
-                want = fn(params, ys[j], xs[i, 0])
+                want = coefficients(params, ys[j], xs[i, 0])[part]
                 assert isinstance(want, complex)
                 assert abs(g - want) <= 1e-14 * abs(want)
-        got = c_func(params, xs[:, 0])
+        got = coefficients(params, c=xs[:, 0])[3]
         for x, g in zip(xs[:, 0], got):
-            assert abs(g - c_func(params, x)) <= 1e-14 * abs(g)
+            assert abs(g - coefficients(params, c=x)[3]) <= 1e-14 * abs(g)
 
     def test_far_arguments_reduce(self, params):
         # y = -199.9 puts theta's argument at |z| ~ p^-200, where the product
@@ -319,19 +317,20 @@ class TestCoefficients:
         assert np.all(np.abs(far - near) <= 1e-13 * np.abs(near))
 
     @pytest.mark.parametrize(
-        "fn, args",
+        "name, args",
         [
-            (coeff_a, (np.array([0.4, 0.3]), 0.3 + 1000j)),
-            (coeff_b, (0.4, 0.3 + 1000j)),
-            (c_func, (np.array([0.4, 0.3 + 1000j]),)),
+            ("A-coefficient", {"y": np.array([0.4, 0.3]), "x": 0.3 + 1000j}),
+            # A is finite here, so B's own guard raises
+            ("B-coefficient", {"y": 0.4 - 1000j, "x": 0.3}),
+            ("c-function", {"c": np.array([0.4, 0.3 + 1000j])}),
         ],
     )
-    def test_non_finite_values_raise(self, fn, args):
+    def test_non_finite_values_raise(self, name, args):
         # a complex coupling makes each coefficient grow like exp(4 pi Im kappa)
         # per period 2 pi / t of Im x, past the double range at Im x = 1000;
         # the inf or NaN must not escape
-        with pytest.raises(NonFiniteError):
-            fn(default_params(P, KAPPA + 0.5j), *args)
+        with pytest.raises(NonFiniteError, match=name):
+            coefficients(default_params(P, KAPPA + 0.5j), **args)
 
 
 class TestFusedEvaluator:
@@ -344,43 +343,44 @@ class TestFusedEvaluator:
             xs = rng.uniform(-1, 1, 6) + 1j * rng.uniform(0, period, 6)
             us = rng.uniform(-1, 1, 4) + 1j * rng.uniform(0, period, 4)
             cs = rng.uniform(-1, 1, 3) + 1j * rng.uniform(0, period, 3)
-            a, b, unit, c = coefficients(params, a=(ys, xs), b=(ys, xs), u=us, c=cs)
+            a, b, unit, c = coefficients(params, ys, xs, u=us, c=cs)
             for y, x, got_a, got_b in zip(ys, xs, a, b):
-                want_a, want_b = coeff_a(params, y, x), coeff_b(params, y, x)
+                want_a, want_b = coeff_a(params, y, x), coefficients(params, y, x)[1]
                 assert abs(got_a - want_a) <= 1e-15 * abs(want_a)
                 assert abs(got_b - want_b) <= 1e-15 * abs(want_b)
             for u, got in zip(us, unit):
-                want = -c_func(params, u) / c_func(params, -u)
+                want = -coefficients(params, c=u)[3] / coefficients(params, c=-u)[3]
                 assert abs(got - want) <= 1e-15 * abs(want)
             for x, got in zip(cs, c):
-                assert abs(got - c_func(params, x)) <= 1e-15 * abs(got)
+                assert abs(got - coefficients(params, c=x)[3]) <= 1e-15 * abs(got)
 
     def test_shapes_and_scalars(self, params):
-        a, b, unit, c = coefficients(params, a=(np.full((2, 3), 0.3 + 0.1j), 0.1), u=[0.2, 0.3])
-        assert a.shape == (2, 3) and b.shape == (0,) and unit.shape == (2,) and c.shape == (0,)
+        a, b, unit, c = coefficients(params, np.full((2, 3), 0.3 + 0.1j), 0.1, u=[0.2, 0.3])
+        assert a.shape == b.shape == (2, 3) and unit.shape == (2,) and c.shape == (0,)
         assert isinstance(coefficients(params, u=0.2)[2], complex)
 
     @pytest.mark.parametrize(
         "group, label",
-        [("a", "p^y"), ("a_x", "p^(2*kappa-x)"), ("b", "p^(-y)"), ("u", "p^(2*kappa-x)"), ("c", "p^x")],
+        [("y", "p^y"), ("x", "p^(2*kappa-x)"), ("-y", "p^y"), ("u", "p^(2*kappa-x)"), ("c", "p^x")],
     )
     def test_one_pole_in_a_batch_names_its_factor(self, params, group, label):
         ys = np.array([0.3 + 0.1j, -0.2 + 0.2j, 0.1 - 0.3j])
         xs = np.array([0.2 + 0.1j, -0.4 + 0.3j, 0.3 + 0.2j])
         us = np.array([0.25 + 0.1j, -0.3 + 0.2j])
-        ya, xa, yb, cs = ys.copy(), xs.copy(), ys.copy(), xs.copy()
-        if group == "a":
-            ya[1] = 1.0  # theta(p^1) in the A-denominator
-        elif group == "a_x":
-            xa[2] = 2.0 * KAPPA  # theta(p^0) in the A-denominator
-        elif group == "b":
-            yb[0] = 1.0  # theta(p^-1) in the B-denominator
+        cs = xs.copy()
+        if group == "y":
+            ys[1] = 1.0  # theta(p^1) in the A-denominator
+        elif group == "x":
+            xs[2] = 2.0 * KAPPA  # theta(p^0) in the A- and B-denominators
+        elif group == "-y":
+            # theta(p^1) in the B-denominator, whose S(-y) is the negated S(y)
+            ys[0] = -1.0
         elif group == "u":
             us[1] = 2.0 * KAPPA  # theta(p^(2 kappa - u)) = theta(1) in the odd unit's denominator
         else:
             cs[0] = 1.0  # theta(p^1) in the c-denominator
         with pytest.raises(PoleError) as err:
-            coefficients(params, a=(ya, xa), b=(yb, xs), u=us, c=cs)
+            coefficients(params, ys, xs, u=us, c=cs)
         assert err.value.factor == label
         assert err.value.magnitude < POLE_TOL
 
@@ -400,10 +400,10 @@ class TestFusedEvaluator:
 
     def test_zero_gives_unit_one_inside_a_batch(self, params):
         us = np.array([0.3 + 0.1j, 0.0, -0.2 + 0.4j])
-        a, _, unit, _ = coefficients(params, a=(0.3 + 0.1j, us), u=us)
+        a, _, unit, _ = coefficients(params, 0.3 + 0.1j, us, u=us)
         assert unit[1] == 1.0
         for k in (0, 2):
-            want = -c_func(params, us[k]) / c_func(params, -us[k])
+            want = -coefficients(params, c=us[k])[3] / coefficients(params, c=-us[k])[3]
             assert abs(unit[k] - want) <= 1e-15 * abs(want)
         assert abs(a[1] - 1.0) < 1e-12  # A(y, 0) = 1 in the same batch
 
@@ -416,7 +416,7 @@ class TestSignedZeros:
         xs = np.array([complex(-0.2, -0.0), -0.2 + 0j])
         us = np.array([complex(-0.5, -0.0), -0.5 + 0j])
         cs = np.array([complex(-0.6, 0.0), complex(-0.6, -0.0)])
-        for got in coefficients(params, a=(ys, xs), b=(ys, xs), u=us, c=cs):
+        for got in coefficients(params, ys, xs, u=us, c=cs):
             assert got[0].tobytes() == got[1].tobytes()
 
 
@@ -484,7 +484,7 @@ class TestModularFrame:
     def test_against_40_digits(self, p):
         # Im x, u and c span one period 2 pi / t of p^x: 625 at p = 0.99
         y, x, u, c = self.draws(p, 60)
-        got = coefficients(default_params(p), a=(y, x), b=(y, x), u=u, c=c)
+        got = coefficients(default_params(p), y, x, u=u, c=c)
         worst = np.zeros(4)
         for k in range(len(y)):
             want = coefficient_oracle(p, y[k], x[k], u[k], c[k])
@@ -497,7 +497,7 @@ class TestModularFrame:
         ep = default_params(0.99)
         gen = np.random.default_rng(5)
         y, x = (np.array([sample_dynamical(gen) for _ in range(40)]) for _ in range(2))
-        a, b, unit, c = coefficients(ep, a=(y, x), b=(y, x), u=x, c=x)
+        a, b, unit, c = coefficients(ep, y, x, u=x, c=x)
         k2 = 2.0 * ep.kappa
 
         def th(e):
@@ -514,6 +514,38 @@ class TestModularFrame:
         )
         for got, ref in zip((a, b, unit, c), want):
             assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+class TestOddSine:
+    """B's denominator S(-y) is the negated tuple of S(y), not a second evaluation."""
+
+    NOMES = st.sampled_from([0.05, 0.35, 0.85, 0.99])
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=NOMES, re=st.floats(-3.0, 3.0), im=st.floats(-3.0, 3.0))
+    def test_minus_y_is_the_negated_tuple(self, p, re, im):
+        # off a row of zeros, _sine reduces y and -y to opposite arguments in
+        # opposite strips: every part of the tuple flips its sign exactly
+        log_p = math.log(p)
+        period = 2.0 * math.pi / -log_p
+        y = np.array([complex(re, im * period)])
+        assume(y.imag[0] - np.round(y.imag[0] / period) * period != 0.0)
+        for plus, minus in zip(elliptic._sine(log_p, y), elliptic._sine(log_p, -y)):
+            assert np.array_equal(-plus, minus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=NOMES, k=st.integers(-2, 2), frac=st.floats(0.05, 0.95), re=st.floats(-1.0, 1.0), im=st.floats(0.01, 0.99))
+    def test_on_the_real_row_a_and_b_match_40_digits(self, p, k, frac, re, im):
+        # on a row of zeros both signs take s = +1, so the strip labels of
+        # y and -y differ by 2 and S(-y) is S(y) negated in the other strip;
+        # A and B keep the accuracy that the rounding of x and y allows
+        ep = default_params(p)
+        y, x = complex(k + frac, 0.0), complex(re, im * 2.0 * math.pi / -ep.nome.log_p)
+        j_plus, j_minus = (elliptic._sine(ep.nome.log_p, np.array([v]))[0][0] for v in (y, -y))
+        assert j_minus == 2.0 - j_plus
+        got = coefficients(ep, y, x)[:2]
+        for g, want in zip(got, coefficient_oracle(p, y, x, 0.5, 0.5)[:2]):
+            assert abs(g - want) <= 1e-14 * (1.0 + abs(x) + abs(y)) * abs(want)
 
 
 class TestParams:

@@ -10,7 +10,6 @@ from qkzconn.heckespin import HeckeParams, spin_rep, y_tilde
 from qkzconn.params import sample_point
 from qkzconn.qkz import (
     XI,
-    XI_INV,
     AffineWord,
     affine_word,
     braid_limit_residual,
@@ -36,7 +35,7 @@ def point(rng, n, ep):
 
 class TestAffineWords:
     def test_free_reduction(self):
-        w = affine_word(3, [XI, XI_INV, s_letter(1)])
+        w = affine_word(3, [XI, ("xi", -1), s_letter(1)])
         assert w.letters == (("s", 1),)
 
     def test_rotation_action(self):
@@ -86,7 +85,7 @@ class TestTransport:
         rep = reps[3]
         z = point(rng, 3, ep)
         assert np.array_equal(transport_word(rep, affine_word(3, [XI]), z).dense(), rep.zeta.dense())
-        assert np.array_equal(transport_word(rep, affine_word(3, [XI_INV]), z).dense(), rep.zeta_inv.dense())
+        assert np.array_equal(transport_word(rep, affine_word(3, [("xi", -1)]), z).dense(), rep.zeta_inv.dense())
 
     def test_s_letter_matches_local_r(self, reps, rng, ep):
         # the one-letter transport is the permuted Baxterized matrix at p^(z_i - z_{i+1})
@@ -107,7 +106,7 @@ class TestTransport:
     def test_word_and_free_reduction_agree(self, reps, rng, ep):
         rep = reps[2]
         z = point(rng, 2, ep)
-        w1 = affine_word(2, [s_letter(1), XI, XI_INV, s_letter(1), XI])
+        w1 = affine_word(2, [s_letter(1), XI, ("xi", -1), s_letter(1), XI])
         w2 = affine_word(2, [s_letter(1), s_letter(1), XI])
         assert rel_residual(transport_word(rep, w1, z), transport_word(rep, w2, z)) < 1e-13
 
@@ -156,7 +155,7 @@ def batch_words(n):
     """Words of different lengths with xi and xi^{-1} letters: every translation
     pair, a bare rotation and the empty word."""
     words = [translation_word(n, i) * translation_word(n, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return words + [affine_word(n, [XI_INV, s_letter(1)]), affine_word(n, [])]
+    return words + [affine_word(n, [("xi", -1), s_letter(1)]), affine_word(n, [])]
 
 
 def dense_transport(rep, word, z):
