@@ -18,11 +18,11 @@ the only code that turns a body's output into a ``CheckResult``:
   when the residual is above the tolerance, i.e. when the perturbation breaks
   the identity.  A NaN residual, and so an empty residual set, fails both;
 - with fewer than ``min_n`` sites the check is ``skipped``;
-- a sweep that resamples a point on a pole goes through ``resample_sweep``:
-  it draws every sample first and evaluates them in one batch, and walks
-  the stream draw by draw only when the batch fails, so its samples are
-  those of the one-by-one loop; its detail reports ``draws`` and
-  ``pole_resamples``;
+- every check that draws a point where it can hit a pole returns the
+  ``Verdict`` of ``resample_sweep``: it draws every sample first and
+  evaluates them in one batch, and walks the stream draw by draw, resampling
+  a point on a pole, only when the batch fails, so its samples are those of
+  the one-by-one loop; its detail reports ``draws`` and ``pole_resamples``;
 - a body that raises ``ResampleExhausted`` (repeated pole hits),
   ``NotGeneric`` (degenerate spectral labels), ``EllipticError``,
   ``OverflowError`` or ``FloatingPointError`` (an overflow, under
@@ -62,7 +62,6 @@ from .params import (
     sample_phi,
     sample_point,
     sample_point_band,
-    sample_scalar,
 )
 from .symgroup import (
     all_perms,
@@ -222,18 +221,13 @@ class Draw(NamedTuple):
     z: tuple[complex, ...]  # the evaluation point
 
 
-class Sweep(NamedTuple):
-    residuals: list[float]  # one per draw, in the order of the loop
-    pole_resamples: int  # points drawn in place of one that hit a pole
-
-
 def resample_sweep(
     rng: np.random.Generator,
     cases: Sequence[tuple[int, Any]],
     point: Callable[[np.random.Generator, int], tuple[complex, ...]],
     evaluate: Callable[[list[Draw]], Sequence[float]],
     own: Callable[[np.random.Generator, Any], Any] | None = None,
-) -> Sweep:
+) -> Verdict:
     """Evaluate one draw per ``(n, case)`` of ``cases``, resampling the point on a pole.
 
     A draw samples its own parameters, ``own(rng, case)``, then its point,
@@ -244,12 +238,13 @@ def resample_sweep(
     evaluates each draw alone: a draw whose point hits a pole takes the next
     point of the stream, and ``POLE_RETRIES`` hits in a row raise
     ResampleExhausted.  Either way the draws, the residuals (up to rounding)
-    and the stream's final state are those of the walk.
+    and the stream's final state are those of the walk, and the verdict's
+    detail counts the ``draws`` and the ``pole_resamples``.
     """
     state = rng.bit_generator.state
     draws = [Draw(case, own(rng, case) if own else None, point(rng, n)) for n, case in cases]
     try:
-        return Sweep([float(r) for r in evaluate(draws)], 0)
+        return Verdict([float(r) for r in evaluate(draws)], {"draws": len(cases), "pole_resamples": 0})
     except (EllipticError, OverflowError):
         # the walk resamples where the batch hit a pole, so later draws may
         # differ from the batch's: only the walk decides
@@ -267,14 +262,7 @@ def resample_sweep(
             break
         else:
             raise ResampleExhausted(f"{POLE_RETRIES} pole hits in a row")
-    return Sweep(residuals, hits)
-
-
-def _sweep_verdict(*sweeps: Sweep) -> Verdict:
-    # the residuals of one or more sweeps, with their draw and resample counts
-    residuals = [r for sweep in sweeps for r in sweep.residuals]
-    detail = {"draws": len(residuals), "pole_resamples": sum(sweep.pole_resamples for sweep in sweeps)}
-    return Verdict(residuals, detail)
+    return Verdict(residuals, {"draws": len(cases), "pole_resamples": hits})
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +320,23 @@ def _theta_modular(ctx: VerifyContext, rng):
 
 @register("coeff-boundary", "elliptic", "A(y, 0) = 1 and B(y, 0) = 0 for generic y", 1e-12)
 def _coeff_boundary(ctx: VerifyContext, rng):
-    ep = ctx.ep
-    y = [sample_scalar(rng, ep.nome) for _ in range(50)]
-    a, b, _, _ = coefficients(ep, y, 0.0)
-    return [*np.abs(a - 1.0), *np.abs(b)]
+    def evaluate(draws):
+        a, b, _, _ = coefficients(ctx.ep, [y for _, _, (y,) in draws], 0.0)
+        return [_worst(*r) for r in zip(np.abs(a - 1.0), np.abs(b))]
+
+    return resample_sweep(rng, [(1, None)] * 50, ctx.point, evaluate)
 
 
 @register("c-periodicity", "elliptic", "c(x + 1) = c(x) and the odd unit -c(x)/c(-x) has period 1", 1e-10)
 def _c_periodicity(ctx: VerifyContext, rng):
-    ep = ctx.ep
-    x = np.array([sample_scalar(rng, ep.nome) for _ in range(20)])
-    both = np.concatenate([x, x + 1.0])
-    _, _, unit, c = coefficients(ep, u=both, c=both)
-    a, b = np.split(np.stack([c, unit]), 2, axis=1)  # at x, at x + 1
-    return (np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))).ravel()
+    def evaluate(draws):
+        x = np.array([x for _, _, (x,) in draws])
+        both = np.concatenate([x, x + 1.0])
+        _, _, unit, c = coefficients(ctx.ep, u=both, c=both)
+        a, b = np.split(np.stack([c, unit]), 2, axis=1)  # at x, at x + 1
+        return [_worst(*r) for r in (np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))).T]
+
+    return resample_sweep(rng, [(1, None)] * 20, ctx.point, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +367,32 @@ def _affine_relations(ctx: VerifyContext, rng):
         yield from hs.word_pair_residuals(ctx.rep(n), pairs)
 
 
+def _spectral_point(rng, n: int) -> tuple[complex, ...]:
+    # n spectral parameters e^(u + 2 pi i v), each drawn as u in [-1, 1), then v in [0, 1)
+    return tuple(np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform()) for _ in range(n))
+
+
 @register("qybe", "hecke", "R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x)", 1e-10)
 def _qybe(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
-    draws = [[np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform()) for _ in "xy"] for _ in range(SAMPLES)]
-    r = np.array([[hs.perk_schultz(z, q) for z in (x, x * y, y)] for x, y in draws])
-    return hs.qybe_residual(r[:, 0], r[:, 1], r[:, 2])
+
+    def evaluate(draws):
+        # x y is a product of scalars, as each draw alone forms it
+        r = np.array([[hs.perk_schultz(z, q) for z in (x, x * y, y)] for _, _, (x, y) in draws])
+        return hs.qybe_residual(r[:, 0], r[:, 1], r[:, 2])
+
+    return resample_sweep(rng, [(2, None)] * SAMPLES, _spectral_point, evaluate)
 
 
 @register("baxterization-closed-form", "hecke", "Baxterized braid matrix equals its closed form", 1e-12)
 def _baxterization(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
     b = hs.braid_matrix(q)
-    for _ in range(SAMPLES):
-        z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
-        yield np.max(np.abs(hs.baxterize(b, z, q) - hs.perk_schultz(z, q)))
+
+    def evaluate(draws):
+        return [np.max(np.abs(hs.baxterize(b, z, q) - hs.perk_schultz(z, q))) for _, _, (z,) in draws]
+
+    return resample_sweep(rng, [(1, None)] * SAMPLES, _spectral_point, evaluate)
 
 
 @register("r-unitarity", "hecke", "R21(z)^(-1) = R(1/z)", 1e-10)
@@ -398,10 +400,12 @@ def _r_unitarity(ctx: VerifyContext, rng):
     q = hs.HeckeParams(elliptic=ctx.ep, n=2).q
     p_op = permutation_op()
     eye = np.eye(9, dtype=complex)
-    for _ in range(SAMPLES):
-        z = np.exp(rng.uniform(-1, 1) + 2j * np.pi * rng.uniform())
+
+    def unitarity(z):
         r21 = p_op @ hs.perk_schultz(z, q) @ p_op
-        yield rel_residual(r21 @ hs.perk_schultz(1.0 / z, q), eye)
+        return rel_residual(r21 @ hs.perk_schultz(1.0 / z, q), eye)
+
+    return resample_sweep(rng, [(1, None)] * SAMPLES, _spectral_point, lambda draws: [unitarity(*d.z) for d in draws])
 
 
 @register("braid-limit-scalar", "hecke", "q R(z) approaches P B as z grows", 1e-7)
@@ -540,7 +544,7 @@ def _connection_cocycle(ctx: VerifyContext, rng):
         mats = conn.connection_words(ctx.ep, words)
         return [rel_residual(lhs, m1 @ m2) for lhs, m1, m2 in zip(mats[::3], mats[1::3], mats[2::3])]
 
-    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate, own))
+    return resample_sweep(rng, cases, sample_point_band, evaluate, own)
 
 
 @register("connection-braid", "connection", "reduced-word independence of the monodromy matrices", 1e-9, min_n=3)
@@ -554,7 +558,7 @@ def _connection_braid(ctx: VerifyContext, rng):
         mats = conn.connection_words(ctx.ep, words)
         return [rel_residual(lhs, rhs) for lhs, rhs in zip(mats[::2], mats[1::2])]
 
-    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate))
+    return resample_sweep(rng, cases, sample_point_band, evaluate)
 
 
 @register("connection-unitarity", "connection", "one-letter matrices invert at the swapped point", 1e-9)
@@ -566,7 +570,7 @@ def _connection_unitarity(ctx: VerifyContext, rng):
         mats = conn.connection_words(ctx.ep, [(*d.case, d.z) for d in draws])
         return [rel_residual(m, np.eye(len(m), dtype=complex)) for m in mats]
 
-    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate))
+    return resample_sweep(rng, cases, sample_point_band, evaluate)
 
 
 def _draw_phi(rng, case) -> tuple[complex, complex, complex]:
@@ -580,7 +584,7 @@ def _rank2_dynamical(ctx: VerifyContext, rng):
         rs = conn.dyn_r_matrix(ctx.ep, [d.z[0] - d.z[1] for d in draws], [d.own for d in draws])
         return [rel_residual(m.dense(), r) for m, r in zip(ms, rs)]
 
-    return _sweep_verdict(resample_sweep(rng, [(2, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi))
+    return resample_sweep(rng, [(2, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi)
 
 
 @register("rank3-shifted", "connection", "three-site monodromies act as control-shifted R-matrices", 1e-9, min_n=3)
@@ -597,7 +601,7 @@ def _rank3_shifted(ctx: VerifyContext, rng):
             _worst(rel_residual(m1, a), rel_residual(m2, b)) for m1, m2, a, b in zip(ms[::2], ms[1::2], s1, s2)
         ]
 
-    return _sweep_verdict(resample_sweep(rng, [(3, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi))
+    return resample_sweep(rng, [(3, None)] * SAMPLES, sample_point_band, evaluate, _draw_phi)
 
 
 @register("monodromy-routes", "connection", "cocycle route equals the block-scatter route", 1e-9)
@@ -610,7 +614,7 @@ def _monodromy_routes(ctx: VerifyContext, rng):
         via_blocks = conn.tensor_monodromy_from_blocks_words(ctx.ep, words)
         return [rel_residual(a, b) for a, b in zip(via_cocycle, via_blocks)]
 
-    return _sweep_verdict(resample_sweep(rng, cases, sample_point_band, evaluate, _random_perm))
+    return resample_sweep(rng, cases, sample_point_band, evaluate, _random_perm)
 
 
 @register("gl2-fixture", "connection", "the 4x4 elliptic fixture: unitarity, block match, braid form", 1e-9)
@@ -618,38 +622,42 @@ def _gl2_fixture(ctx: VerifyContext, rng):
     # the fixture is the even restriction of the 9x9 R-matrix at
     # phi = (y/2, -y/2, 0), where phi_1 - phi_2 = y exactly
     ep = ctx.ep
-    draws = [(sample_scalar(rng, ep.nome), sample_scalar(rng, ep.nome), sample_dynamical(rng)) for _ in range(SAMPLES)]
-    x, xp, y = (np.array(v) for v in zip(*draws))
-    phi = np.stack([y / 2.0, -y / 2.0, np.zeros_like(y)], axis=-1)
     even = [tensor_index((a, b)) for a in (1, 2) for b in (1, 2)]
-    # R(x) and R(-x) of every draw from one stacked call
-    r = conn.dyn_r_matrix(ep, np.stack([x, -x], axis=-1), phi[:, None, :])[..., even, :][..., even]
     eye4 = np.eye(4, dtype=complex)
-    unitarity = [rel_residual(m @ m_back, eye4) for m, m_back in r]
-    dybe = conn.dybe_residual(ep, x, xp, phi, conn.XI_FAMILY, WEIGHTS[:2])
-    # middle 2x2 block against the rank-2 empty-index connection matrix
-    words = [
-        (blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(v / 2.0, -v / 2.0)), (1,), (u, 0.0))
-        for u, v in zip(x, y)
-    ]
-    cms = conn.connection_words(ep, words)
-    return [*unitarity, *dybe, *(rel_residual(cm, m[1:3, 1:3]) for cm, (m, _) in zip(cms, r))]
+
+    def evaluate(draws):
+        x, xp, y = (np.array(v) for v in zip(*(d.z for d in draws)))
+        phi = np.stack([y / 2.0, -y / 2.0, np.zeros_like(y)], axis=-1)
+        # R(x) and R(-x) of every draw from one stacked call
+        r = conn.dyn_r_matrix(ep, np.stack([x, -x], axis=-1), phi[:, None, :])[..., even, :][..., even]
+        unitarity = [rel_residual(m @ m_back, eye4) for m, m_back in r]
+        dybe = conn.dybe_residual(ep, x, xp, phi, conn.XI_FAMILY, WEIGHTS[:2])
+        # middle 2x2 block against the rank-2 empty-index connection matrix
+        words = [
+            (blk.PrincipalSeriesSpec(n=2, index_set=(), signs=(), gamma=(v / 2.0, -v / 2.0)), (1,), (u, 0.0))
+            for u, v in zip(x, y)
+        ]
+        cms = conn.connection_words(ep, words)
+        blocks = (rel_residual(cm, m[1:3, 1:3]) for cm, (m, _) in zip(cms, r))
+        return [_worst(*laws) for laws in zip(unitarity, dybe, blocks)]
+
+    return resample_sweep(rng, [(3, None)] * SAMPLES, lambda r, _: (*ctx.point(r, 2), sample_dynamical(r)), evaluate)
 
 
 # ---------------------------------------------------------------------------
 # dybe suite
 
 
-def _sweep_draws(ctx: VerifyContext, rng, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # count draws of (phi, x, y) in turn, returned as the stacks x, y, phi
-    draws = [(sample_phi(rng), sample_scalar(rng, ctx.ep.nome), sample_scalar(rng, ctx.ep.nome)) for _ in range(count)]
-    phi, x, y = (np.array(v) for v in zip(*draws))
-    return x, y, phi
+def _phi_sweep(ctx: VerifyContext, rng, count: int, n: int, residuals, point=None) -> Verdict:
+    # count draws of phi and an n-coordinate point; residuals(phi, *coordinates) takes their stacks
+    def evaluate(draws):
+        return residuals(*(np.array(v) for v in zip(*((d.own, *d.z) for d in draws))))
+
+    return resample_sweep(rng, [(n, None)] * count, point or ctx.point, evaluate, _draw_phi)
 
 
-def _dybe_sweep(ctx: VerifyContext, rng, family, weights=WEIGHTS) -> np.ndarray:
-    x, y, phi = _sweep_draws(ctx, rng, SAMPLES)
-    return conn.dybe_residual(ctx.ep, x, y, phi, family, weights)
+def _dybe_sweep(ctx: VerifyContext, rng, family, weights=WEIGHTS) -> Verdict:
+    return _phi_sweep(ctx, rng, SAMPLES, 2, lambda phi, x, y: conn.dybe_residual(ctx.ep, x, y, phi, family, weights))
 
 
 @register("dybe-psi", "dybe", "braid-form dynamical Yang-Baxter equation, back-shifted family")
@@ -676,25 +684,25 @@ def _dybe_negative(ctx: VerifyContext, rng):
 
 @register("dyn-unitarity", "dybe", "R(x) R(-x) = identity")
 def _dyn_unitarity(ctx: VerifyContext, rng):
-    ep = ctx.ep
     eye = np.eye(9, dtype=complex)
-    phi, x = (np.array(v) for v in zip(*[(sample_phi(rng), sample_scalar(rng, ep.nome)) for _ in range(30)]))
-    # R(x) and R(-x) of every draw from one stacked call
-    r = conn.dyn_r_matrix(ep, np.stack([x, -x], axis=-1), phi[:, None, :])
-    return (rel_residual(r_x @ r_back, eye) for r_x, r_back in r)
+
+    def residuals(phi, x):
+        # R(x) and R(-x) of every draw from one stacked call
+        r = conn.dyn_r_matrix(ctx.ep, np.stack([x, -x], axis=-1), phi[:, None, :])
+        return [rel_residual(r_x @ r_back, eye) for r_x, r_back in r]
+
+    return _phi_sweep(ctx, rng, 30, 1, residuals)
 
 
 @register("felder-form", "dybe", "permuted-form equation with weight shifts")
 def _felder_form(ctx: VerifyContext, rng):
-    x, y, phi = _sweep_draws(ctx, rng, SAMPLES)
-    return conn.felder_residual(ctx.ep, x, y, phi)
+    return _phi_sweep(ctx, rng, SAMPLES, 2, lambda phi, x, y: conn.felder_residual(ctx.ep, x, y, phi))
 
 
 @register("felder-negative-control", "dybe", "swapping two weight vectors must break the equation", 1e-3)
 def _felder_negative(ctx: VerifyContext, rng):
     swapped = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-    x, y, phi = _sweep_draws(ctx, rng, 5)
-    return conn.felder_residual(ctx.ep, x, y, phi, weights=swapped)
+    return _phi_sweep(ctx, rng, 5, 2, lambda phi, x, y: conn.felder_residual(ctx.ep, x, y, phi, weights=swapped))
 
 
 #: the entries (out, in) of a two-site matrix whose pairs differ in content,
@@ -704,24 +712,24 @@ _OFF_CONTENT = np.array([[sorted(o) != sorted(i) for i in multi_indices(2)] for 
 
 @register("weight-conservation", "dybe", "R-matrix entries vanish off the content-preserving pattern", 1e-30)
 def _weight_conservation(ctx: VerifyContext, rng):
-    phi, x = (np.array(v) for v in zip(*[(sample_phi(rng), sample_scalar(rng, ctx.ep.nome)) for _ in range(5)]))
-    # R of every draw from one stacked call
-    r = conn.dyn_r_matrix(ctx.ep, x, phi)
-    return np.abs(r[:, _OFF_CONTENT]).ravel()
+    def residuals(phi, x):
+        # R of every draw from one stacked call
+        return [_worst(*off) for off in np.abs(conn.dyn_r_matrix(ctx.ep, x, phi)[:, _OFF_CONTENT])]
+
+    return _phi_sweep(ctx, rng, 5, 1, residuals)
 
 
 @register("dynamical-translation", "dybe", "shifting all dynamical parameters together changes nothing", 1e-12)
 def _dynamical_translation(ctx: VerifyContext, rng):
-    ep = ctx.ep
-    phis, xs = [], []
-    for _ in range(5):
-        phi = sample_phi(rng)
-        t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        phis.append([phi, tuple(v + t for v in phi)])
-        xs.append(sample_scalar(rng, ep.nome))
-    # R at phi and at the shifted phi of every draw from one stacked call
-    r = conn.dyn_r_matrix(ep, np.array(xs)[:, None], phis)
-    return (rel_residual(r_phi, r_shifted) for r_phi, r_shifted in r)
+    def point(rng, n):
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), *ctx.point(rng, 1)
+
+    def residuals(phi, t, x):
+        # R at phi and at the shifted phi of every draw from one stacked call
+        r = conn.dyn_r_matrix(ctx.ep, x[:, None], np.stack([phi, phi + t[:, None]], axis=1))
+        return [rel_residual(r_phi, r_shifted) for r_phi, r_shifted in r]
+
+    return _phi_sweep(ctx, rng, 5, 2, residuals, point)
 
 
 # ---------------------------------------------------------------------------
@@ -749,28 +757,26 @@ def _cocycle_words(n: int) -> tuple[qkz.AffineWord, qkz.AffineWord]:
 @register("transport-cocycle", "qkz", "transport depends only on the group element", 1e-10)
 def _transport_cocycle(ctx: VerifyContext, rng):
     def evaluate(draws):
-        # the draws of one site count
-        return qkz.transport_pair_residuals(ctx.rep(len(draws[0].z)), [(w, d.z) for d in draws for w in d.case])
+        # the draws of each site count in one call, in the order of the cases
+        words = {n: [(w, d.z) for d in draws if len(d.z) == n for w in d.case] for n in ctx.site_counts(2, 4)}
+        return [r for n, ws in words.items() if ws for r in qkz.transport_pair_residuals(ctx.rep(n), ws)]
 
-    return _sweep_verdict(
-        *(resample_sweep(rng, [(n, _cocycle_words(n))] * 3, ctx.point, evaluate) for n in ctx.site_counts(2, 4))
-    )
+    cases = [(n, words) for n in ctx.site_counts(2, 4) for words in [_cocycle_words(n)] * 3]
+    return resample_sweep(rng, cases, ctx.point, evaluate)
 
 
 @register("qkz-flatness", "qkz", "translation transports commute after the cocycle shift")
 def _qkz_flatness(ctx: VerifyContext, rng):
-    def evaluate(draws):
-        # both sides of every pair (i, j) of the one draw from one transport batch
-        ((_, _, z),) = draws
+    def flatness(z):
+        # both sides of every pair (i, j) of one draw from one transport batch
         n = len(z)
         words = [side for i in range(1, n + 1) for j in range(i + 1, n + 1) for side in qkz.flatness_words(n, i, j, z)]
-        return [_worst(*qkz.transport_pair_residuals(ctx.rep(n), words))]
+        return _worst(*qkz.transport_pair_residuals(ctx.rep(n), words))
 
-    # one sweep per draw: one batch per site count takes the check from 19 to
-    # 13 ms, but raises the battery's peak RSS from 40.4 to 43.9 MB (+8.5%)
-    return _sweep_verdict(
-        *(resample_sweep(rng, [(n, None)], ctx.point, evaluate) for n in ctx.site_counts(2, 4) for _ in range(10))
-    )
+    # one transport batch per draw: one batch per site count takes the check
+    # from 19 to 13 ms, but raises the battery's peak RSS from 40.4 to 43.9 MB (+8.5%)
+    cases = [(n, None) for n in ctx.site_counts(2, 4) for _ in range(10)]
+    return resample_sweep(rng, cases, ctx.point, lambda draws: [flatness(d.z) for d in draws])
 
 
 @register("qkz-flatness-negative-control", "qkz", "dropping the cocycle shift must break flatness", 1e-3)
@@ -784,7 +790,7 @@ def _qkz_flatness_negative(ctx: VerifyContext, rng):
         mats = qkz.transport_words(ctx.rep(n), [(w, d.z) for d in draws for w in (w1, w2)])
         return [rel_residual(m1 @ m2, m2 @ m1) for m1, m2 in zip(mats[::2], mats[1::2])]
 
-    return _sweep_verdict(resample_sweep(rng, [(n, None)] * 5, ctx.point, evaluate))
+    return resample_sweep(rng, [(n, None)] * 5, ctx.point, evaluate)
 
 
 _BRAID_LIMIT_TOL = 1e-10

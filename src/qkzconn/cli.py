@@ -21,7 +21,7 @@ import numpy as np
 from . import blocks as blk
 from . import connection as conn
 from . import serialize
-from .checks import SAMPLES, SUITES, Report, run_suite
+from .checks import SUITES, Report, run_suite
 from .elliptic import EllipticError
 from .heckespin import HeckeParams, spin_rep
 from .params import RunConfig, sample_point
@@ -134,7 +134,6 @@ def _report_payload(report: Report) -> dict:
             "n": cfg.n,
             "seed": cfg.seed,
             "residual_tol": cfg.residual_tol,
-            "samples": SAMPLES,
         },
         "results": [
             {

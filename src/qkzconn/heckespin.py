@@ -55,6 +55,7 @@ __all__ = [
     "SpinRep",
     "braid_matrix",
     "hecke_residual",
+    "baxter_denominator",
     "baxterize",
     "perk_schultz",
     "qybe_residual",
@@ -115,9 +116,15 @@ def hecke_residual(b: np.ndarray, q: complex) -> float:
     return frob(defect) / frob(b) ** 2
 
 
-def _baxter_denominator(z: complex, q: complex) -> complex:
+def baxter_denominator(z, q: complex):
+    """1/q - q z at each z, and where it is a pole: of modulus below POLE_TOL max(1, |q z|)."""
     den = 1.0 / q - q * z
-    if abs(den) < POLE_TOL:
+    return den, np.abs(den) < POLE_TOL * np.maximum(1.0, np.abs(q * z))
+
+
+def _pole_free_denominator(z: complex, q: complex) -> complex:
+    den, pole = baxter_denominator(z, q)
+    if pole:
         raise PoleError(
             f"pole: Baxterization denominator 1/q - q z has modulus {abs(den):.3e} at z={z}",
             factor="1/q - q*z",
@@ -128,7 +135,7 @@ def _baxter_denominator(z: complex, q: complex) -> complex:
 
 def baxterize(b: np.ndarray, z: complex, q: complex) -> np.ndarray:
     """P (B^{-1} - z B) / (1/q - q z), using the exact inverse B^{-1} = B - q + 1/q."""
-    den = _baxter_denominator(z, q)
+    den = _pole_free_denominator(z, q)
     eye = np.eye(b.shape[0], dtype=complex)
     b_inv = b - (q - 1.0 / q) * eye
     return permutation_op() @ (b_inv - z * b) / den
@@ -136,7 +143,7 @@ def baxterize(b: np.ndarray, z: complex, q: complex) -> np.ndarray:
 
 def perk_schultz(z: complex, q: complex) -> np.ndarray:
     """The closed-form 9x9 Baxterized matrix with entries a, b, c_+, c_-, w."""
-    den = _baxter_denominator(z, q)
+    den = _pole_free_denominator(z, q)
     a_z = 1.0 + 0.0j  # (1/q - q z) / (1/q - q z)
     b_z = (1.0 - z) / den
     cp = (1.0 / q - q) / den

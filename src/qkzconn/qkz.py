@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import POLE_TOL, PoleError, pow_p
-from .heckespin import SpinRep, _family_letters, rho_vector, spin_products, word_pair_residuals
+from .elliptic import PoleError, pow_p
+from .heckespin import SpinRep, _family_letters, baxter_denominator, rho_vector, spin_products, word_pair_residuals
 from .tensorspace import BlockOp
 
 __all__ = [
@@ -214,8 +214,7 @@ def _transport_letters(rep: SpinRep, words: Sequence[tuple[AffineWord, Sequence[
             zcur = _letter_point_action((kind, -val) if kind == "xi" else letter, zcur)
         letters.append(spelled)
     t = pow_p(ep, np.array(xs, dtype=complex))
-    den = 1.0 / q - q * t
-    pole = np.abs(den) < POLE_TOL * np.maximum(1.0, np.abs(q * t))
+    den, pole = baxter_denominator(t, q)
     if pole.any():
         first = int(np.argmax(pole))
         k, w = at[first]

@@ -85,8 +85,8 @@ class TestResampling:
                 raise PoleError("synthetic")
             return [42.0] * len(draws)
 
-        sweep = resample_sweep(rng, [(2, None)], sample_point_band, pole_at_first_point)
-        assert sweep == ([42.0], 1)
+        verdict = resample_sweep(rng, [(2, None)], sample_point_band, pole_at_first_point)
+        assert verdict == checks.Verdict([42.0], {"draws": 1, "pole_resamples": 1})
 
     @pytest.mark.parametrize("pole_below", [-0.6, -2.0], ids=["poles", "no-poles"])
     def test_sweep_matches_the_walk(self, pole_below):
@@ -108,14 +108,15 @@ class TestResampling:
 
         cases = [(n, float(k)) for k, n in enumerate([2, 3, 4] * 10)]
         rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-        sweep = resample_sweep(rng, cases, sample_point_band, evaluate, own)
+        verdict = resample_sweep(rng, cases, sample_point_band, evaluate, own)
         want = _walk(replay, cases, sample_point_band, residual, own)
-        assert sweep.residuals == want
+        assert verdict.residuals == want
+        assert verdict.detail["draws"] == len(cases)
         assert rng.bit_generator.state == replay.bit_generator.state
         if pole_below > -1.0:
-            assert sweep.pole_resamples > 0 and batches[0] == len(cases) and set(batches[1:]) == {1}
+            assert verdict.detail["pole_resamples"] > 0 and batches[0] == len(cases) and set(batches[1:]) == {1}
         else:
-            assert sweep.pole_resamples == 0 and batches == [len(cases)]
+            assert verdict.detail["pole_resamples"] == 0 and batches == [len(cases)]
 
     def test_per_check_rng_is_stable(self):
         ctx = VerifyContext(RunConfig(n=2, seed=5))
@@ -182,6 +183,15 @@ def _annulus(ctx, rng):
         rng.uniform(ctx.ep.nome.p, 1.0), rng.uniform()
 
 
+def _spectral(count, per_draw):
+    # count draws of per_draw spectral parameters e^(u + 2 pi i v)
+    def draws(ctx, rng):
+        for _ in range(count * per_draw):
+            rng.uniform(-1, 1), rng.uniform()
+
+    return draws
+
+
 #: the draws each batched body made one sample at a time, in that order
 #: (no draw at these settings hits a pole, so none is resampled)
 SAMPLE_SEQUENCES = {
@@ -189,6 +199,9 @@ SAMPLE_SEQUENCES = {
     "theta-quasiperiodicity": _annulus,
     "coeff-boundary": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(50)],
     "c-periodicity": lambda ctx, rng: [sample_scalar(rng, ctx.ep.nome) for _ in range(20)],
+    "qybe": _spectral(checks.SAMPLES, 2),
+    "baxterization-closed-form": _spectral(checks.SAMPLES, 1),
+    "r-unitarity": _spectral(checks.SAMPLES, 1),
     "dybe-psi": _sweep(checks.SAMPLES),
     "dybe-phi": _sweep(checks.SAMPLES),
     "dybe-xi": _sweep(checks.SAMPLES),
@@ -252,9 +265,20 @@ class TestReport:
         assert not report.inconclusive
 
 
-#: the checks whose sweeps resample a point on a pole
+#: the checks that drew by hand and went inconclusive at the first pole,
+#: before they moved onto ``resample_sweep``, with their draw counts
+MOVED = {
+    "coeff-boundary": 50, "c-periodicity": 20, "qybe": checks.SAMPLES,
+    "baxterization-closed-form": checks.SAMPLES, "r-unitarity": checks.SAMPLES,
+    "gl2-fixture": checks.SAMPLES, "dybe-psi": checks.SAMPLES, "dybe-phi": checks.SAMPLES,
+    "dybe-xi": checks.SAMPLES, "dybe-negative-control": checks.SAMPLES, "dyn-unitarity": 30,
+    "felder-form": checks.SAMPLES, "felder-negative-control": 5, "weight-conservation": 5,
+    "dynamical-translation": 5,
+}
+
+#: every check whose evaluation can hit a pole: each resamples the point
 RESAMPLING = (
-    "connection-cocycle", "connection-braid", "connection-unitarity", "rank2-dynamical",
+    *MOVED, "connection-cocycle", "connection-braid", "connection-unitarity", "rank2-dynamical",
     "rank3-shifted", "monodromy-routes", "transport-cocycle", "qkz-flatness",
     "qkz-flatness-negative-control",
 )
@@ -262,15 +286,44 @@ RESAMPLING = (
 
 class TestSweepDetail:
     def test_resampling_checks_report_their_draws(self):
-        results = {r.check: r for s in ("connection", "qkz") for r in run_suite(s, RunConfig(n=3)).results}
+        results = {r.check: r for r in run_suite("all", RunConfig(n=3)).results}
+        # no other check draws a point where it can hit a pole
+        assert len(RESAMPLING) == 24
+        assert {r.check for r in results.values() if "draws" in r.detail} == set(RESAMPLING)
         for check_id in RESAMPLING:
             detail = results[check_id].detail
             assert detail["pole_resamples"] == 0, check_id
             assert detail["draws"] > 0, check_id
+        for check_id, draws in MOVED.items():
+            assert results[check_id].detail["draws"] == draws, check_id
         # the draw counts of the loops: three per block of n = 2, 3 and ten per block of n = 3
         assert results["connection-cocycle"].detail["draws"] == 3 * (6 + 10)
         assert results["connection-braid"].detail["draws"] == 10 * 10
         assert results["qkz-flatness"].detail["draws"] == 20
+        assert results["transport-cocycle"].detail["draws"] == 3 * 2
+
+    @pytest.mark.parametrize("check_id", sorted(MOVED))
+    def test_a_planted_pole_is_resampled(self, monkeypatch, check_id):
+        # the first two evaluations raise: the batch of every draw, and then
+        # the first point of the walk's first draw, which draws the next point
+        real = checks.resample_sweep
+        calls = []
+
+        def planted(rng, cases, point, evaluate, own=None):
+            def poled(draws):
+                calls.append(len(draws))
+                if len(calls) <= 2:
+                    raise PoleError("planted")
+                return evaluate(draws)
+
+            return real(rng, cases, point, poled, own)
+
+        monkeypatch.setattr(checks, "resample_sweep", planted)
+        (c,) = [c for c in checks._REGISTRY if c.check_id == check_id]
+        result = checks._run_check(VerifyContext(RunConfig(n=3)), c)
+        assert result.status == "ran" and result.passed, result.detail
+        assert result.detail == {"draws": MOVED[check_id], "pole_resamples": 1}
+        assert calls == [MOVED[check_id]] + [1] * (MOVED[check_id] + 1)
 
 
 class TestStackedProducts:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkzconn.elliptic import PoleError, default_params
-from qkzconn.heckespin import HeckeParams, spin_rep, y_tilde
+from qkzconn.heckespin import HeckeParams, baxter_denominator, baxterize, braid_matrix, spin_rep, y_tilde
 from qkzconn.params import sample_point
 from qkzconn.qkz import (
     XI,
@@ -177,6 +177,38 @@ def dense_transport(rep, word, z):
 @pytest.fixture(scope="module")
 def rep5(ep, phi):
     return spin_rep(HeckeParams(elliptic=ep, n=5), phi)
+
+
+class TestBaxterPoleRule:
+    """The Baxterized matrices and the transport letters read a pole of
+    1/q - q z by one rule, relative to the terms that cancel there."""
+
+    @pytest.mark.parametrize("offset, pole", [(1e-11, True), (1e-6, False)])
+    def test_one_rule_where_the_terms_are_large(self, phi, offset, pole):
+        # |1/q| is about 1e3 at kappa = -6.58 and p = 0.35; at z = (1 + offset) / q^2
+        # |1/q - q z| is about 1e3 offset: 1e-8 reads as a pole, 1e-3 does not
+        ep = default_params(0.35, -6.58)
+        hp = HeckeParams(elliptic=ep, n=2)
+        q = hp.q
+        z = (1.0 + offset) / q**2
+        den, mask = baxter_denominator(z, q)
+        assert 900.0 < abs(1.0 / q) < 1100.0
+        assert bool(mask) is pole and abs(den) == pytest.approx(offset / abs(q), rel=1e-3)
+        # the transport letter s_1 at z_1 - z_2 = x reads t = p^x = z
+        x = np.log(z) / ep.nome.log_p
+        word = (affine_word(2, [s_letter(1)]), (x, 0.0))
+        rep = spin_rep(hp, phi)
+        evaluations = (
+            lambda: perk_schultz(z, q),
+            lambda: baxterize(braid_matrix(q), z, q),
+            lambda: transport_words(rep, [word]),
+        )
+        for evaluate in evaluations:
+            if pole:
+                with pytest.raises(PoleError):
+                    evaluate()
+            else:
+                evaluate()
 
 
 class TestTransportWords:
