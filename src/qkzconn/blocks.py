@@ -133,14 +133,19 @@ def _block_gamma_raw(
     return tuple(gamma)
 
 
+def _index_signs(n: int, r: Content) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the sorted index set I of the block r and its signs, one rule for
+    # content_block and the block letters of the connection layer: eps_i = -1
+    # where the sites i, i+1 of the leading index both hold v_3 (i < r3)
+    index_set = tuple(sorted(content_stabiliser(n, r)))
+    return index_set, tuple(-1 if i < r[2] else 1 for i in index_set)
+
+
 def content_block(
     ep: EllipticParams, n: int, r: Content, phi: Sequence[complex]
 ) -> PrincipalSeriesSpec:
     """The principal-series data (I, eps, gamma) of the block with content r."""
-    if sum(r) != n or min(r) < 0:
-        raise ValueError(f"{r} is not a content label for n={n}")
-    index_set = tuple(sorted(content_stabiliser(n, r)))
-    signs = tuple(-1 if i < r[2] else 1 for i in index_set)
+    index_set, signs = _index_signs(n, r)
     gamma = _block_gamma_raw(ep.nome.log_p, ep.kappa, phi, n, r)
     spec = PrincipalSeriesSpec(n=n, index_set=index_set, signs=signs, gamma=gamma)
     validate_spec(ep, spec)

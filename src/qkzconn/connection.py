@@ -11,21 +11,22 @@ value carried by a control leg.
 
 Every one-letter matrix, on a block, in the tensor basis or on two sites
 (the dynamical R-matrix), has at most two nonzeros per column, so every word
-multiplies on the one product engine ``tensorspace.column_products``.  The
-tensor-basis monodromy keeps content, and both of its independent routes
-return a ``tensorspace.BlockOp``: one takes its letters from the tensor
-basis, one content group at a time, the other scatters the block matrices
-into it with the places and signs of the basis map ``blocks.block_bases``.
+multiplies on ``tensorspace.column_products``, and every word of connection
+matrices through one product plan, ``_products``.  The two routes of the
+tensor-basis monodromy (a ``tensorspace.BlockOp``) differ only in their
+letter tables: one reads the letters off the tensor basis, the other moves
+the block letters in with the places and signs of ``blocks.block_bases``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import BlockBasis, PrincipalSeriesSpec, _block_gamma_raw, block_bases, content_block, validate_spec
+from .blocks import PrincipalSeriesSpec, _block_gamma_raw, _index_signs, block_bases, validate_spec
 from .elliptic import EllipticParams, PoleError, coefficients
 from .symgroup import (
     compose,
@@ -103,57 +104,78 @@ def _table(letters: Sequence[tuple]) -> _Letters:
     return table
 
 
-def _word_plan(words: Sequence[tuple[Sequence[int], Sequence[complex]]]) -> tuple[np.ndarray, np.ndarray]:
-    # the (positions, words) array of the letters of (labels, z) words, padded
-    # with 0 (the identity row of a table), and each letter's
-    # x = z_i - z_(i+1) at the point moved by the letters before it
-    shape = (max(1, *(len(labels) for labels, _ in words)), len(words))
-    lab, x = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=complex)
-    for w, (labels, z) in enumerate(words):
+def _products(ep: EllipticParams, words: Sequence[tuple]) -> list[list[np.ndarray]]:
+    """The (k, d, d) product M(z) M(s_i_1 z) ... of each part of each
+    (labels, z, parts, gamma) word with the letters (i_1, ..., i_r).
+
+    A part is (table, d): a ``_Letters`` table (row i for s_i) of k blocks
+    of d columns; gamma holds the spectral vectors of the parts' blocks in
+    turn.  Each word is spelled once, words that share a parts object (and
+    so the shape of gamma) are planned together, and the parts of one table
+    width and d multiply on one ``column_products`` call, their distinct
+    tables stacked, with every coefficient from one elliptic batch.
+    """
+    # the letters' table rows at (position, word), padded with the identity
+    # row 0, and each letter's x = z_i - z_(i+1) at its point
+    length = [len(labels) for labels, _, _, _ in words]
+    lab, x = (np.zeros((max([1, *length]), len(words)), dtype=t) for t in (np.intp, complex))
+    shared: dict[int, tuple[Sequence, list[int]]] = {}  # the words of each parts object
+    for w, (labels, z, parts, _) in enumerate(words):
         z = [complex(t) for t in z]
         if not all(1 <= i < len(z) for i in labels):
             raise ValueError(f"letters {tuple(labels)} out of range for n={len(z)}")
         for k, i in enumerate(labels):
             lab[k, w], x[k, w] = i, z[i - 1] - z[i]
             z[i - 1], z[i] = z[i], z[i - 1]
-    return lab, x
-
-
-def _letter_products(ep: EllipticParams, plans: Sequence[tuple], names: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """The (words, k, d, d) products of each plan's words on ``column_products``.
-
-    A plan is (letters, gamma, x, d): the ``_Letters`` at (position, word,
-    column), each word's spectral vector per column (words, columns, n), each
-    letter's x (positions, words) and the block dimension.  Every A, B and odd
-    unit of every plan comes from one elliptic batch: A and B at each moving
-    column, the unit once per letter with an odd column.  A pole raises
-    PoleError naming the words' letters ``names``.
-    """
-    moving = [letters.kind == _MOVING for letters, _, _, _ in plans]
-    odd = [(letters.kind == _ODD).any(axis=-1) for letters, _, _, _ in plans]
-    ys, xs, us = [], [], []
-    for (letters, gamma, x, _), m, o in zip(plans, moving, odd):
-        words, cols = np.nonzero(m)[1:]
-        ys.append(gamma[words, cols, letters.gi[m]] - gamma[words, cols, letters.gj[m]])
-        xs.append(np.broadcast_to(x[..., None], m.shape)[m])
-        us.append(x[o])
+        shared.setdefault(id(parts), (parts, []))[1].append(w)
+    groups: dict[tuple[int, int], list[tuple]] = {}  # by (k*d, d): the words, part, table and gammas
+    for parts, ws in shared.values():
+        gamma, start = np.array([words[w][3] for w in ws], dtype=complex), 0
+        for part, (table, d) in enumerate(parts):
+            kd = table.perm.shape[1]
+            groups.setdefault((kd, d), []).append((ws, part, table, gamma[:, start : start + kd // d]))
+            start += kd // d
+    plans, ys, xs, us = [], [], [], []
+    for (kd, d), members in groups.items():
+        at = [w for ws, _, _, _ in members for w in ws]
+        size = max([1, *(length[w] for w in at)])
+        rows, point = lab[:size].take(at, axis=1), x[:size].take(at, axis=1)
+        # the group's distinct tables stacked, each word's rows offset into them
+        distinct = list({id(t): t for _, _, t, _ in members}.values())
+        if len(distinct) > 1:
+            offset = dict(zip(map(id, distinct), itertools.accumulate((len(t.perm) for t in distinct), initial=0)))
+            rows += [offset[id(t)] for ws, _, t, _ in members for _ in ws]
+            distinct = [_Letters(*map(np.concatenate, zip(*distinct)))]
+        letters = distinct[0].take(rows)
+        gamma = np.zeros((len(at), kd // d, max(g.shape[-1] for _, _, _, g in members)), dtype=complex)
+        for (ws, _, _, g), j in zip(members, itertools.accumulate((len(ws) for ws, _, _, _ in members), initial=0)):
+            gamma[j : j + len(ws), :, : g.shape[-1]] = g
+        moving, odd = letters.kind == _MOVING, letters.kind == _ODD
+        lettered = odd.any(axis=-1)
+        # y = gamma_gi - gamma_gj of the block of each moving column
+        pos, word, block = np.nonzero(moving)
+        block //= d
+        ys.append(gamma[word, block, letters.gi[moving]] - gamma[word, block, letters.gj[moving]])
+        xs.append(point[pos, word])
+        us.append(point[lettered])
+        plans.append((members, letters, moving, odd, lettered, d))
     y, x, u = (np.concatenate([np.empty(0, complex), *parts]) for parts in (ys, xs, us))
     try:
         a, b, units, _ = coefficients(ep, y, x, u=u)
     except PoleError as exc:
-        words = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in labels) for labels in names))
-        raise PoleError(
-            f"one-letter matrices of {words}: {exc}", factor=exc.factor, magnitude=exc.magnitude
-        ) from exc
-    out = []
-    for (letters, _, x, d), m, o, y_k, u_k in zip(plans, moving, odd, ys, us):
-        unit = np.ones(x.shape, dtype=complex)
-        unit[o], units = units[: len(u_k)], units[len(u_k) :]
-        diag = np.where(letters.kind == _ODD, unit[..., None], 1.0 + 0.0j)
-        off = np.zeros(m.shape, dtype=complex)
-        diag[m], off[m] = a[: len(y_k)], letters.sign[m] * b[: len(y_k)]
+        names = "; ".join(dict.fromkeys(" ".join(f"s_{i}" for i in labels) for labels, _, _, _ in words))
+        raise PoleError(f"one-letter matrices of {names}: {exc}", factor=exc.factor, magnitude=exc.magnitude) from exc
+    out = [[None] * len(parts) for _, _, parts, _ in words]
+    for (members, letters, moving, odd, lettered, d), y_k, u_k in zip(plans, ys, us):
+        unit = np.ones(lettered.shape, dtype=complex)
+        unit[lettered], units = units[: len(u_k)], units[len(u_k) :]
+        diag = np.where(odd, unit[..., None], 1.0 + 0.0j)
+        off = np.zeros(moving.shape, dtype=complex)
+        diag[moving], off[moving] = a[: len(y_k)], letters.sign[moving] * b[: len(y_k)]
         a, b = a[len(y_k) :], b[len(y_k) :]
-        out.append(column_products(letters.perm, diag, off, d))
+        slots = [(w, part) for ws, part, _, _ in members for w in ws]
+        for (w, part), mat in zip(slots, column_products(letters.perm, diag, off, d)):
+            out[w][part] = mat
     return out
 
 
@@ -187,41 +209,23 @@ def connection_words(
 
     For the letters (i_1, ..., i_r) at z this is
     M^{s_i_1}(z) M^{s_i_2}(s_i_1 z) ... on the block ``spec``, each letter at
-    the point moved by the letters before it.  The words may lie on
-    different blocks; the words of one block dimension multiply on one
-    ``column_products`` call, with their letters taken from their blocks'
-    tables.  All letters of all words come from one elliptic batch, so a pole
-    in any of them raises PoleError.
+    the point moved by the letters before it, with the letters of the
+    block's table.  The words may lie on different blocks; all of them
+    multiply on one ``_products`` plan, so a pole in any raises PoleError.
     """
-    for spec in dict.fromkeys(spec for spec, _, _ in words):
+    parts = {}
+    for spec in {id(spec): spec for spec, _, _ in words}.values():
         validate_spec(ep, spec)
-    groups: dict[int, list[int]] = {}
-    tables = []
-    for w, (spec, _, z) in enumerate(words):
+        table = _block_table(spec.n, spec.index_set, spec.signs)
+        parts[id(spec)] = [(table, table.perm.shape[1])]
+    for spec, _, z in words:
         if len(z) != spec.n:
             raise ValueError("evaluation point must have one coordinate per site")
-        tables.append(_block_table(spec.n, spec.index_set, spec.signs))
-        groups.setdefault(tables[-1].perm.shape[1], []).append(w)
-    plans = []
-    for dim, members in groups.items():
-        lab, x = _word_plan([words[w][1:] for w in members])
-        # the group's distinct tables stacked, each word's rows offset into them
-        distinct = {id(tables[w]): tables[w] for w in members}
-        offset = dict(zip(distinct, np.cumsum([0] + [len(t.perm) for t in distinct.values()])))
-        lab += np.array([offset[id(tables[w])] for w in members])
-        gamma = np.zeros((len(members), dim, max(words[w][0].n for w in members)), dtype=complex)
-        for k, w in enumerate(members):
-            gamma[k, :, : words[w][0].n] = words[w][0].gamma
-        plans.append((_Letters(*map(np.concatenate, zip(*distinct.values()))).take(lab), gamma, x, dim))
-    out: list = [None] * len(words)
-    for members, mats in zip(groups.values(), _letter_products(ep, plans, [labels for _, labels, _ in words])):
-        for w, mat in zip(members, mats):
-            out[w] = mat[0]
-    return out
+    return [mat[0] for (mat,) in _products(ep, [(labels, z, parts[id(spec)], [spec.gamma]) for spec, labels, z in words])]
 
 
 # ---------------------------------------------------------------------------
-# monodromy on the tensor-product basis, one content group at a time
+# the tensor-basis monodromy: two letter tables on one product plan
 
 
 @functools.cache
@@ -257,38 +261,28 @@ def tensor_monodromy_words(
 
     The word of the letters (i_1, ..., i_r) on n = len(z) sites is the
     product of the one-letter tensor-basis monodromies (``_tensor_table``),
-    each at the point moved by the letters before it, one
-    ``column_products`` call per content group of ``block_layout(n)``.  The
-    words may differ in phi and in n.  All letters of all words come from one
-    elliptic batch, so a pole in any of them raises PoleError.
+    each at the point moved by the letters before it.  The words may differ
+    in phi and in n; all of them multiply on one ``_products`` plan, so a
+    pole in any raises PoleError.
     """
-    by_n: dict[int, list[int]] = {}
-    for w, (_, _, z) in enumerate(words):
-        by_n.setdefault(len(z), []).append(w)
-    plans = []
-    for n, members in by_n.items():
-        lab, x = _word_plan([words[w][1:] for w in members])
-        # each block's spectral vector, as content_block computes it, without
-        # building and validating the rest of the block's spec, per word in
-        # layout order: one _block_gamma_raw call per distinct twist (told
-        # apart bit for bit, signed zeros included) and content
-        keys = [np.asarray(words[w][0], dtype=complex).tobytes() for w in members]
-        rows: dict[bytes, list] = {}
-        for key, w in zip(keys, members):
-            if key not in rows:
-                rows[key] = [_block_gamma_raw(ep.nome.log_p, ep.kappa, words[w][0], n, r) for r in block_bases(n)]
-        gamma = np.array([rows[key] for key in keys])
-        start = 0
-        for table, (k, d) in zip(_tensor_table(n), (idx.shape for idx in block_layout(n).index)):
-            plans.append((table.take(lab), np.repeat(gamma[:, start : start + k], d, axis=1), x, d))
-            start += k
-    products = iter(_letter_products(ep, plans, [labels for _, labels, _ in words]))
-    out: list = [None] * len(words)
-    for n, members in by_n.items():
-        stacks = [next(products) for _ in block_layout(n).index]
-        for k, w in enumerate(members):
-            out[w] = BlockOp(block_layout(n), (s[k] for s in stacks))
-    return out
+    return _monodromies(ep, words, _tensor_table)
+
+
+@functools.cache
+def _scattered_table(n: int) -> tuple[_Letters, ...]:
+    # the letters of _block_table in the tensor basis, per group of block_layout(n): coset
+    # column c of block r sits at block_bases(n)[r].places[c], an exchange entry takes both (-1)^eta
+    bases = iter(block_bases(n).items())
+    tables = []
+    for idx in block_layout(n).index:
+        moved = []
+        for j, (r, basis) in zip(range(len(idx)), bases):
+            places, signs = np.array(basis.places), np.array(basis.signs)
+            order = np.argsort(places)  # the coset column at each place
+            t = _block_table(n, *_index_signs(n, r)).take((slice(1, None), order))
+            moved.append(t._replace(perm=j * idx.shape[1] + places[t.perm], sign=t.sign * signs[order] * signs[t.perm]))
+        tables.append(_table(list(zip(*(np.concatenate(f, axis=1) for f in zip(*moved))))))
+    return tuple(tables)
 
 
 def tensor_monodromy_from_blocks_words(
@@ -301,32 +295,23 @@ def tensor_monodromy_from_blocks_words(
     Entry (alpha, beta) within the block of content r is
     (-1)^(eta(w_alpha) + eta(w_beta)) m_{w_alpha, w_beta}, with the places
     and signs of the basis map ``block_bases(n)``; across blocks it
-    vanishes.  Every block's word of every word comes from one
-    ``connection_words`` call.
+    vanishes.  Each block letter is moved so (``_scattered_table``), and the
+    words multiply as those of ``tensor_monodromy_words`` do.
     """
-    per_word = [block_bases(len(z)) for _, _, z in words]
-    block_words = [
-        (content_block(ep, len(z), r, phi), labels, z)
-        for (phi, labels, z), bases in zip(words, per_word)
-        for r in bases
-    ]
-    mats = iter(connection_words(ep, block_words))
-    out = []
-    for (_, _, z), bases in zip(words, per_word):
-        layout = block_layout(len(z))
-        blocks = (_scatter(next(mats), basis) for basis in bases.values())
-        out.append(BlockOp(layout, [np.stack([next(blocks) for _ in idx]) for idx in layout.index]))
-    return out
+    return _monodromies(ep, words, _scattered_table)
 
 
-def _scatter(m: np.ndarray, basis: BlockBasis) -> np.ndarray:
-    # the block matrix m on the coset basis moved to the tensor basis: entry
-    # (a, b) goes to the places of w_a . leading and w_b . leading, times
-    # both signs (-1)^eta
-    signs = np.array(basis.signs)
-    out = np.empty_like(m)
-    out[np.ix_(basis.places, basis.places)] = np.outer(signs, signs) * m
-    return out
+def _monodromies(ep: EllipticParams, words: Sequence[tuple], tables) -> list[BlockOp]:
+    # the words on tables(n), one per group of block_layout(n), with the block
+    # gammas of content_block once per twist (told apart bit for bit)
+    parts = {n: [(t, idx.shape[1]) for t, idx in zip(tables(n), block_layout(n).index)] for n in {len(z) for *_, z in words}}
+    gammas, plan = {}, []
+    for phi, labels, z in words:
+        n, key = len(z), (len(z), np.asarray(phi, dtype=complex).tobytes())
+        if key not in gammas:
+            gammas[key] = [_block_gamma_raw(ep.nome.log_p, ep.kappa, phi, n, r) for r in block_bases(n)]
+        plan.append((labels, z, parts[n], gammas[key]))
+    return [BlockOp(block_layout(len(z)), stacks) for (_, _, z), stacks in zip(words, _products(ep, plan))]
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,13 @@ from .elliptic import POLE_TOL, EllipticParams, PoleError, pow_p
 from .tensorspace import (
     DIM,
     BlockOp,
-    _pair_ratios,
-    _pair_sums,
     block_layout,
     column_images,
     column_products,
     frob,
     letter_table,
     neighbour_columns,
+    pair_residuals,
     permutation_op,
     word_residuals,
 )
@@ -311,8 +310,7 @@ def word_pair_residuals(rep: SpinRep, pairs: Sequence[tuple[Sequence, Sequence]]
     for lhs_0, rhs_0, lhs_1, ...), each content group reduced as it is made: no operator is built."""
     words = [word for pair in pairs for word in pair]
     # the sums ignore the order of entries: reduce each stack's contiguous transpose
-    sums = sum(_pair_sums(s.swapaxes(-1, -2)) for s in _group_products(rep, words, t, den))
-    return _pair_ratios(sums).tolist()
+    return pair_residuals(s.swapaxes(-1, -2) for s in _group_products(rep, words, t, den)).tolist()
 
 
 def spin_images(rep: SpinRep, rows: np.ndarray, sides: np.ndarray, source: int) -> np.ndarray:

@@ -29,8 +29,9 @@ the legs (a, b), for a 9x9 operator (or a stack) that keeps the content of
 its two legs; a control leg picks the operator by its value, which gives the
 dynamical shifts.  ``neighbour_columns`` gives the entries of every
 neighbour pair (i, i+1) at once, and ``word_residuals`` compares two words
-of such letters draw by draw.  ``two_leg_op``, the dense embedding, is the
-tests' independent reference.
+of such letters draw by draw.  ``pair_residuals`` is the one reduction of
+such comparisons: it folds pairs of products into their relative residuals.
+``two_leg_op``, the dense embedding, is the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def word_residuals(n: int, lhs: Sequence[tuple], rhs: Sequence[tuple], sites: in
     shape = columns[0][0][1].shape[:-2]
     draws = math.prod(shape)
     layout = block_layout(n)
-    sums = np.zeros((3, draws))
+    kept = []
     for g, idx in enumerate(layout.index):
         keep = (layout.digits[idx[:, 0]] < sites).all(axis=1)
         if not keep.any():
@@ -343,26 +344,28 @@ def word_residuals(n: int, lhs: Sequence[tuple], rhs: Sequence[tuple], sites: in
         perm = np.tile(np.stack([cols[g][0] for cols in columns]).reshape(2, -1, k * d).swapaxes(0, 1), (1, draws, 1))
         entries = np.stack([cols[g][1].reshape(draws, 2, k * d) for cols in columns])
         entries = entries.reshape(2, -1, draws, 2, k * d).transpose(1, 2, 0, 3, 4).reshape(-1, 2 * draws, 2, k * d)
-        prods = column_products(perm, entries[..., 0, :], entries[..., 1, :], d)
-        sums += _pair_sums(prods[:, keep])
-    out = _pair_ratios(sums).reshape(shape)
+        kept.append(column_products(perm, entries[..., 0, :], entries[..., 1, :], d)[:, keep])
+    out = pair_residuals(kept).reshape(shape)
     return out.item() if out.ndim == 0 else out
 
 
-def _pair_sums(stack: np.ndarray) -> np.ndarray:
-    # the (3, P) sums of re^2 + im^2 of L - R, L and R, for a (2P, ...) stack of pairs L, R in turn
-    sides = stack.reshape(len(stack) // 2, 2, math.prod(stack.shape[1:]))
-    sums = np.empty((3, len(sides)))
-    for row, part in enumerate((sides[:, 0] - sides[:, 1], sides[:, 0], sides[:, 1])):
-        square = part.real**2
-        sums[row] = np.add(square, part.imag**2, out=square).sum(axis=1)
-    return sums
-
-
-def _pair_ratios(sums: np.ndarray) -> np.ndarray:
-    # |L - R| / max(|L|, |R|) from _pair_sums: 0 if both are 0, NaN if a sum is not finite
-    finite = np.isfinite(sums).all(axis=0)
-    diff, big = np.sqrt(np.where(finite, [sums[0], np.maximum(sums[1], sums[2])], 0.0))
+def pair_residuals(stacks) -> np.ndarray:
+    """``rel_residual`` of each pair of an iterable of (2P, ...) stacks, which
+    hold the pairs L, R in turn: |L - R| / max(|L|, |R|), the squared
+    Frobenius norms summed over the stacks in order, each stack reduced as it
+    comes.  A pair reads 0 if both sides are 0 and NaN if a sum is not
+    finite.  Takes at least one stack."""
+    total = 0.0
+    for stack in stacks:
+        sides = stack.reshape(len(stack) // 2, 2, math.prod(stack.shape[1:]))
+        sums = np.empty((3, len(sides)))
+        # re^2 + im^2 of L - R, L and R
+        for row, part in enumerate((sides[:, 0] - sides[:, 1], sides[:, 0], sides[:, 1])):
+            square = part.real**2
+            sums[row] = np.add(square, part.imag**2, out=square).sum(axis=1)
+        total = total + sums
+    finite = np.isfinite(total).all(axis=0)
+    diff, big = np.sqrt(np.where(finite, [total[0], np.maximum(total[1], total[2])], 0.0))
     return np.where(finite, diff / np.where(big > 0.0, big, 1.0), np.nan)
 
 

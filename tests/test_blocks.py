@@ -76,34 +76,37 @@ class TestBlockData:
     @pytest.mark.parametrize("kappa", [0.27, 0.3 - 0.05j, complex(0.27, 0.0), complex(0.0, -0.0)])
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
     def test_batched_spectral_vectors_are_the_scalar_ones_bit_for_bit(self, rng, n, kappa, monkeypatch):
-        # the spectral vectors tensor_monodromy_words batches, for repeated and
+        # the spectral vectors tensor_monodromy_words plans, for repeated and
         # distinct twists, against those content_block builds one at a time,
         # signed zeros of the twist included: one _block_gamma_raw call per
-        # distinct twist and content
+        # distinct twist and content, one vector per block of the layout
         ep = types.SimpleNamespace(nome=types.SimpleNamespace(log_p=-1.05), kappa=kappa)
         phis = [tuple(complex(*rng.normal(size=2)) for _ in range(3)) for _ in range(3)]
         phis += [(complex(-0.0, 0.0), complex(0.0, -0.0), 0j), (0j, 0j, 0j), phis[0], phis[2]]
-        calls, plans = [], []
+        calls, plan = [], []
 
         def counted(*args):
             calls.append(args)
             return blocks._block_gamma_raw(*args)
 
-        def captured(ep, group_plans, names):
-            plans.extend(group_plans)
+        def captured(ep, words):
+            plan.extend(words)
             raise StopIteration
 
         monkeypatch.setattr(connection, "_block_gamma_raw", counted)
-        monkeypatch.setattr(connection, "_letter_products", captured)
+        monkeypatch.setattr(connection, "_products", captured)
         with pytest.raises(StopIteration):
             connection.tensor_monodromy_words(ep, [(phi, (1,), tuple(0.1j * k for k in range(n))) for phi in phis])
         rs = list(blocks.block_bases(n))
         assert len(calls) == 5 * len(rs)
-        got = np.concatenate([gamma.reshape(len(phis), -1, d, n)[:, :, 0] for _, gamma, _, d in plans], axis=1)
+        got = np.array([gamma for _, _, _, gamma in plan], dtype=complex)
         want = np.array([[content_block(ep, n, r, phi).gamma for r in rs] for phi in phis])
         assert got.shape == want.shape == (len(phis), len(rs), n)
         assert got.tobytes() == want.tobytes()
-        assert all((gamma == gamma[:, :: d].repeat(d, axis=1)).all() for _, gamma, _, d in plans)
+        # the parts are the content groups of the layout, which read the blocks in turn
+        layout = block_layout(n)
+        for _, _, parts, _ in plan:
+            assert [(t.perm.shape[1], d) for t, d in parts] == [(idx.size, idx.shape[1]) for idx in layout.index]
 
 
 class TestBlockBases:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -353,8 +354,12 @@ class TestStackedProducts:
 
     @staticmethod
     def points(labels, z):
-        # x of each letter at the point moved by the letters before it
-        return connection._word_plan([(labels, z)])[1][: len(labels), 0]
+        # x = z_i - z_(i+1) of each letter at the point moved by the letters before it
+        z, xs = list(z), []
+        for i in labels:
+            xs.append(z[i - 1] - z[i])
+            z[i - 1], z[i] = z[i], z[i - 1]
+        return np.array(xs, dtype=complex)
 
     @staticmethod
     def close(got, want):
@@ -699,6 +704,8 @@ class TestMonodromyRoutes:
             return self.flip_first_exchange_sign(table) if (n, index_set) == (3, ()) else table
 
         monkeypatch.setattr(connection, "_block_table", patched)
+        # a fresh cache of the block letters in the tensor basis, built from the patched table
+        monkeypatch.setattr(connection, "_scattered_table", functools.cache(connection._scattered_table.__wrapped__))
         result = self.routes_result()
         assert result.status == "ran" and not result.passed
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qkzconn.blocks import PrincipalSeriesSpec, _block_gamma_raw, content_block
+from qkzconn.blocks import PrincipalSeriesSpec, _block_gamma_raw, block_bases, content_block
 from qkzconn.connection import (
     PHI_FAMILY,
     PSI_FAMILY,
@@ -284,6 +284,85 @@ class TestTensorMonodromy:
             (m2,) = tensor_monodromy_words(ep, [(phi, (2,), z)])
             s2 = shifted_r_apply(ep, 3, 1, z[1] - z[2], phi, PSI_FAMILY, -ep.kappa, control=3)
             assert rel_residual(m2, s2) < 1e-9
+
+
+#: the signed-zero twists of the spectral-vector tests: equal values, distinct bytes
+ZERO_TWISTS = [(complex(-0.0, 0.0), complex(0.0, -0.0), 0j), (0j, 0j, 0j)]
+
+
+def stand_in_coefficients(ep, y=(), x=(), u=(), c=()):
+    # an elementwise stand-in for elliptic.coefficients, finite at y = 0,
+    # where the zero twists put the real coefficients on a pole
+    y, x, u = (np.asarray(t, dtype=complex) for t in (y, x, u))
+    return np.cos(y) + 0.3 * x, np.sin(y - x) - 0.2j, 1.0 + 0.5j * u + u * u, None
+
+
+class TestScatteredBlockRoute:
+    """``tensor_monodromy_from_blocks_words`` against its construction block by
+    block: each block's word from ``connection_words`` on its ``content_block``,
+    moved to the tensor basis with the places and signs of ``block_bases(n)``."""
+
+    @staticmethod
+    def words(rng, twists):
+        # one call mixing n, word lengths and twists: the empty word, one
+        # letter, a random permutation and the longest element
+        words = []
+        for n in (2, 3, 4, 5):
+            perms = [identity_perm(n), simple(n, n - 1), tuple(int(k) + 1 for k in rng.permutation(n))]
+            for w, phi in itertools.product(perms + [tuple(range(n, 0, -1))], twists):
+                words.append((phi, reduced_word(w), band_z(rng, n)))
+        rng.shuffle(words)
+        return words
+
+    @staticmethod
+    def scattered(ep, phi, labels, z):
+        n = len(z)
+        mats = connection_words(ep, [(content_block(ep, n, r, phi), labels, z) for r in block_bases(n)])
+        blocks = []
+        for m, basis in zip(mats, block_bases(n).values()):
+            signs = np.array(basis.signs)
+            block = np.empty_like(m)
+            block[np.ix_(basis.places, basis.places)] = np.outer(signs, signs) * m
+            blocks.append(block)
+        ends = list(itertools.accumulate((len(idx) for idx in block_layout(n).index), initial=0))
+        return [np.stack(blocks[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+
+    def equal(self, ep, words):
+        got = tensor_monodromy_from_blocks_words(ep, words)
+        assert [op.layout for op in got] == [block_layout(len(z)) for _, _, z in words]
+        return all(
+            len(op.stacks) == len(want) and all(np.array_equal(a, b) for a, b in zip(op.stacks, want))
+            for op, want in zip(got, (self.scattered(ep, *word) for word in words))
+        )
+
+    def test_block_route_is_the_scattered_block_words(self, ep, rng):
+        assert self.equal(ep, self.words(rng, [sample_phi(rng), sample_phi(rng)]))
+
+    def test_with_the_zero_twists(self, ep, rng, monkeypatch):
+        monkeypatch.setattr(connection, "coefficients", stand_in_coefficients)
+        assert self.equal(ep, self.words(rng, [sample_phi(rng), *ZERO_TWISTS]))
+
+    def test_a_sign_at_the_wrong_column_fails(self, ep, rng, monkeypatch):
+        original = connection._scattered_table
+
+        def misplaced(n):
+            # at n = 3, the exchange signs of two moving columns of s_1 with
+            # opposite signs swapped
+            tables = list(original(n))
+            for g, t in enumerate(tables if n == 3 else []):
+                row = np.where(t.kind[1] == connection._MOVING, t.sign[1], 0.0)
+                if (row < 0).any() and (row > 0).any():
+                    a, b = np.argmax(row < 0), np.argmax(row > 0)
+                    sign = t.sign.copy()
+                    sign[1, [a, b]] = sign[1, [b, a]]
+                    tables[g] = t._replace(sign=sign)
+                    break
+            return tuple(tables)
+
+        words = self.words(rng, [sample_phi(rng)])
+        assert self.equal(ep, words)
+        monkeypatch.setattr(connection, "_scattered_table", misplaced)
+        assert not self.equal(ep, words)
 
 
 class TestDynamicalR:

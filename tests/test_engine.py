@@ -17,11 +17,10 @@ from qkzconn.tensorspace import (
     BlockOp,
     _column_perms,
     _leg_swap,
-    _pair_ratios,
-    _pair_sums,
     block_layout,
     column_products,
     letter_table,
+    pair_residuals,
     rel_residual,
 )
 
@@ -219,8 +218,8 @@ class TestNonFinite:
     def test_pair_reduction(self, bad):
         zero, poisoned = np.zeros((2, 2)), np.full((2, 2), bad, dtype=complex)
         stack = np.stack([zero, poisoned, poisoned, zero, zero, zero])
-        assert np.isnan(_pair_ratios(_pair_sums(stack))[:2]).all()
-        assert _pair_ratios(_pair_sums(stack))[2] == 0.0
+        assert np.isnan(pair_residuals([stack])[:2]).all()
+        assert pair_residuals([stack])[2] == 0.0
 
     def test_word_pair_residuals(self, all_reps):
         rep = all_reps[3]
