@@ -12,7 +12,7 @@ the only code that turns a body's output into a ``CheckResult``:
   detail or a second condition (``holds``) that must also be true;
 - the runner alone reduces them to the check's residual, their maximum, or
   NaN if any of them is NaN or inf or if there are none;
-- ``tol=None`` means the run's ``residual_tol``;
+- ``tol=None`` means the constant ``RunConfig.residual_tol``, 1e-9;
 - a check passes when its residual is below the tolerance, except a check
   whose id contains ``negative-control``: it perturbs an identity, and passes
   when the residual is above the tolerance, i.e. when the perturbation breaks

@@ -3,8 +3,10 @@
 Exit codes: 0 all residuals below tolerance, 1 at least one residual
 failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
 an elliptic evaluation that hits a pole or leaves the double range, or a
-usage error: an unreadable or unwritable file, or a flag or config value
-that does not parse or is not finite, each printed as one ``error:`` line).
+usage error: an unwritable ``--out`` file, or a flag that is unknown, does
+not parse or is not finite, each printed as one ``error:`` line).  The
+flags are the only input; the residual tolerance is the constant
+``RunConfig.residual_tol``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _parse_z(text: str) -> tuple[complex, ...]:
 
 
 class UsageError(Exception):
-    """A flag or config value that the run cannot use; exit code 2."""
+    """A flag value that the run cannot use; exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,58 +62,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"malformed config line {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip().strip('"')
-    return values
-
-
 class _Setting(NamedTuple):
     field: str  # the RunConfig field it sets
-    parse: Callable[[str], Any]  # reads a flag's or a config line's value
+    parse: Callable[[str], Any]  # reads the flag's value
     help: str | None = None
     choices: tuple[str, ...] | None = None
 
 
-#: every run setting, keyed by its flag ``--key`` and its config key
+#: every run setting, keyed by its flag ``--key``; the residual tolerance is
+#: no setting but the constant ``RunConfig.residual_tol``
 _SETTINGS = {
     "p": _Setting("p", float, "nome in (0, 1)"),
     "kappa": _Setting("kappa", _parse_complex, "coupling (complex, re+imj)"),
     "phi": _Setting("phi", _parse_phi, "twist a,b,c (complex entries)"),
     "n": _Setting("n", int, "number of tensor sites"),
     "seed": _Setting("seed", int, "seed for the sweeps"),
-    "tol": _Setting("residual_tol", float, "default residual tolerance"),
     "out": _Setting("out", str, "output file (stdout if omitted)"),
     "format": _Setting("fmt", str, choices=("json", "table")),
 }
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _SETTINGS:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                values[key] = _SETTINGS[key].parse(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"config {key} = {raw!r}: {exc}") from None
-    for key in _SETTINGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    # only the keys that were set: RunConfig holds the defaults
+    # only the flags that were given: RunConfig holds the defaults
+    values = {s.field: getattr(args, key) for key, s in _SETTINGS.items() if getattr(args, key, None) is not None}
     try:
-        return RunConfig(**{_SETTINGS[key].field: value for key, value in values.items()})
+        return RunConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -274,7 +249,6 @@ def cmd_connection(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     for key, s in _SETTINGS.items():
         parser.add_argument(f"--{key}", type=s.parse, default=None, help=s.help, choices=s.choices)
-    parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
 @functools.cache
@@ -324,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # a --config file that cannot be read or an --out file that cannot be written
+        # an --out file that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -107,60 +107,48 @@ class TestVerify:
         assert result["residual"] is None
         assert result["passed"] is False
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\nn = 2\nkappa = 0.27\n# comment\n")
-        code, out, _ = run_cli(
-            capsys, "verify", "elliptic", "--config", str(cfg), "--format", "json", "--seed", "9"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["config"]["seed"] == 9
-        assert payload["config"]["n"] == 2
 
-
-#: each run setting: its flag and config key, its RunConfig field, and two
-#: non-default values, as text and as read
+#: each run setting: its flag, its RunConfig field, and a non-default value,
+#: as text and as read
 _SETTING_VALUES = [
-    ("p", "p", "0.4", 0.4, "0.5", 0.5),
-    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j, "0.31", 0.31),
-    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j),
-     "0,0.1j,0.2", (0, 0.1j, 0.2)),
-    ("n", "n", "3", 3, "2", 2),
-    ("seed", "seed", "12", 12, "0", 0),
-    ("tol", "residual_tol", "2e-9", 2e-9, "3e-10", 3e-10),
-    ("out", "out", "report.txt", "report.txt", "other.txt", "other.txt"),
-    ("format", "fmt", "json", "json", "table", "table"),
+    ("p", "p", "0.4", 0.4),
+    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j),
+    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j)),
+    ("n", "n", "3", 3),
+    ("seed", "seed", "12", 12),
+    ("out", "out", "report.txt", "report.txt"),
+    ("format", "fmt", "json", "json"),
 ]
-
-
-def config_of(tmp_path, flags=(), text=None):
-    """The RunConfig of ``verify elliptic`` with these flags and config file text."""
-    argv = ["verify", "elliptic", *flags]
-    if text is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(text)
-        argv += ["--config", str(path)]
-    return cli.build_config(cli._parser().parse_args(argv))
 
 
 class TestSettings:
     @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
-    def test_a_flag_and_a_config_line_set_the_same_field(self, tmp_path, setting):
-        key, field, text, value, _, _ = setting
+    def test_a_flag_sets_its_field(self, setting):
+        key, field, text, value = setting
         want = dataclasses.replace(RunConfig(), **{field: value})
         assert want != RunConfig()
-        assert config_of(tmp_path, [f"--{key}={text}"]) == want
-        assert config_of(tmp_path, text=f"{key} = {text}\n") == want
+        assert cli.build_config(cli._parser().parse_args(["verify", "elliptic", f"--{key}={text}"])) == want
 
-    @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
-    def test_a_flag_overrides_its_own_config_key_only(self, tmp_path, setting):
-        key, field, _, _, other_text, other = setting
-        every_key = "".join(f"{k} = {t}\n" for k, _, t, _, _, _ in _SETTING_VALUES)
-        from_file = RunConfig(**{f: v for _, f, _, v, _, _ in _SETTING_VALUES})
-        assert config_of(tmp_path, text=every_key) == from_file
-        got = config_of(tmp_path, [f"--{key}={other_text}"], every_key)
-        assert got == dataclasses.replace(from_file, **{field: other})
+    def test_the_settings_are_the_run_config_fields(self):
+        assert sorted(s.field for s in cli._SETTINGS.values()) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert RunConfig.residual_tol == 1e-9
+        with pytest.raises(TypeError):
+            RunConfig(residual_tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "command", [("verify", "elliptic"), ("rmatrix",), ("decompose",), ("connection",)], ids=lambda c: c[0]
+    )
+    @pytest.mark.parametrize("flag", ["--config", "--tol"])
+    def test_no_config_file_and_no_tolerance_flag(self, capsys, tmp_path, monkeypatch, command, flag):
+        # the flags are the only input, and no run moves a registered tolerance
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("seed = 5\n")
+        value = "run.cfg" if flag == "--config" else "1e-9"
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestRMatrix:
@@ -338,20 +326,10 @@ class TestOutputFile:
         assert payload["kind"] == "verification_report"
 
 
-class ConfigText(str):
-    """An argument that stands for a config file holding this text."""
-
-
 #: usage errors: refused before any report or export is written
 _USAGE_ERRORS = [
-    ("verify", "dybe", "--n", "3", "--tol", "nan"),
-    ("verify", "dybe", "--n", "3", "--tol", "inf"),
-    ("verify", "elliptic", "--config", "/nonexistent"),
     ("rmatrix", "--out", "/nonexistent/dir/x.json"),
     ("verify", "dybe", "--seed", "-5"),
-    ("verify", "elliptic", "--config", ConfigText("phi = 1,2\n")),
-    ("verify", "elliptic", "--config", ConfigText("kappa = abc\n")),
-    ("verify", "elliptic", "--config", ConfigText("format = xml\n")),
     ("verify", "elliptic", "--format", "xml"),
     ("connection", "--n", "3", "--w", "s3"),
     ("connection", "--n", "3", "--w", "sX"),
@@ -363,14 +341,11 @@ _USAGE_ERRORS = [
     ("rmatrix", "--kappa=nan"),
     ("connection", "--n", "3", "--w", "s1", "--z=inf,0,0"),
     ("connection", "--n", "3", "--z=nan,0,0"),
-    ("verify", "elliptic", "--config", ConfigText("kappa = nan\n")),
-    ("verify", "elliptic", "--config", ConfigText("phi = 0,inf,0\n")),
     ("rmatrix", "--x", "abc"),
     ("rmatrix", "--p", "x"),
     ("verify", "nosuchsuite"),
     # 2 Re kappa overflows to inf
     ("verify", "elliptic", "--kappa", "1e308"),
-    ("verify", "elliptic", "--config", ConfigText("kappa = 1e308\n")),
 ]
 
 
@@ -389,11 +364,8 @@ class TestEvaluationFailuresAreInconclusive:
             *_USAGE_ERRORS,
         ],
     )
-    def test_exit_code_two(self, capsys, tmp_path, argv):
-        files = {a: tmp_path / f"run{k}.cfg" for k, a in enumerate(argv) if isinstance(a, ConfigText)}
-        for text, path in files.items():
-            path.write_text(text)
-        code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
+    def test_exit_code_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         if argv in _USAGE_ERRORS:
             assert out == ""
@@ -474,7 +446,7 @@ class TestEvaluationFailuresAreInconclusive:
 
 
 def test_build_config_defaults_are_run_config_defaults():
-    # no flag and no config file: every value is RunConfig's own default
+    # no flag: every value is RunConfig's own default
     assert cli.build_config(argparse.Namespace()) == RunConfig()
 
 
