@@ -108,26 +108,41 @@ class TestVerify:
         assert result["passed"] is False
 
 
-#: each run setting: its flag, its RunConfig field, and a non-default value,
-#: as text and as read
+#: each run setting: its flag, its RunConfig field, and two non-default
+#: values, as text and as read
 _SETTING_VALUES = [
-    ("p", "p", "0.4", 0.4),
-    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j),
-    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j)),
-    ("n", "n", "3", 3),
-    ("seed", "seed", "12", 12),
-    ("out", "out", "report.txt", "report.txt"),
-    ("format", "fmt", "json", "json"),
+    ("p", "p", "0.4", 0.4, "0.5", 0.5),
+    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j, "0.31", 0.31),
+    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j),
+     "0,0.1j,0.2", (0, 0.1j, 0.2)),
+    ("n", "n", "3", 3, "2", 2),
+    ("seed", "seed", "12", 12, "0", 0),
+    ("out", "out", "report.txt", "report.txt", "other.txt", "other.txt"),
+    ("format", "fmt", "json", "json", "table", "table"),
 ]
+
+
+def config_of(*flags):
+    """The RunConfig of ``verify elliptic`` with these flags."""
+    return cli.build_config(cli._parser().parse_args(["verify", "elliptic", *flags]))
 
 
 class TestSettings:
     @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
     def test_a_flag_sets_its_field(self, setting):
-        key, field, text, value = setting
+        key, field, text, value, _, _ = setting
         want = dataclasses.replace(RunConfig(), **{field: value})
         assert want != RunConfig()
-        assert cli.build_config(cli._parser().parse_args(["verify", "elliptic", f"--{key}={text}"])) == want
+        assert config_of(f"--{key}={text}") == want
+
+    @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
+    def test_a_later_flag_overrides_its_own_field_only(self, setting):
+        key, field, _, _, other_text, other = setting
+        every_flag = [f"--{k}={t}" for k, _, t, _, _, _ in _SETTING_VALUES]
+        from_flags = RunConfig(**{f: v for _, f, _, v, _, _ in _SETTING_VALUES})
+        assert config_of(*every_flag) == from_flags
+        got = config_of(*every_flag, f"--{key}={other_text}")
+        assert got == dataclasses.replace(from_flags, **{field: other})
 
     def test_the_settings_are_the_run_config_fields(self):
         assert sorted(s.field for s in cli._SETTINGS.values()) == sorted(f.name for f in dataclasses.fields(RunConfig))
