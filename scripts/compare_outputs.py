@@ -7,12 +7,14 @@ processes on one fixed list of runs:
 
 - ``verify all --format json`` at ten configurations, with ``timings``
   removed, and its exit code;
+- ``verify all`` at the defaults in the default table format;
 - four exports: ``rmatrix``, ``connection`` at n = 5 with the longest word,
   ``connection`` at n = 3 with ``s1 s2`` and ``decompose --n 4``.
 
 Prints one markdown table: each moved number with its ratio (head / base),
 each added, removed or changed key by its JSON path, and for an export only
-its first differing field.  Exits 1 if anything moved, 0 if nothing did.
+its first differing field, and for a run whose stdout is not JSON its first
+differing stdout line.  Exits 1 if anything moved, 0 if nothing did.
 
     python scripts/compare_outputs.py BASE [HEAD]
 """
@@ -20,6 +22,7 @@ its first differing field.  Exits 1 if anything moved, 0 if nothing did.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -50,7 +53,7 @@ EXPORTS = [
     ("decompose", "--n", "4"),
 ]
 
-RUNS = [("verify", "all", "--format", "json", *flags) for flags in VERIFY_CONFIGS] + EXPORTS
+RUNS = [("verify", "all", "--format", "json", *flags) for flags in VERIFY_CONFIGS] + [("verify", "all")] + EXPORTS
 
 
 class Output(NamedTuple):
@@ -129,8 +132,13 @@ def compare(argv: tuple[str, ...], base: Output, head: Output) -> list[Change]:
     try:
         old, new = json.loads(base.stdout), json.loads(head.stdout)
     except ValueError:
-        # no JSON on one side: the last stderr line says why
-        return changes + [Change("changed", "stdout", _last_line(base.stderr), _last_line(head.stderr))]
+        # no JSON on one side, as in a table report: the first line that differs
+        lines = itertools.zip_longest(base.stdout.splitlines(), head.stdout.splitlines(), fillvalue="")
+        first = next(
+            (Change("changed", f"stdout line {i}", old, new) for i, (old, new) in enumerate(lines, 1) if old != new),
+            Change("changed", "bytes", len(base.stdout), len(head.stdout)),
+        )
+        return changes + [first]
     if argv[0] == "verify":
         old.pop("timings", None)
         new.pop("timings", None)

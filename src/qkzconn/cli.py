@@ -5,8 +5,10 @@ failure, 2 inconclusive (degenerate parameters, exhausted pole resampling,
 an elliptic evaluation that hits a pole or leaves the double range, or a
 usage error: an unwritable ``--out`` file, or a flag that is unknown, does
 not parse or is not finite, each printed as one ``error:`` line).  The
-flags are the only input; the residual tolerance is the constant
-``RunConfig.residual_tol``.
+flags are the only input, and each command takes only the flags it reads:
+the ``RunConfig`` settings of ``_SETTINGS`` (``rmatrix`` all but ``--n``),
+``--out``, and ``verify``'s ``--format``.  The residual tolerance is the
+constant ``RunConfig.residual_tol``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import cmath
 import datetime
 import functools
 import sys
-from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -62,29 +63,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Setting(NamedTuple):
-    field: str  # the RunConfig field it sets
-    parse: Callable[[str], Any]  # reads the flag's value
-    help: str | None = None
-    choices: tuple[str, ...] | None = None
-
-
-#: every run setting, keyed by its flag ``--key``; the residual tolerance is
-#: no setting but the constant ``RunConfig.residual_tol``
+#: every run setting, keyed by its ``RunConfig`` field and flag ``--key``:
+#: how its value parses, and its help; the residual tolerance is no setting
+#: but the constant ``RunConfig.residual_tol``
 _SETTINGS = {
-    "p": _Setting("p", float, "nome in (0, 1)"),
-    "kappa": _Setting("kappa", _parse_complex, "coupling (complex, re+imj)"),
-    "phi": _Setting("phi", _parse_phi, "twist a,b,c (complex entries)"),
-    "n": _Setting("n", int, "number of tensor sites"),
-    "seed": _Setting("seed", int, "seed for the sweeps"),
-    "out": _Setting("out", str, "output file (stdout if omitted)"),
-    "format": _Setting("fmt", str, choices=("json", "table")),
+    "p": (float, "nome in (0, 1)"),
+    "kappa": (_parse_complex, "coupling (complex, re+imj)"),
+    "phi": (_parse_phi, "twist a,b,c (complex entries)"),
+    "n": (int, "number of tensor sites"),
+    "seed": (int, "seed for the sweeps"),
 }
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     # only the flags that were given: RunConfig holds the defaults
-    values = {s.field: getattr(args, key) for key, s in _SETTINGS.items() if getattr(args, key, None) is not None}
+    values = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key, None) is not None}
     try:
         return RunConfig(**values)
     except ValueError as exc:
@@ -161,13 +154,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     report = run_suite(args.suite, cfg)
     payload_text = serialize.dumps(_report_payload(report))
-    if cfg.fmt == "json":
-        _emit(payload_text, cfg.out)
+    if args.format == "json":
+        _emit(payload_text, args.out)
     else:
-        _emit(_report_table(report), cfg.out)
-        if cfg.out is not None:
+        _emit(_report_table(report), args.out)
+        if args.out is not None:
             # a file-based table is always accompanied by the JSON report
-            with open(cfg.out + ".json", "w", encoding="utf-8") as handle:
+            with open(args.out + ".json", "w", encoding="utf-8") as handle:
                 handle.write(payload_text + "\n")
         for r in report.failed:
             print(f"failed: {r.check} residual={r.residual} tol={r.tol}", file=sys.stderr)
@@ -184,7 +177,7 @@ def cmd_rmatrix(args: argparse.Namespace) -> int:
     unit = r_probe @ r_back
     residuals = {"unitarity_probe": float(np.linalg.norm(unit - np.eye(9)) / 3.0)}
     payload = serialize.dynamical_r_payload(cfg.p, complex(cfg.kappa), phi, x, entries, residuals)
-    _emit(serialize.dumps(payload), cfg.out)
+    _emit(serialize.dumps(payload), args.out)
     return 0
 
 
@@ -205,7 +198,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         eigen, signs = blk.block_residuals(rep, r)
         records.append((r, spec, bases[r], eigen, float(np.max([inclusive for _, inclusive, _ in signs]))))
     payload = serialize.decomposition_payload(cfg.p, complex(cfg.kappa), phi, n, records)
-    _emit(serialize.dumps(payload), cfg.out)
+    _emit(serialize.dumps(payload), args.out)
     return 0
 
 
@@ -242,13 +235,16 @@ def cmd_connection(args: argparse.Namespace) -> int:
     # its 3^n x 3^n rows from the stored blocks
     tensor = conn.tensor_monodromy_words(ep, [(phi, labels, z)])[0]
     payload = serialize.connection_payload(cfg.p, complex(cfg.kappa), phi, z, zip(contents, specs, mats), tensor)
-    _emit(serialize.dumps(payload), cfg.out)
+    _emit(serialize.dumps(payload), args.out)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for key, s in _SETTINGS.items():
-        parser.add_argument(f"--{key}", type=s.parse, default=None, help=s.help, choices=s.choices)
+def _add_settings(parser: argparse.ArgumentParser, keys=tuple(_SETTINGS)) -> None:
+    # the run settings the command reads, and the output file
+    for key in keys:
+        parse, text = _SETTINGS[key]
+        parser.add_argument(f"--{key}", type=parse, help=text)
+    parser.add_argument("--out", help="output file (stdout if omitted)")
 
 
 @functools.cache
@@ -264,22 +260,23 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    _add_common(p_verify)
+    _add_settings(p_verify)
+    p_verify.add_argument("--format", choices=("json", "table"), default="table", help="report format")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_rmat = sub.add_parser("rmatrix", help="emit the 9x9 dynamical R-matrix as JSON")
     p_rmat.add_argument("--x", type=_parse_complex, default=complex(0.3, 0.1), help="spectral parameter")
-    _add_common(p_rmat)
+    _add_settings(p_rmat, ("p", "kappa", "phi", "seed"))
     p_rmat.set_defaults(fn=cmd_rmatrix)
 
     p_dec = sub.add_parser("decompose", help="emit the block decomposition as JSON")
-    _add_common(p_dec)
+    _add_settings(p_dec)
     p_dec.set_defaults(fn=cmd_decompose)
 
     p_conn = sub.add_parser("connection", help="emit connection matrices for a word")
     p_conn.add_argument("--w", type=str, default="e", help="word, e.g. 's1 s2 s1' or 'e'")
     p_conn.add_argument("--z", type=_parse_z, default=None, help="evaluation point z1,z2,...")
-    _add_common(p_conn)
+    _add_settings(p_conn)
     p_conn.set_defaults(fn=cmd_connection)
     return parser
 

@@ -31,15 +31,13 @@ SITE_CAP = 6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters and output settings of a verification run."""
+    """The five parameters a run computes from; where it writes is no field."""
 
     p: float = 0.35
     kappa: complex = 0.27
     phi: tuple[complex, complex, complex] | None = None
     n: int = 4
     seed: int = 7
-    out: str | None = None
-    fmt: str = "table"
     #: the tolerance of every check registered with ``tol=None``; no run sets it
     residual_tol: ClassVar[float] = 1e-9
 
@@ -53,8 +51,6 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         check_coupling(self.kappa)
-        if self.fmt not in ("json", "table"):
-            raise ValueError(f"format must be json or table, got {self.fmt!r}")
 
     def elliptic(self) -> EllipticParams:
         return EllipticParams(nome=Nome(self.p), kappa=complex(self.kappa))

@@ -1,7 +1,9 @@
 """Command-line surface: suites, exports, determinism and exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qkzconn
 from qkzconn import checks, cli, connection, serialize
@@ -108,18 +112,23 @@ class TestVerify:
         assert result["passed"] is False
 
 
-#: each run setting: its flag, its RunConfig field, and two non-default
-#: values, as text and as read
+#: each run setting: its flag, which is its RunConfig field, and two
+#: non-default values, as text and as read
 _SETTING_VALUES = [
-    ("p", "p", "0.4", 0.4, "0.5", 0.5),
-    ("kappa", "kappa", "0.29+0.01j", 0.29 + 0.01j, "0.31", 0.31),
-    ("phi", "phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j),
-     "0,0.1j,0.2", (0, 0.1j, 0.2)),
-    ("n", "n", "3", 3, "2", 2),
-    ("seed", "seed", "12", 12, "0", 0),
-    ("out", "out", "report.txt", "report.txt", "other.txt", "other.txt"),
-    ("format", "fmt", "json", "json", "table", "table"),
+    ("p", "0.4", 0.4, "0.5", 0.5),
+    ("kappa", "0.29+0.01j", 0.29 + 0.01j, "0.31", 0.31),
+    ("phi", "0.1+0.1j,-0.2+0.05j,0.3+0.2j", (0.1 + 0.1j, -0.2 + 0.05j, 0.3 + 0.2j), "0,0.1j,0.2", (0, 0.1j, 0.2)),
+    ("n", "3", 3, "2", 2),
+    ("seed", "12", 12, "0", 0),
 ]
+
+#: the flags each subcommand accepts, besides -h
+_COMMAND_FLAGS = {
+    "verify": {"p", "kappa", "phi", "n", "seed", "out", "format"},
+    "rmatrix": {"p", "kappa", "phi", "seed", "out", "x"},
+    "decompose": {"p", "kappa", "phi", "n", "seed", "out"},
+    "connection": {"p", "kappa", "phi", "n", "seed", "out", "w", "z"},
+}
 
 
 def config_of(*flags):
@@ -127,28 +136,44 @@ def config_of(*flags):
     return cli.build_config(cli._parser().parse_args(["verify", "elliptic", *flags]))
 
 
+def command_parsers():
+    """Each subcommand's parser, by its name."""
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def command_flags(command):
+    """The long options of one subcommand's parser, without ``--``."""
+    actions = command_parsers()[command]._actions
+    return {flag[2:] for a in actions for flag in a.option_strings if flag not in ("-h", "--help")}
+
+
 class TestSettings:
     @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
     def test_a_flag_sets_its_field(self, setting):
-        key, field, text, value, _, _ = setting
-        want = dataclasses.replace(RunConfig(), **{field: value})
+        key, text, value, _, _ = setting
+        want = dataclasses.replace(RunConfig(), **{key: value})
         assert want != RunConfig()
         assert config_of(f"--{key}={text}") == want
 
     @pytest.mark.parametrize("setting", _SETTING_VALUES, ids=lambda row: row[0])
     def test_a_later_flag_overrides_its_own_field_only(self, setting):
-        key, field, _, _, other_text, other = setting
-        every_flag = [f"--{k}={t}" for k, _, t, _, _, _ in _SETTING_VALUES]
-        from_flags = RunConfig(**{f: v for _, f, _, v, _, _ in _SETTING_VALUES})
+        key, _, _, other_text, other = setting
+        every_flag = [f"--{k}={t}" for k, t, _, _, _ in _SETTING_VALUES]
+        from_flags = RunConfig(**{k: v for k, _, v, _, _ in _SETTING_VALUES})
         assert config_of(*every_flag) == from_flags
         got = config_of(*every_flag, f"--{key}={other_text}")
-        assert got == dataclasses.replace(from_flags, **{field: other})
+        assert got == dataclasses.replace(from_flags, **{key: other})
 
     def test_the_settings_are_the_run_config_fields(self):
-        assert sorted(s.field for s in cli._SETTINGS.values()) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert sorted(cli._SETTINGS) == sorted(f.name for f in dataclasses.fields(RunConfig))
         assert RunConfig.residual_tol == 1e-9
-        with pytest.raises(TypeError):
-            RunConfig(residual_tol=1e-6)
+        for where in ({"residual_tol": 1e-6}, {"out": "x"}, {"fmt": "json"}):
+            with pytest.raises(TypeError):
+                RunConfig(**where)
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        assert {command: command_flags(command) for command in command_parsers()} == _COMMAND_FLAGS
 
     @pytest.mark.parametrize(
         "command", [("verify", "elliptic"), ("rmatrix",), ("decompose",), ("connection",)], ids=lambda c: c[0]
@@ -361,6 +386,11 @@ _USAGE_ERRORS = [
     ("verify", "nosuchsuite"),
     # 2 Re kappa overflows to inf
     ("verify", "elliptic", "--kappa", "1e308"),
+    # a flag that the command does not read
+    ("rmatrix", "--n", "4"),
+    ("rmatrix", "--format", "json"),
+    ("decompose", "--format", "table"),
+    ("connection", "--format", "json"),
 ]
 
 
@@ -416,6 +446,15 @@ class TestEvaluationFailuresAreInconclusive:
             code, _ = fresh_process(*argv, flags=flags)
             assert code == 2, flags
 
+    def test_an_underflow_to_zero_fails_whatever_the_warning_filters(self):
+        # c and the odd unit underflow to 0 at x and x + 1 in c-periodicity:
+        # their ratio 0/0 is a NaN that fails, not a warning that escapes
+        argv = ("verify", "all", "--kappa=0.27-1e3j")
+        for flags in ((), ("-W", "error::RuntimeWarning")):
+            code, err = fresh_process(*argv, flags=flags, stream="stderr")
+            assert code == 1, flags
+            assert err.splitlines()[-1].startswith("failed: c-periodicity residual=nan"), flags
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-5)
@@ -465,14 +504,14 @@ def test_build_config_defaults_are_run_config_defaults():
     assert cli.build_config(argparse.Namespace()) == RunConfig()
 
 
-def fresh_process(*argv, timeout=120, flags=()):
-    """Exit code and stdout of ``python [flags] -m qkzconn.cli`` in a new interpreter."""
+def fresh_process(*argv, timeout=120, flags=(), stream="stdout"):
+    """Exit code and stdout (or stderr) of ``python [flags] -m qkzconn.cli`` in a new interpreter."""
     src = os.path.dirname(os.path.dirname(qkzconn.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, *flags, "-m", "qkzconn.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
-    return done.returncode, done.stdout
+    return done.returncode, getattr(done, stream)
 
 
 def test_cached_parser_does_not_leak_between_calls(capsys, tmp_path):
@@ -488,3 +527,55 @@ def test_cached_parser_does_not_leak_between_calls(capsys, tmp_path):
     assert fresh_process("rmatrix", "--seed", "4", "--x=0.1+0.2j", "--out", str(fresh))[0] == 0
     assert first.read_text() == fresh.read_text()
     assert fresh_process("rmatrix") == (0, out2)
+
+
+#: edge values of every flag a command may draw, ``--out`` aside; ``--n``
+#: stays at most 3 in range (1 and 7 are refused before any run), and
+#: ``--z`` draws its coordinates one by one
+_EDGE_VALUES = {
+    "p": ["1e-300", "5e-324", "0.9999999999999", "0.35", "0.85"],
+    # 2 Re kappa in Z is resonant
+    "kappa": ["1e3j", "-1e3j", "0.27+1e3j", "0.27-1e3j", "0.5", "0.5000000001", "0.4999999999+0.1j", "0.27"],
+    "phi": ["0.1+0.1j,0.1+0.1j,0.1+0.1j", "0.1,0.1,0.3+0.2j", "1e300,0,0", "0,1e300j,0", "0.1+0.1j,-0.2+0.05j,0.3+0.2j"],
+    "n": ["1", "2", "3", "7"],
+    "seed": ["0", "3", "1089"],
+    "format": ["json", "table"],
+    "x": ["0", "1e-300", "1e300", "1e3j", "-1e3j", "0.3+0.1j"],
+    "w": ["e", "s1", "s2 s1", "s1 s2 s1", "s0", "s3", "s1 s9"],
+    "z": ["1e300", "-1e300", "1e3j", "-1e3j", "0.2", "0.1+0.05j"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and a value, or none, for each flag its parser takes."""
+    command = draw(st.sampled_from(sorted(command_parsers())))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(checks.SUITES)))
+    flags = command_flags(command) - {"out"}
+    n = draw(st.none() | st.sampled_from(_EDGE_VALUES["n"])) if "n" in flags else None
+    size = RunConfig().n if n is None else int(n)
+    for flag in sorted(flags):
+        if flag == "z":
+            point = st.lists(st.sampled_from(_EDGE_VALUES["z"]), min_size=size, max_size=size)
+            value = draw(st.none() | point.map(",".join))
+        else:
+            value = n if flag == "n" else draw(st.none() | st.sampled_from(_EDGE_VALUES[flag]))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+# c and the odd unit underflow to 0: a 0/0 ratio that once escaped as a warning
+@example(argv=["verify", "all", "--kappa=0.27-1e3j"])
+def test_every_argv_ends_in_its_exit_code(argv):
+    # RuntimeWarning is an error under the test run's warning filters
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    last = (err.getvalue().splitlines() or [""])[-1]
+    assert last == "" or last.startswith(("error:", "inconclusive:", "failed:")), last

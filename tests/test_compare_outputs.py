@@ -63,3 +63,17 @@ def test_an_exit_code_and_a_removed_key():
     changes = compare_outputs.compare(("verify", "all"), base, head)
     assert changes == [Change("changed", "exit code", 0, 1), Change("removed", "config.samples", 20, None)]
     assert compare_outputs.compare(("rmatrix",), output({"x": 1}), output({"x": 1})) == []
+
+
+def test_a_table_report_by_its_first_differing_line():
+    assert ("verify", "all") in compare_outputs.RUNS
+    lines = ["check suite status residual", "theta-zeros elliptic pass 1.00e-16", "0 failed"]
+    base = Output(0, "\n".join(lines) + "\n", "")
+    head = Output(1, "\n".join([lines[0], "theta-zeros elliptic FAIL 3.00e-02", "1 failed"]) + "\n", "failed: theta-zeros")
+    assert compare_outputs.compare(("verify", "all"), base, head) == [
+        Change("changed", "exit code", 0, 1),
+        Change("changed", "stdout line 2", lines[1], "theta-zeros elliptic FAIL 3.00e-02"),
+    ]
+    # a line that one side lacks reads as empty there
+    longer = Output(0, base.stdout + "extra\n", "")
+    assert compare_outputs.compare(("verify", "all"), base, longer) == [Change("changed", "stdout line 4", "", "extra")]
